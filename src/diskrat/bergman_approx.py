@@ -30,7 +30,7 @@ as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -43,7 +43,7 @@ from .circlequad import (
     require_in_disk,
     sample_on_nodes,
 )
-from .errors import OrderTooSmall
+from .errors import NonFiniteIntegrand
 from .expansion import (
     FourierExpansion,
     default_grid_size,
@@ -64,6 +64,8 @@ __all__ = [
     "closed_form_J",
     "closed_form_J_tm_phase",
     "competitor_function",
+    "competitor_nu",
+    "competitor_trials",
     "random_competitor_coefficients",
     "ratio_coefficients",
     "equimodularity_variation",
@@ -73,6 +75,14 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Golden-section iterations per nu refinement: the bracket shrinks to
+#: 0.618^60 ~ 3e-13 of one grid arc.
+_REFINE_ITERS = 60
+
+#: Long-double integrand evaluation kicks in below this quadratic minimum;
+#: smaller minima drown in double-precision cancellation noise.
+EXTENDED_MU_CUTOFF = 1e-7
 
 
 def _rising_factorial(alpha: int, count: int) -> float:
@@ -248,21 +258,38 @@ def mu_min_closed_form(spec: KernelSpec, free_poles: PoleSequence | list[complex
     return float(ww ** (spec.alpha + 1) / (1.0 - ww) ** (2 * spec.alpha + 3) * b * b)
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, iters: int) -> float:
-    a, b = lo, hi
+def _golden_max(f: Callable, lo, hi, iters: int) -> np.ndarray:
+    """Golden-section maximization of f over every bracket [lo, hi] at once.
+
+    lo and hi are arrays of one shape; f maps an array of arguments to values
+    elementwise and is called once per iteration on all brackets (once more
+    at the start, on the stacked first two probes).  Each bracket follows the
+    scalar search exactly: np.where picks per bracket which end moves.
+    """
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = f(np.stack([c, d]))
     for _ in range(iters):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-    return max(fc, fd)
+        right = fc < fd
+        a = np.where(right, c, a)
+        b = np.where(right, b, d)
+        probe = np.where(right, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
+        value = f(probe)
+        c, d = np.where(right, d, probe), np.where(right, probe, c)
+        fc, fd = np.where(right, fd, value), np.where(right, value, fc)
+    return np.maximum(fc, fd)
+
+
+def _arc_brackets(theta, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two arcs [theta - step, theta] and [theta, theta + step] adjacent
+    to each best node angle, stacked along a new leading axis."""
+    return np.stack([theta - step, theta]), np.stack([theta, theta + step])
+
+
+def _unit(t) -> np.ndarray:
+    return np.cos(t) + 1j * np.sin(t)
 
 
 def nu_functional(
@@ -270,12 +297,16 @@ def nu_functional(
     rational: Callable,
     grid: CircleGrid,
     refine: bool = True,
-    refine_iters: int = 60,
+    refine_iters: int = _REFINE_ITERS,
 ) -> float:
     """Grid maximum of |(1 - x conj(w))^-(1+alpha) - R(x)| on the circle,
     refined by golden-section maximization over the two arcs adjacent to the
-    best node.  The error modulus is smooth on the circle and near-constant at
-    the optimum, so grid resolution dominates and the refinement is local."""
+    best node, both arcs in one search.  The error modulus is smooth on the
+    circle and near-constant at the optimum, so grid resolution dominates and
+    the refinement is local.
+
+    rational must accept arrays of any shape and evaluate elementwise.
+    """
     values = sample_on_nodes(rational, grid.nodes)
     error = np.abs(spec.cauchy_power(grid.nodes) - values)
     j = int(np.argmax(error))
@@ -283,15 +314,62 @@ def nu_functional(
     if not refine:
         return best
     step = 2.0 * np.pi / grid.node_count
-    theta = step * j
 
-    def modulus(t: float) -> float:
-        x = complex(np.cos(t), np.sin(t))
-        return abs(spec.cauchy_power(x) - rational(x))
+    def modulus(t):
+        x = _unit(t)
+        return np.abs(spec.cauchy_power(x) - rational(x))
 
-    left = _golden_max(modulus, theta - step, theta, refine_iters)
-    right = _golden_max(modulus, theta, theta + step, refine_iters)
-    return max(best, left, right)
+    lo, hi = _arc_brackets(np.asarray(step * j), step)
+    return max(best, float(np.max(_golden_max(modulus, lo, hi, refine_iters))))
+
+
+def competitor_nu(
+    spec: KernelSpec,
+    basis: TMBasis,
+    coefficients,
+    grid: CircleGrid,
+) -> np.ndarray:
+    """nu of competitor_function(basis, spec.w, row) for every row of a
+    (trials, m) coefficient matrix, as nu_functional computes it.
+
+    The basis is evaluated on the grid once.  The grid pass takes the trials
+    in blocks of at most m rows, so no temporary exceeds the design matrix;
+    the refinement runs both arcs of every trial through one golden-section
+    search, one basis evaluation per iteration.
+    """
+    coefficients = np.atleast_2d(np.asarray(coefficients, dtype=complex))
+    trials, count = coefficients.shape
+    cw = np.conj(spec.w)
+    nodes = grid.nodes
+    phi = basis.eval_all(nodes, count=count)
+    multiplier = 1.0 - nodes * cw
+    kernel = spec.cauchy_power(nodes)
+    best = np.empty(trials)
+    index = np.empty(trials, dtype=int)
+    block = max(count, 1)
+    for start in range(0, trials, block):
+        rows = slice(start, start + block)
+        error = coefficients[rows] @ phi
+        error *= multiplier
+        np.subtract(kernel, error, out=error)
+        bad = ~np.isfinite(error)
+        if bad.any():
+            row, node = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            raise NonFiniteIntegrand(int(node), complex(error[row, node]))
+        error = np.abs(error)
+        index[rows] = np.argmax(error, axis=1)
+        best[rows] = error[np.arange(len(error)), index[rows]]
+    step = 2.0 * np.pi / grid.node_count
+
+    def modulus(t):
+        # t has the trials on its last axis; row i is refined with trial i
+        x = _unit(t)
+        sums = np.einsum("tk,k...t->...t", coefficients, basis.eval_all(x, count=count))
+        return np.abs(spec.cauchy_power(x) - (1.0 - x * cw) * sums)
+
+    lo, hi = _arc_brackets(step * index, step)
+    refined = np.max(_golden_max(modulus, lo, hi, _REFINE_ITERS), axis=0)
+    return np.maximum(best, refined)
 
 
 def nu_min_closed_form(spec: KernelSpec, free_poles: PoleSequence | list[complex]) -> float:
@@ -377,6 +455,28 @@ def random_competitor_coefficients(
     return c + scale * noise
 
 
+def competitor_trials(
+    approx: Approximant, trials: int, rng: np.random.Generator, noise_scale: float = 0.1
+) -> np.ndarray:
+    """The (trials, m) coefficient schedule of the competitor scans: trial 0
+    is the optimum, odd trials perturb it (random_competitor_coefficients),
+    even trials draw complex Gaussian coefficients of scale max|c|.  The
+    generator is consumed in trial order."""
+    optimum = approx.coefficients
+    scale = float(np.max(np.abs(optimum)))
+    rows = np.empty((int(trials), len(optimum)), dtype=complex)
+    for trial in range(len(rows)):
+        if trial == 0:
+            rows[trial] = optimum
+        elif trial % 2 == 1:
+            rows[trial] = random_competitor_coefficients(approx, rng, noise_scale)
+        else:
+            rows[trial] = scale * (
+                rng.standard_normal(len(optimum)) + 1j * rng.standard_normal(len(optimum))
+            )
+    return rows
+
+
 def ratio_coefficients(
     rational: Callable, w: complex, basis: TMBasis, grid: CircleGrid
 ) -> np.ndarray:
@@ -417,6 +517,10 @@ class ErrorReport:
     max_interp_residual: float
     free_pole_matches_w: bool = False
     degenerate_w_zero: bool = False
+    # the objects the values came from, for callers that report them too;
+    # None and empty for w = 0, and left out of every output format
+    approximant: Approximant | None = field(default=None, repr=False, compare=False)
+    interp_residuals: list[float] = field(default_factory=list, repr=False, compare=False)
 
     CSV_HEADER = (
         "n,alpha,w_re,w_im,mu_quad,mu_closed,nu_grid,nu_closed,max_interp_residual"
@@ -500,11 +604,11 @@ def build_error_report(
     # tiny minima sit below double-precision cancellation noise; evaluate the
     # integrand in long double there
     mu_quad = mu_functional(
-        spec, approx.eval, mu_grid, extended=mu_closed < 1e-9
+        spec, approx.eval, mu_grid, extended=mu_closed < EXTENDED_MU_CUTOFF
     )
     nu_grid = nu_functional(spec, approx.eval, circle_grid(int(nu_grid_size)))
     nu_closed = nu_min_closed_form(spec, free_poles)
-    interp = max(approx.interpolation_residuals()) if include_interpolation else 0.0
+    residuals = approx.interpolation_residuals() if include_interpolation else []
     report = ErrorReport(
         alpha=spec.alpha,
         n=n,
@@ -514,8 +618,10 @@ def build_error_report(
         mu_closed_form=mu_closed,
         nu_grid=nu_grid,
         nu_closed_form=nu_closed,
-        max_interp_residual=interp,
+        max_interp_residual=max(residuals, default=0.0),
         free_pole_matches_w=matches,
+        approximant=approx,
+        interp_residuals=residuals,
     )
     report.validate()
     return report

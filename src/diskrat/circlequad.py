@@ -12,6 +12,7 @@ everything here is safe for unsynchronized concurrent use.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,9 +36,10 @@ MAX_NODES = 2**20
 
 
 def require_in_disk(z: complex, eps: float = EPS_BOUNDARY) -> complex:
-    """Return z as a plain complex after checking |z| < 1 - eps."""
+    """Return z as a plain complex after checking that it is finite and
+    |z| < 1 - eps."""
     z = complex(z)
-    if abs(z) >= 1.0 - eps:
+    if not cmath.isfinite(z) or abs(z) >= 1.0 - eps:
         raise PointNotInDisk(
             f"point with |z| = {abs(z):.12g} is not strictly inside the unit disk"
         )

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bergman_approx import build_approximant, build_error_report, interpolation_target
-from .circlequad import circle_grid
-from .errors import DiskratError, OrderTooSmall
+from .bergman_approx import build_error_report, interpolation_target
+from .circlequad import circle_grid, require_in_disk
+from .errors import DiskratError, OrderTooSmall, PointNotInDisk
 from .kernels import KernelSpec
 from .oracle import (
     LeastSquaresProblem,
@@ -100,8 +100,11 @@ class RunConfig:
     def validate(self):
         if self.alpha < 0:
             raise UsageError("alpha must be >= 0")
-        if abs(self.w) >= 1.0:
-            raise UsageError("|w| must be < 1")
+        try:
+            for point in [self.w, *(self.poles or []), *(self.ws or [])]:
+                require_in_disk(point)
+        except PointNotInDisk as exc:
+            raise UsageError(str(exc))
         if self.grid_size < 256 or self.grid_size & (self.grid_size - 1):
             raise UsageError("grid size must be a power of two >= 256")
         if self.fmt not in ("csv", "json"):
@@ -304,9 +307,9 @@ def cmd_approximate(cfg: RunConfig) -> int:
         }
         interp_rows = []
     else:
-        approx = build_approximant(spec, free)
+        approx = report.approximant
         approx_dict = approx.to_json_dict()
-        residuals = approx.interpolation_residuals()
+        residuals = report.interp_residuals
         interp_rows = []
         for m, a in enumerate(approx.basis.poles):
             s = approx.basis.poles.multiplicity_in_prefix(m)

@@ -23,10 +23,9 @@ import numpy as np
 
 from .bergman_approx import (
     build_approximant,
-    competitor_function,
-    nu_functional,
+    competitor_nu,
+    competitor_trials,
     nu_min_closed_form,
-    random_competitor_coefficients,
 )
 from .circlequad import CircleGrid, circle_grid, sample_on_nodes
 from .errors import IllConditioned
@@ -177,34 +176,19 @@ def uniform_competitor_scan(
         grid = circle_grid(4096)
     free = basis.poles.prefix(basis.max_index - spec.alpha)
     approx = build_approximant(spec, free)
-    rng = np.random.default_rng(seed)
-    optimum = approx.coefficients
-    scale = float(np.max(np.abs(optimum)))
-    best = np.inf
-    best_trial = 0
-    best_coeffs = optimum
-    for trial in range(trials):
-        if trial == 0:
-            coeffs = optimum
-        elif trial % 2 == 1:
-            coeffs = random_competitor_coefficients(approx, rng, noise_scale)
-        else:
-            coeffs = scale * (
-                rng.standard_normal(len(optimum))
-                + 1j * rng.standard_normal(len(optimum))
-            )
-        value = nu_functional(spec, competitor_function(basis, spec.w, coeffs), grid)
-        if value < best:
-            best = value
-            best_trial = trial
-            best_coeffs = coeffs
+    coefficients = competitor_trials(
+        approx, trials, np.random.default_rng(seed), noise_scale
+    )
+    values = competitor_nu(spec, basis, coefficients, grid)
+    best_trial = int(np.argmin(values))
+    best = float(values[best_trial])
     closed = nu_min_closed_form(spec, free)
     return ScanReport(
         seed=int(seed),
         trials=trials,
-        min_nu=float(best),
+        min_nu=best,
         argmin_trial=best_trial,
-        argmin_coefficients=np.asarray(best_coeffs),
+        argmin_coefficients=coefficients[best_trial],
         closed_form=closed,
         margin=float(best - closed),
     )

@@ -6,6 +6,7 @@ import pytest
 from diskrat import (
     ErrorReport,
     KernelSpec,
+    NonFiniteIntegrand,
     PoleSequence,
     TMBasis,
     TrailingPolesMismatch,
@@ -15,6 +16,8 @@ from diskrat import (
     closed_form_J,
     closed_form_J_tm_phase,
     competitor_function,
+    competitor_nu,
+    competitor_trials,
     equimodularity_variation,
     interpolation_target,
     mu_functional,
@@ -24,6 +27,7 @@ from diskrat import (
     random_competitor_coefficients,
     ratio_coefficients,
 )
+from diskrat.bergman_approx import _GOLDEN, _golden_max
 
 GRID = circle_grid(4096)
 
@@ -272,6 +276,92 @@ class TestNuFunctional:
             spec, competitor_function(approx.basis, spec.w, scaled), circle_grid(2**12)
         )
         assert value > 1.0 / 3.0 + 1e-4
+
+
+def scalar_golden_max(f, lo, hi, iters):
+    """Reference: golden-section search on one bracket, one point per call."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+    return max(fc, fd)
+
+
+SCAN_CONFIGS = [
+    (KernelSpec(0, 0.5), [0j], 42),
+    (KernelSpec(1, 0.4j), [0.2], 43),
+    (KernelSpec(2, complex(-0.3, 0.2)), [0.25, -0.3j], 44),
+]
+
+
+class TestBatchedNu:
+    def test_golden_max_matches_scalar_search(self):
+        def f(t):
+            return np.exp(-((t - 0.3) ** 2)) * np.cos(3.0 * t)
+
+        lo = np.linspace(-1.0, 1.0, 9)
+        hi = lo + np.linspace(0.1, 0.9, 9)
+        batched = _golden_max(f, np.stack([lo, hi - 0.05]), np.stack([hi, hi + 0.3]), 60)
+        for row, (los, his) in enumerate([(lo, hi), (hi - 0.05, hi + 0.3)]):
+            for i, (a, b) in enumerate(zip(los, his)):
+                reference = scalar_golden_max(lambda t: float(f(t)), float(a), float(b), 60)
+                assert abs(batched[row, i] - reference) <= 1e-15
+
+    @pytest.mark.parametrize("truncate", [False, True])
+    @pytest.mark.parametrize("spec, free, seed", SCAN_CONFIGS)
+    def test_competitor_nu_matches_nu_functional(self, spec, free, seed, truncate):
+        approx = build_approximant(spec, free)
+        rows = competitor_trials(approx, 12, np.random.default_rng(seed))
+        if truncate:
+            rows = rows[:, :2]
+        grid = circle_grid(2**12)
+        batched = competitor_nu(spec, approx.basis, rows, grid)
+        # At the optimum the error modulus is flat, so the refined maximum is
+        # a maximum over rounding noise of the terms it cancels, whose size
+        # is at most sup |(1 - x conj(w))^-(1+alpha)| = (1 - |w|)^-(1+alpha).
+        noise = 8 * np.finfo(float).eps * (1.0 - abs(spec.w)) ** -(spec.alpha + 1)
+        for row, value in zip(rows, batched):
+            reference = nu_functional(
+                spec, competitor_function(approx.basis, spec.w, row), grid
+            )
+            assert abs(value - reference) <= 1e-14 * reference + noise
+
+    def test_competitor_nu_rejects_non_finite_rows(self):
+        spec = KernelSpec(0, 0.5)
+        approx = build_approximant(spec, [0j])
+        rows = np.array([approx.coefficients, [np.nan, 1.0]])
+        with pytest.raises(NonFiniteIntegrand):
+            competitor_nu(spec, approx.basis, rows, circle_grid(2**10))
+
+    @pytest.mark.parametrize("spec, free, seed", SCAN_CONFIGS)
+    def test_trial_schedule_matches_inline_loop(self, spec, free, seed):
+        approx = build_approximant(spec, free)
+        rng = np.random.default_rng(seed)
+        optimum = approx.coefficients
+        scale = float(np.max(np.abs(optimum)))
+        expected = []
+        for trial in range(100):
+            if trial == 0:
+                coeffs = optimum
+            elif trial % 2 == 1:
+                coeffs = random_competitor_coefficients(approx, rng, 0.1)
+            else:
+                coeffs = scale * (
+                    rng.standard_normal(len(optimum))
+                    + 1j * rng.standard_normal(len(optimum))
+                )
+            expected.append(coeffs)
+        rows = competitor_trials(approx, 100, np.random.default_rng(seed))
+        assert np.array_equal(rows, np.array(expected))
 
 
 class TestClosedFormJ:

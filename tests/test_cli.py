@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+import diskrat.bergman_approx
 from diskrat.cli import main, parse_complex, parse_int_list, parse_pole_list
+from diskrat.verify import CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +45,34 @@ class TestApproximate:
         assert report["nu_closed"] == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert report["mu_quad"] == pytest.approx(report["mu_closed"], rel=1e-10)
         assert payload["interpolation_residuals"][0]["residual"] < 1e-8
+
+    def test_builds_once(self, capsys, monkeypatch):
+        calls = {"build": 0, "residuals": 0}
+        build = diskrat.bergman_approx.build_approximant
+        residuals = diskrat.bergman_approx.Approximant.interpolation_residuals
+
+        def counted_build(*args, **kwargs):
+            calls["build"] += 1
+            return build(*args, **kwargs)
+
+        def counted_residuals(self):
+            calls["residuals"] += 1
+            return residuals(self)
+
+        monkeypatch.setattr(diskrat.bergman_approx, "build_approximant", counted_build)
+        monkeypatch.setattr(
+            diskrat.bergman_approx.Approximant, "interpolation_residuals", counted_residuals
+        )
+        code, out, _ = run_cli(
+            capsys, "approximate", "--alpha", "1", "--w", "0.4,0.1", "--poles", "0.3,0"
+        )
+        assert code == 0
+        assert calls == {"build": 1, "residuals": 1}
+        payload = json.loads(out)
+        assert len(payload["interpolation_residuals"]) == 3
+        assert payload["error_report"]["max_interp_residual"] == max(
+            row["residual"] for row in payload["interpolation_residuals"]
+        )
 
     def test_degenerate_w_all_zero_fields(self, capsys):
         code, out, _ = run_cli(
@@ -194,6 +225,12 @@ class TestVerify:
         assert verdict["interpolation"]["pass"] is False
         assert verdict["interpolation"]["bound"] == 1e-20
 
+    def test_check_result_holds_python_scalars(self):
+        result = CheckResult("x", np.bool_(True), np.float64(0.5), np.float64(1.0))
+        assert type(result.passed) is bool
+        assert type(result.value) is float and type(result.bound) is float
+        assert json.dumps({"pass": result.passed}) == '{"pass": true}'
+
     def test_unknown_check_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--only", "nonexistent_check")
         assert code == 1
@@ -241,6 +278,23 @@ class TestConfigHandling:
             capsys, "approximate", "--alpha", "0", "--w", "1.5,0", "--poles", "0,0"
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "w, poles",
+        [("nan,0", "0,0"), ("0.9999999999,0", "0,0"), ("0.5,0", "nan,0"), ("0.5,0", "0,1")],
+    )
+    def test_points_outside_library_disk_are_usage_errors(self, capsys, w, poles):
+        code, _, err = run_cli(capsys, "approximate", "--w", w, "--poles", poles)
+        assert code == 1
+        assert "not strictly inside the unit disk" in err
+
+    @pytest.mark.parametrize("ws", ["nan,0", "0.5,0;0.9999999999,0"])
+    def test_sweep_points_outside_library_disk_are_usage_errors(self, capsys, ws):
+        code, _, err = run_cli(
+            capsys, "sweep", "--alphas", "0", "--ns", "1", "--ws", ws, "--poles", "zeros"
+        )
+        assert code == 1
+        assert "not strictly inside the unit disk" in err
 
     def test_bad_format_rejected(self, capsys):
         code, _, err = run_cli(

@@ -71,3 +71,9 @@ def test_w_validation():
     with pytest.raises(PointNotInDisk):
         KernelSpec(0, 1.0 - 1e-10)
     assert KernelSpec(0, 0.95).w == 0.95
+
+
+@pytest.mark.parametrize("w", [complex(np.nan, 0), complex(0, np.inf), np.nan])
+def test_w_rejects_non_finite(w):
+    with pytest.raises(PointNotInDisk):
+        KernelSpec(0, w)

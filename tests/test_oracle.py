@@ -128,6 +128,22 @@ class TestCompetitorScan:
         )
         assert nu > nu_min_closed_form(spec, approx.free_poles) + 1e-5
 
+    @pytest.mark.parametrize(
+        "spec, free, seed",
+        [
+            (KernelSpec(0, 0.5), [0j], 42),
+            (KernelSpec(1, 0.4j), [0.2], 43),
+            (KernelSpec(2, complex(-0.3, 0.2)), [0.25, -0.3j], 44),
+        ],
+    )
+    def test_verify_scans_keep_their_argmin(self, spec, free, seed):
+        # the per-trial scan picked the unperturbed optimum on all three
+        basis = TMBasis(PoleSequence(free).with_trailing(spec.w, spec.alpha + 1))
+        report = uniform_competitor_scan(spec, basis, trials=100, seed=seed)
+        assert report.argmin_trial == 0
+        optimum = build_approximant(spec, free).coefficients
+        assert np.array_equal(report.argmin_coefficients, optimum)
+
     def test_trials_validation(self):
         spec = KernelSpec(0, 0.5)
         basis = TMBasis([0.5])

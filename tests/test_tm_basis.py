@@ -56,6 +56,12 @@ class TestPoleSequence:
         with pytest.raises(PointNotInDisk):
             PoleSequence([0.3, 1.0 - 1e-10])
 
+    def test_rejects_non_finite_points(self):
+        with pytest.raises(PointNotInDisk):
+            PoleSequence([complex(np.nan, 0)])
+        with pytest.raises(PointNotInDisk):
+            PoleSequence([0.3, complex(np.inf, np.nan)])
+
     def test_random_draw_respects_bounds(self):
         seq = PoleSequence.random(50, seed=3, max_modulus=0.7, min_modulus=0.2)
         moduli = [abs(p) for p in seq]
