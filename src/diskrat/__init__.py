@@ -24,17 +24,16 @@ from .bergman_approx import (
 from .circlequad import (
     EPS_BOUNDARY,
     CircleGrid,
-    Disk,
     circle_grid,
     derivative_at,
     integrate_circle,
-    integrate_circle_adaptive,
     require_in_disk,
 )
 from .errors import (
     AccuracyNotReached,
     CountOutOfRange,
     DiskratError,
+    GridTooLarge,
     IllConditioned,
     IndexOutOfRange,
     NonFiniteIntegrand,
@@ -53,7 +52,7 @@ from .expansion import (
     h2_remainder,
     remainder_integral_J,
 )
-from .kernels import KernelSpec, bergman_eval, cauchy_power_eval
+from .kernels import KernelSpec
 from .oracle import (
     LeastSquaresProblem,
     LsqResult,
@@ -67,9 +66,7 @@ from .tm_basis import (
     BlaschkeProduct,
     PoleSequence,
     TMBasis,
-    blaschke_eval,
     christoffel_darboux_residual,
-    tm_eval,
 )
 from .verify import ALL_CHECK_NAMES, DEFAULT_TOLERANCES, CheckResult, run_checks
 

@@ -37,7 +37,6 @@ import numpy as np
 
 from .circlequad import (
     CircleGrid,
-    _as_point,
     circle_grid,
     derivative_at,
     require_in_disk,
@@ -46,7 +45,6 @@ from .circlequad import (
 from .errors import NonFiniteIntegrand
 from .expansion import (
     FourierExpansion,
-    default_grid_size,
     expand_function,
     expand_kernel,
     validate_trailing_poles,
@@ -210,18 +208,16 @@ class Approximant:
 
 
 def build_approximant(
-    spec: KernelSpec,
-    free_poles: PoleSequence | list[complex],
-    grid: CircleGrid | None = None,
+    spec: KernelSpec, free_poles: PoleSequence | list[complex]
 ) -> Approximant:
     """Assemble the full pole sequence (free poles then alpha+1 copies of w),
-    the basis, the kernel expansion, and the approximant of order
-    n = len(free_poles) + alpha."""
+    the basis, the kernel expansion (closed-form coefficients, no grid), and
+    the approximant of order n = len(free_poles) + alpha."""
     if not isinstance(free_poles, PoleSequence):
         free_poles = PoleSequence(free_poles)
     full = free_poles.with_trailing(spec.w, spec.alpha + 1)
     basis = TMBasis(full)
-    expansion = expand_kernel(spec, basis, grid)
+    expansion = expand_kernel(spec, basis)
     return Approximant(
         spec=spec,
         free_poles=free_poles,
@@ -238,7 +234,9 @@ def mu_functional(
 
     With extended=True the integrand is evaluated in long-double arithmetic;
     near-optimal R makes the integrand a difference of O(1) quantities, and the
-    extra mantissa keeps tiny minima meaningful.
+    extra mantissa keeps tiny minima meaningful.  R is called on the grid's
+    own node array, so a rational built on a basis (Approximant.eval,
+    competitor_function) reuses a design matrix stored for that grid.
     """
     nodes = circle_grid(grid.node_count, extended=True).nodes if extended else grid.nodes
     values = sample_on_nodes(rational, nodes)
@@ -390,7 +388,7 @@ def closed_form_J(spec: KernelSpec, basis: TMBasis, n: int, z) -> complex:
 
     with B over the free poles.  Extends continuously to 0 at w = 0."""
     validate_trailing_poles(spec, basis.poles, n)
-    z = require_in_disk(_as_point(z))
+    z = require_in_disk(z)
     if spec.w == 0:
         return 0.0j
     a1 = spec.alpha + 1
@@ -415,7 +413,7 @@ def closed_form_J_tm_phase(
     over the free poles.  Undefined factors at w = 0 never form: the w = 0
     case short-circuits to (0, 1)."""
     validate_trailing_poles(spec, basis.poles, n)
-    z = require_in_disk(_as_point(z))
+    z = require_in_disk(z)
     if spec.w == 0:
         return 0.0j, 1.0 + 0.0j
     degree = int(n) - spec.alpha
@@ -597,7 +595,7 @@ def build_error_report(
             free_pole_matches_w=matches,
             degenerate_w_zero=True,
         )
-    approx = build_approximant(spec, free_poles, mu_grid)
+    approx = build_approximant(spec, free_poles)
     if mu_grid is None:
         mu_grid = circle_grid(approx.expansion.grid_size)
     mu_closed = mu_min_closed_form(spec, free_poles)

@@ -2,9 +2,9 @@
 
 The workhorse is the composite trapezoid rule on N equispaced nodes, which for
 integrands analytic in an annulus containing the circle converges geometrically
-in N.  On top of it sit an adaptive node-doubling wrapper and a contour-integral
-evaluator for derivatives of analytic functions (Cauchy's formula discretized
-on a circle inside the disk).
+in N.  On top of it sits a contour-integral evaluator for derivatives of
+analytic functions (Cauchy's formula discretized on a circle inside the disk),
+which doubles its node count until successive values agree.
 
 All values are immutable after construction and every operation is pure, so
 everything here is safe for unsynchronized concurrent use.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -31,7 +30,8 @@ from .errors import (
 #: closed-form error constants downstream blow up like (1 - |w|^2)^-(2a+3).
 EPS_BOUNDARY = 1e-9
 
-DEFAULT_NODES = 4096
+#: Largest quadrature grid an expansion may ask for (see
+#: expansion.default_grid_size).
 MAX_NODES = 2**20
 
 
@@ -44,20 +44,6 @@ def require_in_disk(z: complex, eps: float = EPS_BOUNDARY) -> complex:
             f"point with |z| = {abs(z):.12g} is not strictly inside the unit disk"
         )
     return z
-
-
-@dataclass(frozen=True)
-class Disk:
-    """A point strictly inside the open unit disk."""
-
-    point: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", require_in_disk(self.point))
-
-
-def _as_point(z) -> complex:
-    return z.point if isinstance(z, Disk) else complex(z)
 
 
 class CircleGrid:
@@ -93,20 +79,16 @@ def circle_grid(node_count: int, extended: bool = False) -> CircleGrid:
 
 
 def sample_on_nodes(f: Callable, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate f on all nodes, accepting vectorized or scalar-only callables.
+    """Evaluate the vectorized f on all nodes at once; a constant (0-d)
+    result is broadcast to every node.
 
     Raises NonFiniteIntegrand naming the first offending node index.
     """
-    try:
-        values = np.asarray(f(nodes))
-    except (TypeError, ValueError):
-        values = np.asarray([f(t) for t in nodes])
+    values = np.asarray(f(nodes))
     if values.ndim == 0:
         values = np.full(nodes.shape, complex(values), dtype=complex)
     if values.shape != nodes.shape:
-        values = np.asarray([f(t) for t in nodes])
-        if values.shape != nodes.shape:
-            raise ValueError("integrand did not produce one value per node")
+        raise ValueError("integrand did not produce one value per node")
     bad = ~np.isfinite(values)
     if bad.any():
         idx = int(np.argmax(bad))
@@ -125,30 +107,6 @@ def integrate_circle(f: Callable, grid: CircleGrid) -> complex:
     return complex(values.mean())
 
 
-def integrate_circle_adaptive(
-    f: Callable,
-    rel_tol: float = 1e-12,
-    start_nodes: int = DEFAULT_NODES,
-    max_nodes: int = MAX_NODES,
-) -> complex:
-    """Double N until successive trapezoid values agree to rel_tol.
-
-    The comparison scale is max(1, |I|): a pure relative test can never be
-    met for integrals that are legitimately zero.
-    """
-    n = int(start_nodes)
-    previous = integrate_circle(f, circle_grid(n))
-    while n < max_nodes:
-        n *= 2
-        current = integrate_circle(f, circle_grid(n))
-        if abs(current - previous) <= rel_tol * max(1.0, abs(current)):
-            return current
-        previous = current
-    raise AccuracyNotReached(
-        f"no convergence to rel_tol={rel_tol:g} within {max_nodes} nodes"
-    )
-
-
 def derivative_at(
     f: Callable,
     a,
@@ -165,7 +123,7 @@ def derivative_at(
     conditioning of radius^-order against boundary proximity; any
     sub-boundary circle works for functions analytic on the disk.
     """
-    a = require_in_disk(_as_point(a))
+    a = require_in_disk(a)
     order = int(order)
     if order < 0:
         raise ValueError("derivative order must be non-negative")

@@ -28,6 +28,10 @@ class AccuracyNotReached(DiskratError):
     """Adaptive node doubling hit its cap before successive results agreed."""
 
 
+class GridTooLarge(DiskratError):
+    """A quadrature grid would need more than circlequad.MAX_NODES nodes."""
+
+
 class IndexOutOfRange(DiskratError):
     """A basis or coefficient index exceeds what the object holds."""
 

@@ -1,7 +1,10 @@
 """Fourier expansions of boundary functions in the orthonormal rational system.
 
-Coefficients are plain quadratures c_m(f) = integral of f conj(phi_m) against
-normalized Lebesgue measure; partial sums, the Blaschke-weighted remainder of
+Coefficients of a general boundary function are plain quadratures
+c_m(f) = integral of f conj(phi_m) against normalized Lebesgue measure.  The
+coefficients of the weighted Bergman kernel need no quadrature: by its
+reproducing property they are derivatives of phi_m at the kernel point (see
+expand_kernel).  Partial sums, the Blaschke-weighted remainder of
 the Hardy-space representation
 
     f(z) = sum_{m<n} c_m(f) phi_m(z)
@@ -18,8 +21,14 @@ from typing import Callable
 
 import numpy as np
 
-from .circlequad import CircleGrid, _as_point, circle_grid, require_in_disk, sample_on_nodes
-from .errors import CountOutOfRange, IndexOutOfRange, OrderTooSmall, TrailingPolesMismatch
+from .circlequad import MAX_NODES, CircleGrid, circle_grid, require_in_disk, sample_on_nodes
+from .errors import (
+    CountOutOfRange,
+    GridTooLarge,
+    IndexOutOfRange,
+    OrderTooSmall,
+    TrailingPolesMismatch,
+)
 from .kernels import KernelSpec
 from .tm_basis import PoleSequence, TMBasis
 
@@ -45,13 +54,19 @@ def default_grid_size(n: int, rho: float = 0.0) -> int:
     Base size max(4096, 64*(n+1)); integrand smoothness degrades as the poles
     or the kernel point approach the circle, so for rho >= 0.8 the size is
     escalated until the geometric quadrature decay rho^N is driven far below
-    double precision, rounded up to a power of two.
+    double precision, rounded up to a power of two.  Sizes above MAX_NODES
+    raise GridTooLarge; nothing is allocated here.
     """
     size = max(4096, 64 * (int(n) + 1))
     rho = float(rho)
     if rho >= 0.8:
         needed = int(math.ceil(120.0 / -math.log10(rho)))
         size = max(size, _next_pow2(needed))
+    if size > MAX_NODES:
+        raise GridTooLarge(
+            f"order {n} at radius {rho:.12g} needs a grid of {size} nodes, "
+            f"more than the cap of {MAX_NODES}"
+        )
     return size
 
 
@@ -116,7 +131,8 @@ class FourierExpansion:
 def expand_function(
     f: Callable, basis: TMBasis, grid: CircleGrid | None = None, source: str = ""
 ) -> FourierExpansion:
-    """Expand f over the whole basis; all coefficients in one design-matrix pass."""
+    """Expand f over the whole basis by quadrature; all coefficients in one
+    pass over the (stored) design matrix."""
     if grid is None:
         grid = circle_grid(default_grid_size(basis.max_index, basis.poles.max_modulus))
     values = sample_on_nodes(f, grid.nodes)
@@ -125,19 +141,28 @@ def expand_function(
     return FourierExpansion(basis, coefficients, source, grid.node_count)
 
 
-def expand_kernel(
-    spec: KernelSpec, basis: TMBasis, grid: CircleGrid | None = None
-) -> FourierExpansion:
-    if grid is None:
-        rho = max(basis.poles.max_modulus, abs(spec.w))
-        grid = circle_grid(default_grid_size(basis.max_index, rho))
+def expand_kernel(spec: KernelSpec, basis: TMBasis) -> FourierExpansion:
+    """Coefficients of K_alpha(.; w) from its reproducing property, without
+    quadrature.  K_alpha(z; w) = sum_j C(j+1+alpha, 1+alpha) conj(w)^j z^j, so
+
+        c_m = conj( (1/(alpha+1)!) d^(alpha+1)/dw^(alpha+1) [w^(alpha+1) phi_m(w)] )
+            = conj( sum_{k<=alpha+1} C(alpha+1, k) w^k phi_m^(k)(w) / k! ),
+
+    read off the Taylor coefficients of the basis at w.  The expansion's
+    grid_size is the grid the quadratic functional is evaluated on,
+    default_grid_size at the largest of |w| and the pole moduli."""
+    rho = max(basis.poles.max_modulus, abs(spec.w))
+    grid_size = default_grid_size(basis.max_index, rho)
+    a1 = spec.alpha + 1
+    weights = [math.comb(a1, k) * spec.w**k for k in range(a1 + 1)]
+    coefficients = np.conj(basis.taylor(spec.w, a1) @ weights)
     source = f"bergman_kernel(alpha={spec.alpha}, w={spec.w!r})"
-    return expand_function(spec.bergman, basis, grid, source)
+    return FourierExpansion(basis, coefficients, source, grid_size)
 
 
 def cauchy_integral(f: Callable, z, grid: CircleGrid) -> complex:
     """f(z) for z in the disk, reconstructed from boundary values of an H2 function."""
-    z = require_in_disk(_as_point(z))
+    z = require_in_disk(z)
     values = sample_on_nodes(f, grid.nodes)
     return complex(np.mean(values / (1.0 - z * np.conj(grid.nodes))))
 
@@ -152,7 +177,7 @@ def h2_remainder(f: Callable, basis: TMBasis, n: int, z, grid: CircleGrid) -> co
     n = int(n)
     if not 0 <= n <= basis.size:
         raise CountOutOfRange(f"remainder order {n} outside 0..{basis.size}")
-    z = require_in_disk(_as_point(z))
+    z = require_in_disk(z)
     values = sample_on_nodes(f, grid.nodes)
     b = basis.blaschke(n)
     integrand = np.conj(b(grid.nodes)) * values / (1.0 - z * np.conj(grid.nodes))
@@ -182,7 +207,7 @@ def remainder_integral_J(
     n >= alpha.  Computed in the tau = 1 Blaschke convention.
     """
     validate_trailing_poles(spec, basis.poles, n)
-    z = require_in_disk(_as_point(z))
+    z = require_in_disk(z)
     b = basis.blaschke(int(n) + 1)
     values = spec.bergman(grid.nodes)
     integrand = np.conj(b(grid.nodes)) * values / (1.0 - z * np.conj(grid.nodes))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .circlequad import require_in_disk
 
-__all__ = ["KernelSpec", "bergman_eval", "cauchy_power_eval"]
+__all__ = ["KernelSpec"]
 
 
 def _int_power(base, exponent: int):
@@ -61,11 +61,3 @@ class KernelSpec:
         base = 1.0 / (1.0 - np.asarray(z) * np.conj(self.w))
         out = _int_power(base, 1 + self.alpha)
         return complex(out) if np.ndim(out) == 0 else out
-
-
-def bergman_eval(spec: KernelSpec, z):
-    return spec.bergman(z)
-
-
-def cauchy_power_eval(spec: KernelSpec, z):
-    return spec.cauchy_power(z)

@@ -29,7 +29,6 @@ from .bergman_approx import (
 )
 from .circlequad import CircleGrid, circle_grid, sample_on_nodes
 from .errors import IllConditioned
-from .expansion import fourier_coefficient
 from .kernels import KernelSpec
 from .tm_basis import PoleSequence, TMBasis
 
@@ -227,30 +226,29 @@ def small_instance_exhaustive(
     """Desk-scale sanity for the smallest nontrivial case alpha = 0, n = 0,
     single pole at w: sweep the lone complex coefficient over a square grid
     centered at its quadrature value and take the smallest quadratic error.
-    The functional is exactly quadratic in the coefficient, so the grid
+    The functional is exactly quadratic in the coefficient,
+
+        mean|K - c phi0|^2 = mean|K|^2 - 2 Re(conj(c) <K, phi0>) + |c|^2 mean|phi0|^2,
+
+    so three quadratures on the grid score every candidate, and the grid
     minimum sits within (grid resolution)^2 of the closed form."""
     if spec.alpha != 0:
         raise ValueError("the exhaustive instance is defined for alpha = 0")
     if quad_grid is None:
         quad_grid = circle_grid(4096)
     basis = TMBasis(PoleSequence([spec.w]))
-    center = fourier_coefficient(spec.bergman, basis, 0, quad_grid)
+    kernel = sample_on_nodes(spec.bergman, quad_grid.nodes)
+    phi0 = basis.eval(0, quad_grid.nodes)
+    center = complex(np.mean(kernel * np.conj(phi0)))  # <K, phi0>
+    kernel_sq = float(np.mean(np.abs(kernel) ** 2))
+    phi0_sq = float(np.mean(np.abs(phi0) ** 2))
     steps = np.linspace(-half_width, half_width, int(grid_points))
     candidates = (center.real + steps)[:, None] + 1j * (center.imag + steps)[None, :]
     candidates = candidates.ravel()
-    kernel = spec.bergman(quad_grid.nodes)
-    phi0 = basis.eval(0, quad_grid.nodes)
-    best = np.inf
-    best_c = center
-    chunk = 512
-    for start in range(0, len(candidates), chunk):
-        block = candidates[start : start + chunk]
-        err = kernel[None, :] - block[:, None] * phi0[None, :]
-        mu = np.mean(np.abs(err) ** 2, axis=1)
-        j = int(np.argmin(mu))
-        if mu[j] < best:
-            best = float(mu[j])
-            best_c = complex(block[j])
+    mu = kernel_sq - 2.0 * (np.conj(candidates) * center).real
+    mu += np.abs(candidates) ** 2 * phi0_sq
+    j = int(np.argmin(mu))
+    best, best_c = float(mu[j]), complex(candidates[j])
     resolution = 2.0 * half_width / (int(grid_points) - 1)
     closed = 0.0
     if spec.w != 0:

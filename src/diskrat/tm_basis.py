@@ -19,11 +19,12 @@ phase-freedom tests.
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circlequad import CircleGrid, _as_point, require_in_disk
+from .circlequad import CircleGrid, require_in_disk
 from .errors import IndexOutOfRange
 
 __all__ = [
@@ -193,6 +194,14 @@ class TMBasis:
         if len(poles) == 0:
             raise ValueError("a basis needs at least one pole")
         self.poles = poles
+        # per-pole constants of the recurrence: sqrt(1 - |a|^2), conj(a) and
+        # the unimodular factor -|a|/a (+1 at a zero pole)
+        self._norms = [math.sqrt(1.0 - abs(a) ** 2) for a in poles]
+        self._conjs = [a.conjugate() for a in poles]
+        self._phases = [-abs(a) / a if a != 0 else 1.0 for a in poles]
+        # id(nodes) -> (nodes, read-only design matrix), filled only by
+        # design_matrix; holding the nodes keeps their id from being reused
+        self._designs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def size(self) -> int:
@@ -221,26 +230,84 @@ class TMBasis:
         out = np.sqrt(1.0 - abs(a_k) ** 2) / (1.0 - np.conj(a_k) * z) * running
         return complex(out) if out.ndim == 0 else out
 
-    def eval_all(self, z, count: int | None = None) -> np.ndarray:
-        """Stack [phi_0(z), ..., phi_{count-1}(z)] along a new leading axis."""
+    def _check_count(self, count: int | None) -> int:
         if count is None:
-            count = self.size
+            return self.size
         if not 0 <= count <= self.size:
             raise IndexOutOfRange(f"requested {count} functions, have {self.size}")
+        return count
+
+    def eval_all(self, z, count: int | None = None) -> np.ndarray:
+        """Stack [phi_0(z), ..., phi_{count-1}(z)] along a new leading axis.
+
+        On the node array of a grid that design_matrix has seen, the result
+        is a read-only view of the stored matrix.  Otherwise the recurrence
+        forms the denominator 1 - conj(a) z once per pole, shares it between
+        phi_k and the next product factor, reuses both for a repeated pole,
+        and skips the division at a zero pole, whose factor is z itself.
+        """
+        count = self._check_count(count)
+        entry = self._designs.get(id(z))
+        if entry is not None:
+            return entry[1][:, :count].T
         z = np.asarray(z)
         scalar = z.ndim == 0
         zz = np.atleast_1d(z)
         out = np.empty((count,) + zz.shape, dtype=np.result_type(zz, np.complex128))
         running = np.ones(zz.shape, dtype=out.dtype)
+        previous = None
         for k in range(count):
             a = self.poles[k]
-            out[k] = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * zz) * running
-            running = running * _tm_factor(a, zz)
+            if a != previous:
+                if a == 0:
+                    scale, factor = None, zz
+                else:
+                    denominator = 1.0 - self._conjs[k] * zz
+                    scale = self._norms[k] / denominator
+                    factor = self._phases[k] * (zz - a) / denominator
+                previous = a
+            out[k] = running if scale is None else scale * running
+            if k + 1 < count:
+                running = running * factor
         return out[:, 0] if scalar else out
 
     def design_matrix(self, grid: CircleGrid, count: int | None = None) -> np.ndarray:
-        """Node-by-function matrix A[j, k] = phi_k(node_j)."""
-        return self.eval_all(grid.nodes, count=count).T
+        """Node-by-function matrix A[j, k] = phi_k(node_j), read-only.
+
+        The full matrix is evaluated once per grid and stored with the basis,
+        keyed by the identity of the grid's (immutable, cached) node array."""
+        count = self._check_count(count)
+        nodes = grid.nodes
+        entry = self._designs.get(id(nodes))
+        if entry is None:
+            design = self.eval_all(nodes).T
+            design.setflags(write=False)
+            entry = self._designs.setdefault(id(nodes), (nodes, design))
+        return entry[1] if count == self.size else entry[1][:, :count]
+
+    def taylor(self, w: complex, order: int) -> np.ndarray:
+        """Row k holds the Taylor coefficients phi_k^(j)(w) / j!, j = 0..order.
+
+        Truncated series arithmetic in h = z - w through the running product
+        of eval_all.  With d = 1 - conj(a) w and r = conj(a) / d,
+
+            1 / (1 - conj(a) z)        = sum_j r^j h^j / d,
+            (z - a) / (1 - conj(a) z)  = (w - a) / d
+                                         + sum_{j>=1} r^(j-1) (1 - |a|^2) / d^2 h^j.
+        """
+        w = complex(w)
+        powers = np.arange(int(order) + 1)
+        out = np.empty((self.size, len(powers)), dtype=complex)
+        running = (powers == 0).astype(complex)
+        for k, a in enumerate(self.poles):
+            d = 1.0 - self._conjs[k] * w
+            geometric = (self._conjs[k] / d) ** powers / d
+            out[k] = self._norms[k] * np.convolve(geometric, running)[: len(powers)]
+            factor = np.empty_like(geometric)
+            factor[0] = (w - a) / d
+            factor[1:] = geometric[:-1] * ((1.0 - abs(a) ** 2) / d)
+            running = np.convolve(running, self._phases[k] * factor)[: len(powers)]
+        return out
 
     def gram_matrix(self, grid: CircleGrid) -> np.ndarray:
         """Discrete Gram <phi_k, phi_l> under the grid's quadrature."""
@@ -254,14 +321,6 @@ class TMBasis:
                 f"Blaschke degree {degree} outside 0..{self.size}"
             )
         return BlaschkeProduct(self.poles.prefix(degree), tau)
-
-
-def tm_eval(basis: TMBasis, k: int, z):
-    return basis.eval(k, z)
-
-
-def blaschke_eval(product: BlaschkeProduct, z):
-    return product(z)
 
 
 def christoffel_darboux_residual(
@@ -278,8 +337,8 @@ def christoffel_darboux_residual(
     n = int(n)
     if not 1 <= n <= basis.max_index + 1:
         raise IndexOutOfRange(f"n = {n} outside 1..{basis.max_index + 1}")
-    z = require_in_disk(_as_point(z))
-    zeta = require_in_disk(_as_point(zeta))
+    z = require_in_disk(z)
+    zeta = require_in_disk(zeta)
     cauchy = 1.0 / (1.0 - np.conj(z) * zeta)
     phi_z = basis.eval_all(z, count=n)
     phi_zeta = basis.eval_all(zeta, count=n)

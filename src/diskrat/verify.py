@@ -152,17 +152,21 @@ def _check_quadratic_group(tolerances: dict) -> list[CheckResult]:
         spec = KernelSpec(alpha, _random_w(rng, modulus))
         free = PoleSequence.random(n - alpha, rng=rng, max_modulus=0.85)
         approx = build_approximant(spec, free)
-        grid = circle_grid(approx.expansion.grid_size)
         mu_closed = mu_min_closed_form(spec, free)
-        mu_quad = mu_functional(
-            spec, approx.eval, grid, extended=mu_closed < EXTENDED_MU_CUTOFF
-        )
-        worst_rel = max(worst_rel, abs(mu_quad - mu_closed) / mu_closed)
+        extended = mu_closed < EXTENDED_MU_CUTOFF
+        # the LSQ problem stores the basis's design matrices on the double and
+        # the long-double 4096-node grids; mu below reuses them
         problem = LeastSquaresProblem.build(spec, approx.basis, circle_grid(4096))
-        result = lsq_minimize(problem, extended=mu_closed < EXTENDED_MU_CUTOFF)
+        result = lsq_minimize(problem, extended=extended)
         worst_lsq = max(worst_lsq, abs(result.minimum - mu_closed) / mu_closed)
-        worst_route = max(worst_route, result.route_gap)
+        # routes: normal equations vs inner products (quadrature), and the
+        # quadrature vs the closed-form coefficients of the approximant
+        coefficient_gap = float(np.max(np.abs(approx.coefficients - result.inner_coefficients)))
+        worst_route = max(worst_route, result.route_gap, coefficient_gap)
         worst_cond = max(worst_cond, result.condition)
+        grid = circle_grid(approx.expansion.grid_size)
+        mu_quad = mu_functional(spec, approx.eval, grid, extended=extended)
+        worst_rel = max(worst_rel, abs(mu_quad - mu_closed) / mu_closed)
         configs += 1
     # spot value: alpha=0, n=1, free pole 0, w=0.5 gives exactly 4/27
     spot = mu_min_closed_form(KernelSpec(0, 0.5), PoleSequence([0j]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import diskrat.bergman_approx
+import diskrat.circlequad
 from diskrat.cli import main, parse_complex, parse_int_list, parse_pole_list
 from diskrat.verify import CheckResult
 
@@ -287,6 +288,17 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "approximate", "--w", w, "--poles", poles)
         assert code == 1
         assert "not strictly inside the unit disk" in err
+
+    def test_grid_past_the_cap_is_an_acceptance_failure(self, capsys, monkeypatch):
+        # |w| = 1 - 1e-8 passes the disk rule but would need a 2^35-node grid
+        def no_huge_grid(self, node_count, extended=False):
+            raise AssertionError(f"allocating a grid of {node_count} nodes")
+
+        monkeypatch.setattr(diskrat.circlequad.CircleGrid, "__init__", no_huge_grid)
+        code, out, err = run_cli(capsys, "approximate", "--w", "0.99999999,0", "--poles", "0,0")
+        assert code == 2
+        assert out == ""
+        assert "34359738368 nodes, more than the cap of 1048576" in err
 
     @pytest.mark.parametrize("ws", ["nan,0", "0.5,0;0.9999999999,0"])
     def test_sweep_points_outside_library_disk_are_usage_errors(self, capsys, ws):

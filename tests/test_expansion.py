@@ -1,17 +1,21 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from diskrat import (
+    CircleGrid,
     CountOutOfRange,
     FourierExpansion,
+    GridTooLarge,
     IndexOutOfRange,
     KernelSpec,
     OrderTooSmall,
     PoleSequence,
     TMBasis,
     TrailingPolesMismatch,
+    build_error_report,
     cauchy_integral,
     circle_grid,
     closed_form_J,
@@ -23,6 +27,7 @@ from diskrat import (
     integrate_circle,
     remainder_integral_J,
 )
+from diskrat.circlequad import MAX_NODES
 
 GRID = circle_grid(4096)
 
@@ -137,7 +142,7 @@ class TestH2Representation:
     def test_two_sided_representation_value(self):
         spec = KernelSpec(1, 0.4)
         basis = TMBasis([0.3, 0.4, 0.4])
-        exp = expand_kernel(spec, basis, GRID)
+        exp = expand_kernel(spec, basis)
         z = 0.2
         lhs = spec.bergman(z)  # equals 1/0.92^3
         assert lhs == pytest.approx(1.0 / 0.92**3)
@@ -200,7 +205,7 @@ class TestRemainderIntegral:
         # K - S_{n+1} = B_{n+1} * J at random disk points
         spec = KernelSpec(1, 0.4j)
         basis = TMBasis([0.2, 0.4j, 0.4j])
-        exp = expand_kernel(spec, basis, GRID)
+        exp = expand_kernel(spec, basis)
         rng = np.random.default_rng(29)
         radii = 0.8 * np.sqrt(rng.uniform(0, 1, 20))
         zs = radii * np.exp(2j * np.pi * rng.uniform(0, 1, 20))
@@ -210,3 +215,65 @@ class TestRemainderIntegral:
             lhs = spec.bergman(z) - exp.partial_sum(3, z)
             rhs = b(z) * remainder_integral_J(spec, basis, 2, z, GRID)
             assert abs(lhs - rhs) < 1e-10
+
+
+def closed_form_cases():
+    w = 0.45 - 0.3j
+    random_free = list(PoleSequence.random(6, seed=61, max_modulus=0.85))
+    for alpha in range(4):
+        yield alpha, w, random_free
+        yield alpha, w, [0j] * 5
+        yield alpha, w, [0.3, 0.3, 0.3, -0.5j, -0.5j]
+        yield alpha, w, [0.2, w, -0.6j]
+        yield alpha, w, []
+        yield alpha, 0j, random_free[:3]
+
+
+class TestClosedFormCoefficients:
+    @pytest.mark.parametrize("alpha, w, free", list(closed_form_cases()))
+    def test_match_quadrature_expansion(self, alpha, w, free):
+        spec = KernelSpec(alpha, w)
+        basis = TMBasis(list(free) + [w] * (alpha + 1))
+        closed = expand_kernel(spec, basis).coefficients
+        quadrature = expand_function(spec.bergman, basis, circle_grid(2**14)).coefficients
+        scale = float(np.max(np.abs(quadrature)))
+        assert np.max(np.abs(closed - quadrature)) <= 1e-14 * scale
+
+    def test_taylor_of_monomials(self):
+        # zero poles give phi_k = z^k, whose Taylor coefficients at w are
+        # C(k, j) w^(k-j)
+        w = 0.3 + 0.4j
+        taylor = TMBasis([0j] * 6).taylor(w, 3)
+        for k in range(6):
+            for j in range(4):
+                expected = math.comb(k, j) * w ** (k - j) if j <= k else 0.0
+                assert taylor[k, j] == pytest.approx(expected, abs=1e-15)
+
+    def test_grid_size_is_the_mu_grid(self):
+        spec = KernelSpec(1, 0.95)
+        basis = TMBasis([0.3, 0.95, 0.95])
+        assert expand_kernel(spec, basis).grid_size == default_grid_size(2, 0.95) == 8192
+
+
+class TestGridCap:
+    @pytest.mark.parametrize("rho, size", [(0.9999, 2**22), (1.0 - 1e-8, 2**35)])
+    def test_sizes_past_the_cap_raise(self, rho, size):
+        with pytest.raises(GridTooLarge, match=str(size)):
+            default_grid_size(2, rho)
+
+    def test_cap_itself_is_allowed(self):
+        assert default_grid_size(2, 0.9997) == MAX_NODES
+        assert default_grid_size(MAX_NODES // 64 - 1) == MAX_NODES
+        with pytest.raises(GridTooLarge):
+            default_grid_size(MAX_NODES // 64)
+
+    def test_construction_raises_before_allocating(self, monkeypatch):
+        def no_huge_grid(self, node_count, extended=False):
+            raise AssertionError(f"allocating a grid of {node_count} nodes")
+
+        monkeypatch.setattr(CircleGrid, "__init__", no_huge_grid)
+        spec = KernelSpec(0, 0.99999999)
+        with pytest.raises(GridTooLarge):
+            expand_kernel(spec, TMBasis([0j, spec.w]))
+        with pytest.raises(GridTooLarge):
+            build_error_report(spec, [0j])

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from diskrat import KernelSpec, PointNotInDisk, bergman_eval, cauchy_power_eval, circle_grid
+from diskrat import KernelSpec, PointNotInDisk, circle_grid
 
 
 @pytest.mark.parametrize("alpha", [0, 1, 3])
 def test_kernel_degenerates_at_origin(alpha):
     spec = KernelSpec(alpha, 0j)
     for z in (0.0, 0.5, -0.9j, np.exp(0.3j)):
-        assert bergman_eval(spec, z) == pytest.approx(1.0)
-        assert cauchy_power_eval(spec, z) == pytest.approx(1.0)
+        assert spec.bergman(z) == pytest.approx(1.0)
+        assert spec.cauchy_power(z) == pytest.approx(1.0)
 
 
 def test_bergman_direct_substitution():
-    assert bergman_eval(KernelSpec(0, 0.5), 0.5) == pytest.approx(1.0 / 0.75**2)
+    assert KernelSpec(0, 0.5).bergman(0.5) == pytest.approx(1.0 / 0.75**2)
 
 
 def test_bergman_against_independent_power():
@@ -21,20 +21,20 @@ def test_bergman_against_independent_power():
     expected = 1.0
     for _ in range(4):
         expected /= 0.7
-    value = bergman_eval(KernelSpec(2, 0.3), 1.0 + 0j)
+    value = KernelSpec(2, 0.3).bergman(1.0 + 0j)
     assert value == pytest.approx(expected, rel=1e-15)
 
 
 def test_cauchy_power_examples():
-    assert cauchy_power_eval(KernelSpec(0, 0j), 0.77) == pytest.approx(1.0)
-    assert cauchy_power_eval(KernelSpec(0, 0.5), 0.2) == pytest.approx(1.0 / 0.9)
+    assert KernelSpec(0, 0j).cauchy_power(0.77) == pytest.approx(1.0)
+    assert KernelSpec(0, 0.5).cauchy_power(0.2) == pytest.approx(1.0 / 0.9)
 
 
 def test_cauchy_power_reduces_to_lower_bergman():
     spec = KernelSpec(1, 0.25j)
     lower = KernelSpec(0, 0.25j)
     z = -0.4
-    assert cauchy_power_eval(spec, z) == pytest.approx(bergman_eval(lower, z))
+    assert spec.cauchy_power(z) == pytest.approx(lower.bergman(z))
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 4])
@@ -42,17 +42,17 @@ def test_power_ratio_identity(alpha):
     spec = KernelSpec(alpha, 0.3 - 0.2j)
     lower = KernelSpec(alpha - 1, 0.3 - 0.2j)
     nodes = circle_grid(128).nodes
-    lhs = cauchy_power_eval(spec, nodes) * (1.0 - nodes * np.conj(spec.w))
-    rhs = cauchy_power_eval(lower, nodes)
+    lhs = spec.cauchy_power(nodes) * (1.0 - nodes * np.conj(spec.w))
+    rhs = lower.cauchy_power(nodes)
     assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
 def test_vectorized_matches_scalar():
     spec = KernelSpec(2, 0.4j)
     zs = np.array([0.1, -0.3j, 0.2 + 0.2j])
-    stacked = bergman_eval(spec, zs)
+    stacked = spec.bergman(zs)
     for z, v in zip(zs, stacked):
-        assert v == pytest.approx(bergman_eval(spec, complex(z)))
+        assert v == pytest.approx(spec.bergman(complex(z)))
 
 
 def test_alpha_validation():

@@ -59,6 +59,15 @@ class TestLeastSquares:
         result = lsq_minimize(LeastSquaresProblem.build(spec, basis))
         assert abs(result.minimum - tail) / tail < 1e-12
 
+    def test_inner_products_match_closed_form_coefficients(self):
+        # the quadrature route of the oracle against the reproducing-property
+        # coefficients of the approximant: two independent routes
+        spec = KernelSpec(2, 0.6 - 0.2j)
+        approx = build_approximant(spec, PoleSequence.random(5, seed=71, max_modulus=0.85))
+        result = lsq_minimize(LeastSquaresProblem.build(spec, approx.basis))
+        gap = np.max(np.abs(result.inner_coefficients - approx.coefficients))
+        assert gap < 1e-12 * np.max(np.abs(approx.coefficients))
+
     def test_two_routes_agree(self):
         spec = KernelSpec(2, 0.6 - 0.2j)
         basis = TMBasis(
@@ -177,6 +186,25 @@ class TestSmallInstanceExhaustive:
     def test_alpha_restriction(self):
         with pytest.raises(ValueError):
             small_instance_exhaustive(KernelSpec(1, 0.5))
+
+    @pytest.mark.parametrize("w", [0.5 + 0.1j, -0.7j])
+    def test_matches_brute_force(self, w):
+        spec = KernelSpec(0, w)
+        grid = circle_grid(4096)
+        report = small_instance_exhaustive(spec, grid_points=21, half_width=0.5, quad_grid=grid)
+        # brute force: the error modulus squared averaged over the nodes,
+        # for every candidate of the same 21 x 21 square
+        kernel = spec.bergman(grid.nodes)
+        phi0 = np.sqrt(1.0 - abs(w) ** 2) / (1.0 - np.conj(w) * grid.nodes)
+        center = np.mean(kernel * np.conj(phi0))
+        steps = np.linspace(-0.5, 0.5, 21)
+        candidates = ((center.real + steps)[:, None] + 1j * (center.imag + steps)[None, :]).ravel()
+        mu = np.mean(np.abs(kernel[None, :] - candidates[:, None] * phi0[None, :]) ** 2, axis=1)
+        j = int(np.argmin(mu))
+        assert report.center == center
+        assert report.argmin == candidates[j]
+        assert report.grid_minimum == pytest.approx(mu[j], rel=1e-13)
+        assert abs(report.grid_minimum - report.closed_form) < report.resolution**2
 
     def test_report_serializes(self):
         report = small_instance_exhaustive(

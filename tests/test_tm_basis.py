@@ -4,11 +4,13 @@ import pytest
 from diskrat import (
     BlaschkeProduct,
     IndexOutOfRange,
+    KernelSpec,
     PointNotInDisk,
     PoleSequence,
     TMBasis,
     christoffel_darboux_residual,
     circle_grid,
+    expand_kernel,
     integrate_circle,
 )
 
@@ -225,3 +227,104 @@ class TestChristoffelDarboux:
             christoffel_darboux_residual(basis, 0, 0.1, 0.2)
         with pytest.raises(IndexOutOfRange):
             christoffel_darboux_residual(basis, 2, 0.1, 0.2)
+
+
+def per_k_reference(poles, k, z):
+    """phi_k(z) written out: sqrt(1 - |a_k|^2) / (1 - conj(a_k) z) times the
+    product of (-|a_j|/a_j) (z - a_j) / (1 - conj(a_j) z) over j < k (z at a
+    zero pole), in the operation order of a running product."""
+    z = np.asarray(z)
+    running = np.ones(z.shape, dtype=np.result_type(z, np.complex128))
+    for a in poles[:k]:
+        factor = z if a == 0 else (-abs(a) / a) * (z - a) / (1.0 - np.conj(a) * z)
+        running = running * factor
+    a = poles[k]
+    return np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z) * running
+
+
+RECURRENCE_POLES = {
+    "random": list(PoleSequence.random(9, seed=31, max_modulus=0.9)),
+    "zeros": [0j] * 6,
+    "repeated": [0.3, 0.3, -0.4j, 0j, 0j, 0.3, 0.5 + 0.2j, 0.5 + 0.2j, 0.5 + 0.2j],
+}
+
+
+class TestRecurrence:
+    @pytest.mark.parametrize("kind", sorted(RECURRENCE_POLES))
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("shape", ["scalar", "1d", "2d"])
+    def test_matches_per_k_formula(self, kind, extended, shape):
+        poles = RECURRENCE_POLES[kind]
+        basis = TMBasis(poles)
+        nodes = circle_grid(64, extended=extended).nodes
+        rng = np.random.default_rng(41)
+        inside = random_disk_points(rng, 64, 0.95).astype(nodes.dtype)
+        points = np.concatenate([nodes, inside])
+        z = {"scalar": points[3], "1d": points, "2d": points.reshape(8, 16)}[shape]
+        values = basis.eval_all(z)
+        assert values.shape == (len(poles),) + np.shape(z)
+        assert values.dtype == np.result_type(z, np.complex128)
+        # numpy scalar arithmetic rounds differently from its array loops, so
+        # the reference runs on arrays too
+        zz = np.atleast_1d(z)
+        for k in range(len(poles)):
+            reference = per_k_reference(poles, k, zz).reshape(np.shape(z))
+            assert np.array_equal(values[k], reference)
+
+    def test_count_prefix(self):
+        basis = TMBasis(RECURRENCE_POLES["repeated"])
+        z = circle_grid(32).nodes
+        assert np.array_equal(basis.eval_all(z, count=4), basis.eval_all(z)[:4])
+        assert basis.eval_all(z, count=0).shape == (0, 32)
+        with pytest.raises(IndexOutOfRange):
+            basis.eval_all(z, count=10)
+
+
+class TestDesignMemo:
+    def test_second_call_returns_stored_read_only_matrix(self):
+        basis = TMBasis([0.3, -0.4j, 0.3])
+        grid = circle_grid(256)
+        first = basis.design_matrix(grid)
+        assert first is basis.design_matrix(grid)
+        assert not first.flags.writeable
+        assert np.array_equal(first, basis.eval_all(grid.nodes.copy()).T)
+        assert np.shares_memory(basis.design_matrix(grid, count=2), first)
+        assert np.array_equal(basis.design_matrix(grid, count=2), first[:, :2])
+        with pytest.raises(IndexOutOfRange):
+            basis.design_matrix(grid, count=4)
+
+    def test_eval_all_on_stored_nodes_does_not_evaluate(self):
+        basis = TMBasis([0.3, -0.4j, 0.3])
+        grid = circle_grid(256)
+        design = basis.design_matrix(grid)
+        for count in (None, 2):
+            values = basis.eval_all(grid.nodes, count=count)
+            assert np.shares_memory(values, design)
+            assert not values.flags.writeable
+            assert np.array_equal(values, design[:, : count or 3].T)
+
+    def test_partial_sum_leaves_no_entry(self):
+        spec = KernelSpec(1, 0.4)
+        basis = TMBasis([0.2, 0.4, 0.4])
+        grid = circle_grid(512)
+        expand_kernel(spec, basis).partial_sum(3, grid.nodes)
+        first = basis.eval_all(grid.nodes)
+        assert first.flags.writeable
+        assert not np.shares_memory(first, basis.eval_all(grid.nodes))
+
+    def test_writeable_copy_of_nodes_is_evaluated_fresh(self):
+        basis = TMBasis([0.3, -0.4j, 0.3])
+        grid = circle_grid(256)
+        design = basis.design_matrix(grid)
+        nodes = grid.nodes.copy()
+        values = basis.eval_all(nodes)
+        assert not np.shares_memory(values, design)
+        assert np.array_equal(values, design.T)
+
+    def test_entries_are_per_basis_and_per_grid(self):
+        grid = circle_grid(256)
+        one, two = TMBasis([0.3]), TMBasis([0.3])
+        assert not np.shares_memory(one.design_matrix(grid), two.design_matrix(grid))
+        long_grid = circle_grid(256, extended=True)
+        assert one.design_matrix(long_grid).dtype == np.clongdouble
+        assert one.design_matrix(grid).dtype == np.complex128
