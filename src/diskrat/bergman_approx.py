@@ -70,6 +70,7 @@ __all__ = [
     "interpolation_target",
     "ErrorReport",
     "build_error_report",
+    "csv_cell",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -154,10 +155,6 @@ class Approximant:
         denominator = disc * (1.0 - cw * z) ** a1
         out = numerator / denominator
         return complex(out) if np.ndim(out) == 0 else out
-
-    def uniform_error(self, z):
-        """(1 - z conj(w))^-(1+alpha) - r(z), via the constructive route."""
-        return self.spec.cauchy_power(z) - self.eval(z)
 
     def interpolation_residuals(self) -> list[float]:
         """|r^(s_m - 1)(a_m) - target| for every pole of the full sequence.
@@ -500,6 +497,11 @@ def equimodularity_variation(
     return float((top - float(np.min(error))) / top)
 
 
+def csv_cell(x: float) -> str:
+    """A CSV cell with 17 significant digits, which round-trips any double."""
+    return f"{float(x):.17g}"
+
+
 @dataclass
 class ErrorReport:
     """Side-by-side quadrature and closed-form error values for one configuration."""
@@ -535,10 +537,10 @@ class ErrorReport:
         if not all(math.isfinite(v) and v >= 0.0 for v in values):
             raise ValueError(f"non-finite or negative error values: {values}")
 
-    def csv_row(self) -> str:
-        cells = [str(self.n), str(self.alpha)]
-        cells += [
-            f"{v:.17g}"
+    def csv_cells(self) -> list[str]:
+        """The cells of CSV_HEADER after n and alpha: w and the five values."""
+        return [
+            csv_cell(v)
             for v in (
                 self.w.real,
                 self.w.imag,
@@ -549,7 +551,9 @@ class ErrorReport:
                 self.max_interp_residual,
             )
         ]
-        return ",".join(cells)
+
+    def csv_row(self) -> str:
+        return ",".join([str(self.n), str(self.alpha), *self.csv_cells()])
 
     def to_json_dict(self) -> dict:
         return {

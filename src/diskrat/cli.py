@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: basis, approximate, sweep, verify, oracle.  Configuration is
-accepted both as flags and as a JSON config file, flags overriding file
-values; complex numbers are entered as "re,im" pairs.  Exit codes: 0 success,
-1 usage error, 2 numerical-acceptance failure, 3 internal error.
+Subcommands: basis, approximate, sweep, verify, oracle.  Every option is
+declared once, in OPTIONS, together with the subcommands that read it.  It is
+accepted as a flag or as a key of a JSON config file, flags overriding file
+values; a flag or key that the subcommand does not read is a usage error.
+Complex numbers are entered as "re,im" pairs.  Exit codes: 0 success, 1 usage
+error, 2 numerical-acceptance failure, 3 internal error.
 
 All CSV cells carry 17 significant digits (round-trippable doubles) and all
 outputs are byte-deterministic given (config, seed).
@@ -14,13 +16,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bergman_approx import build_error_report, interpolation_target
-from .circlequad import circle_grid, require_in_disk
+from .bergman_approx import (
+    build_approximant,
+    build_error_report,
+    csv_cell,
+    interpolation_target,
+)
+from .circlequad import EPS_BOUNDARY, MAX_NODES, circle_grid, require_in_disk
 from .errors import DiskratError, OrderTooSmall, PointNotInDisk
 from .kernels import KernelSpec
 from .oracle import (
@@ -42,28 +50,27 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def parse_complex(text: str) -> complex:
-    """Parse "re,im" (or a bare real part) into a complex number."""
-    parts = str(text).split(",")
+def parse_complex(value) -> complex:
+    """Parse "re,im" (or a bare real part), a JSON [re, im] pair or a JSON
+    number into a complex number."""
+    if isinstance(value, str):
+        parts = value.split(",")
+    else:
+        parts = value if isinstance(value, (list, tuple)) else [value]
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
+        if len(parts) in (1, 2):
+            return complex(*(float(part) for part in parts))
+    except (TypeError, ValueError):
         pass
-    raise UsageError(f"cannot parse complex number from {text!r}; expected re,im")
+    raise UsageError(f"cannot parse complex number from {value!r}; expected re,im")
 
 
-def parse_pole_list(text: str) -> list[complex]:
-    """Semicolon- or whitespace-separated "re,im" pairs; "zeros" is accepted
-    as a generator keyword handled by the caller."""
-    items = [s for chunk in str(text).split(";") for s in chunk.split()]
-    return [parse_complex(item) for item in items if item]
+def parse_pole_list(value) -> list[complex]:
+    """Semicolon- or whitespace-separated "re,im" pairs, or a JSON list of
+    points; "zeros" is accepted as a generator keyword handled by the caller."""
+    if isinstance(value, str):
+        value = [s for chunk in value.split(";") for s in chunk.split()]
+    return [parse_complex(item) for item in value]
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -75,40 +82,114 @@ def parse_int_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s]
 
 
-@dataclass
-class RunConfig:
-    command: str
-    alpha: int = 0
-    w: complex = 0j
-    poles: list[complex] | None = None
-    poles_keyword: str | None = None  # "zeros" generator
-    random_poles: int | None = None
-    seed: int = 0
-    max_modulus: float = 0.85
-    n: int | None = None
-    grid_size: int = 4096
-    out: str | None = None
-    fmt: str = "json"
-    only: list[str] | None = None
-    tolerances: dict = field(default_factory=dict)
-    trials: int = 100
-    samples: list[complex] | None = None
-    alphas: list[int] | None = None
-    ns: list[int] | None = None
-    ws: list[complex] | None = None
+# Converters take a flag's text or a config-file value and return the checked
+# value; _config_from_args reports what they raise as a usage error.
 
-    def validate(self):
-        if self.alpha < 0:
-            raise UsageError("alpha must be >= 0")
-        try:
-            for point in [self.w, *(self.poles or []), *(self.ws or [])]:
-                require_in_disk(point)
-        except PointNotInDisk as exc:
-            raise UsageError(str(exc))
-        if self.grid_size < 256 or self.grid_size & (self.grid_size - 1):
-            raise UsageError("grid size must be a power of two >= 256")
-        if self.fmt not in ("csv", "json"):
-            raise UsageError("format must be csv or json")
+
+def _point(value) -> complex:
+    return require_in_disk(parse_complex(value))
+
+
+def _points(value) -> list[complex]:
+    return [require_in_disk(z) for z in parse_pole_list(value)]
+
+
+def _poles(value):
+    if isinstance(value, str) and value.strip() == "zeros":
+        return "zeros"
+    return _points(value)
+
+
+def _at_least(minimum: int) -> Callable:
+    def convert(value) -> int:
+        number = int(value)
+        if number < minimum or (not isinstance(value, str) and number != value):
+            raise ValueError(f"expected an integer >= {minimum}, got {value!r}")
+        return number
+
+    return convert
+
+
+_natural = _at_least(0)
+
+
+def _naturals(value) -> list[int]:
+    return [_natural(n) for n in (parse_int_list(value) if isinstance(value, str) else value)]
+
+
+def _max_modulus(value) -> float:
+    modulus = float(value)
+    if not 0.0 <= modulus < 1.0 - EPS_BOUNDARY:
+        raise ValueError(f"must lie in [0, 1 - {EPS_BOUNDARY:g}), got {modulus!r}")
+    return modulus
+
+
+def _grid_size(value) -> int:
+    size = _natural(value)
+    if not 256 <= size <= MAX_NODES or size & (size - 1):
+        raise ValueError(f"grid size must be a power of two in [256, {MAX_NODES}], got {size}")
+    return size
+
+
+def _format(value) -> str:
+    if value not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {value!r}")
+    return value
+
+
+def _names(value) -> list[str]:
+    return [s for s in value.split(",") if s] if isinstance(value, str) else list(value)
+
+
+def _tolerances(value) -> dict[str, float]:
+    if isinstance(value, str):
+        name, sep, number = value.partition("=")
+        if not sep:
+            raise ValueError(f"expected NAME=VALUE, got {value!r}")
+        value = {name: number}
+    return {name: float(number) for name, number in dict(value).items()}
+
+
+class Option(NamedTuple):
+    flag: str
+    key: str  # config-file key, and the attribute the subcommands read
+    convert: Callable
+    commands: tuple[str, ...]
+    default: object = None
+    help: str | None = None
+
+
+_KERNEL = ("approximate", "sweep", "oracle")
+_POLES = ("basis", *_KERNEL)
+_ALL = ("verify", *_POLES)
+
+OPTIONS = (
+    Option("--alpha", "alpha", _natural, _KERNEL, 0),
+    Option("--w", "w", _point, _KERNEL, 0j, 'kernel point as "re,im"'),
+    Option("--poles", "poles", _poles, _POLES, None,
+           'semicolon-separated "re,im" pairs, or "zeros"'),
+    Option("--random-poles", "random_poles", _natural, ("basis", "approximate", "oracle"),
+           None, "draw this many random free poles"),
+    Option("--seed", "seed", _natural, _POLES, 0),
+    Option("--max-modulus", "max_modulus", _max_modulus, _POLES, 0.85),
+    Option("--n", "n", _natural, _POLES),
+    Option("--grid", "grid", _grid_size, ("basis", "oracle"), 4096,
+           f"grid size (power of two, 256 to {MAX_NODES})"),
+    Option("--samples", "samples", parse_pole_list, ("basis",), None,
+           'evaluation points as semicolon-separated "re,im" pairs'),
+    Option("--format", "format", _format, ("basis", "approximate", "sweep"), None,
+           "csv or json (sweep: csv only)"),
+    Option("--out", "out", str, _ALL),
+    Option("--only", "only", _names, ("verify",), None,
+           f"comma list from: {','.join(ALL_CHECK_NAMES)}"),
+    Option("--tol", "tolerances", _tolerances, ("verify",), None,
+           "tolerance override NAME=VALUE, repeatable"),
+    Option("--trials", "trials", _at_least(1), ("oracle",), 100),
+    Option("--alphas", "alphas", _naturals, ("sweep",), None, '"0,1,2" or "0:3"'),
+    Option("--ns", "ns", _naturals, ("sweep",), None, '"0,1,2" or "0:5"'),
+    Option("--ws", "ws", _points, ("sweep",), None,
+           'semicolon-separated "re,im" kernel points'),
+)
 
 
 def _load_config_file(path: str) -> dict:
@@ -121,78 +202,36 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    file_values = _load_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    cfg = RunConfig(command=args.command)
-    cfg.alpha = int(pick(args.alpha, "alpha", 0))
-    w = pick(args.w, "w", 0j)
-    cfg.w = parse_complex(w) if isinstance(w, str) else (
-        complex(w[0], w[1]) if isinstance(w, (list, tuple)) else complex(w)
-    )
-    poles = pick(args.poles, "poles", None)
-    if isinstance(poles, str):
-        if poles.strip() == "zeros":
-            cfg.poles_keyword = "zeros"
-        else:
-            cfg.poles = parse_pole_list(poles)
-    elif isinstance(poles, list):
-        cfg.poles = [complex(p[0], p[1]) for p in poles]
-    cfg.random_poles = pick(args.random_poles, "random_poles", None)
-    if cfg.random_poles is not None:
-        cfg.random_poles = int(cfg.random_poles)
-    cfg.seed = int(pick(args.seed, "seed", 0))
-    cfg.max_modulus = float(pick(args.max_modulus, "max_modulus", 0.85))
-    n = pick(args.n, "n", None)
-    cfg.n = None if n is None else int(n)
-    cfg.grid_size = int(pick(args.grid, "grid", 4096))
-    cfg.out = pick(args.out, "out", None)
-    cfg.fmt = str(pick(args.format, "format", "json"))
-    only = pick(getattr(args, "only", None), "only", None)
-    if isinstance(only, str):
-        only = [s for s in only.split(",") if s]
-    cfg.only = only
-    cfg.tolerances = dict(file_values.get("tolerances", {}))
-    for item in getattr(args, "tol", None) or []:
-        if "=" not in item:
-            raise UsageError(f"--tol expects name=value, got {item!r}")
-        name, value = item.split("=", 1)
+def _config_from_args(args: argparse.Namespace) -> SimpleNamespace:
+    """The options the subcommand reads: defaults, then config-file values,
+    then flags, each through its converter.  Tolerances merge by name."""
+    options = {opt.key: opt for opt in OPTIONS if args.command in opt.commands}
+    cfg = SimpleNamespace(**{key: opt.default for key, opt in options.items()})
+    given = list(_load_config_file(args.config).items()) if args.config else []
+    given += [(key, value) for key in options for value in getattr(args, key) or ()]
+    for key, value in given:
+        if key not in options:
+            raise UsageError(f"config key {key!r} is not read by {args.command}")
         try:
-            cfg.tolerances[name] = float(value)
-        except ValueError:
-            raise UsageError(f"--tol value is not a number: {item!r}")
-    cfg.trials = int(pick(getattr(args, "trials", None), "trials", 100))
-    samples = pick(getattr(args, "samples", None), "samples", None)
-    if isinstance(samples, str):
-        cfg.samples = parse_pole_list(samples)
-    elif isinstance(samples, list):
-        cfg.samples = [complex(p[0], p[1]) for p in samples]
-    alphas = pick(getattr(args, "alphas", None), "alphas", None)
-    cfg.alphas = parse_int_list(alphas) if isinstance(alphas, str) else alphas
-    ns = pick(getattr(args, "ns", None), "ns", None)
-    cfg.ns = parse_int_list(ns) if isinstance(ns, str) else ns
-    ws = pick(getattr(args, "ws", None), "ws", None)
-    if isinstance(ws, str):
-        cfg.ws = parse_pole_list(ws)
-    elif isinstance(ws, list):
-        cfg.ws = [complex(p[0], p[1]) for p in ws]
-    cfg.validate()
+            value = options[key].convert(value)
+        except (UsageError, PointNotInDisk, TypeError, ValueError, OverflowError) as exc:
+            raise UsageError(f"{options[key].flag}: {exc}")
+        old = getattr(cfg, key)
+        setattr(cfg, key, {**old, **value} if isinstance(old, dict) else value)
     return cfg
 
 
-def _free_poles_for(cfg: RunConfig, count: int, salt: int = 0) -> PoleSequence:
+def _check_order(cfg: SimpleNamespace, n: int):
+    if cfg.n is not None and cfg.n != n:
+        raise UsageError(f"--n {cfg.n} disagrees with the poles, which give n = {n}")
+
+
+def _free_poles_for(cfg: SimpleNamespace, count: int, salt: int = 0) -> PoleSequence:
     """Resolve the free-pole source (explicit, zeros, or random) for a lattice
     point needing `count` poles."""
     if count < 0:
         raise OrderTooSmall(f"n smaller than alpha leaves {count} free poles")
-    if cfg.poles_keyword == "zeros":
+    if cfg.poles == "zeros":
         return PoleSequence([0j] * count)
     if cfg.poles is not None:
         if len(cfg.poles) < count:
@@ -203,7 +242,7 @@ def _free_poles_for(cfg: RunConfig, count: int, salt: int = 0) -> PoleSequence:
     return PoleSequence.random(count, seed=cfg.seed + salt, max_modulus=cfg.max_modulus)
 
 
-def _emit(cfg: RunConfig, text: str):
+def _emit(cfg: SimpleNamespace, text: str):
     if cfg.out:
         Path(cfg.out).write_text(text)
     else:
@@ -216,19 +255,22 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def cmd_basis(cfg: RunConfig) -> int:
-    if cfg.poles is not None:
+def cmd_basis(cfg: SimpleNamespace) -> int:
+    if cfg.poles == "zeros":
+        poles = PoleSequence([0j] * ((4 if cfg.n is None else cfg.n) + 1))
+    elif cfg.poles is not None:
         poles = PoleSequence(cfg.poles)
-    elif cfg.poles_keyword == "zeros":
-        poles = PoleSequence([0j] * ((cfg.n or 4) + 1))
     elif cfg.random_poles is not None:
         poles = PoleSequence.random(
             cfg.random_poles, seed=cfg.seed, max_modulus=cfg.max_modulus
         )
     else:
         raise UsageError("basis needs --poles, --poles zeros, or --random-poles")
+    if len(poles) == 0:
+        raise UsageError("a basis needs at least one pole")
+    _check_order(cfg, len(poles) - 1)
     basis = TMBasis(poles)
-    grid = circle_grid(cfg.grid_size)
+    grid = circle_grid(cfg.grid)
     gram = basis.gram_matrix(grid)
     gram_dev = float(np.max(np.abs(gram - np.eye(basis.size))))
     if cfg.samples is not None:
@@ -240,15 +282,8 @@ def cmd_basis(cfg: RunConfig) -> int:
     radii = 0.8 * np.sqrt(rng.uniform(0, 1, 20))
     angles = rng.uniform(0, 2 * np.pi, 20)
     pairs = radii * np.exp(1j * angles)
-    cd_max = 0.0
-    for i in range(0, 20, 2):
-        cd_max = max(
-            cd_max,
-            christoffel_darboux_residual(
-                basis, basis.size, complex(pairs[i]), complex(pairs[i + 1])
-            ),
-        )
-    if cfg.fmt == "json":
+    cd_max = christoffel_darboux_residual(basis, basis.size, pairs[0::2], pairs[1::2])
+    if cfg.format != "csv":
         payload = {
             "poles": [[p.real, p.imag] for p in poles],
             "sample_points": [[z.real, z.imag] for z in samples],
@@ -257,44 +292,41 @@ def cmd_basis(cfg: RunConfig) -> int:
             ],
             "gram_max_deviation": gram_dev,
             "cd_max_residual": cd_max,
-            "grid": cfg.grid_size,
+            "grid": cfg.grid,
         }
         _emit(cfg, _json_dump(payload))
     else:
         lines = ["record,i,k,re,im"]
         for j, z in enumerate(samples):
-            lines.append(f"point,{j},,{_fmt(z.real)},{_fmt(z.imag)}")
+            lines.append(f"point,{j},,{csv_cell(z.real)},{csv_cell(z.imag)}")
             for k in range(basis.size):
                 v = phi[k, j]
-                lines.append(f"phi,{j},{k},{_fmt(v.real)},{_fmt(v.imag)}")
-        lines.append(f"gram_max_deviation,,,{_fmt(gram_dev)},0")
-        lines.append(f"cd_max_residual,,,{_fmt(cd_max)},0")
+                lines.append(f"phi,{j},{k},{csv_cell(v.real)},{csv_cell(v.imag)}")
+        lines.append(f"gram_max_deviation,,,{csv_cell(gram_dev)},0")
+        lines.append(f"cd_max_residual,,,{csv_cell(cd_max)},0")
         _emit(cfg, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _resolve_order(cfg: RunConfig) -> PoleSequence:
-    """Free poles for approximate/oracle: explicit list wins, then random count,
-    then --n (drawing n - alpha random poles)."""
+def _resolve_order(cfg: SimpleNamespace) -> PoleSequence:
+    """Free poles for approximate/oracle: an explicit list, zeros, a random
+    count, or n - alpha random poles.  A given --n must agree with them."""
     if cfg.n is not None and cfg.n < cfg.alpha:
         raise OrderTooSmall(f"n = {cfg.n} is smaller than alpha = {cfg.alpha}")
-    if cfg.poles is not None:
-        return PoleSequence(cfg.poles)
-    if cfg.poles_keyword == "zeros":
-        count = (cfg.n - cfg.alpha) if cfg.n is not None else 1
-        return PoleSequence([0j] * count)
-    if cfg.random_poles is not None:
-        return PoleSequence.random(
-            cfg.random_poles, seed=cfg.seed, max_modulus=cfg.max_modulus
-        )
-    if cfg.n is not None:
-        return PoleSequence.random(
-            cfg.n - cfg.alpha, seed=cfg.seed, max_modulus=cfg.max_modulus
-        )
-    raise UsageError("give --poles, --random-poles, or --n")
+    if cfg.poles == "zeros":
+        free = PoleSequence([0j] * ((cfg.n - cfg.alpha) if cfg.n is not None else 1))
+    elif cfg.poles is not None:
+        free = PoleSequence(cfg.poles)
+    elif cfg.random_poles is not None or cfg.n is not None:
+        count = cfg.random_poles if cfg.random_poles is not None else cfg.n - cfg.alpha
+        free = PoleSequence.random(count, seed=cfg.seed, max_modulus=cfg.max_modulus)
+    else:
+        raise UsageError("give --poles, --random-poles, or --n")
+    _check_order(cfg, cfg.alpha + len(free))
+    return free
 
 
-def cmd_approximate(cfg: RunConfig) -> int:
+def cmd_approximate(cfg: SimpleNamespace) -> int:
     spec = KernelSpec(cfg.alpha, cfg.w)
     free = _resolve_order(cfg)
     report = build_error_report(spec, free)
@@ -323,7 +355,7 @@ def cmd_approximate(cfg: RunConfig) -> int:
                     "residual": residuals[m],
                 }
             )
-    if cfg.fmt == "json":
+    if cfg.format != "csv":
         payload = {
             "approximant": approx_dict,
             "error_report": report.to_json_dict(),
@@ -336,7 +368,9 @@ def cmd_approximate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: SimpleNamespace) -> int:
+    if cfg.format == "json":
+        raise UsageError("sweep writes csv only")
     alphas = cfg.alphas if cfg.alphas is not None else [cfg.alpha]
     ns = cfg.ns if cfg.ns is not None else ([cfg.n] if cfg.n is not None else [])
     ws = cfg.ws if cfg.ws is not None else [cfg.w]
@@ -352,32 +386,18 @@ def cmd_sweep(cfg: RunConfig) -> int:
             spec = KernelSpec(alpha, w)
             free = _free_poles_for(cfg, n - alpha, salt=index)
             report = build_error_report(spec, free)
-            cells = [str(alpha), str(n)]
-            cells += [
-                _fmt(v)
-                for v in (
-                    w.real,
-                    w.imag,
-                    report.mu_quadrature,
-                    report.mu_closed_form,
-                    report.nu_grid,
-                    report.nu_closed_form,
-                    report.max_interp_residual,
-                )
-            ]
-            cells.append("")
-            lines.append(",".join(cells))
+            lines.append(",".join([str(alpha), str(n), *report.csv_cells(), ""]))
         except (DiskratError, UsageError, ValueError) as exc:
             rows_failed += 1
             message = str(exc).replace(",", ";").replace("\n", " ")
             lines.append(
-                f"{alpha},{n},{_fmt(w.real)},{_fmt(w.imag)},,,,,,{message}"
+                f"{alpha},{n},{csv_cell(w.real)},{csv_cell(w.imag)},,,,,,{message}"
             )
     _emit(cfg, "\n".join(lines) + "\n")
     return EXIT_ACCEPTANCE if rows_failed else EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: SimpleNamespace) -> int:
     try:
         results = run_checks(only=cfg.only, tolerances=cfg.tolerances)
     except ValueError as exc:
@@ -394,20 +414,29 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if all_passed else EXIT_ACCEPTANCE
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
+def cmd_oracle(cfg: SimpleNamespace) -> int:
     spec = KernelSpec(cfg.alpha, cfg.w)
     free = _resolve_order(cfg)
-    basis = TMBasis(free.with_trailing(spec.w, spec.alpha + 1))
-    problem = LeastSquaresProblem.build(spec, basis, circle_grid(cfg.grid_size))
-    lsq = lsq_minimize(problem)
-    scan = uniform_competitor_scan(
-        spec, basis, trials=cfg.trials, seed=cfg.seed, grid=circle_grid(cfg.grid_size)
-    )
+    approx = build_approximant(spec, free)
+    grid = circle_grid(cfg.grid)
+    lsq = lsq_minimize(LeastSquaresProblem.build(spec, approx.basis, grid))
+    scan = uniform_competitor_scan(approx, trials=cfg.trials, seed=cfg.seed, grid=grid)
     payload = {"lsq": lsq.to_json_dict(), "scan": scan.to_json_dict()}
     if spec.alpha == 0 and len(free) == 0:
         payload["exhaustive"] = small_instance_exhaustive(spec).to_json_dict()
     _emit(cfg, _json_dump(payload))
     return EXIT_OK
+
+
+COMMANDS = {
+    "basis": (
+        cmd_basis, "evaluate the orthonormal system, its Gram matrix, and the kernel identity"
+    ),
+    "approximate": (cmd_approximate, "build an approximant and its error report"),
+    "sweep": (cmd_sweep, "tabulate error reports over an (alpha, n, w) lattice"),
+    "verify": (cmd_verify, "run the verification suite"),
+    "oracle": (cmd_oracle, "run the least-squares and competitor-scan oracles"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -421,43 +450,12 @@ def build_parser() -> _Parser:
         description="Orthonormal rational systems and best fixed-pole kernel approximation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("basis", "evaluate the orthonormal system, its Gram matrix, and the kernel identity"),
-        ("approximate", "build an approximant and its error report"),
-        ("sweep", "tabulate error reports over an (alpha, n, w) lattice"),
-        ("verify", "run the verification suite"),
-        ("oracle", "run the least-squares and competitor-scan oracles"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for command, (_, help_text) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--alpha", type=int, default=None)
-        p.add_argument("--w", default=None, help='kernel point as "re,im"')
-        p.add_argument("--poles", default=None,
-                       help='semicolon-separated "re,im" pairs, or "zeros"')
-        p.add_argument("--random-poles", dest="random_poles", type=int, default=None,
-                       help="draw this many random free poles")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-modulus", dest="max_modulus", type=float, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--grid", type=int, default=None,
-                       help="grid size (power of two >= 256)")
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", default=None, choices=("csv", "json"))
-        p.add_argument("--tol", action="append", default=None, metavar="NAME=VALUE",
-                       help="tolerance override, repeatable")
-        if name == "basis":
-            p.add_argument("--samples", default=None,
-                           help='evaluation points as semicolon-separated "re,im" pairs')
-        if name == "verify":
-            p.add_argument("--only", default=None,
-                           help=f"comma list from: {','.join(ALL_CHECK_NAMES)}")
-        if name == "oracle":
-            p.add_argument("--trials", type=int, default=None)
-        if name == "sweep":
-            p.add_argument("--alphas", default=None, help='"0,1,2" or "0:3"')
-            p.add_argument("--ns", default=None, help='"0,1,2" or "0:5"')
-            p.add_argument("--ws", default=None,
-                           help='semicolon-separated "re,im" kernel points')
+        for opt in OPTIONS:
+            if command in opt.commands:
+                p.add_argument(opt.flag, dest=opt.key, action="append", help=opt.help)
     return parser
 
 
@@ -465,15 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        handler = {
-            "basis": cmd_basis,
-            "approximate": cmd_approximate,
-            "sweep": cmd_sweep,
-            "verify": cmd_verify,
-            "oracle": cmd_oracle,
-        }[cfg.command]
-        return handler(cfg)
+        return COMMANDS[args.command][0](_config_from_args(args))
     except (UsageError, OrderTooSmall) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

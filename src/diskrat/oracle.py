@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bergman_approx import (
-    build_approximant,
+    Approximant,
     competitor_nu,
     competitor_trials,
     nu_min_closed_form,
@@ -157,31 +157,29 @@ class ScanReport:
 
 
 def uniform_competitor_scan(
-    spec: KernelSpec,
-    basis: TMBasis,
+    approx: Approximant,
     trials: int,
     seed: int,
     grid: CircleGrid | None = None,
     noise_scale: float = 0.1,
 ) -> ScanReport:
     """Evaluate the uniform functional on random members of the competitor
-    class; trial 0 is the unperturbed optimum, odd trials perturb it, even
-    trials draw fully random coefficients.  The observed minimum can never
-    fall below the closed-form infimum (up to evaluation noise)."""
+    class of the approximant's basis; trial 0 is the unperturbed optimum, odd
+    trials perturb it, even trials draw fully random coefficients.  The
+    observed minimum can never fall below the closed-form infimum (up to
+    evaluation noise)."""
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if grid is None:
         grid = circle_grid(4096)
-    free = basis.poles.prefix(basis.max_index - spec.alpha)
-    approx = build_approximant(spec, free)
     coefficients = competitor_trials(
         approx, trials, np.random.default_rng(seed), noise_scale
     )
-    values = competitor_nu(spec, basis, coefficients, grid)
+    values = competitor_nu(approx.spec, approx.basis, coefficients, grid)
     best_trial = int(np.argmin(values))
     best = float(values[best_trial])
-    closed = nu_min_closed_form(spec, free)
+    closed = nu_min_closed_form(approx.spec, approx.free_poles)
     return ScanReport(
         seed=int(seed),
         trials=trials,

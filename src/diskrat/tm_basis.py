@@ -326,23 +326,26 @@ class TMBasis:
 def christoffel_darboux_residual(
     basis: TMBasis, n: int, z, zeta, tau: complex = 1.0
 ) -> float:
-    """Residual of the partial-reproducing-kernel identity
+    """Largest residual of the partial-reproducing-kernel identity
 
         1/(1 - conj(z) zeta) = sum_{k<n} conj(phi_k(z)) phi_k(zeta)
                                + conj(B_n(z)) B_n(zeta) / (1 - conj(z) zeta)
 
-    for z, zeta in the open disk and 1 <= n <= max_index + 1.  The optional
-    tau probes phase freedom: the result must not depend on it.
+    over the pairs (z[i], zeta[i]) of open-disk points, for
+    1 <= n <= max_index + 1.  Scalars count as one pair.  The optional tau
+    probes phase freedom: the result must not depend on it.
     """
     n = int(n)
     if not 1 <= n <= basis.max_index + 1:
         raise IndexOutOfRange(f"n = {n} outside 1..{basis.max_index + 1}")
-    z = require_in_disk(z)
-    zeta = require_in_disk(zeta)
+    z, zeta = (
+        np.array([require_in_disk(p) for p in np.ravel(v)], dtype=complex)
+        for v in (z, zeta)
+    )
     cauchy = 1.0 / (1.0 - np.conj(z) * zeta)
     phi_z = basis.eval_all(z, count=n)
     phi_zeta = basis.eval_all(zeta, count=n)
-    kernel_sum = np.sum(np.conj(phi_z) * phi_zeta)
+    kernel_sum = np.sum(np.conj(phi_z) * phi_zeta, axis=0)
     b = basis.blaschke(n, tau)
     remainder = np.conj(b(z)) * b(zeta) * cauchy
-    return float(abs(cauchy - kernel_sum - remainder))
+    return float(np.max(np.abs(cauchy - kernel_sum - remainder)))

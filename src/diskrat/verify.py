@@ -27,6 +27,7 @@ from .bergman_approx import (
     mu_min_closed_form,
     nu_functional,
     nu_min_closed_form,
+    ratio_coefficients,
 )
 from .circlequad import circle_grid, require_in_disk
 from .errors import PointNotInDisk
@@ -118,14 +119,7 @@ def _check_christoffel(tolerances: dict) -> list[CheckResult]:
         basis = TMBasis(PoleSequence.random(count, rng=rng, max_modulus=0.9))
         zs = _disk_points(rng, 100, 0.8)
         zetas = _disk_points(rng, 100, 0.8)
-        n = basis.size
-        phi_z = basis.eval_all(zs, count=n)
-        phi_zeta = basis.eval_all(zetas, count=n)
-        cauchy = 1.0 / (1.0 - np.conj(zs) * zetas)
-        kernel_sum = np.sum(np.conj(phi_z) * phi_zeta, axis=0)
-        b = basis.blaschke(n)
-        remainder = np.conj(b(zs)) * b(zetas) * cauchy
-        worst = max(worst, float(np.max(np.abs(cauchy - kernel_sum - remainder))))
+        worst = max(worst, christoffel_darboux_residual(basis, basis.size, zs, zetas))
     return [CheckResult("christoffel_darboux", worst < bound, worst, bound,
                         {"sequences": 20, "pairs_per_sequence": 100})]
 
@@ -222,8 +216,7 @@ def _check_uniform_group(tolerances: dict) -> list[CheckResult]:
     ]
     worst_scan = 0.0
     for spec, free, seed in scan_configs:
-        basis = TMBasis(free.with_trailing(spec.w, spec.alpha + 1))
-        report = uniform_competitor_scan(spec, basis, trials=100, seed=seed)
+        report = uniform_competitor_scan(build_approximant(spec, free), trials=100, seed=seed)
         worst_scan = max(worst_scan, max(0.0, -report.margin))
 
     detail = {"configurations": configs, "spot_nu": spot, "nu_grid": 2**16}
@@ -339,8 +332,6 @@ def _check_inequality_group(tolerances: dict) -> list[CheckResult]:
         approx = build_approximant(spec, PoleSequence(free))
         basis = approx.basis
         rng = np.random.default_rng([_LATTICE_SEED + 5, index])
-        design = basis.design_matrix(mu_grid)
-        ratio_factor = 1.0 / (1.0 - mu_grid.nodes * np.conj(w))
         mu_at_optimum = mu_functional(spec, approx.eval, mu_grid)
         optimum = approx.coefficients
         one_minus = 1.0 - abs(w) ** 2
@@ -351,8 +342,7 @@ def _check_inequality_group(tolerances: dict) -> list[CheckResult]:
             mu_val = mu_functional(spec, rational, mu_grid)
             worst_ineq = max(worst_ineq, mu_val * one_minus - nu_val**2)
             # Parseval gap against quadrature-recovered ratio coefficients
-            ratio_values = rational(mu_grid.nodes) * ratio_factor
-            recovered = (np.conj(design).T @ ratio_values) * mu_grid.weight
+            recovered = ratio_coefficients(rational, w, basis, mu_grid)
             gap = mu_val - mu_at_optimum
             sq = float(np.sum(np.abs(recovered - optimum) ** 2))
             worst_gap = max(worst_gap, abs(gap - sq))

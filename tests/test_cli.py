@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import diskrat.bergman_approx
 import diskrat.circlequad
-from diskrat.cli import main, parse_complex, parse_int_list, parse_pole_list
+from diskrat.cli import build_parser, main, parse_complex, parse_int_list, parse_pole_list
 from diskrat.verify import CheckResult
 
 
@@ -268,7 +269,7 @@ class TestConfigHandling:
 
     def test_bad_grid_rejected(self, capsys):
         code, _, err = run_cli(
-            capsys, "approximate", "--alpha", "0", "--w", "0.5,0",
+            capsys, "oracle", "--alpha", "0", "--w", "0.5,0",
             "--poles", "0,0", "--grid", "1000",
         )
         assert code == 1
@@ -313,3 +314,105 @@ class TestConfigHandling:
             capsys, "basis", "--poles", "0,0", "--format", "xml"
         )
         assert code == 1
+
+
+class TestOptionTable:
+    ACCEPTED = {
+        "basis": "poles random-poles seed max-modulus n grid samples format out",
+        "approximate": "alpha w poles random-poles seed max-modulus n format out",
+        "sweep": "alpha w poles seed max-modulus n alphas ns ws out format",
+        "verify": "only tol out",
+        "oracle": "alpha w poles random-poles seed max-modulus n grid trials out",
+    }
+
+    def test_each_subcommand_declares_exactly_what_it_reads(self):
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        total = 0
+        for command, names in self.ACCEPTED.items():
+            expected = {f"--{name}" for name in names.split()} | {"--config"}
+            actions = sub.choices[command]._actions
+            flags = {s for a in actions for s in a.option_strings} - {"-h", "--help"}
+            assert flags == expected, command
+            total += len(flags)
+        assert total == 47
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approximate", "--w", "0.5,0", "--poles", "0,0", "--grid", "1024"],
+            ["approximate", "--w", "0.5,0", "--poles", "0,0", "--tol", "interpolation=1e-30"],
+            ["sweep", "--alphas", "0", "--ns", "1", "--ws", "0.5,0", "--poles", "zeros",
+             "--format", "json"],
+            ["sweep", "--alphas", "0", "--ns", "1", "--ws", "0.5,0", "--random-poles", "3"],
+            ["oracle", "--w", "0.5,0", "--poles", "0,0", "--trials", "5", "--format", "csv"],
+            ["verify", "--w", "0.3,0", "--grid", "256"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
+    def test_config_key_the_subcommand_does_not_read_is_a_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"w": [0.5, 0.0], "poles": [[0.0, 0.0]], "grid": 1024}))
+        code, out, err = run_cli(capsys, "approximate", "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert "'grid' is not read by approximate" in err
+
+    def test_non_integral_config_count_is_a_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"w": [0.5, 0.0], "poles": "zeros", "n": 2.9}))
+        code, out, err = run_cli(capsys, "approximate", "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert "2.9" in err
+
+    def test_config_tolerances_merge_with_flags(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"only": "interpolation", "tolerances": {"orthonormality": 1}})
+        )
+        verdict_file = tmp_path / "verdict.json"
+        code, _, _ = run_cli(
+            capsys, "verify", "--config", str(config), "--tol", "interpolation=1e-20",
+            "--out", str(verdict_file),
+        )
+        assert code == 2
+        assert json.loads(verdict_file.read_text())["interpolation"]["bound"] == 1e-20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--w", "0.5,0", "--poles", "0,0", "--trials", "0"],
+            ["approximate", "--w", "0.5,0", "--random-poles", "-1"],
+            ["basis", "--random-poles", "0"],
+            ["approximate", "--w", "0.5,0", "--n", "3", "--max-modulus", "1.5"],
+            ["approximate", "--w", "0.5,0", "--n", "3", "--max-modulus", "-0.1"],
+            ["oracle", "--w", "0.5,0", "--poles", "0,0", "--grid", str(2**21)],
+            ["basis", "--poles", "0,0", "--grid", str(2**40)],
+            ["approximate", "--w", "0.5,0", "--poles", "0.1,0", "--n", "5"],
+            ["approximate", "--w", "0.5,0", "--random-poles", "2", "--n", "5"],
+            ["basis", "--poles", "0,0;0.3,0", "--n", "4"],
+        ],
+    )
+    def test_out_of_range_or_inconsistent_input_is_a_usage_error(
+        self, capsys, monkeypatch, argv
+    ):
+        def no_grid(self, node_count, extended=False):
+            raise AssertionError(f"allocating a grid of {node_count} nodes")
+
+        monkeypatch.setattr(diskrat.circlequad.CircleGrid, "__init__", no_grid)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, err
+        assert out == ""
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_basis_zeros_builds_n_plus_one_poles(self, capsys, n):
+        code, out, _ = run_cli(capsys, "basis", "--poles", "zeros", "--n", str(n))
+        assert code == 0
+        assert json.loads(out)["poles"] == [[0.0, 0.0]] * (n + 1)

@@ -102,24 +102,21 @@ class TestLeastSquares:
 
 class TestCompetitorScan:
     def test_optimum_included(self):
-        spec = KernelSpec(0, 0.5)
-        basis = TMBasis([0j, 0.5])
-        report = uniform_competitor_scan(spec, basis, trials=1, seed=0)
+        approx = build_approximant(KernelSpec(0, 0.5), [0j])
+        report = uniform_competitor_scan(approx, trials=1, seed=0)
         assert report.min_nu == pytest.approx(1.0 / 3.0, rel=1e-8)
         assert report.argmin_trial == 0
 
     def test_seeded_scan_never_beats_closed_form(self):
-        spec = KernelSpec(0, 0.5)
-        basis = TMBasis([0j, 0.5])
-        report = uniform_competitor_scan(spec, basis, trials=100, seed=42)
+        approx = build_approximant(KernelSpec(0, 0.5), [0j])
+        report = uniform_competitor_scan(approx, trials=100, seed=42)
         assert report.min_nu >= 1.0 / 3.0 - 1e-9
         assert report.closed_form == pytest.approx(1.0 / 3.0)
 
     def test_byte_determinism(self):
-        spec = KernelSpec(1, 0.4j)
-        basis = TMBasis([0.2, 0.4j, 0.4j])
-        a = uniform_competitor_scan(spec, basis, trials=25, seed=7).to_json()
-        b = uniform_competitor_scan(spec, basis, trials=25, seed=7).to_json()
+        approx = build_approximant(KernelSpec(1, 0.4j), [0.2])
+        a = uniform_competitor_scan(approx, trials=25, seed=7).to_json()
+        b = uniform_competitor_scan(approx, trials=25, seed=7).to_json()
         assert a == b
         payload = json.loads(a)
         assert payload["seed"] == 7 and payload["trials"] == 25
@@ -147,17 +144,15 @@ class TestCompetitorScan:
     )
     def test_verify_scans_keep_their_argmin(self, spec, free, seed):
         # the per-trial scan picked the unperturbed optimum on all three
-        basis = TMBasis(PoleSequence(free).with_trailing(spec.w, spec.alpha + 1))
-        report = uniform_competitor_scan(spec, basis, trials=100, seed=seed)
+        approx = build_approximant(spec, free)
+        report = uniform_competitor_scan(approx, trials=100, seed=seed)
         assert report.argmin_trial == 0
-        optimum = build_approximant(spec, free).coefficients
-        assert np.array_equal(report.argmin_coefficients, optimum)
+        assert np.array_equal(report.argmin_coefficients, approx.coefficients)
 
     def test_trials_validation(self):
-        spec = KernelSpec(0, 0.5)
-        basis = TMBasis([0.5])
+        approx = build_approximant(KernelSpec(0, 0.5), [])
         with pytest.raises(ValueError):
-            uniform_competitor_scan(spec, basis, trials=0, seed=0)
+            uniform_competitor_scan(approx, trials=0, seed=0)
 
 
 class TestSmallInstanceExhaustive:

@@ -212,6 +212,26 @@ class TestChristoffelDarboux:
             for n in range(1, 4):
                 assert christoffel_darboux_residual(basis, n, z, zeta) < 1e-12
 
+    def test_arrays_of_pairs_match_the_pairwise_maximum(self):
+        basis = TMBasis([0.6, 0.1 + 0.7j, -0.5, 0j])
+        rng = np.random.default_rng(6)
+        zs = random_disk_points(rng, 40, 0.8)
+        zetas = random_disk_points(rng, 40, 0.8)
+        for n in range(1, 5):
+            batched = christoffel_darboux_residual(basis, n, zs, zetas)
+            pairwise = max(
+                christoffel_darboux_residual(basis, n, z, zeta) for z, zeta in zip(zs, zetas)
+            )
+            assert abs(batched - pairwise) < 1e-15
+
+    @pytest.mark.parametrize("bad", [1.0, np.nan, 1.0 - 1e-10])
+    def test_every_point_of_an_array_is_checked(self, bad):
+        basis = TMBasis([0.3])
+        with pytest.raises(PointNotInDisk):
+            christoffel_darboux_residual(basis, 1, [0.1, bad], [0.2, 0.3])
+        with pytest.raises(PointNotInDisk):
+            christoffel_darboux_residual(basis, 1, [0.1, 0.2], [bad, 0.3])
+
     def test_phase_freedom(self):
         basis = TMBasis([0.6, 0.1 + 0.7j, -0.5])
         z, zeta = 0.3 - 0.2j, -0.1 + 0.4j
