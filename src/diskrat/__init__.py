@@ -39,16 +39,13 @@ from .errors import (
     NonFiniteIntegrand,
     OrderTooSmall,
     PointNotInDisk,
-    RadiusEscapesDisk,
     TrailingPolesMismatch,
 )
 from .expansion import (
     FourierExpansion,
-    cauchy_integral,
     default_grid_size,
     expand_function,
     expand_kernel,
-    fourier_coefficient,
     h2_remainder,
     remainder_integral_J,
 )

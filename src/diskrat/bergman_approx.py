@@ -83,6 +83,13 @@ _REFINE_ITERS = 60
 #: smaller minima drown in double-precision cancellation noise.
 EXTENDED_MU_CUTOFF = 1e-7
 
+#: Grid of the uniform functional in error reports and in verify.
+NU_GRID_NODES = 2**16
+
+#: Scale of the Gaussian perturbations of the optimum in competitor trials,
+#: relative to max|c|.
+_NOISE_SCALE = 0.1
+
 
 def _rising_factorial(alpha: int, count: int) -> float:
     """(alpha+1)(alpha+2)...(alpha+count); empty product for count = 0.
@@ -169,13 +176,13 @@ class Approximant:
             residuals.append(abs(value - interpolation_target(self.spec, a, s)))
         return residuals
 
-    def membership_residual(self, sample_count: int | None = None) -> float:
+    def membership_residual(self) -> float:
         """Relative fit residual of r against the partial-fraction competitor
         basis {1} + {(1 - conj(a_j) x)^-s_j}  (monomials x^s_j at zero poles),
-        j over the first n poles; small iff r lies in the competitor class."""
+        j over the first n poles, on 4(n+1)+9 circle samples; small iff r lies
+        in the competitor class."""
         n = self.n
-        if sample_count is None:
-            sample_count = 4 * (n + 1) + 9
+        sample_count = 4 * (n + 1) + 9
         # offset keeps samples away from grid symmetries
         x = np.exp(2j * np.pi * (np.arange(sample_count) + 0.37) / sample_count)
         columns = [np.ones_like(x)]
@@ -287,13 +294,7 @@ def _unit(t) -> np.ndarray:
     return np.cos(t) + 1j * np.sin(t)
 
 
-def nu_functional(
-    spec: KernelSpec,
-    rational: Callable,
-    grid: CircleGrid,
-    refine: bool = True,
-    refine_iters: int = _REFINE_ITERS,
-) -> float:
+def nu_functional(spec: KernelSpec, rational: Callable, grid: CircleGrid) -> float:
     """Grid maximum of |(1 - x conj(w))^-(1+alpha) - R(x)| on the circle,
     refined by golden-section maximization over the two arcs adjacent to the
     best node, both arcs in one search.  The error modulus is smooth on the
@@ -306,8 +307,6 @@ def nu_functional(
     error = np.abs(spec.cauchy_power(grid.nodes) - values)
     j = int(np.argmax(error))
     best = float(error[j])
-    if not refine:
-        return best
     step = 2.0 * np.pi / grid.node_count
 
     def modulus(t):
@@ -315,7 +314,7 @@ def nu_functional(
         return np.abs(spec.cauchy_power(x) - rational(x))
 
     lo, hi = _arc_brackets(np.asarray(step * j), step)
-    return max(best, float(np.max(_golden_max(modulus, lo, hi, refine_iters))))
+    return max(best, float(np.max(_golden_max(modulus, lo, hi, _REFINE_ITERS))))
 
 
 def competitor_nu(
@@ -439,19 +438,19 @@ def competitor_function(basis: TMBasis, w: complex, coefficients) -> Callable:
 
 
 def random_competitor_coefficients(
-    approx: Approximant, rng: np.random.Generator, noise_scale: float = 0.1
+    approx: Approximant, rng: np.random.Generator
 ) -> np.ndarray:
     """Optimal coefficients plus complex Gaussian noise of scale
-    noise_scale * max|c|: probes the neighborhood of the optimum where
+    _NOISE_SCALE * max|c|: probes the neighborhood of the optimum where
     minimality violations would be most visible."""
     c = approx.coefficients
-    scale = noise_scale * float(np.max(np.abs(c)))
+    scale = _NOISE_SCALE * float(np.max(np.abs(c)))
     noise = rng.standard_normal(len(c)) + 1j * rng.standard_normal(len(c))
     return c + scale * noise
 
 
 def competitor_trials(
-    approx: Approximant, trials: int, rng: np.random.Generator, noise_scale: float = 0.1
+    approx: Approximant, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     """The (trials, m) coefficient schedule of the competitor scans: trial 0
     is the optimum, odd trials perturb it (random_competitor_coefficients),
@@ -464,7 +463,7 @@ def competitor_trials(
         if trial == 0:
             rows[trial] = optimum
         elif trial % 2 == 1:
-            rows[trial] = random_competitor_coefficients(approx, rng, noise_scale)
+            rows[trial] = random_competitor_coefficients(approx, rng)
         else:
             rows[trial] = scale * (
                 rng.standard_normal(len(optimum)) + 1j * rng.standard_normal(len(optimum))
@@ -572,15 +571,12 @@ class ErrorReport:
 
 
 def build_error_report(
-    spec: KernelSpec,
-    free_poles: PoleSequence | list[complex],
-    mu_grid: CircleGrid | None = None,
-    nu_grid_size: int = 2**16,
-    include_interpolation: bool = True,
+    spec: KernelSpec, free_poles: PoleSequence | list[complex]
 ) -> ErrorReport:
     """Build the approximant and evaluate both error functionals against their
-    closed forms.  w = 0 short-circuits to exact zeros: the kernel degenerates
-    to the constant 1 and the approximant is identically 1."""
+    closed forms: mu on the expansion's grid, nu on NU_GRID_NODES nodes.
+    w = 0 short-circuits to exact zeros: the kernel degenerates to the
+    constant 1 and the approximant is identically 1."""
     if not isinstance(free_poles, PoleSequence):
         free_poles = PoleSequence(free_poles)
     n = len(free_poles) + spec.alpha
@@ -600,17 +596,16 @@ def build_error_report(
             degenerate_w_zero=True,
         )
     approx = build_approximant(spec, free_poles)
-    if mu_grid is None:
-        mu_grid = circle_grid(approx.expansion.grid_size)
+    mu_grid = circle_grid(approx.expansion.grid_size)
     mu_closed = mu_min_closed_form(spec, free_poles)
     # tiny minima sit below double-precision cancellation noise; evaluate the
     # integrand in long double there
     mu_quad = mu_functional(
         spec, approx.eval, mu_grid, extended=mu_closed < EXTENDED_MU_CUTOFF
     )
-    nu_grid = nu_functional(spec, approx.eval, circle_grid(int(nu_grid_size)))
+    nu_grid = nu_functional(spec, approx.eval, circle_grid(NU_GRID_NODES))
     nu_closed = nu_min_closed_form(spec, free_poles)
-    residuals = approx.interpolation_residuals() if include_interpolation else []
+    residuals = approx.interpolation_residuals()
     report = ErrorReport(
         alpha=spec.alpha,
         n=n,

@@ -19,12 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    AccuracyNotReached,
-    NonFiniteIntegrand,
-    PointNotInDisk,
-    RadiusEscapesDisk,
-)
+from .errors import AccuracyNotReached, NonFiniteIntegrand, PointNotInDisk
 
 #: Points with modulus >= 1 - EPS_BOUNDARY are rejected as disk points; the
 #: closed-form error constants downstream blow up like (1 - |w|^2)^-(2a+3).
@@ -35,11 +30,11 @@ EPS_BOUNDARY = 1e-9
 MAX_NODES = 2**20
 
 
-def require_in_disk(z: complex, eps: float = EPS_BOUNDARY) -> complex:
+def require_in_disk(z: complex) -> complex:
     """Return z as a plain complex after checking that it is finite and
-    |z| < 1 - eps."""
+    |z| < 1 - EPS_BOUNDARY."""
     z = complex(z)
-    if not cmath.isfinite(z) or abs(z) >= 1.0 - eps:
+    if not cmath.isfinite(z) or abs(z) >= 1.0 - EPS_BOUNDARY:
         raise PointNotInDisk(
             f"point with |z| = {abs(z):.12g} is not strictly inside the unit disk"
         )
@@ -107,35 +102,26 @@ def integrate_circle(f: Callable, grid: CircleGrid) -> complex:
     return complex(values.mean())
 
 
-def derivative_at(
-    f: Callable,
-    a,
-    order: int = 0,
-    radius: float | None = None,
-    rel_tol: float = 1e-12,
-    start_nodes: int = 256,
-    max_nodes: int = 2**16,
-) -> complex:
+#: derivative_at doubles its ring from _DERIVATIVE_START_NODES nodes until
+#: successive values agree to _DERIVATIVE_TOL * max(1, |value|), and gives
+#: up at _DERIVATIVE_MAX_NODES.
+_DERIVATIVE_START_NODES = 256
+_DERIVATIVE_MAX_NODES = 2**16
+_DERIVATIVE_TOL = 1e-12
+
+
+def derivative_at(f: Callable, a, order: int = 0) -> complex:
     """Derivative f^(order)(a) by the trapezoid-discretized Cauchy formula.
 
-    Samples f on the circle of the given radius about a, which must stay
-    inside the unit disk.  The default radius (1 - |a|)/2 balances the
-    conditioning of radius^-order against boundary proximity; any
-    sub-boundary circle works for functions analytic on the disk.
+    Samples f on the circle of radius (1 - |a|)/2 about a, which balances
+    the conditioning of radius^-order against boundary proximity and stays
+    inside the unit disk, where f must be analytic.
     """
     a = require_in_disk(a)
     order = int(order)
     if order < 0:
         raise ValueError("derivative order must be non-negative")
-    if radius is None:
-        radius = (1.0 - abs(a)) / 2.0
-    radius = float(radius)
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    if radius >= 1.0 - abs(a):
-        raise RadiusEscapesDisk(
-            f"radius {radius:g} escapes the unit disk from center |a| = {abs(a):g}"
-        )
+    radius = (1.0 - abs(a)) / 2.0
     scale = math.factorial(order) / radius**order
 
     def ring_value(n: int) -> complex:
@@ -145,14 +131,14 @@ def derivative_at(
             values = values * grid.nodes ** (-order)
         return complex(values.mean()) * scale
 
-    n = int(start_nodes)
+    n = _DERIVATIVE_START_NODES
     previous = ring_value(n)
-    while n < max_nodes:
+    while n < _DERIVATIVE_MAX_NODES:
         n *= 2
         current = ring_value(n)
-        if abs(current - previous) <= rel_tol * max(1.0, abs(current)):
+        if abs(current - previous) <= _DERIVATIVE_TOL * max(1.0, abs(current)):
             return current
         previous = current
     raise AccuracyNotReached(
-        f"derivative quadrature did not settle within {max_nodes} nodes"
+        f"derivative quadrature did not settle within {_DERIVATIVE_MAX_NODES} nodes"
     )

@@ -14,6 +14,7 @@ outputs are byte-deterministic given (config, seed).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from pathlib import Path
@@ -92,6 +93,16 @@ def _point(value) -> complex:
 
 def _points(value) -> list[complex]:
     return [require_in_disk(z) for z in parse_pole_list(value)]
+
+
+def _samples(value) -> list[complex]:
+    """Evaluation points of the closed disk, where every phi_k is finite:
+    its poles 1/conj(a) lie outside."""
+    points = parse_pole_list(value)
+    for z in points:
+        if not cmath.isfinite(z) or abs(z) > 1.0:
+            raise ValueError(f"sample point {z!r} is not a finite point with |z| <= 1")
+    return points
 
 
 def _poles(value):
@@ -175,8 +186,8 @@ OPTIONS = (
     Option("--n", "n", _natural, _POLES),
     Option("--grid", "grid", _grid_size, ("basis", "oracle"), 4096,
            f"grid size (power of two, 256 to {MAX_NODES})"),
-    Option("--samples", "samples", parse_pole_list, ("basis",), None,
-           'evaluation points as semicolon-separated "re,im" pairs'),
+    Option("--samples", "samples", _samples, ("basis",), None,
+           'evaluation points with |z| <= 1 as semicolon-separated "re,im" pairs'),
     Option("--format", "format", _format, ("basis", "approximate", "sweep"), None,
            "csv or json (sweep: csv only)"),
     Option("--out", "out", str, _ALL),
@@ -242,9 +253,16 @@ def _free_poles_for(cfg: SimpleNamespace, count: int, salt: int = 0) -> PoleSequ
     return PoleSequence.random(count, seed=cfg.seed + salt, max_modulus=cfg.max_modulus)
 
 
+def _write_out(path: str, text: str):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit(cfg: SimpleNamespace, text: str):
     if cfg.out:
-        Path(cfg.out).write_text(text)
+        _write_out(cfg.out, text)
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -410,7 +428,7 @@ def cmd_verify(cfg: SimpleNamespace) -> int:
         ("all checks passed" if all_passed else "SOME CHECKS FAILED") + "\n"
     )
     if cfg.out:
-        Path(cfg.out).write_text(_json_dump(verdict))
+        _write_out(cfg.out, _json_dump(verdict))
     return EXIT_OK if all_passed else EXIT_ACCEPTANCE
 
 

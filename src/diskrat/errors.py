@@ -20,10 +20,6 @@ class NonFiniteIntegrand(DiskratError):
         self.value = value
 
 
-class RadiusEscapesDisk(DiskratError):
-    """A sampling circle for derivative extraction leaves the unit disk."""
-
-
 class AccuracyNotReached(DiskratError):
     """Adaptive node doubling hit its cap before successive results agreed."""
 

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circlequad import MAX_NODES, CircleGrid, circle_grid, require_in_disk, sample_on_nodes
+from .circlequad import MAX_NODES, CircleGrid, require_in_disk, sample_on_nodes
 from .errors import (
     CountOutOfRange,
     GridTooLarge,
@@ -34,11 +34,9 @@ from .tm_basis import PoleSequence, TMBasis
 
 __all__ = [
     "default_grid_size",
-    "fourier_coefficient",
     "FourierExpansion",
     "expand_function",
     "expand_kernel",
-    "cauchy_integral",
     "h2_remainder",
     "remainder_integral_J",
 ]
@@ -68,15 +66,6 @@ def default_grid_size(n: int, rho: float = 0.0) -> int:
             f"more than the cap of {MAX_NODES}"
         )
     return size
-
-
-def fourier_coefficient(f: Callable, basis: TMBasis, m: int, grid: CircleGrid) -> complex:
-    """c_m(f): quadrature of f(t) conj(phi_m(t))."""
-    if not 0 <= int(m) <= basis.max_index:
-        raise IndexOutOfRange(f"coefficient index {m} outside 0..{basis.max_index}")
-    values = sample_on_nodes(f, grid.nodes)
-    phi = basis.eval(int(m), grid.nodes)
-    return complex(np.mean(values * np.conj(phi)))
 
 
 class FourierExpansion:
@@ -129,12 +118,10 @@ class FourierExpansion:
 
 
 def expand_function(
-    f: Callable, basis: TMBasis, grid: CircleGrid | None = None, source: str = ""
+    f: Callable, basis: TMBasis, grid: CircleGrid, source: str = ""
 ) -> FourierExpansion:
     """Expand f over the whole basis by quadrature; all coefficients in one
     pass over the (stored) design matrix."""
-    if grid is None:
-        grid = circle_grid(default_grid_size(basis.max_index, basis.poles.max_modulus))
     values = sample_on_nodes(f, grid.nodes)
     design = basis.design_matrix(grid)
     coefficients = (np.conj(design).T @ values) * grid.weight
@@ -160,11 +147,11 @@ def expand_kernel(spec: KernelSpec, basis: TMBasis) -> FourierExpansion:
     return FourierExpansion(basis, coefficients, source, grid_size)
 
 
-def cauchy_integral(f: Callable, z, grid: CircleGrid) -> complex:
-    """f(z) for z in the disk, reconstructed from boundary values of an H2 function."""
-    z = require_in_disk(z)
-    values = sample_on_nodes(f, grid.nodes)
-    return complex(np.mean(values / (1.0 - z * np.conj(grid.nodes))))
+def _weighted_cauchy_mean(b, values, z: complex, grid: CircleGrid) -> complex:
+    """Quadrature of conj(B(t)) f(t) / (1 - z conj(t)) from the samples
+    values = f(t) at the grid nodes, for a disk point z."""
+    integrand = np.conj(b(grid.nodes)) * values / (1.0 - z * np.conj(grid.nodes))
+    return complex(np.mean(integrand))
 
 
 def h2_remainder(f: Callable, basis: TMBasis, n: int, z, grid: CircleGrid) -> complex:
@@ -178,10 +165,8 @@ def h2_remainder(f: Callable, basis: TMBasis, n: int, z, grid: CircleGrid) -> co
     if not 0 <= n <= basis.size:
         raise CountOutOfRange(f"remainder order {n} outside 0..{basis.size}")
     z = require_in_disk(z)
-    values = sample_on_nodes(f, grid.nodes)
     b = basis.blaschke(n)
-    integrand = np.conj(b(grid.nodes)) * values / (1.0 - z * np.conj(grid.nodes))
-    return complex(b(z) * np.mean(integrand))
+    return complex(b(z) * _weighted_cauchy_mean(b, sample_on_nodes(f, grid.nodes), z, grid))
 
 
 def validate_trailing_poles(spec: KernelSpec, poles: PoleSequence, n: int) -> None:
@@ -209,6 +194,4 @@ def remainder_integral_J(
     validate_trailing_poles(spec, basis.poles, n)
     z = require_in_disk(z)
     b = basis.blaschke(int(n) + 1)
-    values = spec.bergman(grid.nodes)
-    integrand = np.conj(b(grid.nodes)) * values / (1.0 - z * np.conj(grid.nodes))
-    return complex(np.mean(integrand))
+    return _weighted_cauchy_mean(b, spec.bergman(grid.nodes), z, grid)

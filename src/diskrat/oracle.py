@@ -25,6 +25,7 @@ from .bergman_approx import (
     Approximant,
     competitor_nu,
     competitor_trials,
+    mu_min_closed_form,
     nu_min_closed_form,
 )
 from .circlequad import CircleGrid, circle_grid, sample_on_nodes
@@ -161,7 +162,6 @@ def uniform_competitor_scan(
     trials: int,
     seed: int,
     grid: CircleGrid | None = None,
-    noise_scale: float = 0.1,
 ) -> ScanReport:
     """Evaluate the uniform functional on random members of the competitor
     class of the approximant's basis; trial 0 is the unperturbed optimum, odd
@@ -173,9 +173,7 @@ def uniform_competitor_scan(
         raise ValueError("trials must be >= 1")
     if grid is None:
         grid = circle_grid(4096)
-    coefficients = competitor_trials(
-        approx, trials, np.random.default_rng(seed), noise_scale
-    )
+    coefficients = competitor_trials(approx, trials, np.random.default_rng(seed))
     values = competitor_nu(approx.spec, approx.basis, coefficients, grid)
     best_trial = int(np.argmin(values))
     best = float(values[best_trial])
@@ -236,7 +234,7 @@ def small_instance_exhaustive(
         quad_grid = circle_grid(4096)
     basis = TMBasis(PoleSequence([spec.w]))
     kernel = sample_on_nodes(spec.bergman, quad_grid.nodes)
-    phi0 = basis.eval(0, quad_grid.nodes)
+    phi0 = basis.eval_all(quad_grid.nodes, count=1)[0]
     center = complex(np.mean(kernel * np.conj(phi0)))  # <K, phi0>
     kernel_sq = float(np.mean(np.abs(kernel) ** 2))
     phi0_sq = float(np.mean(np.abs(phi0) ** 2))
@@ -248,10 +246,6 @@ def small_instance_exhaustive(
     j = int(np.argmin(mu))
     best, best_c = float(mu[j]), complex(candidates[j])
     resolution = 2.0 * half_width / (int(grid_points) - 1)
-    closed = 0.0
-    if spec.w != 0:
-        ww = abs(spec.w) ** 2
-        closed = float(ww / (1.0 - ww) ** 3)
     return SmallInstanceReport(
         w=spec.w,
         grid_points=int(grid_points),
@@ -260,5 +254,5 @@ def small_instance_exhaustive(
         center=center,
         grid_minimum=best,
         argmin=best_c,
-        closed_form=closed,
+        closed_form=mu_min_closed_form(spec, []),
     )

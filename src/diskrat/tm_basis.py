@@ -74,14 +74,6 @@ class PoleSequence:
         a = self._points[m]
         return sum(1 for p in self._points[: m + 1] if p == a)
 
-    def multiplicity_through(self, m: int, n: int) -> int:
-        """p_m(n): occurrences of a_m among a_0..a_n."""
-        a = self._points[m]
-        return sum(1 for p in self._points[: n + 1] if p == a)
-
-    def s_values(self) -> list[int]:
-        return [self.multiplicity_in_prefix(m) for m in range(len(self))]
-
     @property
     def max_modulus(self) -> float:
         return max((abs(p) for p in self._points), default=0.0)
@@ -117,13 +109,6 @@ class PoleSequence:
         return cls(complex(r * np.cos(t), r * np.sin(t)) for r, t in zip(radii, angles))
 
 
-def _tm_factor(a: complex, z):
-    """One product factor of phi_k, equal to z when the pole sits at 0."""
-    if a == 0:
-        return z
-    return (-abs(a) / a) * (z - a) / (1.0 - np.conj(a) * z)
-
-
 class BlaschkeProduct:
     """Finite Blaschke product tau * prod (z - a_j) / (1 - conj(a_j) z).
 
@@ -153,22 +138,6 @@ class BlaschkeProduct:
         out = np.full(z.shape, self.tau, dtype=np.result_type(z, np.complex128))
         for a in self.poles:
             out = out * (z - a) / (1.0 - np.conj(a) * z)
-        return complex(out) if out.ndim == 0 else out
-
-    def numerator_poly(self, z):
-        """pi(z) = prod (a_j - z)."""
-        z = np.asarray(z)
-        out = np.ones(z.shape, dtype=complex)
-        for a in self.poles:
-            out = out * (a - z)
-        return complex(out) if out.ndim == 0 else out
-
-    def denominator_poly(self, z):
-        """tau(z) = prod (1 - conj(a_j) z)."""
-        z = np.asarray(z)
-        out = np.ones(z.shape, dtype=complex)
-        for a in self.poles:
-            out = out * (1.0 - np.conj(a) * z)
         return complex(out) if out.ndim == 0 else out
 
     def tm_phase(self) -> complex:
@@ -210,25 +179,6 @@ class TMBasis:
     @property
     def max_index(self) -> int:
         return len(self.poles) - 1
-
-    def _check_index(self, k: int) -> int:
-        k = int(k)
-        if not 0 <= k <= self.max_index:
-            raise IndexOutOfRange(
-                f"basis index {k} outside 0..{self.max_index}"
-            )
-        return k
-
-    def eval(self, k: int, z):
-        """phi_k(z) by running products of the unimodular-safe factors."""
-        k = self._check_index(k)
-        z = np.asarray(z)
-        running = np.ones(z.shape, dtype=np.result_type(z, np.complex128))
-        for a in self.poles[:k]:
-            running = running * _tm_factor(a, z)
-        a_k = self.poles[k]
-        out = np.sqrt(1.0 - abs(a_k) ** 2) / (1.0 - np.conj(a_k) * z) * running
-        return complex(out) if out.ndim == 0 else out
 
     def _check_count(self, count: int | None) -> int:
         if count is None:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .bergman_approx import (
     EXTENDED_MU_CUTOFF,
+    NU_GRID_NODES,
     build_approximant,
     build_error_report,
     closed_form_J,
@@ -177,7 +178,7 @@ def _check_uniform_group(tolerances: dict) -> list[CheckResult]:
     nu_bound = _tol(tolerances, "uniform_exactness")
     eq_bound = _tol(tolerances, "equimodularity")
     scan_bound = _tol(tolerances, "competitor_scan")
-    nu_grid = circle_grid(2**16)
+    nu_grid = circle_grid(NU_GRID_NODES)
     worst_nu = 0.0
     configs = 0
     for alpha in (0, 1, 2, 3):
@@ -219,7 +220,7 @@ def _check_uniform_group(tolerances: dict) -> list[CheckResult]:
         report = uniform_competitor_scan(build_approximant(spec, free), trials=100, seed=seed)
         worst_scan = max(worst_scan, max(0.0, -report.margin))
 
-    detail = {"configurations": configs, "spot_nu": spot, "nu_grid": 2**16}
+    detail = {"configurations": configs, "spot_nu": spot, "nu_grid": NU_GRID_NODES}
     return [
         CheckResult("uniform_exactness", worst_nu < nu_bound, worst_nu, nu_bound, detail),
         CheckResult("equimodularity", worst_eq < eq_bound, worst_eq, eq_bound,
@@ -381,7 +382,7 @@ def _check_degenerate_group(tolerances: dict) -> list[CheckResult]:
         mu_closed = mu_min_closed_form(spec, free)
         mu_quad = mu_functional(spec, approx.eval, grid)
         worst_mu = max(worst_mu, abs(mu_quad - mu_closed) / mu_closed)
-        nu_val = nu_functional(spec, approx.eval, circle_grid(2**16))
+        nu_val = nu_functional(spec, approx.eval, circle_grid(NU_GRID_NODES))
         nu_closed = nu_min_closed_form(spec, free)
         worst_nu = max(worst_nu, abs(nu_val - nu_closed) / nu_closed)
 

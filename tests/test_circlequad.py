@@ -6,7 +6,6 @@ from diskrat import (
     CircleGrid,
     NonFiniteIntegrand,
     PointNotInDisk,
-    RadiusEscapesDisk,
     circle_grid,
     derivative_at,
     integrate_circle,
@@ -123,7 +122,7 @@ def test_derivative_geometric_series_coefficient():
 def test_derivative_matches_hand_differentiated_closed_form():
     # oracle: d/dz (1 - 0.5 z)^-3 = 3 * 0.5 * (1 - 0.5 z)^-4 at z = 0.2
     expected = 3.0 * 0.5 / (1.0 - 0.5 * 0.2) ** 4
-    value = derivative_at(lambda z: 1.0 / (1.0 - 0.5 * z) ** 3, 0.2, order=1, radius=0.3)
+    value = derivative_at(lambda z: 1.0 / (1.0 - 0.5 * z) ** 3, 0.2, order=1)
     assert value == pytest.approx(expected, rel=1e-12)
 
 
@@ -140,18 +139,26 @@ def test_derivative_order_zero_is_mean_value(f, a):
 
 
 def test_derivative_reports_cap():
-    # a pole just outside the sampling circle: the ring values never settle
-    with pytest.raises(AccuracyNotReached):
-        derivative_at(
-            lambda z: 1.0 / (1.0 - z / 0.5000001), 0.0, order=3, radius=0.5, max_nodes=2**10
-        )
+    # a pole just outside the sampling circle |z| = 1/2 about 0: the ring
+    # values never settle within 2^16 nodes
+    with pytest.raises(AccuracyNotReached, match="within 65536 nodes"):
+        derivative_at(lambda z: 1.0 / (1.0 - z / 0.5000001), 0.0, order=3)
 
 
-def test_derivative_radius_validation():
-    with pytest.raises(RadiusEscapesDisk):
-        derivative_at(lambda z: z, 0.5, order=1, radius=0.6)
-    with pytest.raises(ValueError):
-        derivative_at(lambda z: z, 0.5, order=1, radius=0.0)
+@pytest.mark.parametrize("a", [0.0, 0.5, -0.3 + 0.6j, 0.999])
+def test_derivative_samples_the_half_distance_circle(a):
+    distances = []
+
+    def f(z):
+        distances.append(np.abs(z - a))
+        return z
+
+    derivative_at(f, a, order=1)
+    radius = np.concatenate(distances)
+    assert np.allclose(radius, (1.0 - abs(a)) / 2.0, rtol=1e-12, atol=0.0)
+
+
+def test_derivative_rejects_negative_order():
     with pytest.raises(ValueError):
         derivative_at(lambda z: z, 0.5, order=-1)
 

@@ -207,6 +207,19 @@ class TestBasis:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("samples", ["nan,0", "inf,0", "2,0"])
+    def test_samples_outside_the_closed_disk_are_usage_errors(self, capsys, samples):
+        # 2 is the reflected pole 1/conj(0.5); non-finite points are no JSON
+        code, out, err = run_cli(capsys, "basis", "--poles", "0.5,0", "--samples", samples)
+        assert (code, out) == (1, "")
+        assert "--samples" in err
+
+    def test_samples_on_the_circle_are_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "basis", "--poles", "0.5,0", "--samples", "1,0;0,-1")
+        assert code == 0
+        values = json.loads(out)["phi_values"]
+        assert np.isfinite(values).all()
+
 
 class TestVerify:
     def test_only_interpolation(self, capsys):
@@ -237,6 +250,22 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--only", "nonexistent_check")
         assert code == 1
         assert "unknown" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approximate", "--alpha", "0", "--w", "0.5,0", "--n", "1"],
+        ["verify", "--only", "orthonormality"],
+    ],
+)
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target):
+    path = tmp_path / target
+    code, _, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 1
+    assert f"error: cannot write {path}" in err
+    assert not (tmp_path / "missing").exists()
 
 
 class TestOracleCommand:

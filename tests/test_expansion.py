@@ -9,20 +9,17 @@ from diskrat import (
     CountOutOfRange,
     FourierExpansion,
     GridTooLarge,
-    IndexOutOfRange,
     KernelSpec,
     OrderTooSmall,
     PoleSequence,
     TMBasis,
     TrailingPolesMismatch,
     build_error_report,
-    cauchy_integral,
     circle_grid,
     closed_form_J,
     default_grid_size,
     expand_function,
     expand_kernel,
-    fourier_coefficient,
     h2_remainder,
     integrate_circle,
     remainder_integral_J,
@@ -42,24 +39,16 @@ class TestFourierCoefficient:
     def test_orthonormal_reproduction(self):
         basis = TMBasis([0.3, -0.4j, 0.5, 0.2])
         for j in range(4):
-            for m in range(4):
-                c = fourier_coefficient(lambda t, j=j: basis.eval(j, t), basis, m, GRID)
-                expected = 1.0 if m == j else 0.0
-                assert abs(c - expected) < 1e-12
+            c = expand_function(lambda t, j=j: basis.eval_all(t)[j], basis, GRID).coefficients
+            assert np.max(np.abs(c - np.eye(4)[j])) < 1e-12
 
     def test_bergman_coefficients_match_binomial_series(self):
         spec = KernelSpec(0, 0.5)
         basis = TMBasis([0j, 0j, 0j])
         expected = binomial_coefficients(0.5, 3)
-        for m in range(3):
-            c = fourier_coefficient(spec.bergman, basis, m, GRID)
-            assert c == pytest.approx(expected[m], abs=1e-12)
+        c = expand_function(spec.bergman, basis, GRID).coefficients
+        assert c == pytest.approx(expected, abs=1e-12)
         assert expected[1] == pytest.approx(1.0)
-
-    def test_index_validation(self):
-        basis = TMBasis([0.3])
-        with pytest.raises(IndexOutOfRange):
-            fourier_coefficient(lambda t: t, basis, 1, GRID)
 
 
 class TestPartialSum:
@@ -69,9 +58,9 @@ class TestPartialSum:
 
     def test_single_term_reproduces_first_function(self):
         basis = TMBasis([0.3, -0.4j])
-        exp = expand_function(lambda t: basis.eval(0, t), basis, GRID)
+        exp = expand_function(lambda t: basis.eval_all(t, count=1)[0], basis, GRID)
         z = 0.2 - 0.5j
-        assert exp.partial_sum(1, z) == pytest.approx(basis.eval(0, z), abs=1e-12)
+        assert exp.partial_sum(1, z) == pytest.approx(basis.eval_all(z)[0], abs=1e-12)
 
     def test_truncated_binomial_value(self):
         # oracle: sum_{k<3} (k+1) (0.5 * 0.3)^k = 1.3675
@@ -103,10 +92,8 @@ class TestExpansionInvariants:
         spec = KernelSpec(0, 0.4 - 0.3j)
         basis = TMBasis([0.3, -0.2j, spec.w])
         exp = expand_kernel(spec, basis)
-        grid = circle_grid(exp.grid_size)
-        for m in range(len(exp)):
-            again = fourier_coefficient(spec.bergman, basis, m, grid)
-            assert abs(again - exp.coefficients[m]) < 1e-12
+        again = expand_function(spec.bergman, basis, circle_grid(exp.grid_size))
+        assert np.max(np.abs(again.coefficients - exp.coefficients)) < 1e-12
 
     def test_json_round_trip(self):
         spec = KernelSpec(0, 0.5)
@@ -130,13 +117,14 @@ class TestH2Representation:
         basis = TMBasis([0.3, 0.4, 0.4])
         z = 0.2
         rem = h2_remainder(spec.bergman, basis, 0, z, GRID)
-        direct = cauchy_integral(spec.bergman, z, GRID)
+        # B_0 = 1: the plain Cauchy integral of the boundary values
+        direct = np.mean(spec.bergman(GRID.nodes) / (1.0 - z * np.conj(GRID.nodes)))
         assert rem == pytest.approx(direct, abs=1e-14)
         assert rem == pytest.approx(spec.bergman(z), abs=1e-12)
 
     def test_function_in_span_has_zero_remainder(self):
         basis = TMBasis([0.3, -0.4j])
-        rem = h2_remainder(lambda t: basis.eval(0, t), basis, 1, 0.2 + 0.3j, GRID)
+        rem = h2_remainder(lambda t: basis.eval_all(t, count=1)[0], basis, 1, 0.2 + 0.3j, GRID)
         assert abs(rem) < 1e-12
 
     def test_two_sided_representation_value(self):
@@ -156,7 +144,7 @@ class TestH2Representation:
         spec = KernelSpec(2, 0.5 - 0.2j)
         functions = [
             spec.bergman,
-            lambda t: basis.eval(3, t),
+            lambda t: basis.eval_all(t, count=4)[3],
             lambda t: 1.0 + 2.0 * t - 0.5 * t**3,  # polynomial boundary trace
         ]
         radii = 0.8 * np.sqrt(rng.uniform(0, 1, 50))
@@ -166,7 +154,7 @@ class TestH2Representation:
             for n in (1, 2, 3, 5, 8, 15):
                 for z in zs[:10]:
                     z = complex(z)
-                    value = cauchy_integral(f, z, GRID)
+                    value = f(z)
                     total = exp.partial_sum(n, z) + h2_remainder(f, basis, n, z, GRID)
                     assert abs(value - total) < 1e-10
 

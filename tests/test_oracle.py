@@ -27,7 +27,7 @@ class TestLeastSquares:
         basis = TMBasis([0.5, 0.3])
         problem = LeastSquaresProblem.build(spec, basis)
         # overwrite the target with phi_0 itself
-        problem.target = basis.eval(0, problem.grid.nodes)
+        problem.target = basis.eval_all(problem.grid.nodes, count=1)[0]
         result = lsq_minimize(problem)
         assert abs(result.coefficients[0] - 1.0) < 1e-12
         assert abs(result.coefficients[1]) < 1e-12
