@@ -75,9 +75,13 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Golden-section iterations per nu refinement: the bracket shrinks to
-#: 0.618^60 ~ 3e-13 of one grid arc.
+#: Most steps of one nu refinement.  A bracket also stops at 0.618^60 of its
+#: initial width, where 60 golden-section steps would leave it.
 _REFINE_ITERS = 60
+
+#: Rounding error of one evaluation of the uniform error modulus, relative to
+#: the sum of the moduli of the two terms it subtracts.
+_ROUNDING_FLOOR = 8 * np.finfo(float).eps
 
 #: Long-double integrand evaluation kicks in below this quadratic minimum;
 #: smaller minima drown in double-precision cancellation noise.
@@ -260,34 +264,85 @@ def mu_min_closed_form(spec: KernelSpec, free_poles: PoleSequence | list[complex
     return float(ww ** (spec.alpha + 1) / (1.0 - ww) ** (2 * spec.alpha + 3) * b * b)
 
 
-def _golden_max(f: Callable, lo, hi, iters: int) -> np.ndarray:
-    """Golden-section maximization of f over every bracket [lo, hi] at once.
+def _golden_max(f: Callable, points, values, floor) -> np.ndarray:
+    """Maximize f on every bracket a < x < b at once by safeguarded parabolic
+    steps (R. P. Brent, Algorithms for Minimization without Derivatives,
+    1973), and return f at each final middle point.
 
-    lo and hi are arrays of one shape; f maps an array of arguments to values
-    elementwise and is called once per iteration on all brackets (once more
-    at the start, on the stacked first two probes).  Each bracket follows the
-    scalar search exactly: np.where picks per bracket which end moves.
+    points and values are (3, m) arrays: the triples (a, x, b) and their f
+    values, with f(x) >= f(a), f(b); floor is the rounding error of one
+    evaluation, per bracket.  f maps an array of angles to values
+    elementwise and is called once per step on all brackets; a stopped
+    bracket is evaluated at its x and keeps its state.
+
+    Let c <= 0 be the curvature of the parabola through the triple and L the
+    larger of x - a and b - x.  Its vertex lies within L/2 of x, so the
+    parabola promises at most -c L^2 / 4 over f(x), and the bracket stops
+    once that is at most floor.  This takes no evaluation when the triple is
+    flat to rounding, as at the optimum.  Otherwise each step goes to the
+    vertex; a vertex that is not finite or lies outside the bracket gives
+    way to a golden-section step into the larger side, and one closer to x
+    than tol = sqrt(floor / -c) to a step of tol into the larger side, whose
+    end it brings to within tol of x.  The new point becomes x if it is at
+    least f(x), else the end on its side, so f(x) >= f(ends) throughout.  A
+    bracket also stops at 0.618^60 of its initial width, when a step no
+    longer moves x, or after _REFINE_ITERS steps.
+
+    The name is that of the golden-section search this replaced: the
+    benchmark's tracer wraps bergman_approx._golden_max and counts the calls
+    of its first positional argument, so both stay, and callers pass f
+    positionally.
     """
-    a = np.asarray(lo, dtype=float)
-    b = np.asarray(hi, dtype=float)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(np.stack([c, d]))
-    for _ in range(iters):
-        right = fc < fd
-        a = np.where(right, c, a)
-        b = np.where(right, b, d)
-        probe = np.where(right, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
-        value = f(probe)
-        c, d = np.where(right, d, probe), np.where(right, probe, c)
-        fc, fd = np.where(right, fd, value), np.where(right, value, fc)
-    return np.maximum(fc, fd)
+    a, x, b = (np.array(p, dtype=float) for p in points)
+    fa, fx, fb = (np.array(v, dtype=float) for v in values)
+    min_width = _GOLDEN**_REFINE_ITERS * (b - a)
+    active = np.ones(x.shape, dtype=bool)
+    for _ in range(_REFINE_ITERS):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Newton form of the parabola: slope at x and curvature; a side
+            # that has shrunk to nothing gives 0/0, which stops the bracket
+            left = (fx - fa) / (x - a)
+            curve = ((fb - fx) / (b - x) - left) / (b - a)
+            shift = -0.5 * (left + curve * (x - a)) / curve
+            tol = np.sqrt(floor / -curve)
+        larger = np.where(b - x > x - a, b - x, a - x)
+        u = x + shift
+        u = np.where(
+            (a < u) & (u < b),
+            np.where(np.abs(shift) < tol, x + np.copysign(tol, larger), u),
+            x + (1.0 - _GOLDEN) * larger,
+        )
+        promise = -0.25 * curve * larger**2
+        active &= (promise > floor) & (b - a > min_width) & (a < u) & (u < b) & (u != x)
+        if not active.any():
+            break
+        fu = f(np.where(active, u, x))
+        higher = fu >= fx
+        # a higher u turns x into the end on the other side of u; a lower u
+        # becomes the end on its own side
+        end = np.where(higher, x, u)
+        f_end = np.where(higher, fx, fu)
+        move_a = active & (higher == (u > x))
+        move_b = active & ~move_a
+        a, fa = np.where(move_a, end, a), np.where(move_a, f_end, fa)
+        b, fb = np.where(move_b, end, b), np.where(move_b, f_end, fb)
+        higher &= active
+        x, fx = np.where(higher, u, x), np.where(higher, fu, fx)
+    return fx
 
 
-def _arc_brackets(theta, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The two arcs [theta - step, theta] and [theta, theta + step] adjacent
-    to each best node angle, stacked along a new leading axis."""
-    return np.stack([theta - step, theta]), np.stack([theta, theta + step])
+def _grid_brackets(error) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each row of error moduli on an N-node grid (last axis), its
+    largest node j, the angles theta_(j-1) < theta_j < theta_(j+1) and the
+    moduli there: the brackets _golden_max starts from, without evaluating
+    anything.  The neighbours of j = 0 and j = N - 1 lie across theta = 0,
+    at index (j +- 1) mod N."""
+    error = np.atleast_2d(error)
+    count = error.shape[-1]
+    index = np.argmax(error, axis=-1)
+    near = index + np.arange(-1, 2)[:, None]
+    values = error[np.arange(len(error)), near % count]
+    return index, (2.0 * np.pi / count) * near, values
 
 
 def _unit(t) -> np.ndarray:
@@ -296,25 +351,24 @@ def _unit(t) -> np.ndarray:
 
 def nu_functional(spec: KernelSpec, rational: Callable, grid: CircleGrid) -> float:
     """Grid maximum of |(1 - x conj(w))^-(1+alpha) - R(x)| on the circle,
-    refined by golden-section maximization over the two arcs adjacent to the
-    best node, both arcs in one search.  The error modulus is smooth on the
-    circle and near-constant at the optimum, so grid resolution dominates and
-    the refinement is local.
+    refined by parabolic steps on the bracket of the best node and its two
+    neighbours.  The error modulus is smooth on the circle and near-constant
+    at the optimum, so grid resolution dominates and the refinement is local;
+    at the optimum the grid triple is flat to rounding and the refinement
+    evaluates nothing.
 
     rational must accept arrays of any shape and evaluate elementwise.
     """
     values = sample_on_nodes(rational, grid.nodes)
-    error = np.abs(spec.cauchy_power(grid.nodes) - values)
-    j = int(np.argmax(error))
-    best = float(error[j])
-    step = 2.0 * np.pi / grid.node_count
+    index, points, moduli = _grid_brackets(np.abs(spec.cauchy_power(grid.nodes) - values))
+    j = int(index[0])
+    floor = _ROUNDING_FLOOR * (abs(spec.cauchy_power(grid.nodes[j])) + abs(values[j]))
 
     def modulus(t):
         x = _unit(t)
         return np.abs(spec.cauchy_power(x) - rational(x))
 
-    lo, hi = _arc_brackets(np.asarray(step * j), step)
-    return max(best, float(np.max(_golden_max(modulus, lo, hi, _REFINE_ITERS))))
+    return float(_golden_max(modulus, points, moduli, floor)[0])
 
 
 def competitor_nu(
@@ -328,8 +382,9 @@ def competitor_nu(
 
     The basis is evaluated on the grid once.  The grid pass takes the trials
     in blocks of at most m rows, so no temporary exceeds the design matrix;
-    the refinement runs both arcs of every trial through one golden-section
-    search, one basis evaluation per iteration.
+    the refinement runs the brackets of all trials together, one basis
+    evaluation per step.  Only the moduli of the grid pass are kept, so the
+    rounding floor bounds |R(x_j)| by |K(x_j)| + best_j.
     """
     coefficients = np.atleast_2d(np.asarray(coefficients, dtype=complex))
     trials, count = coefficients.shape
@@ -338,8 +393,9 @@ def competitor_nu(
     phi = basis.eval_all(nodes, count=count)
     multiplier = 1.0 - nodes * cw
     kernel = spec.cauchy_power(nodes)
-    best = np.empty(trials)
     index = np.empty(trials, dtype=int)
+    points = np.empty((3, trials))
+    moduli = np.empty((3, trials))
     block = max(count, 1)
     for start in range(0, trials, block):
         rows = slice(start, start + block)
@@ -350,20 +406,18 @@ def competitor_nu(
         if bad.any():
             row, node = np.unravel_index(int(np.argmax(bad)), bad.shape)
             raise NonFiniteIntegrand(int(node), complex(error[row, node]))
+        # rebinding frees the complex block before the next one is formed
         error = np.abs(error)
-        index[rows] = np.argmax(error, axis=1)
-        best[rows] = error[np.arange(len(error)), index[rows]]
-    step = 2.0 * np.pi / grid.node_count
+        index[rows], points[:, rows], moduli[:, rows] = _grid_brackets(error)
+    floor = _ROUNDING_FLOOR * (2.0 * np.abs(kernel[index]) + moduli[1])
 
     def modulus(t):
-        # t has the trials on its last axis; row i is refined with trial i
+        # entry i of t is refined with trial i
         x = _unit(t)
-        sums = np.einsum("tk,k...t->...t", coefficients, basis.eval_all(x, count=count))
+        sums = np.einsum("tk,kt->t", coefficients, basis.eval_all(x, count=count))
         return np.abs(spec.cauchy_power(x) - (1.0 - x * cw) * sums)
 
-    lo, hi = _arc_brackets(step * index, step)
-    refined = np.max(_golden_max(modulus, lo, hi, _REFINE_ITERS), axis=0)
-    return np.maximum(best, refined)
+    return _golden_max(modulus, points, moduli, floor)
 
 
 def nu_min_closed_form(spec: KernelSpec, free_poles: PoleSequence | list[complex]) -> float:

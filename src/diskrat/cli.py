@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import errno
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -253,11 +256,28 @@ def _free_poles_for(cfg: SimpleNamespace, count: int, salt: int = 0) -> PoleSequ
     return PoleSequence.random(count, seed=cfg.seed + salt, max_modulus=cfg.max_modulus)
 
 
+def _cannot_write(path: str, exc: OSError) -> UsageError:
+    return UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _write_out(path: str, text: str):
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
+        raise _cannot_write(path, exc)
+
+
+def _check_out(path: str):
+    """Refuse, as _write_out would, a target whose directory is missing or
+    that is a directory, before any work is done; creates nothing."""
+    target = Path(path)
+    try:
+        if not stat.S_ISDIR(os.stat(target.parent).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        raise _cannot_write(path, exc)
 
 
 def _emit(cfg: SimpleNamespace, text: str):
@@ -416,6 +436,8 @@ def cmd_sweep(cfg: SimpleNamespace) -> int:
 
 
 def cmd_verify(cfg: SimpleNamespace) -> int:
+    if cfg.out:
+        _check_out(cfg.out)
     try:
         results = run_checks(only=cfg.only, tolerances=cfg.tolerances)
     except ValueError as exc:
@@ -462,7 +484,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> _Parser:
+def build_parser(commands=COMMANDS) -> _Parser:
+    """The parser of every subcommand, with the options of those named in
+    commands.  argparse dispatches only to a subcommand named by an argument,
+    so main gives the options only to those; the listing and every message
+    stay the same."""
     parser = _Parser(
         prog="diskrat",
         description="Orthonormal rational systems and best fixed-pole kernel approximation",
@@ -470,6 +496,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
+        if command not in commands:
+            continue
         p.add_argument("--config", help="JSON config file; flags override its values")
         for opt in OPTIONS:
             if command in opt.commands:
@@ -478,7 +506,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(COMMANDS.keys() & set(argv))
     try:
         args = parser.parse_args(argv)
         return COMMANDS[args.command][0](_config_from_args(args))

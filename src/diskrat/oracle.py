@@ -59,11 +59,7 @@ class LeastSquaresProblem:
     condition: float
 
     @classmethod
-    def build(
-        cls, spec: KernelSpec, basis: TMBasis, grid: CircleGrid | None = None
-    ) -> "LeastSquaresProblem":
-        if grid is None:
-            grid = circle_grid(4096)
+    def build(cls, spec: KernelSpec, basis: TMBasis, grid: CircleGrid) -> "LeastSquaresProblem":
         design = basis.design_matrix(grid)
         target = sample_on_nodes(spec.bergman, grid.nodes)
         gram = (np.conj(design).T @ design) * grid.weight

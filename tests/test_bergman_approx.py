@@ -27,7 +27,8 @@ from diskrat import (
     random_competitor_coefficients,
     ratio_coefficients,
 )
-from diskrat.bergman_approx import _GOLDEN, _golden_max
+from diskrat import bergman_approx
+from diskrat.bergman_approx import NU_GRID_NODES, _GOLDEN, _REFINE_ITERS, _golden_max
 
 GRID = circle_grid(4096)
 
@@ -303,18 +304,143 @@ SCAN_CONFIGS = [
 ]
 
 
-class TestBatchedNu:
-    def test_golden_max_matches_scalar_search(self):
-        def f(t):
-            return np.exp(-((t - 0.3) ** 2)) * np.cos(3.0 * t)
+def golden60_nu(spec, rational, grid):
+    """Reference: nu as it was computed with a fixed golden-section search,
+    the grid maximum refined by 60 steps on each arc next to the best node.
+    Returns the value and the rounding noise of the modulus at the angle
+    where it was taken: the spread of 65 values within 1e-13 rad of it, over
+    which the smooth modulus does not move.  A maximum over noisy values
+    can lie that far above the smooth maximum."""
+    error = np.abs(spec.cauchy_power(grid.nodes) - rational(grid.nodes))
+    j = int(np.argmax(error))
+    step = 2.0 * np.pi / grid.node_count
+    best = [float(error[j]), step * j]
 
-        lo = np.linspace(-1.0, 1.0, 9)
-        hi = lo + np.linspace(0.1, 0.9, 9)
-        batched = _golden_max(f, np.stack([lo, hi - 0.05]), np.stack([hi, hi + 0.3]), 60)
-        for row, (los, his) in enumerate([(lo, hi), (hi - 0.05, hi + 0.3)]):
-            for i, (a, b) in enumerate(zip(los, his)):
-                reference = scalar_golden_max(lambda t: float(f(t)), float(a), float(b), 60)
-                assert abs(batched[row, i] - reference) <= 1e-15
+    def modulus(t):
+        x = complex(math.cos(t), math.sin(t))
+        value = abs(spec.cauchy_power(x) - rational(x))
+        best[:] = max(best, [value, t])
+        return value
+
+    for a, b in [(step * (j - 1), step * j), (step * j, step * (j + 1))]:
+        scalar_golden_max(modulus, a, b, 60)
+    x = np.exp(1j * (best[1] + np.linspace(-1e-13, 1e-13, 65)))
+    near = np.abs(spec.cauchy_power(x) - rational(x))
+    return best[0], float(np.ptp(near))
+
+
+def refinement_battery(count=150, seed=2024):
+    """Kernels with alpha 0-3 and |w| up to 0.97, each with zero, repeated,
+    random or mixed free poles."""
+    rng = np.random.default_rng(seed)
+    radii = [0.05, 0.3, 0.6, 0.85, 0.93, 0.97]
+    cases = []
+    for i in range(count):
+        radius = radii[i % len(radii)] if i % 3 else rng.uniform(0.01, 0.97)
+        w = complex(radius * np.exp(2j * np.pi * rng.uniform()))
+        m = int(rng.integers(0, 9))
+        random = list(random_disk_points(rng, m, 0.95))
+        repeated = [random_disk_points(rng, 1, 0.8)[0]] * m
+        free = [[0j] * m, repeated, random, repeated[: m // 2] + random[m // 2 :]][i % 4]
+        cases.append((KernelSpec((i // 4) % 4, w), free))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def refined_battery():
+    """nu of every battery approximant by nu_functional on NU_GRID_NODES, and
+    of two competitor trials each by competitor_nu on the 4096 nodes of the
+    competitor scans, each with its golden-section reference and the noise
+    there, and the number of calls of f per refinement."""
+    calls = []
+    refine = bergman_approx._golden_max
+
+    def counted_refine(f, *args):
+        # as the benchmark's tracer does: count the calls of the first argument
+        count = [0]
+
+        def counted(t):
+            count[0] += 1
+            return f(t)
+
+        try:
+            return refine(counted, *args)
+        finally:
+            calls.append(count[0])
+
+    nu_grid, scan_grid = circle_grid(NU_GRID_NODES), circle_grid(4096)
+    approximants, trials = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bergman_approx, "_golden_max", counted_refine)
+        for index, (spec, free) in enumerate(refinement_battery()):
+            approx = build_approximant(spec, free)
+            value = nu_functional(spec, approx.eval, nu_grid)
+            approximants.append((spec, value, *golden60_nu(spec, approx.eval, nu_grid)))
+            rows = competitor_trials(approx, 3, np.random.default_rng(index))[1:]
+            values = competitor_nu(spec, approx.basis, rows, scan_grid)
+            for row, value in zip(rows, values):
+                rational = competitor_function(approx.basis, spec.w, row)
+                trials.append((spec, value, *golden60_nu(spec, rational, scan_grid)))
+    return approximants, trials, calls
+
+
+def beyond_rounding_of_golden_section(results):
+    """The (spec, new, reference, noise) entries whose values differ by more
+    than 1e-14 relative plus 8 eps sup|(1 - x conj(w))^-(1+alpha)| =
+    8 eps (1 - |w|)^-(1+alpha), the rounding of the kernel term, plus the
+    rounding noise measured at the reference's maximum."""
+    misses = []
+    for spec, value, reference, noise in results:
+        kernel = 8 * np.finfo(float).eps * (1.0 - abs(spec.w)) ** -(spec.alpha + 1)
+        if not abs(value - reference) <= 1e-14 * reference + kernel + noise:
+            misses.append((spec, value, reference, noise))
+    return misses
+
+
+class TestBatchedNu:
+    def test_refinement_matches_golden_section_on_approximants(self, refined_battery):
+        approximants, _, _ = refined_battery
+        assert len(approximants) >= 150
+        assert beyond_rounding_of_golden_section(approximants) == []
+
+    def test_refinement_matches_golden_section_on_competitor_trials(self, refined_battery):
+        _, trials, _ = refined_battery
+        assert len(trials) >= 150
+        assert beyond_rounding_of_golden_section(trials) == []
+
+    def test_refinement_calls_f_at_most_20_times(self, refined_battery):
+        _, _, calls = refined_battery
+        assert len(calls) == 300
+        assert max(calls) <= 20
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-15])
+    def test_constant_modulus_returns_the_constant(self, floor):
+        calls = []
+
+        def constant(t):
+            calls.append(t)
+            return np.full(np.shape(t), 0.75)
+
+        points = np.array([[-0.1, 1.0], [0.0, 1.2], [0.1, 1.3]])
+        value = _golden_max(constant, points, np.full((3, 2), 0.75), floor)
+        assert np.array_equal(value, [0.75, 0.75])
+        assert len(calls) <= _REFINE_ITERS
+
+    @pytest.mark.parametrize("offset, node", [(0.3, 0), (-0.7, 4095)])
+    def test_best_node_at_either_end_of_the_grid(self, offset, node):
+        # |(1 - x conj(w))^-1| peaks at 2 where x = w/|w|: here 0.3 of a grid
+        # step past node 0, or 0.3 of a step past node N - 1.  The refined
+        # value must find that peak from a bracket that wraps round theta = 0.
+        grid = circle_grid(4096)
+        spec = KernelSpec(0, 0.5 * np.exp(2j * np.pi * offset / grid.node_count))
+        assert np.argmax(np.abs(spec.cauchy_power(grid.nodes))) == node
+        approx = build_approximant(spec, [0j])
+        zero = competitor_function(approx.basis, spec.w, [0.0])
+        grid_max = float(np.max(np.abs(spec.cauchy_power(grid.nodes))))
+        assert 2.0 - grid_max > 1e-8
+        assert nu_functional(spec, zero, grid) == pytest.approx(2.0, rel=1e-15, abs=0)
+        (value,) = competitor_nu(spec, approx.basis, [[0.0]], grid)
+        assert value == pytest.approx(2.0, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("truncate", [False, True])
     @pytest.mark.parametrize("spec, free, seed", SCAN_CONFIGS)

@@ -268,6 +268,34 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("missing/x.json", "cannot write"),
+        (".", "cannot write"),
+        ("kept.txt/x.json", "cannot write"),
+        ("kept.txt", "checks ran"),
+        ("new.json", "checks ran"),
+    ],
+)
+def test_verify_checks_its_out_target_before_the_checks(
+    capsys, monkeypatch, tmp_path, target, message
+):
+    def checks_ran(**kwargs):
+        raise ValueError("checks ran")
+
+    monkeypatch.setattr(diskrat.cli, "run_checks", checks_ran)
+    (tmp_path / "kept.txt").write_text("kept")
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, "verify", "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert f"error: {message}" in err
+    # nothing is created or truncated before the checks have run
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+    assert (tmp_path / "kept.txt").read_text() == "kept"
+
+
 class TestOracleCommand:
     def test_report_structure(self, capsys):
         code, out, _ = run_cli(

@@ -20,12 +20,14 @@ from diskrat import (
     uniform_competitor_scan,
 )
 
+GRID = circle_grid(4096)
+
 
 class TestLeastSquares:
     def test_reproduces_basis_element(self):
         spec = KernelSpec(0, 0.5)
         basis = TMBasis([0.5, 0.3])
-        problem = LeastSquaresProblem.build(spec, basis)
+        problem = LeastSquaresProblem.build(spec, basis, GRID)
         # overwrite the target with phi_0 itself
         problem.target = basis.eval_all(problem.grid.nodes, count=1)[0]
         result = lsq_minimize(problem)
@@ -37,7 +39,7 @@ class TestLeastSquares:
         spec = KernelSpec(0, 0.5)
         free = PoleSequence([0j])
         approx = build_approximant(spec, free)
-        problem = LeastSquaresProblem.build(spec, approx.basis)
+        problem = LeastSquaresProblem.build(spec, approx.basis, GRID)
         result = lsq_minimize(problem)
         assert np.max(np.abs(result.coefficients - approx.coefficients)) < 1e-10
         closed = mu_min_closed_form(spec, free)
@@ -56,7 +58,7 @@ class TestLeastSquares:
                 break
             tail += term
             k += 1
-        result = lsq_minimize(LeastSquaresProblem.build(spec, basis))
+        result = lsq_minimize(LeastSquaresProblem.build(spec, basis, GRID))
         assert abs(result.minimum - tail) / tail < 1e-12
 
     def test_inner_products_match_closed_form_coefficients(self):
@@ -64,7 +66,7 @@ class TestLeastSquares:
         # coefficients of the approximant: two independent routes
         spec = KernelSpec(2, 0.6 - 0.2j)
         approx = build_approximant(spec, PoleSequence.random(5, seed=71, max_modulus=0.85))
-        result = lsq_minimize(LeastSquaresProblem.build(spec, approx.basis))
+        result = lsq_minimize(LeastSquaresProblem.build(spec, approx.basis, GRID))
         gap = np.max(np.abs(result.inner_coefficients - approx.coefficients))
         assert gap < 1e-12 * np.max(np.abs(approx.coefficients))
 
@@ -73,7 +75,7 @@ class TestLeastSquares:
         basis = TMBasis(
             PoleSequence.random(4, seed=5, max_modulus=0.8).with_trailing(spec.w, 3)
         )
-        result = lsq_minimize(LeastSquaresProblem.build(spec, basis))
+        result = lsq_minimize(LeastSquaresProblem.build(spec, basis, GRID))
         assert result.route_gap < 1e-9
         assert result.orthogonality_residual < 1e-10
         assert result.condition < 1.0 + 1e-8
@@ -83,7 +85,7 @@ class TestLeastSquares:
         free = PoleSequence.random(6, seed=11, max_modulus=0.6)
         basis = TMBasis(free.with_trailing(spec.w, 3))
         closed = mu_min_closed_form(spec, free)
-        result = lsq_minimize(LeastSquaresProblem.build(spec, basis), extended=True)
+        result = lsq_minimize(LeastSquaresProblem.build(spec, basis, GRID), extended=True)
         assert abs(result.minimum - closed) / closed < 1e-9
 
     def test_rank_deficiency_raises(self):
