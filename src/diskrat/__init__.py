@@ -32,6 +32,7 @@ from .circlequad import (
 from .errors import (
     AccuracyNotReached,
     CountOutOfRange,
+    DesignTooLarge,
     DiskratError,
     GridTooLarge,
     IllConditioned,

@@ -30,18 +30,13 @@ as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .circlequad import (
-    CircleGrid,
-    circle_grid,
-    derivative_at,
-    require_in_disk,
-    sample_on_nodes,
-)
+from .circlequad import CircleGrid, circle_grid, require_in_disk, sample_on_nodes
 from .errors import NonFiniteIntegrand
 from .expansion import (
     FourierExpansion,
@@ -167,18 +162,64 @@ class Approximant:
         out = numerator / denominator
         return complex(out) if np.ndim(out) == 0 else out
 
-    def interpolation_residuals(self) -> list[float]:
-        """|r^(s_m - 1)(a_m) - target| for every pole of the full sequence.
+    @cached_property
+    def pole_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, rounding_scales): r^(s_m - 1)(a_m) for every pole a_m of
+        the full sequence, s_m its running multiplicity, and the rounding
+        scale of each value.
 
-        Derivatives are extracted by contour quadrature from the closed-form
-        evaluator; s_m is the running multiplicity within the prefix.
+        Poles are grouped by exact equality.  Those that occur once are
+        evaluated together.  At a pole a of highest multiplicity S > 1,
+        t = c @ taylor(a, S - 1) holds the Taylor coefficients of the partial
+        sum, and r = (1 - a conj(w) - conj(w) h) * sum_j t_j h^j in h = z - a
+        gives r^(j)(a) = j! ((1 - a conj(w)) t_j - conj(w) t_(j-1)).  No grid
+        is involved.  The rounding scale repeats that formula with absolute
+        values, u = |c| @ |taylor| in place of t, times eps: the size of the
+        terms the sums cancel, times the unit roundoff.  It is an estimate of
+        the rounding error, not a bound: it leaves out the rounding inside
+        taylor itself.  Computed once per approximant.
         """
-        residuals = []
-        for m, a in enumerate(self.basis.poles):
-            s = self.basis.poles.multiplicity_in_prefix(m)
-            value = derivative_at(self.eval_closed_form, a, order=s - 1)
-            residuals.append(abs(value - interpolation_target(self.spec, a, s)))
-        return residuals
+        poles = self.basis.poles
+        c = self.coefficients
+        cw = np.conj(self.spec.w)
+        groups: dict[complex, list[int]] = {}
+        for m, a in enumerate(poles):
+            groups.setdefault(a, []).append(m)
+        values = np.empty(len(poles), dtype=complex)
+        scales = np.empty(len(poles))
+        simple = [m for index in groups.values() if len(index) == 1 for m in index]
+        if simple:
+            z = np.array([poles[m] for m in simple])
+            phi = self.basis.eval_all(z)
+            multiplier = 1.0 - z * cw
+            values[simple] = multiplier * (c @ phi)
+            scales[simple] = np.abs(multiplier) * (np.abs(c) @ np.abs(phi))
+        for a, index in groups.items():
+            if len(index) == 1:
+                continue
+            taylor = self.basis.taylor(a, len(index) - 1)
+            t = c @ taylor
+            u = np.abs(c) @ np.abs(taylor)
+            multiplier = 1.0 - a * cw
+            coefficients = multiplier * t
+            coefficients[1:] -= cw * t[:-1]
+            sizes = abs(multiplier) * u
+            sizes[1:] += abs(cw) * u[:-1]
+            factorials = np.array([math.factorial(j) for j in range(len(index))], dtype=float)
+            values[index] = factorials * coefficients
+            scales[index] = factorials * sizes
+        return values, scales * np.finfo(float).eps
+
+    def interpolation_residuals(self) -> list[float]:
+        """|r^(s_m - 1)(a_m) - target| for every pole of the full sequence,
+        from pole_derivatives; s_m is the running multiplicity within the
+        prefix."""
+        poles = self.basis.poles
+        values, _ = self.pole_derivatives
+        return [
+            abs(value - interpolation_target(self.spec, a, poles.multiplicity_in_prefix(m)))
+            for m, (value, a) in enumerate(zip(values, poles))
+        ]
 
     def membership_residual(self) -> float:
         """Relative fit residual of r against the partial-fraction competitor
@@ -202,10 +243,6 @@ class Approximant:
         solution, *_ = np.linalg.lstsq(design, target, rcond=None)
         scale = max(float(np.linalg.norm(target)), 1e-300)
         return float(np.linalg.norm(target - design @ solution)) / scale
-
-    def with_blaschke_tau(self, tau: complex) -> "Approximant":
-        """Copy with a phase-injected free Blaschke product (convention probe)."""
-        return replace(self, free_blaschke=self.free_blaschke.with_tau(tau))
 
     def to_json_dict(self) -> dict:
         data = self.expansion.to_json_dict()

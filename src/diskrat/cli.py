@@ -380,6 +380,7 @@ def cmd_approximate(cfg: SimpleNamespace) -> int:
         approx = report.approximant
         approx_dict = approx.to_json_dict()
         residuals = report.interp_residuals
+        _, scales = approx.pole_derivatives
         interp_rows = []
         for m, a in enumerate(approx.basis.poles):
             s = approx.basis.poles.multiplicity_in_prefix(m)
@@ -391,6 +392,7 @@ def cmd_approximate(cfg: SimpleNamespace) -> int:
                     "multiplicity": s,
                     "target": [target.real, target.imag],
                     "residual": residuals[m],
+                    "rounding_scale": float(scales[m]),
                 }
             )
     if cfg.format != "csv":

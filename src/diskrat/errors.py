@@ -28,6 +28,10 @@ class GridTooLarge(DiskratError):
     """A quadrature grid would need more than circlequad.MAX_NODES nodes."""
 
 
+class DesignTooLarge(DiskratError):
+    """A design matrix would need more than tm_basis.MAX_DESIGN_BYTES."""
+
+
 class IndexOutOfRange(DiskratError):
     """A basis or coefficient index exceeds what the object holds."""
 

@@ -99,22 +99,12 @@ class FourierExpansion:
         out = np.tensordot(self.coefficients[:count], phi, axes=1)
         return complex(out) if np.ndim(out) == 0 else out
 
-    def squared_coefficient_sums(self) -> np.ndarray:
-        """Running Bessel sums sum_{m<=k} |c_m|^2, non-decreasing in k."""
-        return np.cumsum(np.abs(self.coefficients) ** 2)
-
     def to_json_dict(self) -> dict:
         return {
             "poles": [[p.real, p.imag] for p in self.basis.poles],
             "coefficients": [[c.real, c.imag] for c in self.coefficients],
             "source": self.source,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict, grid_size: int = 0) -> "FourierExpansion":
-        basis = TMBasis(PoleSequence(complex(re, im) for re, im in data["poles"]))
-        coeffs = [complex(re, im) for re, im in data["coefficients"]]
-        return cls(basis, coeffs, data.get("source", ""), grid_size)
 
 
 def expand_function(

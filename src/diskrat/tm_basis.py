@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .circlequad import CircleGrid, require_in_disk
-from .errors import IndexOutOfRange
+from .errors import DesignTooLarge, IndexOutOfRange
 
 __all__ = [
     "PoleSequence",
@@ -33,6 +33,12 @@ __all__ = [
     "TMBasis",
     "christoffel_darboux_residual",
 ]
+
+#: Largest design matrix TMBasis.design_matrix may allocate, in bytes: nodes
+#: times functions times 16 (complex double) or the size of a complex long
+#: double (32 on x86-64).  The largest design of the benchmark streams,
+#: 16384 nodes by 38 functions in doubles, takes about 10 MB.
+MAX_DESIGN_BYTES = 2**28
 
 
 class PoleSequence:
@@ -87,10 +93,6 @@ class PoleSequence:
     def to_json(self) -> str:
         """JSON array of [re, im] pairs; ordering is significant."""
         return json.dumps([[p.real, p.imag] for p in self._points])
-
-    @classmethod
-    def from_json(cls, text: str) -> "PoleSequence":
-        return cls(complex(re, im) for re, im in json.loads(text))
 
     @classmethod
     def random(
@@ -225,11 +227,20 @@ class TMBasis:
         """Node-by-function matrix A[j, k] = phi_k(node_j), read-only.
 
         The full matrix is evaluated once per grid and stored with the basis,
-        keyed by the identity of the grid's (immutable, cached) node array."""
+        keyed by the identity of the grid's (immutable, cached) node array.
+        A matrix of more than MAX_DESIGN_BYTES raises DesignTooLarge before
+        anything is allocated."""
         count = self._check_count(count)
         nodes = grid.nodes
         entry = self._designs.get(id(nodes))
         if entry is None:
+            itemsize = np.result_type(nodes, np.complex128).itemsize
+            size = grid.node_count * self.size * itemsize
+            if size > MAX_DESIGN_BYTES:
+                raise DesignTooLarge(
+                    f"a design matrix of {grid.node_count} nodes by {self.size} functions "
+                    f"needs {size} bytes, more than the cap of {MAX_DESIGN_BYTES}"
+                )
             design = self.eval_all(nodes).T
             design.setflags(write=False)
             entry = self._designs.setdefault(id(nodes), (nodes, design))

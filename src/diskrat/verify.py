@@ -24,13 +24,14 @@ from .bergman_approx import (
     competitor_nu,
     competitor_trials,
     equimodularity_variation,
+    interpolation_target,
     mu_functional,
     mu_min_closed_form,
     nu_functional,
     nu_min_closed_form,
     ratio_coefficients,
 )
-from .circlequad import circle_grid, require_in_disk
+from .circlequad import circle_grid, derivative_at, require_in_disk
 from .errors import PointNotInDisk
 from .expansion import remainder_integral_J
 from .kernels import KernelSpec
@@ -251,6 +252,7 @@ def _check_approximant_group(tolerances: dict) -> list[CheckResult]:
     points = np.concatenate([disk_pts, circle_pts])
     worst_cf = 0.0
     worst_interp = 0.0
+    worst_gap = 0.0
     flagged = 0
     for alpha, w, free in _approximant_configs():
         spec = KernelSpec(alpha, w)
@@ -258,14 +260,22 @@ def _check_approximant_group(tolerances: dict) -> list[CheckResult]:
         direct = approx.eval(points)
         closed = approx.eval_closed_form(points)
         worst_cf = max(worst_cf, float(np.max(np.abs(direct - closed))))
-        worst_interp = max(worst_interp, max(approx.interpolation_residuals()))
+        # r^(s-1)(a) by the Cauchy formula on the closed form, a route that
+        # shares no code with the Taylor route of Approximant.pole_derivatives
+        taylor, _ = approx.pole_derivatives
+        poles = approx.basis.poles
+        for m, a in enumerate(poles):
+            s = poles.multiplicity_in_prefix(m)
+            value = derivative_at(approx.eval_closed_form, a, order=s - 1)
+            worst_interp = max(worst_interp, abs(value - interpolation_target(spec, a, s)))
+            worst_gap = max(worst_gap, float(abs(value - taylor[m])))
         if any(p == w for p in approx.free_poles):
             flagged += 1
     detail = {"points": len(points), "free_pole_equals_w_configs": flagged}
     return [
         CheckResult("approximant_closed_form", worst_cf < cf_bound, worst_cf, cf_bound, detail),
         CheckResult("interpolation", worst_interp < interp_bound, worst_interp,
-                    interp_bound, detail),
+                    interp_bound, {**detail, "taylor_route_gap": worst_gap}),
     ]
 
 

@@ -1,7 +1,11 @@
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from diskrat import (
     ErrorReport,
@@ -18,6 +22,7 @@ from diskrat import (
     competitor_function,
     competitor_nu,
     competitor_trials,
+    derivative_at,
     equimodularity_variation,
     interpolation_target,
     mu_functional,
@@ -101,7 +106,7 @@ class TestClosedForm:
     def test_phase_freedom(self):
         spec = KernelSpec(1, 0.4)
         approx = build_approximant(spec, [0.3, -0.2j])
-        shifted = approx.with_blaschke_tau(np.exp(0.9j))
+        shifted = replace(approx, free_blaschke=approx.free_blaschke.with_tau(np.exp(0.9j)))
         z = 0.25 - 0.3j
         assert shifted.eval_closed_form(z) == pytest.approx(
             approx.eval_closed_form(z), abs=1e-15
@@ -152,6 +157,49 @@ class TestInterpolation:
         spec = KernelSpec(2, 0.35 - 0.2j)
         approx = build_approximant(spec, [0.3])
         assert max(approx.interpolation_residuals()) < 1e-8
+
+    def test_values_and_scales_per_pole(self):
+        approx = build_approximant(KernelSpec(1, 0.4 + 0.1j), [0.3, -0.2j, 0.3])
+        values, scales = approx.pole_derivatives
+        assert values.shape == scales.shape == (approx.n + 1,)
+        assert np.all(scales > 0)
+        # a pole that occurs once is r itself there
+        assert values[1] == pytest.approx(approx.eval(-0.2j), abs=1e-15)
+        assert approx.pole_derivatives is approx.pole_derivatives
+
+
+@st.composite
+def _disk_point(draw, low, high):
+    modulus = draw(st.floats(low, high))
+    return cmath.rect(modulus, draw(st.floats(0.0, 2.0 * math.pi)))
+
+
+@st.composite
+def _repeated_pole_configuration(draw):
+    """alpha 0-3, a kernel point and up to four distinct free poles, each
+    repeated one to three times, in a drawn order."""
+    alpha = draw(st.integers(0, 3))
+    w = draw(_disk_point(0.05, 0.6))
+    distinct = draw(st.lists(_disk_point(0.0, 0.6), min_size=1, max_size=4, unique=True))
+    assume(w not in distinct)
+    counts = draw(st.lists(st.integers(1, 3), min_size=len(distinct), max_size=len(distinct)))
+    free = draw(st.permutations([a for a, k in zip(distinct, counts) for _ in range(k)]))
+    return alpha, w, free
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_repeated_pole_configuration())
+def test_taylor_route_matches_quadrature_of_closed_form(configuration):
+    alpha, w, free = configuration
+    spec = KernelSpec(alpha, w)
+    approx = build_approximant(spec, free)
+    values, _ = approx.pole_derivatives
+    poles = approx.basis.poles
+    for m, a in enumerate(poles):
+        s = poles.multiplicity_in_prefix(m)
+        quadrature = derivative_at(approx.eval_closed_form, a, order=s - 1)
+        scale = max(1.0, abs(interpolation_target(spec, a, s)))
+        assert abs(values[m] - quadrature) <= 1e-10 * scale
 
 
 class TestMembership:

@@ -76,6 +76,43 @@ class TestApproximate:
             row["residual"] for row in payload["interpolation_residuals"]
         )
 
+    @pytest.mark.parametrize("alpha,w,count", [(0, "0.1,0", 8), (0, "0.1,0", 12), (3, "0.6,0", 20)])
+    def test_highly_repeated_zero_pole_exits_0(self, capsys, alpha, w, count):
+        # the Cauchy-formula quadrature at these poles does not settle within
+        # 2^16 nodes
+        code, out, err = run_cli(
+            capsys, "approximate", "--alpha", str(alpha), "--w", w,
+            "--poles", "zeros", "--n", str(alpha + count),
+        )
+        assert code == 0, err
+        rows = json.loads(out)["interpolation_residuals"]
+        assert len(rows) == alpha + count + 1
+        assert max(r["residual"] / max(1.0, abs(complex(*r["target"]))) for r in rows) < 1e-13
+
+    def test_every_row_reports_its_rounding_scale(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "approximate", "--alpha", "1", "--w", "0.4,0.1", "--poles", "0.3,0;0.3,0;0,-0.2"
+        )
+        assert code == 0
+        rows = json.loads(out)["interpolation_residuals"]
+        assert len(rows) == 5
+        assert all(set(r) == {"m", "pole", "multiplicity", "target", "residual", "rounding_scale"}
+                   for r in rows)
+        assert all(r["rounding_scale"] > 0 for r in rows)
+
+    def test_rounding_scale_covers_a_high_multiplicity_miss(self, capsys):
+        # 24 poles at 0.7: the Taylor convolution cancels terms far larger
+        # than its result, and the residual misses the 1e-8 gate by rounding
+        code, out, _ = run_cli(
+            capsys, "approximate", "--alpha", "0", "--w", "0.3,0", "--poles", ";".join(["0.7,0"] * 24)
+        )
+        assert code == 0
+        rows = json.loads(out)["interpolation_residuals"]
+        worst = max(rows, key=lambda r: r["residual"] / max(1.0, abs(complex(*r["target"]))))
+        assert worst["multiplicity"] == 24
+        assert worst["residual"] > 1e-8 * max(1.0, abs(complex(*worst["target"])))
+        assert worst["rounding_scale"] >= worst["residual"]
+
     def test_degenerate_w_all_zero_fields(self, capsys):
         code, out, _ = run_cli(
             capsys, "approximate", "--alpha", "1", "--w", "0,0", "--poles", "0.3,0"
@@ -147,6 +184,23 @@ class TestSweep:
         assert len(lines) == 3
         bad = [line for line in lines[1:] if line.split(",")[-1]]
         assert len(bad) == 1
+
+    def test_readme_example_fails_only_where_n_is_below_alpha(self, capsys, tmp_path):
+        out_file = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--alphas", "0:3", "--ns", "0:8", "--ws", "0.1,0;0.5,0",
+            "--poles", "zeros", "--format", "csv", "--out", str(out_file),
+        )
+        assert code == 2
+        rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
+        assert len(rows) == 72
+        failed = [(int(r[0]), int(r[1])) for r in rows if r[-1]]
+        assert len(failed) == 12
+        assert all(n < alpha for alpha, n in failed)
+        # an 8-fold zero pole, where the Cauchy-formula quadrature never settles
+        (eightfold,) = [r for r in rows if r[:3] == ["0", "8", "0.10000000000000001"]]
+        assert eightfold[-1] == ""
+        assert float(eightfold[8]) < 1e-13
 
     def test_byte_determinism(self, capsys, tmp_path):
         args = (
@@ -239,6 +293,27 @@ class TestVerify:
         verdict = json.loads(verdict_file.read_text())
         assert verdict["interpolation"]["pass"] is False
         assert verdict["interpolation"]["bound"] == 1e-20
+
+    def test_interpolation_check_does_not_use_the_taylor_route(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        approximant = diskrat.bergman_approx.Approximant
+
+        def zero_derivatives(self):
+            zeros = np.zeros(self.n + 1)
+            return zeros.astype(complex), zeros
+
+        monkeypatch.setattr(approximant, "interpolation_residuals", lambda self: [0.0] * (self.n + 1))
+        monkeypatch.setattr(approximant, "pole_derivatives", property(zero_derivatives))
+        verdict_file = tmp_path / "verdict.json"
+        code, _, _ = run_cli(
+            capsys, "verify", "--only", "interpolation", "--out", str(verdict_file)
+        )
+        assert code == 0
+        # the value of the Cauchy-formula quadrature on the closed form
+        assert json.loads(verdict_file.read_text())["interpolation"]["value"] == (
+            2.1316282072803006e-14
+        )
 
     def test_check_result_holds_python_scalars(self):
         result = CheckResult("x", np.bool_(True), np.float64(0.5), np.float64(1.0))
@@ -357,6 +432,15 @@ class TestConfigHandling:
         assert code == 2
         assert out == ""
         assert "34359738368 nodes, more than the cap of 1048576" in err
+
+    def test_design_past_the_cap_is_an_acceptance_failure(self, capsys):
+        # 65536 nodes by 301 functions in complex doubles: 316 MB
+        code, out, err = run_cli(
+            capsys, "oracle", "--w", "0.5,0", "--poles", "zeros", "--n", "300", "--grid", "65536"
+        )
+        assert code == 2
+        assert out == ""
+        assert "needs 315621376 bytes, more than the cap of 268435456" in err
 
     @pytest.mark.parametrize("ws", ["nan,0", "0.5,0;0.9999999999,0"])
     def test_sweep_points_outside_library_disk_are_usage_errors(self, capsys, ws):

@@ -1,8 +1,12 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from diskrat import (
     BlaschkeProduct,
+    DesignTooLarge,
     IndexOutOfRange,
     KernelSpec,
     PointNotInDisk,
@@ -13,6 +17,7 @@ from diskrat import (
     expand_kernel,
     integrate_circle,
 )
+from diskrat import tm_basis
 
 GRID = circle_grid(4096)
 
@@ -41,7 +46,7 @@ class TestPoleSequence:
 
     def test_json_round_trip_order_significant(self):
         seq = PoleSequence([0.3, -0.4j, 0.0, 0.3])
-        again = PoleSequence.from_json(seq.to_json())
+        again = PoleSequence(complex(*p) for p in json.loads(seq.to_json()))
         assert again == seq
         reordered = PoleSequence([-0.4j, 0.3, 0.0, 0.3])
         assert reordered != seq
@@ -333,3 +338,28 @@ class TestDesignMemo:
         long_grid = circle_grid(256, extended=True)
         assert one.design_matrix(long_grid).dtype == np.clongdouble
         assert one.design_matrix(grid).dtype == np.complex128
+
+
+class TestDesignBound:
+    def test_over_the_cap_raises_before_allocating(self):
+        grid = circle_grid(2**16)
+        basis = TMBasis([0j] * 4000)  # 2^16 nodes by 4000 functions: 4.2 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(DesignTooLarge, match="4194304000 bytes"):
+                basis.design_matrix(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_cap_counts_the_bytes_of_the_grid_dtype(self, monkeypatch):
+        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", 256 * 3 * 16)
+        basis = TMBasis([0.3, -0.4j, 0.3])
+        assert basis.design_matrix(circle_grid(256)).nbytes == 256 * 3 * 16
+        long_grid = circle_grid(256, extended=True)
+        if np.dtype(np.clongdouble).itemsize > 16:
+            with pytest.raises(DesignTooLarge):
+                basis.design_matrix(long_grid)
+        with pytest.raises(DesignTooLarge):
+            TMBasis([0.3] * 4).design_matrix(circle_grid(256))
