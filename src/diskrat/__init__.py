@@ -10,7 +10,6 @@ from .bergman_approx import (
     closed_form_J,
     closed_form_J_tm_phase,
     competitor_function,
-    competitor_nu,
     competitor_trials,
     equimodularity_variation,
     interpolation_target,

@@ -57,7 +57,6 @@ __all__ = [
     "closed_form_J",
     "closed_form_J_tm_phase",
     "competitor_function",
-    "competitor_nu",
     "competitor_trials",
     "random_competitor_coefficients",
     "ratio_coefficients",
@@ -386,45 +385,26 @@ def _unit(t) -> np.ndarray:
     return np.cos(t) + 1j * np.sin(t)
 
 
-def nu_functional(spec: KernelSpec, rational: Callable, grid: CircleGrid) -> float:
-    """Grid maximum of |(1 - x conj(w))^-(1+alpha) - R(x)| on the circle,
-    refined by parabolic steps on the bracket of the best node and its two
-    neighbours.  The error modulus is smooth on the circle and near-constant
-    at the optimum, so grid resolution dominates and the refinement is local;
-    at the optimum the grid triple is flat to rounding and the refinement
-    evaluates nothing.
+def nu_functional(
+    spec: KernelSpec, basis: TMBasis, coefficients, grid: CircleGrid
+) -> float | np.ndarray:
+    """nu of R(x) = (1 - x conj(w)) sum_k c_k phi_k(x): the grid maximum of
+    |(1 - x conj(w))^-(1+alpha) - R(x)| on the circle, refined by parabolic
+    steps on the bracket of the best node and its two neighbours.  The error
+    modulus is smooth on the circle and near-constant at the optimum, so grid
+    resolution dominates and the refinement is local; at the optimum the grid
+    triple is flat to rounding and the refinement evaluates nothing.
 
-    rational must accept arrays of any shape and evaluate elementwise.
+    A row c of length m gives a float; a (trials, m) matrix gives one value
+    per row.  The basis is evaluated on the grid once.  The grid pass takes
+    the rows in blocks of at most m, so no temporary exceeds the design
+    matrix; the refinement runs the brackets of all rows together, one basis
+    evaluation per step.  R is formed as Approximant.eval forms it, so the
+    row of an approximant scores as its eval does on the grid.
     """
-    values = sample_on_nodes(rational, grid.nodes)
-    index, points, moduli = _grid_brackets(np.abs(spec.cauchy_power(grid.nodes) - values))
-    j = int(index[0])
-    floor = _ROUNDING_FLOOR * (abs(spec.cauchy_power(grid.nodes[j])) + abs(values[j]))
-
-    def modulus(t):
-        x = _unit(t)
-        return np.abs(spec.cauchy_power(x) - rational(x))
-
-    return float(_golden_max(modulus, points, moduli, floor)[0])
-
-
-def competitor_nu(
-    spec: KernelSpec,
-    basis: TMBasis,
-    coefficients,
-    grid: CircleGrid,
-) -> np.ndarray:
-    """nu of competitor_function(basis, spec.w, row) for every row of a
-    (trials, m) coefficient matrix, as nu_functional computes it.
-
-    The basis is evaluated on the grid once.  The grid pass takes the trials
-    in blocks of at most m rows, so no temporary exceeds the design matrix;
-    the refinement runs the brackets of all trials together, one basis
-    evaluation per step.  Only the moduli of the grid pass are kept, so the
-    rounding floor bounds |R(x_j)| by |K(x_j)| + best_j.
-    """
-    coefficients = np.atleast_2d(np.asarray(coefficients, dtype=complex))
-    trials, count = coefficients.shape
+    coefficients = np.asarray(coefficients, dtype=complex)
+    rows = np.atleast_2d(coefficients)
+    trials, count = rows.shape
     cw = np.conj(spec.w)
     nodes = grid.nodes
     phi = basis.eval_all(nodes, count=count)
@@ -433,28 +413,36 @@ def competitor_nu(
     index = np.empty(trials, dtype=int)
     points = np.empty((3, trials))
     moduli = np.empty((3, trials))
+    sizes = np.empty(trials)
     block = max(count, 1)
     for start in range(0, trials, block):
-        rows = slice(start, start + block)
-        error = coefficients[rows] @ phi
-        error *= multiplier
-        np.subtract(kernel, error, out=error)
+        part = slice(start, start + block)
+        # R = multiplier * (rows @ phi) in this operand order, the rounding of
+        # Approximant.eval; error *= multiplier rounds differently
+        error = rows[part] @ phi
+        np.multiply(multiplier, error, out=error)
         bad = ~np.isfinite(error)
         if bad.any():
             row, node = np.unravel_index(int(np.argmax(bad)), bad.shape)
             raise NonFiniteIntegrand(int(node), complex(error[row, node]))
-        # rebinding frees the complex block before the next one is formed
-        error = np.abs(error)
-        index[rows], points[:, rows], moduli[:, rows] = _grid_brackets(error)
-    floor = _ROUNDING_FLOOR * (2.0 * np.abs(kernel[index]) + moduli[1])
+        np.subtract(kernel, error, out=error)
+        index[part], points[:, part], moduli[:, part] = _grid_brackets(np.abs(error))
+        # |R| = |K - error| at each best node; the block is freed before the
+        # next one is formed
+        j = index[part]
+        sizes[part] = np.abs(kernel[j] - error[np.arange(len(error)), j])
+        del error
+    floor = _ROUNDING_FLOOR * (np.abs(kernel[index]) + sizes)
 
     def modulus(t):
-        # entry i of t is refined with trial i
+        # entry i of t is refined with row i, by one dot product per row: the
+        # sum Approximant.eval takes at one point, to the bit
         x = _unit(t)
-        sums = np.einsum("tk,kt->t", coefficients, basis.eval_all(x, count=count))
+        sums = (rows[:, None, :] @ basis.eval_all(x, count=count).T[:, :, None])[:, 0, 0]
         return np.abs(spec.cauchy_power(x) - (1.0 - x * cw) * sums)
 
-    return _golden_max(modulus, points, moduli, floor)
+    nu = _golden_max(modulus, points, moduli, floor)
+    return float(nu[0]) if coefficients.ndim == 1 else nu
 
 
 def nu_min_closed_form(spec: KernelSpec, free_poles: PoleSequence | list[complex]) -> float:
@@ -694,7 +682,7 @@ def build_error_report(
     mu_quad = mu_functional(
         spec, approx.eval, mu_grid, extended=mu_closed < EXTENDED_MU_CUTOFF
     )
-    nu_grid = nu_functional(spec, approx.eval, circle_grid(NU_GRID_NODES))
+    nu_grid = nu_functional(spec, approx.basis, approx.coefficients, circle_grid(NU_GRID_NODES))
     nu_closed = nu_min_closed_form(spec, free_poles)
     residuals = approx.interpolation_residuals()
     report = ErrorReport(

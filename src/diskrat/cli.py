@@ -253,7 +253,8 @@ def _free_poles_for(cfg: SimpleNamespace, count: int, salt: int = 0) -> PoleSequ
                 f"need {count} poles but only {len(cfg.poles)} were given"
             )
         return PoleSequence(cfg.poles[:count])
-    return PoleSequence.random(count, seed=cfg.seed + salt, max_modulus=cfg.max_modulus)
+    rng = np.random.default_rng(cfg.seed + salt)
+    return PoleSequence.random(count, rng, max_modulus=cfg.max_modulus)
 
 
 def _cannot_write(path: str, exc: OSError) -> UsageError:
@@ -299,9 +300,8 @@ def cmd_basis(cfg: SimpleNamespace) -> int:
     elif cfg.poles is not None:
         poles = PoleSequence(cfg.poles)
     elif cfg.random_poles is not None:
-        poles = PoleSequence.random(
-            cfg.random_poles, seed=cfg.seed, max_modulus=cfg.max_modulus
-        )
+        rng = np.random.default_rng(cfg.seed)
+        poles = PoleSequence.random(cfg.random_poles, rng, max_modulus=cfg.max_modulus)
     else:
         raise UsageError("basis needs --poles, --poles zeros, or --random-poles")
     if len(poles) == 0:
@@ -357,7 +357,8 @@ def _resolve_order(cfg: SimpleNamespace) -> PoleSequence:
         free = PoleSequence(cfg.poles)
     elif cfg.random_poles is not None or cfg.n is not None:
         count = cfg.random_poles if cfg.random_poles is not None else cfg.n - cfg.alpha
-        free = PoleSequence.random(count, seed=cfg.seed, max_modulus=cfg.max_modulus)
+        rng = np.random.default_rng(cfg.seed)
+        free = PoleSequence.random(count, rng, max_modulus=cfg.max_modulus)
     else:
         raise UsageError("give --poles, --random-poles, or --n")
     _check_order(cfg, cfg.alpha + len(free))

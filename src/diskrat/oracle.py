@@ -16,16 +16,15 @@ report is reproducible byte for byte.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bergman_approx import (
     Approximant,
-    competitor_nu,
     competitor_trials,
     mu_min_closed_form,
+    nu_functional,
     nu_min_closed_form,
 )
 from .circlequad import CircleGrid, circle_grid, sample_on_nodes
@@ -149,9 +148,6 @@ class ScanReport:
             "generator": self.generator,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def uniform_competitor_scan(
     approx: Approximant,
@@ -170,7 +166,7 @@ def uniform_competitor_scan(
     if grid is None:
         grid = circle_grid(4096)
     coefficients = competitor_trials(approx, trials, np.random.default_rng(seed))
-    values = competitor_nu(approx.spec, approx.basis, coefficients, grid)
+    values = nu_functional(approx.spec, approx.basis, coefficients, grid)
     best_trial = int(np.argmin(values))
     best = float(values[best_trial])
     closed = nu_min_closed_form(approx.spec, approx.free_poles)

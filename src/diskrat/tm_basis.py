@@ -18,7 +18,6 @@ phase-freedom tests.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Iterable, Sequence
 
@@ -90,22 +89,15 @@ class PoleSequence:
     def with_trailing(self, w: complex, count: int) -> "PoleSequence":
         return PoleSequence(self._points + (complex(w),) * count)
 
-    def to_json(self) -> str:
-        """JSON array of [re, im] pairs; ordering is significant."""
-        return json.dumps([[p.real, p.imag] for p in self._points])
-
     @classmethod
     def random(
         cls,
         count: int,
-        seed: int | None = None,
+        rng: np.random.Generator,
         max_modulus: float = 0.9,
         min_modulus: float = 0.0,
-        rng: np.random.Generator | None = None,
     ) -> "PoleSequence":
         """Area-uniform draw from the annulus min_modulus <= |a| <= max_modulus."""
-        if rng is None:
-            rng = np.random.default_rng(seed)
         radii = np.sqrt(rng.uniform(min_modulus**2, max_modulus**2, size=count))
         angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
         return cls(complex(r * np.cos(t), r * np.sin(t)) for r, t in zip(radii, angles))

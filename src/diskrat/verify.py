@@ -21,7 +21,6 @@ from .bergman_approx import (
     closed_form_J,
     closed_form_J_tm_phase,
     competitor_function,
-    competitor_nu,
     competitor_trials,
     equimodularity_variation,
     interpolation_target,
@@ -51,6 +50,7 @@ DEFAULT_TOLERANCES = {
     "competitor_scan": 1e-9,
     "approximant_closed_form": 1e-12,
     "interpolation": 1e-8,
+    "competitor_membership": 1e-12,
     "remainder_identity": 1e-10,
     "remainder_modulus": 1e-10,
     "quadratic_uniform_bound": 1e-12,
@@ -195,7 +195,7 @@ def _check_uniform_group(tolerances: dict) -> list[CheckResult]:
                         n - alpha, rng=rng, max_modulus=0.8, min_modulus=0.1
                     )
                     approx = build_approximant(spec, free)
-                    nu_val = nu_functional(spec, approx.eval, nu_grid)
+                    nu_val = nu_functional(spec, approx.basis, approx.coefficients, nu_grid)
                     nu_closed = nu_min_closed_form(spec, free)
                     worst_nu = max(worst_nu, abs(nu_val - nu_closed) / nu_closed)
                     configs += 1
@@ -246,6 +246,7 @@ def _approximant_configs():
 def _check_approximant_group(tolerances: dict) -> list[CheckResult]:
     cf_bound = _tol(tolerances, "approximant_closed_form")
     interp_bound = _tol(tolerances, "interpolation")
+    member_bound = _tol(tolerances, "competitor_membership")
     rng = np.random.default_rng(_LATTICE_SEED + 3)
     disk_pts = _disk_points(rng, 25, 0.9)
     circle_pts = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 25))
@@ -253,6 +254,7 @@ def _check_approximant_group(tolerances: dict) -> list[CheckResult]:
     worst_cf = 0.0
     worst_interp = 0.0
     worst_gap = 0.0
+    worst_member = 0.0
     flagged = 0
     for alpha, w, free in _approximant_configs():
         spec = KernelSpec(alpha, w)
@@ -269,6 +271,9 @@ def _check_approximant_group(tolerances: dict) -> list[CheckResult]:
             value = derivative_at(approx.eval_closed_form, a, order=s - 1)
             worst_interp = max(worst_interp, abs(value - interpolation_target(spec, a, s)))
             worst_gap = max(worst_gap, float(abs(value - taylor[m])))
+        # r in the competitor class, through partial fractions rather than
+        # the orthonormal basis
+        worst_member = max(worst_member, approx.membership_residual())
         if any(p == w for p in approx.free_poles):
             flagged += 1
     detail = {"points": len(points), "free_pole_equals_w_configs": flagged}
@@ -276,6 +281,8 @@ def _check_approximant_group(tolerances: dict) -> list[CheckResult]:
         CheckResult("approximant_closed_form", worst_cf < cf_bound, worst_cf, cf_bound, detail),
         CheckResult("interpolation", worst_interp < interp_bound, worst_interp,
                     interp_bound, {**detail, "taylor_route_gap": worst_gap}),
+        CheckResult("competitor_membership", worst_member < member_bound, worst_member,
+                    member_bound, detail),
     ]
 
 
@@ -347,7 +354,7 @@ def _check_inequality_group(tolerances: dict) -> list[CheckResult]:
         optimum = approx.coefficients
         one_minus = 1.0 - abs(w) ** 2
         trials = competitor_trials(approx, 100, rng)
-        nu_values = competitor_nu(spec, basis, trials, nu_grid)
+        nu_values = nu_functional(spec, basis, trials, nu_grid)
         for coeffs, nu_val in zip(trials, nu_values.tolist()):
             rational = competitor_function(basis, w, coeffs)
             mu_val = mu_functional(spec, rational, mu_grid)
@@ -392,7 +399,7 @@ def _check_degenerate_group(tolerances: dict) -> list[CheckResult]:
         mu_closed = mu_min_closed_form(spec, free)
         mu_quad = mu_functional(spec, approx.eval, grid)
         worst_mu = max(worst_mu, abs(mu_quad - mu_closed) / mu_closed)
-        nu_val = nu_functional(spec, approx.eval, circle_grid(NU_GRID_NODES))
+        nu_val = nu_functional(spec, approx.basis, approx.coefficients, circle_grid(NU_GRID_NODES))
         nu_closed = nu_min_closed_form(spec, free)
         worst_nu = max(worst_nu, abs(nu_val - nu_closed) / nu_closed)
 
@@ -436,7 +443,10 @@ CHECK_GROUPS = [
     (("christoffel_darboux",), _check_christoffel),
     (("quadratic_exactness", "oracle_equivalence", "oracle_routes"), _check_quadratic_group),
     (("uniform_exactness", "equimodularity", "competitor_scan"), _check_uniform_group),
-    (("approximant_closed_form", "interpolation"), _check_approximant_group),
+    (
+        ("approximant_closed_form", "interpolation", "competitor_membership"),
+        _check_approximant_group,
+    ),
     (("remainder_identity", "remainder_modulus"), _check_remainder_group),
     (("quadratic_uniform_bound", "parseval_gap"), _check_inequality_group),
     (

@@ -78,10 +78,19 @@ def test_criterion_5_uniform_exactness(suite):
 
 
 def test_criterion_6_closed_form_and_interpolation(suite):
-    results = [suite["by_name"]["approximant_closed_form"], suite["by_name"]["interpolation"]]
-    _report("criterion 6 (closed form 1e-12; interpolation residuals 1e-8)", results)
+    results = [
+        suite["by_name"]["approximant_closed_form"],
+        suite["by_name"]["interpolation"],
+        suite["by_name"]["competitor_membership"],
+    ]
+    _report(
+        "criterion 6 (closed form 1e-12; interpolation residuals 1e-8; "
+        "competitor class 1e-12)",
+        results,
+    )
     assert results[0].bound == 1e-12
     assert results[1].bound == 1e-8
+    assert results[2].bound == 1e-12
 
 
 def test_criterion_7_remainder_identity(suite):

@@ -20,7 +20,6 @@ from diskrat import (
     closed_form_J,
     closed_form_J_tm_phase,
     competitor_function,
-    competitor_nu,
     competitor_trials,
     derivative_at,
     equimodularity_variation,
@@ -298,13 +297,13 @@ class TestNuFunctional:
     def test_zero_competitor_poisson_peak(self):
         # sup 1/|1 - 0.5 x| on the circle is attained at x = 1 with value 2
         spec = KernelSpec(0, 0.5)
-        value = nu_functional(spec, lambda x: np.zeros_like(x), circle_grid(2**14))
+        value = nu_functional(spec, TMBasis([0j]), [0.0], circle_grid(2**14))
         assert value == pytest.approx(2.0, rel=1e-9)
 
     def test_optimum_reaches_closed_form_and_is_equimodular(self):
         spec = KernelSpec(0, 0.5)
         approx = build_approximant(spec, [0j])
-        value = nu_functional(spec, approx.eval, circle_grid(2**14))
+        value = nu_functional(spec, approx.basis, approx.coefficients, circle_grid(2**14))
         assert value == pytest.approx(1.0 / 3.0, rel=1e-8)
         variation = equimodularity_variation(spec, approx.eval, circle_grid(2**12))
         assert variation < 1e-9
@@ -312,8 +311,7 @@ class TestNuFunctional:
     def test_truncation_strictly_worse(self):
         spec = KernelSpec(0, 0.5)
         approx = build_approximant(spec, [0j])
-        truncated = competitor_function(approx.basis, spec.w, approx.coefficients[:1])
-        value = nu_functional(spec, truncated, circle_grid(2**12))
+        value = nu_functional(spec, approx.basis, approx.coefficients[:1], circle_grid(2**12))
         assert value > 1.0  # far above the optimal 1/3
 
     def test_single_coefficient_scaling_increases_nu(self):
@@ -321,9 +319,7 @@ class TestNuFunctional:
         approx = build_approximant(spec, [0j])
         scaled = approx.coefficients.copy()
         scaled[1] *= 1.01
-        value = nu_functional(
-            spec, competitor_function(approx.basis, spec.w, scaled), circle_grid(2**12)
-        )
+        value = nu_functional(spec, approx.basis, scaled, circle_grid(2**12))
         assert value > 1.0 / 3.0 + 1e-4
 
 
@@ -397,7 +393,7 @@ def refinement_battery(count=150, seed=2024):
 @pytest.fixture(scope="module")
 def refined_battery():
     """nu of every battery approximant by nu_functional on NU_GRID_NODES, and
-    of two competitor trials each by competitor_nu on the 4096 nodes of the
+    of two competitor trials each, scored together, on the 4096 nodes of the
     competitor scans, each with its golden-section reference and the noise
     there, and the number of calls of f per refinement."""
     calls = []
@@ -422,10 +418,10 @@ def refined_battery():
         patch.setattr(bergman_approx, "_golden_max", counted_refine)
         for index, (spec, free) in enumerate(refinement_battery()):
             approx = build_approximant(spec, free)
-            value = nu_functional(spec, approx.eval, nu_grid)
+            value = nu_functional(spec, approx.basis, approx.coefficients, nu_grid)
             approximants.append((spec, value, *golden60_nu(spec, approx.eval, nu_grid)))
             rows = competitor_trials(approx, 3, np.random.default_rng(index))[1:]
-            values = competitor_nu(spec, approx.basis, rows, scan_grid)
+            values = nu_functional(spec, approx.basis, rows, scan_grid)
             for row, value in zip(rows, values):
                 rational = competitor_function(approx.basis, spec.w, row)
                 trials.append((spec, value, *golden60_nu(spec, rational, scan_grid)))
@@ -482,39 +478,82 @@ class TestBatchedNu:
         grid = circle_grid(4096)
         spec = KernelSpec(0, 0.5 * np.exp(2j * np.pi * offset / grid.node_count))
         assert np.argmax(np.abs(spec.cauchy_power(grid.nodes))) == node
-        approx = build_approximant(spec, [0j])
-        zero = competitor_function(approx.basis, spec.w, [0.0])
+        basis = TMBasis([0j])
         grid_max = float(np.max(np.abs(spec.cauchy_power(grid.nodes))))
         assert 2.0 - grid_max > 1e-8
-        assert nu_functional(spec, zero, grid) == pytest.approx(2.0, rel=1e-15, abs=0)
-        (value,) = competitor_nu(spec, approx.basis, [[0.0]], grid)
+        assert nu_functional(spec, basis, [0.0], grid) == pytest.approx(2.0, rel=1e-15, abs=0)
+        (value,) = nu_functional(spec, basis, [[0.0]], grid)
         assert value == pytest.approx(2.0, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("truncate", [False, True])
     @pytest.mark.parametrize("spec, free, seed", SCAN_CONFIGS)
-    def test_competitor_nu_matches_nu_functional(self, spec, free, seed, truncate):
+    def test_batched_rows_match_one_row_calls(self, spec, free, seed, truncate):
         approx = build_approximant(spec, free)
         rows = competitor_trials(approx, 12, np.random.default_rng(seed))
         if truncate:
             rows = rows[:, :2]
         grid = circle_grid(2**12)
-        batched = competitor_nu(spec, approx.basis, rows, grid)
-        # At the optimum the error modulus is flat, so the refined maximum is
-        # a maximum over rounding noise of the terms it cancels, whose size
-        # is at most sup |(1 - x conj(w))^-(1+alpha)| = (1 - |w|)^-(1+alpha).
+        batched = nu_functional(spec, approx.basis, rows, grid)
+        # The products of a batch and of one row round differently in their
+        # last bits.  At the optimum the error modulus is flat, so the refined
+        # maximum is a maximum over rounding noise of the terms it cancels,
+        # whose size is at most sup |(1 - x conj(w))^-(1+alpha)| =
+        # (1 - |w|)^-(1+alpha).
         noise = 8 * np.finfo(float).eps * (1.0 - abs(spec.w)) ** -(spec.alpha + 1)
         for row, value in zip(rows, batched):
-            reference = nu_functional(
-                spec, competitor_function(approx.basis, spec.w, row), grid
-            )
+            reference = nu_functional(spec, approx.basis, row, grid)
             assert abs(value - reference) <= 1e-14 * reference + noise
 
-    def test_competitor_nu_rejects_non_finite_rows(self):
+    @pytest.mark.parametrize(
+        "spec, free, refined",
+        [
+            # |w| = 0.99: the grid triple is not flat to rounding, so the
+            # refinement takes steps, and each must round as eval does
+            (
+                KernelSpec(1, complex(0.29409187533567466, 0.9451638163037536)),
+                [complex(0.6109179433656224, -0.1566684763088134)],
+                True,
+            ),
+            # the grid maximum, which error *= multiplier would round apart
+            (KernelSpec(1, complex(0.3, 0.4)), [0j] * 6, False),
+        ],
+    )
+    def test_approximant_row_scores_as_its_eval(self, spec, free, refined):
+        approx = build_approximant(spec, free)
+        grid = circle_grid(NU_GRID_NODES)
+        values = approx.eval(grid.nodes)
+        kernel = spec.cauchy_power(grid.nodes)
+        index, points, moduli = bergman_approx._grid_brackets(np.abs(kernel - values))
+        j = index[0]
+        floor = 8 * np.finfo(float).eps * (abs(kernel[j]) + abs(values[j]))
+        steps = []
+
+        def modulus(t):
+            steps.append(t)
+            x = np.cos(t) + 1j * np.sin(t)
+            return np.abs(spec.cauchy_power(x) - approx.eval(x))
+
+        (reference,) = _golden_max(modulus, points, moduli, floor)
+        assert (len(steps) > 0) == refined
+        assert nu_functional(spec, approx.basis, approx.coefficients, grid) == reference
+
+    def test_row_gives_a_float_and_matrix_one_value_per_row(self):
+        spec = KernelSpec(1, 0.4j)
+        approx = build_approximant(spec, [0.2])
+        rows = competitor_trials(approx, 5, np.random.default_rng(3))
+        grid = circle_grid(2**10)
+        assert type(nu_functional(spec, approx.basis, rows[0], grid)) is float
+        batched = nu_functional(spec, approx.basis, rows, grid)
+        assert isinstance(batched, np.ndarray) and batched.shape == (5,)
+
+    def test_rejects_non_finite_rows(self):
         spec = KernelSpec(0, 0.5)
         approx = build_approximant(spec, [0j])
         rows = np.array([approx.coefficients, [np.nan, 1.0]])
         with pytest.raises(NonFiniteIntegrand):
-            competitor_nu(spec, approx.basis, rows, circle_grid(2**10))
+            nu_functional(spec, approx.basis, rows, circle_grid(2**10))
+        with pytest.raises(NonFiniteIntegrand):
+            nu_functional(spec, approx.basis, rows[1], circle_grid(2**10))
 
     @pytest.mark.parametrize("spec, free, seed", SCAN_CONFIGS)
     def test_trial_schedule_matches_inline_loop(self, spec, free, seed):
@@ -596,7 +635,7 @@ class TestQuadraticUniformBound:
                 coeffs = random_competitor_coefficients(approx, rng)
             rational = competitor_function(approx.basis, spec.w, coeffs)
             mu = mu_functional(spec, rational, GRID)
-            nu = nu_functional(spec, rational, nu_grid)
+            nu = nu_functional(spec, approx.basis, coeffs, nu_grid)
             assert mu * (1 - abs(spec.w) ** 2) <= nu**2 + 1e-12
 
 

@@ -315,6 +315,18 @@ class TestVerify:
             2.1316282072803006e-14
         )
 
+    def test_competitor_membership_fails_off_the_class(self, capsys, monkeypatch):
+        # conj(z), which is 1/z on the circle, is not analytic in the disk, so
+        # no partial fraction of the competitor class can absorb it
+        approximant = diskrat.bergman_approx.Approximant
+        evaluate = approximant.eval
+        monkeypatch.setattr(
+            approximant, "eval", lambda self, z: evaluate(self, z) + 1e-6 * np.conj(z)
+        )
+        code, out, _ = run_cli(capsys, "verify", "--only", "competitor_membership")
+        assert code == 2
+        assert "FAIL competitor_membership" in out
+
     def test_check_result_holds_python_scalars(self):
         result = CheckResult("x", np.bool_(True), np.float64(0.5), np.float64(1.0))
         assert type(result.passed) is bool

@@ -80,7 +80,8 @@ class TestPartialSum:
 class TestExpansionInvariants:
     def test_bessel_bound_and_monotone_sums(self):
         spec = KernelSpec(1, 0.6)
-        basis = TMBasis(PoleSequence.random(8, seed=7, max_modulus=0.8).with_trailing(0.6, 2))
+        free = PoleSequence.random(8, np.random.default_rng(7), max_modulus=0.8)
+        basis = TMBasis(free.with_trailing(0.6, 2))
         exp = expand_kernel(spec, basis)
         norm_sq = integrate_circle(lambda t: np.abs(spec.bergman(t)) ** 2, GRID).real
         sums = np.cumsum(np.abs(exp.coefficients) ** 2)
@@ -140,7 +141,7 @@ class TestH2Representation:
 
     def test_representation_identity_many_functions(self):
         rng = np.random.default_rng(17)
-        poles = PoleSequence.random(15, seed=23, max_modulus=0.8)
+        poles = PoleSequence.random(15, np.random.default_rng(23), max_modulus=0.8)
         basis = TMBasis(poles)
         spec = KernelSpec(2, 0.5 - 0.2j)
         functions = [
@@ -208,7 +209,7 @@ class TestRemainderIntegral:
 
 def closed_form_cases():
     w = 0.45 - 0.3j
-    random_free = list(PoleSequence.random(6, seed=61, max_modulus=0.85))
+    random_free = list(PoleSequence.random(6, np.random.default_rng(61), max_modulus=0.85))
     for alpha in range(4):
         yield alpha, w, random_free
         yield alpha, w, [0j] * 5
