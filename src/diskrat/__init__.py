@@ -8,7 +8,6 @@ from .bergman_approx import (
     build_approximant,
     build_error_report,
     closed_form_J,
-    closed_form_J_tm_phase,
     competitor_function,
     competitor_trials,
     equimodularity_variation,
@@ -40,6 +39,7 @@ from .errors import (
     OrderTooSmall,
     PointNotInDisk,
     TrailingPolesMismatch,
+    ValueOutOfRange,
 )
 from .expansion import (
     FourierExpansion,

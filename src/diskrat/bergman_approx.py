@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .circlequad import CircleGrid, circle_grid, require_in_disk, sample_on_nodes
-from .errors import NonFiniteIntegrand
+from .errors import NonFiniteIntegrand, ValueOutOfRange
 from .expansion import (
     FourierExpansion,
     expand_function,
@@ -55,7 +55,6 @@ __all__ = [
     "nu_functional",
     "nu_min_closed_form",
     "closed_form_J",
-    "closed_form_J_tm_phase",
     "competitor_function",
     "competitor_trials",
     "random_competitor_coefficients",
@@ -84,6 +83,9 @@ EXTENDED_MU_CUTOFF = 1e-7
 #: Grid of the uniform functional in error reports and in verify.
 NU_GRID_NODES = 2**16
 
+#: Largest j whose factorial is a finite double (171! exceeds the range).
+_MAX_FACTORIAL = 170
+
 #: Scale of the Gaussian perturbations of the optimum in competitor trials,
 #: relative to max|c|.
 _NOISE_SCALE = 0.1
@@ -93,7 +95,7 @@ def _rising_factorial(alpha: int, count: int) -> float:
     """(alpha+1)(alpha+2)...(alpha+count); empty product for count = 0.
 
     This is (alpha+count)!/alpha!, the coefficient produced by differentiating
-    (1 - z c)^-(1+alpha) count times.
+    (1 - z c)^-(1+alpha) count times.  Past the double range it is inf.
     """
     out = 1.0
     for i in range(1, count + 1):
@@ -104,14 +106,16 @@ def _rising_factorial(alpha: int, count: int) -> float:
 def interpolation_target(spec: KernelSpec, point: complex, multiplicity: int) -> complex:
     """Right-hand side of the interpolation condition of order multiplicity-1
     at the given pole: the (multiplicity-1)-st derivative of the Cauchy-power
-    kernel (1 - z conj(w))^-(1+alpha) there."""
+    kernel (1 - z conj(w))^-(1+alpha) there.  Not finite where it leaves the
+    double range."""
     s = int(multiplicity)
     cw = np.conj(spec.w)
-    return complex(
-        _rising_factorial(spec.alpha, s - 1)
-        * cw ** (s - 1)
-        / (1.0 - cw * point) ** (spec.alpha + s)
-    )
+    with np.errstate(all="ignore"):
+        return complex(
+            _rising_factorial(spec.alpha, s - 1)
+            * cw ** (s - 1)
+            / (1.0 - cw * point) ** (spec.alpha + s)
+        )
 
 
 @dataclass
@@ -176,7 +180,9 @@ class Approximant:
         values, u = |c| @ |taylor| in place of t, times eps: the size of the
         terms the sums cancel, times the unit roundoff.  It is an estimate of
         the rounding error, not a bound: it leaves out the rounding inside
-        taylor itself.  Computed once per approximant.
+        taylor itself.  Computed once per approximant.  Where j! or a
+        product leaves the double range, the value or scale is not finite;
+        interpolation_residuals refuses such rows.
         """
         poles = self.basis.poles
         c = self.coefficients
@@ -204,21 +210,33 @@ class Approximant:
             coefficients[1:] -= cw * t[:-1]
             sizes = abs(multiplier) * u
             sizes[1:] += abs(cw) * u[:-1]
-            factorials = np.array([math.factorial(j) for j in range(len(index))], dtype=float)
-            values[index] = factorials * coefficients
-            scales[index] = factorials * sizes
+            factorials = np.array(
+                [float(math.factorial(j)) if j <= _MAX_FACTORIAL else np.inf
+                 for j in range(len(index))]
+            )
+            with np.errstate(all="ignore"):
+                values[index] = factorials * coefficients
+                scales[index] = factorials * sizes
         return values, scales * np.finfo(float).eps
 
     def interpolation_residuals(self) -> list[float]:
         """|r^(s_m - 1)(a_m) - target| for every pole of the full sequence,
         from pole_derivatives; s_m is the running multiplicity within the
-        prefix."""
+        prefix.  A row whose value, target or rounding scale is not finite
+        raises ValueOutOfRange."""
         poles = self.basis.poles
-        values, _ = self.pole_derivatives
-        return [
-            abs(value - interpolation_target(self.spec, a, poles.multiplicity_in_prefix(m)))
-            for m, (value, a) in enumerate(zip(values, poles))
-        ]
+        values, scales = self.pole_derivatives
+        residuals = []
+        for m, (value, scale, a) in enumerate(zip(values, scales, poles)):
+            s = poles.multiplicity_in_prefix(m)
+            target = interpolation_target(self.spec, a, s)
+            if not np.isfinite([value, target, scale]).all():
+                raise ValueOutOfRange(
+                    f"interpolation row {m} (pole {a}, multiplicity {s}) leaves the "
+                    f"double range: value {value}, target {target}, rounding scale {scale}"
+                )
+            residuals.append(abs(value - target))
+        return residuals
 
     def membership_residual(self) -> float:
         """Relative fit residual of r against the partial-fraction competitor
@@ -476,32 +494,6 @@ def closed_form_J(spec: KernelSpec, basis: TMBasis, n: int, z) -> complex:
     )
 
 
-def closed_form_J_tm_phase(
-    spec: KernelSpec, basis: TMBasis, n: int, z
-) -> tuple[complex, complex]:
-    """Diagnostic companion of closed_form_J: the same value expressed in the
-    phase convention the orthonormal system inherits, together with the
-    unimodular constant that maps it back to the tau = 1 value
-
-        J_tau1 = constant * J_tm,   constant = prod(-|a_m|/a_m) * (-|w|/w)^(a+1)
-
-    over the free poles.  Undefined factors at w = 0 never form: the w = 0
-    case short-circuits to (0, 1)."""
-    validate_trailing_poles(spec, basis.poles, n)
-    z = require_in_disk(z)
-    if spec.w == 0:
-        return 0.0j, 1.0 + 0.0j
-    degree = int(n) - spec.alpha
-    b_free = basis.blaschke(degree)
-    constant = b_free.tm_phase() * (-abs(spec.w) / spec.w) ** (spec.alpha + 1)
-    magnitude = (abs(spec.w) / (1.0 - abs(spec.w) ** 2)) ** (spec.alpha + 1)
-    b_tm = np.conj(b_free.tm_phase() * b_free(spec.w))
-    value = (
-        (-1.0) ** spec.alpha * magnitude * b_tm / (np.conj(spec.w) * z - 1.0)
-    )
-    return complex(value), complex(constant)
-
-
 def competitor_function(basis: TMBasis, w: complex, coefficients) -> Callable:
     """Member of the competitor class: R(x) = (1 - x conj(w)) sum c_m phi_m(x)."""
     coefficients = np.asarray(coefficients, dtype=complex)
@@ -613,7 +605,7 @@ class ErrorReport:
             self.max_interp_residual,
         )
         if not all(math.isfinite(v) and v >= 0.0 for v in values):
-            raise ValueError(f"non-finite or negative error values: {values}")
+            raise ValueOutOfRange(f"non-finite or negative error values: {values}")
 
     def csv_cells(self) -> list[str]:
         """The cells of CSV_HEADER after n and alpha: w and the five values."""
@@ -675,6 +667,9 @@ def build_error_report(
             degenerate_w_zero=True,
         )
     approx = build_approximant(spec, free_poles)
+    # the rows first: they are cheap, and one out of the double range fails
+    # the report before the grid passes
+    residuals = approx.interpolation_residuals()
     mu_grid = circle_grid(approx.expansion.grid_size)
     mu_closed = mu_min_closed_form(spec, free_poles)
     # tiny minima sit below double-precision cancellation noise; evaluate the
@@ -684,7 +679,6 @@ def build_error_report(
     )
     nu_grid = nu_functional(spec, approx.basis, approx.coefficients, circle_grid(NU_GRID_NODES))
     nu_closed = nu_min_closed_form(spec, free_poles)
-    residuals = approx.interpolation_residuals()
     report = ErrorReport(
         alpha=spec.alpha,
         n=n,

@@ -17,6 +17,7 @@ import argparse
 import cmath
 import errno
 import json
+import math
 import os
 import stat
 import sys
@@ -161,7 +162,11 @@ def _tolerances(value) -> dict[str, float]:
         if not sep:
             raise ValueError(f"expected NAME=VALUE, got {value!r}")
         value = {name: number}
-    return {name: float(number) for name, number in dict(value).items()}
+    bounds = {name: float(number) for name, number in dict(value).items()}
+    for name, bound in bounds.items():
+        if not math.isfinite(bound):
+            raise ValueError(f"the bound of {name} must be finite, got {bound!r}")
+    return bounds
 
 
 class Option(NamedTuple):

@@ -20,6 +20,11 @@ class NonFiniteIntegrand(DiskratError):
         self.value = value
 
 
+class ValueOutOfRange(DiskratError):
+    """A computed value is out of its range: an interpolation row that is not
+    a finite double, or an error value that is not finite and non-negative."""
+
+
 class AccuracyNotReached(DiskratError):
     """Adaptive node doubling hit its cap before successive results agreed."""
 
@@ -29,7 +34,8 @@ class GridTooLarge(DiskratError):
 
 
 class DesignTooLarge(DiskratError):
-    """A design matrix would need more than tm_basis.MAX_DESIGN_BYTES."""
+    """A basis evaluation or design matrix would need more than
+    tm_basis.MAX_DESIGN_BYTES."""
 
 
 class IndexOutOfRange(DiskratError):

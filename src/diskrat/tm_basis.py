@@ -33,10 +33,11 @@ __all__ = [
     "christoffel_darboux_residual",
 ]
 
-#: Largest design matrix TMBasis.design_matrix may allocate, in bytes: nodes
+#: Largest array of values TMBasis.eval_all may allocate, in bytes: points
 #: times functions times 16 (complex double) or the size of a complex long
-#: double (32 on x86-64).  The largest design of the benchmark streams,
-#: 16384 nodes by 38 functions in doubles, takes about 10 MB.
+#: double (32 on x86-64).  It bounds every design matrix too.  The largest
+#: evaluation of the benchmark streams, 2^16 nu nodes by 35 functions in
+#: doubles, takes about 37 MB.
 MAX_DESIGN_BYTES = 2**28
 
 
@@ -134,14 +135,16 @@ class BlaschkeProduct:
             out = out * (z - a) / (1.0 - np.conj(a) * z)
         return complex(out) if out.ndim == 0 else out
 
-    def tm_phase(self) -> complex:
-        """prod (-|a_j|/a_j), the unimodular constant relating tau = 1 to the
-        phase convention the orthonormal system inherits; +1 at zero poles."""
-        phase = 1.0 + 0.0j
-        for a in self.poles:
-            if a != 0:
-                phase *= -abs(a) / a
-        return phase
+
+def _phase(a: complex) -> complex:
+    """-|a|/a, or +1 at a = 0.  A pole below 2^-900 in modulus is scaled by
+    2^600 first, which is exact: |a| rounded to the subnormal range keeps too
+    few bits to be unimodular against a (8.9e-12 off at |a| = 2.2e-313)."""
+    if a == 0:
+        return 1.0
+    if abs(a) < 2.0**-900:
+        a *= 2.0**600
+    return -abs(a) / a
 
 
 class TMBasis:
@@ -161,7 +164,7 @@ class TMBasis:
         # the unimodular factor -|a|/a (+1 at a zero pole)
         self._norms = [math.sqrt(1.0 - abs(a) ** 2) for a in poles]
         self._conjs = [a.conjugate() for a in poles]
-        self._phases = [-abs(a) / a if a != 0 else 1.0 for a in poles]
+        self._phases = [_phase(a) for a in poles]
         # id(nodes) -> (nodes, read-only design matrix), filled only by
         # design_matrix; holding the nodes keeps their id from being reused
         self._designs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -189,6 +192,8 @@ class TMBasis:
         forms the denominator 1 - conj(a) z once per pole, shares it between
         phi_k and the next product factor, reuses both for a repeated pole,
         and skips the division at a zero pole, whose factor is z itself.
+        Values of more than MAX_DESIGN_BYTES raise DesignTooLarge before
+        anything is allocated.
         """
         count = self._check_count(count)
         entry = self._designs.get(id(z))
@@ -197,7 +202,14 @@ class TMBasis:
         z = np.asarray(z)
         scalar = z.ndim == 0
         zz = np.atleast_1d(z)
-        out = np.empty((count,) + zz.shape, dtype=np.result_type(zz, np.complex128))
+        dtype = np.result_type(zz, np.complex128)
+        size = zz.size * count * dtype.itemsize
+        if size > MAX_DESIGN_BYTES:
+            raise DesignTooLarge(
+                f"an evaluation of {zz.size} points by {count} functions "
+                f"needs {size} bytes, more than the cap of {MAX_DESIGN_BYTES}"
+            )
+        out = np.empty((count,) + zz.shape, dtype=dtype)
         running = np.ones(zz.shape, dtype=out.dtype)
         previous = None
         for k in range(count):
@@ -220,19 +232,11 @@ class TMBasis:
 
         The full matrix is evaluated once per grid and stored with the basis,
         keyed by the identity of the grid's (immutable, cached) node array.
-        A matrix of more than MAX_DESIGN_BYTES raises DesignTooLarge before
-        anything is allocated."""
+        eval_all bounds its size."""
         count = self._check_count(count)
         nodes = grid.nodes
         entry = self._designs.get(id(nodes))
         if entry is None:
-            itemsize = np.result_type(nodes, np.complex128).itemsize
-            size = grid.node_count * self.size * itemsize
-            if size > MAX_DESIGN_BYTES:
-                raise DesignTooLarge(
-                    f"a design matrix of {grid.node_count} nodes by {self.size} functions "
-                    f"needs {size} bytes, more than the cap of {MAX_DESIGN_BYTES}"
-                )
             design = self.eval_all(nodes).T
             design.setflags(write=False)
             entry = self._designs.setdefault(id(nodes), (nodes, design))

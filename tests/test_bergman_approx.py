@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,17 +9,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diskrat import (
+    DesignTooLarge,
     ErrorReport,
     KernelSpec,
     NonFiniteIntegrand,
     PoleSequence,
     TMBasis,
     TrailingPolesMismatch,
+    ValueOutOfRange,
     build_approximant,
     build_error_report,
     circle_grid,
     closed_form_J,
-    closed_form_J_tm_phase,
     competitor_function,
     competitor_trials,
     derivative_at,
@@ -31,7 +33,7 @@ from diskrat import (
     random_competitor_coefficients,
     ratio_coefficients,
 )
-from diskrat import bergman_approx
+from diskrat import bergman_approx, tm_basis
 from diskrat.bergman_approx import NU_GRID_NODES, _GOLDEN, _REFINE_ITERS, _golden_max
 
 GRID = circle_grid(4096)
@@ -166,6 +168,31 @@ class TestInterpolation:
         assert values[1] == pytest.approx(approx.eval(-0.2j), abs=1e-15)
         assert approx.pole_derivatives is approx.pole_derivatives
 
+    @pytest.mark.parametrize(
+        "alpha, free, row",
+        [
+            # at w of multiplicity 132, j! t_j and the target leave the range
+            (170, [0j, 0j], 133),
+            (171, [0j, 0j], 133),
+            # 171! is not a double
+            (0, [0j] * 172, 171),
+            # (alpha+1)...(alpha+164) is not a double: the target is NaN
+            (10, [0j] * 165, 164),
+        ],
+    )
+    def test_rows_past_the_double_range_are_refused(self, alpha, free, row):
+        approx = build_approximant(KernelSpec(alpha, 0.5), free)
+        with pytest.raises(ValueOutOfRange, match=f"interpolation row {row} "):
+            approx.interpolation_residuals()
+
+    def test_rows_at_the_edge_of_the_double_range_stay_finite(self):
+        # multiplicity 171 at zero: 170! t_170 is about 1e241
+        approx = build_approximant(KernelSpec(0, 0.5), [0j] * 171)
+        residuals = approx.interpolation_residuals()
+        values, scales = approx.pole_derivatives
+        assert np.isfinite(residuals).all()
+        assert np.isfinite(values).all() and np.isfinite(scales).all()
+
 
 @st.composite
 def _disk_point(draw, low, high):
@@ -184,6 +211,34 @@ def _repeated_pole_configuration(draw):
     counts = draw(st.lists(st.integers(1, 3), min_size=len(distinct), max_size=len(distinct)))
     free = draw(st.permutations([a for a, k in zip(distinct, counts) for _ in range(k)]))
     return alpha, w, free
+
+
+@st.composite
+def _approximant_configuration(draw):
+    """alpha 0-3, a kernel point with |w| <= 0.7 and zero to four free poles
+    drawn with repeats from a few disk points and w itself."""
+    alpha = draw(st.integers(0, 3))
+    w = draw(_disk_point(0.0, 0.7))
+    pool = draw(st.lists(_disk_point(0.0, 0.7), min_size=1, max_size=3)) + [w]
+    free = draw(st.lists(st.sampled_from(pool), max_size=4))
+    return alpha, w, free
+
+
+_ROUTE_RNG = np.random.default_rng(20261018)
+_ROUTE_POINTS = np.concatenate([
+    random_disk_points(_ROUTE_RNG, 20, 0.95),
+    np.exp(2j * np.pi * _ROUTE_RNG.uniform(0.0, 1.0, 20)),
+])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_approximant_configuration())
+def test_constructive_route_matches_closed_form(configuration):
+    alpha, w, free = configuration
+    approx = build_approximant(KernelSpec(alpha, w), free)
+    closed = approx.eval_closed_form(_ROUTE_POINTS)
+    gap = np.abs(approx.eval(_ROUTE_POINTS) - closed)
+    assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(closed)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -597,15 +652,6 @@ class TestClosedFormJ:
         with pytest.raises(TrailingPolesMismatch):
             closed_form_J(spec, TMBasis([0.3, 0.2]), 1, 0.1)
 
-    def test_tm_phase_alignment_constant_is_unimodular(self):
-        spec = KernelSpec(2, 0.3 - 0.2j)
-        basis = TMBasis([0.25, spec.w, spec.w, spec.w])
-        value, constant = closed_form_J_tm_phase(spec, basis, 3, 0.1j)
-        assert abs(abs(constant) - 1.0) < 1e-13
-        aligned = constant * value
-        direct = closed_form_J(spec, basis, 3, 0.1j)
-        assert aligned == pytest.approx(direct, rel=1e-13)
-
 
 class TestParsevalGap:
     def test_gap_equals_coefficient_distance(self):
@@ -674,8 +720,23 @@ class TestErrorReport:
         assert report.mu_closed_form == pytest.approx(0.0, abs=1e-30)
         assert report.nu_closed_form == pytest.approx(0.0, abs=1e-15)
 
-    def test_validate_rejects_bad_values(self):
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_validate_rejects_bad_values(self, bad):
         report = build_error_report(KernelSpec(0, 0.5), [0j])
-        report.mu_quadrature = -1.0
-        with pytest.raises(ValueError):
+        report.mu_quadrature = bad
+        with pytest.raises(ValueOutOfRange):
             report.validate()
+
+    def test_over_the_design_cap_raises_before_the_nu_pass(self, monkeypatch):
+        # two functions fit on the 4096-node expansion grid (128 KiB) but not
+        # on the nu grid (2 MiB); the grid's nodes are cached beforehand
+        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", 2**19)
+        assert circle_grid(NU_GRID_NODES).nodes.size == NU_GRID_NODES
+        tracemalloc.start()
+        try:
+            with pytest.raises(DesignTooLarge, match="65536 points by 2 functions"):
+                build_error_report(KernelSpec(0, 0.5), [0.3])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

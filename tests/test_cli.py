@@ -3,10 +3,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import diskrat.bergman_approx
 import diskrat.circlequad
-from diskrat.cli import build_parser, main, parse_complex, parse_int_list, parse_pole_list
+from diskrat.cli import (
+    COMMANDS,
+    OPTIONS,
+    build_parser,
+    main,
+    parse_complex,
+    parse_int_list,
+    parse_pole_list,
+)
 from diskrat.verify import CheckResult
 
 
@@ -294,6 +304,15 @@ class TestVerify:
         assert verdict["interpolation"]["pass"] is False
         assert verdict["interpolation"]["bound"] == 1e-20
 
+    @pytest.mark.parametrize("bound", ["inf", "nan", "-inf"])
+    def test_non_finite_tolerance_is_usage_error(self, capsys, bound):
+        code, out, err = run_cli(
+            capsys, "verify", "--only", "interpolation", "--tol", f"interpolation={bound}"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --tol: the bound of interpolation must be finite")
+
     def test_interpolation_check_does_not_use_the_taylor_route(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -381,6 +400,32 @@ def test_verify_checks_its_out_target_before_the_checks(
     # nothing is created or truncated before the checks have run
     assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
     assert (tmp_path / "kept.txt").read_text() == "kept"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--alpha", "171", "--w", "0.5,0", "--poles", "0,0"],
+        ["--alpha", "170", "--w", "0.5,0", "--poles", "0,0"],
+        ["--w", "0.5,0", "--poles", "zeros", "--n", "172"],
+        ["--alpha", "10", "--w", "0.5,0", "--poles", "zeros", "--n", "175"],
+    ],
+)
+def test_interpolation_rows_past_the_double_range_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "approximate", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: interpolation row ")
+
+
+def test_sweep_reports_a_row_past_the_double_range_in_its_cell(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--alphas", "0", "--ns", "1,172", "--ws", "0.5,0", "--poles", "zeros"
+    )
+    assert code == 2
+    rows = out.splitlines()
+    assert rows[1].endswith(",")
+    assert ",,,,,,interpolation row 171 " in rows[2]
 
 
 class TestOracleCommand:
@@ -569,3 +614,49 @@ class TestOptionTable:
         code, out, _ = run_cli(capsys, "basis", "--poles", "zeros", "--n", str(n))
         assert code == 0
         assert json.loads(out)["poles"] == [[0.0, 0.0]] * (n + 1)
+
+
+# Values for any flag: well-formed ones (orders and counts at most 12, so
+# each run is fast) and malformed ones.
+_TOKENS = (
+    "0", "1", "3", "12", "0:2", "0.5,0", "0,-0.3", "0.3,0;0,0.2", "zeros", "csv",
+    "json", "256", "interpolation", "interpolation=1e-20", "0.99,0",
+    "nan,0", "1e400,0", "-1", "0.5,0,0", "",
+)
+# --out and --config name files, which other tests cover
+_FLAGS = {
+    command: [opt.flag for opt in OPTIONS if command in opt.commands and opt.flag != "--out"]
+    for command in COMMANDS
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    if command == "verify":
+        argv += ["--only", "christoffel_darboux"]  # a drawn --only replaces it
+    for _ in range(draw(st.integers(0, 4))):
+        argv += [draw(st.sampled_from(_FLAGS[command])), draw(st.sampled_from(_TOKENS))]
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+# run_cli reads and clears what capsys captured, so one fixture serves all
+# examples
+@settings(
+    max_examples=80, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_argv())
+def test_exit_code_contract(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2), (argv, err)
+    if code == 1:
+        assert out == ""
+        assert err.startswith("error:")
+    if out.startswith("{"):
+        json.loads(out, parse_constant=_reject_constant)
