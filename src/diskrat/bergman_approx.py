@@ -385,18 +385,57 @@ def _golden_max(f: Callable, points, values, floor) -> np.ndarray:
     return fx
 
 
-def _grid_brackets(error) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each row of error moduli on an N-node grid (last axis), its
-    largest node j, the angles theta_(j-1) < theta_j < theta_(j+1) and the
-    moduli there: the brackets _golden_max starts from, without evaluating
-    anything.  The neighbours of j = 0 and j = N - 1 lie across theta = 0,
-    at index (j +- 1) mod N."""
-    error = np.atleast_2d(error)
-    count = error.shape[-1]
-    index = np.argmax(error, axis=-1)
-    near = index + np.arange(-1, 2)[:, None]
-    values = error[np.arange(len(error)), near % count]
-    return index, (2.0 * np.pi / count) * near, values
+class _GridBrackets:
+    """The brackets _golden_max starts from, for rows of error moduli on an
+    N-node grid fed part by part: for each row its largest node j (the first
+    of equal maxima), the angles theta_(j-1) < theta_j < theta_(j+1) and the
+    moduli there.  The neighbours of j = 0 and j = N - 1 lie across
+    theta = 0, at index (j +- 1) mod N.  A neighbour across the edge of a
+    part is taken from the last node of the part before it or from the
+    first node of the part after it.  The state is a few numbers per row;
+    no row of N moduli is kept."""
+
+    def __init__(self, rows: int, node_count: int):
+        self.node_count = node_count
+        self.index = np.zeros(rows, dtype=int)
+        # left neighbour, maximum and right neighbour of every row
+        self.moduli = np.full((3, rows), -np.inf)
+        self._first = np.zeros(rows)  # modulus at node 0
+        self._last = np.zeros(rows)  # modulus at the last node fed
+
+    def feed(self, rows: slice, start: int, moduli) -> tuple[np.ndarray, np.ndarray]:
+        """Take the moduli of the given rows at nodes start, start + 1, ...
+        (parts in node order, each row once per part).  Return the mask of
+        the rows whose maximum moved into this part, and every row's largest
+        node within the part."""
+        index, triple, last = self.index[rows], self.moduli[:, rows], self._last[rows]
+        every = np.arange(len(moduli))
+        if start == 0:
+            self._first[rows] = moduli[:, 0]
+        else:
+            ends = index == start - 1
+            triple[2, ends] = moduli[ends, 0]
+        local = np.argmax(moduli, axis=1)
+        value = moduli[every, local]
+        # only a strictly larger value moves the maximum: the first node wins
+        moved = value > triple[1]
+        left = np.where(local > 0, moduli[every, local - 1], last)
+        right = moduli[every, np.minimum(local + 1, moduli.shape[1] - 1)]
+        index[moved] = start + local[moved]
+        triple[:, moved] = np.stack([left, value, right])[:, moved]
+        last[:] = moduli[:, -1]
+        return moved, local
+
+    def brackets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Once every node is fed: the largest node of every row, and the
+        (3, rows) angles and moduli of its bracket."""
+        count = self.node_count
+        wraps = self.index == 0
+        self.moduli[0, wraps] = self._last[wraps]
+        wraps = self.index == count - 1
+        self.moduli[2, wraps] = self._first[wraps]
+        near = self.index + np.arange(-1, 2)[:, None]
+        return self.index, (2.0 * np.pi / count) * near, self.moduli
 
 
 def _unit(t) -> np.ndarray:
@@ -414,42 +453,54 @@ def nu_functional(
     triple is flat to rounding and the refinement evaluates nothing.
 
     A row c of length m gives a float; a (trials, m) matrix gives one value
-    per row.  The basis is evaluated on the grid once.  The grid pass takes
-    the rows in blocks of at most m, so no temporary exceeds the design
-    matrix; the refinement runs the brackets of all rows together, one basis
-    evaluation per step.  R is formed as Approximant.eval forms it, so the
-    row of an approximant scores as its eval does on the grid.
+    per row.  The grid pass streams: the basis is evaluated on one part of
+    at most NODE_CHUNK nodes at a time (TMBasis.eval_chunks), each part is
+    reduced at once, in blocks of at most m rows, to a running maximum per
+    row, and no (m x N) block is formed.  The refinement runs the brackets
+    of all rows together, one basis evaluation per step.  R is formed as
+    Approximant.eval forms it, so the row of an approximant scores as its
+    eval does on the grid.  A non-finite R raises NonFiniteIntegrand at the
+    first node of the first row that has one.
     """
     coefficients = np.asarray(coefficients, dtype=complex)
     rows = np.atleast_2d(coefficients)
     trials, count = rows.shape
     cw = np.conj(spec.w)
     nodes = grid.nodes
-    phi = basis.eval_all(nodes, count=count)
     multiplier = 1.0 - nodes * cw
     kernel = spec.cauchy_power(nodes)
-    index = np.empty(trials, dtype=int)
-    points = np.empty((3, trials))
-    moduli = np.empty((3, trials))
+    tracker = _GridBrackets(trials, len(nodes))
     sizes = np.empty(trials)
     block = max(count, 1)
-    for start in range(0, trials, block):
-        part = slice(start, start + block)
-        # R = multiplier * (rows @ phi) in this operand order, the rounding of
-        # Approximant.eval; error *= multiplier rounds differently
-        error = rows[part] @ phi
-        np.multiply(multiplier, error, out=error)
-        bad = ~np.isfinite(error)
-        if bad.any():
-            row, node = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            raise NonFiniteIntegrand(int(node), complex(error[row, node]))
-        np.subtract(kernel, error, out=error)
-        index[part], points[:, part], moduli[:, part] = _grid_brackets(np.abs(error))
-        # |R| = |K - error| at each best node; the block is freed before the
-        # next one is formed
-        j = index[part]
-        sizes[part] = np.abs(kernel[j] - error[np.arange(len(error)), j])
-        del error
+    bad_row = trials  # the first row with a non-finite R, once one is seen
+    start = 0
+    for part, phi in basis.eval_chunks(nodes, count):
+        for first in range(0, bad_row, block):
+            part_rows = slice(first, first + block)
+            # R = multiplier * (rows @ phi) in this operand order, the rounding
+            # of Approximant.eval; error *= multiplier rounds differently
+            error = rows[part_rows] @ phi
+            np.multiply(multiplier[part], error, out=error)
+            bad = ~np.isfinite(error[: bad_row - first])
+            if bad.any():
+                row, node = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                bad_row, bad_node = first + row, start + node
+                bad_value = complex(error[row, node])
+                break
+            # once a row has failed, only the rows before it are checked on:
+            # a failure of theirs at a later node is the one to report
+            if bad_row == trials:
+                np.subtract(kernel[part], error, out=error)
+                moved, local = tracker.feed(part_rows, start, np.abs(error))
+                # |R| = |K - error| at each new best node
+                j = local[moved]
+                sizes[part_rows][moved] = np.abs(kernel[start + j] - error[moved, j])
+            del error  # freed before the next block is formed
+        start += phi.shape[-1]
+        del phi  # freed before the next part is evaluated
+    if bad_row < trials:
+        raise NonFiniteIntegrand(int(bad_node), bad_value)
+    index, points, moduli = tracker.brackets()
     floor = _ROUNDING_FLOOR * (np.abs(kernel[index]) + sizes)
 
     def modulus(t):

@@ -444,8 +444,6 @@ def cmd_sweep(cfg: SimpleNamespace) -> int:
 
 
 def cmd_verify(cfg: SimpleNamespace) -> int:
-    if cfg.out:
-        _check_out(cfg.out)
     try:
         results = run_checks(only=cfg.only, tolerances=cfg.tolerances)
     except ValueError as exc:
@@ -518,7 +516,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser(COMMANDS.keys() & set(argv))
     try:
         args = parser.parse_args(argv)
-        return COMMANDS[args.command][0](_config_from_args(args))
+        cfg = _config_from_args(args)
+        if cfg.out:
+            _check_out(cfg.out)
+        return COMMANDS[args.command][0](cfg)
     except (UsageError, OrderTooSmall) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

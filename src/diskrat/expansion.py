@@ -85,7 +85,9 @@ class FourierExpansion:
         return len(self.coefficients)
 
     def partial_sum(self, count: int, z):
-        """sum_{m<count} c_m phi_m(z); the empty sum is 0."""
+        """sum_{m<count} c_m phi_m(z); the empty sum is 0.  The output is
+        filled part by part over TMBasis.eval_chunks, so a grid of any size
+        forms no basis block of more than NODE_CHUNK nodes."""
         count = int(count)
         if not 0 <= count <= len(self.coefficients):
             raise CountOutOfRange(
@@ -95,9 +97,11 @@ class FourierExpansion:
         if count == 0:
             zero = np.zeros(z.shape, dtype=complex)
             return complex(zero) if zero.ndim == 0 else zero
-        phi = self.basis.eval_all(z, count=count)
-        out = np.tensordot(self.coefficients[:count], phi, axes=1)
-        return complex(out) if np.ndim(out) == 0 else out
+        out = np.empty(z.shape, dtype=np.result_type(z, np.complex128))
+        for part, phi in self.basis.eval_chunks(z, count):
+            out[part] = np.tensordot(self.coefficients[:count], phi, axes=1)
+            del phi  # freed before the next part is evaluated
+        return complex(out) if out.ndim == 0 else out
 
     def to_json_dict(self) -> dict:
         return {

@@ -35,10 +35,22 @@ __all__ = [
 
 #: Largest array of values TMBasis.eval_all may allocate, in bytes: points
 #: times functions times 16 (complex double) or the size of a complex long
-#: double (32 on x86-64).  It bounds every design matrix too.  The largest
-#: evaluation of the benchmark streams, 2^16 nu nodes by 35 functions in
-#: doubles, takes about 37 MB.
+#: double (32 on x86-64).  It bounds every design matrix too.  The grid
+#: passes of mu and nu evaluate at most NODE_CHUNK nodes at a time, so the
+#: largest evaluation of the benchmark streams, one chunk by 35 functions in
+#: doubles, takes about 9.2 MB; whole-grid blocks are formed only by
+#: design_matrix.
 MAX_DESIGN_BYTES = 2**28
+
+#: Nodes per block of a streamed basis evaluation (TMBasis.eval_chunks).
+#: It must not be smaller: eval_all rounds arrays under 256 KiB differently.
+#: From that size on, numpy's temporary elision rewrites
+#: phase * (zz - a) as an in-place (zz - a) * phase, and numpy's SIMD
+#: complex multiply is not bit-commutative.  2^14 complex doubles are
+#: exactly 256 KiB, so chunks of this size round as the whole grid does;
+#: 4096-node chunks of a 2^16 grid differ at 24,907 nodes.  Long double has
+#: no SIMD loop and rounds alike at every chunk size.
+NODE_CHUNK = 2**14
 
 
 class PoleSequence:
@@ -193,7 +205,8 @@ class TMBasis:
         phi_k and the next product factor, reuses both for a repeated pole,
         and skips the division at a zero pole, whose factor is z itself.
         Values of more than MAX_DESIGN_BYTES raise DesignTooLarge before
-        anything is allocated.
+        anything is allocated.  The bits depend on the length of z (see
+        NODE_CHUNK); grid passes go through eval_chunks.
         """
         count = self._check_count(count)
         entry = self._designs.get(id(z))
@@ -226,6 +239,30 @@ class TMBasis:
             if k + 1 < count:
                 running = running * factor
         return out[:, 0] if scalar else out
+
+    def eval_chunks(self, z, count: int | None = None):
+        """Yield (part, phi) with phi = eval_all(z[part], count), part by
+        part, and out[part] = f(phi) fills an output of z's shape.
+
+        A 1-d z of more than NODE_CHUNK points goes in consecutive slices of
+        NODE_CHUNK points, so no larger block is formed.  Any other z is one
+        part, part = Ellipsis, passed to eval_all itself, so that a stored
+        design matrix is found by identity.  On a longer node array whose
+        design matrix is stored, each part is a read-only slice of the
+        stored matrix and is not evaluated again.
+        """
+        count = self._check_count(count)
+        entry = self._designs.get(id(z))
+        z = np.asarray(z)
+        if z.ndim != 1 or z.size <= NODE_CHUNK:
+            yield ..., self.eval_all(z, count)
+            return
+        for start in range(0, z.size, NODE_CHUNK):
+            part = slice(start, start + NODE_CHUNK)
+            if entry is not None:
+                yield part, entry[1][part, :count].T
+            else:
+                yield part, self.eval_all(z[part], count)
 
     def design_matrix(self, grid: CircleGrid, count: int | None = None) -> np.ndarray:
         """Node-by-function matrix A[j, k] = phi_k(node_j), read-only.

@@ -35,6 +35,7 @@ from diskrat import (
 )
 from diskrat import bergman_approx, tm_basis
 from diskrat.bergman_approx import NU_GRID_NODES, _GOLDEN, _REFINE_ITERS, _golden_max
+from diskrat.tm_basis import NODE_CHUNK
 
 GRID = circle_grid(4096)
 
@@ -496,6 +497,18 @@ def beyond_rounding_of_golden_section(results):
     return misses
 
 
+def grid_brackets(error):
+    """Whole-array reference of the streamed grid brackets: for each row of
+    error moduli (last axis N), its first largest node j, the angles of
+    j - 1, j, j + 1 and the moduli there, the neighbours wrapping mod N."""
+    error = np.atleast_2d(error)
+    count = error.shape[-1]
+    index = np.argmax(error, axis=-1)
+    near = index + np.arange(-1, 2)[:, None]
+    values = error[np.arange(len(error)), near % count]
+    return index, (2.0 * np.pi / count) * near, values
+
+
 class TestBatchedNu:
     def test_refinement_matches_golden_section_on_approximants(self, refined_battery):
         approximants, _, _ = refined_battery
@@ -578,7 +591,7 @@ class TestBatchedNu:
         grid = circle_grid(NU_GRID_NODES)
         values = approx.eval(grid.nodes)
         kernel = spec.cauchy_power(grid.nodes)
-        index, points, moduli = bergman_approx._grid_brackets(np.abs(kernel - values))
+        index, points, moduli = grid_brackets(np.abs(kernel - values))
         j = index[0]
         floor = 8 * np.finfo(float).eps * (abs(kernel[j]) + abs(values[j]))
         steps = []
@@ -630,6 +643,71 @@ class TestBatchedNu:
             expected.append(coeffs)
         rows = competitor_trials(approx, 100, np.random.default_rng(seed))
         assert np.array_equal(rows, np.array(expected))
+
+
+class TestStreamedBrackets:
+    """The grid pass of nu_functional reduces NODE_CHUNK nodes at a time; its
+    brackets must equal those of the whole grid."""
+
+    N = 2**16
+
+    def stream(self, error, block):
+        trials, count = error.shape
+        tracker = bergman_approx._GridBrackets(trials, count)
+        for start in range(0, count, NODE_CHUNK):
+            for first in range(0, trials, block):
+                rows = slice(first, first + block)
+                tracker.feed(rows, start, error[rows, start : start + NODE_CHUNK])
+        return tracker.brackets()
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_peaks_at_chunk_edges_and_ties(self, block):
+        c, n = NODE_CHUNK, self.N
+        peaks = [0, n - 1, c - 1, c, 2 * c, c + 1, 4 * c - c // 2]
+        error = np.random.default_rng(5).uniform(0.0, 1.0, (len(peaks) + 2, n))
+        for row, j in enumerate(peaks):
+            error[row, j] = 2.0
+        # ties across two chunks, and across a chunk edge: the first node wins
+        error[len(peaks), [100, c + 100]] = 2.0
+        error[len(peaks) + 1, [c - 1, 2 * c]] = 2.0
+        for got, want in zip(self.stream(error, block), grid_brackets(error)):
+            assert np.array_equal(got, want)
+
+    def test_many_ties(self):
+        error = np.random.default_rng(6).integers(0, 4, (8, self.N)).astype(float)
+        for got, want in zip(self.stream(error, 3), grid_brackets(error)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("count", [1, 2, 4096])
+    def test_one_part(self, count):
+        error = np.random.default_rng(7).uniform(0.0, 1.0, (5, count))
+        error[0, 0] = error[1, -1] = 2.0
+        for got, want in zip(self.stream(error, 5), grid_brackets(error)):
+            assert np.array_equal(got, want)
+
+    def test_non_finite_names_the_node_of_the_whole_grid_pass(self):
+        spec = KernelSpec(0, 0.3 + 0.4j)
+        basis = TMBasis([0j, 0j, 0j])
+        grid = circle_grid(self.N)
+        nodes = grid.nodes
+        # R overflows where a row weights a huge value: row 0 in the second
+        # chunk, and row 1 earlier, in the first; the pass reads the chunks
+        # of this stored matrix
+        design = np.array(basis.design_matrix(grid))
+        design[NODE_CHUNK + 5000, 1] = 1e300
+        design[5, 2] = 1e300
+        design.setflags(write=False)
+        basis._designs[id(nodes)] = (nodes, design)
+        rows = np.array([[0.1, 1e10, 0.0], [0.1, 0.0, 1e10], [0.1, 0.1, 0.1]], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            error = (1.0 - nodes * np.conj(spec.w)) * (rows @ design.T)
+            with pytest.raises(NonFiniteIntegrand) as raised:
+                nu_functional(spec, basis, rows, grid)
+        bad = ~np.isfinite(error)
+        row, node = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        assert (row, node) == (0, NODE_CHUNK + 5000)
+        assert raised.value.node_index == node
+        assert not cmath.isfinite(raised.value.value)
 
 
 class TestClosedFormJ:
@@ -728,15 +806,28 @@ class TestErrorReport:
             report.validate()
 
     def test_over_the_design_cap_raises_before_the_nu_pass(self, monkeypatch):
-        # two functions fit on the 4096-node expansion grid (128 KiB) but not
-        # on the nu grid (2 MiB); the grid's nodes are cached beforehand
-        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", 2**19)
-        assert circle_grid(NU_GRID_NODES).nodes.size == NU_GRID_NODES
+        # The nu pass evaluates the basis one chunk at a time.  With 64
+        # functions one chunk's block is 16 MiB, where the whole 2^16-node
+        # block would be 64 MiB; the grid's nodes are cached beforehand.
+        spec = KernelSpec(0, 0.5)
+        approx = build_approximant(spec, [0.3] * 63)
+        grid = circle_grid(NU_GRID_NODES)
+        block = 64 * NODE_CHUNK * 16
         tracemalloc.start()
         try:
-            with pytest.raises(DesignTooLarge, match="65536 points by 2 functions"):
-                build_error_report(KernelSpec(0, 0.5), [0.3])
+            nu_functional(spec, approx.basis, approx.coefficients, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
+        assert block < peak < block + block // 2
+        # A cap of half that block admits the mu pass, on 4096 nodes in long
+        # double here (8 MiB), and refuses the nu pass before it allocates.
+        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", block // 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DesignTooLarge, match="16384 points by 64 functions"):
+                build_error_report(spec, [0.3] * 63)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block

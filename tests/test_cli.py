@@ -375,6 +375,33 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv, target):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--poles", "0.3,0;0,-0.4"],
+        ["approximate", "--alpha", "1", "--w", "0.5,0", "--n", "12"],
+        ["sweep", "--alphas", "0:3", "--ns", "4:12", "--ws", "0.1,0;0.5,0", "--poles", "zeros"],
+        ["verify"],
+        ["oracle", "--alpha", "1", "--w", "0.5,0", "--n", "30", "--grid", "65536"],
+    ],
+)
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_every_command_checks_its_out_target_before_any_work(
+    capsys, monkeypatch, tmp_path, argv, target
+):
+    def work(*args, **kwargs):
+        raise AssertionError("the numerical layer was reached")
+
+    for name in ("build_error_report", "run_checks", "build_approximant", "TMBasis"):
+        monkeypatch.setattr(diskrat.cli, name, work)
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert f"error: cannot write {path}" in err
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
+@pytest.mark.parametrize(
     "target, message",
     [
         ("missing/x.json", "cannot write"),

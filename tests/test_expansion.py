@@ -69,6 +69,21 @@ class TestPartialSum:
         assert expected == pytest.approx(1.3675)
         assert exp.partial_sum(3, 0.3) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "size, extended", [(2**14, False), (2**16, False), (2**15, True)]
+    )
+    def test_streamed_sum_keeps_the_bits_of_the_whole_grid(self, size, extended):
+        spec = KernelSpec(1, 0.4 - 0.3j)
+        basis = TMBasis([0.6j, 0j, 0.2, 0.2, spec.w, spec.w])
+        exp = expand_kernel(spec, basis)
+        nodes = circle_grid(size, extended=extended).nodes
+        whole = np.tensordot(exp.coefficients[:5], basis.eval_all(nodes, count=5), axes=1)
+        values = exp.partial_sum(5, nodes)
+        assert values.dtype == whole.dtype
+        assert np.array_equal(values, whole)
+        square = nodes.reshape(-1, 2**7)
+        assert np.array_equal(exp.partial_sum(5, square), whole.reshape(square.shape))
+
     def test_count_validation(self):
         exp = expand_kernel(KernelSpec(0, 0.5), TMBasis([0j, 0j]))
         with pytest.raises(CountOutOfRange):

@@ -294,6 +294,59 @@ class TestRecurrence:
             basis.eval_all(z, count=10)
 
 
+class TestNodeChunks:
+    @pytest.mark.parametrize(
+        "size, extended", [(2**15, False), (2**16, False), (2**15, True)]
+    )
+    def test_each_chunk_rounds_as_the_whole_grid(self, size, extended):
+        # The grid passes evaluate the basis NODE_CHUNK nodes at a time and
+        # must give the bits of a whole-grid evaluation.  numpy's temporary
+        # elision rounds arrays under 256 KiB differently; if a numpy upgrade
+        # moves that threshold, this fails before any output drifts.
+        basis = TMBasis(RECURRENCE_POLES["repeated"])
+        nodes = circle_grid(size, extended=extended).nodes
+        whole = basis.eval_all(nodes)
+        for start in range(0, size, tm_basis.NODE_CHUNK):
+            part = slice(start, start + tm_basis.NODE_CHUNK)
+            assert np.array_equal(basis.eval_all(nodes[part]), whole[:, part])
+
+    def test_long_arrays_go_in_chunks(self):
+        basis = TMBasis([0.3, -0.4j, 0.3])
+        nodes = circle_grid(2**15).nodes
+        parts = list(basis.eval_chunks(nodes, count=2))
+        chunk = tm_basis.NODE_CHUNK
+        assert [part for part, _ in parts] == [slice(0, chunk), slice(chunk, 2 * chunk)]
+        for part, phi in parts:
+            assert np.array_equal(phi, basis.eval_all(nodes[part], count=2))
+
+    @pytest.mark.parametrize("z", [0.3 + 0.1j, np.zeros((2, 3)), circle_grid(2**14).nodes])
+    def test_other_arrays_are_one_part(self, z):
+        basis = TMBasis([0.3, -0.4j, 0.3])
+        ((part, phi),) = basis.eval_chunks(z)
+        assert part is Ellipsis
+        assert np.array_equal(phi, basis.eval_all(z))
+
+    @pytest.mark.parametrize("size", [2**14, 2**15])
+    def test_stored_design_matrices_are_sliced_not_evaluated(self, size, monkeypatch):
+        basis = TMBasis([0.3, -0.4j, 0.3])
+        grid = circle_grid(size)
+        design = basis.design_matrix(grid)
+        real_eval = TMBasis.eval_all
+
+        def eval_all(self, z, count=None):
+            assert z is grid.nodes, "a chunk was evaluated again"
+            return real_eval(self, z, count)
+
+        monkeypatch.setattr(TMBasis, "eval_all", eval_all)
+        for count in (None, 2):
+            parts = list(basis.eval_chunks(grid.nodes, count))
+            assert len(parts) == size // tm_basis.NODE_CHUNK
+            for part, phi in parts:
+                assert np.shares_memory(phi, design)
+                assert not phi.flags.writeable
+                assert np.array_equal(phi, design[part, : count or 3].T)
+
+
 class TestDesignMemo:
     def test_second_call_returns_stored_read_only_matrix(self):
         basis = TMBasis([0.3, -0.4j, 0.3])
