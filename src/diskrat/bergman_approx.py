@@ -60,6 +60,7 @@ __all__ = [
     "random_competitor_coefficients",
     "ratio_coefficients",
     "equimodularity_variation",
+    "extended_mu",
     "interpolation_target",
     "ErrorReport",
     "build_error_report",
@@ -76,8 +77,10 @@ _REFINE_ITERS = 60
 #: the sum of the moduli of the two terms it subtracts.
 _ROUNDING_FLOOR = 8 * np.finfo(float).eps
 
-#: Long-double integrand evaluation kicks in below this quadratic minimum;
-#: smaller minima drown in double-precision cancellation noise.
+#: Long-double integrand evaluation kicks in below this nonzero quadratic
+#: minimum (see extended_mu); smaller minima drown in double-precision
+#: cancellation noise.  A zero minimum has no relative tolerance to keep and
+#: is taken in doubles.
 EXTENDED_MU_CUTOFF = 1e-7
 
 #: Grid of the uniform functional in error reports and in verify.
@@ -101,6 +104,12 @@ def _rising_factorial(alpha: int, count: int) -> float:
     for i in range(1, count + 1):
         out *= alpha + i
     return out
+
+
+def extended_mu(mu_min: float) -> bool:
+    """Whether mu of an approximant with exact minimum mu_min is taken in
+    long double: where 0 < mu_min < EXTENDED_MU_CUTOFF."""
+    return 0.0 < mu_min < EXTENDED_MU_CUTOFF
 
 
 def interpolation_target(spec: KernelSpec, point: complex, multiplicity: int) -> complex:
@@ -219,17 +228,26 @@ class Approximant:
                 scales[index] = factorials * sizes
         return values, scales * np.finfo(float).eps
 
+    @cached_property
+    def interpolation_targets(self) -> list[complex]:
+        """interpolation_target at every pole a_m of the full sequence, with
+        s_m its running multiplicity within the prefix.  Computed once per
+        approximant."""
+        poles = self.basis.poles
+        return [
+            interpolation_target(self.spec, a, s)
+            for a, s in zip(poles, poles.multiplicities)
+        ]
+
     def interpolation_residuals(self) -> list[float]:
         """|r^(s_m - 1)(a_m) - target| for every pole of the full sequence,
-        from pole_derivatives; s_m is the running multiplicity within the
-        prefix.  A row whose value, target or rounding scale is not finite
-        raises ValueOutOfRange."""
+        from pole_derivatives and interpolation_targets.  A row whose value,
+        target or rounding scale is not finite raises ValueOutOfRange."""
         poles = self.basis.poles
         values, scales = self.pole_derivatives
         residuals = []
-        for m, (value, scale, a) in enumerate(zip(values, scales, poles)):
-            s = poles.multiplicity_in_prefix(m)
-            target = interpolation_target(self.spec, a, s)
+        rows = zip(values, scales, poles, poles.multiplicities, self.interpolation_targets)
+        for m, (value, scale, a, s, target) in enumerate(rows):
             if not np.isfinite([value, target, scale]).all():
                 raise ValueOutOfRange(
                     f"interpolation row {m} (pole {a}, multiplicity {s}) leaves the "
@@ -723,11 +741,7 @@ def build_error_report(
     residuals = approx.interpolation_residuals()
     mu_grid = circle_grid(approx.expansion.grid_size)
     mu_closed = mu_min_closed_form(spec, free_poles)
-    # tiny minima sit below double-precision cancellation noise; evaluate the
-    # integrand in long double there
-    mu_quad = mu_functional(
-        spec, approx.eval, mu_grid, extended=mu_closed < EXTENDED_MU_CUTOFF
-    )
+    mu_quad = mu_functional(spec, approx.eval, mu_grid, extended=extended_mu(mu_closed))
     nu_grid = nu_functional(spec, approx.basis, approx.coefficients, circle_grid(NU_GRID_NODES))
     nu_closed = nu_min_closed_form(spec, free_poles)
     report = ErrorReport(

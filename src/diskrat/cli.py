@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import errno
+import functools
 import json
 import math
 import os
@@ -31,7 +32,6 @@ from .bergman_approx import (
     build_approximant,
     build_error_report,
     csv_cell,
-    interpolation_target,
 )
 from .circlequad import EPS_BOUNDARY, MAX_NODES, circle_grid, require_in_disk
 from .errors import DiskratError, OrderTooSmall, PointNotInDisk
@@ -385,22 +385,23 @@ def cmd_approximate(cfg: SimpleNamespace) -> int:
     else:
         approx = report.approximant
         approx_dict = approx.to_json_dict()
-        residuals = report.interp_residuals
+        poles = approx.basis.poles
         _, scales = approx.pole_derivatives
-        interp_rows = []
-        for m, a in enumerate(approx.basis.poles):
-            s = approx.basis.poles.multiplicity_in_prefix(m)
-            target = interpolation_target(spec, a, s)
-            interp_rows.append(
-                {
-                    "m": m,
-                    "pole": [a.real, a.imag],
-                    "multiplicity": s,
-                    "target": [target.real, target.imag],
-                    "residual": residuals[m],
-                    "rounding_scale": float(scales[m]),
-                }
-            )
+        rows = zip(
+            poles, poles.multiplicities, approx.interpolation_targets,
+            report.interp_residuals, scales,
+        )
+        interp_rows = [
+            {
+                "m": m,
+                "pole": [a.real, a.imag],
+                "multiplicity": s,
+                "target": [target.real, target.imag],
+                "residual": residual,
+                "rounding_scale": float(scale),
+            }
+            for m, (a, s, target, residual, scale) in enumerate(rows)
+        ]
     if cfg.format != "csv":
         payload = {
             "approximant": approx_dict,
@@ -511,9 +512,16 @@ def build_parser(commands=COMMANDS) -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _cached_parser(commands: frozenset[str]) -> _Parser:
+    """build_parser(commands), built once per set of commands: parsing
+    leaves a parser as it found it."""
+    return build_parser(commands)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(COMMANDS.keys() & set(argv))
+    parser = _cached_parser(frozenset(COMMANDS.keys() & set(argv)))
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)

@@ -19,6 +19,7 @@ phase-freedom tests.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,11 +36,12 @@ __all__ = [
 
 #: Largest array of values TMBasis.eval_all may allocate, in bytes: points
 #: times functions times 16 (complex double) or the size of a complex long
-#: double (32 on x86-64).  It bounds every design matrix too.  The grid
-#: passes of mu and nu evaluate at most NODE_CHUNK nodes at a time, so the
-#: largest evaluation of the benchmark streams, one chunk by 35 functions in
-#: doubles, takes about 9.2 MB; whole-grid blocks are formed only by
-#: design_matrix.
+#: double (32 on x86-64), plus two arrays of the points' size for every
+#: (scale, factor) pair its recurrence keeps across other poles' steps.  It
+#: bounds every design matrix too.  The grid passes of mu and nu evaluate at
+#: most NODE_CHUNK nodes at a time, so the largest evaluation of the
+#: benchmark streams, one chunk by 35 functions in doubles, takes about
+#: 9.2 MB; whole-grid blocks are formed only by design_matrix.
 MAX_DESIGN_BYTES = 2**28
 
 #: Nodes per block of a streamed basis evaluation (TMBasis.eval_chunks).
@@ -87,10 +89,20 @@ class PoleSequence:
     def __repr__(self):
         return f"PoleSequence({list(self._points)!r})"
 
+    @cached_property
+    def multiplicities(self) -> tuple[int, ...]:
+        """(s_0, s_1, ...), s_m the occurrences of a_m among a_0..a_m, in
+        one pass."""
+        seen: dict[complex, int] = {}
+        out = []
+        for a in self._points:
+            seen[a] = seen.get(a, 0) + 1
+            out.append(seen[a])
+        return tuple(out)
+
     def multiplicity_in_prefix(self, m: int) -> int:
         """s_m: occurrences of a_m among a_0..a_m."""
-        a = self._points[m]
-        return sum(1 for p in self._points[: m + 1] if p == a)
+        return self.multiplicities[m]
 
     @property
     def max_modulus(self) -> float:
@@ -201,12 +213,17 @@ class TMBasis:
 
         On the node array of a grid that design_matrix has seen, the result
         is a read-only view of the stored matrix.  Otherwise the recurrence
-        forms the denominator 1 - conj(a) z once per pole, shares it between
-        phi_k and the next product factor, reuses both for a repeated pole,
-        and skips the division at a zero pole, whose factor is z itself.
-        Values of more than MAX_DESIGN_BYTES raise DesignTooLarge before
-        anything is allocated.  The bits depend on the length of z (see
-        NODE_CHUNK); grid passes go through eval_chunks.
+        makes one step per distinct pole, wherever its repeats lie: it forms
+        the denominator 1 - conj(a) z once, shares it between the scale of
+        phi_k and the product factor, and keeps that (scale, factor) pair,
+        keyed by pole equality as multiplicities are, until the pole's last
+        occurrence.  A zero pole divides nothing: its factor is z itself.
+        The factor of the last function is not formed.  Values of more than
+        MAX_DESIGN_BYTES, counting the pairs kept while other poles' steps
+        run, raise DesignTooLarge before anything is allocated.  The bits
+        are those of forming the pair again at every repeat, and depend on
+        the length of z (see NODE_CHUNK); grid passes go through
+        eval_chunks.
         """
         count = self._check_count(count)
         entry = self._designs.get(id(z))
@@ -216,7 +233,19 @@ class TMBasis:
         scalar = z.ndim == 0
         zz = np.atleast_1d(z)
         dtype = np.result_type(zz, np.complex128)
-        size = zz.size * count * dtype.itemsize
+        poles = self.poles[:count]
+        # the last index of every nonzero pole, and the most pairs kept for
+        # a later step while another pole's step runs: the bytes beyond the
+        # one pair in use
+        last = {a: k for k, a in enumerate(poles) if a != 0}
+        kept: set[complex] = set()
+        most_kept = 0
+        for k, a in enumerate(poles):
+            kept.discard(a)
+            most_kept = max(most_kept, len(kept))
+            if a != 0 and last[a] > k:
+                kept.add(a)
+        size = zz.size * (count + 2 * most_kept) * dtype.itemsize
         if size > MAX_DESIGN_BYTES:
             raise DesignTooLarge(
                 f"an evaluation of {zz.size} points by {count} functions "
@@ -224,19 +253,27 @@ class TMBasis:
             )
         out = np.empty((count,) + zz.shape, dtype=dtype)
         running = np.ones(zz.shape, dtype=out.dtype)
-        previous = None
-        for k in range(count):
-            a = self.poles[k]
-            if a != previous:
-                if a == 0:
-                    scale, factor = None, zz
-                else:
-                    denominator = 1.0 - self._conjs[k] * zz
-                    scale = self._norms[k] / denominator
+        pairs: dict[complex, tuple] = {}
+        for k, a in enumerate(poles):
+            if a == 0:
+                scale, factor = None, zz
+            elif a in pairs:
+                scale, factor = pairs.pop(a) if last[a] == k else pairs[a]
+            else:
+                denominator = 1.0 - self._conjs[k] * zz
+                scale = self._norms[k] / denominator
+                factor = None
+                if k + 1 < count:
                     factor = self._phases[k] * (zz - a) / denominator
-                previous = a
-            out[k] = running if scale is None else scale * running
+                if last[a] > k:
+                    pairs[a] = scale, factor
+            if scale is None:
+                out[k] = running
+            else:
+                np.multiply(scale, running, out=out[k])
             if k + 1 < count:
+                # out of place: numpy's aliased complex multiply
+                # (out=running) takes another loop and rounds differently
                 running = running * factor
         return out[:, 0] if scalar else out
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergman_approx import (
-    EXTENDED_MU_CUTOFF,
     NU_GRID_NODES,
     build_approximant,
     build_error_report,
@@ -24,6 +23,7 @@ from .bergman_approx import (
     competitor_function,
     competitor_trials,
     equimodularity_variation,
+    extended_mu,
     interpolation_target,
     mu_functional,
     mu_min_closed_form,
@@ -143,7 +143,7 @@ def _check_quadratic_group() -> list[tuple[str, float, dict]]:
         free = PoleSequence.random(n - alpha, rng=rng, max_modulus=0.85)
         approx = build_approximant(spec, free)
         mu_closed = mu_min_closed_form(spec, free)
-        extended = mu_closed < EXTENDED_MU_CUTOFF
+        extended = extended_mu(mu_closed)
         # the LSQ problem stores the basis's design matrices on the double and
         # the long-double 4096-node grids; mu below reuses them
         problem = LeastSquaresProblem.build(spec, approx.basis, circle_grid(4096))

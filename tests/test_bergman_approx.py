@@ -33,8 +33,15 @@ from diskrat import (
     random_competitor_coefficients,
     ratio_coefficients,
 )
-from diskrat import bergman_approx, tm_basis
-from diskrat.bergman_approx import NU_GRID_NODES, _GOLDEN, _REFINE_ITERS, _golden_max
+from diskrat import bergman_approx, tm_basis, verify
+from diskrat.bergman_approx import (
+    EXTENDED_MU_CUTOFF,
+    NU_GRID_NODES,
+    _GOLDEN,
+    _REFINE_ITERS,
+    _golden_max,
+    extended_mu,
+)
 from diskrat.tm_basis import NODE_CHUNK
 
 GRID = circle_grid(4096)
@@ -763,6 +770,20 @@ class TestQuadraticUniformBound:
             assert mu * (1 - abs(spec.w) ** 2) <= nu**2 + 1e-12
 
 
+def spy_on_mu(monkeypatch) -> list[bool]:
+    """Record the extended flag of every mu_functional call that
+    build_error_report makes."""
+    calls = []
+    real = bergman_approx.mu_functional
+
+    def mu_functional(spec, rational, grid, extended=False):
+        calls.append(extended)
+        return real(spec, rational, grid, extended)
+
+    monkeypatch.setattr(bergman_approx, "mu_functional", mu_functional)
+    return calls
+
+
 class TestErrorReport:
     def test_csv_round_trip_digits(self):
         spec = KernelSpec(0, 0.5)
@@ -797,6 +818,56 @@ class TestErrorReport:
         # the kernel itself then lies in the competitor class: minima vanish
         assert report.mu_closed_form == pytest.approx(0.0, abs=1e-30)
         assert report.nu_closed_form == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "alpha, w, free",
+        [
+            (0, 0.5, [0.3, 0.5]),
+            (2, 0.7 + 0.2j, [0.3, 0.7 + 0.2j, -0.5j]),
+            (3, -0.9j, [-0.9j] * 3 + [0.2]),
+            (1, 0.95, [0.95, 0.1]),
+        ],
+    )
+    def test_zero_minimum_takes_mu_in_doubles(self, alpha, w, free, monkeypatch):
+        # B(w) = 0 makes mu_min exactly zero: there is no relative tolerance
+        # for long double to keep, and mu in doubles stays at rounding level
+        spec = KernelSpec(alpha, w)
+        calls = spy_on_mu(monkeypatch)
+        report = build_error_report(spec, free)
+        assert report.mu_closed_form == 0.0
+        assert calls == [False]
+        # scaled as the benchmark's gate scales it: by the sup of the
+        # approximated function (1 - x conj(w))^-(1+alpha) on the circle
+        sup_kernel = float(np.max(np.abs(spec.cauchy_power(GRID.nodes))))
+        assert report.mu_quadrature <= 1e-20 * max(1.0, sup_kernel**2)
+
+    def test_tiny_nonzero_minimum_takes_mu_in_long_double(self, monkeypatch):
+        spec = KernelSpec(0, 0.1)
+        calls = spy_on_mu(monkeypatch)
+        report = build_error_report(spec, [0j] * 5)
+        assert report.mu_closed_form == pytest.approx(1.03e-12, rel=1e-2)
+        assert calls == [True]
+
+    def test_the_rule(self):
+        assert not extended_mu(0.0)
+        assert extended_mu(1e-300)
+        assert extended_mu(np.nextafter(EXTENDED_MU_CUTOFF, 0.0))
+        assert not extended_mu(EXTENDED_MU_CUTOFF)
+
+    def test_verify_takes_the_same_rule(self, monkeypatch):
+        seen = []
+
+        class Seen(Exception):
+            pass
+
+        def rule(mu_min):
+            seen.append(mu_min)
+            raise Seen  # the first configuration is enough
+
+        monkeypatch.setattr(verify, "extended_mu", rule)
+        with pytest.raises(Seen):
+            verify._check_quadratic_group()
+        assert len(seen) == 1 and seen[0] > 0.0
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_validate_rejects_bad_values(self, bad):

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 import diskrat.bergman_approx
 import diskrat.circlequad
+from diskrat import KernelSpec, cli
 from diskrat.cli import (
     COMMANDS,
     OPTIONS,
+    UsageError,
     build_parser,
     main,
     parse_complex,
@@ -85,6 +87,25 @@ class TestApproximate:
         assert payload["error_report"]["max_interp_residual"] == max(
             row["residual"] for row in payload["interpolation_residuals"]
         )
+
+    def test_each_target_is_taken_once(self, capsys, monkeypatch):
+        calls = []
+        target = diskrat.bergman_approx.interpolation_target
+
+        def counted_target(*args):
+            calls.append(args[1:])
+            return target(*args)
+
+        monkeypatch.setattr(diskrat.bergman_approx, "interpolation_target", counted_target)
+        code, out, _ = run_cli(
+            capsys, "approximate", "--alpha", "1", "--w", "0.4,0.1", "--poles", "0.3,0;0.4,0.1"
+        )
+        assert code == 0
+        w = complex(0.4, 0.1)
+        assert calls == [(0.3, 1), (w, 1), (w, 2), (w, 3)]
+        rows = json.loads(out)["interpolation_residuals"]
+        assert [row["multiplicity"] for row in rows] == [1, 1, 2, 3]
+        assert [complex(*row["target"]) for row in rows] == [target(KernelSpec(1, w), *c) for c in calls]
 
     @pytest.mark.parametrize("alpha,w,count", [(0, "0.1,0", 8), (0, "0.1,0", 12), (3, "0.6,0", 20)])
     def test_highly_repeated_zero_pole_exits_0(self, capsys, alpha, w, count):
@@ -641,6 +662,67 @@ class TestOptionTable:
         code, out, _ = run_cli(capsys, "basis", "--poles", "zeros", "--n", str(n))
         assert code == 0
         assert json.loads(out)["poles"] == [[0.0, 0.0]] * (n + 1)
+
+
+class TestCachedParser:
+    def test_one_parser_per_command_set(self, capsys, monkeypatch):
+        built = []
+
+        def counted(commands):
+            built.append(set(commands))
+            return build_parser(commands)
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._cached_parser.cache_clear()
+        try:
+            for argv in (
+                ["basis", "--poles", "0,0"],
+                ["approximate", "--w", "0.5,0", "--poles", "0,0"],
+                ["basis", "--poles", "0.3,0;0,0"],
+                ["approximate", "--w", "0.3,0", "--poles", "0,0.2"],
+            ):
+                code, out, err = run_cli(capsys, *argv)
+                assert code == 0, err
+                assert json.loads(out)
+        finally:
+            cli._cached_parser.cache_clear()
+        assert built == [{"basis"}, {"approximate"}]
+
+    def test_a_usage_error_leaves_the_parser_usable(self, capsys):
+        good = ["approximate", "--w", "0.5,0", "--poles", "0,0"]
+        first = run_cli(capsys, *good)
+        for bad in (good + ["--grid", "1024"], good + ["--w"], ["approximate", "--n", "x"]):
+            code, out, err = run_cli(capsys, *bad)
+            assert code == 1 and out == "" and err.startswith("error:")
+            assert run_cli(capsys, *good) == first
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approximate", "--grid", "1024"],
+            ["approximate", "--w"],
+            ["frobnicate"],
+            [],
+            ["verify", "approximate", "--w", "0.5,0"],
+        ],
+    )
+    def test_error_messages_are_those_of_a_fresh_parser(self, capsys, argv):
+        with pytest.raises(UsageError) as fresh:
+            build_parser(COMMANDS.keys() & set(argv)).parse_args(argv)
+        for _ in range(2):
+            assert run_cli(capsys, *argv) == (1, "", f"error: {fresh.value}\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["approximate", "--help"], ["verify", "-h"]])
+    def test_help_is_that_of_a_fresh_parser(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            build_parser(COMMANDS.keys() & set(argv)).parse_args(argv)
+        fresh = capsys.readouterr().out
+        assert fresh.startswith(f"usage: diskrat {' '.join(argv[:-1])}".rstrip())
+        for _ in range(2):
+            with pytest.raises(SystemExit) as done:
+                main(list(argv))
+            assert done.value.code == 0
+            assert capsys.readouterr().out == fresh
 
 
 # Values for any flag: well-formed ones (orders and counts at most 12, so

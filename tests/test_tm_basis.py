@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,15 @@ class TestPoleSequence:
     def test_multiplicity_bookkeeping(self):
         seq = PoleSequence([0.3, -0.4j, 0.3, 0.3, 0.5])
         assert [seq.multiplicity_in_prefix(m) for m in range(len(seq))] == [1, 1, 2, 3, 1]
+
+    def test_multiplicities_count_each_prefix(self):
+        rng = np.random.default_rng(12)
+        pool = [0.3, -0.4j, 0j, complex(0.3, -0.0)]
+        seq = PoleSequence(rng.choice(pool, size=40))
+        points = seq.points
+        assert seq.multiplicities == tuple(
+            sum(p == a for p in points[: m + 1]) for m, a in enumerate(points)
+        )
 
     def test_s_nondecreasing_along_equal_runs(self):
         rng = np.random.default_rng(11)
@@ -424,7 +434,7 @@ class TestDesignBound:
 
     def test_cap_counts_the_bytes_of_the_grid_dtype(self, monkeypatch):
         monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", 256 * 3 * 16)
-        basis = TMBasis([0.3, -0.4j, 0.3])
+        basis = TMBasis([0.3, -0.4j, 0.5])
         assert basis.design_matrix(circle_grid(256)).nbytes == 256 * 3 * 16
         long_grid = circle_grid(256, extended=True)
         if np.dtype(np.clongdouble).itemsize > 16:
@@ -432,3 +442,104 @@ class TestDesignBound:
                 basis.design_matrix(long_grid)
         with pytest.raises(DesignTooLarge):
             TMBasis([0.3] * 4).design_matrix(circle_grid(256))
+
+    @pytest.mark.parametrize(
+        "poles, kept",
+        [
+            ([0.3, -0.4j] * 3, 1),
+            ([0.3, -0.4j, 0.5 + 0.2j] * 2, 2),
+            ([0j, 0.3, 0.3, 0j, 0j], 0),  # a zero pole keeps no arrays
+            ([0.3] * 3 + [-0.4j] * 3, 0),  # nor does a run of equal poles
+        ],
+    )
+    def test_kept_pairs_count_toward_the_cap(self, poles, kept, monkeypatch):
+        # A pole's (scale, factor) pair, two arrays of the points' size, is
+        # kept through the steps of other poles until its last occurrence.
+        nodes = circle_grid(256).nodes
+        basis = TMBasis(poles)
+        size = 256 * (len(poles) + 2 * kept) * 16
+        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", size - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DesignTooLarge, match=f"needs {size} bytes"):
+                basis.eval_all(nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 16
+        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", size)
+        assert same_bits(basis.eval_all(nodes), adjacent_only_eval_all(poles, nodes))
+
+
+def adjacent_only_eval_all(poles, z, count=None):
+    """The recurrence of TMBasis.eval_all as it was when a pole's
+    (scale, factor) pair was reused only by the poles right after it: a
+    non-adjacent repeat forms its pair again, from its own constants."""
+    count = len(poles) if count is None else count
+    z = np.asarray(z)
+    zz = np.atleast_1d(z)
+    out = np.empty((count,) + zz.shape, dtype=np.result_type(zz, np.complex128))
+    running = np.ones(zz.shape, dtype=out.dtype)
+    previous = None
+    for k in range(count):
+        a = complex(poles[k])
+        if a != previous:
+            if a == 0:
+                scale, factor = None, zz
+            else:
+                denominator = 1.0 - a.conjugate() * zz
+                scale = math.sqrt(1.0 - abs(a) ** 2) / denominator
+                factor = tm_basis._phase(a) * (zz - a) / denominator
+            previous = a
+        out[k] = running if scale is None else scale * running
+        if k + 1 < count:
+            running = running * factor
+    return out[:, 0] if z.ndim == 0 else out
+
+
+def same_bits(a, b) -> bool:
+    """Equal values with equal signs of zero, in both parts.  Long double
+    arrays are compared by value: their padding bytes are undefined."""
+    return a.shape == b.shape and a.dtype == b.dtype and all(
+        np.array_equal(f(a), f(b))
+        for f in (np.real, np.imag, lambda v: np.signbit(v.real), lambda v: np.signbit(v.imag))
+    )
+
+
+W = 0.3 - 0.4j
+PAIR_POLES = {
+    "non_adjacent": [0.5 + 0.2j, 0.3j, 0.5 + 0.2j, -0.4, 0.3j, 0.5 + 0.2j, 0.1 - 0.6j, -0.4],
+    "interleaved_zeros": [0j, 0.5 + 0.2j, 0j, 0.5 + 0.2j, 0j, 0.7, 0j, 0.7, 0.7],
+    # the full sequence of an approximant whose free poles include w = 0.3 - 0.4i
+    "free_pole_at_w": list(PoleSequence([W, 0.2, W, 0.6j]).with_trailing(W, 3)),
+    # equal poles, and the same pair, whatever the sign of a zero part
+    "signed_zeros": [
+        complex(0.5, 0.0), 0.2j, complex(0.5, -0.0), complex(-0.0, 0.3),
+        complex(0.0, 0.3), complex(-0.4, -0.0), 0.1, complex(-0.4, 0.0),
+    ],
+}
+
+
+def pair_points():
+    rng = np.random.default_rng(43)
+    on_axis = np.array([1.0, -1.0, 0.5, -0.3, 0.0, 0.4j], dtype=complex)
+    return {
+        "2^14 nodes": circle_grid(2**14).nodes,
+        "4096 nodes": circle_grid(4096).nodes,
+        "25 points": np.concatenate([on_axis, random_disk_points(rng, 19, 0.95)]),
+        "scalar": np.complex128(0.3 - 0.2j),
+        "4096 long double nodes": circle_grid(4096, extended=True).nodes,
+    }
+
+
+class TestPairReuse:
+    @pytest.mark.parametrize("points", sorted(pair_points()))
+    @pytest.mark.parametrize("kind", sorted(PAIR_POLES))
+    def test_bit_for_bit_the_adjacent_only_recurrence(self, kind, points):
+        # eval_all keeps a pole's pair across other poles; the recurrence
+        # that formed it again at each non-adjacent repeat gives the same bits
+        poles = PAIR_POLES[kind]
+        z = pair_points()[points]
+        basis = TMBasis(poles)
+        for count in (len(poles), len(poles) - 2, 3, 1):
+            assert same_bits(basis.eval_all(z, count), adjacent_only_eval_all(poles, z, count))
