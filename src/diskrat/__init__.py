@@ -16,8 +16,6 @@ from .bergman_approx import (
     mu_min_closed_form,
     nu_functional,
     nu_min_closed_form,
-    random_competitor_coefficients,
-    ratio_coefficients,
 )
 from .circlequad import (
     EPS_BOUNDARY,

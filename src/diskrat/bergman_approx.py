@@ -38,14 +38,9 @@ import numpy as np
 
 from .circlequad import CircleGrid, circle_grid, require_in_disk, sample_on_nodes
 from .errors import NonFiniteIntegrand, ValueOutOfRange
-from .expansion import (
-    FourierExpansion,
-    expand_function,
-    expand_kernel,
-    validate_trailing_poles,
-)
+from .expansion import FourierExpansion, expand_kernel, validate_trailing_poles
 from .kernels import KernelSpec
-from .tm_basis import BlaschkeProduct, PoleSequence, TMBasis
+from .tm_basis import NODE_CHUNK, BlaschkeProduct, PoleSequence, TMBasis
 
 __all__ = [
     "Approximant",
@@ -57,8 +52,6 @@ __all__ = [
     "closed_form_J",
     "competitor_function",
     "competitor_trials",
-    "random_competitor_coefficients",
-    "ratio_coefficients",
     "equimodularity_variation",
     "extended_mu",
     "interpolation_target",
@@ -307,22 +300,80 @@ def build_approximant(
     )
 
 
-def mu_functional(
-    spec: KernelSpec, rational: Callable, grid: CircleGrid, extended: bool = False
-) -> float:
-    """Quadrature of |K_alpha(x; w) - R(x) / (1 - x conj(w))|^2 over the circle.
+def _competitor_values(basis: TMBasis, rows: np.ndarray, nodes, multiplier):
+    """Yield (start, part, block, R), R = multiplier * (rows[block] @ phi),
+    for each part of the nodes (TMBasis.eval_chunks) in node order and each
+    block of at most m rows; start is the part's first node.  The caller may
+    overwrite R and must drop it before the next block.  A non-finite R
+    raises NonFiniteIntegrand, after the last part, at the first node of the
+    first row that has one."""
+    trials, count = rows.shape
+    block = max(count, 1)
+    bad_row = trials  # the first row with a non-finite R, once one is seen
+    start = 0
+    for part, phi in basis.eval_chunks(nodes, count):
+        for first in range(0, bad_row, block):
+            # R = multiplier * (rows @ phi) in this operand order, the rounding
+            # of Approximant.eval; error *= multiplier rounds differently.
+            # np.dot rounds as matmul does, and is twice as fast in long double
+            values = np.dot(rows[first : first + block], phi)
+            np.multiply(multiplier[part], values, out=values)
+            finite = np.isfinite(values[: bad_row - first])
+            if not finite.all():
+                row, node = np.unravel_index(int(np.argmin(finite)), finite.shape)
+                bad_row, bad_node = first + row, start + node
+                bad_value = complex(values[row, node])
+                break
+            # once a row has failed, only the rows before it are checked on:
+            # a failure of theirs at a later node is the one to report
+            if bad_row == trials:
+                yield start, part, slice(first, first + block), values
+            del values  # freed before the next block is formed
+        start += phi.shape[-1]
+        del phi  # freed before the next part is evaluated
+    if bad_row < trials:
+        raise NonFiniteIntegrand(int(bad_node), bad_value)
 
-    With extended=True the integrand is evaluated in long-double arithmetic;
-    near-optimal R makes the integrand a difference of O(1) quantities, and the
-    extra mantissa keeps tiny minima meaningful.  R is called on the grid's
-    own node array, so a rational built on a basis (Approximant.eval,
-    competitor_function) reuses a design matrix stored for that grid.
+
+def mu_functional(
+    spec: KernelSpec, basis: TMBasis, coefficients, grid: CircleGrid, *, extended: bool
+) -> float | np.ndarray:
+    """mu of R(x) = (1 - x conj(w)) sum_k c_k phi_k(x): the quadrature of
+    |K_alpha(x; w) - R(x) / (1 - x conj(w))|^2 over the circle, in long
+    double on the grid's long-double twin with extended=True (the rule is
+    extended_mu).  A row c gives a float, a (trials, m) matrix one value per
+    row.  The pass streams as nu_functional's does and samples K once.  The
+    integrand is formed, and summed, as numpy's mean of the callable route
+    from Approximant.eval was, so an approximant's row scores as its eval
+    did, to the bit; a batch of rows takes another matrix product and may
+    round apart in the last bits.
     """
+    coefficients = np.asarray(coefficients, dtype=complex)
+    rows = np.atleast_2d(coefficients)
     nodes = circle_grid(grid.node_count, extended=True).nodes if extended else grid.nodes
-    values = sample_on_nodes(rational, nodes)
+    multiplier = 1.0 - nodes * np.conj(spec.w)
     kernel = spec.bergman(nodes)
-    error = kernel - values / (1.0 - nodes * np.conj(spec.w))
-    return float(np.mean(np.abs(error) ** 2))
+    count = len(nodes)
+    parts = -(-count // NODE_CHUNK)
+    # numpy sums NODE_CHUNK * 2^k squares as the pairwise sum of the parts'
+    # sums; another grid of several parts keeps its squares to sum them whole
+    whole = parts > 1 and bool(count % NODE_CHUNK or parts & (parts - 1))
+    squares = np.empty((len(rows), count if whole else 0), dtype=kernel.real.dtype)
+    sums = np.empty((parts, len(rows)), dtype=squares.dtype)
+    for start, part, block, error in _competitor_values(basis, rows, nodes, multiplier):
+        np.divide(error, multiplier[part], out=error)
+        np.subtract(kernel[part], error, out=error)
+        # one row at a time: no block of moduli beside the block of errors
+        for row in range(block.start, block.start + len(error)):
+            modulus = np.abs(error[row - block.start], out=squares[row, part] if whole else None)
+            sums[start // NODE_CHUNK, row] = np.add.reduce(np.square(modulus, out=modulus))
+        del error  # freed before the next block is formed
+    if whole:
+        sums = np.add.reduce(squares, axis=-1)[None]
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    mu = (sums[0] / count).astype(float)
+    return float(mu[0]) if coefficients.ndim == 1 else mu
 
 
 def mu_min_closed_form(spec: KernelSpec, free_poles: PoleSequence | list[complex]) -> float:
@@ -489,35 +540,13 @@ def nu_functional(
     kernel = spec.cauchy_power(nodes)
     tracker = _GridBrackets(trials, len(nodes))
     sizes = np.empty(trials)
-    block = max(count, 1)
-    bad_row = trials  # the first row with a non-finite R, once one is seen
-    start = 0
-    for part, phi in basis.eval_chunks(nodes, count):
-        for first in range(0, bad_row, block):
-            part_rows = slice(first, first + block)
-            # R = multiplier * (rows @ phi) in this operand order, the rounding
-            # of Approximant.eval; error *= multiplier rounds differently
-            error = rows[part_rows] @ phi
-            np.multiply(multiplier[part], error, out=error)
-            bad = ~np.isfinite(error[: bad_row - first])
-            if bad.any():
-                row, node = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                bad_row, bad_node = first + row, start + node
-                bad_value = complex(error[row, node])
-                break
-            # once a row has failed, only the rows before it are checked on:
-            # a failure of theirs at a later node is the one to report
-            if bad_row == trials:
-                np.subtract(kernel[part], error, out=error)
-                moved, local = tracker.feed(part_rows, start, np.abs(error))
-                # |R| = |K - error| at each new best node
-                j = local[moved]
-                sizes[part_rows][moved] = np.abs(kernel[start + j] - error[moved, j])
-            del error  # freed before the next block is formed
-        start += phi.shape[-1]
-        del phi  # freed before the next part is evaluated
-    if bad_row < trials:
-        raise NonFiniteIntegrand(int(bad_node), bad_value)
+    for start, part, block, error in _competitor_values(basis, rows, nodes, multiplier):
+        np.subtract(kernel[part], error, out=error)
+        moved, local = tracker.feed(block, start, np.abs(error))
+        # |R| = |K - error| at each new best node
+        j = local[moved]
+        sizes[block][moved] = np.abs(kernel[start + j] - error[moved, j])
+        del error  # freed before the next block is formed
     index, points, moduli = tracker.brackets()
     floor = _ROUNDING_FLOOR * (np.abs(kernel[index]) + sizes)
 
@@ -564,7 +593,9 @@ def closed_form_J(spec: KernelSpec, basis: TMBasis, n: int, z) -> complex:
 
 
 def competitor_function(basis: TMBasis, w: complex, coefficients) -> Callable:
-    """Member of the competitor class: R(x) = (1 - x conj(w)) sum c_m phi_m(x)."""
+    """Member of the competitor class: R(x) = (1 - x conj(w)) sum c_m phi_m(x).
+    The library scores coefficient rows and no longer calls this; it stays
+    while the benchmark's tracer installs a span on it."""
     coefficients = np.asarray(coefficients, dtype=complex)
     count = len(coefficients)
 
@@ -577,49 +608,24 @@ def competitor_function(basis: TMBasis, w: complex, coefficients) -> Callable:
     return rational
 
 
-def random_competitor_coefficients(
-    approx: Approximant, rng: np.random.Generator
-) -> np.ndarray:
-    """Optimal coefficients plus complex Gaussian noise of scale
-    _NOISE_SCALE * max|c|: probes the neighborhood of the optimum where
-    minimality violations would be most visible."""
-    c = approx.coefficients
-    scale = _NOISE_SCALE * float(np.max(np.abs(c)))
-    noise = rng.standard_normal(len(c)) + 1j * rng.standard_normal(len(c))
-    return c + scale * noise
-
-
 def competitor_trials(
     approx: Approximant, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     """The (trials, m) coefficient schedule of the competitor scans: trial 0
-    is the optimum, odd trials perturb it (random_competitor_coefficients),
-    even trials draw complex Gaussian coefficients of scale max|c|.  The
-    generator is consumed in trial order."""
+    is the optimum, odd trials add complex Gaussian noise of scale
+    _NOISE_SCALE * max|c| to it, even trials draw complex Gaussian
+    coefficients of scale max|c|.  The generator is consumed in trial order,
+    each trial taking the real and then the imaginary parts of its m
+    Gaussians, all in one draw."""
     optimum = approx.coefficients
     scale = float(np.max(np.abs(optimum)))
     rows = np.empty((int(trials), len(optimum)), dtype=complex)
-    for trial in range(len(rows)):
-        if trial == 0:
-            rows[trial] = optimum
-        elif trial % 2 == 1:
-            rows[trial] = random_competitor_coefficients(approx, rng)
-        else:
-            rows[trial] = scale * (
-                rng.standard_normal(len(optimum)) + 1j * rng.standard_normal(len(optimum))
-            )
+    rows[:1] = optimum
+    draws = rng.standard_normal((max(len(rows) - 1, 0), 2, len(optimum)))
+    noise = draws[:, 0] + 1j * draws[:, 1]
+    rows[1::2] = optimum + (_NOISE_SCALE * scale) * noise[0::2]
+    rows[2::2] = scale * noise[1::2]
     return rows
-
-
-def ratio_coefficients(
-    rational: Callable, w: complex, basis: TMBasis, grid: CircleGrid
-) -> np.ndarray:
-    """Basis coefficients of R(x) / (1 - x conj(w)) by quadrature."""
-    expansion = expand_function(
-        lambda x: rational(x) / (1.0 - x * np.conj(w)), basis, grid,
-        source="competitor_ratio",
-    )
-    return expansion.coefficients
 
 
 def equimodularity_variation(
@@ -741,7 +747,9 @@ def build_error_report(
     residuals = approx.interpolation_residuals()
     mu_grid = circle_grid(approx.expansion.grid_size)
     mu_closed = mu_min_closed_form(spec, free_poles)
-    mu_quad = mu_functional(spec, approx.eval, mu_grid, extended=extended_mu(mu_closed))
+    mu_quad = mu_functional(
+        spec, approx.basis, approx.coefficients, mu_grid, extended=extended_mu(mu_closed)
+    )
     nu_grid = nu_functional(spec, approx.basis, approx.coefficients, circle_grid(NU_GRID_NODES))
     nu_closed = nu_min_closed_form(spec, free_poles)
     report = ErrorReport(

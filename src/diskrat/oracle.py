@@ -49,8 +49,6 @@ CONDITION_LIMIT = 1e8
 class LeastSquaresProblem:
     """Discrete minimization of |K_alpha - sum c_m phi_m|^2 over the grid."""
 
-    spec: KernelSpec
-    basis: TMBasis
     grid: CircleGrid
     design: np.ndarray
     target: np.ndarray
@@ -63,7 +61,7 @@ class LeastSquaresProblem:
         target = sample_on_nodes(spec.bergman, grid.nodes)
         gram = (np.conj(design).T @ design) * grid.weight
         condition = float(np.linalg.cond(gram))
-        return cls(spec, basis, grid, design, target, gram, condition)
+        return cls(grid, design, target, gram, condition)
 
 
 @dataclass
@@ -85,33 +83,27 @@ class LsqResult:
         }
 
 
-def lsq_minimize(problem: LeastSquaresProblem, extended: bool = False) -> LsqResult:
+def lsq_minimize(problem: LeastSquaresProblem) -> LsqResult:
     """Minimize the discrete quadratic functional via both solver routes.
 
     Route one treats the discrete Gram as the identity and takes inner
     products; route two solves the normal equations.  The discrete minimum is
-    evaluated from the normal-equations solution; with extended=True the
-    residual is re-evaluated in long-double arithmetic, which keeps minima far
-    below double cancellation noise meaningful (the solve stays in doubles).
+    the mean squared residual of the normal-equations solution, in doubles;
+    verify scores the solution row with mu_functional instead, in long
+    double where extended_mu says so.
     """
     if not np.isfinite(problem.condition) or problem.condition > CONDITION_LIMIT:
         raise IllConditioned(problem.condition)
     weight = problem.grid.weight
-    rhs = (np.conj(problem.design).T @ problem.target) * weight
+    adjoint = np.conj(problem.design).T
+    rhs = (adjoint @ problem.target) * weight
     inner = rhs.copy()
     coefficients = np.linalg.solve(problem.gram, rhs)
     residual = problem.target - problem.design @ coefficients
-    if extended:
-        grid_ext = circle_grid(problem.grid.node_count, extended=True)
-        design_ext = problem.basis.design_matrix(grid_ext)
-        target_ext = sample_on_nodes(problem.spec.bergman, grid_ext.nodes)
-        residual_ext = target_ext - design_ext @ coefficients
-        minimum = float(np.mean(np.abs(residual_ext) ** 2))
-    else:
-        minimum = float(np.mean(np.abs(residual) ** 2))
+    minimum = float(np.mean(np.abs(residual) ** 2))
     route_gap = float(np.max(np.abs(coefficients - inner)))
     orthogonality = float(
-        np.max(np.abs((np.conj(problem.design).T @ residual) * weight))
+        np.max(np.abs((adjoint @ residual) * weight))
     )
     return LsqResult(
         coefficients=coefficients,

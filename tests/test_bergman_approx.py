@@ -30,18 +30,19 @@ from diskrat import (
     mu_min_closed_form,
     nu_functional,
     nu_min_closed_form,
-    random_competitor_coefficients,
-    ratio_coefficients,
 )
 from diskrat import bergman_approx, tm_basis, verify
 from diskrat.bergman_approx import (
     EXTENDED_MU_CUTOFF,
     NU_GRID_NODES,
     _GOLDEN,
+    _NOISE_SCALE,
     _REFINE_ITERS,
     _golden_max,
     extended_mu,
 )
+from diskrat.circlequad import sample_on_nodes
+from diskrat.expansion import expand_function
 from diskrat.tm_basis import NODE_CHUNK
 
 GRID = circle_grid(4096)
@@ -282,13 +283,13 @@ class TestMembership:
 class TestMuFunctional:
     def test_zero_competitor_constant_kernel(self):
         spec = KernelSpec(0, 0j)
-        value = mu_functional(spec, lambda x: np.zeros_like(x), GRID)
+        value = mu_functional(spec, TMBasis([0j]), [0.0], GRID, extended=False)
         assert value == pytest.approx(1.0, abs=1e-14)
 
     def test_minimum_reached_at_approximant(self):
         spec = KernelSpec(0, 0.5)
         approx = build_approximant(spec, [0j])
-        value = mu_functional(spec, approx.eval, GRID)
+        value = mu_functional(spec, approx.basis, approx.coefficients, GRID, extended=False)
         assert value == pytest.approx(4.0 / 27.0, rel=1e-12)
 
     def test_pythagoras_shift(self):
@@ -297,7 +298,7 @@ class TestMuFunctional:
         approx = build_approximant(spec, [0j])
         shifted = approx.coefficients.copy()
         shifted[0] += 0.1
-        value = mu_functional(spec, competitor_function(approx.basis, spec.w, shifted), GRID)
+        value = mu_functional(spec, approx.basis, shifted, GRID, extended=False)
         assert value == pytest.approx(4.0 / 27.0 + 0.01, abs=1e-12)
 
     def test_minimality_against_random_competitors(self):
@@ -305,12 +306,143 @@ class TestMuFunctional:
         approx = build_approximant(spec, [0.3, -0.5j])
         floor = mu_min_closed_form(spec, approx.free_poles)
         rng = np.random.default_rng(99)
-        for _ in range(100):
-            coeffs = random_competitor_coefficients(approx, rng)
-            value = mu_functional(
-                spec, competitor_function(approx.basis, spec.w, coeffs), GRID
+        rows = [competitor_trials(approx, 2, rng)[1] for _ in range(100)]
+        values = mu_functional(spec, approx.basis, rows, GRID, extended=False)
+        assert values.shape == (100,)
+        assert np.all(values >= floor - 1e-12)
+
+
+def callable_mu(spec, rational, grid, extended=False):
+    """Reference: mu as it was computed from a callable R, on the whole grid
+    at once."""
+    nodes = circle_grid(grid.node_count, extended=True).nodes if extended else grid.nodes
+    values = sample_on_nodes(rational, nodes)
+    kernel = spec.bergman(nodes)
+    error = kernel - values / (1.0 - nodes * np.conj(spec.w))
+    return float(np.mean(np.abs(error) ** 2))
+
+
+INEQUALITY_CONFIGS = [
+    (KernelSpec(0, 0.3), [0.2]),
+    (KernelSpec(0, 0.5), [0j]),
+    (KernelSpec(1, complex(0.5 * np.cos(np.pi / 5), 0.5 * np.sin(np.pi / 5))), [0.3, -0.2j]),
+    (KernelSpec(2, 0.6j), [0.25]),
+]
+
+
+class TestMuRows:
+    """mu_functional scores coefficient rows; the row of an approximant must
+    score as the callable route scored Approximant.eval."""
+
+    @pytest.mark.parametrize(
+        "spec, free, nodes, extended, stored",
+        [
+            # the expansion grid of an ordinary request, with and without a
+            # stored design matrix, in doubles and in long double
+            (KernelSpec(1, 0.4 - 0.3j), [0.3, -0.5j, 0.2 + 0.6j], None, False, False),
+            (KernelSpec(1, 0.4 - 0.3j), [0.3, -0.5j, 0.2 + 0.6j], None, False, True),
+            (KernelSpec(0, 0.1), [0j] * 5, None, True, False),
+            (KernelSpec(3, 0.2 + 0.1j), [0.5, 0.5, -0.3j], None, True, True),
+            # escalated to 2^15 nodes, two parts added pairwise
+            (KernelSpec(2, 0.99j), [0.3, -0.4], None, False, False),
+            (KernelSpec(2, 0.99j), [0.3, -0.4], None, True, False),
+            # four parts; and grids of other sizes, whose squares are kept whole
+            (KernelSpec(1, 0.5), [0.2j, 0.7], 2**16, False, False),
+            (KernelSpec(1, 0.5), [0.2j, 0.7], NODE_CHUNK + 64, False, False),
+            (KernelSpec(1, 0.5), [0.2j, 0.7], 3 * NODE_CHUNK, True, False),
+        ],
+    )
+    def test_approximant_row_scores_as_its_eval(self, spec, free, nodes, extended, stored):
+        approx = build_approximant(spec, free)
+        if nodes is None:
+            nodes = approx.expansion.grid_size
+            assert nodes == (2**15 if abs(spec.w) == 0.99 else 4096)
+        grid = circle_grid(nodes)
+        if stored:
+            approx.basis.design_matrix(circle_grid(nodes, extended=extended))
+        reference = callable_mu(spec, approx.eval, grid, extended)
+        value = mu_functional(spec, approx.basis, approx.coefficients, grid, extended=extended)
+        assert type(value) is float
+        assert value == reference
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("spec, free", INEQUALITY_CONFIGS)
+    def test_batch_matches_rows_scored_alone(self, spec, free, extended):
+        approx = build_approximant(spec, free)
+        rows = competitor_trials(approx, 12, np.random.default_rng(23))
+        batched = mu_functional(spec, approx.basis, rows, GRID, extended=extended)
+        assert isinstance(batched, np.ndarray) and batched.shape == (12,)
+        alone = np.array(
+            [mu_functional(spec, approx.basis, row, GRID, extended=extended) for row in rows]
+        )
+        if extended:
+            # long double has no BLAS product: each row sums as it does alone
+            assert np.array_equal(batched, alone)
+        else:
+            # the products of a batch and of one row round apart in their
+            # last bits
+            assert np.all(np.abs(batched - alone) <= 1e-13 * alone)
+
+    def test_non_finite_row_names_the_node_of_the_callable_route(self):
+        spec = KernelSpec(0, 0.3 + 0.4j)
+        basis = TMBasis([0j, 0j, 0j])
+        grid = circle_grid(2**16)
+        nodes = grid.nodes
+        # R overflows where a row weights a huge value: row 0 in the second
+        # part, row 1 earlier, in the first; the first row is reported
+        design = np.array(basis.design_matrix(grid))
+        design[NODE_CHUNK + 5000, 1] = 1e300
+        design[5, 2] = 1e300
+        design.setflags(write=False)
+        basis._designs[id(nodes)] = (nodes, design)
+        rows = np.array([[0.1, 1e10, 0.0], [0.1, 0.0, 1e10], [0.1, 0.1, 0.1]], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteIntegrand) as reference:
+                callable_mu(spec, competitor_function(basis, spec.w, rows[0]), grid)
+            with pytest.raises(NonFiniteIntegrand) as raised:
+                mu_functional(spec, basis, rows, grid, extended=False)
+        assert reference.value.node_index == NODE_CHUNK + 5000
+        assert raised.value.node_index == reference.value.node_index
+        assert not cmath.isfinite(raised.value.value)
+
+    @pytest.mark.parametrize("spec, free", INEQUALITY_CONFIGS)
+    def test_gram_recovers_the_quadrature_expansion(self, spec, free):
+        # verify's Parseval check recovers the ratio coefficients of each
+        # trial as the row times the discrete Gram matrix; the old route
+        # expanded R / (1 - x conj(w)) by quadrature on the same grid
+        approx = build_approximant(spec, free)
+        basis = approx.basis
+        trials = competitor_trials(approx, 100, np.random.default_rng(17))
+        recovered = trials @ basis.gram_matrix(GRID)
+        for row, coefficients in zip(trials, recovered):
+            rational = competitor_function(basis, spec.w, row)
+            expansion = expand_function(
+                lambda x: rational(x) / (1.0 - x * np.conj(spec.w)), basis, GRID
             )
-            assert value >= floor - 1e-12
+            assert np.max(np.abs(expansion.coefficients - coefficients)) <= 1e-13
+
+    def test_101_rows_peak_within_one_block(self):
+        # verify's inequality group scores the optimum and 100 trials in one
+        # call on a grid whose design matrix is stored: the rows go in blocks
+        # of m, so the call holds about one m x N block, where the whole
+        # batch at once would take 101 x N
+        spec = KernelSpec(1, 0.4 + 0.2j)
+        free = PoleSequence.random(18, np.random.default_rng(1), max_modulus=0.8)
+        approx = build_approximant(spec, free)
+        count = approx.basis.size
+        approx.basis.design_matrix(GRID)
+        rows = np.vstack(
+            [approx.coefficients, competitor_trials(approx, 100, np.random.default_rng(2))]
+        )
+        block = count * GRID.node_count * 16
+        tracemalloc.start()
+        try:
+            mu_functional(spec, approx.basis, rows, GRID, extended=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 20 and len(rows) == 101
+        assert peak < 1.5 * block
 
 
 class TestClosedFormMinima:
@@ -633,23 +765,52 @@ class TestBatchedNu:
     @pytest.mark.parametrize("spec, free, seed", SCAN_CONFIGS)
     def test_trial_schedule_matches_inline_loop(self, spec, free, seed):
         approx = build_approximant(spec, free)
-        rng = np.random.default_rng(seed)
-        optimum = approx.coefficients
-        scale = float(np.max(np.abs(optimum)))
-        expected = []
-        for trial in range(100):
-            if trial == 0:
-                coeffs = optimum
-            elif trial % 2 == 1:
-                coeffs = random_competitor_coefficients(approx, rng)
-            else:
-                coeffs = scale * (
-                    rng.standard_normal(len(optimum))
-                    + 1j * rng.standard_normal(len(optimum))
-                )
-            expected.append(coeffs)
+        expected = per_trial_schedule(approx, 100, np.random.default_rng(seed))
         rows = competitor_trials(approx, 100, np.random.default_rng(seed))
-        assert np.array_equal(rows, np.array(expected))
+        assert np.array_equal(rows, expected)
+
+
+def per_trial_schedule(approx, trials, rng):
+    """Reference: the competitor schedule as it was drawn, two calls of
+    standard_normal(m) per trial."""
+    optimum = approx.coefficients
+    scale = float(np.max(np.abs(optimum)))
+    rows = np.empty((int(trials), len(optimum)), dtype=complex)
+    for trial in range(len(rows)):
+        if trial == 0:
+            rows[trial] = optimum
+        elif trial % 2 == 1:
+            noise = rng.standard_normal(len(optimum)) + 1j * rng.standard_normal(len(optimum))
+            rows[trial] = optimum + _NOISE_SCALE * scale * noise
+        else:
+            rows[trial] = scale * (
+                rng.standard_normal(len(optimum)) + 1j * rng.standard_normal(len(optimum))
+            )
+    return rows
+
+
+@pytest.fixture(scope="module")
+def approximants_of_every_size():
+    """Approximants with m = 1 to 40 coefficients."""
+    rng = np.random.default_rng(40)
+    out = []
+    for m in range(1, 41):
+        alpha = m % 3 if m > 2 else 0
+        spec = KernelSpec(alpha, complex(random_disk_points(rng, 1, 0.8)[0]))
+        free = PoleSequence.random(m - alpha - 1, rng=rng, max_modulus=0.85)
+        out.append(build_approximant(spec, free))
+    return out
+
+
+@pytest.mark.parametrize("trials", [1, 2, 100])
+@pytest.mark.parametrize("seed", [0, 42, 20260810])
+def test_one_draw_gives_the_per_trial_schedule(approximants_of_every_size, trials, seed):
+    for approx in approximants_of_every_size:
+        rows = competitor_trials(approx, trials, np.random.default_rng(seed))
+        reference = per_trial_schedule(approx, trials, np.random.default_rng(seed))
+        assert rows.shape == reference.shape == (trials, len(approx.coefficients))
+        assert rows.tobytes() == reference.tobytes()
+    assert [len(a.coefficients) for a in approximants_of_every_size] == list(range(1, 41))
 
 
 class TestStreamedBrackets:
@@ -742,15 +903,15 @@ class TestParsevalGap:
     def test_gap_equals_coefficient_distance(self):
         spec = KernelSpec(1, 0.5)
         approx = build_approximant(spec, [0.3])
-        base = mu_functional(spec, approx.eval, GRID)
         rng = np.random.default_rng(7)
-        for _ in range(10):
-            coeffs = random_competitor_coefficients(approx, rng)
-            rational = competitor_function(approx.basis, spec.w, coeffs)
-            gap = mu_functional(spec, rational, GRID) - base
-            recovered = ratio_coefficients(rational, spec.w, approx.basis, GRID)
-            sq = float(np.sum(np.abs(recovered - approx.coefficients) ** 2))
-            assert abs(gap - sq) < 1e-10
+        rows = np.array([competitor_trials(approx, 2, rng)[1] for _ in range(10)])
+        base, *values = mu_functional(
+            spec, approx.basis, np.vstack([approx.coefficients, rows]), GRID, extended=False
+        )
+        recovered = rows @ approx.basis.gram_matrix(GRID)
+        for value, coefficients in zip(values, recovered):
+            sq = float(np.sum(np.abs(coefficients - approx.coefficients) ** 2))
+            assert abs(value - base - sq) < 1e-10
 
 
 class TestQuadraticUniformBound:
@@ -759,15 +920,11 @@ class TestQuadraticUniformBound:
         approx = build_approximant(spec, [0.2, -0.3j])
         rng = np.random.default_rng(13)
         nu_grid = circle_grid(2**13)
-        for trial in range(30):
-            if trial == 0:
-                coeffs = approx.coefficients
-            else:
-                coeffs = random_competitor_coefficients(approx, rng)
-            rational = competitor_function(approx.basis, spec.w, coeffs)
-            mu = mu_functional(spec, rational, GRID)
-            nu = nu_functional(spec, approx.basis, coeffs, nu_grid)
-            assert mu * (1 - abs(spec.w) ** 2) <= nu**2 + 1e-12
+        rows = [approx.coefficients]
+        rows += [competitor_trials(approx, 2, rng)[1] for _ in range(29)]
+        mu = mu_functional(spec, approx.basis, rows, GRID, extended=False)
+        nu = nu_functional(spec, approx.basis, rows, nu_grid)
+        assert np.all(mu * (1 - abs(spec.w) ** 2) <= nu**2 + 1e-12)
 
 
 def spy_on_mu(monkeypatch) -> list[bool]:
@@ -776,9 +933,9 @@ def spy_on_mu(monkeypatch) -> list[bool]:
     calls = []
     real = bergman_approx.mu_functional
 
-    def mu_functional(spec, rational, grid, extended=False):
+    def mu_functional(spec, basis, coefficients, grid, *, extended):
         calls.append(extended)
-        return real(spec, rational, grid, extended)
+        return real(spec, basis, coefficients, grid, extended=extended)
 
     monkeypatch.setattr(bergman_approx, "mu_functional", mu_functional)
     return calls

@@ -307,6 +307,21 @@ class TestBasis:
 
 
 class TestVerify:
+    def test_out_keeps_each_detail_but_the_timing(self, capsys, tmp_path):
+        only = "orthonormality,boundary_mu,degenerate_w_zero,competitor_scan"
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            code, _, _ = run_cli(capsys, "verify", "--only", only, "--out", str(path))
+            assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        verdict = json.loads(paths[0].read_text())
+        assert sorted(verdict) == sorted(only.split(","))
+        assert verdict["orthonormality"]["detail"] == {"sequences": 20, "grid": 4096}
+        assert verdict["competitor_scan"]["detail"] == {"trials": 100, "seeds": [42, 43, 44]}
+        assert len(verdict["boundary_mu"]["detail"]["escalated_grids"]) == 2
+        assert verdict["degenerate_w_zero"]["detail"]["report"]["degenerate_w_zero"] is True
+        assert all("group_seconds" not in entry["detail"] for entry in verdict.values())
+
     def test_only_interpolation(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--only", "interpolation")
         assert code == 0

@@ -1,9 +1,12 @@
+import cmath
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskrat import (
     BlaschkeProduct,
@@ -190,6 +193,40 @@ class TestBlaschke:
         denominator = (1 - 0.3 * z) * (1 - np.conj(-0.4j) * z)
         # B = tau * (-1)^k * numerator / denominator
         assert b(z) == pytest.approx(numerator / denominator)
+
+
+@st.composite
+def _disk_point(draw, low, high):
+    modulus = draw(st.floats(low, high))
+    return cmath.rect(modulus, draw(st.floats(0.0, 2.0 * math.pi)))
+
+
+@st.composite
+def _pole_sequence(draw):
+    """One to 21 poles drawn with repeats from zero and up to four disk
+    points of modulus at most 0.9."""
+    pool = [0j] + draw(st.lists(_disk_point(0.0, 0.9), min_size=1, max_size=4))
+    return PoleSequence(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=21)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_pole_sequence())
+def test_discrete_gram_is_the_identity(poles):
+    basis = TMBasis(poles)
+    gram = basis.gram_matrix(GRID)
+    assert np.max(np.abs(gram - np.eye(len(poles)))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    _pole_sequence(),
+    st.lists(st.tuples(_disk_point(0.0, 0.8), _disk_point(0.0, 0.8)), min_size=1, max_size=8),
+)
+def test_reproducing_kernel_identity(poles, pairs):
+    basis = TMBasis(poles)
+    zs, zetas = zip(*pairs)
+    for n in range(1, len(poles) + 1):
+        assert christoffel_darboux_residual(basis, n, zs, zetas) < 1e-12
 
 
 class TestChristoffelDarboux:

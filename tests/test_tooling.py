@@ -62,5 +62,42 @@ def test_traced_requests_count_the_nu_refinement():
     assert oracle["evals"] > 0
 
 
+TRACED_MU = """
+import contextlib, io, json
+import tracing
+from diskrat import cli
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+runs = []
+for argv in (
+    ["approximate", "--alpha", "1", "--w", "0.5,0.2", "--poles", "0.3,0;0,-0.4"],
+    ["approximate", "--w", "0.1,0", "--poles", "0,0;0,0;0,0;0,0;0,0"],
+):
+    calls = tracer.calls["bergman_approx.mu_functional"]
+    extended = tracer.counts["bergman_approx.mu_functional.extended"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    runs.append({
+        "code": code,
+        "calls": tracer.calls["bergman_approx.mu_functional"] - calls,
+        "extended": tracer.counts["bergman_approx.mu_functional.extended"] - extended,
+    })
+print(json.dumps(runs))
+"""
+
+
+def test_traced_requests_count_long_double_mu():
+    # The benchmark's mu_functional.extended_share reads the extended flag
+    # from the keyword arguments of each mu_functional call.  mu_min is
+    # 2.6e-2 in the first request, so mu is taken in doubles, and 1.0e-12 in
+    # the second, which takes it in long double.
+    done = run_traced(TRACED_MU)
+    assert done.returncode == 0, done.stderr
+    doubles, long_double = json.loads(done.stdout.splitlines()[-1])
+    assert doubles == {"code": 0, "calls": 1, "extended": 0}
+    assert long_double == {"code": 0, "calls": 1, "extended": 1}
+
+
 def test_scan_is_patchable_on_the_cli_module():
     assert callable(diskrat.cli.uniform_competitor_scan)
