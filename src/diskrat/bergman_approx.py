@@ -354,25 +354,24 @@ def mu_functional(
     multiplier = 1.0 - nodes * np.conj(spec.w)
     kernel = spec.bergman(nodes)
     count = len(nodes)
-    parts = -(-count // NODE_CHUNK)
-    # numpy sums NODE_CHUNK * 2^k squares as the pairwise sum of the parts'
-    # sums; another grid of several parts keeps its squares to sum them whole
-    whole = parts > 1 and bool(count % NODE_CHUNK or parts & (parts - 1))
+    # numpy's mean summed a row's squares whole; on a grid of several parts
+    # the squares are kept (every such caller passes one row) to do the same
+    whole = count > NODE_CHUNK
     squares = np.empty((len(rows), count if whole else 0), dtype=kernel.real.dtype)
-    sums = np.empty((parts, len(rows)), dtype=squares.dtype)
-    for start, part, block, error in _competitor_values(basis, rows, nodes, multiplier):
+    sums = np.empty(len(rows), dtype=squares.dtype)
+    for _, part, block, error in _competitor_values(basis, rows, nodes, multiplier):
         np.divide(error, multiplier[part], out=error)
         np.subtract(kernel[part], error, out=error)
         # one row at a time: no block of moduli beside the block of errors
         for row in range(block.start, block.start + len(error)):
             modulus = np.abs(error[row - block.start], out=squares[row, part] if whole else None)
-            sums[start // NODE_CHUNK, row] = np.add.reduce(np.square(modulus, out=modulus))
+            np.square(modulus, out=modulus)
+            if not whole:
+                sums[row] = np.add.reduce(modulus)
         del error  # freed before the next block is formed
     if whole:
-        sums = np.add.reduce(squares, axis=-1)[None]
-    while len(sums) > 1:
-        sums = sums[0::2] + sums[1::2]
-    mu = (sums[0] / count).astype(float)
+        sums = np.add.reduce(squares, axis=-1)
+    mu = (sums / count).astype(float)
     return float(mu[0]) if coefficients.ndim == 1 else mu
 
 

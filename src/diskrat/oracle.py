@@ -95,15 +95,14 @@ def lsq_minimize(problem: LeastSquaresProblem) -> LsqResult:
     if not np.isfinite(problem.condition) or problem.condition > CONDITION_LIMIT:
         raise IllConditioned(problem.condition)
     weight = problem.grid.weight
-    adjoint = np.conj(problem.design).T
-    rhs = (adjoint @ problem.target) * weight
+    rhs = (np.conj(problem.design).T @ problem.target) * weight
     inner = rhs.copy()
     coefficients = np.linalg.solve(problem.gram, rhs)
     residual = problem.target - problem.design @ coefficients
     minimum = float(np.mean(np.abs(residual) ** 2))
     route_gap = float(np.max(np.abs(coefficients - inner)))
     orthogonality = float(
-        np.max(np.abs((adjoint @ residual) * weight))
+        np.max(np.abs((np.conj(problem.design).T @ residual) * weight))
     )
     return LsqResult(
         coefficients=coefficients,

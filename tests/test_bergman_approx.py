@@ -383,6 +383,40 @@ class TestMuRows:
             # last bits
             assert np.all(np.abs(batched - alone) <= 1e-13 * alone)
 
+    def test_verify_lattice_batch_rounds_within_a_hundredth_of_the_bound(self):
+        # verify scores each lattice point's approximant together with its
+        # LSQ solution; the approximant's value must stay the one approximate
+        # prints (one row) to well under the 1e-10 bound of quadratic_exactness
+        checked = {False: 0, True: 0}
+        for alpha, n, w_index, modulus, draw in verify._quadratic_lattice():
+            if n > alpha + 7:
+                continue
+            rng = np.random.default_rng([verify._LATTICE_SEED, alpha, n, w_index, draw])
+            spec = KernelSpec(alpha, verify._random_w(rng, modulus))
+            free = PoleSequence.random(n - alpha, rng=rng, max_modulus=0.85)
+            approx = build_approximant(spec, free)
+            mu_closed = mu_min_closed_form(spec, free)
+            extended = extended_mu(mu_closed)
+            problem = verify.LeastSquaresProblem.build(spec, approx.basis, GRID)
+            lsq = verify.lsq_minimize(problem).coefficients
+            batch = mu_functional(
+                spec, approx.basis, [approx.coefficients, lsq], GRID, extended=extended
+            )[0]
+            alone = mu_functional(
+                spec, approx.basis, approx.coefficients, GRID, extended=extended
+            )
+            if extended:
+                assert batch == alone
+            else:
+                assert abs(batch - alone) <= 1e-12 * mu_closed
+            checked[extended] += 1
+        assert checked[False] > 100 and checked[True] > 10
+
+    def test_verify_refuses_an_lsq_grid_apart_from_the_expansion_grid(self, monkeypatch):
+        monkeypatch.setattr(verify, "circle_grid", lambda count: circle_grid(2 * count))
+        with pytest.raises(RuntimeError, match="expansion grid 4096 is not the LSQ grid 8192"):
+            verify._check_quadratic_group()
+
     def test_non_finite_row_names_the_node_of_the_callable_route(self):
         spec = KernelSpec(0, 0.3 + 0.4j)
         basis = TMBasis([0j, 0j, 0j])
