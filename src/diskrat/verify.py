@@ -141,23 +141,18 @@ def _check_quadratic_group() -> list[tuple[str, float, dict]]:
         free = PoleSequence.random(n - alpha, rng=rng, max_modulus=0.85)
         approx = build_approximant(spec, free)
         mu_closed = mu_min_closed_form(spec, free)
-        # the LSQ grid is the approximant's mu grid; mu reuses its design matrix
+        # mu_quad below is taken on the LSQ grid, the approximant's mu grid
         problem = LeastSquaresProblem.build(spec, approx.basis, circle_grid(4096))
         if approx.expansion.grid_size != problem.grid.node_count:
-            # mu_quad below must be the approximant's mu on its own grid
-            raise RuntimeError(
-                f"expansion grid {approx.expansion.grid_size} is not the LSQ grid "
-                f"{problem.grid.node_count}"
-            )
+            raise RuntimeError(f"mu grid {approx.expansion.grid_size} is not the LSQ grid")
         result = lsq_minimize(problem)
         # routes: normal equations vs inner products (quadrature), and the
         # quadrature vs the closed-form coefficients of the approximant
         coefficient_gap = float(np.max(np.abs(approx.coefficients - result.inner_coefficients)))
         worst_route = max(worst_route, result.route_gap, coefficient_gap)
         worst_cond = max(worst_cond, result.condition)
-        # mu of the approximant and the LSQ minimum, in one pass; in doubles
-        # the 2-row product rounds apart from approximate's 1-row one (by
-        # under 2e-13 of mu_closed on this lattice), in long double it does not
+        # mu of the approximant and the LSQ minimum in one pass; in doubles the
+        # 2-row product rounds apart from approximate's 1-row one (see README)
         mu_quad, mu_lsq = mu_functional(
             spec, approx.basis, [approx.coefficients, result.coefficients], problem.grid,
             extended=extended_mu(mu_closed),

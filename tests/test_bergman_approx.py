@@ -414,7 +414,7 @@ class TestMuRows:
 
     def test_verify_refuses_an_lsq_grid_apart_from_the_expansion_grid(self, monkeypatch):
         monkeypatch.setattr(verify, "circle_grid", lambda count: circle_grid(2 * count))
-        with pytest.raises(RuntimeError, match="expansion grid 4096 is not the LSQ grid 8192"):
+        with pytest.raises(RuntimeError, match="mu grid 4096 is not the LSQ grid"):
             verify._check_quadratic_group()
 
     def test_non_finite_row_names_the_node_of_the_callable_route(self):
