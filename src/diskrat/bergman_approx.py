@@ -36,11 +36,11 @@ from typing import Callable
 
 import numpy as np
 
-from .circlequad import CircleGrid, circle_grid, require_in_disk, sample_on_nodes
-from .errors import NonFiniteIntegrand, ValueOutOfRange
+from .circlequad import CircleGrid, circle_grid, json_complex, require_in_disk
+from .errors import DesignTooLarge, NonFiniteIntegrand, ValueOutOfRange
 from .expansion import FourierExpansion, expand_kernel, validate_trailing_poles
 from .kernels import KernelSpec
-from .tm_basis import NODE_CHUNK, BlaschkeProduct, PoleSequence, TMBasis
+from .tm_basis import MAX_DESIGN_BYTES, NODE_CHUNK, BlaschkeProduct, PoleSequence, TMBasis
 
 __all__ = [
     "Approximant",
@@ -259,9 +259,8 @@ class Approximant:
         # offset keeps samples away from grid symmetries
         x = np.exp(2j * np.pi * (np.arange(sample_count) + 0.37) / sample_count)
         columns = [np.ones_like(x)]
-        for j in range(n):
-            a = self.basis.poles[j]
-            s = self.basis.poles.multiplicity_in_prefix(j)
+        poles = self.basis.poles
+        for a, s in zip(poles[:n], poles.multiplicities):
             if a == 0:
                 columns.append(x**s)
             else:
@@ -275,8 +274,8 @@ class Approximant:
     def to_json_dict(self) -> dict:
         data = self.expansion.to_json_dict()
         data["alpha"] = self.spec.alpha
-        data["w"] = [self.spec.w.real, self.spec.w.imag]
-        data["free_poles"] = [[p.real, p.imag] for p in self.free_poles]
+        data["w"] = json_complex(self.spec.w)
+        data["free_poles"] = json_complex(self.free_poles)
         return data
 
 
@@ -375,13 +374,16 @@ def mu_functional(
     return float(mu[0]) if coefficients.ndim == 1 else mu
 
 
+def _free_blaschke_modulus(spec: KernelSpec, free_poles) -> float:
+    """|B(w)|, B the Blaschke product over the free poles."""
+    return abs(BlaschkeProduct(free_poles)(spec.w))
+
+
 def mu_min_closed_form(spec: KernelSpec, free_poles: PoleSequence | list[complex]) -> float:
     """Exact quadratic minimum |w|^(2a+2) (1-|w|^2)^-(2a+3) |B(w)|^2."""
     if spec.w == 0:
         return 0.0
-    if not isinstance(free_poles, PoleSequence):
-        free_poles = PoleSequence(free_poles)
-    b = abs(BlaschkeProduct(free_poles)(spec.w))
+    b = _free_blaschke_modulus(spec, free_poles)
     ww = abs(spec.w) ** 2
     return float(ww ** (spec.alpha + 1) / (1.0 - ww) ** (2 * spec.alpha + 3) * b * b)
 
@@ -564,9 +566,7 @@ def nu_min_closed_form(spec: KernelSpec, free_poles: PoleSequence | list[complex
     """Exact uniform minimum (|w| / (1-|w|^2))^(1+alpha) |B(w)|."""
     if spec.w == 0:
         return 0.0
-    if not isinstance(free_poles, PoleSequence):
-        free_poles = PoleSequence(free_poles)
-    b = abs(BlaschkeProduct(free_poles)(spec.w))
+    b = _free_blaschke_modulus(spec, free_poles)
     return float((abs(spec.w) / (1.0 - abs(spec.w) ** 2)) ** (spec.alpha + 1) * b)
 
 
@@ -615,12 +615,22 @@ def competitor_trials(
     _NOISE_SCALE * max|c| to it, even trials draw complex Gaussian
     coefficients of scale max|c|.  The generator is consumed in trial order,
     each trial taking the real and then the imaginary parts of its m
-    Gaussians, all in one draw."""
+    Gaussians, all in one draw.  A schedule and draws of more than
+    MAX_DESIGN_BYTES together raise DesignTooLarge before either is
+    allocated."""
     optimum = approx.coefficients
+    trials, count = int(trials), len(optimum)
+    shape = (max(trials - 1, 0), 2, count)  # the real draws behind rows 1, 2, ...
+    size = 16 * trials * count + 8 * math.prod(shape)
+    if size > MAX_DESIGN_BYTES:
+        raise DesignTooLarge(
+            f"a competitor schedule of {trials} trials by {count} coefficients "
+            f"needs {size} bytes, more than the cap of {MAX_DESIGN_BYTES}"
+        )
     scale = float(np.max(np.abs(optimum)))
-    rows = np.empty((int(trials), len(optimum)), dtype=complex)
+    rows = np.empty((trials, count), dtype=complex)
     rows[:1] = optimum
-    draws = rng.standard_normal((max(len(rows) - 1, 0), 2, len(optimum)))
+    draws = rng.standard_normal(shape)
     noise = draws[:, 0] + 1j * draws[:, 1]
     rows[1::2] = optimum + (_NOISE_SCALE * scale) * noise[0::2]
     rows[2::2] = scale * noise[1::2]
@@ -628,17 +638,27 @@ def competitor_trials(
 
 
 def equimodularity_variation(
-    spec: KernelSpec, rational: Callable, grid: CircleGrid
-) -> float:
-    """Relative variation (max - min)/max of the uniform-error modulus on the
-    grid; vanishes exactly at the optimum where the error is a constant times
-    a Blaschke product."""
-    values = sample_on_nodes(rational, grid.nodes)
-    error = np.abs(spec.cauchy_power(grid.nodes) - values)
-    top = float(np.max(error))
-    if top == 0.0:
-        return 0.0
-    return float((top - float(np.min(error))) / top)
+    spec: KernelSpec, basis: TMBasis, coefficients, grid: CircleGrid
+) -> float | np.ndarray:
+    """Relative variation (max - min)/max on the grid of the uniform-error
+    modulus |(1 - x conj(w))^-(1+alpha) - R(x)|, R formed from the rows as
+    nu_functional forms it (0 where the error vanishes); a row gives a
+    float, a (trials, m) matrix one value per row.  It vanishes exactly at
+    the optimum, where the error is a constant times a Blaschke product."""
+    coefficients = np.asarray(coefficients, dtype=complex)
+    rows = np.atleast_2d(coefficients)
+    nodes = grid.nodes
+    kernel = spec.cauchy_power(nodes)
+    top = np.full(len(rows), -np.inf)
+    bottom = np.full(len(rows), np.inf)
+    multiplier = 1.0 - nodes * np.conj(spec.w)
+    for _, part, block, error in _competitor_values(basis, rows, nodes, multiplier):
+        moduli = np.abs(np.subtract(kernel[part], error, out=error))
+        np.maximum(top[block], moduli.max(axis=1), out=top[block])
+        np.minimum(bottom[block], moduli.min(axis=1), out=bottom[block])
+        del error, moduli  # freed before the next block is formed
+    variation = np.divide(top - bottom, top, out=np.zeros_like(top), where=top > 0.0)
+    return float(variation[0]) if coefficients.ndim == 1 else variation
 
 
 def csv_cell(x: float) -> str:
@@ -666,35 +686,24 @@ class ErrorReport:
     approximant: Approximant | None = field(default=None, repr=False, compare=False)
     interp_residuals: list[float] = field(default_factory=list, repr=False, compare=False)
 
-    CSV_HEADER = (
-        "n,alpha,w_re,w_im,mu_quad,mu_closed,nu_grid,nu_closed,max_interp_residual"
-    )
+    #: The names of the five error values, in the order of every output.
+    VALUE_NAMES = ("mu_quad", "mu_closed", "nu_grid", "nu_closed", "max_interp_residual")
+    CSV_HEADER = ",".join(("n", "alpha", "w_re", "w_im", *VALUE_NAMES))
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        """The five error values, named by VALUE_NAMES."""
+        return (self.mu_quadrature, self.mu_closed_form, self.nu_grid,
+                self.nu_closed_form, self.max_interp_residual)
 
     def validate(self):
-        values = (
-            self.mu_quadrature,
-            self.mu_closed_form,
-            self.nu_grid,
-            self.nu_closed_form,
-            self.max_interp_residual,
-        )
+        values = self.values
         if not all(math.isfinite(v) and v >= 0.0 for v in values):
             raise ValueOutOfRange(f"non-finite or negative error values: {values}")
 
     def csv_cells(self) -> list[str]:
         """The cells of CSV_HEADER after n and alpha: w and the five values."""
-        return [
-            csv_cell(v)
-            for v in (
-                self.w.real,
-                self.w.imag,
-                self.mu_quadrature,
-                self.mu_closed_form,
-                self.nu_grid,
-                self.nu_closed_form,
-                self.max_interp_residual,
-            )
-        ]
+        return [csv_cell(v) for v in (self.w.real, self.w.imag, *self.values)]
 
     def csv_row(self) -> str:
         return ",".join([str(self.n), str(self.alpha), *self.csv_cells()])
@@ -703,13 +712,9 @@ class ErrorReport:
         return {
             "n": self.n,
             "alpha": self.alpha,
-            "w": [self.w.real, self.w.imag],
-            "free_poles": [[p.real, p.imag] for p in self.free_poles],
-            "mu_quad": self.mu_quadrature,
-            "mu_closed": self.mu_closed_form,
-            "nu_grid": self.nu_grid,
-            "nu_closed": self.nu_closed_form,
-            "max_interp_residual": self.max_interp_residual,
+            "w": json_complex(self.w),
+            "free_poles": json_complex(self.free_poles),
+            **dict(zip(self.VALUE_NAMES, self.values)),
             "free_pole_matches_w": self.free_pole_matches_w,
             "degenerate_w_zero": self.degenerate_w_zero,
         }

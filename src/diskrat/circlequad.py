@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from functools import lru_cache
 from typing import Callable
 
@@ -65,6 +66,15 @@ class CircleGrid:
 
     def __repr__(self):
         return f"CircleGrid(node_count={self.node_count})"
+
+
+def json_complex(values):
+    """The JSON form of complex values: [re, im], two floats, for a number,
+    and lists of such pairs, nested as values is, for a sequence or array."""
+    if isinstance(values, numbers.Number):
+        z = complex(values)
+        return [z.real, z.imag]
+    return [json_complex(v) for v in values]
 
 
 @lru_cache(maxsize=32)

@@ -28,12 +28,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bergman_approx import (
-    build_approximant,
-    build_error_report,
-    csv_cell,
-)
-from .circlequad import EPS_BOUNDARY, MAX_NODES, circle_grid, require_in_disk
+from .bergman_approx import ErrorReport, build_approximant, build_error_report, csv_cell
+from .circlequad import EPS_BOUNDARY, MAX_NODES, circle_grid, json_complex, require_in_disk
 from .errors import DiskratError, OrderTooSmall, PointNotInDisk
 from .kernels import KernelSpec
 from .oracle import (
@@ -328,11 +324,9 @@ def cmd_basis(cfg: SimpleNamespace) -> int:
     cd_max = christoffel_darboux_residual(basis, basis.size, pairs[0::2], pairs[1::2])
     if cfg.format != "csv":
         payload = {
-            "poles": [[p.real, p.imag] for p in poles],
-            "sample_points": [[z.real, z.imag] for z in samples],
-            "phi_values": [
-                [[v.real, v.imag] for v in phi[:, j]] for j in range(len(samples))
-            ],
+            "poles": json_complex(poles),
+            "sample_points": json_complex(samples),
+            "phi_values": json_complex(phi.T),
             "gram_max_deviation": gram_dev,
             "cd_max_residual": cd_max,
             "grid": cfg.grid,
@@ -378,7 +372,7 @@ def cmd_approximate(cfg: SimpleNamespace) -> int:
         approx_dict = {
             "alpha": spec.alpha,
             "w": [0.0, 0.0],
-            "free_poles": [[p.real, p.imag] for p in free],
+            "free_poles": json_complex(free),
             "note": "degenerate kernel: the approximant is identically 1",
         }
         interp_rows = []
@@ -394,9 +388,9 @@ def cmd_approximate(cfg: SimpleNamespace) -> int:
         interp_rows = [
             {
                 "m": m,
-                "pole": [a.real, a.imag],
+                "pole": json_complex(a),
                 "multiplicity": s,
-                "target": [target.real, target.imag],
+                "target": json_complex(target),
                 "residual": residual,
                 "rounding_scale": float(scale),
             }
@@ -425,8 +419,7 @@ def cmd_sweep(cfg: SimpleNamespace) -> int:
         ((a, n, w) for a in alphas for n in ns for w in ws),
         key=lambda p: (p[0], p[1], abs(p[2])),
     )
-    header = "alpha,n,w_re,w_im,mu_quad,mu_closed,nu_grid,nu_closed,max_interp_residual,error"
-    lines = [header]
+    lines = [",".join(("alpha", "n", "w_re", "w_im", *ErrorReport.VALUE_NAMES, "error"))]
     rows_failed = 0
     for index, (alpha, n, w) in enumerate(points):
         try:
@@ -437,9 +430,9 @@ def cmd_sweep(cfg: SimpleNamespace) -> int:
         except (DiskratError, UsageError, ValueError) as exc:
             rows_failed += 1
             message = str(exc).replace(",", ";").replace("\n", " ")
-            lines.append(
-                f"{alpha},{n},{csv_cell(w.real)},{csv_cell(w.imag)},,,,,,{message}"
-            )
+            empty = [""] * len(ErrorReport.VALUE_NAMES)
+            cells = [str(alpha), str(n), csv_cell(w.real), csv_cell(w.imag), *empty, message]
+            lines.append(",".join(cells))
     _emit(cfg, "\n".join(lines) + "\n")
     return EXIT_ACCEPTANCE if rows_failed else EXIT_OK
 
@@ -491,11 +484,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser(commands=COMMANDS) -> _Parser:
-    """The parser of every subcommand, with the options of those named in
-    commands.  argparse dispatches only to a subcommand named by an argument,
-    so main gives the options only to those; the listing and every message
-    stay the same."""
+@functools.cache
+def build_parser() -> _Parser:
+    """The parser of every subcommand and its options, built once per
+    process: parsing leaves a parser as it found it."""
     parser = _Parser(
         prog="diskrat",
         description="Orthonormal rational systems and best fixed-pole kernel approximation",
@@ -503,8 +495,6 @@ def build_parser(commands=COMMANDS) -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        if command not in commands:
-            continue
         p.add_argument("--config", help="JSON config file; flags override its values")
         for opt in OPTIONS:
             if command in opt.commands:
@@ -512,18 +502,10 @@ def build_parser(commands=COMMANDS) -> _Parser:
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _cached_parser(commands: frozenset[str]) -> _Parser:
-    """build_parser(commands), built once per set of commands: parsing
-    leaves a parser as it found it."""
-    return build_parser(commands)
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _cached_parser(frozenset(COMMANDS.keys() & set(argv)))
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
         if cfg.out:
             _check_out(cfg.out)

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circlequad import MAX_NODES, CircleGrid, require_in_disk, sample_on_nodes
+from .circlequad import MAX_NODES, CircleGrid, json_complex, require_in_disk, sample_on_nodes
 from .errors import (
     CountOutOfRange,
     GridTooLarge,
@@ -105,8 +105,8 @@ class FourierExpansion:
 
     def to_json_dict(self) -> dict:
         return {
-            "poles": [[p.real, p.imag] for p in self.basis.poles],
-            "coefficients": [[c.real, c.imag] for c in self.coefficients],
+            "poles": json_complex(self.basis.poles),
+            "coefficients": json_complex(self.coefficients),
             "source": self.source,
         }
 

@@ -21,15 +21,6 @@ from .circlequad import require_in_disk
 __all__ = ["KernelSpec"]
 
 
-def _int_power(base, exponent: int):
-    # Repeated multiplication, never complex log/exp: no branch-cut ambiguity,
-    # and the exponents here are small.
-    out = np.ones_like(base)
-    for _ in range(exponent):
-        out = out * base
-    return out
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """The pair (alpha, w) selecting the kernel K_alpha(.; w)."""
@@ -50,14 +41,19 @@ class KernelSpec:
         object.__setattr__(self, "alpha", int(alpha))
         object.__setattr__(self, "w", require_in_disk(self.w))
 
+    def _power(self, z, exponent: int):
+        """(1 - z conj(w))^-exponent by repeated multiplication, never complex
+        log/exp: no branch-cut ambiguity, and the exponents here are small."""
+        base = 1.0 / (1.0 - np.asarray(z) * np.conj(self.w))
+        out = np.ones_like(base)
+        for _ in range(exponent):
+            out = out * base
+        return complex(out) if np.ndim(out) == 0 else out
+
     def bergman(self, z):
         """K_alpha(z; w) = (1 - z conj(w))^-(2 + alpha) for |z| <= 1."""
-        base = 1.0 / (1.0 - np.asarray(z) * np.conj(self.w))
-        out = _int_power(base, 2 + self.alpha)
-        return complex(out) if np.ndim(out) == 0 else out
+        return self._power(z, 2 + self.alpha)
 
     def cauchy_power(self, z):
         """(1 - z conj(w))^-(1 + alpha); alpha = 0 is the Cauchy kernel."""
-        base = 1.0 / (1.0 - np.asarray(z) * np.conj(self.w))
-        out = _int_power(base, 1 + self.alpha)
-        return complex(out) if np.ndim(out) == 0 else out
+        return self._power(z, 1 + self.alpha)

@@ -16,7 +16,7 @@ report is reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .bergman_approx import (
     nu_functional,
     nu_min_closed_form,
 )
-from .circlequad import CircleGrid, circle_grid, sample_on_nodes
+from .circlequad import CircleGrid, circle_grid, json_complex, sample_on_nodes
 from .errors import IllConditioned
 from .kernels import KernelSpec
 from .tm_basis import PoleSequence, TMBasis
@@ -43,6 +43,16 @@ __all__ = [
 ]
 
 CONDITION_LIMIT = 1e8
+
+
+def _fields_json(report) -> dict:
+    """A report's dataclass fields by name, with every complex value or
+    array as json_complex writes it."""
+    data = {f.name: getattr(report, f.name) for f in fields(report)}
+    return {
+        name: json_complex(value) if isinstance(value, (complex, np.ndarray)) else value
+        for name, value in data.items()
+    }
 
 
 @dataclass
@@ -75,7 +85,7 @@ class LsqResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "coefficients": [[c.real, c.imag] for c in self.coefficients],
+            "coefficients": json_complex(self.coefficients),
             "minimum": self.minimum,
             "route_gap": self.route_gap,
             "condition": self.condition,
@@ -125,19 +135,7 @@ class ScanReport:
     margin: float
     generator: str = "numpy PCG64"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "min_nu": self.min_nu,
-            "argmin_trial": self.argmin_trial,
-            "argmin_coefficients": [
-                [c.real, c.imag] for c in self.argmin_coefficients
-            ],
-            "closed_form": self.closed_form,
-            "margin": self.margin,
-            "generator": self.generator,
-        }
+    to_json_dict = _fields_json
 
 
 def uniform_competitor_scan(
@@ -183,17 +181,7 @@ class SmallInstanceReport:
     argmin: complex
     closed_form: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "w": [self.w.real, self.w.imag],
-            "grid_points": self.grid_points,
-            "half_width": self.half_width,
-            "resolution": self.resolution,
-            "center": [self.center.real, self.center.imag],
-            "grid_minimum": self.grid_minimum,
-            "argmin": [self.argmin.real, self.argmin.imag],
-            "closed_form": self.closed_form,
-        }
+    to_json_dict = _fields_json
 
 
 def small_instance_exhaustive(

@@ -100,10 +100,6 @@ class PoleSequence:
             out.append(seen[a])
         return tuple(out)
 
-    def multiplicity_in_prefix(self, m: int) -> int:
-        """s_m: occurrences of a_m among a_0..a_m."""
-        return self.multiplicities[m]
-
     @property
     def max_modulus(self) -> float:
         return max((abs(p) for p in self._points), default=0.0)
@@ -144,10 +140,6 @@ class BlaschkeProduct:
             raise ValueError("tau must be unimodular")
         self.poles = poles
         self.tau = tau
-
-    @property
-    def degree(self) -> int:
-        return len(self.poles)
 
     def with_tau(self, tau: complex) -> "BlaschkeProduct":
         return BlaschkeProduct(self.poles, tau)
@@ -301,20 +293,19 @@ class TMBasis:
             else:
                 yield part, self.eval_all(z[part], count)
 
-    def design_matrix(self, grid: CircleGrid, count: int | None = None) -> np.ndarray:
+    def design_matrix(self, grid: CircleGrid) -> np.ndarray:
         """Node-by-function matrix A[j, k] = phi_k(node_j), read-only.
 
-        The full matrix is evaluated once per grid and stored with the basis,
+        The matrix is evaluated once per grid and stored with the basis,
         keyed by the identity of the grid's (immutable, cached) node array.
         eval_all bounds its size."""
-        count = self._check_count(count)
         nodes = grid.nodes
         entry = self._designs.get(id(nodes))
         if entry is None:
             design = self.eval_all(nodes).T
             design.setflags(write=False)
             entry = self._designs.setdefault(id(nodes), (nodes, design))
-        return entry[1] if count == self.size else entry[1][:, :count]
+        return entry[1]
 
     def taylor(self, w: complex, order: int) -> np.ndarray:
         """Row k holds the Taylor coefficients phi_k^(j)(w) / j!, j = 0..order.

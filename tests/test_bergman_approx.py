@@ -42,7 +42,7 @@ from diskrat.bergman_approx import (
     extended_mu,
 )
 from diskrat.circlequad import sample_on_nodes
-from diskrat.expansion import expand_function
+from diskrat.expansion import FourierExpansion, expand_function
 from diskrat.tm_basis import NODE_CHUNK
 
 GRID = circle_grid(4096)
@@ -258,8 +258,7 @@ def test_taylor_route_matches_quadrature_of_closed_form(configuration):
     approx = build_approximant(spec, free)
     values, _ = approx.pole_derivatives
     poles = approx.basis.poles
-    for m, a in enumerate(poles):
-        s = poles.multiplicity_in_prefix(m)
+    for m, (a, s) in enumerate(zip(poles, poles.multiplicities)):
         quadrature = derivative_at(approx.eval_closed_form, a, order=s - 1)
         scale = max(1.0, abs(interpolation_target(spec, a, s)))
         assert abs(values[m] - quadrature) <= 1e-10 * scale
@@ -534,7 +533,9 @@ class TestNuFunctional:
         approx = build_approximant(spec, [0j])
         value = nu_functional(spec, approx.basis, approx.coefficients, circle_grid(2**14))
         assert value == pytest.approx(1.0 / 3.0, rel=1e-8)
-        variation = equimodularity_variation(spec, approx.eval, circle_grid(2**12))
+        variation = equimodularity_variation(
+            spec, approx.basis, approx.coefficients, circle_grid(2**12)
+        )
         assert variation < 1e-9
 
     def test_truncation_strictly_worse(self):
@@ -1093,3 +1094,106 @@ class TestErrorReport:
         finally:
             tracemalloc.stop()
         assert peak < block
+
+
+def callable_equimodularity(spec, rational, grid):
+    """equimodularity_variation as it was, on a callable: the reference the
+    row route must reproduce to the bit."""
+    values = sample_on_nodes(rational, grid.nodes)
+    error = np.abs(spec.cauchy_power(grid.nodes) - values)
+    top = float(np.max(error))
+    if top == 0.0:
+        return 0.0
+    return float((top - float(np.min(error))) / top)
+
+
+def verify_equimodularity_approximants():
+    """The four approximants of verify's equimodularity check."""
+    out = []
+    for alpha in (0, 1, 2, 3):
+        rng = np.random.default_rng([verify._LATTICE_SEED + 2, alpha])
+        spec = KernelSpec(alpha, verify._random_w(rng, 0.55))
+        free = PoleSequence.random(2, rng=rng, max_modulus=0.6, min_modulus=0.2)
+        out.append(build_approximant(spec, free))
+    return out
+
+
+class TestEquimodularityRows:
+    @pytest.mark.parametrize("nodes", [4096, 2**14, 2**16])
+    def test_rows_match_the_callable_route_to_the_bit(self, nodes):
+        grid = circle_grid(nodes)
+        approximants = verify_equimodularity_approximants()
+        for approx in approximants:
+            row = equimodularity_variation(approx.spec, approx.basis, approx.coefficients, grid)
+            assert row == callable_equimodularity(approx.spec, approx.eval, grid)
+            assert row < 1e-9
+        # a perturbed competitor: its eval is that of an approximant whose
+        # expansion holds the trial's coefficients
+        approx = approximants[2]
+        trial = competitor_trials(approx, 2, np.random.default_rng(5))[1]
+        expansion = FourierExpansion(approx.basis, trial, "trial", nodes)
+        competitor = replace(approx, expansion=expansion)
+        row = equimodularity_variation(approx.spec, approx.basis, trial, grid)
+        assert row == callable_equimodularity(approx.spec, competitor.eval, grid)
+        assert row > 1e-3
+
+    def test_a_matrix_gives_one_value_per_row(self):
+        approx = verify_equimodularity_approximants()[1]
+        rows = competitor_trials(approx, 5, np.random.default_rng(3))
+        grid = circle_grid(4096)
+        values = equimodularity_variation(approx.spec, approx.basis, rows, grid)
+        assert values.shape == (5,)
+        single = [equimodularity_variation(approx.spec, approx.basis, r, grid) for r in rows]
+        assert values == pytest.approx(single, rel=1e-12)
+
+    def test_a_zero_error_has_no_variation(self):
+        # alpha = 0, w = 0: the Cauchy power is 1 and the row [1] over a
+        # zero pole is R = 1, so the error vanishes on every node
+        spec = KernelSpec(0, 0j)
+        assert equimodularity_variation(spec, TMBasis([0j]), [1.0], circle_grid(256)) == 0.0
+
+
+class TestErrorRowNames:
+    def test_one_name_list_feeds_every_format(self):
+        assert ErrorReport.VALUE_NAMES == (
+            "mu_quad", "mu_closed", "nu_grid", "nu_closed", "max_interp_residual",
+        )
+        assert ErrorReport.CSV_HEADER == (
+            "n,alpha,w_re,w_im,mu_quad,mu_closed,nu_grid,nu_closed,max_interp_residual"
+        )
+        report = build_error_report(KernelSpec(1, 0.5 + 0.2j), [0.3, -0.4j])
+        assert report.values == (
+            report.mu_quadrature,
+            report.mu_closed_form,
+            report.nu_grid,
+            report.nu_closed_form,
+            report.max_interp_residual,
+        )
+        assert sorted(report.to_json_dict()) == [
+            "alpha", "degenerate_w_zero", "free_pole_matches_w", "free_poles",
+            "max_interp_residual", "mu_closed", "mu_quad", "n", "nu_closed", "nu_grid", "w",
+        ]
+        assert report.csv_cells()[2:] == [f"{v:.17g}" for v in report.values]
+
+
+class TestTrialBound:
+    def test_over_the_cap_raises_before_allocating(self):
+        approx = build_approximant(KernelSpec(0, 0.5), [0.1])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DesignTooLarge, match="10000000000000 trials by 2 coefficients"):
+                competitor_trials(approx, 10**13, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_the_cap_counts_the_schedule_and_its_draws(self, monkeypatch):
+        approx = build_approximant(KernelSpec(0, 0.5), [0.1])  # m = 2
+        # 100 trials: 100 complex rows and 99 pairs of real draws of 2 entries
+        size = 16 * 2 * (100 + 99)
+        monkeypatch.setattr(bergman_approx, "MAX_DESIGN_BYTES", size)
+        assert competitor_trials(approx, 100, np.random.default_rng(0)).shape == (100, 2)
+        monkeypatch.setattr(bergman_approx, "MAX_DESIGN_BYTES", size - 1)
+        with pytest.raises(DesignTooLarge, match=f"needs {size} bytes"):
+            competitor_trials(approx, 100, np.random.default_rng(0))

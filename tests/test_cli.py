@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import diskrat.bergman_approx
 import diskrat.circlequad
-from diskrat import KernelSpec, cli
+from diskrat import KernelSpec
 from diskrat.cli import (
     COMMANDS,
     OPTIONS,
@@ -491,6 +491,46 @@ def test_sweep_reports_a_row_past_the_double_range_in_its_cell(capsys):
     assert ",,,,,,interpolation row 171 " in rows[2]
 
 
+class TestErrorRowLiterals:
+    def test_approximate_csv_header(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "approximate", "--w", "0.5,0", "--poles", "0,0", "--format", "csv"
+        )
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "n,alpha,w_re,w_im,mu_quad,mu_closed,nu_grid,nu_closed,max_interp_residual"
+        )
+
+    def test_sweep_failure_row_has_five_empty_cells(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--alphas", "0,1", "--ns", "0", "--ws", "0.5,0", "--poles", "zeros"
+        )
+        assert code == 2
+        header, _, failed = out.splitlines()
+        assert header == (
+            "alpha,n,w_re,w_im,mu_quad,mu_closed,nu_grid,nu_closed,max_interp_residual,error"
+        )
+        assert failed == "1,0,0.5,0,,,,,,n smaller than alpha leaves -1 free poles"
+
+    @pytest.mark.parametrize("w", ["0.5,0.2", "0,0"])
+    def test_error_report_json_keys(self, capsys, w):
+        code, out, _ = run_cli(capsys, "approximate", "--w", w, "--poles", "0.3,0")
+        assert code == 0
+        assert sorted(json.loads(out)["error_report"]) == [
+            "alpha", "degenerate_w_zero", "free_pole_matches_w", "free_poles",
+            "max_interp_residual", "mu_closed", "mu_quad", "n", "nu_closed", "nu_grid", "w",
+        ]
+
+
+def test_oracle_refuses_a_trial_schedule_over_the_cap(capsys):
+    code, out, err = run_cli(
+        capsys, "oracle", "--w", "0.5,0", "--poles", "0.1,0", "--trials", "10000000000000"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a competitor schedule of 10000000000000 trials")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 class TestOracleCommand:
     def test_report_structure(self, capsys):
         code, out, _ = run_cli(
@@ -680,28 +720,18 @@ class TestOptionTable:
 
 
 class TestCachedParser:
-    def test_one_parser_per_command_set(self, capsys, monkeypatch):
-        built = []
-
-        def counted(commands):
-            built.append(set(commands))
-            return build_parser(commands)
-
-        monkeypatch.setattr(cli, "build_parser", counted)
-        cli._cached_parser.cache_clear()
-        try:
-            for argv in (
-                ["basis", "--poles", "0,0"],
-                ["approximate", "--w", "0.5,0", "--poles", "0,0"],
-                ["basis", "--poles", "0.3,0;0,0"],
-                ["approximate", "--w", "0.3,0", "--poles", "0,0.2"],
-            ):
-                code, out, err = run_cli(capsys, *argv)
-                assert code == 0, err
-                assert json.loads(out)
-        finally:
-            cli._cached_parser.cache_clear()
-        assert built == [{"basis"}, {"approximate"}]
+    def test_one_parser_per_process(self, capsys):
+        parser = build_parser()
+        for argv in (
+            ["basis", "--poles", "0,0"],
+            ["approximate", "--w", "0.5,0", "--poles", "0,0"],
+            ["basis", "--poles", "0.3,0;0,0"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            assert json.loads(out)
+        assert build_parser() is parser
+        assert build_parser.cache_info().currsize == 1
 
     def test_a_usage_error_leaves_the_parser_usable(self, capsys):
         good = ["approximate", "--w", "0.5,0", "--poles", "0,0"]
@@ -723,14 +753,14 @@ class TestCachedParser:
     )
     def test_error_messages_are_those_of_a_fresh_parser(self, capsys, argv):
         with pytest.raises(UsageError) as fresh:
-            build_parser(COMMANDS.keys() & set(argv)).parse_args(argv)
+            build_parser.__wrapped__().parse_args(argv)
         for _ in range(2):
             assert run_cli(capsys, *argv) == (1, "", f"error: {fresh.value}\n")
 
     @pytest.mark.parametrize("argv", [["--help"], ["approximate", "--help"], ["verify", "-h"]])
     def test_help_is_that_of_a_fresh_parser(self, capsys, argv):
         with pytest.raises(SystemExit):
-            build_parser(COMMANDS.keys() & set(argv)).parse_args(argv)
+            build_parser.__wrapped__().parse_args(argv)
         fresh = capsys.readouterr().out
         assert fresh.startswith(f"usage: diskrat {' '.join(argv[:-1])}".rstrip())
         for _ in range(2):

@@ -215,3 +215,59 @@ class TestSmallInstanceExhaustive:
         data = report.to_json_dict()
         assert data["grid_points"] == 41
         assert json.dumps(data)
+
+
+def hand_written_scan_json(report):
+    """ScanReport.to_json_dict as it was written out key by key."""
+    return {
+        "seed": report.seed,
+        "trials": report.trials,
+        "min_nu": report.min_nu,
+        "argmin_trial": report.argmin_trial,
+        "argmin_coefficients": [[c.real, c.imag] for c in report.argmin_coefficients],
+        "closed_form": report.closed_form,
+        "margin": report.margin,
+        "generator": report.generator,
+    }
+
+
+def hand_written_small_instance_json(report):
+    """SmallInstanceReport.to_json_dict as it was written out key by key."""
+    return {
+        "w": [report.w.real, report.w.imag],
+        "grid_points": report.grid_points,
+        "half_width": report.half_width,
+        "resolution": report.resolution,
+        "center": [report.center.real, report.center.imag],
+        "grid_minimum": report.grid_minimum,
+        "argmin": [report.argmin.real, report.argmin.imag],
+        "closed_form": report.closed_form,
+    }
+
+
+def dumped(data):
+    return json.dumps(data, sort_keys=True, indent=2)
+
+
+class TestReportJson:
+    @pytest.mark.parametrize(
+        "spec, free, trials, seed",
+        [
+            (KernelSpec(0, 0.5), [0j], 100, 42),
+            (KernelSpec(2, complex(-0.3, 0.2)), [0.25, -0.3j], 7, 3),
+            (KernelSpec(1, -0.4j), [], 1, 0),
+        ],
+    )
+    def test_scan_json_is_the_hand_written_dict(self, spec, free, trials, seed):
+        report = uniform_competitor_scan(build_approximant(spec, free), trials, seed)
+        data = report.to_json_dict()
+        assert data == hand_written_scan_json(report)
+        assert dumped(data) == dumped(hand_written_scan_json(report))
+        assert all(type(x) is float for pair in data["argmin_coefficients"] for x in pair)
+
+    @pytest.mark.parametrize("w", [0.5, complex(0.3, -0.2), 0j, complex(-0.0, -0.6)])
+    def test_small_instance_json_is_the_hand_written_dict(self, w):
+        report = small_instance_exhaustive(KernelSpec(0, w), 41, quad_grid=circle_grid(1024))
+        data = report.to_json_dict()
+        assert dumped(data) == dumped(hand_written_small_instance_json(report))
+        assert list(data) == list(hand_written_small_instance_json(report))
