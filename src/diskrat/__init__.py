@@ -8,7 +8,6 @@ from .bergman_approx import (
     build_approximant,
     build_error_report,
     closed_form_J,
-    competitor_function,
     competitor_trials,
     equimodularity_variation,
     interpolation_target,
@@ -42,7 +41,6 @@ from .errors import (
 from .expansion import (
     FourierExpansion,
     default_grid_size,
-    expand_function,
     expand_kernel,
     h2_remainder,
     remainder_integral_J,

@@ -128,7 +128,11 @@ class Approximant:
     free_poles: PoleSequence
     basis: TMBasis
     expansion: FourierExpansion
-    free_blaschke: BlaschkeProduct
+
+    @cached_property
+    def free_blaschke(self) -> BlaschkeProduct:
+        """The Blaschke product over the free poles."""
+        return BlaschkeProduct(self.free_poles)
 
     @property
     def n(self) -> int:
@@ -153,8 +157,7 @@ class Approximant:
             / [(1-|w|^2)^(a+1) (1 - conj(w) z)^(a+1)]
 
         with B the Blaschke product over the free poles.  Only the
-        phase-invariant combination B(z) conj(B(w)) enters, so the stored
-        product's unimodular constant is immaterial.
+        phase-invariant combination B(z) conj(B(w)) enters.
         """
         spec = self.spec
         z = np.asarray(z)
@@ -290,13 +293,7 @@ def build_approximant(
     full = free_poles.with_trailing(spec.w, spec.alpha + 1)
     basis = TMBasis(full)
     expansion = expand_kernel(spec, basis)
-    return Approximant(
-        spec=spec,
-        free_poles=free_poles,
-        basis=basis,
-        expansion=expansion,
-        free_blaschke=BlaschkeProduct(free_poles),
-    )
+    return Approximant(spec=spec, free_poles=free_poles, basis=basis, expansion=expansion)
 
 
 def _competitor_values(basis: TMBasis, rows: np.ndarray, nodes, multiplier):
@@ -508,10 +505,6 @@ class _GridBrackets:
         return self.index, (2.0 * np.pi / count) * near, self.moduli
 
 
-def _unit(t) -> np.ndarray:
-    return np.cos(t) + 1j * np.sin(t)
-
-
 def nu_functional(
     spec: KernelSpec, basis: TMBasis, coefficients, grid: CircleGrid
 ) -> float | np.ndarray:
@@ -554,7 +547,7 @@ def nu_functional(
     def modulus(t):
         # entry i of t is refined with row i, by one dot product per row: the
         # sum Approximant.eval takes at one point, to the bit
-        x = _unit(t)
+        x = np.cos(t) + 1j * np.sin(t)
         sums = (rows[:, None, :] @ basis.eval_all(x, count=count).T[:, :, None])[:, 0, 0]
         return np.abs(spec.cauchy_power(x) - (1.0 - x * cw) * sums)
 
@@ -571,8 +564,8 @@ def nu_min_closed_form(spec: KernelSpec, free_poles: PoleSequence | list[complex
 
 
 def closed_form_J(spec: KernelSpec, basis: TMBasis, n: int, z) -> complex:
-    """Closed form of the kernel-remainder integral, phase-aligned to the
-    tau = 1 Blaschke convention used by the quadrature route:
+    """Closed form of the kernel-remainder integral, with the Blaschke
+    product of the quadrature route, so the two agree in phase as well:
 
         J(z; w) = (conj(w) / (1-|w|^2))^(alpha+1) conj(B(w)) / (1 - conj(w) z)
 

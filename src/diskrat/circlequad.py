@@ -51,7 +51,6 @@ class CircleGrid:
             raise ValueError("node_count must be a positive integer")
         self.node_count = node_count
         self.weight = 1.0 / node_count
-        self.extended = bool(extended)
         if extended:
             # Long-double nodes; pi is recomputed in long double so the node
             # arguments are not limited by double rounding.
@@ -66,6 +65,13 @@ class CircleGrid:
 
     def __repr__(self):
         return f"CircleGrid(node_count={self.node_count})"
+
+
+def random_disk_points(rng: np.random.Generator, count: int, max_modulus: float) -> np.ndarray:
+    """count points drawn uniformly by area from the disk |z| <= max_modulus:
+    count radii max_modulus * sqrt(U), then count angles 2 pi U."""
+    radii = max_modulus * np.sqrt(rng.uniform(0.0, 1.0, count))
+    return radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
 
 
 def json_complex(values):

@@ -29,7 +29,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bergman_approx import ErrorReport, build_approximant, build_error_report, csv_cell
-from .circlequad import EPS_BOUNDARY, MAX_NODES, circle_grid, json_complex, require_in_disk
+from .circlequad import (
+    EPS_BOUNDARY,
+    MAX_NODES,
+    circle_grid,
+    json_complex,
+    random_disk_points,
+    require_in_disk,
+)
 from .errors import DiskratError, OrderTooSmall, PointNotInDisk
 from .kernels import KernelSpec
 from .oracle import (
@@ -241,9 +248,23 @@ def _check_order(cfg: SimpleNamespace, n: int):
         raise UsageError(f"--n {cfg.n} disagrees with the poles, which give n = {n}")
 
 
+def _pole_count(cfg: SimpleNamespace, zeros: int, otherwise: int | None) -> int | None:
+    """How many poles basis, approximate and oracle take: as many as --poles
+    lists, `zeros` for --poles zeros, --random-poles, else `otherwise` random
+    ones (None: no pole source).  --poles and --random-poles together are a
+    usage error."""
+    if cfg.poles is not None and cfg.random_poles is not None:
+        raise UsageError("give --poles or --random-poles, not both")
+    if cfg.poles == "zeros":
+        return zeros
+    if cfg.poles is not None:
+        return len(cfg.poles)
+    return otherwise if cfg.random_poles is None else cfg.random_poles
+
+
 def _free_poles_for(cfg: SimpleNamespace, count: int, salt: int = 0) -> PoleSequence:
-    """Resolve the free-pole source (explicit, zeros, or random) for a lattice
-    point needing `count` poles."""
+    """`count` poles from the configured source: zeros, the first of the
+    given poles, or a random draw seeded with seed + salt."""
     if count < 0:
         raise OrderTooSmall(f"n smaller than alpha leaves {count} free poles")
     if cfg.poles == "zeros":
@@ -296,15 +317,10 @@ def _json_dump(obj) -> str:
 
 
 def cmd_basis(cfg: SimpleNamespace) -> int:
-    if cfg.poles == "zeros":
-        poles = PoleSequence([0j] * ((4 if cfg.n is None else cfg.n) + 1))
-    elif cfg.poles is not None:
-        poles = PoleSequence(cfg.poles)
-    elif cfg.random_poles is not None:
-        rng = np.random.default_rng(cfg.seed)
-        poles = PoleSequence.random(cfg.random_poles, rng, max_modulus=cfg.max_modulus)
-    else:
+    count = _pole_count(cfg, (4 if cfg.n is None else cfg.n) + 1, None)
+    if count is None:
         raise UsageError("basis needs --poles, --poles zeros, or --random-poles")
+    poles = _free_poles_for(cfg, count)
     if len(poles) == 0:
         raise UsageError("a basis needs at least one pole")
     _check_order(cfg, len(poles) - 1)
@@ -317,10 +333,7 @@ def cmd_basis(cfg: SimpleNamespace) -> int:
     else:
         samples = 0.5 * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)
     phi = basis.eval_all(samples)
-    rng = np.random.default_rng(cfg.seed)
-    radii = 0.8 * np.sqrt(rng.uniform(0, 1, 20))
-    angles = rng.uniform(0, 2 * np.pi, 20)
-    pairs = radii * np.exp(1j * angles)
+    pairs = random_disk_points(np.random.default_rng(cfg.seed), 20, 0.8)
     cd_max = christoffel_darboux_residual(basis, basis.size, pairs[0::2], pairs[1::2])
     if cfg.format != "csv":
         payload = {
@@ -350,16 +363,11 @@ def _resolve_order(cfg: SimpleNamespace) -> PoleSequence:
     count, or n - alpha random poles.  A given --n must agree with them."""
     if cfg.n is not None and cfg.n < cfg.alpha:
         raise OrderTooSmall(f"n = {cfg.n} is smaller than alpha = {cfg.alpha}")
-    if cfg.poles == "zeros":
-        free = PoleSequence([0j] * ((cfg.n - cfg.alpha) if cfg.n is not None else 1))
-    elif cfg.poles is not None:
-        free = PoleSequence(cfg.poles)
-    elif cfg.random_poles is not None or cfg.n is not None:
-        count = cfg.random_poles if cfg.random_poles is not None else cfg.n - cfg.alpha
-        rng = np.random.default_rng(cfg.seed)
-        free = PoleSequence.random(count, rng, max_modulus=cfg.max_modulus)
-    else:
+    rest = None if cfg.n is None else cfg.n - cfg.alpha
+    count = _pole_count(cfg, 1 if rest is None else rest, rest)
+    if count is None:
         raise UsageError("give --poles, --random-poles, or --n")
+    free = _free_poles_for(cfg, count)
     _check_order(cfg, cfg.alpha + len(free))
     return free
 
@@ -371,7 +379,7 @@ def cmd_approximate(cfg: SimpleNamespace) -> int:
     if report.degenerate_w_zero:
         approx_dict = {
             "alpha": spec.alpha,
-            "w": [0.0, 0.0],
+            "w": json_complex(spec.w),
             "free_poles": json_complex(free),
             "note": "degenerate kernel: the approximant is identically 1",
         }

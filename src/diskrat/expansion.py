@@ -81,9 +81,6 @@ class FourierExpansion:
         self.source = str(source)
         self.grid_size = int(grid_size)
 
-    def __len__(self):
-        return len(self.coefficients)
-
     def partial_sum(self, count: int, z):
         """sum_{m<count} c_m phi_m(z); the empty sum is 0.  The output is
         filled part by part over TMBasis.eval_chunks, so a grid of any size
@@ -183,7 +180,7 @@ def remainder_integral_J(
     """Quadrature of conj(B_{n+1}(t)) K_alpha(t; w) / (1 - z conj(t)).
 
     Requires the trailing alpha+1 poles of the sequence to equal w and
-    n >= alpha.  Computed in the tau = 1 Blaschke convention.
+    n >= alpha.
     """
     validate_trailing_poles(spec, basis.poles, n)
     z = require_in_disk(z)

@@ -69,7 +69,9 @@ class LeastSquaresProblem:
     def build(cls, spec: KernelSpec, basis: TMBasis, grid: CircleGrid) -> "LeastSquaresProblem":
         design = basis.design_matrix(grid)
         target = sample_on_nodes(spec.bergman, grid.nodes)
-        gram = (np.conj(design).T @ design) * grid.weight
+        # the normal-equations matrix conj(A)^T A / N, whose entry (k, l) is
+        # <phi_l, phi_k>: the conjugate of the basis's Gram
+        gram = np.conj(basis.gram_matrix(grid))
         condition = float(np.linalg.cond(gram))
         return cls(grid, design, target, gram, condition)
 

@@ -10,10 +10,9 @@ with the convention that the factor (-|a_j|/a_j) is +1 when a_j = 0, so the
 all-zero sequence reproduces the monomials z^k.  The system is orthonormal on
 the unit circle against normalized Lebesgue measure.
 
-Blaschke products here carry a free unimodular constant tau, fixed to 1 by
-default; every downstream identity consumes only phase-cancelling combinations
-such as conj(B(z)) B(zeta), so the choice is immaterial and is probed by the
-phase-freedom tests.
+Blaschke products here carry no free unimodular constant: every downstream
+identity consumes only phase-cancelling combinations such as
+conj(B(z)) B(zeta).
 """
 
 from __future__ import annotations
@@ -125,28 +124,21 @@ class PoleSequence:
 
 
 class BlaschkeProduct:
-    """Finite Blaschke product tau * prod (z - a_j) / (1 - conj(a_j) z).
+    """Finite Blaschke product prod (z - a_j) / (1 - conj(a_j) z).
 
     Unimodular on the circle, of modulus < 1 inside the disk, with zeros at
-    the poles of the generating sequence.  The degree-0 product is identically
-    tau (= 1 by default).
+    the poles of the generating sequence.  The degree-0 product is
+    identically 1.
     """
 
-    def __init__(self, poles: PoleSequence | Sequence[complex], tau: complex = 1.0):
+    def __init__(self, poles: PoleSequence | Sequence[complex]):
         if not isinstance(poles, PoleSequence):
             poles = PoleSequence(poles)
-        tau = complex(tau)
-        if abs(abs(tau) - 1.0) > 1e-12:
-            raise ValueError("tau must be unimodular")
         self.poles = poles
-        self.tau = tau
-
-    def with_tau(self, tau: complex) -> "BlaschkeProduct":
-        return BlaschkeProduct(self.poles, tau)
 
     def __call__(self, z):
         z = np.asarray(z)
-        out = np.full(z.shape, self.tau, dtype=np.result_type(z, np.complex128))
+        out = np.ones(z.shape, dtype=np.result_type(z, np.complex128))
         for a in self.poles:
             out = out * (z - a) / (1.0 - np.conj(a) * z)
         return complex(out) if out.ndim == 0 else out
@@ -332,30 +324,28 @@ class TMBasis:
         return out
 
     def gram_matrix(self, grid: CircleGrid) -> np.ndarray:
-        """Discrete Gram <phi_k, phi_l> under the grid's quadrature."""
-        a = self.design_matrix(grid)
-        return (a.T @ np.conj(a)) * grid.weight
+        """Discrete Gram <phi_k, phi_l> under the grid's quadrature.  It reads
+        a stored design matrix of the grid and stores none."""
+        phi = self.eval_all(grid.nodes)
+        return (phi @ np.conj(phi).T) * grid.weight
 
-    def blaschke(self, degree: int, tau: complex = 1.0) -> BlaschkeProduct:
+    def blaschke(self, degree: int) -> BlaschkeProduct:
         """Blaschke product over the first `degree` poles."""
         if not 0 <= degree <= self.size:
             raise IndexOutOfRange(
                 f"Blaschke degree {degree} outside 0..{self.size}"
             )
-        return BlaschkeProduct(self.poles.prefix(degree), tau)
+        return BlaschkeProduct(self.poles.prefix(degree))
 
 
-def christoffel_darboux_residual(
-    basis: TMBasis, n: int, z, zeta, tau: complex = 1.0
-) -> float:
+def christoffel_darboux_residual(basis: TMBasis, n: int, z, zeta) -> float:
     """Largest residual of the partial-reproducing-kernel identity
 
         1/(1 - conj(z) zeta) = sum_{k<n} conj(phi_k(z)) phi_k(zeta)
                                + conj(B_n(z)) B_n(zeta) / (1 - conj(z) zeta)
 
     over the pairs (z[i], zeta[i]) of open-disk points, for
-    1 <= n <= max_index + 1.  Scalars count as one pair.  The optional tau
-    probes phase freedom: the result must not depend on it.
+    1 <= n <= max_index + 1.  Scalars count as one pair.
     """
     n = int(n)
     if not 1 <= n <= basis.max_index + 1:
@@ -368,6 +358,6 @@ def christoffel_darboux_residual(
     phi_z = basis.eval_all(z, count=n)
     phi_zeta = basis.eval_all(zeta, count=n)
     kernel_sum = np.sum(np.conj(phi_z) * phi_zeta, axis=0)
-    b = basis.blaschke(n, tau)
+    b = basis.blaschke(n)
     remainder = np.conj(b(z)) * b(zeta) * cauchy
     return float(np.max(np.abs(cauchy - kernel_sum - remainder)))

@@ -30,7 +30,7 @@ from .bergman_approx import (
     nu_functional,
     nu_min_closed_form,
 )
-from .circlequad import circle_grid, derivative_at, require_in_disk
+from .circlequad import circle_grid, derivative_at, random_disk_points, require_in_disk
 from .errors import PointNotInDisk
 from .expansion import remainder_integral_J
 from .kernels import KernelSpec
@@ -89,11 +89,6 @@ class CheckResult:
         return f"{status} {self.name}: value={self.value:.6e} bound={self.bound:.6e}"
 
 
-def _disk_points(rng: np.random.Generator, count: int, max_modulus: float) -> np.ndarray:
-    radii = max_modulus * np.sqrt(rng.uniform(0.0, 1.0, count))
-    return radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
-
-
 def _random_w(rng: np.random.Generator, modulus: float) -> complex:
     return complex(modulus * np.exp(2j * np.pi * rng.uniform()))
 
@@ -116,8 +111,8 @@ def _check_christoffel() -> list[tuple[str, float, dict]]:
         rng = np.random.default_rng(_CD_SEED + i)
         count = int(rng.integers(1, 22))
         basis = TMBasis(PoleSequence.random(count, rng=rng, max_modulus=0.9))
-        zs = _disk_points(rng, 100, 0.8)
-        zetas = _disk_points(rng, 100, 0.8)
+        zs = random_disk_points(rng, 100, 0.8)
+        zetas = random_disk_points(rng, 100, 0.8)
         worst = max(worst, christoffel_darboux_residual(basis, basis.size, zs, zetas))
     return [("christoffel_darboux", worst, {"sequences": 20, "pairs_per_sequence": 100})]
 
@@ -238,7 +233,7 @@ def _approximant_configs():
 
 def _check_approximant_group() -> list[tuple[str, float, dict]]:
     rng = np.random.default_rng(_LATTICE_SEED + 3)
-    disk_pts = _disk_points(rng, 25, 0.9)
+    disk_pts = random_disk_points(rng, 25, 0.9)
     circle_pts = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 25))
     points = np.concatenate([disk_pts, circle_pts])
     worst_cf = 0.0
@@ -275,7 +270,7 @@ def _check_approximant_group() -> list[tuple[str, float, dict]]:
 
 def _check_remainder_group() -> list[tuple[str, float, dict]]:
     rng = np.random.default_rng(_LATTICE_SEED + 4)
-    zs = _disk_points(rng, 50, 0.85)
+    zs = random_disk_points(rng, 50, 0.85)
     configs = [
         (0, 0.5 + 0.0j, [0.3]),
         (1, 0.4j, [0.2]),
@@ -410,13 +405,15 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run all (or the selected) checks in registry order and judge each
     measured value against its bound: DEFAULT_TOLERANCES, overridden by
-    `tolerances`."""
+    `tolerances`.  A selection must name at least one check."""
     tolerances = tolerances or {}
     for name in tolerances:
         if name not in DEFAULT_TOLERANCES:
             raise ValueError(f"unknown tolerance name: {name}")
     bounds = {**DEFAULT_TOLERANCES, **tolerances}
     if only is not None:
+        if not only:
+            raise ValueError("no check selected")
         unknown = set(only) - set(ALL_CHECK_NAMES)
         if unknown:
             raise ValueError(f"unknown check names: {sorted(unknown)}")

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diskrat import (
+    BlaschkeProduct,
     DesignTooLarge,
     ErrorReport,
     KernelSpec,
@@ -21,7 +22,6 @@ from diskrat import (
     build_error_report,
     circle_grid,
     closed_form_J,
-    competitor_function,
     competitor_trials,
     derivative_at,
     equimodularity_variation,
@@ -39,18 +39,14 @@ from diskrat.bergman_approx import (
     _NOISE_SCALE,
     _REFINE_ITERS,
     _golden_max,
+    competitor_function,
     extended_mu,
 )
-from diskrat.circlequad import sample_on_nodes
+from diskrat.circlequad import random_disk_points, sample_on_nodes
 from diskrat.expansion import FourierExpansion, expand_function
 from diskrat.tm_basis import NODE_CHUNK
 
 GRID = circle_grid(4096)
-
-
-def random_disk_points(rng, count, max_modulus):
-    radii = max_modulus * np.sqrt(rng.uniform(0, 1, count))
-    return radii * np.exp(2j * np.pi * rng.uniform(0, 1, count))
 
 
 class TestBuild:
@@ -113,14 +109,21 @@ class TestClosedForm:
         gap = np.max(np.abs(approx.eval(points) - approx.eval_closed_form(points)))
         assert gap < 1e-12
 
-    def test_phase_freedom(self):
+    def test_phase_freedom(self, monkeypatch):
         spec = KernelSpec(1, 0.4)
         approx = build_approximant(spec, [0.3, -0.2j])
-        shifted = replace(approx, free_blaschke=approx.free_blaschke.with_tau(np.exp(0.9j)))
         z = 0.25 - 0.3j
-        assert shifted.eval_closed_form(z) == pytest.approx(
-            approx.eval_closed_form(z), abs=1e-15
-        )
+        expected = approx.eval_closed_form(z)
+
+        class Rotated(BlaschkeProduct):
+            def __call__(self, z):
+                return np.exp(0.9j) * super().__call__(z)
+
+        # a free product times the unimodular constant e^{0.9i}
+        monkeypatch.setattr(bergman_approx, "BlaschkeProduct", Rotated)
+        shifted = build_approximant(spec, [0.3, -0.2j])
+        assert isinstance(shifted.free_blaschke, Rotated)
+        assert shifted.eval_closed_form(z) == pytest.approx(expected, abs=1e-15)
 
 
 class TestInterpolation:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import diskrat.bergman_approx
 import diskrat.circlequad
+import diskrat.verify
 from diskrat import KernelSpec
 from diskrat.cli import (
     COMMANDS,
@@ -19,7 +20,7 @@ from diskrat.cli import (
     parse_int_list,
     parse_pole_list,
 )
-from diskrat.verify import CheckResult
+from diskrat.verify import CHECK_GROUPS, CheckResult, run_checks
 
 
 def run_cli(capsys, *argv):
@@ -152,6 +153,14 @@ class TestApproximate:
         report = json.loads(out)["error_report"]
         for key in ("mu_quad", "mu_closed", "nu_grid", "nu_closed", "max_interp_residual"):
             assert report[key] == 0.0
+
+    def test_degenerate_w_keeps_its_signed_zero_in_both_blocks(self, capsys):
+        code, out, _ = run_cli(capsys, "approximate", "--w", "0,-0", "--poles", "0.3,0")
+        assert code == 0
+        payload = json.loads(out)
+        # 0.0 == -0.0, so compare the written pairs
+        approximant_w = json.dumps(payload["approximant"]["w"])
+        assert approximant_w == json.dumps(payload["error_report"]["w"]) == "[0.0, -0.0]"
 
     def test_random_poles_ratio(self, capsys):
         code, out, _ = run_cli(
@@ -392,6 +401,27 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--only", "nonexistent_check")
         assert code == 1
         assert "unknown" in err
+
+    @pytest.mark.parametrize("only", ["", ",", []], ids=["empty", "comma", "config"])
+    def test_empty_selection_is_usage_error(self, capsys, tmp_path, monkeypatch, only):
+        def no_check():
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(
+            diskrat.verify, "CHECK_GROUPS", [(names, no_check) for names, _ in CHECK_GROUPS]
+        )
+        if isinstance(only, list):
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"only": only}))
+            argv = ["verify", "--config", str(config)]
+        else:
+            argv = ["verify", "--only", only]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "no check selected" in err
+        with pytest.raises(ValueError, match="no check selected"):
+            run_checks(only=[])
 
 
 @pytest.mark.parametrize(
@@ -699,6 +729,9 @@ class TestOptionTable:
             ["approximate", "--w", "0.5,0", "--poles", "0.1,0", "--n", "5"],
             ["approximate", "--w", "0.5,0", "--random-poles", "2", "--n", "5"],
             ["basis", "--poles", "0,0;0.3,0", "--n", "4"],
+            ["basis", "--poles", "zeros", "--random-poles", "3"],
+            ["approximate", "--w", "0.5,0", "--poles", "0.2,0", "--random-poles", "3"],
+            ["oracle", "--w", "0.5,0", "--poles", "zeros", "--random-poles", "3"],
         ],
     )
     def test_out_of_range_or_inconsistent_input_is_a_usage_error(

@@ -17,13 +17,13 @@ from diskrat import (
     circle_grid,
     closed_form_J,
     default_grid_size,
-    expand_function,
     expand_kernel,
     h2_remainder,
     integrate_circle,
     remainder_integral_J,
 )
 from diskrat.circlequad import MAX_NODES
+from diskrat.expansion import expand_function
 
 GRID = circle_grid(4096)
 

@@ -22,13 +22,9 @@ from diskrat import (
     integrate_circle,
 )
 from diskrat import tm_basis
+from diskrat.circlequad import random_disk_points
 
 GRID = circle_grid(4096)
-
-
-def random_disk_points(rng, count, max_modulus):
-    radii = max_modulus * np.sqrt(rng.uniform(0, 1, count))
-    return radii * np.exp(2j * np.pi * rng.uniform(0, 1, count))
 
 
 class TestPoleSequence:
@@ -180,16 +176,12 @@ class TestBlaschke:
         for z in random_disk_points(rng, 50, 0.99):
             assert abs(b(z)) < 1.0
 
-    def test_tau_must_be_unimodular(self):
-        with pytest.raises(ValueError):
-            BlaschkeProduct([0.3], tau=2.0)
-
     def test_factor_polynomials(self):
         b = BlaschkeProduct([0.3, -0.4j])
         z = 0.2 + 0.1j
         numerator = (0.3 - z) * (-0.4j - z)
         denominator = (1 - 0.3 * z) * (1 - np.conj(-0.4j) * z)
-        # B = tau * (-1)^k * numerator / denominator
+        # B = (-1)^k * numerator / denominator
         assert b(z) == pytest.approx(numerator / denominator)
 
 
@@ -271,13 +263,19 @@ class TestChristoffelDarboux:
         with pytest.raises(PointNotInDisk):
             christoffel_darboux_residual(basis, 1, [0.1, 0.2], [bad, 0.3])
 
-    def test_phase_freedom(self):
+    def test_phase_freedom(self, monkeypatch):
         basis = TMBasis([0.6, 0.1 + 0.7j, -0.5])
         z, zeta = 0.3 - 0.2j, -0.1 + 0.4j
         base = christoffel_darboux_residual(basis, 3, z, zeta)
-        injected = christoffel_darboux_residual(
-            basis, 3, z, zeta, tau=np.exp(0.9j)
-        )
+
+        class Rotated(BlaschkeProduct):
+            def __call__(self, z):
+                return np.exp(0.9j) * super().__call__(z)
+
+        # every Blaschke product of the basis times the unimodular e^{0.9i}
+        monkeypatch.setattr(tm_basis, "BlaschkeProduct", Rotated)
+        assert isinstance(basis.blaschke(3), Rotated)
+        injected = christoffel_darboux_residual(basis, 3, z, zeta)
         assert abs(base - injected) < 1e-14
 
     def test_n_range_validation(self):

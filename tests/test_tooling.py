@@ -1,11 +1,15 @@
-"""The library names the benchmark harness traces and patches still exist."""
+"""The library names the benchmark harness traces and patches still exist,
+and every name the package declares public resolves."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import diskrat
 import diskrat.cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -165,3 +169,19 @@ def test_a_failing_hypothesis_test_is_reported_not_an_internal_error(tmp_path):
 
 def test_scan_is_patchable_on_the_cli_module():
     assert callable(diskrat.cli.uniform_competitor_scan)
+
+
+def test_every_name_in_a_module_all_resolves():
+    modules = [importlib.import_module(f"diskrat.{info.name}")
+               for info in pkgutil.iter_modules(diskrat.__path__)]
+    declared = [module for module in modules if hasattr(module, "__all__")]
+    assert declared
+    for module in declared:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+
+
+def test_star_import_is_clean():
+    namespace = {}
+    exec("from diskrat import *", namespace)
+    assert "KernelSpec" in namespace and "run_checks" in namespace
