@@ -143,12 +143,9 @@ class Approximant:
         return self.expansion.coefficients
 
     def eval(self, z):
-        """Constructive route: multiplier times the full partial sum."""
-        z = np.asarray(z)
-        out = (1.0 - z * np.conj(self.spec.w)) * self.expansion.partial_sum(
-            self.n + 1, z
-        )
-        return complex(out) if np.ndim(out) == 0 else out
+        """Constructive route: the competitor_function of the approximant's
+        coefficients, multiplier times the full partial sum."""
+        return competitor_function(self.basis, self.spec.w, self.coefficients)(z)
 
     def eval_closed_form(self, z):
         """Closed form
@@ -585,9 +582,9 @@ def closed_form_J(spec: KernelSpec, basis: TMBasis, n: int, z) -> complex:
 
 
 def competitor_function(basis: TMBasis, w: complex, coefficients) -> Callable:
-    """Member of the competitor class: R(x) = (1 - x conj(w)) sum c_m phi_m(x).
-    The library scores coefficient rows and no longer calls this; it stays
-    while the benchmark's tracer installs a span on it."""
+    """Member of the competitor class: R(x) = (1 - x conj(w)) sum c_m phi_m(x),
+    with one basis evaluation at all of x.  Approximant.eval is this R of
+    the approximant's coefficients."""
     coefficients = np.asarray(coefficients, dtype=complex)
     count = len(coefficients)
 

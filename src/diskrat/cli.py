@@ -131,8 +131,15 @@ def _at_least(minimum: int) -> Callable:
 _natural = _at_least(0)
 
 
+def _some(values: list) -> list:
+    if not values:
+        raise ValueError("the list has no value")
+    return values
+
+
 def _naturals(value) -> list[int]:
-    return [_natural(n) for n in (parse_int_list(value) if isinstance(value, str) else value)]
+    values = parse_int_list(value) if isinstance(value, str) else value
+    return _some([_natural(n) for n in values])
 
 
 def _max_modulus(value) -> float:
@@ -209,7 +216,7 @@ OPTIONS = (
     Option("--trials", "trials", _at_least(1), ("oracle",), 100),
     Option("--alphas", "alphas", _naturals, ("sweep",), None, '"0,1,2" or "0:3"'),
     Option("--ns", "ns", _naturals, ("sweep",), None, '"0,1,2" or "0:5"'),
-    Option("--ws", "ws", _points, ("sweep",), None,
+    Option("--ws", "ws", lambda value: _some(_points(value)), ("sweep",), None,
            'semicolon-separated "re,im" kernel points'),
 )
 

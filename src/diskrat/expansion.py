@@ -82,9 +82,9 @@ class FourierExpansion:
         self.grid_size = int(grid_size)
 
     def partial_sum(self, count: int, z):
-        """sum_{m<count} c_m phi_m(z); the empty sum is 0.  The output is
-        filled part by part over TMBasis.eval_chunks, so a grid of any size
-        forms no basis block of more than NODE_CHUNK nodes."""
+        """sum_{m<count} c_m phi_m(z); the empty sum is 0.  One evaluation
+        of the basis at all of z, which MAX_DESIGN_BYTES bounds: partial
+        sums serve point sets, and the grid passes stream on their own."""
         count = int(count)
         if not 0 <= count <= len(self.coefficients):
             raise CountOutOfRange(
@@ -94,10 +94,7 @@ class FourierExpansion:
         if count == 0:
             zero = np.zeros(z.shape, dtype=complex)
             return complex(zero) if zero.ndim == 0 else zero
-        out = np.empty(z.shape, dtype=np.result_type(z, np.complex128))
-        for part, phi in self.basis.eval_chunks(z, count):
-            out[part] = np.tensordot(self.coefficients[:count], phi, axes=1)
-            del phi  # freed before the next part is evaluated
+        out = np.tensordot(self.coefficients[:count], self.basis.eval_all(z, count), axes=1)
         return complex(out) if out.ndim == 0 else out
 
     def to_json_dict(self) -> dict:

@@ -44,6 +44,12 @@ __all__ = [
 
 CONDITION_LIMIT = 1e8
 
+#: The exhaustive small instance: candidates per axis of the square of
+#: coefficients, its half width, and the nodes of its quadrature grid.
+EXHAUSTIVE_GRID_POINTS = 201
+EXHAUSTIVE_HALF_WIDTH = 0.5
+EXHAUSTIVE_QUAD_NODES = 4096
+
 
 def _fields_json(report) -> dict:
     """A report's dataclass fields by name, with every complex value or
@@ -186,16 +192,13 @@ class SmallInstanceReport:
     to_json_dict = _fields_json
 
 
-def small_instance_exhaustive(
-    spec: KernelSpec,
-    grid_points: int = 201,
-    half_width: float = 0.5,
-    quad_grid: CircleGrid | None = None,
-) -> SmallInstanceReport:
+def small_instance_exhaustive(spec: KernelSpec) -> SmallInstanceReport:
     """Desk-scale sanity for the smallest nontrivial case alpha = 0, n = 0,
     single pole at w: sweep the lone complex coefficient over a square grid
-    centered at its quadrature value and take the smallest quadratic error.
-    The functional is exactly quadratic in the coefficient,
+    of EXHAUSTIVE_GRID_POINTS per axis and half width EXHAUSTIVE_HALF_WIDTH,
+    centered at its quadrature value on EXHAUSTIVE_QUAD_NODES nodes, and
+    take the smallest quadratic error.  The functional is exactly quadratic
+    in the coefficient,
 
         mean|K - c phi0|^2 = mean|K|^2 - 2 Re(conj(c) <K, phi0>) + |c|^2 mean|phi0|^2,
 
@@ -203,26 +206,26 @@ def small_instance_exhaustive(
     minimum sits within (grid resolution)^2 of the closed form."""
     if spec.alpha != 0:
         raise ValueError("the exhaustive instance is defined for alpha = 0")
-    if quad_grid is None:
-        quad_grid = circle_grid(4096)
+    grid_points, half_width = EXHAUSTIVE_GRID_POINTS, EXHAUSTIVE_HALF_WIDTH
+    quad_grid = circle_grid(EXHAUSTIVE_QUAD_NODES)
     basis = TMBasis(PoleSequence([spec.w]))
     kernel = sample_on_nodes(spec.bergman, quad_grid.nodes)
     phi0 = basis.eval_all(quad_grid.nodes, count=1)[0]
     center = complex(np.mean(kernel * np.conj(phi0)))  # <K, phi0>
     kernel_sq = float(np.mean(np.abs(kernel) ** 2))
     phi0_sq = float(np.mean(np.abs(phi0) ** 2))
-    steps = np.linspace(-half_width, half_width, int(grid_points))
+    steps = np.linspace(-half_width, half_width, grid_points)
     candidates = (center.real + steps)[:, None] + 1j * (center.imag + steps)[None, :]
     candidates = candidates.ravel()
     mu = kernel_sq - 2.0 * (np.conj(candidates) * center).real
     mu += np.abs(candidates) ** 2 * phi0_sq
     j = int(np.argmin(mu))
     best, best_c = float(mu[j]), complex(candidates[j])
-    resolution = 2.0 * half_width / (int(grid_points) - 1)
+    resolution = 2.0 * half_width / (grid_points - 1)
     return SmallInstanceReport(
         w=spec.w,
-        grid_points=int(grid_points),
-        half_width=float(half_width),
+        grid_points=grid_points,
+        half_width=half_width,
         resolution=resolution,
         center=center,
         grid_minimum=best,

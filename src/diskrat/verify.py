@@ -347,17 +347,12 @@ def _check_degenerate_group() -> list[tuple[str, float, dict]]:
     worst_nu = 0.0
     grids = []
     for alpha in (0, 2):
-        spec = KernelSpec(alpha, 0.95 + 0.0j)
-        free = PoleSequence([0.3, -0.25j])
-        approx = build_approximant(spec, free)
-        grids.append(approx.expansion.grid_size)
-        grid = circle_grid(approx.expansion.grid_size)
-        mu_closed = mu_min_closed_form(spec, free)
-        mu_quad = mu_functional(spec, approx.basis, approx.coefficients, grid, extended=False)
-        worst_mu = max(worst_mu, abs(mu_quad - mu_closed) / mu_closed)
-        nu_val = nu_functional(spec, approx.basis, approx.coefficients, circle_grid(NU_GRID_NODES))
-        nu_closed = nu_min_closed_form(spec, free)
-        worst_nu = max(worst_nu, abs(nu_val - nu_closed) / nu_closed)
+        boundary = build_error_report(KernelSpec(alpha, 0.95 + 0.0j), PoleSequence([0.3, -0.25j]))
+        grids.append(boundary.approximant.expansion.grid_size)
+        mu_closed = boundary.mu_closed_form
+        worst_mu = max(worst_mu, abs(boundary.mu_quadrature - mu_closed) / mu_closed)
+        nu_closed = boundary.nu_closed_form
+        worst_nu = max(worst_nu, abs(boundary.nu_grid - nu_closed) / nu_closed)
 
     failures = 0
     constructors = (require_in_disk, lambda z: KernelSpec(0, z), lambda z: PoleSequence([z * 1j]))

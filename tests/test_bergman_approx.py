@@ -432,9 +432,13 @@ class TestMuRows:
         design.setflags(write=False)
         basis._designs[id(nodes)] = (nodes, design)
         rows = np.array([[0.1, 1e10, 0.0], [0.1, 0.0, 1e10], [0.1, 0.1, 0.1]], dtype=complex)
+        # the callable route on the injected design: R of row 0 at the nodes
+        def rational(x):
+            return (1.0 - x * np.conj(spec.w)) * np.tensordot(rows[0], design.T, axes=1)
+
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteIntegrand) as reference:
-                callable_mu(spec, competitor_function(basis, spec.w, rows[0]), grid)
+                callable_mu(spec, rational, grid)
             with pytest.raises(NonFiniteIntegrand) as raised:
                 mu_functional(spec, basis, rows, grid, extended=False)
         assert reference.value.node_index == NODE_CHUNK + 5000

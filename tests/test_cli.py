@@ -213,6 +213,30 @@ class TestSweep:
             "alpha,n,w_re,w_im,mu_quad,mu_closed,nu_grid,nu_closed,max_interp_residual,error"
         ]
 
+    @pytest.mark.parametrize(
+        "flag, lattice",
+        [
+            ("--ns", ["--alphas", "0", "--ns", "5:2", "--ws", "0.5,0;0,0"]),
+            ("--ns", ["--alphas", "0", "--ns", ",", "--ws", "0.5,0;0,0"]),
+            ("--alphas", ["--alphas", "", "--ns", "2", "--ws", "0.5,0"]),
+            ("--ws", ["--alphas", "0", "--ns", "2", "--ws", ""]),
+        ],
+        ids=["reversed-range", "comma", "alphas", "ws"],
+    )
+    def test_a_list_of_no_value_is_a_usage_error(self, capsys, flag, lattice):
+        code, out, err = run_cli(capsys, "sweep", *lattice, "--poles", "zeros")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag}: ")
+
+    def test_an_empty_config_list_is_a_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alphas": [0], "ns": [], "ws": [[0.5, 0.0]]}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config), "--poles", "zeros")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --ns: ")
+
     def test_partial_failure_sets_exit_code(self, capsys):
         # n=0 with alpha=1 leaves a negative free-pole count on that row
         code, out, _ = run_cli(

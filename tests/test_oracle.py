@@ -19,6 +19,7 @@ from diskrat import (
     small_instance_exhaustive,
     uniform_competitor_scan,
 )
+from diskrat import oracle
 from diskrat.bergman_approx import extended_mu
 
 GRID = circle_grid(4096)
@@ -162,26 +163,31 @@ class TestCompetitorScan:
             uniform_competitor_scan(approx, trials=0, seed=0)
 
 
+def small_settings(monkeypatch, grid_points, quad_nodes, half_width=0.5):
+    """Set the exhaustive instance's candidates per axis, half width and
+    quadrature nodes."""
+    monkeypatch.setattr(oracle, "EXHAUSTIVE_GRID_POINTS", grid_points)
+    monkeypatch.setattr(oracle, "EXHAUSTIVE_HALF_WIDTH", half_width)
+    monkeypatch.setattr(oracle, "EXHAUSTIVE_QUAD_NODES", quad_nodes)
+
+
 class TestSmallInstanceExhaustive:
-    def test_degenerate_center(self):
-        report = small_instance_exhaustive(
-            KernelSpec(0, 0j), grid_points=41, quad_grid=circle_grid(1024)
-        )
+    def test_degenerate_center(self, monkeypatch):
+        small_settings(monkeypatch, grid_points=41, quad_nodes=1024)
+        report = small_instance_exhaustive(KernelSpec(0, 0j))
         # K = 1 and phi_0 = 1: the optimum is c = 1 with zero error
         assert report.center == pytest.approx(1.0, abs=1e-13)
         assert report.grid_minimum < report.resolution**2
 
-    def test_half_kernel_point(self):
-        report = small_instance_exhaustive(
-            KernelSpec(0, 0.5), grid_points=201, quad_grid=circle_grid(1024)
-        )
+    def test_half_kernel_point(self, monkeypatch):
+        small_settings(monkeypatch, grid_points=201, quad_nodes=1024)
+        report = small_instance_exhaustive(KernelSpec(0, 0.5))
         assert report.closed_form == pytest.approx(0.25 / 0.421875, rel=1e-15)
         assert abs(report.grid_minimum - report.closed_form) < report.resolution**2
 
-    def test_strong_kernel_point(self):
-        report = small_instance_exhaustive(
-            KernelSpec(0, 0.8), grid_points=201, quad_grid=circle_grid(1024)
-        )
+    def test_strong_kernel_point(self, monkeypatch):
+        small_settings(monkeypatch, grid_points=201, quad_nodes=1024)
+        report = small_instance_exhaustive(KernelSpec(0, 0.8))
         assert report.closed_form == pytest.approx(0.64 / 0.36**3, rel=1e-14)
         assert abs(report.grid_minimum - report.closed_form) < report.resolution**2
 
@@ -190,10 +196,11 @@ class TestSmallInstanceExhaustive:
             small_instance_exhaustive(KernelSpec(1, 0.5))
 
     @pytest.mark.parametrize("w", [0.5 + 0.1j, -0.7j])
-    def test_matches_brute_force(self, w):
+    def test_matches_brute_force(self, w, monkeypatch):
         spec = KernelSpec(0, w)
         grid = circle_grid(4096)
-        report = small_instance_exhaustive(spec, grid_points=21, half_width=0.5, quad_grid=grid)
+        small_settings(monkeypatch, grid_points=21, half_width=0.5, quad_nodes=4096)
+        report = small_instance_exhaustive(spec)
         # brute force: the error modulus squared averaged over the nodes,
         # for every candidate of the same 21 x 21 square
         kernel = spec.bergman(grid.nodes)
@@ -208,10 +215,9 @@ class TestSmallInstanceExhaustive:
         assert report.grid_minimum == pytest.approx(mu[j], rel=1e-13)
         assert abs(report.grid_minimum - report.closed_form) < report.resolution**2
 
-    def test_report_serializes(self):
-        report = small_instance_exhaustive(
-            KernelSpec(0, 0.5), grid_points=41, quad_grid=circle_grid(1024)
-        )
+    def test_report_serializes(self, monkeypatch):
+        small_settings(monkeypatch, grid_points=41, quad_nodes=1024)
+        report = small_instance_exhaustive(KernelSpec(0, 0.5))
         data = report.to_json_dict()
         assert data["grid_points"] == 41
         assert json.dumps(data)
@@ -266,8 +272,9 @@ class TestReportJson:
         assert all(type(x) is float for pair in data["argmin_coefficients"] for x in pair)
 
     @pytest.mark.parametrize("w", [0.5, complex(0.3, -0.2), 0j, complex(-0.0, -0.6)])
-    def test_small_instance_json_is_the_hand_written_dict(self, w):
-        report = small_instance_exhaustive(KernelSpec(0, w), 41, quad_grid=circle_grid(1024))
+    def test_small_instance_json_is_the_hand_written_dict(self, w, monkeypatch):
+        small_settings(monkeypatch, grid_points=41, quad_nodes=1024)
+        report = small_instance_exhaustive(KernelSpec(0, w))
         data = report.to_json_dict()
         assert dumped(data) == dumped(hand_written_small_instance_json(report))
         assert list(data) == list(hand_written_small_instance_json(report))

@@ -362,11 +362,11 @@ class TestNodeChunks:
         for part, phi in parts:
             assert np.array_equal(phi, basis.eval_all(nodes[part], count=2))
 
-    @pytest.mark.parametrize("z", [0.3 + 0.1j, np.zeros((2, 3)), circle_grid(2**14).nodes])
-    def test_other_arrays_are_one_part(self, z):
+    def test_a_grid_of_one_chunk_is_one_part(self):
         basis = TMBasis([0.3, -0.4j, 0.3])
+        z = circle_grid(2**14).nodes
         ((part, phi),) = basis.eval_chunks(z)
-        assert part is Ellipsis
+        assert part == slice(0, tm_basis.NODE_CHUNK)
         assert np.array_equal(phi, basis.eval_all(z))
 
     @pytest.mark.parametrize("size", [2**14, 2**15])
@@ -399,15 +399,20 @@ class TestDesignMemo:
         assert not first.flags.writeable
         assert np.array_equal(first, basis.eval_all(grid.nodes.copy()).T)
 
-    def test_eval_all_on_stored_nodes_does_not_evaluate(self):
+    def test_only_eval_chunks_reads_stored_nodes(self):
         basis = TMBasis([0.3, -0.4j, 0.3])
         grid = circle_grid(256)
         design = basis.design_matrix(grid)
         for count in (None, 2):
             values = basis.eval_all(grid.nodes, count=count)
-            assert np.shares_memory(values, design)
-            assert not values.flags.writeable
-            assert np.array_equal(values, design[:, : count or 3].T)
+            assert not np.shares_memory(values, design)
+            assert values.flags.writeable
+            assert same_bits(values, design[:, : count or 3].T)
+            ((part, phi),) = basis.eval_chunks(grid.nodes, count)
+            assert part == slice(0, tm_basis.NODE_CHUNK)
+            assert np.shares_memory(phi, design)
+            assert not phi.flags.writeable
+            assert np.array_equal(phi, design[:, : count or 3].T)
 
     def test_partial_sum_leaves_no_entry(self):
         spec = KernelSpec(1, 0.4)

@@ -136,6 +136,44 @@ def test_traced_requests_keep_their_per_layer_call_counts():
     assert oracle == [0, 1, 5, 0, 1, 1]
 
 
+TRACED_STORE = """
+import contextlib, io, json
+import numpy as np
+import tracing
+from diskrat import cli
+from diskrat.tm_basis import TMBasis
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+traced = TMBasis.eval_all
+results = []
+
+def eval_all(self, z, count=None):
+    result = traced(self, z, count)
+    stored = [design for _, design in self._designs.values()]
+    results.append(any(np.shares_memory(result, design) for design in stored))
+    return result
+
+TMBasis.eval_all = eval_all
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["oracle", "--w", "0.6,0", "--poles", "0.2,0.1", "--trials", "6"])
+print(json.dumps({"code": code, "calls": tracer.calls["tm_basis.eval_all"],
+                  "designs": tracer.calls["tm_basis.design_matrix"], "views": sum(results)}))
+"""
+
+
+def test_traced_eval_all_points_are_evaluated_points():
+    # tm_basis.eval_all.points adds up the size of every eval_all result.
+    # The oracle request stores a design matrix; no eval_all result may be
+    # a view of it, or the counter would count points never evaluated.
+    done = run_traced(TRACED_STORE)
+    assert done.returncode == 0, done.stderr
+    run = json.loads(done.stdout.splitlines()[-1])
+    assert run["code"] == 0 and run["designs"] == 1
+    assert run["calls"] > 0
+    assert run["views"] == 0
+
+
 FAILING_HYPOTHESIS_PROBE = """
 from hypothesis import given, settings, strategies as st
 
