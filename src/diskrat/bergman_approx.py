@@ -86,6 +86,11 @@ _MAX_FACTORIAL = 170
 #: relative to max|c|.
 _NOISE_SCALE = 0.1
 
+#: Bytes per row nu_functional holds beside the rows and the refinement's
+#: basis evaluation (_GridBrackets, _golden_max and their temporaries): about
+#: 46 doubles by tracemalloc at 20,000 rows, m = 2 to 30; 64 leave headroom.
+_NU_ROW_BYTES = 64 * 8
+
 
 def _rising_factorial(alpha: int, count: int) -> float:
     """(alpha+1)(alpha+2)...(alpha+count); empty product for count = 0.
@@ -605,25 +610,29 @@ def competitor_trials(
     _NOISE_SCALE * max|c| to it, even trials draw complex Gaussian
     coefficients of scale max|c|.  The generator is consumed in trial order,
     each trial taking the real and then the imaginary parts of its m
-    Gaussians, all in one draw.  A schedule and draws of more than
-    MAX_DESIGN_BYTES together raise DesignTooLarge before either is
-    allocated."""
+    Gaussians, all in one draw.  A scan of more than MAX_DESIGN_BYTES raises
+    DesignTooLarge before anything is allocated: per trial its row, its
+    draws, its 16 m-byte basis evaluation in the nu refinement and the rest
+    of its nu state, _NU_ROW_BYTES.  The draws are freed before nu runs, and
+    their 16 m bytes cover the pairs eval_all keeps at repeated poles, at
+    most m/2 pairs of 32 bytes per point."""
     optimum = approx.coefficients
     trials, count = int(trials), len(optimum)
     shape = (max(trials - 1, 0), 2, count)  # the real draws behind rows 1, 2, ...
-    size = 16 * trials * count + 8 * math.prod(shape)
+    size = trials * (32 * count + _NU_ROW_BYTES) + 8 * math.prod(shape)
     if size > MAX_DESIGN_BYTES:
         raise DesignTooLarge(
-            f"a competitor schedule of {trials} trials by {count} coefficients "
-            f"needs {size} bytes, more than the cap of {MAX_DESIGN_BYTES}"
+            f"a competitor schedule of {trials} trials by {count} coefficients needs "
+            f"{size} bytes with its nu pass, more than the cap of {MAX_DESIGN_BYTES}"
         )
     scale = float(np.max(np.abs(optimum)))
     rows = np.empty((trials, count), dtype=complex)
     rows[:1] = optimum
-    draws = rng.standard_normal(shape)
-    noise = draws[:, 0] + 1j * draws[:, 1]
-    rows[1::2] = optimum + (_NOISE_SCALE * scale) * noise[0::2]
-    rows[2::2] = scale * noise[1::2]
+    # the noise in place, to the bits of optimum + c * (re + 1j * im)
+    rows[1:].real, rows[1:].imag = rng.standard_normal(shape).transpose(1, 0, 2)
+    rows[1::2] *= _NOISE_SCALE * scale
+    rows[1::2] += optimum
+    rows[2::2] *= scale
     return rows
 
 
@@ -715,48 +724,30 @@ def build_error_report(
 ) -> ErrorReport:
     """Build the approximant and evaluate both error functionals against their
     closed forms: mu on the expansion's grid, nu on NU_GRID_NODES nodes.
-    w = 0 short-circuits to exact zeros: the kernel degenerates to the
-    constant 1 and the approximant is identically 1."""
+    w = 0 short-circuits to exact zeros, without an approximant: the kernel
+    degenerates to the constant 1 and the approximant is identically 1."""
     if not isinstance(free_poles, PoleSequence):
         free_poles = PoleSequence(free_poles)
-    n = len(free_poles) + spec.alpha
-    matches = any(p == spec.w for p in free_poles)
-    if spec.w == 0:
-        return ErrorReport(
-            alpha=spec.alpha,
-            n=n,
-            w=spec.w,
-            free_poles=free_poles,
-            mu_quadrature=0.0,
-            mu_closed_form=0.0,
-            nu_grid=0.0,
-            nu_closed_form=0.0,
-            max_interp_residual=0.0,
-            free_pole_matches_w=matches,
-            degenerate_w_zero=True,
+    approx, residuals, values = None, [], (0.0,) * len(ErrorReport.VALUE_NAMES)
+    if spec.w != 0:
+        approx = build_approximant(spec, free_poles)
+        # the rows first: they are cheap, and one out of the double range fails
+        # the report before the grid passes
+        residuals = approx.interpolation_residuals()
+        mu_grid = circle_grid(approx.expansion.grid_size)
+        mu_closed = mu_min_closed_form(spec, free_poles)
+        mu_quad = mu_functional(
+            spec, approx.basis, approx.coefficients, mu_grid, extended=extended_mu(mu_closed)
         )
-    approx = build_approximant(spec, free_poles)
-    # the rows first: they are cheap, and one out of the double range fails
-    # the report before the grid passes
-    residuals = approx.interpolation_residuals()
-    mu_grid = circle_grid(approx.expansion.grid_size)
-    mu_closed = mu_min_closed_form(spec, free_poles)
-    mu_quad = mu_functional(
-        spec, approx.basis, approx.coefficients, mu_grid, extended=extended_mu(mu_closed)
-    )
-    nu_grid = nu_functional(spec, approx.basis, approx.coefficients, circle_grid(NU_GRID_NODES))
-    nu_closed = nu_min_closed_form(spec, free_poles)
+        nu_grid = nu_functional(
+            spec, approx.basis, approx.coefficients, circle_grid(NU_GRID_NODES)
+        )
+        nu_closed = nu_min_closed_form(spec, free_poles)
+        values = (mu_quad, mu_closed, nu_grid, nu_closed, max(residuals, default=0.0))
     report = ErrorReport(
-        alpha=spec.alpha,
-        n=n,
-        w=spec.w,
-        free_poles=free_poles,
-        mu_quadrature=mu_quad,
-        mu_closed_form=mu_closed,
-        nu_grid=nu_grid,
-        nu_closed_form=nu_closed,
-        max_interp_residual=max(residuals, default=0.0),
-        free_pole_matches_w=matches,
+        spec.alpha, len(free_poles) + spec.alpha, spec.w, free_poles, *values,
+        free_pole_matches_w=any(p == spec.w for p in free_poles),
+        degenerate_w_zero=spec.w == 0,
         approximant=approx,
         interp_residuals=residuals,
     )

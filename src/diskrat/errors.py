@@ -34,8 +34,8 @@ class GridTooLarge(DiskratError):
 
 
 class DesignTooLarge(DiskratError):
-    """A basis evaluation or design matrix would need more than
-    tm_basis.MAX_DESIGN_BYTES."""
+    """A basis evaluation, design matrix or competitor scan would need more
+    than tm_basis.MAX_DESIGN_BYTES."""
 
 
 class IndexOutOfRange(DiskratError):

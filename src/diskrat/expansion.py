@@ -30,7 +30,7 @@ from .errors import (
     TrailingPolesMismatch,
 )
 from .kernels import KernelSpec
-from .tm_basis import PoleSequence, TMBasis
+from .tm_basis import PoleSequence, TMBasis, inner_products
 
 __all__ = [
     "default_grid_size",
@@ -108,11 +108,10 @@ class FourierExpansion:
 def expand_function(
     f: Callable, basis: TMBasis, grid: CircleGrid, source: str = ""
 ) -> FourierExpansion:
-    """Expand f over the whole basis by quadrature; all coefficients in one
-    pass over the (stored) design matrix."""
+    """Expand f over the whole basis by quadrature: its inner products with
+    the (stored) design matrix, all coefficients at once."""
     values = sample_on_nodes(f, grid.nodes)
-    design = basis.design_matrix(grid)
-    coefficients = (np.conj(design).T @ values) * grid.weight
+    coefficients = inner_products(basis.design_matrix(grid), values, grid)
     return FourierExpansion(basis, coefficients, source, grid.node_count)
 
 

@@ -4,9 +4,9 @@ Three independent routes certify the exact formulas at desk scale:
 
 * discrete least squares over the competitor class for the quadratic
   functional, solved both through the orthonormal structure (coefficients are
-  discrete inner products) and through the normal equations - the agreement of
-  the two routes is itself the statement that discrete orthonormality holds on
-  fine grids;
+  the discrete inner products of tm_basis.inner_products) and through the
+  normal equations - the agreement of the two routes is itself the statement
+  that discrete orthonormality holds on fine grids;
 * seeded random competitor scans probing the uniform infimum;
 * exhaustive grid minimization of the smallest nontrivial quadratic instance.
 
@@ -30,7 +30,7 @@ from .bergman_approx import (
 from .circlequad import CircleGrid, circle_grid, json_complex, sample_on_nodes
 from .errors import IllConditioned
 from .kernels import KernelSpec
-from .tm_basis import PoleSequence, TMBasis
+from .tm_basis import PoleSequence, TMBasis, inner_products
 
 __all__ = [
     "LeastSquaresProblem",
@@ -77,7 +77,7 @@ class LeastSquaresProblem:
         target = sample_on_nodes(spec.bergman, grid.nodes)
         # the normal-equations matrix conj(A)^T A / N, whose entry (k, l) is
         # <phi_l, phi_k>: the conjugate of the basis's Gram
-        gram = np.conj(basis.gram_matrix(grid))
+        gram = inner_products(design, design, grid)
         condition = float(np.linalg.cond(gram))
         return cls(grid, design, target, gram, condition)
 
@@ -104,24 +104,22 @@ class LsqResult:
 def lsq_minimize(problem: LeastSquaresProblem) -> LsqResult:
     """Minimize the discrete quadratic functional via both solver routes.
 
-    Route one treats the discrete Gram as the identity and takes inner
-    products; route two solves the normal equations.  The discrete minimum is
-    the mean squared residual of the normal-equations solution, in doubles;
-    verify scores the solution row with mu_functional instead, in long
-    double where extended_mu says so.
+    Route one treats the discrete Gram as the identity and takes the inner
+    products of tm_basis.inner_products; route two solves the normal
+    equations, whose right-hand side they are.  The orthogonality residual
+    is the inner products of the solution's residual.  The discrete minimum
+    is the mean squared residual of the normal-equations solution, in
+    doubles; verify scores the solution row with mu_functional instead, in
+    long double where extended_mu says so.
     """
     if not np.isfinite(problem.condition) or problem.condition > CONDITION_LIMIT:
         raise IllConditioned(problem.condition)
-    weight = problem.grid.weight
-    rhs = (np.conj(problem.design).T @ problem.target) * weight
-    inner = rhs.copy()
-    coefficients = np.linalg.solve(problem.gram, rhs)
+    inner = inner_products(problem.design, problem.target, problem.grid)
+    coefficients = np.linalg.solve(problem.gram, inner)
     residual = problem.target - problem.design @ coefficients
     minimum = float(np.mean(np.abs(residual) ** 2))
     route_gap = float(np.max(np.abs(coefficients - inner)))
-    orthogonality = float(
-        np.max(np.abs((np.conj(problem.design).T @ residual) * weight))
-    )
+    orthogonality = float(np.max(np.abs(inner_products(problem.design, residual, problem.grid))))
     return LsqResult(
         coefficients=coefficients,
         inner_coefficients=inner,

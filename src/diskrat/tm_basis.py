@@ -31,6 +31,7 @@ __all__ = [
     "BlaschkeProduct",
     "TMBasis",
     "christoffel_darboux_residual",
+    "inner_products",
 ]
 
 #: Largest array of values TMBasis.eval_all may allocate, in bytes: points
@@ -40,8 +41,8 @@ __all__ = [
 #: bounds every design matrix too.  The grid passes of mu and nu evaluate at
 #: most NODE_CHUNK nodes at a time, so the largest evaluation of their
 #: benchmark streams, one chunk by 35 functions in doubles, takes about
-#: 9.2 MB; eval_all evaluates any other array whole, and whole-grid blocks
-#: are stored only by design_matrix and gram_matrix.
+#: 9.2 MB; eval_all evaluates any other array whole, and design_matrix is
+#: the one writer of stored whole-grid blocks.
 MAX_DESIGN_BYTES = 2**28
 
 #: Nodes per block of a streamed basis evaluation (TMBasis.eval_chunks).
@@ -154,6 +155,15 @@ def _phase(a: complex) -> complex:
     if abs(a) < 2.0**-900:
         a *= 2.0**600
     return -abs(a) / a
+
+
+def inner_products(design: np.ndarray, values: np.ndarray, grid: CircleGrid) -> np.ndarray:
+    """The discrete inner products <v, phi_k> = sum_j v(x_j) conj(phi_k(x_j)) / N
+    under the grid's quadrature, one row k per column of the node-by-function
+    design matrix, for a vector v of values at the nodes or for each column
+    of a matrix of them.  The one inner product behind Fourier coefficients,
+    the Gram matrix and the least-squares normal equations."""
+    return (np.conj(design).T @ values) * grid.weight
 
 
 class TMBasis:
@@ -291,10 +301,6 @@ class TMBasis:
             entry = self._designs.setdefault(id(nodes), (nodes, design))
         return entry[1]
 
-    # gram_matrix's route to the store: the benchmark's tracer wraps the
-    # public name, so design_matrix.calls counts callers' requests only
-    _stored_design = design_matrix
-
     def taylor(self, w: complex, order: int) -> np.ndarray:
         """Row k holds the Taylor coefficients phi_k^(j)(w) / j!, j = 0..order.
 
@@ -320,10 +326,11 @@ class TMBasis:
         return out
 
     def gram_matrix(self, grid: CircleGrid) -> np.ndarray:
-        """Discrete Gram <phi_k, phi_l> under the grid's quadrature, from the
-        grid's design matrix, which it stores as design_matrix does."""
-        design = self._stored_design(grid)
-        return (design.T @ np.conj(design)) * grid.weight
+        """Discrete Gram <phi_k, phi_l> under the grid's quadrature: the
+        conjugate of the inner products of the grid's design matrix with
+        itself, read through design_matrix."""
+        design = self.design_matrix(grid)
+        return np.conj(inner_products(design, design, grid))
 
     def blaschke(self, degree: int) -> BlaschkeProduct:
         """Blaschke product over the first `degree` poles."""

@@ -1,7 +1,8 @@
 import cmath
 import math
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from diskrat import (
     mu_min_closed_form,
     nu_functional,
     nu_min_closed_form,
+    uniform_competitor_scan,
 )
 from diskrat import bergman_approx, tm_basis, verify
 from diskrat.bergman_approx import (
@@ -1010,6 +1012,41 @@ class TestErrorReport:
         assert report.nu_closed_form == 0.0
         assert report.max_interp_residual == 0.0
 
+    @pytest.mark.parametrize(
+        "alpha, w, free",
+        [(1, 0j, [0.3, -0.2j]), (0, complex(0.0, -0.0), [0j, 0.5]), (3, -0.0, [])],
+    )
+    def test_w_zero_report_is_the_old_literal(self, alpha, w, free, monkeypatch):
+        def no_approximant(*args):
+            raise AssertionError("w = 0 builds no approximant")
+
+        monkeypatch.setattr(bergman_approx, "build_approximant", no_approximant)
+        spec = KernelSpec(alpha, w)
+        free_poles = PoleSequence(free)
+        # the literal build_error_report returned at w = 0 before it built
+        # every report in one place
+        expected = ErrorReport(
+            alpha=spec.alpha,
+            n=len(free_poles) + spec.alpha,
+            w=spec.w,
+            free_poles=free_poles,
+            mu_quadrature=0.0,
+            mu_closed_form=0.0,
+            nu_grid=0.0,
+            nu_closed_form=0.0,
+            max_interp_residual=0.0,
+            free_pole_matches_w=any(p == spec.w for p in free_poles),
+            degenerate_w_zero=True,
+        )
+        report = build_error_report(spec, free)
+        assert report.approximant is None
+        for f in fields(ErrorReport):
+            value, want = getattr(report, f.name), getattr(expected, f.name)
+            assert type(value) is type(want) and value == want, f.name
+        assert math.copysign(1.0, report.w.imag) == math.copysign(1.0, spec.w.imag)
+        assert report.to_json_dict() == expected.to_json_dict()
+        assert report.csv_row() == expected.csv_row()
+
     def test_free_pole_equal_to_w_is_flagged_and_exact(self):
         spec = KernelSpec(0, 0.5)
         report = build_error_report(spec, [0.3, 0.5])
@@ -1195,12 +1232,55 @@ class TestTrialBound:
             tracemalloc.stop()
         assert peak < 2**16
 
-    def test_the_cap_counts_the_schedule_and_its_draws(self, monkeypatch):
+    def test_the_cap_counts_the_schedule_its_draws_and_the_nu_pass(self, monkeypatch):
         approx = build_approximant(KernelSpec(0, 0.5), [0.1])  # m = 2
-        # 100 trials: 100 complex rows and 99 pairs of real draws of 2 entries
-        size = 16 * 2 * (100 + 99)
+        # 100 trials: 100 complex rows, 99 pairs of real draws of 2 entries,
+        # and per row the refinement's evaluation of 2 functions and the
+        # rest of the nu pass's state
+        size = 16 * 2 * (100 + 99) + 100 * (16 * 2 + bergman_approx._NU_ROW_BYTES)
         monkeypatch.setattr(bergman_approx, "MAX_DESIGN_BYTES", size)
         assert competitor_trials(approx, 100, np.random.default_rng(0)).shape == (100, 2)
         monkeypatch.setattr(bergman_approx, "MAX_DESIGN_BYTES", size - 1)
         with pytest.raises(DesignTooLarge, match=f"needs {size} bytes"):
             competitor_trials(approx, 100, np.random.default_rng(0))
+
+    @staticmethod
+    def counted(approx, trials, monkeypatch):
+        """The bytes competitor_trials counts for a scan, from its refusal."""
+        with monkeypatch.context() as patch:
+            patch.setattr(bergman_approx, "MAX_DESIGN_BYTES", 0)
+            with pytest.raises(DesignTooLarge) as refusal:
+                competitor_trials(approx, trials, np.random.default_rng(0))
+        return int(re.search(r"needs (\d+) bytes", str(refusal.value)).group(1))
+
+    def test_a_scan_over_the_new_count_is_refused_before_allocating(self, monkeypatch):
+        approx = build_approximant(KernelSpec(0, 0.5), [0.1])  # m = 2
+        trials, grid = 20_000, circle_grid(1024)
+        schedule = 16 * 2 * (2 * trials - 1)  # the rows and draws alone
+        counted = self.counted(approx, trials, monkeypatch)
+        assert counted > 8 * schedule
+        monkeypatch.setattr(bergman_approx, "MAX_DESIGN_BYTES", (schedule + counted) // 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DesignTooLarge, match=f"needs {counted} bytes"):
+                uniform_competitor_scan(approx, trials, 0, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("alpha, free", [(0, 1), (1, 27)])
+    def test_a_scan_peaks_within_its_count(self, alpha, free, monkeypatch):
+        spec = KernelSpec(alpha, 0.5 - 0.2j)
+        poles = PoleSequence.random(free, np.random.default_rng(8), max_modulus=0.8)
+        approx = build_approximant(spec, poles)
+        trials, grid = 20_000, circle_grid(1024)
+        counted = self.counted(approx, trials, monkeypatch)
+        nu_functional(spec, approx.basis, approx.coefficients, grid)  # caches filled
+        tracemalloc.start()
+        try:
+            uniform_competitor_scan(approx, trials, 0, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted

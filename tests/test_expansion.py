@@ -72,7 +72,7 @@ class TestPartialSum:
     @pytest.mark.parametrize(
         "size, extended", [(2**14, False), (2**16, False), (2**15, True)]
     )
-    def test_streamed_sum_keeps_the_bits_of_the_whole_grid(self, size, extended):
+    def test_partial_sum_keeps_dtype_bits_of_one_tensordot_and_nd_shape(self, size, extended):
         spec = KernelSpec(1, 0.4 - 0.3j)
         basis = TMBasis([0.6j, 0j, 0.2, 0.2, spec.w, spec.w])
         exp = expand_kernel(spec, basis)

@@ -21,6 +21,9 @@ from diskrat import (
 )
 from diskrat import oracle
 from diskrat.bergman_approx import extended_mu
+from diskrat.circlequad import sample_on_nodes
+from diskrat.expansion import expand_function
+from diskrat.tm_basis import inner_products
 
 GRID = circle_grid(4096)
 
@@ -106,6 +109,52 @@ class TestLeastSquares:
         with pytest.raises(IllConditioned) as err:
             lsq_minimize(problem)
         assert err.value.condition > 1e8 or not np.isfinite(err.value.condition)
+
+
+def inner_product_bases():
+    """Random, all-zero and repeated poles, each for a random kernel."""
+    rng = np.random.default_rng(1801)
+    repeated = PoleSequence.random(2, rng, max_modulus=0.8).points
+    poles = {
+        "random": PoleSequence.random(9, rng, max_modulus=0.9),
+        "zeros": PoleSequence([0j] * 7),
+        "repeated": PoleSequence([repeated[0]] * 4 + [repeated[1]] * 5),
+    }
+    spec = KernelSpec(1, 0.45 - 0.3j)
+    return [pytest.param(spec, TMBasis(p), id=name) for name, p in poles.items()]
+
+
+class TestInnerProducts:
+    """The one discrete inner product against the four spellings it replaced,
+    each copied here: the basis's Gram, the oracle's normal-equations matrix
+    and right-hand side, and its orthogonality residual.  Equal values are
+    compared; the conjugate of an exact zero may flip its sign."""
+
+    @pytest.mark.parametrize("nodes", [1024, 4096, 16384])
+    @pytest.mark.parametrize("spec, basis", inner_product_bases())
+    def test_every_spelling_keeps_its_values(self, spec, basis, nodes):
+        grid = circle_grid(nodes)
+        design = basis.design_matrix(grid)
+        weight = grid.weight
+        old_gram = (design.T @ np.conj(design)) * weight
+        assert np.array_equal(basis.gram_matrix(grid), old_gram)
+        problem = LeastSquaresProblem.build(spec, basis, grid)
+        old_normal = np.conj(old_gram)
+        assert np.array_equal(problem.gram, old_normal)
+        assert problem.condition == float(np.linalg.cond(old_normal))
+        old_rhs = (np.conj(design).T @ problem.target) * weight
+        old_solution = np.linalg.solve(old_normal, old_rhs)
+        old_residual = problem.target - design @ old_solution
+        old_orthogonality = float(np.max(np.abs((np.conj(design).T @ old_residual) * weight)))
+        result = lsq_minimize(problem)
+        assert np.array_equal(result.inner_coefficients, old_rhs)
+        assert np.array_equal(result.coefficients, old_solution)
+        assert result.orthogonality_residual == old_orthogonality
+        assert np.array_equal(inner_products(design, old_residual, grid),
+                              (np.conj(design).T @ old_residual) * weight)
+        expansion = expand_function(spec.bergman, basis, grid)
+        values = sample_on_nodes(spec.bergman, grid.nodes)
+        assert np.array_equal(expansion.coefficients, (np.conj(design).T @ values) * weight)
 
 
 class TestCompetitorScan:

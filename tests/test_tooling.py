@@ -174,6 +174,30 @@ def test_traced_eval_all_points_are_evaluated_points():
     assert run["views"] == 0
 
 
+TRACED_BASIS = """
+import contextlib, io, json
+import tracing
+from diskrat import cli
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["basis", "--poles", "0.3,0;0,-0.4;0.3,0", "--grid", "2048"])
+print(json.dumps({"code": code, "calls": tracer.calls["tm_basis.design_matrix"],
+                  "bytes": tracer.counts["tm_basis.design_matrix.bytes"]}))
+"""
+
+
+def test_traced_gram_counts_its_stored_design_matrix():
+    # basis takes the Gram of its 3 functions on 2048 nodes; the design
+    # matrix it stores goes through design_matrix, the store's one writer,
+    # so the tracer counts it: 2048 nodes by 3 functions, 16 bytes each
+    done = run_traced(TRACED_BASIS)
+    assert done.returncode == 0, done.stderr
+    run = json.loads(done.stdout.splitlines()[-1])
+    assert run == {"code": 0, "calls": 1, "bytes": 2048 * 3 * 16}
+
+
 FAILING_HYPOTHESIS_PROBE = """
 from hypothesis import given, settings, strategies as st
 
