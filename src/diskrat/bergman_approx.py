@@ -189,7 +189,7 @@ class Approximant:
         the rounding error, not a bound: it leaves out the rounding inside
         taylor itself.  Computed once per approximant.  Where j! or a
         product leaves the double range, the value or scale is not finite;
-        interpolation_residuals refuses such rows.
+        interpolation_rows refuses such rows.
         """
         poles = self.basis.poles
         c = self.coefficients
@@ -227,32 +227,35 @@ class Approximant:
         return values, scales * np.finfo(float).eps
 
     @cached_property
-    def interpolation_targets(self) -> list[complex]:
-        """interpolation_target at every pole a_m of the full sequence, with
-        s_m its running multiplicity within the prefix.  Computed once per
-        approximant."""
-        poles = self.basis.poles
-        return [
-            interpolation_target(self.spec, a, s)
-            for a, s in zip(poles, poles.multiplicities)
-        ]
-
-    def interpolation_residuals(self) -> list[float]:
-        """|r^(s_m - 1)(a_m) - target| for every pole of the full sequence,
-        from pole_derivatives and interpolation_targets.  A row whose value,
-        target or rounding scale is not finite raises ValueOutOfRange."""
+    def interpolation_rows(self) -> list[dict]:
+        """One row per pole a_m of the full sequence, as approximate prints
+        it: m, a_m, its running multiplicity s_m, the interpolation_target,
+        the residual |r^(s_m - 1)(a_m) - target| and the rounding_scale of
+        pole_derivatives.  A row whose value, target or rounding scale is not
+        finite raises ValueOutOfRange.  Computed once per approximant."""
         poles = self.basis.poles
         values, scales = self.pole_derivatives
-        residuals = []
-        rows = zip(values, scales, poles, poles.multiplicities, self.interpolation_targets)
-        for m, (value, scale, a, s, target) in enumerate(rows):
+        rows = []
+        for m, (value, scale, a, s) in enumerate(zip(values, scales, poles, poles.multiplicities)):
+            target = interpolation_target(self.spec, a, s)
             if not np.isfinite([value, target, scale]).all():
                 raise ValueOutOfRange(
                     f"interpolation row {m} (pole {a}, multiplicity {s}) leaves the "
                     f"double range: value {value}, target {target}, rounding scale {scale}"
                 )
-            residuals.append(abs(value - target))
-        return residuals
+            rows.append({
+                "m": m,
+                "pole": json_complex(a),
+                "multiplicity": s,
+                "target": json_complex(target),
+                "residual": abs(value - target),
+                "rounding_scale": float(scale),
+            })
+        return rows
+
+    def interpolation_residuals(self) -> list[float]:
+        """The residual of every interpolation row."""
+        return [row["residual"] for row in self.interpolation_rows]
 
     def membership_residual(self) -> float:
         """Relative fit residual of r against the partial-fraction competitor
@@ -275,13 +278,6 @@ class Approximant:
         solution, *_ = np.linalg.lstsq(design, target, rcond=None)
         scale = max(float(np.linalg.norm(target)), 1e-300)
         return float(np.linalg.norm(target - design @ solution)) / scale
-
-    def to_json_dict(self) -> dict:
-        data = self.expansion.to_json_dict()
-        data["alpha"] = self.spec.alpha
-        data["w"] = json_complex(self.spec.w)
-        data["free_poles"] = json_complex(self.free_poles)
-        return data
 
 
 def build_approximant(
@@ -680,10 +676,8 @@ class ErrorReport:
     max_interp_residual: float
     free_pole_matches_w: bool = False
     degenerate_w_zero: bool = False
-    # the objects the values came from, for callers that report them too;
-    # None and empty for w = 0, and left out of every output format
+    # the approximant the values came from (None for w = 0), for payload
     approximant: Approximant | None = field(default=None, repr=False, compare=False)
-    interp_residuals: list[float] = field(default_factory=list, repr=False, compare=False)
 
     #: The names of the five error values, in the order of every output.
     VALUE_NAMES = ("mu_quad", "mu_closed", "nu_grid", "nu_closed", "max_interp_residual")
@@ -718,6 +712,19 @@ class ErrorReport:
             "degenerate_w_zero": self.degenerate_w_zero,
         }
 
+    def payload(self) -> dict:
+        """The approximate JSON: the approximant (alpha, w, the free poles and
+        its expansion), this report and the interpolation rows.  At w = 0 a
+        note stands for the expansion, and there are no rows."""
+        report, approx = self.to_json_dict(), self.approximant
+        if approx is None:
+            block, rows = {"note": "degenerate kernel: the approximant is identically 1"}, []
+        else:
+            block, rows = approx.expansion.to_json_dict(), approx.interpolation_rows
+        # the report's own alpha, w and free poles, so the two blocks agree
+        block.update({key: report[key] for key in ("alpha", "w", "free_poles")})
+        return {"approximant": block, "error_report": report, "interpolation_residuals": rows}
+
 
 def build_error_report(
     spec: KernelSpec, free_poles: PoleSequence | list[complex]
@@ -728,7 +735,7 @@ def build_error_report(
     degenerates to the constant 1 and the approximant is identically 1."""
     if not isinstance(free_poles, PoleSequence):
         free_poles = PoleSequence(free_poles)
-    approx, residuals, values = None, [], (0.0,) * len(ErrorReport.VALUE_NAMES)
+    approx, values = None, (0.0,) * len(ErrorReport.VALUE_NAMES)
     if spec.w != 0:
         approx = build_approximant(spec, free_poles)
         # the rows first: they are cheap, and one out of the double range fails
@@ -749,7 +756,6 @@ def build_error_report(
         free_pole_matches_w=any(p == spec.w for p in free_poles),
         degenerate_w_zero=spec.w == 0,
         approximant=approx,
-        interp_residuals=residuals,
     )
     report.validate()
     return report

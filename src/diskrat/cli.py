@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import os
+import re
 import stat
 import sys
 from pathlib import Path
@@ -45,7 +46,7 @@ from .oracle import (
     small_instance_exhaustive,
     uniform_competitor_scan,
 )
-from .tm_basis import PoleSequence, TMBasis, christoffel_darboux_residual
+from .tm_basis import MAX_FUNCTIONS, PoleSequence, TMBasis, christoffel_darboux_residual
 from .verify import ALL_CHECK_NAMES, run_checks, verdict_dict
 
 EXIT_OK = 0
@@ -131,15 +132,29 @@ def _at_least(minimum: int) -> Callable:
 _natural = _at_least(0)
 
 
+def _count(value, extra: int = 1) -> int:
+    """A count asking for itself plus `extra` basis functions: at most MAX_FUNCTIONS."""
+    number = _natural(value)
+    if number + extra > MAX_FUNCTIONS:
+        raise ValueError(
+            f"{number} asks for {number + extra} basis functions, "
+            f"more than the {MAX_FUNCTIONS} a Gram matrix may hold"
+        )
+    return number
+
+
 def _some(values: list) -> list:
     if not values:
         raise ValueError("the list has no value")
     return values
 
 
-def _naturals(value) -> list[int]:
+def _counts(value) -> list[int]:
+    if isinstance(value, str) and ":" in value:
+        for end in value.split(":"):  # a range is checked before it is expanded
+            _count(int(end))
     values = parse_int_list(value) if isinstance(value, str) else value
-    return _some([_natural(n) for n in values])
+    return _some([_count(n) for n in values])
 
 
 def _max_modulus(value) -> float:
@@ -193,15 +208,15 @@ _POLES = ("basis", *_KERNEL)
 _ALL = ("verify", *_POLES)
 
 OPTIONS = (
-    Option("--alpha", "alpha", _natural, _KERNEL, 0),
+    Option("--alpha", "alpha", _count, _KERNEL, 0),
     Option("--w", "w", _point, _KERNEL, 0j, 'kernel point as "re,im"'),
     Option("--poles", "poles", _poles, _POLES, None,
            'semicolon-separated "re,im" pairs, or "zeros"'),
-    Option("--random-poles", "random_poles", _natural, ("basis", "approximate", "oracle"),
-           None, "draw this many random free poles"),
+    Option("--random-poles", "random_poles", functools.partial(_count, extra=0),
+           ("basis", "approximate", "oracle"), None, "draw this many random free poles"),
     Option("--seed", "seed", _natural, _POLES, 0),
     Option("--max-modulus", "max_modulus", _max_modulus, _POLES, 0.85),
-    Option("--n", "n", _natural, _POLES),
+    Option("--n", "n", _count, _POLES),
     Option("--grid", "grid", _grid_size, ("basis", "oracle"), 4096,
            f"grid size (power of two, 256 to {MAX_NODES})"),
     Option("--samples", "samples", _samples, ("basis",), None,
@@ -214,8 +229,8 @@ OPTIONS = (
     Option("--tol", "tolerances", _tolerances, ("verify",), None,
            "tolerance override NAME=VALUE, repeatable"),
     Option("--trials", "trials", _at_least(1), ("oracle",), 100),
-    Option("--alphas", "alphas", _naturals, ("sweep",), None, '"0,1,2" or "0:3"'),
-    Option("--ns", "ns", _naturals, ("sweep",), None, '"0,1,2" or "0:5"'),
+    Option("--alphas", "alphas", _counts, ("sweep",), None, '"0,1,2" or "0:3"'),
+    Option("--ns", "ns", _counts, ("sweep",), None, '"0,1,2" or "0:5"'),
     Option("--ws", "ws", lambda value: _some(_points(value)), ("sweep",), None,
            'semicolon-separated "re,im" kernel points'),
 )
@@ -315,8 +330,6 @@ def _emit(cfg: SimpleNamespace, text: str):
         _write_out(cfg.out, text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _json_dump(obj) -> str:
@@ -380,47 +393,11 @@ def _resolve_order(cfg: SimpleNamespace) -> PoleSequence:
 
 
 def cmd_approximate(cfg: SimpleNamespace) -> int:
-    spec = KernelSpec(cfg.alpha, cfg.w)
-    free = _resolve_order(cfg)
-    report = build_error_report(spec, free)
-    if report.degenerate_w_zero:
-        approx_dict = {
-            "alpha": spec.alpha,
-            "w": json_complex(spec.w),
-            "free_poles": json_complex(free),
-            "note": "degenerate kernel: the approximant is identically 1",
-        }
-        interp_rows = []
-    else:
-        approx = report.approximant
-        approx_dict = approx.to_json_dict()
-        poles = approx.basis.poles
-        _, scales = approx.pole_derivatives
-        rows = zip(
-            poles, poles.multiplicities, approx.interpolation_targets,
-            report.interp_residuals, scales,
-        )
-        interp_rows = [
-            {
-                "m": m,
-                "pole": json_complex(a),
-                "multiplicity": s,
-                "target": json_complex(target),
-                "residual": residual,
-                "rounding_scale": float(scale),
-            }
-            for m, (a, s, target, residual, scale) in enumerate(rows)
-        ]
+    report = build_error_report(KernelSpec(cfg.alpha, cfg.w), _resolve_order(cfg))
     if cfg.format != "csv":
-        payload = {
-            "approximant": approx_dict,
-            "error_report": report.to_json_dict(),
-            "interpolation_residuals": interp_rows,
-        }
-        _emit(cfg, _json_dump(payload))
+        _emit(cfg, _json_dump(report.payload()))
     else:
-        lines = [report.CSV_HEADER, report.csv_row()]
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(cfg, "\n".join([report.CSV_HEADER, report.csv_row()]) + "\n")
     return EXIT_OK
 
 
@@ -495,6 +472,11 @@ COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-0.3,0.6" is a value: argparse's own pattern takes only numbers
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 

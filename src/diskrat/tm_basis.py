@@ -45,6 +45,9 @@ __all__ = [
 #: the one writer of stored whole-grid blocks.
 MAX_DESIGN_BYTES = 2**28
 
+#: The most functions whose Gram matrix inner_products admits: 4096.
+MAX_FUNCTIONS = math.isqrt(MAX_DESIGN_BYTES // np.dtype(complex).itemsize)
+
 #: Nodes per block of a streamed basis evaluation (TMBasis.eval_chunks).
 #: It must not be smaller: eval_all rounds arrays under 256 KiB differently.
 #: From that size on, numpy's temporary elision rewrites
@@ -162,7 +165,15 @@ def inner_products(design: np.ndarray, values: np.ndarray, grid: CircleGrid) -> 
     under the grid's quadrature, one row k per column of the node-by-function
     design matrix, for a vector v of values at the nodes or for each column
     of a matrix of them.  The one inner product behind Fourier coefficients,
-    the Gram matrix and the least-squares normal equations."""
+    the Gram matrix and the least-squares normal equations.  A result of
+    more than MAX_DESIGN_BYTES raises DesignTooLarge before the product."""
+    vectors = math.prod(values.shape[1:])
+    size = design.shape[1] * vectors * np.result_type(design, values).itemsize
+    if size > MAX_DESIGN_BYTES:
+        raise DesignTooLarge(
+            f"inner products of {design.shape[1]} functions with {vectors} vectors "
+            f"need {size} bytes, more than the cap of {MAX_DESIGN_BYTES}"
+        )
     return (np.conj(design).T @ values) * grid.weight
 
 

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import re
 import tracemalloc
@@ -44,7 +45,7 @@ from diskrat.bergman_approx import (
     competitor_function,
     extended_mu,
 )
-from diskrat.circlequad import random_disk_points, sample_on_nodes
+from diskrat.circlequad import json_complex, random_disk_points, sample_on_nodes
 from diskrat.expansion import FourierExpansion, expand_function
 from diskrat.tm_basis import NODE_CHUNK
 
@@ -1112,6 +1113,44 @@ class TestErrorReport:
         with pytest.raises(ValueOutOfRange):
             report.validate()
 
+    @pytest.mark.parametrize(
+        "alpha, w, free",
+        [
+            (1, 0j, [0.3, -0.2j]),
+            (0, complex(0.0, -0.0), [0.3]),
+            (1, 0.4 + 0.1j, [0.3, 0.2 + 0.1j, 0.3, 0.2 + 0.1j]),
+            (1, 0.4 + 0.1j, [0.4 + 0.1j, 0.2]),
+            (0, 0.3, [0.7] * 24),
+        ],
+        ids=["w-zero", "signed-zero-w", "interleaved-repeats", "free-pole-at-w", "24-at-0.7"],
+    )
+    def test_payload_is_the_command_assembly_it_replaces(self, alpha, w, free):
+        spec = KernelSpec(alpha, w)
+        free_poles = PoleSequence(free)
+        report = build_error_report(spec, free_poles)
+        expected = command_payload(spec, free_poles, report)
+        # compared as printed, so that the sign of a zero counts
+        assert json.dumps(report.payload(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "alpha, free", [(170, [0j, 0j]), (0, [0j] * 172), (10, [0j] * 165)]
+    )
+    def test_a_row_past_the_double_range_fails_the_report_before_the_grid_passes(
+        self, alpha, free, monkeypatch
+    ):
+        spec = KernelSpec(alpha, 0.5)
+        with pytest.raises(ValueOutOfRange) as expected:
+            command_rows(spec, build_approximant(spec, free))
+
+        def no_grid_pass(*args, **kwargs):
+            raise AssertionError("a grid pass ran")
+
+        for name in ("circle_grid", "mu_functional", "nu_functional"):
+            monkeypatch.setattr(bergman_approx, name, no_grid_pass)
+        with pytest.raises(ValueOutOfRange) as refused:
+            build_error_report(spec, free)
+        assert str(refused.value) == str(expected.value)
+
     def test_over_the_design_cap_raises_before_the_nu_pass(self, monkeypatch):
         # The nu pass evaluates the basis one chunk at a time.  With 64
         # functions one chunk's block is 16 MiB, where the whole 2^16-node
@@ -1138,6 +1177,62 @@ class TestErrorReport:
         finally:
             tracemalloc.stop()
         assert peak < block
+
+
+def command_rows(spec, approx):
+    """The interpolation rows as the approximate command assembled them
+    before Approximant.interpolation_rows: the targets, the residuals with
+    their range check, and the rows, each in its own pass."""
+    poles = approx.basis.poles
+    targets = [interpolation_target(spec, a, s) for a, s in zip(poles, poles.multiplicities)]
+    values, scales = approx.pole_derivatives
+    residuals = []
+    for m, (value, scale, a, s, target) in enumerate(
+        zip(values, scales, poles, poles.multiplicities, targets)
+    ):
+        if not np.isfinite([value, target, scale]).all():
+            raise ValueOutOfRange(
+                f"interpolation row {m} (pole {a}, multiplicity {s}) leaves the "
+                f"double range: value {value}, target {target}, rounding scale {scale}"
+            )
+        residuals.append(abs(value - target))
+    rows = zip(poles, poles.multiplicities, targets, residuals, scales)
+    return [
+        {
+            "m": m,
+            "pole": json_complex(a),
+            "multiplicity": s,
+            "target": json_complex(target),
+            "residual": residual,
+            "rounding_scale": float(scale),
+        }
+        for m, (a, s, target, residual, scale) in enumerate(rows)
+    ]
+
+
+def command_payload(spec, free, report):
+    """The approximate JSON as the command assembled it before
+    ErrorReport.payload."""
+    if report.degenerate_w_zero:
+        approx_dict = {
+            "alpha": spec.alpha,
+            "w": json_complex(spec.w),
+            "free_poles": json_complex(free),
+            "note": "degenerate kernel: the approximant is identically 1",
+        }
+        interp_rows = []
+    else:
+        # Approximant.to_json_dict as it was
+        approx_dict = report.approximant.expansion.to_json_dict()
+        approx_dict["alpha"] = report.approximant.spec.alpha
+        approx_dict["w"] = json_complex(report.approximant.spec.w)
+        approx_dict["free_poles"] = json_complex(report.approximant.free_poles)
+        interp_rows = command_rows(spec, report.approximant)
+    return {
+        "approximant": approx_dict,
+        "error_report": report.to_json_dict(),
+        "interpolation_residuals": interp_rows,
+    }
 
 
 def callable_equimodularity(spec, rational, grid):

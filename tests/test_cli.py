@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import diskrat.bergman_approx
 import diskrat.circlequad
+import diskrat.cli
+import diskrat.tm_basis
 import diskrat.verify
 from diskrat import KernelSpec
 from diskrat.cli import (
@@ -545,6 +547,98 @@ def test_sweep_reports_a_row_past_the_double_range_in_its_cell(capsys):
     assert ",,,,,,interpolation row 171 " in rows[2]
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["approximate", "--n", "2"], "--w", "-0.3,0.6"),
+        (["approximate", "--n", "2"], "--w", "-.3,0.6"),
+        (["approximate", "--w", "0.5,0"], "--poles", "-0.3,0;-.2,0.1"),
+        (["basis"], "--poles", "-0.3,0"),
+        (["sweep", "--ns", "1", "--poles", "zeros"], "--ws", "-0.3,0;0.1,0"),
+    ],
+)
+def test_a_negative_value_after_a_space_is_the_value_after_an_equals_sign(
+    capsys, argv, flag, value
+):
+    joined = run_cli(capsys, *argv, f"{flag}={value}")
+    assert joined[0] == 0
+    assert run_cli(capsys, *argv, flag, value) == joined
+
+
+@pytest.mark.parametrize("argv", [["approximate", "--w"], ["approximate", "--w", "--n", "2"]])
+def test_an_option_after_a_flag_is_still_no_value(capsys, argv):
+    assert run_cli(capsys, *argv) == (1, "", "error: argument --w: expected one argument\n")
+
+
+_HUGE = "100000000000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approximate", "--w=0.5,0", "--n", _HUGE],
+        ["approximate", "--w=0.5,0", "--random-poles", _HUGE],
+        ["approximate", "--alpha", _HUGE, "--w=0.5,0", "--poles", "0,0"],
+        ["oracle", "--n", _HUGE],
+        ["basis", "--random-poles", _HUGE],
+        ["approximate", "--w=0.5,0", "--n", "1000000"],
+        ["basis", "--random-poles", "65536", "--grid", "256"],
+        ["basis", "--poles", "zeros", "--n", "4096"],
+        ["sweep", "--ns", "1,4096"],
+        ["sweep", "--alphas", _HUGE, "--ns", "1"],
+    ],
+)
+def test_a_count_past_the_gram_cap_is_refused_before_anything_is_built(
+    capsys, monkeypatch, argv
+):
+    def never(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(diskrat.circlequad.CircleGrid, "__init__", never)
+    monkeypatch.setattr(diskrat.tm_basis.PoleSequence, "__init__", never)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1, err
+    assert out == ""
+    assert "basis functions, more than the 4096 a Gram matrix may hold" in err
+
+
+@pytest.mark.parametrize("flag", ["--ns", "--alphas"])
+def test_a_range_is_checked_by_its_ends_before_it_is_expanded(capsys, monkeypatch, flag):
+    def never(text):
+        raise AssertionError(f"expanded {text}")
+
+    monkeypatch.setattr(diskrat.cli, "parse_int_list", never)
+    code, out, err = run_cli(capsys, "sweep", flag, "0:1000000000000")
+    assert code == 1, err
+    assert out == ""
+    assert err.startswith(f"error: {flag}: 1000000000000 asks for 1000000000001 basis functions")
+
+
+def test_the_count_bound_admits_exactly_max_functions(capsys, monkeypatch):
+    monkeypatch.setattr(diskrat.cli, "MAX_FUNCTIONS", 3)
+    for argv, code in [
+        (["basis", "--random-poles", "3"], 0),
+        (["basis", "--random-poles", "4"], 1),
+        (["basis", "--poles", "zeros", "--n", "2"], 0),
+        (["basis", "--poles", "zeros", "--n", "3"], 1),
+        (["approximate", "--alpha", "2", "--w", "0.5,0", "--n", "2"], 0),
+        (["approximate", "--alpha", "3", "--w", "0.5,0", "--n", "3"], 1),
+        (["sweep", "--ns", "0:2", "--ws", "0.5,0", "--poles", "zeros"], 0),
+        (["sweep", "--ns", "0:3", "--ws", "0.5,0", "--poles", "zeros"], 1),
+    ]:
+        assert run_cli(capsys, *argv)[0] == code, argv
+
+
+def test_a_gram_over_the_cap_exits_2_before_its_product(capsys, monkeypatch):
+    # 300 functions on 256 nodes: the design (1.23 MB) fits a cap the Gram
+    # (1.44 MB) does not, as in a basis of far more functions than nodes
+    monkeypatch.setattr(diskrat.tm_basis, "MAX_DESIGN_BYTES", 300 * 300 * 16 - 1)
+    code, out, err = run_cli(capsys, "basis", "--random-poles", "300", "--grid", "256")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: inner products of 300 functions with 300 vectors need 1440000")
+
+
 class TestErrorRowLiterals:
     def test_approximate_csv_header(self, capsys):
         code, out, _ = run_cli(
@@ -803,6 +897,7 @@ class TestCachedParser:
         [
             ["approximate", "--grid", "1024"],
             ["approximate", "--w"],
+            ["approximate", "--w", "--n", "2"],
             ["frobnicate"],
             [],
             ["verify", "approximate", "--w", "0.5,0"],
@@ -832,7 +927,7 @@ class TestCachedParser:
 _TOKENS = (
     "0", "1", "3", "12", "0:2", "0.5,0", "0,-0.3", "0.3,0;0,0.2", "zeros", "csv",
     "json", "256", "interpolation", "interpolation=1e-20", "0.99,0",
-    "nan,0", "1e400,0", "-1", "0.5,0,0", "",
+    "nan,0", "1e400,0", "-1", "0.5,0,0", "", "100000000000000000000",
 )
 # --out and --config name files, which other tests cover
 _FLAGS = {

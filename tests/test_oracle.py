@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from diskrat import (
+    DesignTooLarge,
     IllConditioned,
     KernelSpec,
     LeastSquaresProblem,
@@ -19,7 +21,7 @@ from diskrat import (
     small_instance_exhaustive,
     uniform_competitor_scan,
 )
-from diskrat import oracle
+from diskrat import oracle, tm_basis
 from diskrat.bergman_approx import extended_mu
 from diskrat.circlequad import sample_on_nodes
 from diskrat.expansion import expand_function
@@ -155,6 +157,32 @@ class TestInnerProducts:
         expansion = expand_function(spec.bergman, basis, grid)
         values = sample_on_nodes(spec.bergman, grid.nodes)
         assert np.array_equal(expansion.coefficients, (np.conj(design).T @ values) * weight)
+
+    @pytest.mark.parametrize("gram", [True, False], ids=["gram", "vector"])
+    def test_a_result_over_the_cap_is_refused_before_the_product(self, monkeypatch, gram):
+        # 300 functions on 256 nodes: the Gram (1.44 MB) outgrows the design
+        # (1.23 MB), as any basis of more functions than nodes does
+        grid = circle_grid(256)
+        design = TMBasis(PoleSequence.random(300, np.random.default_rng(5))).design_matrix(grid)
+        values = design if gram else np.ones(256, dtype=complex)
+        size = 300 * (300 if gram else 1) * 16
+        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", size - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DesignTooLarge, match=f"need {size} bytes"):
+                inner_products(design, values, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", size)
+        assert np.array_equal(
+            inner_products(design, values, grid), (np.conj(design).T @ values) * grid.weight
+        )
+
+    def test_the_cap_admits_the_gram_of_max_functions(self):
+        assert tm_basis.MAX_FUNCTIONS == 4096
+        assert tm_basis.MAX_FUNCTIONS**2 * 16 == tm_basis.MAX_DESIGN_BYTES
 
 
 class TestCompetitorScan:
