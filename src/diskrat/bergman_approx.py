@@ -40,7 +40,7 @@ from .circlequad import CircleGrid, circle_grid, json_complex, require_in_disk
 from .errors import DesignTooLarge, NonFiniteIntegrand, ValueOutOfRange
 from .expansion import FourierExpansion, expand_kernel, validate_trailing_poles
 from .kernels import KernelSpec
-from .tm_basis import MAX_DESIGN_BYTES, NODE_CHUNK, BlaschkeProduct, PoleSequence, TMBasis
+from .tm_basis import MAX_DESIGN_BYTES, BlaschkeProduct, PoleSequence, TMBasis
 
 __all__ = [
     "Approximant",
@@ -210,18 +210,18 @@ class Approximant:
             if len(index) == 1:
                 continue
             taylor = self.basis.taylor(a, len(index) - 1)
-            t = c @ taylor
-            u = np.abs(c) @ np.abs(taylor)
-            multiplier = 1.0 - a * cw
-            coefficients = multiplier * t
-            coefficients[1:] -= cw * t[:-1]
-            sizes = abs(multiplier) * u
-            sizes[1:] += abs(cw) * u[:-1]
             factorials = np.array(
                 [float(math.factorial(j)) if j <= _MAX_FACTORIAL else np.inf
                  for j in range(len(index))]
             )
-            with np.errstate(all="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                t = c @ taylor
+                u = np.abs(c) @ np.abs(taylor)
+                multiplier = 1.0 - a * cw
+                coefficients = multiplier * t
+                coefficients[1:] -= cw * t[:-1]
+                sizes = abs(multiplier) * u
+                sizes[1:] += abs(cw) * u[:-1]
                 values[index] = factorials * coefficients
                 scales[index] = factorials * sizes
         return values, scales * np.finfo(float).eps
@@ -295,38 +295,26 @@ def build_approximant(
 
 
 def _competitor_values(basis: TMBasis, rows: np.ndarray, nodes, multiplier):
-    """Yield (start, part, block, R), R = multiplier * (rows[block] @ phi),
-    for each part of the nodes (TMBasis.eval_chunks) in node order and each
-    block of at most m rows; start is the part's first node.  The caller may
-    overwrite R and must drop it before the next block.  A non-finite R
-    raises NonFiniteIntegrand, after the last part, at the first node of the
-    first row that has one."""
+    """Yield (part, block, R), R = multiplier * (rows[block] @ phi), for each
+    part of the nodes (TMBasis.eval_chunks) in node order and each block of
+    at most m rows.  The caller may overwrite R and must drop it before the
+    next block.  The first block with a non-finite R raises NonFiniteIntegrand
+    at the first such node of its first such row; nothing later is evaluated."""
     trials, count = rows.shape
     block = max(count, 1)
-    bad_row = trials  # the first row with a non-finite R, once one is seen
-    start = 0
     for part, phi in basis.eval_chunks(nodes, count):
-        for first in range(0, bad_row, block):
+        for first in range(0, trials, block):
             # R = multiplier * (rows @ phi) in this operand order, the rounding
             # of Approximant.eval; error *= multiplier rounds differently.
             # np.dot rounds as matmul does, and is twice as fast in long double
             values = np.dot(rows[first : first + block], phi)
             np.multiply(multiplier[part], values, out=values)
-            finite = np.isfinite(values[: bad_row - first])
-            if not finite.all():
-                row, node = np.unravel_index(int(np.argmin(finite)), finite.shape)
-                bad_row, bad_node = first + row, start + node
-                bad_value = complex(values[row, node])
-                break
-            # once a row has failed, only the rows before it are checked on:
-            # a failure of theirs at a later node is the one to report
-            if bad_row == trials:
-                yield start, part, slice(first, first + block), values
+            if not np.isfinite(values).all():
+                row, node = np.argwhere(~np.isfinite(values))[0]
+                raise NonFiniteIntegrand(part.start + int(node), complex(values[row, node]))
+            yield part, slice(first, first + block), values
             del values  # freed before the next block is formed
-        start += phi.shape[-1]
         del phi  # freed before the next part is evaluated
-    if bad_row < trials:
-        raise NonFiniteIntegrand(int(bad_node), bad_value)
 
 
 def mu_functional(
@@ -336,36 +324,26 @@ def mu_functional(
     |K_alpha(x; w) - R(x) / (1 - x conj(w))|^2 over the circle, in long
     double on the grid's long-double twin with extended=True (the rule is
     extended_mu).  A row c gives a float, a (trials, m) matrix one value per
-    row.  The pass streams as nu_functional's does and samples K once.  The
-    integrand is formed, and summed, as numpy's mean of the callable route
-    from Approximant.eval was, so an approximant's row scores as its eval
-    did, to the bit; a batch of rows takes another matrix product and may
-    round apart in the last bits.
-    """
+    row.  The pass streams as nu_functional's does, samples K once, and adds
+    each row's squares part by part: on a grid of NODE_CHUNK nodes or fewer,
+    or of twice that, this is numpy's mean of the whole row, to the bit.  R
+    is formed as Approximant.eval forms it; a batch of rows takes another
+    matrix product and may round apart in the last bits."""
     coefficients = np.asarray(coefficients, dtype=complex)
     rows = np.atleast_2d(coefficients)
     nodes = circle_grid(grid.node_count, extended=True).nodes if extended else grid.nodes
     multiplier = 1.0 - nodes * np.conj(spec.w)
     kernel = spec.bergman(nodes)
-    count = len(nodes)
-    # numpy's mean summed a row's squares whole; on a grid of several parts
-    # the squares are kept (every such caller passes one row) to do the same
-    whole = count > NODE_CHUNK
-    squares = np.empty((len(rows), count if whole else 0), dtype=kernel.real.dtype)
-    sums = np.empty(len(rows), dtype=squares.dtype)
-    for _, part, block, error in _competitor_values(basis, rows, nodes, multiplier):
+    sums = np.zeros(len(rows), dtype=kernel.real.dtype)
+    for part, block, error in _competitor_values(basis, rows, nodes, multiplier):
         np.divide(error, multiplier[part], out=error)
         np.subtract(kernel[part], error, out=error)
         # one row at a time: no block of moduli beside the block of errors
         for row in range(block.start, block.start + len(error)):
-            modulus = np.abs(error[row - block.start], out=squares[row, part] if whole else None)
-            np.square(modulus, out=modulus)
-            if not whole:
-                sums[row] = np.add.reduce(modulus)
+            modulus = np.abs(error[row - block.start])
+            sums[row] += np.add.reduce(np.square(modulus, out=modulus))
         del error  # freed before the next block is formed
-    if whole:
-        sums = np.add.reduce(squares, axis=-1)
-    mu = (sums / count).astype(float)
+    mu = (sums / len(nodes)).astype(float)
     return float(mu[0]) if coefficients.ndim == 1 else mu
 
 
@@ -520,9 +498,8 @@ def nu_functional(
     row, and no (m x N) block is formed.  The refinement runs the brackets
     of all rows together, one basis evaluation per step.  R is formed as
     Approximant.eval forms it, so the row of an approximant scores as its
-    eval does on the grid.  A non-finite R raises NonFiniteIntegrand at the
-    first node of the first row that has one.
-    """
+    eval does on the grid.  The first non-finite R stops the pass with
+    NonFiniteIntegrand (see _competitor_values)."""
     coefficients = np.asarray(coefficients, dtype=complex)
     rows = np.atleast_2d(coefficients)
     trials, count = rows.shape
@@ -532,12 +509,12 @@ def nu_functional(
     kernel = spec.cauchy_power(nodes)
     tracker = _GridBrackets(trials, len(nodes))
     sizes = np.empty(trials)
-    for start, part, block, error in _competitor_values(basis, rows, nodes, multiplier):
+    for part, block, error in _competitor_values(basis, rows, nodes, multiplier):
         np.subtract(kernel[part], error, out=error)
-        moved, local = tracker.feed(block, start, np.abs(error))
+        moved, local = tracker.feed(block, part.start, np.abs(error))
         # |R| = |K - error| at each new best node
         j = local[moved]
-        sizes[block][moved] = np.abs(kernel[start + j] - error[moved, j])
+        sizes[block][moved] = np.abs(kernel[part.start + j] - error[moved, j])
         del error  # freed before the next block is formed
     index, points, moduli = tracker.brackets()
     floor = _ROUNDING_FLOOR * (np.abs(kernel[index]) + sizes)
@@ -647,7 +624,7 @@ def equimodularity_variation(
     top = np.full(len(rows), -np.inf)
     bottom = np.full(len(rows), np.inf)
     multiplier = 1.0 - nodes * np.conj(spec.w)
-    for _, part, block, error in _competitor_values(basis, rows, nodes, multiplier):
+    for part, block, error in _competitor_values(basis, rows, nodes, multiplier):
         moduli = np.abs(np.subtract(kernel[part], error, out=error))
         np.maximum(top[block], moduli.max(axis=1), out=top[block])
         np.minimum(bottom[block], moduli.min(axis=1), out=bottom[block])
@@ -732,11 +709,18 @@ def build_error_report(
     """Build the approximant and evaluate both error functionals against their
     closed forms: mu on the expansion's grid, nu on NU_GRID_NODES nodes.
     w = 0 short-circuits to exact zeros, without an approximant: the kernel
-    degenerates to the constant 1 and the approximant is identically 1."""
+    degenerates to the constant 1 and the approximant is identically 1.  Else
+    an alpha above _MAX_FACTORIAL, whose row at w would carry alpha!, raises
+    ValueOutOfRange before anything is built."""
     if not isinstance(free_poles, PoleSequence):
         free_poles = PoleSequence(free_poles)
     approx, values = None, (0.0,) * len(ErrorReport.VALUE_NAMES)
     if spec.w != 0:
+        if spec.alpha > _MAX_FACTORIAL:
+            raise ValueOutOfRange(
+                f"alpha {spec.alpha} is above {_MAX_FACTORIAL}: the interpolation row "
+                f"of multiplicity alpha + 1 at w would carry alpha! beyond the double range"
+            )
         approx = build_approximant(spec, free_poles)
         # the rows first: they are cheap, and one out of the double range fails
         # the report before the grid passes

@@ -129,7 +129,9 @@ def expand_kernel(spec: KernelSpec, basis: TMBasis) -> FourierExpansion:
     grid_size = default_grid_size(basis.max_index, rho)
     a1 = spec.alpha + 1
     weights = [math.comb(a1, k) * spec.w**k for k in range(a1 + 1)]
-    coefficients = np.conj(basis.taylor(spec.w, a1) @ weights)
+    # coefficients past the double range stay silent: the error report refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = np.conj(basis.taylor(spec.w, a1) @ weights)
     source = f"bergman_kernel(alpha={spec.alpha}, w={spec.w!r})"
     return FourierExpansion(basis, coefficients, source, grid_size)
 

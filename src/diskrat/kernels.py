@@ -46,8 +46,10 @@ class KernelSpec:
         log/exp: no branch-cut ambiguity, and the exponents here are small."""
         base = 1.0 / (1.0 - np.asarray(z) * np.conj(self.w))
         out = np.ones_like(base)
-        for _ in range(exponent):
-            out = out * base
+        # a power past the double range is inf; the grid passes refuse it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(exponent):
+                out = out * base
         return complex(out) if np.ndim(out) == 0 else out
 
     def bergman(self, z):

@@ -326,14 +326,16 @@ class TMBasis:
         powers = np.arange(int(order) + 1)
         out = np.empty((self.size, len(powers)), dtype=complex)
         running = (powers == 0).astype(complex)
-        for k, a in enumerate(self.poles):
-            d = 1.0 - self._conjs[k] * w
-            geometric = (self._conjs[k] / d) ** powers / d
-            out[k] = self._norms[k] * np.convolve(geometric, running)[: len(powers)]
-            factor = np.empty_like(geometric)
-            factor[0] = (w - a) / d
-            factor[1:] = geometric[:-1] * ((1.0 - abs(a) ** 2) / d)
-            running = np.convolve(running, self._phases[k] * factor)[: len(powers)]
+        # orders past the double range overflow silently: callers check what they read
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, a in enumerate(self.poles):
+                d = 1.0 - self._conjs[k] * w
+                geometric = (self._conjs[k] / d) ** powers / d
+                out[k] = self._norms[k] * np.convolve(geometric, running)[: len(powers)]
+                factor = np.empty_like(geometric)
+                factor[0] = (w - a) / d
+                factor[1:] = geometric[:-1] * ((1.0 - abs(a) ** 2) / d)
+                running = np.convolve(running, self._phases[k] * factor)[: len(powers)]
         return out
 
     def gram_matrix(self, grid: CircleGrid) -> np.ndarray:

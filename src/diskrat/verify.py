@@ -137,10 +137,10 @@ def _check_quadratic_group() -> list[tuple[str, float, dict]]:
         free = PoleSequence.random(n - alpha, rng=rng, max_modulus=0.85)
         approx = build_approximant(spec, free)
         mu_closed = mu_min_closed_form(spec, free)
-        # mu_quad below is taken on the LSQ grid, the approximant's mu grid
-        problem = LeastSquaresProblem.build(spec, approx.basis, circle_grid(4096))
-        if approx.expansion.grid_size != problem.grid.node_count:
-            raise RuntimeError(f"mu grid {approx.expansion.grid_size} is not the LSQ grid")
+        # the LSQ grid is the approximant's mu grid, on which mu_quad is taken
+        problem = LeastSquaresProblem.build(
+            spec, approx.basis, circle_grid(approx.expansion.grid_size)
+        )
         result = lsq_minimize(problem)
         # routes: normal equations vs inner products (quadrature), and the
         # quadrature vs the closed-form coefficients of the approximant

@@ -317,14 +317,54 @@ class TestMuFunctional:
         assert np.all(values >= floor - 1e-12)
 
 
-def callable_mu(spec, rational, grid, extended=False):
-    """Reference: mu as it was computed from a callable R, on the whole grid
-    at once."""
+def callable_squares(spec, rational, grid, extended=False):
+    """The squares |K - R/(1 - x conj(w))|^2 of a callable R, evaluated on
+    the whole grid at once."""
     nodes = circle_grid(grid.node_count, extended=True).nodes if extended else grid.nodes
     values = sample_on_nodes(rational, nodes)
     kernel = spec.bergman(nodes)
     error = kernel - values / (1.0 - nodes * np.conj(spec.w))
-    return float(np.mean(np.abs(error) ** 2))
+    return np.abs(error) ** 2
+
+
+def callable_mu(spec, rational, grid, extended=False):
+    """Reference: mu from a callable R, its squares summed NODE_CHUNK nodes
+    at a time and the parts added in node order."""
+    squares = callable_squares(spec, rational, grid, extended)
+    total = squares.dtype.type(0.0)
+    for start in range(0, len(squares), NODE_CHUNK):
+        total += np.add.reduce(squares[start : start + NODE_CHUNK])
+    return float(total / len(squares))
+
+
+def spy_chunks(monkeypatch, basis):
+    """The first node of every part the grid passes read from basis."""
+    read = []
+    chunks = basis.eval_chunks
+
+    def spy(nodes, count=None):
+        for part, phi in chunks(nodes, count):
+            read.append(part.start)
+            yield part, phi
+
+    monkeypatch.setattr(basis, "eval_chunks", spy)
+    return read
+
+
+def doctored_basis(grid):
+    """A basis of three monomials whose stored design matrix on grid holds
+    1e300 at node NODE_CHUNK + 5000 of phi_1 and at node 5 of phi_2, and
+    rows that weight them: R of row 0 overflows in the second part only,
+    R of row 1 in the first part, at node 5."""
+    basis = TMBasis([0j, 0j, 0j])
+    nodes = grid.nodes
+    design = np.array(basis.design_matrix(grid))
+    design[NODE_CHUNK + 5000, 1] = 1e300
+    design[5, 2] = 1e300
+    design.setflags(write=False)
+    basis._designs[id(nodes)] = (nodes, design)
+    rows = np.array([[0.1, 1e10, 0.0], [0.1, 0.0, 1e10], [0.1, 0.1, 0.1]], dtype=complex)
+    return basis, rows
 
 
 INEQUALITY_CONFIGS = [
@@ -337,7 +377,7 @@ INEQUALITY_CONFIGS = [
 
 class TestMuRows:
     """mu_functional scores coefficient rows; the row of an approximant must
-    score as the callable route scored Approximant.eval."""
+    score as the callable route from Approximant.eval, summed part by part."""
 
     @pytest.mark.parametrize(
         "spec, free, nodes, extended, stored",
@@ -351,7 +391,7 @@ class TestMuRows:
             # escalated to 2^15 nodes, two parts added pairwise
             (KernelSpec(2, 0.99j), [0.3, -0.4], None, False, False),
             (KernelSpec(2, 0.99j), [0.3, -0.4], None, True, False),
-            # four parts; and grids of other sizes, whose squares are kept whole
+            # four parts; and grids of other sizes, whose last part is shorter
             (KernelSpec(1, 0.5), [0.2j, 0.7], 2**16, False, False),
             (KernelSpec(1, 0.5), [0.2j, 0.7], NODE_CHUNK + 64, False, False),
             (KernelSpec(1, 0.5), [0.2j, 0.7], 3 * NODE_CHUNK, True, False),
@@ -369,6 +409,13 @@ class TestMuRows:
         value = mu_functional(spec, approx.basis, approx.coefficients, grid, extended=extended)
         assert type(value) is float
         assert value == reference
+        # numpy's pairwise sum splits a row of 2 NODE_CHUNK nodes at NODE_CHUNK,
+        # so on one or two whole parts the value is numpy's mean of the row
+        mean = float(np.mean(callable_squares(spec, approx.eval, grid, extended)))
+        if nodes <= NODE_CHUNK or nodes == 2 * NODE_CHUNK:
+            assert value == mean
+        else:
+            assert abs(value - mean) <= 4 * np.spacing(mean)
 
     @pytest.mark.parametrize("extended", [False, True])
     @pytest.mark.parametrize("spec, free", INEQUALITY_CONFIGS)
@@ -417,36 +464,39 @@ class TestMuRows:
             checked[extended] += 1
         assert checked[False] > 100 and checked[True] > 10
 
-    def test_verify_refuses_an_lsq_grid_apart_from_the_expansion_grid(self, monkeypatch):
-        monkeypatch.setattr(verify, "circle_grid", lambda count: circle_grid(2 * count))
-        with pytest.raises(RuntimeError, match="mu grid 4096 is not the LSQ grid"):
-            verify._check_quadratic_group()
+    def test_verify_builds_each_lsq_problem_on_the_expansion_grid(self, monkeypatch):
+        built, problems = [], []
+        build_approximant, build = verify.build_approximant, verify.LeastSquaresProblem.build
 
-    def test_non_finite_row_names_the_node_of_the_callable_route(self):
+        def approximant(spec, free):
+            built.append(build_approximant(spec, free))
+            return built[-1]
+
+        def problem(spec, basis, grid):
+            problems.append((basis, grid))
+            return build(spec, basis, grid)
+
+        monkeypatch.setattr(verify, "build_approximant", approximant)
+        monkeypatch.setattr(verify.LeastSquaresProblem, "build", problem)
+        verify._check_quadratic_group()
+        assert len(problems) == len(built) > 100
+        for approx, (basis, grid) in zip(built, problems):
+            assert basis is approx.basis
+            assert grid.node_count == approx.expansion.grid_size
+
+    def test_the_first_non_finite_part_row_and_node_are_named(self, monkeypatch):
         spec = KernelSpec(0, 0.3 + 0.4j)
-        basis = TMBasis([0j, 0j, 0j])
         grid = circle_grid(2**16)
-        nodes = grid.nodes
-        # R overflows where a row weights a huge value: row 0 in the second
-        # part, row 1 earlier, in the first; the first row is reported
-        design = np.array(basis.design_matrix(grid))
-        design[NODE_CHUNK + 5000, 1] = 1e300
-        design[5, 2] = 1e300
-        design.setflags(write=False)
-        basis._designs[id(nodes)] = (nodes, design)
-        rows = np.array([[0.1, 1e10, 0.0], [0.1, 0.0, 1e10], [0.1, 0.1, 0.1]], dtype=complex)
-        # the callable route on the injected design: R of row 0 at the nodes
-        def rational(x):
-            return (1.0 - x * np.conj(spec.w)) * np.tensordot(rows[0], design.T, axes=1)
-
+        basis, rows = doctored_basis(grid)
+        read = spy_chunks(monkeypatch, basis)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteIntegrand) as reference:
-                callable_mu(spec, rational, grid)
             with pytest.raises(NonFiniteIntegrand) as raised:
                 mu_functional(spec, basis, rows, grid, extended=False)
-        assert reference.value.node_index == NODE_CHUNK + 5000
-        assert raised.value.node_index == reference.value.node_index
+        # row 1 fails in the first part, before row 0 fails in the second,
+        # which is never read
+        assert raised.value.node_index == 5
         assert not cmath.isfinite(raised.value.value)
+        assert read == [0]
 
     @pytest.mark.parametrize("spec, free", INEQUALITY_CONFIGS)
     def test_gram_recovers_the_quadrature_expansion(self, spec, free):
@@ -486,6 +536,31 @@ class TestMuRows:
             tracemalloc.stop()
         assert count == 20 and len(rows) == 101
         assert peak < 1.5 * block
+
+    def test_101_rows_on_two_parts_peak_within_two_part_blocks(self):
+        # on a grid of several parts the rows' sums are added part by part:
+        # no rows x N block of squares is kept beside the block of errors.
+        # The block of errors is one m x NODE_CHUNK block; np.dot copies the
+        # part of the stored matrix it reads, which is not one segment on a
+        # grid of several parts, into another
+        spec = KernelSpec(1, 0.4 + 0.2j)
+        free = PoleSequence.random(18, np.random.default_rng(1), max_modulus=0.8)
+        approx = build_approximant(spec, free)
+        count = approx.basis.size
+        grid = circle_grid(2 * NODE_CHUNK)
+        approx.basis.design_matrix(grid)
+        rows = np.vstack(
+            [approx.coefficients, competitor_trials(approx, 100, np.random.default_rng(2))]
+        )
+        block = count * NODE_CHUNK * 16
+        tracemalloc.start()
+        try:
+            mu = mu_functional(spec, approx.basis, rows, grid, extended=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 20 and mu.shape == (101,)
+        assert peak < 2.5 * block
 
 
 class TestClosedFormMinima:
@@ -898,29 +973,24 @@ class TestStreamedBrackets:
         for got, want in zip(self.stream(error, 5), grid_brackets(error)):
             assert np.array_equal(got, want)
 
-    def test_non_finite_names_the_node_of_the_whole_grid_pass(self):
+    @pytest.mark.parametrize("functional", [nu_functional, equimodularity_variation])
+    def test_the_first_non_finite_part_stops_the_pass(self, functional, monkeypatch):
         spec = KernelSpec(0, 0.3 + 0.4j)
-        basis = TMBasis([0j, 0j, 0j])
         grid = circle_grid(self.N)
-        nodes = grid.nodes
-        # R overflows where a row weights a huge value: row 0 in the second
-        # chunk, and row 1 earlier, in the first; the pass reads the chunks
-        # of this stored matrix
-        design = np.array(basis.design_matrix(grid))
-        design[NODE_CHUNK + 5000, 1] = 1e300
-        design[5, 2] = 1e300
-        design.setflags(write=False)
-        basis._designs[id(nodes)] = (nodes, design)
-        rows = np.array([[0.1, 1e10, 0.0], [0.1, 0.0, 1e10], [0.1, 0.1, 0.1]], dtype=complex)
+        basis, rows = doctored_basis(grid)
+        read = spy_chunks(monkeypatch, basis)
+        design = basis.design_matrix(grid)
         with np.errstate(over="ignore", invalid="ignore"):
-            error = (1.0 - nodes * np.conj(spec.w)) * (rows @ design.T)
+            error = (1.0 - grid.nodes * np.conj(spec.w)) * (rows @ design.T)
             with pytest.raises(NonFiniteIntegrand) as raised:
-                nu_functional(spec, basis, rows, grid)
-        bad = ~np.isfinite(error)
+                functional(spec, basis, rows, grid)
+        # the first part's first non-finite value lies in row 1, at node 5
+        bad = ~np.isfinite(error[:, :NODE_CHUNK])
         row, node = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        assert (row, node) == (0, NODE_CHUNK + 5000)
+        assert (row, node) == (1, 5)
         assert raised.value.node_index == node
         assert not cmath.isfinite(raised.value.value)
+        assert read == [0]
 
 
 class TestClosedFormJ:

@@ -11,7 +11,7 @@ import diskrat.circlequad
 import diskrat.cli
 import diskrat.tm_basis
 import diskrat.verify
-from diskrat import KernelSpec
+from diskrat import ErrorReport, KernelSpec
 from diskrat.cli import (
     COMMANDS,
     OPTIONS,
@@ -524,7 +524,7 @@ def test_verify_checks_its_out_target_before_the_checks(
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--alpha", "171", "--w", "0.5,0", "--poles", "0,0"],
+        ["--alpha", "140", "--w", "0.5,0", "--poles", "0,0"],
         ["--alpha", "170", "--w", "0.5,0", "--poles", "0,0"],
         ["--w", "0.5,0", "--poles", "zeros", "--n", "172"],
         ["--alpha", "10", "--w", "0.5,0", "--poles", "zeros", "--n", "175"],
@@ -545,6 +545,74 @@ def test_sweep_reports_a_row_past_the_double_range_in_its_cell(capsys):
     rows = out.splitlines()
     assert rows[1].endswith(",")
     assert ",,,,,,interpolation row 171 " in rows[2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approximate", "--alpha", "100", "--w", "0.99,0", "--poles", "0,0"],
+        ["approximate", "--alpha", "60", "--w", "0.999,0", "--poles", "0,0"],
+        ["approximate", "--alpha", "150", "--w", "0.999,0", "--poles", "0,0"],
+        ["oracle", "--alpha", "150", "--w", "0.999,0", "--poles", "0,0"],
+        ["approximate", "--alpha", "80", "--w", "0,0.999", "--poles", "0.9,0;0.9,0"],
+        ["approximate", "--alpha", "110", "--w", "0.999,0", "--poles", "0.999,0"],
+    ],
+)
+def test_a_refusal_past_the_double_range_is_one_line_and_no_warning(capsys, argv):
+    # pytest turns every warning into an error, which main reports as an
+    # internal error (exit 3): an overflow on the way must stay silent
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_ALPHA_REFUSAL = (
+    "alpha {} is above 170: the interpolation row of multiplicity alpha + 1 at w "
+    "would carry alpha! beyond the double range"
+)
+
+
+@pytest.mark.parametrize("alpha", ["171", "800", "4095"])
+def test_an_alpha_past_the_factorial_range_is_refused_before_building(
+    capsys, monkeypatch, alpha
+):
+    def never(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(diskrat.bergman_approx, "build_approximant", never)
+    code, out, err = run_cli(
+        capsys, "approximate", "--alpha", alpha, "--w", "0.5,0", "--poles", "0,0"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {_ALPHA_REFUSAL.format(alpha)}\n"
+
+
+def test_sweep_reports_an_alpha_past_the_factorial_range_in_its_cell(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(diskrat.bergman_approx, "build_approximant", never)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--alphas", "171,800", "--ns", "801", "--ws", "0.5,0",
+        "--poles", "zeros",
+    )
+    assert code == 2
+    rows = out.splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == [
+        _ALPHA_REFUSAL.format(171), _ALPHA_REFUSAL.format(800)
+    ]
+
+
+def test_an_alpha_past_the_factorial_range_at_w_zero_gives_zeros(capsys):
+    code, out, err = run_cli(
+        capsys, "approximate", "--alpha", "800", "--w", "0,0", "--poles", "0,0"
+    )
+    assert code == 0, err
+    report = json.loads(out)["error_report"]
+    assert report["degenerate_w_zero"]
+    assert [report[name] for name in ErrorReport.VALUE_NAMES] == [0.0] * 5
 
 
 @pytest.mark.parametrize(

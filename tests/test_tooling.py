@@ -5,9 +5,12 @@ import importlib
 import json
 import os
 import pkgutil
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import diskrat
 import diskrat.cli
@@ -247,3 +250,29 @@ def test_star_import_is_clean():
     namespace = {}
     exec("from diskrat import *", namespace)
     assert "KernelSpec" in namespace and "run_checks" in namespace
+
+
+def readme_command_lines() -> list[str]:
+    """The lines of README's "Command line" block, without their comments."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("line", readme_command_lines())
+def test_every_readme_example_exits_as_the_readme_says(capsys, tmp_path, line):
+    words = shlex.split(line)
+    assert words[0] == "diskrat"
+    argv = words[1:]
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+    # the README gives the sweep example's failed rows, and the --tol line
+    # forces a failure; every other example succeeds
+    expected = 2 if argv[0] == "sweep" or "--tol" in argv else 0
+    code = diskrat.cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == expected, captured.err
+    assert captured.out or "--out" in argv
+    if "--out" in argv:
+        assert (tmp_path / Path(argv[at]).name).is_file()
