@@ -189,7 +189,8 @@ class Approximant:
         the rounding error, not a bound: it leaves out the rounding inside
         taylor itself.  Computed once per approximant.  Where j! or a
         product leaves the double range, the value or scale is not finite;
-        interpolation_rows refuses such rows.
+        interpolation_rows refuses such rows.  j! is inf from j = 171 on, so
+        the table stops at order _MAX_FACTORIAL + 1 and later rows stay NaN.
         """
         poles = self.basis.poles
         c = self.coefficients
@@ -197,8 +198,8 @@ class Approximant:
         groups: dict[complex, list[int]] = {}
         for m, a in enumerate(poles):
             groups.setdefault(a, []).append(m)
-        values = np.empty(len(poles), dtype=complex)
-        scales = np.empty(len(poles))
+        values = np.full(len(poles), np.nan, dtype=complex)
+        scales = np.full(len(poles), np.nan)
         simple = [m for index in groups.values() if len(index) == 1 for m in index]
         if simple:
             z = np.array([poles[m] for m in simple])
@@ -209,6 +210,7 @@ class Approximant:
         for a, index in groups.items():
             if len(index) == 1:
                 continue
+            index = index[: _MAX_FACTORIAL + 2]
             taylor = self.basis.taylor(a, len(index) - 1)
             factorials = np.array(
                 [float(math.factorial(j)) if j <= _MAX_FACTORIAL else np.inf
@@ -285,7 +287,14 @@ def build_approximant(
 ) -> Approximant:
     """Assemble the full pole sequence (free poles then alpha+1 copies of w),
     the basis, the kernel expansion (closed-form coefficients, no grid), and
-    the approximant of order n = len(free_poles) + alpha."""
+    the approximant of order n = len(free_poles) + alpha.  An alpha above
+    _MAX_FACTORIAL raises ValueOutOfRange first, at any w: the interpolation
+    row of multiplicity alpha + 1 at w multiplies by alpha!."""
+    if spec.alpha > _MAX_FACTORIAL:
+        raise ValueOutOfRange(
+            f"alpha {spec.alpha} is above {_MAX_FACTORIAL}: the interpolation row "
+            f"of multiplicity alpha + 1 at w would carry alpha! beyond the double range"
+        )
     if not isinstance(free_poles, PoleSequence):
         free_poles = PoleSequence(free_poles)
     full = free_poles.with_trailing(spec.w, spec.alpha + 1)
@@ -354,8 +363,6 @@ def _free_blaschke_modulus(spec: KernelSpec, free_poles) -> float:
 
 def mu_min_closed_form(spec: KernelSpec, free_poles: PoleSequence | list[complex]) -> float:
     """Exact quadratic minimum |w|^(2a+2) (1-|w|^2)^-(2a+3) |B(w)|^2."""
-    if spec.w == 0:
-        return 0.0
     b = _free_blaschke_modulus(spec, free_poles)
     ww = abs(spec.w) ** 2
     return float(ww ** (spec.alpha + 1) / (1.0 - ww) ** (2 * spec.alpha + 3) * b * b)
@@ -532,8 +539,6 @@ def nu_functional(
 
 def nu_min_closed_form(spec: KernelSpec, free_poles: PoleSequence | list[complex]) -> float:
     """Exact uniform minimum (|w| / (1-|w|^2))^(1+alpha) |B(w)|."""
-    if spec.w == 0:
-        return 0.0
     b = _free_blaschke_modulus(spec, free_poles)
     return float((abs(spec.w) / (1.0 - abs(spec.w) ** 2)) ** (spec.alpha + 1) * b)
 
@@ -710,22 +715,18 @@ def build_error_report(
     closed forms: mu on the expansion's grid, nu on NU_GRID_NODES nodes.
     w = 0 short-circuits to exact zeros, without an approximant: the kernel
     degenerates to the constant 1 and the approximant is identically 1.  Else
-    an alpha above _MAX_FACTORIAL, whose row at w would carry alpha!, raises
-    ValueOutOfRange before anything is built."""
+    build_approximant refuses an alpha past the double range, and the mu
+    grid is made next, so a grid past the cap (GridTooLarge) refuses the
+    request before its rows."""
     if not isinstance(free_poles, PoleSequence):
         free_poles = PoleSequence(free_poles)
     approx, values = None, (0.0,) * len(ErrorReport.VALUE_NAMES)
     if spec.w != 0:
-        if spec.alpha > _MAX_FACTORIAL:
-            raise ValueOutOfRange(
-                f"alpha {spec.alpha} is above {_MAX_FACTORIAL}: the interpolation row "
-                f"of multiplicity alpha + 1 at w would carry alpha! beyond the double range"
-            )
         approx = build_approximant(spec, free_poles)
-        # the rows first: they are cheap, and one out of the double range fails
+        mu_grid = circle_grid(approx.expansion.grid_size)
+        # the rows next: they are cheap, and one out of the double range fails
         # the report before the grid passes
         residuals = approx.interpolation_residuals()
-        mu_grid = circle_grid(approx.expansion.grid_size)
         mu_closed = mu_min_closed_form(spec, free_poles)
         mu_quad = mu_functional(
             spec, approx.basis, approx.coefficients, mu_grid, extended=extended_mu(mu_closed)

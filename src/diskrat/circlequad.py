@@ -20,14 +20,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyNotReached, NonFiniteIntegrand, PointNotInDisk
+from .errors import AccuracyNotReached, GridTooLarge, NonFiniteIntegrand, PointNotInDisk
 
 #: Points with modulus >= 1 - EPS_BOUNDARY are rejected as disk points; the
 #: closed-form error constants downstream blow up like (1 - |w|^2)^-(2a+3).
 EPS_BOUNDARY = 1e-9
 
-#: Largest quadrature grid an expansion may ask for (see
-#: expansion.default_grid_size).
+#: Largest quadrature grid circle_grid makes.
 MAX_NODES = 2**20
 
 
@@ -50,7 +49,6 @@ class CircleGrid:
         if node_count < 1:
             raise ValueError("node_count must be a positive integer")
         self.node_count = node_count
-        self.weight = 1.0 / node_count
         if extended:
             # Long-double nodes; pi is recomputed in long double so the node
             # arguments are not limited by double rounding.
@@ -85,7 +83,13 @@ def json_complex(values):
 
 @lru_cache(maxsize=32)
 def circle_grid(node_count: int, extended: bool = False) -> CircleGrid:
-    """Cached grid factory; grids are immutable so sharing is safe."""
+    """Cached grid factory; grids are immutable so sharing is safe.  The one
+    maker of grids: more than MAX_NODES nodes raise GridTooLarge before
+    anything is allocated (a raise is not cached)."""
+    if node_count > MAX_NODES:
+        raise GridTooLarge(
+            f"a quadrature grid of {node_count} nodes, more than the cap of {MAX_NODES}"
+        )
     return CircleGrid(node_count, extended=extended)
 
 

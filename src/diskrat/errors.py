@@ -21,8 +21,9 @@ class NonFiniteIntegrand(DiskratError):
 
 
 class ValueOutOfRange(DiskratError):
-    """A computed value is out of its range: an interpolation row that is not
-    a finite double, or an error value that is not finite and non-negative."""
+    """A value is out of its range: an interpolation row that is not a finite
+    double (or an alpha that would give one), or an error value that is not
+    finite and non-negative."""
 
 
 class AccuracyNotReached(DiskratError):

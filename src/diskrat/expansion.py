@@ -21,14 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .circlequad import MAX_NODES, CircleGrid, json_complex, require_in_disk, sample_on_nodes
-from .errors import (
-    CountOutOfRange,
-    GridTooLarge,
-    IndexOutOfRange,
-    OrderTooSmall,
-    TrailingPolesMismatch,
-)
+from .circlequad import CircleGrid, json_complex, require_in_disk, sample_on_nodes
+from .errors import CountOutOfRange, IndexOutOfRange, OrderTooSmall, TrailingPolesMismatch
 from .kernels import KernelSpec
 from .tm_basis import PoleSequence, TMBasis, inner_products
 
@@ -52,19 +46,14 @@ def default_grid_size(n: int, rho: float = 0.0) -> int:
     Base size max(4096, 64*(n+1)); integrand smoothness degrades as the poles
     or the kernel point approach the circle, so for rho >= 0.8 the size is
     escalated until the geometric quadrature decay rho^N is driven far below
-    double precision, rounded up to a power of two.  Sizes above MAX_NODES
-    raise GridTooLarge; nothing is allocated here.
+    double precision, rounded up to a power of two.  Only a size: the cap
+    is circlequad.circle_grid's, checked when a grid is made.
     """
     size = max(4096, 64 * (int(n) + 1))
     rho = float(rho)
     if rho >= 0.8:
         needed = int(math.ceil(120.0 / -math.log10(rho)))
         size = max(size, _next_pow2(needed))
-    if size > MAX_NODES:
-        raise GridTooLarge(
-            f"order {n} at radius {rho:.12g} needs a grid of {size} nodes, "
-            f"more than the cap of {MAX_NODES}"
-        )
     return size
 
 
@@ -90,10 +79,6 @@ class FourierExpansion:
             raise CountOutOfRange(
                 f"requested {count} terms, stored {len(self.coefficients)}"
             )
-        z = np.asarray(z)
-        if count == 0:
-            zero = np.zeros(z.shape, dtype=complex)
-            return complex(zero) if zero.ndim == 0 else zero
         out = np.tensordot(self.coefficients[:count], self.basis.eval_all(z, count), axes=1)
         return complex(out) if out.ndim == 0 else out
 
@@ -111,7 +96,7 @@ def expand_function(
     """Expand f over the whole basis by quadrature: its inner products with
     the (stored) design matrix, all coefficients at once."""
     values = sample_on_nodes(f, grid.nodes)
-    coefficients = inner_products(basis.design_matrix(grid), values, grid)
+    coefficients = inner_products(basis.design_matrix(grid), values)
     return FourierExpansion(basis, coefficients, source, grid.node_count)
 
 
@@ -129,7 +114,7 @@ def expand_kernel(spec: KernelSpec, basis: TMBasis) -> FourierExpansion:
     grid_size = default_grid_size(basis.max_index, rho)
     a1 = spec.alpha + 1
     weights = [math.comb(a1, k) * spec.w**k for k in range(a1 + 1)]
-    # coefficients past the double range stay silent: the error report refuses them
+    # coefficients past the double range stay silent: the rows and grid passes refuse them
     with np.errstate(over="ignore", invalid="ignore"):
         coefficients = np.conj(basis.taylor(spec.w, a1) @ weights)
     source = f"bergman_kernel(alpha={spec.alpha}, w={spec.w!r})"

@@ -77,7 +77,7 @@ class LeastSquaresProblem:
         target = sample_on_nodes(spec.bergman, grid.nodes)
         # the normal-equations matrix conj(A)^T A / N, whose entry (k, l) is
         # <phi_l, phi_k>: the conjugate of the basis's Gram
-        gram = inner_products(design, design, grid)
+        gram = inner_products(design, design)
         condition = float(np.linalg.cond(gram))
         return cls(grid, design, target, gram, condition)
 
@@ -114,12 +114,12 @@ def lsq_minimize(problem: LeastSquaresProblem) -> LsqResult:
     """
     if not np.isfinite(problem.condition) or problem.condition > CONDITION_LIMIT:
         raise IllConditioned(problem.condition)
-    inner = inner_products(problem.design, problem.target, problem.grid)
+    inner = inner_products(problem.design, problem.target)
     coefficients = np.linalg.solve(problem.gram, inner)
     residual = problem.target - problem.design @ coefficients
     minimum = float(np.mean(np.abs(residual) ** 2))
     route_gap = float(np.max(np.abs(coefficients - inner)))
-    orthogonality = float(np.max(np.abs(inner_products(problem.design, residual, problem.grid))))
+    orthogonality = float(np.max(np.abs(inner_products(problem.design, residual))))
     return LsqResult(
         coefficients=coefficients,
         inner_coefficients=inner,

@@ -160,13 +160,15 @@ def _phase(a: complex) -> complex:
     return -abs(a) / a
 
 
-def inner_products(design: np.ndarray, values: np.ndarray, grid: CircleGrid) -> np.ndarray:
+def inner_products(design: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The discrete inner products <v, phi_k> = sum_j v(x_j) conj(phi_k(x_j)) / N
-    under the grid's quadrature, one row k per column of the node-by-function
-    design matrix, for a vector v of values at the nodes or for each column
-    of a matrix of them.  The one inner product behind Fourier coefficients,
-    the Gram matrix and the least-squares normal equations.  A result of
-    more than MAX_DESIGN_BYTES raises DesignTooLarge before the product."""
+    under the trapezoid rule on the N nodes of the node-by-function design
+    matrix, one per row, with the weight 1/N read from the design: one
+    result row k per column of the design, for a vector v of values at the
+    nodes or for each column of a matrix of them.  The one inner product
+    behind Fourier coefficients, the Gram matrix and the least-squares
+    normal equations.  A result of more than MAX_DESIGN_BYTES raises
+    DesignTooLarge before the product."""
     vectors = math.prod(values.shape[1:])
     size = design.shape[1] * vectors * np.result_type(design, values).itemsize
     if size > MAX_DESIGN_BYTES:
@@ -174,7 +176,7 @@ def inner_products(design: np.ndarray, values: np.ndarray, grid: CircleGrid) -> 
             f"inner products of {design.shape[1]} functions with {vectors} vectors "
             f"need {size} bytes, more than the cap of {MAX_DESIGN_BYTES}"
         )
-    return (np.conj(design).T @ values) * grid.weight
+    return (np.conj(design).T @ values) * (1.0 / design.shape[0])
 
 
 class TMBasis:
@@ -343,7 +345,7 @@ class TMBasis:
         conjugate of the inner products of the grid's design matrix with
         itself, read through design_matrix."""
         design = self.design_matrix(grid)
-        return np.conj(inner_products(design, design, grid))
+        return np.conj(inner_products(design, design))
 
     def blaschke(self, degree: int) -> BlaschkeProduct:
         """Blaschke product over the first `degree` poles."""

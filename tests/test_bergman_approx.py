@@ -188,9 +188,10 @@ class TestInterpolation:
         [
             # at w of multiplicity 132, j! t_j and the target leave the range
             (170, [0j, 0j], 133),
-            (171, [0j, 0j], 133),
             # 171! is not a double
             (0, [0j] * 172, 171),
+            # nor is any later row, past the end of the Taylor table
+            (0, [0j] * 300, 171),
             # (alpha+1)...(alpha+164) is not a double: the target is NaN
             (10, [0j] * 165, 164),
         ],
@@ -199,6 +200,22 @@ class TestInterpolation:
         approx = build_approximant(KernelSpec(alpha, 0.5), free)
         with pytest.raises(ValueOutOfRange, match=f"interpolation row {row} "):
             approx.interpolation_residuals()
+
+    @pytest.mark.parametrize("w", [0.5, 0j])
+    def test_an_alpha_past_the_factorial_range_is_refused_at_build(self, w, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(TMBasis, "__init__", never)
+        with pytest.raises(ValueOutOfRange, match="^alpha 171 is above 170: "):
+            build_approximant(KernelSpec(171, w), [0j, 0j])
+
+    def test_rows_past_the_taylor_table_are_nan(self):
+        approx = build_approximant(KernelSpec(0, 0.5), [0j] * 180)
+        values, scales = approx.pole_derivatives
+        assert np.isnan(values[172:180]).all() and np.isnan(scales[172:180]).all()
+        assert not np.isfinite(values[171])
+        assert np.isfinite(values[:171]).all() and np.isfinite(values[180])
 
     def test_rows_at_the_edge_of_the_double_range_stay_finite(self):
         # multiplicity 171 at zero: 170! t_170 is about 1e241
@@ -564,8 +581,12 @@ class TestMuRows:
 
 
 class TestClosedFormMinima:
-    def test_mu_min_degenerate(self):
-        assert mu_min_closed_form(KernelSpec(3, 0j), [0.3]) == 0.0
+    @pytest.mark.parametrize("alpha", [0, 3])
+    @pytest.mark.parametrize("free", [[], [0.3, -0.2j], [0j]], ids=["none", "two", "zero"])
+    def test_mu_min_degenerate(self, alpha, free):
+        # +0.0 at w = 0, whatever the free poles
+        value = mu_min_closed_form(KernelSpec(alpha, 0j), free)
+        assert type(value) is float and value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_mu_min_spot_value(self):
         value = mu_min_closed_form(KernelSpec(0, 0.5), [0j])
@@ -584,6 +605,11 @@ class TestClosedFormMinima:
 
     def test_nu_min_values(self):
         assert nu_min_closed_form(KernelSpec(2, 0j), [0.3]) == 0.0
+        for alpha in (0, 3):
+            for free in ([], [0.3, -0.2j], [0j]):
+                value = nu_min_closed_form(KernelSpec(alpha, 0j), free)
+                assert type(value) is float and value == 0.0
+                assert math.copysign(1.0, value) == 1.0
         assert nu_min_closed_form(KernelSpec(0, 0.5), [0j]) == pytest.approx(1.0 / 3.0)
 
     @pytest.mark.parametrize("alpha", [0, 1, 3])
@@ -1215,7 +1241,8 @@ class TestErrorReport:
         def no_grid_pass(*args, **kwargs):
             raise AssertionError("a grid pass ran")
 
-        for name in ("circle_grid", "mu_functional", "nu_functional"):
+        # the mu grid is made before the rows, and no pass runs on it
+        for name in ("mu_functional", "nu_functional"):
             monkeypatch.setattr(bergman_approx, name, no_grid_pass)
         with pytest.raises(ValueOutOfRange) as refused:
             build_error_report(spec, free)

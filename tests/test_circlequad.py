@@ -17,7 +17,6 @@ def test_grid_invariants():
     grid = CircleGrid(64)
     assert grid.node_count == 64
     assert np.all(np.abs(np.abs(grid.nodes) - 1.0) < 1e-15)
-    assert abs(grid.weight * grid.node_count - 1.0) < 1e-15
     assert len(np.unique(np.round(grid.nodes, 12))) == 64
     args = np.angle(grid.nodes)
     gaps = np.diff(np.unwrap(args))

@@ -1,5 +1,7 @@
 import argparse
+import cmath
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ import diskrat.circlequad
 import diskrat.cli
 import diskrat.tm_basis
 import diskrat.verify
-from diskrat import ErrorReport, KernelSpec
+from diskrat import Approximant, ErrorReport, KernelSpec
+from diskrat.circlequad import EPS_BOUNDARY
 from diskrat.cli import (
     COMMANDS,
     OPTIONS,
@@ -29,6 +32,27 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def never_build_a_basis(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(diskrat.tm_basis.TMBasis, "__init__", never)
+
+
+def grid_sizes(monkeypatch) -> list[int]:
+    """The node counts every module of the package asks circle_grid for."""
+    sizes, make = [], diskrat.circlequad.circle_grid
+
+    def spy(node_count, extended=False):
+        sizes.append(node_count)
+        return make(node_count, extended=extended)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("diskrat.") and getattr(module, "circle_grid", None) is make:
+            monkeypatch.setattr(module, "circle_grid", spy)
+    return sizes
 
 
 class TestParsing:
@@ -537,6 +561,26 @@ def test_interpolation_rows_past_the_double_range_exit_2(capsys, argv):
     assert err.startswith("error: interpolation row ")
 
 
+def test_the_taylor_table_of_the_rows_stops_at_order_171(capsys, monkeypatch):
+    orders, taylor = [], diskrat.tm_basis.TMBasis.taylor
+
+    def spy(self, w, order):
+        orders.append(order)
+        return taylor(self, w, order)
+
+    monkeypatch.setattr(diskrat.tm_basis.TMBasis, "taylor", spy)
+    code, out, err = run_cli(
+        capsys, "approximate", "--w", "0.5,0", "--poles", "zeros", "--n", "2400"
+    )
+    assert (code, out) == (2, "")
+    # the line that the whole table, of order 2399, gives
+    assert err == (
+        "error: interpolation row 171 (pole 0j, multiplicity 172) leaves the double range: "
+        "value (inf+nanj), target (nan+nanj), rounding scale inf\n"
+    )
+    assert max(orders) == 171
+
+
 def test_sweep_reports_a_row_past_the_double_range_in_its_cell(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--alphas", "0", "--ns", "1,172", "--ws", "0.5,0", "--poles", "zeros"
@@ -573,16 +617,26 @@ _ALPHA_REFUSAL = (
 )
 
 
-@pytest.mark.parametrize("alpha", ["171", "800", "4095"])
+@pytest.mark.parametrize(
+    "command, alpha, w",
+    [
+        ("approximate", "171", "0.5,0"),
+        ("approximate", "800", "0.5,0"),
+        ("approximate", "4095", "0.5,0"),
+        # the approximant's row at w multiplies by alpha!, whatever w is
+        ("oracle", "171", "0.5,0"),
+        ("oracle", "300", "0.5,0"),
+        ("oracle", "1100", "0.5,0"),
+        ("oracle", "4095", "0.5,0"),
+        ("oracle", "171", "0,0"),
+    ],
+)
 def test_an_alpha_past_the_factorial_range_is_refused_before_building(
-    capsys, monkeypatch, alpha
+    capsys, monkeypatch, command, alpha, w
 ):
-    def never(*args, **kwargs):
-        raise AssertionError("built")
-
-    monkeypatch.setattr(diskrat.bergman_approx, "build_approximant", never)
+    never_build_a_basis(monkeypatch)
     code, out, err = run_cli(
-        capsys, "approximate", "--alpha", alpha, "--w", "0.5,0", "--poles", "0,0"
+        capsys, command, "--alpha", alpha, "--w", w, "--poles", "0,0"
     )
     assert code == 2
     assert out == ""
@@ -590,10 +644,7 @@ def test_an_alpha_past_the_factorial_range_is_refused_before_building(
 
 
 def test_sweep_reports_an_alpha_past_the_factorial_range_in_its_cell(capsys, monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("built")
-
-    monkeypatch.setattr(diskrat.bergman_approx, "build_approximant", never)
+    never_build_a_basis(monkeypatch)
     code, out, _ = run_cli(
         capsys, "sweep", "--alphas", "171,800", "--ns", "801", "--ws", "0.5,0",
         "--poles", "zeros",
@@ -799,15 +850,30 @@ class TestConfigHandling:
         assert "not strictly inside the unit disk" in err
 
     def test_grid_past_the_cap_is_an_acceptance_failure(self, capsys, monkeypatch):
-        # |w| = 1 - 1e-8 passes the disk rule but would need a 2^35-node grid
+        # |w| = 1 - 1e-8 passes the disk rule but would need a 2^35-node grid,
+        # refused where it is made: before anything is allocated or the rows
         def no_huge_grid(self, node_count, extended=False):
             raise AssertionError(f"allocating a grid of {node_count} nodes")
 
+        def no_rows(self):
+            raise AssertionError("the rows were computed")
+
         monkeypatch.setattr(diskrat.circlequad.CircleGrid, "__init__", no_huge_grid)
+        monkeypatch.setattr(Approximant, "pole_derivatives", property(no_rows))
         code, out, err = run_cli(capsys, "approximate", "--w", "0.99999999,0", "--poles", "0,0")
         assert code == 2
         assert out == ""
         assert "34359738368 nodes, more than the cap of 1048576" in err
+
+    @pytest.mark.parametrize("w", ["0.99999999,0", "0.9998,0"])
+    def test_oracle_near_the_circle_runs_on_its_own_grid(self, capsys, monkeypatch, w):
+        # the mu grid of the approximant, 2^35 or 2^21 nodes, is never made
+        sizes = grid_sizes(monkeypatch)
+        code, out, err = run_cli(capsys, "oracle", "--grid", "4096", "--w", w, "--poles", "0,0")
+        assert code == 0, err
+        scan = json.loads(out)["scan"]
+        assert scan["min_nu"] == pytest.approx(scan["closed_form"], rel=1e-11)
+        assert sizes and max(sizes) == 4096
 
     def test_design_past_the_cap_is_an_acceptance_failure(self, capsys):
         # 65536 nodes by 301 functions in complex doubles: 316 MB
@@ -1034,3 +1100,46 @@ def test_exit_code_contract(capsys, argv):
         assert err.startswith("error:")
     if out.startswith("{"):
         json.loads(out, parse_constant=_reject_constant)
+
+
+#: The largest modulus the disk rule admits, with room for the rounding of
+#: a point's "re,im" text.
+_EDGE = 1.0 - 1.001 * EPS_BOUNDARY
+
+
+@st.composite
+def _disk_text(draw):
+    modulus = draw(st.one_of(st.sampled_from([0.0, 0.5, 0.999, 1.0 - 1e-6, _EDGE]),
+                             st.floats(0.0, _EDGE)))
+    z = cmath.rect(modulus, draw(st.floats(0.0, 2.0 * cmath.pi)))
+    return f"{z.real!r},{z.imag!r}"
+
+
+@st.composite
+def _extreme_request(draw):
+    """approximate, sweep or oracle at any alpha the parser admits, with the
+    kernel point and one to three free poles anywhere the disk rule admits."""
+    command = draw(st.sampled_from(["approximate", "sweep", "oracle"]))
+    alpha = draw(st.one_of(st.integers(0, 3), st.integers(165, 175), st.integers(0, 4095)))
+    w = draw(_disk_text())
+    poles = ";".join(draw(st.lists(_disk_text(), min_size=1, max_size=3)))
+    if command == "sweep":
+        n = str(alpha + poles.count(";") + 1)
+        return ["sweep", "--alphas", str(alpha), "--ns", n, f"--ws={w}", f"--poles={poles}"]
+    argv = [command, "--alpha", str(alpha), f"--w={w}", f"--poles={poles}"]
+    return argv + (["--grid", "256", "--trials", "2"] if command == "oracle" else [])
+
+
+@settings(
+    max_examples=40, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_extreme_request())
+def test_the_admitted_extremes_exit_0_or_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2), (argv, err)
+    if code == 2 and argv[0] == "sweep":
+        # the refusal is the row's error cell
+        assert err == "" and out.splitlines()[1].split(",")[-1]
+    elif code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1

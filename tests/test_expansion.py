@@ -53,7 +53,12 @@ class TestFourierCoefficient:
 class TestPartialSum:
     def test_empty_sum_is_zero(self):
         exp = expand_kernel(KernelSpec(0, 0.5), TMBasis([0j, 0j]))
-        assert exp.partial_sum(0, 0.3) == 0.0
+        value = exp.partial_sum(0, 0.3)
+        assert type(value) is complex and value == 0.0
+        for z in ([0.3, -0.2j], np.full((2, 3), 0.1j)):
+            values = exp.partial_sum(0, z)
+            assert values.dtype == complex and values.shape == np.shape(z)
+            assert not values.any()
 
     def test_single_term_reproduces_first_function(self):
         basis = TMBasis([0.3, -0.4j])
@@ -260,25 +265,37 @@ class TestClosedFormCoefficients:
         assert expand_kernel(spec, basis).grid_size == default_grid_size(2, 0.95) == 8192
 
 
-class TestGridCap:
-    @pytest.mark.parametrize("rho, size", [(0.9999, 2**22), (1.0 - 1e-8, 2**35)])
-    def test_sizes_past_the_cap_raise(self, rho, size):
-        with pytest.raises(GridTooLarge, match=str(size)):
-            default_grid_size(2, rho)
+def no_huge_grid(self, node_count, extended=False):
+    raise AssertionError(f"allocating a grid of {node_count} nodes")
 
-    def test_cap_itself_is_allowed(self):
+
+class TestGridCap:
+    """The cap is circle_grid's, checked where a grid is made;
+    default_grid_size only computes sizes."""
+
+    @pytest.mark.parametrize("rho, size", [(0.9999, 2**22), (1.0 - 1e-8, 2**35)])
+    def test_sizes_past_the_cap_raise(self, rho, size, monkeypatch):
+        assert default_grid_size(2, rho) == size
+        monkeypatch.setattr(CircleGrid, "__init__", no_huge_grid)
+        with pytest.raises(GridTooLarge, match=f"{size} nodes, more than the cap of {MAX_NODES}"):
+            circle_grid(size)
+
+    def test_cap_itself_is_allowed(self, monkeypatch):
         assert default_grid_size(2, 0.9997) == MAX_NODES
         assert default_grid_size(MAX_NODES // 64 - 1) == MAX_NODES
+        assert default_grid_size(MAX_NODES // 64) == MAX_NODES + 64
+        made = []
+        monkeypatch.setattr(CircleGrid, "__init__", lambda self, n, extended=False: made.append(n))
+        circle_grid.__wrapped__(MAX_NODES)  # past the cache: nothing is kept
+        assert made == [MAX_NODES]
         with pytest.raises(GridTooLarge):
-            default_grid_size(MAX_NODES // 64)
+            circle_grid(MAX_NODES + 1)
+        assert made == [MAX_NODES]
 
     def test_construction_raises_before_allocating(self, monkeypatch):
-        def no_huge_grid(self, node_count, extended=False):
-            raise AssertionError(f"allocating a grid of {node_count} nodes")
-
         monkeypatch.setattr(CircleGrid, "__init__", no_huge_grid)
         spec = KernelSpec(0, 0.99999999)
-        with pytest.raises(GridTooLarge):
-            expand_kernel(spec, TMBasis([0j, spec.w]))
-        with pytest.raises(GridTooLarge):
+        # the coefficients need no grid: only the mu grid is past the cap
+        assert expand_kernel(spec, TMBasis([0j, spec.w])).grid_size == 2**35
+        with pytest.raises(GridTooLarge, match="34359738368 nodes"):
             build_error_report(spec, [0j])

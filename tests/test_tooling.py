@@ -1,6 +1,8 @@
 """The library names the benchmark harness traces and patches still exist,
-and every name the package declares public resolves."""
+every name the package declares public resolves, and no grid is made past
+the node cap."""
 
+import ast
 import importlib
 import json
 import os
@@ -244,6 +246,28 @@ def test_every_name_in_a_module_all_resolves():
     for module in declared:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def calls_of(name: str, node: ast.AST, scope: str | None = None):
+    """(function, line) of every call of `name`, plain or as an attribute,
+    under node; function is the innermost def around the call, or None."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    if isinstance(node, ast.Call):
+        if getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name:
+            yield scope, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from calls_of(name, child, scope)
+
+
+def test_no_grid_bypasses_the_cap():
+    # circle_grid checks the node cap, so it is the one maker of grids
+    calls = [
+        (path.name, scope, line)
+        for path in sorted((ROOT / "src" / "diskrat").glob("*.py"))
+        for scope, line in calls_of("CircleGrid", ast.parse(path.read_text()))
+    ]
+    assert [(name, scope) for name, scope, _ in calls] == [("circlequad.py", "circle_grid")], calls
 
 
 def test_star_import_is_clean():
