@@ -40,7 +40,7 @@ from .circlequad import CircleGrid, circle_grid, json_complex, require_in_disk
 from .errors import DesignTooLarge, NonFiniteIntegrand, ValueOutOfRange
 from .expansion import FourierExpansion, expand_kernel, validate_trailing_poles
 from .kernels import KernelSpec
-from .tm_basis import MAX_DESIGN_BYTES, BlaschkeProduct, PoleSequence, TMBasis
+from .tm_basis import MAX_DESIGN_BYTES, NODE_CHUNK, BlaschkeProduct, PoleSequence, TMBasis
 
 __all__ = [
     "Approximant",
@@ -303,27 +303,44 @@ def build_approximant(
     return Approximant(spec=spec, free_poles=free_poles, basis=basis, expansion=expansion)
 
 
-def _competitor_values(basis: TMBasis, rows: np.ndarray, nodes, multiplier):
-    """Yield (part, block, R), R = multiplier * (rows[block] @ phi), for each
-    part of the nodes (TMBasis.eval_chunks) in node order and each block of
-    at most m rows.  The caller may overwrite R and must drop it before the
-    next block.  The first block with a non-finite R raises NonFiniteIntegrand
-    at the first such node of its first such row; nothing later is evaluated."""
+def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, kernel):
+    """Yield (part, block, multiplier, K, R) for each part of at most
+    NODE_CHUNK nodes x, in node order, and each block of at most m rows:
+    multiplier = 1 - x conj(w) and K = kernel(x), sampled once per part,
+    and R = multiplier * sum_k c_k phi_k(x) for every row c of the block.
+    One row is summed by TMBasis.eval_sum and forms no basis block: R is
+    then Approximant.eval of the row on the part, to the bit.  A batch of
+    rows multiplies each part's basis evaluation (TMBasis.eval_chunks) by
+    the rows, which rounds apart from that in the last bits.  The caller
+    may overwrite R and must drop it before the next block.  The first
+    block with a non-finite R raises NonFiniteIntegrand at the first such
+    node of its first such row; nothing later is evaluated."""
     trials, count = rows.shape
+    if trials == 1:
+        rational = competitor_function(basis, spec.w, rows[0])
+        parts = ((slice(start, start + NODE_CHUNK), None) for start in range(0, len(nodes), NODE_CHUNK))
+    else:
+        parts = basis.eval_chunks(nodes, count)
     block = max(count, 1)
-    for part, phi in basis.eval_chunks(nodes, count):
+    for part, phi in parts:
+        x = nodes[part]
+        multiplier = 1.0 - x * np.conj(spec.w)
+        sampled = kernel(x)
         for first in range(0, trials, block):
-            # R = multiplier * (rows @ phi) in this operand order, the rounding
-            # of Approximant.eval; error *= multiplier rounds differently.
-            # np.dot rounds as matmul does, and is twice as fast in long double
-            values = np.dot(rows[first : first + block], phi)
-            np.multiply(multiplier[part], values, out=values)
+            if phi is None:
+                values = rational(x)[None]
+            else:
+                # R = multiplier * (rows @ phi) in this operand order, which
+                # error *= multiplier would round apart.  np.dot rounds as
+                # matmul does, and is twice as fast in long double
+                values = np.dot(rows[first : first + block], phi)
+                np.multiply(multiplier, values, out=values)
             if not np.isfinite(values).all():
                 row, node = np.argwhere(~np.isfinite(values))[0]
                 raise NonFiniteIntegrand(part.start + int(node), complex(values[row, node]))
-            yield part, slice(first, first + block), values
+            yield part, slice(first, first + block), multiplier, sampled, values
             del values  # freed before the next block is formed
-        del phi  # freed before the next part is evaluated
+        del phi, multiplier, sampled  # freed before the next part is evaluated
 
 
 def mu_functional(
@@ -333,25 +350,26 @@ def mu_functional(
     |K_alpha(x; w) - R(x) / (1 - x conj(w))|^2 over the circle, in long
     double on the grid's long-double twin with extended=True (the rule is
     extended_mu).  A row c gives a float, a (trials, m) matrix one value per
-    row.  The pass streams as nu_functional's does, samples K once, and adds
-    each row's squares part by part: on a grid of NODE_CHUNK nodes or fewer,
-    or of twice that, this is numpy's mean of the whole row, to the bit.  R
-    is formed as Approximant.eval forms it; a batch of rows takes another
-    matrix product and may round apart in the last bits."""
+    row.  The pass streams as nu_functional's does (see _competitor_values):
+    it samples K part by part and adds each row's squares part by part, so
+    on a grid of NODE_CHUNK nodes or fewer, or of twice that, a row's value
+    is numpy's mean of its whole row of squares, to the bit.  One row forms
+    R as Approximant.eval forms it; a batch of rows takes a matrix product
+    and may round apart in the last bits."""
     coefficients = np.asarray(coefficients, dtype=complex)
     rows = np.atleast_2d(coefficients)
     nodes = circle_grid(grid.node_count, extended=True).nodes if extended else grid.nodes
-    multiplier = 1.0 - nodes * np.conj(spec.w)
-    kernel = spec.bergman(nodes)
-    sums = np.zeros(len(rows), dtype=kernel.real.dtype)
-    for part, block, error in _competitor_values(basis, rows, nodes, multiplier):
-        np.divide(error, multiplier[part], out=error)
-        np.subtract(kernel[part], error, out=error)
+    sums = np.zeros(len(rows), dtype=nodes.real.dtype)
+    for part, block, multiplier, kernel, error in _competitor_values(
+        spec, basis, rows, nodes, spec.bergman
+    ):
+        np.divide(error, multiplier, out=error)
+        np.subtract(kernel, error, out=error)
         # one row at a time: no block of moduli beside the block of errors
         for row in range(block.start, block.start + len(error)):
             modulus = np.abs(error[row - block.start])
             sums[row] += np.add.reduce(np.square(modulus, out=modulus))
-        del error  # freed before the next block is formed
+        del error, multiplier, kernel  # freed before the next block or part is formed
     mu = (sums / len(nodes)).astype(float)
     return float(mu[0]) if coefficients.ndim == 1 else mu
 
@@ -376,8 +394,9 @@ def _golden_max(f: Callable, points, values, floor) -> np.ndarray:
     points and values are (3, m) arrays: the triples (a, x, b) and their f
     values, with f(x) >= f(a), f(b); floor is the rounding error of one
     evaluation, per bracket.  f maps an array of angles to values
-    elementwise and is called once per step on all brackets; a stopped
-    bracket is evaluated at its x and keeps its state.
+    elementwise and is called once per step on all brackets, with NaN at
+    each stopped bracket: its value there is ignored, so f need evaluate
+    only the others, and a stopped bracket keeps its state.
 
     Let c <= 0 be the curvature of the parabola through the triple and L the
     larger of x - a and b - x.  Its vertex lies within L/2 of x, so the
@@ -420,7 +439,7 @@ def _golden_max(f: Callable, points, values, floor) -> np.ndarray:
         active &= (promise > floor) & (b - a > min_width) & (a < u) & (u < b) & (u != x)
         if not active.any():
             break
-        fu = f(np.where(active, u, x))
+        fu = f(np.where(active, u, np.nan))
         higher = fu >= fx
         # a higher u turns x into the end on the other side of u; a lower u
         # becomes the end on its own side
@@ -499,39 +518,58 @@ def nu_functional(
     triple is flat to rounding and the refinement evaluates nothing.
 
     A row c of length m gives a float; a (trials, m) matrix gives one value
-    per row.  The grid pass streams: the basis is evaluated on one part of
-    at most NODE_CHUNK nodes at a time (TMBasis.eval_chunks), each part is
-    reduced at once, in blocks of at most m rows, to a running maximum per
-    row, and no (m x N) block is formed.  The refinement runs the brackets
-    of all rows together, one basis evaluation per step.  R is formed as
-    Approximant.eval forms it, so the row of an approximant scores as its
-    eval does on the grid.  The first non-finite R stops the pass with
-    NonFiniteIntegrand (see _competitor_values)."""
+    per row.  The grid pass streams (see _competitor_values): K, the
+    multiplier and R are formed on one part of at most NODE_CHUNK nodes at
+    a time, each part is reduced at once to a running maximum per row, and
+    |K| and |R| are kept at each row's best node for the rounding floor.
+    One row is summed in nested form (TMBasis.eval_sum), in the grid pass
+    and in each refinement step alike, so it scores as Approximant.eval
+    does; no basis block is formed.  A batch is evaluated in blocks of at
+    most m rows on each part's basis evaluation, and its refinement runs the
+    brackets of all rows together, one basis evaluation per step at the
+    brackets still active.  The first non-finite R stops the pass with
+    NonFiniteIntegrand."""
     coefficients = np.asarray(coefficients, dtype=complex)
     rows = np.atleast_2d(coefficients)
     trials, count = rows.shape
     cw = np.conj(spec.w)
     nodes = grid.nodes
-    multiplier = 1.0 - nodes * cw
-    kernel = spec.cauchy_power(nodes)
     tracker = _GridBrackets(trials, len(nodes))
-    sizes = np.empty(trials)
-    for part, block, error in _competitor_values(basis, rows, nodes, multiplier):
-        np.subtract(kernel[part], error, out=error)
+    # |K| and |R| at each row's best node
+    kernel_sizes, sizes = np.empty(trials), np.empty(trials)
+    for part, block, multiplier, kernel, error in _competitor_values(
+        spec, basis, rows, nodes, spec.cauchy_power
+    ):
+        np.subtract(kernel, error, out=error)
         moved, local = tracker.feed(block, part.start, np.abs(error))
         # |R| = |K - error| at each new best node
         j = local[moved]
-        sizes[block][moved] = np.abs(kernel[part.start + j] - error[moved, j])
-        del error  # freed before the next block is formed
-    index, points, moduli = tracker.brackets()
-    floor = _ROUNDING_FLOOR * (np.abs(kernel[index]) + sizes)
+        kernel_sizes[block][moved] = np.abs(kernel[j])
+        sizes[block][moved] = np.abs(kernel[j] - error[moved, j])
+        del error, multiplier, kernel  # freed before the next block or part is formed
+    _, points, moduli = tracker.brackets()
+    floor = _ROUNDING_FLOOR * (kernel_sizes + sizes)
+    rational = competitor_function(basis, spec.w, rows[0]) if trials == 1 else None
 
     def modulus(t):
-        # entry i of t is refined with row i, by one dot product per row: the
-        # sum Approximant.eval takes at one point, to the bit
-        x = np.cos(t) + 1j * np.sin(t)
-        sums = (rows[:, None, :] @ basis.eval_all(x, count=count).T[:, :, None])[:, 0, 0]
-        return np.abs(spec.cauchy_power(x) - (1.0 - x * cw) * sums)
+        # Stopped brackets come as NaN.  Once at most half the brackets are
+        # live, only those are evaluated, with a copy of their rows; before,
+        # every bracket is, a stopped one at angle 0, and no row is copied,
+        # so the step holds no more than one evaluation of every row.
+        live = ~np.isnan(t)
+        pick = live if 2 * np.count_nonzero(live) <= len(t) else slice(None)
+        angles = np.where(live, t, 0.0)[pick]
+        x = np.cos(angles) + 1j * np.sin(angles)
+        if rational is not None:
+            values = rational(x)
+        else:
+            # entry i of x is refined with row i, by one dot product per row
+            phi = basis.eval_all(x, count=count)
+            sums = (rows[pick][:, None, :] @ phi.T[:, :, None])[:, 0, 0]
+            values = (1.0 - x * cw) * sums
+        out = np.full(t.shape, np.nan)
+        out[pick] = np.abs(spec.cauchy_power(x) - values)
+        return out
 
     nu = _golden_max(modulus, points, moduli, floor)
     return float(nu[0]) if coefficients.ndim == 1 else nu
@@ -566,15 +604,17 @@ def closed_form_J(spec: KernelSpec, basis: TMBasis, n: int, z) -> complex:
 
 def competitor_function(basis: TMBasis, w: complex, coefficients) -> Callable:
     """Member of the competitor class: R(x) = (1 - x conj(w)) sum c_m phi_m(x),
-    with one basis evaluation at all of x.  Approximant.eval is this R of
-    the approximant's coefficients."""
+    the sum taken by TMBasis.eval_sum at all of x, whose bits at a point do
+    not depend on the other points.  Approximant.eval is this R of the
+    approximant's coefficients, and the grid passes of one row take it part
+    by part."""
     coefficients = np.asarray(coefficients, dtype=complex)
-    count = len(coefficients)
 
     def rational(x):
         x = np.asarray(x)
-        phi = basis.eval_all(x, count=count)
-        out = (1.0 - x * np.conj(w)) * np.tensordot(coefficients, phi, axes=1)
+        sums = basis.eval_sum(coefficients, x)
+        # an explicit product: an operator could be rewritten in place
+        out = np.multiply(1.0 - x * np.conj(w), sums)
         return complex(out) if np.ndim(out) == 0 else out
 
     return rational
@@ -624,16 +664,15 @@ def equimodularity_variation(
     the optimum, where the error is a constant times a Blaschke product."""
     coefficients = np.asarray(coefficients, dtype=complex)
     rows = np.atleast_2d(coefficients)
-    nodes = grid.nodes
-    kernel = spec.cauchy_power(nodes)
     top = np.full(len(rows), -np.inf)
     bottom = np.full(len(rows), np.inf)
-    multiplier = 1.0 - nodes * np.conj(spec.w)
-    for part, block, error in _competitor_values(basis, rows, nodes, multiplier):
-        moduli = np.abs(np.subtract(kernel[part], error, out=error))
+    for _, block, multiplier, kernel, error in _competitor_values(
+        spec, basis, rows, grid.nodes, spec.cauchy_power
+    ):
+        moduli = np.abs(np.subtract(kernel, error, out=error))
         np.maximum(top[block], moduli.max(axis=1), out=top[block])
         np.minimum(bottom[block], moduli.min(axis=1), out=bottom[block])
-        del error, moduli  # freed before the next block is formed
+        del error, moduli, multiplier, kernel  # freed before the next block or part is formed
     variation = np.divide(top - bottom, top, out=np.zeros_like(top), where=top > 0.0)
     return float(variation[0]) if coefficients.ndim == 1 else variation
 

@@ -71,16 +71,16 @@ class FourierExpansion:
         self.grid_size = int(grid_size)
 
     def partial_sum(self, count: int, z):
-        """sum_{m<count} c_m phi_m(z); the empty sum is 0.  One evaluation
-        of the basis at all of z, which MAX_DESIGN_BYTES bounds: partial
-        sums serve point sets, and the grid passes stream on their own."""
+        """sum_{m<count} c_m phi_m(z); the empty sum is 0.  The nested sum
+        of TMBasis.eval_sum at all of z, which forms no basis block and
+        which MAX_DESIGN_BYTES bounds."""
         count = int(count)
         if not 0 <= count <= len(self.coefficients):
             raise CountOutOfRange(
                 f"requested {count} terms, stored {len(self.coefficients)}"
             )
-        out = np.tensordot(self.coefficients[:count], self.basis.eval_all(z, count), axes=1)
-        return complex(out) if out.ndim == 0 else out
+        out = self.basis.eval_sum(self.coefficients[:count], z)
+        return complex(out) if np.ndim(out) == 0 else out
 
     def to_json_dict(self) -> dict:
         return {

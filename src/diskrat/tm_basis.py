@@ -38,24 +38,26 @@ __all__ = [
 #: times functions times 16 (complex double) or the size of a complex long
 #: double (32 on x86-64), plus two arrays of the points' size for every
 #: (scale, factor) pair its recurrence keeps across other poles' steps.  It
-#: bounds every design matrix too.  The grid passes of mu and nu evaluate at
-#: most NODE_CHUNK nodes at a time, so the largest evaluation of their
-#: benchmark streams, one chunk by 35 functions in doubles, takes about
-#: 9.2 MB; eval_all evaluates any other array whole, and design_matrix is
-#: the one writer of stored whole-grid blocks.
+#: bounds every design matrix, and the four working arrays and kept
+#: reciprocals of TMBasis.eval_sum.  The grid passes take at most NODE_CHUNK
+#: nodes at a time: a batch of m-coefficient rows evaluates one m x
+#: NODE_CHUNK block per part (m times 256 KiB in doubles), and one row,
+#: summed by eval_sum, forms no block.  eval_all evaluates any other array
+#: whole, and design_matrix is the one writer of stored whole-grid blocks.
 MAX_DESIGN_BYTES = 2**28
 
 #: The most functions whose Gram matrix inner_products admits: 4096.
 MAX_FUNCTIONS = math.isqrt(MAX_DESIGN_BYTES // np.dtype(complex).itemsize)
 
-#: Nodes per block of a streamed basis evaluation (TMBasis.eval_chunks).
-#: It must not be smaller: eval_all rounds arrays under 256 KiB differently.
-#: From that size on, numpy's temporary elision rewrites
-#: phase * (zz - a) as an in-place (zz - a) * phase, and numpy's SIMD
-#: complex multiply is not bit-commutative.  2^14 complex doubles are
-#: exactly 256 KiB, so chunks of this size round as the whole grid does;
-#: 4096-node chunks of a 2^16 grid differ at 24,907 nodes.  Long double has
-#: no SIMD loop and rounds alike at every chunk size.
+#: Nodes per part of a streamed grid pass (TMBasis.eval_chunks, and the
+#: parts one row is summed on).  It must not be smaller: eval_all rounds
+#: arrays under 256 KiB differently.  From that size on, numpy's temporary
+#: elision rewrites phase * (zz - a) as an in-place (zz - a) * phase, and
+#: numpy's SIMD complex multiply is not bit-commutative.  2^14 complex
+#: doubles are exactly 256 KiB, so chunks of this size round as the whole
+#: grid does; 4096-node chunks of a 2^16 grid differ at 24,907 nodes.  Long
+#: double has no SIMD loop and rounds alike at every chunk size, and so
+#: does eval_sum at any length.
 NODE_CHUNK = 2**14
 
 
@@ -216,6 +218,22 @@ class TMBasis:
             raise IndexOutOfRange(f"requested {count} functions, have {self.size}")
         return count
 
+    def _most_kept(self, count: int) -> int:
+        """The most poles, among the first count, that a recurrence over
+        them keeps values of while another pole's step runs: the nonzero
+        poles that occur both before and after that step.  The same in
+        either direction of the recurrence."""
+        poles = self.poles[:count]
+        last = {a: k for k, a in enumerate(poles) if a != 0}
+        kept: set[complex] = set()
+        most_kept = 0
+        for k, a in enumerate(poles):
+            kept.discard(a)
+            most_kept = max(most_kept, len(kept))
+            if a != 0 and last[a] > k:
+                kept.add(a)
+        return most_kept
+
     def eval_all(self, z, count: int | None = None) -> np.ndarray:
         """Stack [phi_0(z), ..., phi_{count-1}(z)] along a new leading axis,
         in a new array: every call runs the recurrence, whatever z is.
@@ -229,8 +247,8 @@ class TMBasis:
         Values of more than MAX_DESIGN_BYTES, counting the pairs kept while
         other poles' steps run, raise DesignTooLarge before anything is
         allocated.  The bits are those of forming the pair again at every
-        repeat, and depend on the length of z (see NODE_CHUNK); grid passes
-        go through eval_chunks.
+        repeat, and depend on the length of z (see NODE_CHUNK); the grid
+        passes of a batch of rows go through eval_chunks.
         """
         count = self._check_count(count)
         z = np.asarray(z)
@@ -238,18 +256,8 @@ class TMBasis:
         zz = np.atleast_1d(z)
         dtype = np.result_type(zz, np.complex128)
         poles = self.poles[:count]
-        # the last index of every nonzero pole, and the most pairs kept for
-        # a later step while another pole's step runs: the bytes beyond the
-        # one pair in use
         last = {a: k for k, a in enumerate(poles) if a != 0}
-        kept: set[complex] = set()
-        most_kept = 0
-        for k, a in enumerate(poles):
-            kept.discard(a)
-            most_kept = max(most_kept, len(kept))
-            if a != 0 and last[a] > k:
-                kept.add(a)
-        size = zz.size * (count + 2 * most_kept) * dtype.itemsize
+        size = zz.size * (count + 2 * self._most_kept(count)) * dtype.itemsize
         if size > MAX_DESIGN_BYTES:
             raise DesignTooLarge(
                 f"an evaluation of {zz.size} points by {count} functions "
@@ -280,6 +288,78 @@ class TMBasis:
                 # (out=running) takes another loop and rounds differently
                 running = running * factor
         return out[:, 0] if scalar else out
+
+    def eval_sum(self, coefficients, z):
+        """S(z) = sum_k c_k phi_k(z) for one vector c of at most size
+        coefficients, in an array of z's shape (a numpy scalar for a scalar
+        z), without forming any phi_k.
+
+        phi_k is a scale s_k = sqrt(1 - |a_k|^2) / (1 - conj(a_k) z) times
+        the factors f_j = (-|a_j|/a_j) (z - a_j) / (1 - conj(a_j) z) of the
+        poles before it, so S has the nested form
+
+            c_0 s_0 + f_0 (c_1 s_1 + f_1 (c_2 s_2 + ... + f_(m-2) c_(m-1) s_(m-1))),
+
+        Horner's scheme with factors of modulus at most 1 on the closed
+        disk, taken backwards over the poles.  The unimodular constants of
+        the factors are moved onto the coefficients, so each step is
+        acc = ((z - a_k) acc + c'_k) / (1 - conj(a_k) z), with one product,
+        one sum and one product by the reciprocal.  The reciprocal is formed
+        once per distinct nonzero pole and kept, keyed by pole equality,
+        from the pole's last occurrence to its first; a zero pole divides
+        nothing.  Four working arrays of z's size, and one for each
+        reciprocal kept while other poles' steps run, are counted against
+        MAX_DESIGN_BYTES: more raise DesignTooLarge before anything is
+        allocated.
+
+        Every operation writes into an array of its own, and no complex
+        product writes over one of its operands, so the bits at a point do
+        not depend on how many points are evaluated with it: numpy elides
+        temporaries of 256 KiB and more in place (see NODE_CHUNK), and its
+        in-place complex product rounds a single point differently.  They
+        differ from those of c @ eval_all(z) in the last bits.
+        """
+        coefficients = np.asarray(coefficients, dtype=complex)
+        count = self._check_count(len(coefficients))
+        z = np.asarray(z)
+        dtype = np.result_type(z, np.complex128)
+        size = z.size * (4 + self._most_kept(count)) * dtype.itemsize
+        if size > MAX_DESIGN_BYTES:
+            raise DesignTooLarge(
+                f"a sum of {count} functions at {z.size} points needs {size} bytes, "
+                f"more than the cap of {MAX_DESIGN_BYTES}"
+            )
+        poles = self.poles[:count]
+        first: dict[complex, int] = {}
+        for k, a in enumerate(poles):
+            if a != 0:
+                first.setdefault(a, k)
+        # c'_k = c_k sqrt(1 - |a_k|^2) times the unimodular constants of f_0..f_(k-1)
+        scaled, phase = [], 1.0
+        for k in range(count):
+            scaled.append(coefficients[k] * phase * self._norms[k])
+            phase *= self._phases[k]
+        acc = np.zeros(z.shape, dtype=dtype)
+        term = np.empty_like(acc)
+        shifted = np.empty_like(acc)
+        reciprocals: dict[complex, np.ndarray] = {}
+        for k in reversed(range(count)):
+            a = poles[k]
+            factor = z if a == 0 else np.subtract(z, a, out=shifted)
+            np.multiply(factor, acc, out=term)
+            np.add(term, scaled[k], out=term)
+            if a == 0:
+                acc, term = term, acc
+                continue
+            reciprocal = reciprocals.pop(a, None) if first[a] == k else reciprocals.get(a)
+            if reciprocal is None:
+                reciprocal = np.multiply(z, self._conjs[k], out=np.empty_like(acc))
+                np.subtract(1.0, reciprocal, out=reciprocal)
+                np.divide(1.0, reciprocal, out=reciprocal)
+                if first[a] < k:
+                    reciprocals[a] = reciprocal
+            np.multiply(term, reciprocal, out=acc)
+        return acc[()]
 
     def eval_chunks(self, nodes, count: int | None = None):
         """Yield (part, phi), phi = eval_all(nodes[part], count), for the

@@ -34,7 +34,7 @@ from diskrat import (
     nu_min_closed_form,
     uniform_competitor_scan,
 )
-from diskrat import bergman_approx, tm_basis, verify
+from diskrat import bergman_approx, verify
 from diskrat.bergman_approx import (
     EXTENDED_MU_CUTOFF,
     NU_GRID_NODES,
@@ -444,13 +444,9 @@ class TestMuRows:
         alone = np.array(
             [mu_functional(spec, approx.basis, row, GRID, extended=extended) for row in rows]
         )
-        if extended:
-            # long double has no BLAS product: each row sums as it does alone
-            assert np.array_equal(batched, alone)
-        else:
-            # the products of a batch and of one row round apart in their
-            # last bits
-            assert np.all(np.abs(batched - alone) <= 1e-13 * alone)
+        # a batch multiplies the basis by its rows, one row is summed in
+        # nested form: they round apart in their last bits, in long double too
+        assert np.all(np.abs(batched - alone) <= 1e-13 * alone)
 
     def test_verify_lattice_batch_rounds_within_a_hundredth_of_the_bound(self):
         # verify scores each lattice point's approximant together with its
@@ -474,10 +470,8 @@ class TestMuRows:
             alone = mu_functional(
                 spec, approx.basis, approx.coefficients, GRID, extended=extended
             )
-            if extended:
-                assert batch == alone
-            else:
-                assert abs(batch - alone) <= 1e-12 * mu_closed
+            # the batch's matrix product and the row's nested sum round apart
+            assert abs(batch - alone) <= 1e-12 * mu_closed
             checked[extended] += 1
         assert checked[False] > 100 and checked[True] > 10
 
@@ -863,8 +857,8 @@ class TestBatchedNu:
             # |w| = 0.99: the grid triple is not flat to rounding, so the
             # refinement takes steps, and each must round as eval does
             (
-                KernelSpec(1, complex(0.29409187533567466, 0.9451638163037536)),
-                [complex(0.6109179433656224, -0.1566684763088134)],
+                KernelSpec(1, complex(0.7916166458442855, -0.5965916033172038)),
+                [complex(0.09627720635406925, 0.613034424130815)],
                 True,
             ),
             # the grid maximum, which error *= multiplier would round apart
@@ -1017,6 +1011,45 @@ class TestStreamedBrackets:
         assert raised.value.node_index == node
         assert not cmath.isfinite(raised.value.value)
         assert read == [0]
+
+
+def doctored_sums(monkeypatch, basis, nodes, bad):
+    """Make the nested sums of basis non-finite at the given nodes of the
+    node array, and return the first node of every part summed there."""
+    read = []
+    sums = basis.eval_sum
+
+    def doctored(coefficients, z):
+        read.append(int(np.flatnonzero(nodes == z[0])[0]))
+        out = sums(coefficients, z)
+        out[np.isin(z, nodes[bad])] = np.inf
+        return out
+
+    monkeypatch.setattr(basis, "eval_sum", doctored)
+    return read
+
+
+@pytest.mark.parametrize("functional", ["mu", "nu", "equimodularity"])
+def test_one_row_stops_at_its_first_non_finite_part(functional, monkeypatch):
+    spec = KernelSpec(0, 0.3 + 0.4j)
+    grid = circle_grid(2**16)
+    approx = build_approximant(spec, [0.2, -0.5j])
+    read = doctored_sums(
+        monkeypatch, approx.basis, grid.nodes, [NODE_CHUNK + 9000, NODE_CHUNK + 5000, 3 * NODE_CHUNK]
+    )
+    call = {
+        "mu": lambda: mu_functional(spec, approx.basis, approx.coefficients, grid, extended=False),
+        "nu": lambda: nu_functional(spec, approx.basis, approx.coefficients, grid),
+        "equimodularity": lambda: equimodularity_variation(
+            spec, approx.basis, approx.coefficients, grid
+        ),
+    }[functional]
+    with pytest.raises(NonFiniteIntegrand) as raised:
+        call()
+    # the first non-finite node of the second part; the third is never summed
+    assert raised.value.node_index == NODE_CHUNK + 5000
+    assert not cmath.isfinite(raised.value.value)
+    assert read == [0, NODE_CHUNK]
 
 
 class TestClosedFormJ:
@@ -1248,32 +1281,74 @@ class TestErrorReport:
             build_error_report(spec, free)
         assert str(refused.value) == str(expected.value)
 
-    def test_over_the_design_cap_raises_before_the_nu_pass(self, monkeypatch):
-        # The nu pass evaluates the basis one chunk at a time.  With 64
-        # functions one chunk's block is 16 MiB, where the whole 2^16-node
-        # block would be 64 MiB; the grid's nodes are cached beforehand.
-        spec = KernelSpec(0, 0.5)
-        approx = build_approximant(spec, [0.3] * 63)
+    @pytest.mark.parametrize("pass_name", ["mu", "long-double mu", "nu"])
+    def test_single_row_passes_peak_within_a_few_parts(self, pass_name):
+        # One row is summed part by part in nested form, so its passes on
+        # 2^16 nodes hold a few arrays of one part, whatever m is: with 64
+        # functions one part's basis block alone would be 64 such arrays.
         grid = circle_grid(NU_GRID_NODES)
-        block = 64 * NODE_CHUNK * 16
-        tracemalloc.start()
-        try:
-            nu_functional(spec, approx.basis, approx.coefficients, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert block < peak < block + block // 2
-        # A cap of half that block admits the mu pass, on 4096 nodes in long
-        # double here (8 MiB), and refuses the nu pass before it allocates.
-        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", block // 2)
-        tracemalloc.start()
-        try:
-            with pytest.raises(DesignTooLarge, match="16384 points by 64 functions"):
-                build_error_report(spec, [0.3] * 63)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < block
+        nodes = circle_grid(NU_GRID_NODES, extended=pass_name == "long-double mu").nodes
+        part = NODE_CHUNK * nodes.itemsize
+        peaks = []
+        for m in (8, 64):
+            spec = KernelSpec(0, 0.5)
+            free = PoleSequence.random(m - 1, np.random.default_rng(m), max_modulus=0.8)
+            approx = build_approximant(spec, free)
+            assert approx.basis.size == m
+            tracemalloc.start()
+            try:
+                if pass_name == "nu":
+                    nu_functional(spec, approx.basis, approx.coefficients, grid)
+                else:
+                    extended = pass_name == "long-double mu"
+                    mu_functional(spec, approx.basis, approx.coefficients, grid, extended=extended)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert max(peaks) < 8 * part
+        assert abs(peaks[1] - peaks[0]) < part // 16
+
+    @pytest.mark.parametrize(
+        "spec, free, grid_nodes",
+        [
+            # a refined row: the refinement sums one row as well
+            (
+                KernelSpec(1, complex(0.7916166458442855, -0.5965916033172038)),
+                [complex(0.09627720635406925, 0.613034424130815)],
+                NU_GRID_NODES,
+            ),
+            (KernelSpec(2, 0.4 - 0.3j), [0.3, -0.5j, 0j], 3 * NODE_CHUNK + 5),
+        ],
+    )
+    def test_no_single_row_pass_evaluates_a_basis_block(self, spec, free, grid_nodes, monkeypatch):
+        approx = build_approximant(spec, free)
+        grid = circle_grid(grid_nodes)
+        approx.basis.design_matrix(circle_grid(4096))  # a stored matrix is not read either
+
+        def block(*args, **kwargs):
+            raise AssertionError("a single-row pass evaluated a basis block")
+
+        monkeypatch.setattr(TMBasis, "eval_all", block)
+        monkeypatch.setattr(TMBasis, "eval_chunks", block)
+        rows = (approx.coefficients, approx.coefficients[None])
+        for row in rows:
+            for extended in (False, True):
+                mu_functional(spec, approx.basis, row, grid, extended=extended)
+            nu_functional(spec, approx.basis, row, grid)
+            equimodularity_variation(spec, approx.basis, row, grid)
+            nu_functional(spec, approx.basis, row, circle_grid(4096))
+
+    def test_a_report_without_simple_poles_evaluates_no_basis_block(self, monkeypatch):
+        # every pole repeats, so the interpolation rows take the Taylor route
+        # and the two grid passes sum one row each
+        def block(*args, **kwargs):
+            raise AssertionError("the report evaluated a basis block")
+
+        monkeypatch.setattr(TMBasis, "eval_all", block)
+        monkeypatch.setattr(TMBasis, "eval_chunks", block)
+        report = build_error_report(KernelSpec(1, 0.4 + 0.3j), [0.3, -0.2j, 0.3, -0.2j])
+        assert report.nu_grid == pytest.approx(report.nu_closed_form, rel=1e-9)
 
 
 def command_rows(spec, approx):

@@ -2,6 +2,7 @@ import argparse
 import cmath
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -756,6 +757,44 @@ def test_a_gram_over_the_cap_exits_2_before_its_product(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: inner products of 300 functions with 300 vectors need 1440000")
+
+
+def test_large_requests_are_refused_first_or_pass_under_the_cap(capsys, monkeypatch):
+    # With the cap scaled down to 4 MiB, every large request is either
+    # refused before it allocates past the cap or runs its single-row grid
+    # passes (a few arrays of 2^14 nodes each) within it.  Many simple poles
+    # are refused by the interpolation rows, whose basis evaluation at the
+    # simple poles is m x m; runs of equal poles evaluate no block and pass;
+    # poles that recur after others keep a reciprocal each in the nested sum.
+    cap = 2**22
+    monkeypatch.setattr(diskrat.tm_basis, "MAX_DESIGN_BYTES", cap)
+    distinct = [complex(0.05 * k, 0.6 - 0.04 * k) for k in range(15)]
+
+    def poles(values):
+        return ";".join(f"{p.real!r},{p.imag!r}" for p in values)
+
+    runs = poles([p for p in distinct for _ in range(10)])
+    interleaved = poles(distinct * 10)
+    cases = [
+        (["approximate", "--w", "0.5,0", "--random-poles", "600", "--seed", "1"], 2,
+         "error: an evaluation of 601 points by 601 functions needs 5779216 bytes"),
+        (["sweep", "--ns", "600", "--ws", "0.5,0", "--seed", "1"], 2,
+         "an evaluation of 601 points by 601 functions needs 5779216 bytes"),
+        (["approximate", "--w", "0.5,0.1", "--poles", runs], 0, ""),
+        (["sweep", "--ns", "150", "--ws", "0.5,0.1", "--poles", runs], 0, ""),
+        (["approximate", "--w", "0.5,0.1", "--poles", interleaved], 2,
+         "error: a sum of 151 functions at 9664 points needs"),
+    ]
+    for argv, code, message in cases:
+        tracemalloc.start()
+        try:
+            got, out, err = run_cli(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == code, argv
+        assert message in (out if argv[0] == "sweep" else err), argv
+        assert peak < cap, argv
 
 
 class TestErrorRowLiterals:

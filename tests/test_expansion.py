@@ -77,12 +77,12 @@ class TestPartialSum:
     @pytest.mark.parametrize(
         "size, extended", [(2**14, False), (2**16, False), (2**15, True)]
     )
-    def test_partial_sum_keeps_dtype_bits_of_one_tensordot_and_nd_shape(self, size, extended):
+    def test_partial_sum_keeps_dtype_bits_of_one_nested_sum_and_nd_shape(self, size, extended):
         spec = KernelSpec(1, 0.4 - 0.3j)
         basis = TMBasis([0.6j, 0j, 0.2, 0.2, spec.w, spec.w])
         exp = expand_kernel(spec, basis)
         nodes = circle_grid(size, extended=extended).nodes
-        whole = np.tensordot(exp.coefficients[:5], basis.eval_all(nodes, count=5), axes=1)
+        whole = basis.eval_sum(exp.coefficients[:5], nodes)
         values = exp.partial_sum(5, nodes)
         assert values.dtype == whole.dtype
         assert np.array_equal(values, whole)

@@ -390,6 +390,114 @@ class TestNodeChunks:
                 assert np.array_equal(phi, design[part, : count or 3].T)
 
 
+NESTED_POLES = {
+    "random": list(PoleSequence.random(12, np.random.default_rng(37), max_modulus=0.95)),
+    "zeros": [0j] * 7,
+    "repeated": [0.5 + 0.2j] * 6,
+    "interleaved": [0.3, -0.4j, 0.3, 0j, -0.4j, 0.3, 0.7 + 0.1j, -0.4j],
+    "trailing_w": [0.2, -0.6j, 0j, 0.8] + [0.4 - 0.3j] * 4,
+}
+
+
+def nested_points(extended):
+    """64 circle nodes and 64 points inside the disk, in the grid's dtype."""
+    nodes = circle_grid(64, extended=extended).nodes
+    inside = random_disk_points(np.random.default_rng(43), 64, 0.95).astype(nodes.dtype)
+    return np.concatenate([nodes, inside])
+
+
+class TestNestedSum:
+    """TMBasis.eval_sum: one coefficient vector summed in nested form."""
+
+    @pytest.mark.parametrize("kind", sorted(NESTED_POLES))
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("shape", ["scalar", "0d", "1d", "2d"])
+    def test_agrees_with_the_block_product(self, kind, extended, shape):
+        # Both routes round a few complex operations per pole, each within a
+        # few eps of the terms they carry, and every factor has modulus at
+        # most 1: 8 m eps times sum |c_k phi_k| bounds their gap (about
+        # 2 m eps was seen over 300 random bases).
+        poles = NESTED_POLES[kind]
+        basis = TMBasis(poles)
+        rng = np.random.default_rng(47)
+        c = rng.standard_normal(len(poles)) + 1j * rng.standard_normal(len(poles))
+        points = nested_points(extended)
+        z = {
+            "scalar": complex(points[70]),
+            "0d": np.asarray(points[70]),
+            "1d": points,
+            "2d": points.reshape(8, 16),
+        }[shape]
+        value = basis.eval_sum(c, z)
+        assert np.shape(value) == np.shape(z)
+        assert value.dtype == np.result_type(z, np.complex128)
+        phi = basis.eval_all(z)
+        block = np.tensordot(c, phi, axes=1)
+        bound = 8 * len(poles) * np.finfo(float).eps * np.tensordot(np.abs(c), np.abs(phi), axes=1)
+        assert np.all(np.abs(value - block) <= bound)
+
+    @pytest.mark.parametrize("kind", sorted(NESTED_POLES))
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_bits_do_not_depend_on_the_other_points(self, kind, extended):
+        # The grid passes sum one part of NODE_CHUNK nodes at a time and the
+        # refinement one point at a time; both must round as a whole-grid sum
+        basis = TMBasis(NESTED_POLES[kind])
+        c = np.random.default_rng(53).standard_normal(basis.size) + 0.5j
+        nodes = circle_grid(2 * tm_basis.NODE_CHUNK, extended=extended).nodes
+        whole = basis.eval_sum(c, nodes)
+        for size in (tm_basis.NODE_CHUNK, 1000, 2):
+            parts = [basis.eval_sum(c, nodes[i : i + size]) for i in range(0, len(nodes), size)]
+            assert np.array_equal(np.concatenate(parts), whole)
+        for j in (0, 1, 4097, len(nodes) - 1):
+            assert basis.eval_sum(c, nodes[j]) == whole[j]
+            assert basis.eval_sum(c, nodes[j : j + 1])[0] == whole[j]
+
+    def test_a_prefix_of_the_coefficients_sums_a_prefix_of_the_basis(self):
+        basis = TMBasis(NESTED_POLES["interleaved"])
+        z = nested_points(False)
+        c = np.arange(1, 6) + 1j
+        bound = 8 * 5 * np.finfo(float).eps * (np.abs(c) @ np.abs(basis.eval_all(z, 5)))
+        assert np.all(np.abs(basis.eval_sum(c, z) - c @ basis.eval_all(z, 5)) <= bound)
+        empty = basis.eval_sum([], z.reshape(8, 16))
+        assert empty.shape == (8, 16) and empty.dtype == complex and not empty.any()
+        with pytest.raises(IndexOutOfRange):
+            basis.eval_sum(np.ones(basis.size + 1), z)
+
+    @pytest.mark.parametrize(
+        "poles, kept",
+        [
+            ([0.3, -0.4j] * 3, 1),
+            ([0.3, -0.4j, 0.5 + 0.2j] * 2, 2),
+            ([0j, 0.3, 0.3, 0j, 0j], 0),  # a zero pole keeps no array
+            ([0.3] * 3 + [-0.4j] * 3, 0),  # nor does a run of equal poles
+        ],
+    )
+    def test_kept_reciprocals_count_toward_the_cap(self, poles, kept, monkeypatch):
+        # Four working arrays of the points' size, and the reciprocal of
+        # every pole that recurs on both sides of another pole's step.
+        nodes = circle_grid(256).nodes
+        basis = TMBasis(poles)
+        c = np.ones(len(poles))
+        size = 256 * (4 + kept) * 16
+        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", size - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DesignTooLarge, match=f"needs {size} bytes"):
+                basis.eval_sum(c, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 16
+        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", size)
+        tracemalloc.start()
+        try:
+            basis.eval_sum(c, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= size + 4096
+
+
 class TestDesignMemo:
     def test_second_call_returns_stored_read_only_matrix(self):
         basis = TMBasis([0.3, -0.4j, 0.3])
