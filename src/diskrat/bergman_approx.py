@@ -86,9 +86,10 @@ _MAX_FACTORIAL = 170
 #: relative to max|c|.
 _NOISE_SCALE = 0.1
 
-#: Bytes per row nu_functional holds beside the rows and the refinement's
-#: basis evaluation (_GridBrackets, _golden_max and their temporaries): about
-#: 46 doubles by tracemalloc at 20,000 rows, m = 2 to 30; 64 leave headroom.
+#: Bytes per row nu_functional holds beside the rows and the m-dependent
+#: part that competitor_trials counts (the running maximum and its node, the
+#: bracket evaluation, _golden_max and their temporaries): about 52 doubles
+#: by tracemalloc at 20,000 rows, m = 2 to 30; 64 leave headroom.
 _NU_ROW_BYTES = 64 * 8
 
 
@@ -391,12 +392,14 @@ def _golden_max(f: Callable, points, values, floor) -> np.ndarray:
     steps (R. P. Brent, Algorithms for Minimization without Derivatives,
     1973), and return f at each final middle point.
 
-    points and values are (3, m) arrays: the triples (a, x, b) and their f
-    values, with f(x) >= f(a), f(b); floor is the rounding error of one
-    evaluation, per bracket.  f maps an array of angles to values
-    elementwise and is called once per step on all brackets, with NaN at
-    each stopped bracket: its value there is ignored, so f need evaluate
-    only the others, and a stopped bracket keeps its state.
+    points and values are (3, brackets) arrays: the triples (a, x, b) and
+    their f values, with f(x) >= f(a), f(b) (a triple that breaks this by
+    rounding stops at once); floor is the rounding error of one evaluation,
+    per bracket.  f maps an array of angles to values elementwise and is
+    called once per step on all brackets, with NaN at each stopped bracket:
+    its value there is ignored, so f need evaluate only the others (as
+    nu_functional's does, each live bracket with its own row), and a
+    stopped bracket keeps its state.
 
     Let c <= 0 be the curvature of the parabola through the triple and L the
     larger of x - a and b - x.  Its vertex lies within L/2 of x, so the
@@ -454,59 +457,6 @@ def _golden_max(f: Callable, points, values, floor) -> np.ndarray:
     return fx
 
 
-class _GridBrackets:
-    """The brackets _golden_max starts from, for rows of error moduli on an
-    N-node grid fed part by part: for each row its largest node j (the first
-    of equal maxima), the angles theta_(j-1) < theta_j < theta_(j+1) and the
-    moduli there.  The neighbours of j = 0 and j = N - 1 lie across
-    theta = 0, at index (j +- 1) mod N.  A neighbour across the edge of a
-    part is taken from the last node of the part before it or from the
-    first node of the part after it.  The state is a few numbers per row;
-    no row of N moduli is kept."""
-
-    def __init__(self, rows: int, node_count: int):
-        self.node_count = node_count
-        self.index = np.zeros(rows, dtype=int)
-        # left neighbour, maximum and right neighbour of every row
-        self.moduli = np.full((3, rows), -np.inf)
-        self._first = np.zeros(rows)  # modulus at node 0
-        self._last = np.zeros(rows)  # modulus at the last node fed
-
-    def feed(self, rows: slice, start: int, moduli) -> tuple[np.ndarray, np.ndarray]:
-        """Take the moduli of the given rows at nodes start, start + 1, ...
-        (parts in node order, each row once per part).  Return the mask of
-        the rows whose maximum moved into this part, and every row's largest
-        node within the part."""
-        index, triple, last = self.index[rows], self.moduli[:, rows], self._last[rows]
-        every = np.arange(len(moduli))
-        if start == 0:
-            self._first[rows] = moduli[:, 0]
-        else:
-            ends = index == start - 1
-            triple[2, ends] = moduli[ends, 0]
-        local = np.argmax(moduli, axis=1)
-        value = moduli[every, local]
-        # only a strictly larger value moves the maximum: the first node wins
-        moved = value > triple[1]
-        left = np.where(local > 0, moduli[every, local - 1], last)
-        right = moduli[every, np.minimum(local + 1, moduli.shape[1] - 1)]
-        index[moved] = start + local[moved]
-        triple[:, moved] = np.stack([left, value, right])[:, moved]
-        last[:] = moduli[:, -1]
-        return moved, local
-
-    def brackets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Once every node is fed: the largest node of every row, and the
-        (3, rows) angles and moduli of its bracket."""
-        count = self.node_count
-        wraps = self.index == 0
-        self.moduli[0, wraps] = self._last[wraps]
-        wraps = self.index == count - 1
-        self.moduli[2, wraps] = self._first[wraps]
-        near = self.index + np.arange(-1, 2)[:, None]
-        return self.index, (2.0 * np.pi / count) * near, self.moduli
-
-
 def nu_functional(
     spec: KernelSpec, basis: TMBasis, coefficients, grid: CircleGrid
 ) -> float | np.ndarray:
@@ -518,60 +468,53 @@ def nu_functional(
     triple is flat to rounding and the refinement evaluates nothing.
 
     A row c of length m gives a float; a (trials, m) matrix gives one value
-    per row.  The grid pass streams (see _competitor_values): K, the
-    multiplier and R are formed on one part of at most NODE_CHUNK nodes at
-    a time, each part is reduced at once to a running maximum per row, and
-    |K| and |R| are kept at each row's best node for the rounding floor.
-    One row is summed in nested form (TMBasis.eval_sum), in the grid pass
-    and in each refinement step alike, so it scores as Approximant.eval
-    does; no basis block is formed.  A batch is evaluated in blocks of at
-    most m rows on each part's basis evaluation, and its refinement runs the
-    brackets of all rows together, one basis evaluation per step at the
-    brackets still active.  The first non-finite R stops the pass with
-    NonFiniteIntegrand."""
+    per row.  The grid pass streams (see _competitor_values) and keeps each
+    row's running maximum and its node j, the first of equal maxima.  One
+    nested sum (TMBasis.eval_sum, each point with its own row) then gives
+    the moduli at the (3, trials) nodes j - 1, j, j + 1 (mod N) and, at j,
+    |K| and |K - (K - R)| for the rounding floor; each refinement step sums
+    only the live brackets alike, so no basis block is formed after the
+    grid pass.  One row is summed as its grid pass summed it, to the bit,
+    and scores as Approximant.eval does; a batch's grid pass multiplies
+    basis blocks by its rows, which round apart in the last bits.  The
+    first non-finite R stops the grid pass with NonFiniteIntegrand."""
     coefficients = np.asarray(coefficients, dtype=complex)
     rows = np.atleast_2d(coefficients)
-    trials, count = rows.shape
-    cw = np.conj(spec.w)
     nodes = grid.nodes
-    tracker = _GridBrackets(trials, len(nodes))
-    # |K| and |R| at each row's best node
-    kernel_sizes, sizes = np.empty(trials), np.empty(trials)
+    best = np.full(len(rows), -np.inf)
+    index = np.zeros(len(rows), dtype=int)
     for part, block, multiplier, kernel, error in _competitor_values(
         spec, basis, rows, nodes, spec.cauchy_power
     ):
-        np.subtract(kernel, error, out=error)
-        moved, local = tracker.feed(block, part.start, np.abs(error))
-        # |R| = |K - error| at each new best node
-        j = local[moved]
-        kernel_sizes[block][moved] = np.abs(kernel[j])
-        sizes[block][moved] = np.abs(kernel[j] - error[moved, j])
-        del error, multiplier, kernel  # freed before the next block or part is formed
-    _, points, moduli = tracker.brackets()
-    floor = _ROUNDING_FLOOR * (kernel_sizes + sizes)
-    rational = competitor_function(basis, spec.w, rows[0]) if trials == 1 else None
+        moduli = np.abs(np.subtract(kernel, error, out=error))
+        local = np.argmax(moduli, axis=1)
+        value = moduli[np.arange(len(moduli)), local]
+        moved = value > best[block]
+        best[block] = np.where(moved, value, best[block])
+        index[block] = np.where(moved, part.start + local, index[block])
+        del error, moduli, multiplier, kernel  # freed before the next block or part is formed
+    # one row, (m,) or (1, m), is summed as a vector, as its grid pass was
+    own = rows[0] if len(rows) == 1 else rows
+
+    def kernel_error(x, rows):
+        kernel = spec.cauchy_power(x)
+        return kernel, kernel - competitor_function(basis, spec.w, rows)(x)
+
+    near = index + np.arange(-1, 2)[:, None]
+    kernel, bracket = kernel_error(nodes[near % len(nodes)], own)
+    floor = _ROUNDING_FLOOR * (np.abs(kernel[1]) + np.abs(kernel[1] - bracket[1]))
+    del kernel  # freed before the refinement
 
     def modulus(t):
-        # Stopped brackets come as NaN.  Once at most half the brackets are
-        # live, only those are evaluated, with a copy of their rows; before,
-        # every bracket is, a stopped one at angle 0, and no row is copied,
-        # so the step holds no more than one evaluation of every row.
+        # stopped brackets come as NaN; only the live ones are evaluated
         live = ~np.isnan(t)
-        pick = live if 2 * np.count_nonzero(live) <= len(t) else slice(None)
-        angles = np.where(live, t, 0.0)[pick]
-        x = np.cos(angles) + 1j * np.sin(angles)
-        if rational is not None:
-            values = rational(x)
-        else:
-            # entry i of x is refined with row i, by one dot product per row
-            phi = basis.eval_all(x, count=count)
-            sums = (rows[pick][:, None, :] @ phi.T[:, :, None])[:, 0, 0]
-            values = (1.0 - x * cw) * sums
+        x = np.cos(t[live]) + 1j * np.sin(t[live])
         out = np.full(t.shape, np.nan)
-        out[pick] = np.abs(spec.cauchy_power(x) - values)
+        out[live] = np.abs(kernel_error(x, own if own.ndim == 1 else own[live])[1])
         return out
 
-    nu = _golden_max(modulus, points, moduli, floor)
+    points = (2.0 * np.pi / len(nodes)) * near
+    nu = _golden_max(modulus, points, np.abs(bracket), floor)
     return float(nu[0]) if coefficients.ndim == 1 else nu
 
 
@@ -605,9 +548,10 @@ def closed_form_J(spec: KernelSpec, basis: TMBasis, n: int, z) -> complex:
 def competitor_function(basis: TMBasis, w: complex, coefficients) -> Callable:
     """Member of the competitor class: R(x) = (1 - x conj(w)) sum c_m phi_m(x),
     the sum taken by TMBasis.eval_sum at all of x, whose bits at a point do
-    not depend on the other points.  Approximant.eval is this R of the
-    approximant's coefficients, and the grid passes of one row take it part
-    by part."""
+    not depend on the other points.  Rows of shape (..., m) pass through to
+    eval_sum and give each point its own row.  Approximant.eval is this R of
+    the approximant's coefficients, the grid passes of one row take it part
+    by part, and nu_functional takes it at the brackets of its rows."""
     coefficients = np.asarray(coefficients, dtype=complex)
 
     def rational(x):
@@ -630,10 +574,12 @@ def competitor_trials(
     each trial taking the real and then the imaginary parts of its m
     Gaussians, all in one draw.  A scan of more than MAX_DESIGN_BYTES raises
     DesignTooLarge before anything is allocated: per trial its row, its
-    draws, its 16 m-byte basis evaluation in the nu refinement and the rest
-    of its nu state, _NU_ROW_BYTES.  The draws are freed before nu runs, and
-    their 16 m bytes cover the pairs eval_all keeps at repeated poles, at
-    most m/2 pairs of 32 bytes per point."""
+    draws, 16 m bytes for its row's part in the nu brackets and the rest of
+    its nu state, _NU_ROW_BYTES.  The draws are freed before nu runs.  With
+    the 16 m bytes they cover the reciprocals eval_sum keeps at repeated
+    poles when it sums the brackets, at most m/2 arrays of 48 bytes per
+    trial, and in a refinement step the copy of a live bracket's row and
+    its reciprocals, 16 m + 8 m bytes."""
     optimum = approx.coefficients
     trials, count = int(trials), len(optimum)
     shape = (max(trials - 1, 0), 2, count)  # the real draws behind rows 1, 2, ...

@@ -17,7 +17,9 @@ conj(B(z)) B(zeta).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -38,8 +40,8 @@ __all__ = [
 #: times functions times 16 (complex double) or the size of a complex long
 #: double (32 on x86-64), plus two arrays of the points' size for every
 #: (scale, factor) pair its recurrence keeps across other poles' steps.  It
-#: bounds every design matrix, and the four working arrays and kept
-#: reciprocals of TMBasis.eval_sum.  The grid passes take at most NODE_CHUNK
+#: bounds every design matrix, and the working arrays and kept reciprocals
+#: of TMBasis.eval_sum.  The grid passes take at most NODE_CHUNK
 #: nodes at a time: a batch of m-coefficient rows evaluates one m x
 #: NODE_CHUNK block per part (m times 256 KiB in doubles), and one row,
 #: summed by eval_sum, forms no block.  eval_all evaluates any other array
@@ -290,9 +292,12 @@ class TMBasis:
         return out[:, 0] if scalar else out
 
     def eval_sum(self, coefficients, z):
-        """S(z) = sum_k c_k phi_k(z) for one vector c of at most size
-        coefficients, in an array of z's shape (a numpy scalar for a scalar
-        z), without forming any phi_k.
+        """S(z) = sum_k c_k phi_k(z) without forming any phi_k.  A vector c
+        of at most size coefficients is summed at every point of z, in an
+        array of z's shape (a numpy scalar for a scalar z).  Rows of shape
+        (..., m) give each point its own row: their leading axes broadcast
+        against z's shape, as the result does, and no row is copied, so
+        (trials, m) rows at (3, trials) points give (3, trials) sums.
 
         phi_k is a scale s_k = sqrt(1 - |a_k|^2) / (1 - conj(a_k) z) times
         the factors f_j = (-|a_j|/a_j) (z - a_j) / (1 - conj(a_j) z) of the
@@ -304,56 +309,64 @@ class TMBasis:
         disk, taken backwards over the poles.  The unimodular constants of
         the factors are moved onto the coefficients, so each step is
         acc = ((z - a_k) acc + c'_k) / (1 - conj(a_k) z), with one product,
-        one sum and one product by the reciprocal.  The reciprocal is formed
+        one sum and one product by the reciprocal; c'_k is formed in its
+        step, one column of the rows at a time.  The reciprocal is formed
         once per distinct nonzero pole and kept, keyed by pole equality,
         from the pole's last occurrence to its first; a zero pole divides
-        nothing.  Four working arrays of z's size, and one for each
-        reciprocal kept while other poles' steps run, are counted against
-        MAX_DESIGN_BYTES: more raise DesignTooLarge before anything is
-        allocated.
+        nothing.  Two working arrays of the result's size, two of z's size
+        and one for each reciprocal kept while other poles' steps run, and
+        c'_k of rows, are counted against MAX_DESIGN_BYTES: more raise
+        DesignTooLarge before anything is allocated.
 
         Every operation writes into an array of its own, and no complex
         product writes over one of its operands, so the bits at a point do
         not depend on how many points are evaluated with it: numpy elides
         temporaries of 256 KiB and more in place (see NODE_CHUNK), and its
         in-place complex product rounds a single point differently.  They
-        differ from those of c @ eval_all(z) in the last bits.
+        differ from those of c @ eval_all(z) in the last bits.  For a vector
+        c each c'_k is a numpy scalar; numpy rounds the same product of
+        arrays, 0-d ones included, apart in the last bits, so rows may differ
+        there from the vector sum of each row.
         """
         coefficients = np.asarray(coefficients, dtype=complex)
-        count = self._check_count(len(coefficients))
+        count = self._check_count(coefficients.shape[-1])
         z = np.asarray(z)
+        lead = coefficients.shape[:-1]
+        # a vector skips np.broadcast_shapes, whose few KiB would precede the cap
+        shape = np.broadcast_shapes(z.shape, lead) if lead else z.shape
         dtype = np.result_type(z, np.complex128)
-        size = z.size * (4 + self._most_kept(count)) * dtype.itemsize
+        column = math.prod(lead) if lead else 0  # c'_k of rows
+        kept = self._most_kept(count)
+        size = (2 * math.prod(shape) + (2 + kept) * z.size + column) * dtype.itemsize
         if size > MAX_DESIGN_BYTES:
             raise DesignTooLarge(
-                f"a sum of {count} functions at {z.size} points needs {size} bytes, "
-                f"more than the cap of {MAX_DESIGN_BYTES}"
+                f"a sum of {count} functions at {math.prod(shape)} points needs {size} "
+                f"bytes, more than the cap of {MAX_DESIGN_BYTES}"
             )
         poles = self.poles[:count]
         first: dict[complex, int] = {}
         for k, a in enumerate(poles):
             if a != 0:
                 first.setdefault(a, k)
-        # c'_k = c_k sqrt(1 - |a_k|^2) times the unimodular constants of f_0..f_(k-1)
-        scaled, phase = [], 1.0
-        for k in range(count):
-            scaled.append(coefficients[k] * phase * self._norms[k])
-            phase *= self._phases[k]
-        acc = np.zeros(z.shape, dtype=dtype)
+        # c'_k = c_k sqrt(1 - |a_k|^2) times phases[k], the unimodular
+        # constants of f_0..f_(k-1)
+        phases = list(itertools.accumulate(self._phases[:count], operator.mul, initial=1.0))
+        columns = np.moveaxis(coefficients, -1, 0)
+        acc = np.zeros(shape, dtype=dtype)
         term = np.empty_like(acc)
-        shifted = np.empty_like(acc)
+        shifted = np.empty(z.shape, dtype=dtype)
         reciprocals: dict[complex, np.ndarray] = {}
         for k in reversed(range(count)):
             a = poles[k]
             factor = z if a == 0 else np.subtract(z, a, out=shifted)
             np.multiply(factor, acc, out=term)
-            np.add(term, scaled[k], out=term)
+            np.add(term, columns[k] * phases[k] * self._norms[k], out=term)
             if a == 0:
                 acc, term = term, acc
                 continue
             reciprocal = reciprocals.pop(a, None) if first[a] == k else reciprocals.get(a)
             if reciprocal is None:
-                reciprocal = np.multiply(z, self._conjs[k], out=np.empty_like(acc))
+                reciprocal = np.multiply(z, self._conjs[k], out=np.empty_like(shifted))
                 np.subtract(1.0, reciprocal, out=reciprocal)
                 np.divide(1.0, reciprocal, out=reciprocal)
                 if first[a] < k:

@@ -884,6 +884,51 @@ class TestBatchedNu:
         assert (len(steps) > 0) == refined
         assert nu_functional(spec, approx.basis, approx.coefficients, grid) == reference
 
+    @pytest.mark.parametrize("count, stored", [(4096, True), (NODE_CHUNK, False)])
+    def test_a_batch_forms_no_basis_block_after_its_grid_pass(self, count, stored, monkeypatch):
+        spec, free, seed = SCAN_CONFIGS[2]
+        approx = build_approximant(spec, free)
+        basis, grid = approx.basis, circle_grid(count)
+        if stored:
+            basis.design_matrix(grid)
+        rows = competitor_trials(approx, 40, np.random.default_rng(seed))
+        refining, blocks, live, summed = [False], [], [], []
+
+        def guard(method):
+            def guarded(*args, **kwargs):
+                if refining[0]:
+                    raise AssertionError(f"{method.__name__} called in the refinement")
+                blocks.append(method.__name__)
+                return method(*args, **kwargs)
+
+            return guarded
+
+        def spy_sum(coefficients, z, sums=basis.eval_sum):
+            if refining[0]:
+                summed.append((np.shape(coefficients), np.shape(z)))
+            return sums(coefficients, z)
+
+        def golden_max(f, points, values, floor, refine=bergman_approx._golden_max):
+            refining[0] = True
+
+            def counted(t):
+                live.append(int(np.count_nonzero(~np.isnan(t))))
+                return f(t)
+
+            return refine(counted, points, values, floor)
+
+        monkeypatch.setattr(basis, "eval_all", guard(basis.eval_all))
+        monkeypatch.setattr(basis, "eval_chunks", guard(basis.eval_chunks))
+        monkeypatch.setattr(basis, "eval_sum", spy_sum)
+        monkeypatch.setattr(bergman_approx, "_golden_max", golden_max)
+        nu_functional(spec, approx.basis, rows, grid)
+        # the grid pass reads the stored matrix or evaluates its one part
+        assert blocks == (["eval_chunks"] if stored else ["eval_chunks", "eval_all"])
+        # trial 0, the optimum, is flat to rounding and takes no step
+        assert len(live) > 0 and 0 < min(live) and max(live) < len(rows)
+        m = len(approx.coefficients)
+        assert summed == [((n, m), (n,)) for n in live]
+
     def test_row_gives_a_float_and_matrix_one_value_per_row(self):
         spec = KernelSpec(1, 0.4j)
         approx = build_approximant(spec, [0.2])
@@ -954,44 +999,80 @@ def test_one_draw_gives_the_per_trial_schedule(approximants_of_every_size, trial
 
 
 class TestStreamedBrackets:
-    """The grid pass of nu_functional reduces NODE_CHUNK nodes at a time; its
-    brackets must equal those of the whole grid."""
+    """The grid pass of nu_functional reduces NODE_CHUNK nodes and a block of
+    at most m rows at a time to each row's running maximum; the bracket that
+    _golden_max receives must equal that of the whole grid."""
 
     N = 2**16
 
-    def stream(self, error, block):
-        trials, count = error.shape
-        tracker = bergman_approx._GridBrackets(trials, count)
-        for start in range(0, count, NODE_CHUNK):
-            for first in range(0, trials, block):
-                rows = slice(first, first + block)
-                tracker.feed(rows, start, error[rows, start : start + NODE_CHUNK])
-        return tracker.brackets()
+    @staticmethod
+    def check(moduli, block, monkeypatch):
+        """Drive rows whose error moduli on a grid of moduli.shape[1] nodes
+        are given through nu_functional, and check what _golden_max receives
+        against grid_brackets.  At w = 0, K = 1 and the multiplier is 1.  A
+        basis of `block` functions makes the grid pass take blocks of
+        `block` rows.  Each call scores at most `block` rows, once and then
+        twice over, row i the indicator of function i, whose stored values
+        on the grid are 1 - moduli; eval_sum, which sums one row and every
+        bracket, reads the same values.  The moduli are dyadic, so every
+        value is exact."""
+        count = moduli.shape[1]
+        grid = circle_grid(count)
+        received = []
+
+        def golden_max(f, points, values, floor):
+            received.append((points, values))
+            return values[1]
+
+        monkeypatch.setattr(bergman_approx, "_golden_max", golden_max)
+        for first in range(0, len(moduli), block):
+            group = moduli[first : first + block]
+            values = np.zeros((block, count))
+            values[: len(group)] = 1.0 - group
+            basis = TMBasis([0j] * block)
+            basis._designs[id(grid.nodes)] = (grid.nodes, values.T)
+
+            def table(coefficients, z, values=values):
+                node = np.rint(np.angle(z) * (count / (2 * np.pi))).astype(int) % count
+                return values[np.argmax(np.abs(coefficients), axis=-1), node].astype(complex)
+
+            monkeypatch.setattr(basis, "eval_sum", table)
+            for copies in (1, 2):
+                rows = np.tile(np.eye(len(group), block), (copies, 1))
+                nu_functional(KernelSpec(0, 0j), basis, rows, grid)
+                _, points, want = grid_brackets(np.tile(group, (copies, 1)))
+                got_points, got = received.pop()
+                assert np.array_equal(got_points, points)
+                assert np.array_equal(got, want)
+
+    @staticmethod
+    def dyadic(rng, shape):
+        """Moduli in [0, 1) on 20 bits, so 1 - (1 - x) is x."""
+        return rng.integers(0, 2**20, shape) / 2**20
 
     @pytest.mark.parametrize("block", [1, 3, 64])
-    def test_peaks_at_chunk_edges_and_ties(self, block):
+    def test_peaks_at_chunk_edges_and_ties(self, block, monkeypatch):
         c, n = NODE_CHUNK, self.N
-        peaks = [0, n - 1, c - 1, c, 2 * c, c + 1, 4 * c - c // 2]
-        error = np.random.default_rng(5).uniform(0.0, 1.0, (len(peaks) + 2, n))
+        peaks = [0, n - 1, c - 1, c, c + 1, 2 * c, 4 * c - c // 2]
+        moduli = self.dyadic(np.random.default_rng(5), (len(peaks) + 3, n))
         for row, j in enumerate(peaks):
-            error[row, j] = 2.0
-        # ties across two chunks, and across a chunk edge: the first node wins
-        error[len(peaks), [100, c + 100]] = 2.0
-        error[len(peaks) + 1, [c - 1, 2 * c]] = 2.0
-        for got, want in zip(self.stream(error, block), grid_brackets(error)):
-            assert np.array_equal(got, want)
+            moduli[row, j] = 2.0
+        # ties inside a part, across two parts and across a part edge: the
+        # first node wins
+        moduli[len(peaks), [200, 300]] = 2.0
+        moduli[len(peaks) + 1, [100, c + 100]] = 2.0
+        moduli[len(peaks) + 2, [c - 1, 2 * c]] = 2.0
+        self.check(moduli, block, monkeypatch)
 
-    def test_many_ties(self):
-        error = np.random.default_rng(6).integers(0, 4, (8, self.N)).astype(float)
-        for got, want in zip(self.stream(error, 3), grid_brackets(error)):
-            assert np.array_equal(got, want)
+    def test_many_ties(self, monkeypatch):
+        moduli = np.random.default_rng(6).integers(0, 4, (8, self.N)).astype(float)
+        self.check(moduli, 3, monkeypatch)
 
     @pytest.mark.parametrize("count", [1, 2, 4096])
-    def test_one_part(self, count):
-        error = np.random.default_rng(7).uniform(0.0, 1.0, (5, count))
-        error[0, 0] = error[1, -1] = 2.0
-        for got, want in zip(self.stream(error, 5), grid_brackets(error)):
-            assert np.array_equal(got, want)
+    def test_one_part(self, count, monkeypatch):
+        moduli = self.dyadic(np.random.default_rng(7), (5, count))
+        moduli[0, 0] = moduli[1, -1] = 2.0
+        self.check(moduli, 5, monkeypatch)
 
     @pytest.mark.parametrize("functional", [nu_functional, equimodularity_variation])
     def test_the_first_non_finite_part_stops_the_pass(self, functional, monkeypatch):

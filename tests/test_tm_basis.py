@@ -407,7 +407,8 @@ def nested_points(extended):
 
 
 class TestNestedSum:
-    """TMBasis.eval_sum: one coefficient vector summed in nested form."""
+    """TMBasis.eval_sum: a coefficient vector, or one row per point, summed
+    in nested form."""
 
     @pytest.mark.parametrize("kind", sorted(NESTED_POLES))
     @pytest.mark.parametrize("extended", [False, True])
@@ -435,6 +436,28 @@ class TestNestedSum:
         block = np.tensordot(c, phi, axes=1)
         bound = 8 * len(poles) * np.finfo(float).eps * np.tensordot(np.abs(c), np.abs(phi), axes=1)
         assert np.all(np.abs(value - block) <= bound)
+
+    @pytest.mark.parametrize("kind", sorted(NESTED_POLES))
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("layout", ["points", "brackets"])
+    def test_one_row_per_point(self, kind, extended, layout):
+        # Rows (P, m) at P points, as a refinement step sums its live
+        # brackets, or (trials, m) at (3, trials) points, as nu sums its
+        # brackets: every point within the bound above of row_i @ phi(x_i).
+        poles = NESTED_POLES[kind]
+        basis = TMBasis(poles)
+        points = nested_points(extended)
+        z = points if layout == "points" else points[:126].reshape(3, 42)
+        rng = np.random.default_rng(59)
+        shape = (z.shape[-1], len(poles))
+        rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        value = basis.eval_sum(rows, z)
+        assert value.shape == z.shape
+        assert value.dtype == np.result_type(z, np.complex128)
+        phi = basis.eval_all(z)
+        block = np.einsum("...k,k...->...", rows, phi)
+        sizes = np.einsum("...k,k...->...", np.abs(rows), np.abs(phi))
+        assert np.all(np.abs(value - block) <= 8 * len(poles) * np.finfo(float).eps * sizes)
 
     @pytest.mark.parametrize("kind", sorted(NESTED_POLES))
     @pytest.mark.parametrize("extended", [False, True])

@@ -135,12 +135,13 @@ def test_traced_requests_keep_their_per_layer_call_counts():
     # nu_functional, design_matrix] per request.  bergman and cauchy_power
     # share one private power: neither counts a call of the other.  The
     # grid passes sample the kernel once per part of NODE_CHUNK nodes: mu on
-    # 4096 nodes once, nu on 2^16 nodes four times.
+    # 4096 nodes once, nu on 2^16 nodes four times.  Each nu call samples it
+    # once more at its brackets after the grid pass.
     done = run_traced(TRACED_LAYERS)
     assert done.returncode == 0, done.stderr
     approximate, oracle = json.loads(done.stdout.splitlines()[-1])
-    assert approximate == [0, 1, 4, 1, 1, 0]
-    assert oracle == [0, 1, 5, 0, 1, 1]
+    assert approximate == [0, 1, 5, 1, 1, 0]
+    assert oracle == [0, 1, 6, 0, 1, 1]
 
 
 TRACED_STORE = """
