@@ -15,6 +15,7 @@ from .bergman_approx import (
     mu_min_closed_form,
     nu_functional,
     nu_min_closed_form,
+    nu_minimum,
 )
 from .circlequad import (
     EPS_BOUNDARY,

@@ -48,6 +48,7 @@ __all__ = [
     "mu_functional",
     "mu_min_closed_form",
     "nu_functional",
+    "nu_minimum",
     "nu_min_closed_form",
     "closed_form_J",
     "competitor_function",
@@ -86,10 +87,16 @@ _MAX_FACTORIAL = 170
 #: relative to max|c|.
 _NOISE_SCALE = 0.1
 
-#: Bytes per row nu_functional holds beside the rows and the m-dependent
-#: part that competitor_trials counts (the running maximum and its node, the
-#: bracket evaluation, _golden_max and their temporaries): about 52 doubles
-#: by tracemalloc at 20,000 rows, m = 2 to 30; 64 leave headroom.
+#: nu_minimum screens the rows it does not score in full at every this
+#: many-th node of each part.
+_SCREEN_STRIDE = 16
+
+#: Bytes per row nu_functional or nu_minimum holds beside the rows and the
+#: m-dependent part that competitor_trials counts (the running maximum and
+#: its node, the bracket evaluation, _golden_max and their temporaries, and
+#: nu_minimum's screen, margin and second pass): by tracemalloc at 20,000
+#: rows, m = 2 to 30, about 43 doubles for nu_functional and at most 54 for
+#: nu_minimum, where every row must be scored in full; 64 leave headroom.
 _NU_ROW_BYTES = 64 * 8
 
 
@@ -304,11 +311,23 @@ def build_approximant(
     return Approximant(spec=spec, free_poles=free_poles, basis=basis, expansion=expansion)
 
 
-def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, kernel):
+def _blocks(firsts, size: int, stride: int = 1) -> np.ndarray:
+    """The (first, stop, stride) rows of the blocks of at most size rows
+    that start at firsts, for _competitor_values."""
+    firsts = np.asarray(firsts, dtype=int)
+    return np.stack([firsts, firsts + size, np.full_like(firsts, stride)], axis=1)
+
+
+def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, kernel,
+                       blocks=None):
     """Yield (part, block, multiplier, K, R) for each part of at most
-    NODE_CHUNK nodes x, in node order, and each block of at most m rows:
-    multiplier = 1 - x conj(w) and K = kernel(x), sampled once per part,
-    and R = multiplier * sum_k c_k phi_k(x) for every row c of the block.
+    NODE_CHUNK nodes x, in node order, and each block of rows of blocks,
+    in its order (an array of (first, stop, stride) rows, see _blocks; by
+    default every block of m rows at stride 1): multiplier = 1 - x conj(w)
+    and K = kernel(x), sampled once per part, and R = multiplier *
+    sum_k c_k phi_k(x) for every row c of the block.  A block is evaluated
+    at every stride-th node of each part from its first: part is then
+    slice(start, stop, stride), and multiplier and K are theirs.
     One row is summed by TMBasis.eval_sum and forms no basis block: R is
     then Approximant.eval of the row on the part, to the bit.  A batch of
     rows multiplies each part's basis evaluation (TMBasis.eval_chunks) by
@@ -317,29 +336,33 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
     block with a non-finite R raises NonFiniteIntegrand at the first such
     node of its first such row; nothing later is evaluated."""
     trials, count = rows.shape
+    if blocks is None:
+        blocks = _blocks(range(0, trials, max(count, 1)), max(count, 1))
     if trials == 1:
         rational = competitor_function(basis, spec.w, rows[0])
         parts = ((slice(start, start + NODE_CHUNK), None) for start in range(0, len(nodes), NODE_CHUNK))
     else:
         parts = basis.eval_chunks(nodes, count)
-    block = max(count, 1)
     for part, phi in parts:
         x = nodes[part]
         multiplier = 1.0 - x * np.conj(spec.w)
         sampled = kernel(x)
-        for first in range(0, trials, block):
+        for first, stop, stride in blocks.tolist():
+            block, at = slice(first, stop), slice(None, None, stride)
             if phi is None:
                 values = rational(x)[None]
             else:
                 # R = multiplier * (rows @ phi) in this operand order, which
                 # error *= multiplier would round apart.  np.dot rounds as
                 # matmul does, and is twice as fast in long double
-                values = np.dot(rows[first : first + block], phi)
-                np.multiply(multiplier, values, out=values)
+                values = np.dot(rows[block], phi[:, at])
+                np.multiply(multiplier[at], values, out=values)
             if not np.isfinite(values).all():
                 row, node = np.argwhere(~np.isfinite(values))[0]
-                raise NonFiniteIntegrand(part.start + int(node), complex(values[row, node]))
-            yield part, slice(first, first + block), multiplier, sampled, values
+                raise NonFiniteIntegrand(
+                    part.start + stride * int(node), complex(values[row, node])
+                )
+            yield slice(part.start, part.stop, stride), block, multiplier[at], sampled[at], values
             del values  # freed before the next block is formed
         del phi, multiplier, sampled  # freed before the next part is evaluated
 
@@ -398,8 +421,10 @@ def _golden_max(f: Callable, points, values, floor) -> np.ndarray:
     per bracket.  f maps an array of angles to values elementwise and is
     called once per step on all brackets, with NaN at each stopped bracket:
     its value there is ignored, so f need evaluate only the others (as
-    nu_functional's does, each live bracket with its own row), and a
-    stopped bracket keeps its state.
+    _nu_refine's does, each live bracket with its own row), and a stopped
+    bracket keeps its state.  Each bracket's result depends on its own
+    triple, floor and values of f alone, and is never below its initial
+    f(x): nu_minimum's pruning rests on both.
 
     Let c <= 0 be the curvature of the parabola through the triple and L the
     larger of x - a and b - x.  Its vertex lies within L/2 of x, so the
@@ -477,45 +502,175 @@ def nu_functional(
     grid pass.  One row is summed as its grid pass summed it, to the bit,
     and scores as Approximant.eval does; a batch's grid pass multiplies
     basis blocks by its rows, which round apart in the last bits.  The
-    first non-finite R stops the grid pass with NonFiniteIntegrand."""
+    first non-finite R stops the grid pass with NonFiniteIntegrand.
+    nu_minimum gives the first argmin and the minimum of a batch's values
+    with the same pass, brackets and refinement, scoring in full only the
+    rows that can still be the minimum."""
     coefficients = np.asarray(coefficients, dtype=complex)
     rows = np.atleast_2d(coefficients)
-    nodes = grid.nodes
-    best = np.full(len(rows), -np.inf)
+    _, index = _nu_grid_pass(spec, basis, rows, grid.nodes)
+    # one row, (m,) or (1, m), is summed as a vector, as its grid pass was
+    own = rows[0] if len(rows) == 1 else rows
+    nu = _nu_refine(spec, basis, own, *_nu_brackets(spec, basis, own, grid.nodes, index))
+    return float(nu[0]) if coefficients.ndim == 1 else nu
+
+
+def _nu_grid_pass(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, blocks=None):
+    """(top, index): each row's largest error modulus over the nodes its
+    block is evaluated at (_competitor_values with these blocks; rows of no
+    block keep -inf) and the node of it, the first of equal maxima."""
+    top = np.full(len(rows), -np.inf)
     index = np.zeros(len(rows), dtype=int)
     for part, block, multiplier, kernel, error in _competitor_values(
-        spec, basis, rows, nodes, spec.cauchy_power
+        spec, basis, rows, nodes, spec.cauchy_power, blocks
     ):
         moduli = np.abs(np.subtract(kernel, error, out=error))
         local = np.argmax(moduli, axis=1)
         value = moduli[np.arange(len(moduli)), local]
-        moved = value > best[block]
-        best[block] = np.where(moved, value, best[block])
-        index[block] = np.where(moved, part.start + local, index[block])
+        moved = value > top[block]
+        top[block] = np.where(moved, value, top[block])
+        index[block] = np.where(moved, part.start + part.step * local, index[block])
         del error, moduli, multiplier, kernel  # freed before the next block or part is formed
-    # one row, (m,) or (1, m), is summed as a vector, as its grid pass was
-    own = rows[0] if len(rows) == 1 else rows
+    return top, index
 
-    def kernel_error(x, rows):
-        kernel = spec.cauchy_power(x)
-        return kernel, kernel - competitor_function(basis, spec.w, rows)(x)
 
+def _kernel_error(spec: KernelSpec, basis: TMBasis, x, rows):
+    """K(x) and the error K(x) - R(x) of the rows, each point of x with its
+    own row for rows of shape (..., m), by the nested sum."""
+    kernel = spec.cauchy_power(x)
+    return kernel, kernel - competitor_function(basis, spec.w, rows)(x)
+
+
+def _nu_brackets(spec: KernelSpec, basis: TMBasis, rows, nodes, index):
+    """(points, moduli, floor) of the brackets _golden_max refines: the
+    angles of the nodes j - 1, j, j + 1 (mod N) of each row's best node j,
+    the error moduli there, and the rounding floor at j.  rows is one
+    vector, summed as its grid pass summed it, or one row per bracket."""
     near = index + np.arange(-1, 2)[:, None]
-    kernel, bracket = kernel_error(nodes[near % len(nodes)], own)
+    kernel, bracket = _kernel_error(spec, basis, nodes[near % len(nodes)], rows)
     floor = _ROUNDING_FLOOR * (np.abs(kernel[1]) + np.abs(kernel[1] - bracket[1]))
-    del kernel  # freed before the refinement
+    return (2.0 * np.pi / len(nodes)) * near, np.abs(bracket), floor
+
+
+def _nu_refine(spec: KernelSpec, basis: TMBasis, rows, points, moduli, floor) -> np.ndarray:
+    """nu of every bracket of _nu_brackets: _golden_max of the error modulus,
+    each live bracket summed with its own row (or with the one vector)."""
 
     def modulus(t):
         # stopped brackets come as NaN; only the live ones are evaluated
         live = ~np.isnan(t)
         x = np.cos(t[live]) + 1j * np.sin(t[live])
         out = np.full(t.shape, np.nan)
-        out[live] = np.abs(kernel_error(x, own if own.ndim == 1 else own[live])[1])
+        out[live] = np.abs(_kernel_error(spec, basis, x, rows if rows.ndim == 1 else rows[live])[1])
         return out
 
-    points = (2.0 * np.pi / len(nodes)) * near
-    nu = _golden_max(modulus, points, np.abs(bracket), floor)
-    return float(nu[0]) if coefficients.ndim == 1 else nu
+    return _golden_max(modulus, points, moduli, floor)
+
+
+def _screen_margins(spec: KernelSpec, basis: TMBasis, rows: np.ndarray) -> np.ndarray:
+    """Per row, twice the most by which two evaluations of the error
+    modulus |K(x) - R(x)| at one node x of the circle can differ; NaN or
+    inf where a bound is not finite or lies within a factor 4 of the
+    double range, so that no evaluation can overflow.
+
+    With Phi = (sum_k (1 + |a_k|)/(1 - |a_k|))^(1/2) over the first m poles,
+    |phi_k(x)|^2 <= (1 + |a_k|)/(1 - |a_k|) on the circle, so
+    sum_k |c_k phi_k(x)| <= ||c||_2 Phi, and |R(x)| <= Rb = (1 + |w|) ||c||_2
+    Phi; |K(x)| <= Kb = (1 - |w|)^-(1+alpha).  Two sums differ by at most
+    8 m eps sum_k |c_k phi_k(x)| (the agreement bound of the nested sum and
+    the block product), which the multiplier scales by at most 1 + |w|.
+    Each evaluation of the multiplier d = 1 - x conj(w) is within 3 eps of
+    it, and its product with the sum rounds within 2 eps |R|: with the sums,
+    8 (m + 2) eps Rb covers both evaluations of R.  Relatively, d is within
+    3 eps / (1 - |w|), and K = d^-(1+alpha) takes alpha + 2 more roundings,
+    each within 2 eps: 10 (alpha + 2) eps Kb / (1 - |w|) covers both
+    evaluations of K.  The subtraction and the modulus add at most
+    2 eps (Kb + Rb) per evaluation.  So one node gives at most
+
+        D = eps (8 (m + 2) Rb + 10 (alpha + 2) Kb / (1 - |w|) + 4 (Kb + Rb)),
+
+    and the margin 2 D covers the two nodes nu_minimum compares across."""
+    eps = np.finfo(float).eps
+    count = rows.shape[1]
+    moduli = np.abs(np.asarray(basis.poles[:count], dtype=complex))
+    gap = 1.0 - abs(spec.w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = np.sqrt(np.sum((1.0 + moduli) / (1.0 - moduli)))
+        norms = np.sqrt(np.sum(np.square(np.abs(rows)), axis=1))
+        kernel = np.power(gap, -(spec.alpha + 1.0))
+        bound = (1.0 + abs(spec.w)) * norms * phi
+        margins = 2.0 * eps * (8.0 * (count + 2) * bound + 10.0 * (spec.alpha + 2) * kernel / gap
+                               + 4.0 * (kernel + bound))
+        margins[~np.isfinite(4.0 * (kernel + bound))] = np.inf
+    return margins
+
+
+def _nu_branch(spec: KernelSpec, basis: TMBasis, rows, nodes, scored, index, best):
+    """Refine, among the rows scored (indices whose grid pass gave index),
+    those that can still beat best = (value, row), and return the new best.
+    Refinement never lowers a bracket's middle value, so only a row whose
+    middle value lies below best's value (or equals it, at a lower row)
+    can; the lowest of them is refined first, then the rest that still can,
+    together.  A tie goes to the lower row, as np.argmin's does."""
+    points, moduli, floor = _nu_brackets(spec, basis, rows[scored], nodes, index[scored])
+    middle = moduli[1]
+    # scored is increasing, so a stable sort by middle value breaks ties by row
+    order = np.array(sorted(range(len(scored)), key=middle.__getitem__), dtype=int)
+    for chosen in (order[:1], order[1:]):
+        chosen = chosen[(middle[chosen] < best[0])
+                        | ((middle[chosen] == best[0]) & (scored[chosen] < best[1]))]
+        if len(chosen):
+            values = _nu_refine(spec, basis, rows[scored[chosen]], points[:, chosen],
+                                moduli[:, chosen], floor[chosen])
+            best = min(best, *zip(values.tolist(), scored[chosen].tolist()))
+    return best
+
+
+def nu_minimum(spec: KernelSpec, basis: TMBasis, rows, grid: CircleGrid) -> tuple[int, float]:
+    """(index, value): the first argmin and the minimum of
+    nu_functional(spec, basis, rows, grid) for a (trials, m) batch, to the
+    bit, by branch and bound (A. H. Land and A. G. Doig, Econometrica 28,
+    1960) over the same grid pass, brackets and refinement.
+
+    One streamed pass scores the first block of m rows in full (the
+    optimum, in a competitor scan) and evaluates every other row's error
+    only at every _SCREEN_STRIDE-th node of each part, keeping its largest
+    modulus there, the screen.  The first block's brackets are refined as
+    _nu_branch says.  A screened row whose screen less its margin
+    (_screen_margins) exceeds the best refined value cannot be the
+    minimum: nu is at least the middle value of the row's bracket at its
+    best node j, which is at most a margin's half below the grid pass's
+    value at j, which is at least the pass's value at the screen's node,
+    at most a margin's half below the screen.  The blocks holding any
+    other row then take the full grid pass, in their own blocks of m rows
+    (so each row rounds as in nu_functional), and their rows' brackets are
+    refined as the first block's were.  One row, a batch of one block, or
+    a batch with a bound that is not finite (see _screen_margins) takes
+    nu_functional's pass for every row, so a non-finite R raises
+    NonFiniteIntegrand at the same node."""
+    rows = np.asarray(rows, dtype=complex)
+    nodes = grid.nodes
+    trials, count = rows.shape
+    block = max(count, 1)
+    margins = _screen_margins(spec, basis, rows)
+    if trials <= block or not np.isfinite(margins).all():
+        values = nu_functional(spec, basis, rows, grid)
+        first = int(np.argmin(values))
+        return first, float(values[first])
+    screen = block * _SCREEN_STRIDE  # rows per screened block: as many values as a full one
+    blocks = np.concatenate([
+        _blocks([0], block), _blocks(range(block, trials, screen), screen, _SCREEN_STRIDE)
+    ])
+    top, index = _nu_grid_pass(spec, basis, rows, nodes, blocks)
+    best = _nu_branch(spec, basis, rows, nodes, np.arange(block), index, (np.inf, trials))
+    rest = np.arange(block, trials)
+    rest = rest[~(top[block:] - margins[block:] > best[0])]
+    del top, index
+    if len(rest):
+        blocks = _blocks(np.unique(rest // block) * block, block)
+        _, index = _nu_grid_pass(spec, basis, rows, nodes, blocks)
+        best = _nu_branch(spec, basis, rows, nodes, rest, index, best)
+    return best[1], best[0]
 
 
 def nu_min_closed_form(spec: KernelSpec, free_poles: PoleSequence | list[complex]) -> float:
@@ -577,9 +732,10 @@ def competitor_trials(
     draws, 16 m bytes for its row's part in the nu brackets and the rest of
     its nu state, _NU_ROW_BYTES.  The draws are freed before nu runs.  With
     the 16 m bytes they cover the reciprocals eval_sum keeps at repeated
-    poles when it sums the brackets, at most m/2 arrays of 48 bytes per
-    trial, and in a refinement step the copy of a live bracket's row and
-    its reciprocals, 16 m + 8 m bytes."""
+    poles when it sums the brackets, at most m/2 arrays (and no more than
+    tm_basis._KEPT_RECIPROCALS) of 48 bytes per trial, and in a refinement
+    step the copy of a live bracket's row and its reciprocals, 16 m + 8 m
+    bytes."""
     optimum = approx.coefficients
     trials, count = int(trials), len(optimum)
     shape = (max(trials - 1, 0), 2, count)  # the real draws behind rows 1, 2, ...

@@ -24,8 +24,8 @@ from .bergman_approx import (
     Approximant,
     competitor_trials,
     mu_min_closed_form,
-    nu_functional,
     nu_min_closed_form,
+    nu_minimum,
 )
 from .circlequad import CircleGrid, circle_grid, json_complex, sample_on_nodes
 from .errors import IllConditioned
@@ -154,16 +154,18 @@ def uniform_competitor_scan(
     class of the approximant's basis; trial 0 is the unperturbed optimum, odd
     trials perturb it, even trials draw fully random coefficients.  The
     observed minimum can never fall below the closed-form infimum (up to
-    evaluation noise)."""
+    evaluation noise).  The minimum and its trial are those of
+    nu_functional over every trial, to the bit, found by
+    bergman_approx.nu_minimum: the first block of trials, which holds the
+    optimum, is scored in full, and any other trial only as far as needed
+    to show that it cannot be the minimum."""
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if grid is None:
         grid = circle_grid(4096)
     coefficients = competitor_trials(approx, trials, np.random.default_rng(seed))
-    values = nu_functional(approx.spec, approx.basis, coefficients, grid)
-    best_trial = int(np.argmin(values))
-    best = float(values[best_trial])
+    best_trial, best = nu_minimum(approx.spec, approx.basis, coefficients, grid)
     closed = nu_min_closed_form(approx.spec, approx.free_poles)
     return ScanReport(
         seed=int(seed),

@@ -62,6 +62,10 @@ MAX_FUNCTIONS = math.isqrt(MAX_DESIGN_BYTES // np.dtype(complex).itemsize)
 #: does eval_sum at any length.
 NODE_CHUNK = 2**14
 
+#: The most reciprocals TMBasis.eval_sum keeps across other poles' steps;
+#: it forms any other again at each occurrence.
+_KEPT_RECIPROCALS = 4
+
 
 class PoleSequence:
     """Ordered points of the open unit disk with multiplicity bookkeeping.
@@ -310,13 +314,15 @@ class TMBasis:
         the factors are moved onto the coefficients, so each step is
         acc = ((z - a_k) acc + c'_k) / (1 - conj(a_k) z), with one product,
         one sum and one product by the reciprocal; c'_k is formed in its
-        step, one column of the rows at a time.  The reciprocal is formed
-        once per distinct nonzero pole and kept, keyed by pole equality,
-        from the pole's last occurrence to its first; a zero pole divides
-        nothing.  Two working arrays of the result's size, two of z's size
-        and one for each reciprocal kept while other poles' steps run, and
-        c'_k of rows, are counted against MAX_DESIGN_BYTES: more raise
-        DesignTooLarge before anything is allocated.
+        step, one column of the rows at a time.  The reciprocal of a
+        nonzero pole is formed at its last occurrence and kept, keyed by
+        pole equality, until its first, while fewer than _KEPT_RECIPROCALS
+        are kept; any other occurrence forms it again, to the same bits.  A
+        zero pole divides nothing.  Two working arrays of the result's
+        size, two of z's size and one for each reciprocal kept while other
+        poles' steps run, at most _KEPT_RECIPROCALS, and c'_k of rows, are
+        counted against MAX_DESIGN_BYTES: more raise DesignTooLarge before
+        anything is allocated.
 
         Every operation writes into an array of its own, and no complex
         product writes over one of its operands, so the bits at a point do
@@ -336,7 +342,7 @@ class TMBasis:
         shape = np.broadcast_shapes(z.shape, lead) if lead else z.shape
         dtype = np.result_type(z, np.complex128)
         column = math.prod(lead) if lead else 0  # c'_k of rows
-        kept = self._most_kept(count)
+        kept = min(self._most_kept(count), _KEPT_RECIPROCALS)
         size = (2 * math.prod(shape) + (2 + kept) * z.size + column) * dtype.itemsize
         if size > MAX_DESIGN_BYTES:
             raise DesignTooLarge(
@@ -369,7 +375,7 @@ class TMBasis:
                 reciprocal = np.multiply(z, self._conjs[k], out=np.empty_like(shifted))
                 np.subtract(1.0, reciprocal, out=reciprocal)
                 np.divide(1.0, reciprocal, out=reciprocal)
-                if first[a] < k:
+                if first[a] < k and len(reciprocals) < _KEPT_RECIPROCALS:
                     reciprocals[a] = reciprocal
             np.multiply(term, reciprocal, out=acc)
         return acc[()]

@@ -1094,6 +1094,136 @@ class TestStreamedBrackets:
         assert read == [0]
 
 
+@st.composite
+def _scan_configuration(draw):
+    """A competitor scan: alpha 0-3, 1 to 40 functions over zero, repeated,
+    near-circle and random free poles, 1 to 300 rows from competitor_trials
+    in one of four arrangements, and 2^8 to 2^14 nodes, with or without a
+    stored design."""
+    alpha = draw(st.integers(0, 3))
+    w = draw(_disk_point(0.05, 0.9))
+    pool = [0j, draw(_disk_point(0.0, 0.8)), draw(_disk_point(0.99, 0.999)),
+            draw(_disk_point(0.0, 0.95))]
+    free = draw(st.lists(st.sampled_from(pool), max_size=39 - alpha))
+    trials = draw(st.integers(1, 300))
+    arrangement = draw(st.sampled_from(["drawn", "permuted", "tie", "last"]))
+    nodes = 2 ** draw(st.integers(8, 14))
+    stored, seed = draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    return alpha, w, free, trials, arrangement, nodes, stored, seed
+
+
+def scan_rows(approx, trials, arrangement, seed):
+    """competitor_trials as drawn, permuted, with the optimum repeated as
+    the last row (a tie across blocks), or with the optimum moved to the last
+    block and repeated in a middle one."""
+    rng = np.random.default_rng(seed)
+    rows = competitor_trials(approx, trials, rng)
+    if arrangement == "permuted":
+        rows = rows[rng.permutation(trials)]
+    elif arrangement == "tie":
+        rows[-1] = rows[0]
+    elif arrangement == "last":
+        rows = np.roll(rows, -1, axis=0)
+        rows[trials // 2] = rows[-1]
+    return rows
+
+
+def full_minimum(spec, basis, rows, grid):
+    """(index, value) of np.argmin over nu_functional, which scores every row."""
+    values = nu_functional(spec, basis, rows, grid)
+    index = int(np.argmin(values))
+    return index, float(values[index])
+
+
+class TestNuMinimum:
+    """nu_minimum gives the first argmin and the minimum of nu_functional to
+    the bit, while scoring in full only the rows that can still win."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(configuration=_scan_configuration())
+    def test_equals_the_argmin_of_every_row(self, configuration):
+        alpha, w, free, trials, arrangement, nodes, stored, seed = configuration
+        spec = KernelSpec(alpha, w)
+        approx = build_approximant(spec, free)
+        rows = scan_rows(approx, trials, arrangement, seed)
+        grid = circle_grid(nodes)
+        if stored:
+            approx.basis.design_matrix(grid)
+        index, value = bergman_approx.nu_minimum(spec, approx.basis, rows, grid)
+        assert type(index) is int and type(value) is float
+        assert (index, value) == full_minimum(spec, approx.basis, rows, grid)
+
+    @pytest.mark.parametrize("free, trials", [([0.3, -0.2j], 1), ([], 40), ([], 1)])
+    @pytest.mark.parametrize("arrangement", ["drawn", "permuted", "tie", "last"])
+    def test_one_row_and_one_function(self, free, trials, arrangement):
+        # m = 1 (alpha 0, no free pole) makes every row a block of its own
+        spec = KernelSpec(0, 0.4 - 0.3j)
+        approx = build_approximant(spec, free)
+        rows = scan_rows(approx, trials, arrangement, 3)
+        grid = circle_grid(2**12)
+        got = bergman_approx.nu_minimum(spec, approx.basis, rows, grid)
+        assert got == full_minimum(spec, approx.basis, rows, grid)
+
+    @staticmethod
+    def doctored_scan(grid):
+        """doctored_basis's rows behind three plain rows, so the rows whose
+        R overflows (at node 5, and at node NODE_CHUNK + 5000) lie in the
+        second block, where a screen at every 16th node would miss both."""
+        basis, bad = doctored_basis(grid)
+        rows = np.vstack([np.full((3, 3), 0.1, dtype=complex), bad[:2], np.full((4, 3), 0.1)])
+        return basis, rows
+
+    @pytest.mark.parametrize("overflow", ["kernel", "row"])
+    def test_an_unbounded_scan_raises_where_every_row_is_scored(self, overflow, monkeypatch):
+        # A kernel supremum (1 - |w|)^-(1+alpha) past the double range, or a
+        # row whose norm squares past it: nu_minimum takes nu_functional's
+        # pass for every row, which stops at the same node.
+        grid = circle_grid(2**16)
+        basis, rows = self.doctored_scan(grid)
+        spec = KernelSpec(0, 0.3 + 0.4j)
+        if overflow == "kernel":
+            spec = KernelSpec(60, 0.999999)
+        else:
+            rows[-1, 0] = 1e200
+        raised = []
+        for score in (bergman_approx.nu_minimum, full_minimum):
+            read = spy_chunks(monkeypatch, basis)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFiniteIntegrand) as error:
+                    score(spec, basis, rows, grid)
+            raised.append((error.value.node_index, repr(error.value.value), read))
+            monkeypatch.undo()
+        assert raised[0] == raised[1]
+        assert raised[0][0] == 5 and raised[0][2] == [0]
+
+    def test_a_scan_at_the_optimum_scores_one_block_and_refines_one_bracket(self, monkeypatch):
+        spec = KernelSpec(1, 0.45 - 0.3j)
+        approx = build_approximant(spec, PoleSequence.random(6, np.random.default_rng(83)))
+        block = len(approx.coefficients)  # 8 functions: 13 blocks of 8 rows
+        full, refined = [], []
+        values = bergman_approx._competitor_values
+        golden = bergman_approx._golden_max
+
+        def competitor_values(spec, basis, rows, nodes, kernel, blocks=None):
+            for part, rows_at, multiplier, sampled, error in values(
+                spec, basis, rows, nodes, kernel, blocks
+            ):
+                if part.step == 1:
+                    full.append((part.start, rows_at.start, rows_at.stop))
+                yield part, rows_at, multiplier, sampled, error
+
+        def golden_max(f, points, moduli, floor):
+            refined.append(points.shape[1])
+            return golden(f, points, moduli, floor)
+
+        monkeypatch.setattr(bergman_approx, "_competitor_values", competitor_values)
+        monkeypatch.setattr(bergman_approx, "_golden_max", golden_max)
+        report = uniform_competitor_scan(approx, 100, 7, circle_grid(2**15))
+        assert report.trials == 100 and report.argmin_trial == 0
+        assert full == [(0, 0, block), (NODE_CHUNK, 0, block)]
+        assert refined == [1]
+
+
 def doctored_sums(monkeypatch, basis, nodes, bad):
     """Make the nested sums of basis non-finite at the given nodes of the
     node array, and return the first node of every part summed there."""

@@ -764,8 +764,9 @@ def test_large_requests_are_refused_first_or_pass_under_the_cap(capsys, monkeypa
     # refused before it allocates past the cap or runs its single-row grid
     # passes (a few arrays of 2^14 nodes each) within it.  Many simple poles
     # are refused by the interpolation rows, whose basis evaluation at the
-    # simple poles is m x m; runs of equal poles evaluate no block and pass;
-    # poles that recur after others keep a reciprocal each in the nested sum.
+    # simple poles is m x m; runs of equal poles evaluate no block and pass,
+    # and so do poles that recur after others: the nested sum keeps at most
+    # a few of their reciprocals and forms the others again.
     cap = 2**22
     monkeypatch.setattr(diskrat.tm_basis, "MAX_DESIGN_BYTES", cap)
     distinct = [complex(0.05 * k, 0.6 - 0.04 * k) for k in range(15)]
@@ -782,8 +783,7 @@ def test_large_requests_are_refused_first_or_pass_under_the_cap(capsys, monkeypa
          "an evaluation of 601 points by 601 functions needs 5779216 bytes"),
         (["approximate", "--w", "0.5,0.1", "--poles", runs], 0, ""),
         (["sweep", "--ns", "150", "--ws", "0.5,0.1", "--poles", runs], 0, ""),
-        (["approximate", "--w", "0.5,0.1", "--poles", interleaved], 2,
-         "error: a sum of 151 functions at 9664 points needs"),
+        (["approximate", "--w", "0.5,0.1", "--poles", interleaved], 0, ""),
     ]
     for argv, code, message in cases:
         tracemalloc.start()

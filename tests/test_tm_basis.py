@@ -520,6 +520,44 @@ class TestNestedSum:
             tracemalloc.stop()
         assert peak <= size + 4096
 
+    def test_a_sum_keeps_a_few_reciprocals_however_many_poles_recur(self):
+        # 600 distinct poles listed twice: every pole recurs after 599
+        # others, whose reciprocals were each one array of the part's nodes
+        # (157 MB on one part); at most _KEPT_RECIPROCALS are kept now.
+        poles = list(PoleSequence.random(600, np.random.default_rng(61), max_modulus=0.9))
+        basis = TMBasis(poles * 2)
+        nodes = circle_grid(tm_basis.NODE_CHUNK).nodes
+        c = np.random.default_rng(67).standard_normal(basis.size) + 0.5j
+        part = nodes.nbytes
+        tracemalloc.start()
+        try:
+            basis.eval_sum(c, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (4 + tm_basis._KEPT_RECIPROCALS + 1) * part
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("order", ["cycled", "mirrored", "shuffled"])
+    def test_reciprocals_formed_again_keep_their_bits(self, extended, order, monkeypatch):
+        distinct = list(PoleSequence.random(9, np.random.default_rng(71), max_modulus=0.95))
+        poles = {
+            "cycled": distinct * 3,
+            "mirrored": distinct + distinct[::-1] + [0j] + distinct,
+            "shuffled": [distinct[i] for i in np.random.default_rng(73).integers(0, 9, 40)],
+        }[order]
+        basis = TMBasis(poles)
+        assert basis._most_kept(basis.size) > tm_basis._KEPT_RECIPROCALS
+        z = nested_points(extended)
+        rng = np.random.default_rng(79)
+        c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+        rows = rng.standard_normal((len(z), basis.size)) + 0.25j
+        bounded = basis.eval_sum(c, z), basis.eval_sum(rows, z)
+        monkeypatch.setattr(tm_basis, "_KEPT_RECIPROCALS", basis.size)
+        unbounded = basis.eval_sum(c, z), basis.eval_sum(rows, z)
+        for got, want in zip(bounded, unbounded):
+            assert np.array_equal(got, want)
+
 
 class TestDesignMemo:
     def test_second_call_returns_stored_read_only_matrix(self):

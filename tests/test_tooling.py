@@ -4,6 +4,7 @@ the node cap."""
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diskrat
@@ -45,6 +47,7 @@ runs = []
 for argv in (
     ["approximate", "--alpha", "1", "--w", "0.5,0.2", "--poles", "0.3,0;0,-0.4"],
     ["oracle", "--w", "0.6,0", "--poles", "0.2,0.1", "--trials", "6"],
+    ["approximate", "--alpha", "2", "--w", "0.7,0.7", "--poles", "0.3,0"],
 ):
     evals = tracer.counts["bergman_approx.nu_refine.evals"]
     spans = tracer.calls["bergman_approx.nu_refine"]
@@ -62,13 +65,15 @@ print(json.dumps(runs))
 def test_traced_requests_count_the_nu_refinement():
     # The benchmark counts nu_refine.evals by wrapping the first positional
     # argument of bergman_approx._golden_max; a caller passing f by keyword
-    # would break that counter.
+    # would break that counter.  The oracle's scan refines only the bracket
+    # of its optimum, which is flat to rounding and takes no step; the last
+    # request's approximant takes steps.
     done = run_traced(TRACED_REQUESTS)
     assert done.returncode == 0, done.stderr
-    approximate, oracle = json.loads(done.stdout.splitlines()[-1])
-    assert approximate["code"] == 0 and oracle["code"] == 0
-    assert approximate["spans"] > 0 and oracle["spans"] > 0
-    assert oracle["evals"] > 0
+    runs = json.loads(done.stdout.splitlines()[-1])
+    assert [run["code"] for run in runs] == [0, 0, 0]
+    assert all(run["spans"] > 0 for run in runs)
+    assert runs[2]["evals"] > 0
 
 
 TRACED_MU = """
@@ -136,12 +141,15 @@ def test_traced_requests_keep_their_per_layer_call_counts():
     # share one private power: neither counts a call of the other.  The
     # grid passes sample the kernel once per part of NODE_CHUNK nodes: mu on
     # 4096 nodes once, nu on 2^16 nodes four times.  Each nu call samples it
-    # once more at its brackets after the grid pass.
+    # once more at its brackets after the grid pass.  The oracle's scan
+    # (nu_minimum, not nu_functional) samples it once on its 4096 nodes and
+    # once at its first block's brackets; its one refined bracket, the
+    # optimum's, takes no step, and no other block is scored in full.
     done = run_traced(TRACED_LAYERS)
     assert done.returncode == 0, done.stderr
     approximate, oracle = json.loads(done.stdout.splitlines()[-1])
     assert approximate == [0, 1, 5, 1, 1, 0]
-    assert oracle == [0, 1, 6, 0, 1, 1]
+    assert oracle == [0, 1, 2, 0, 0, 1]
 
 
 TRACED_STORE = """
@@ -235,6 +243,43 @@ def test_a_failing_hypothesis_test_is_reported_not_an_internal_error(tmp_path):
     assert done.returncode == 1, done.stdout + done.stderr
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, read as a module of its own."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_the_screened_scan_prints_the_bytes_of_the_full_scan(capsys, monkeypatch):
+    # The first oracle block of benchmark seed 3001, once as it runs and
+    # once with the scan's minimum taken over nu_functional of every trial.
+    block = next(benchmark_workloads().oracle_blocks(3001))
+    assert len(block) == 8
+
+    def every_trial(spec, basis, rows, grid):
+        values = diskrat.bergman_approx.nu_functional(spec, basis, rows, grid)
+        index = int(np.argmin(values))
+        return index, float(values[index])
+
+    runs = []
+    for scored in ("screened", "full"):
+        if scored == "full":
+            monkeypatch.setattr(diskrat.oracle, "nu_minimum", every_trial)
+        for request in block:
+            code = diskrat.cli.main(list(request.argv))
+            runs.append((scored, code, capsys.readouterr().out))
+    screened, full = runs[: len(block)], runs[len(block) :]
+    assert [run[1:] for run in screened] == [run[1:] for run in full]
+    assert all(code == 0 and '"scan"' in out for _, code, out in screened)
 
 
 def test_scan_is_patchable_on_the_cli_module():
