@@ -46,7 +46,13 @@ from .oracle import (
     small_instance_exhaustive,
     uniform_competitor_scan,
 )
-from .tm_basis import MAX_FUNCTIONS, PoleSequence, TMBasis, christoffel_darboux_residual
+from .tm_basis import (
+    MAX_FUNCTIONS,
+    PIECE_NODES,
+    PoleSequence,
+    TMBasis,
+    christoffel_darboux_residual,
+)
 from .verify import ALL_CHECK_NAMES, run_checks, verdict_dict
 
 EXIT_OK = 0
@@ -138,7 +144,7 @@ def _count(value, extra: int = 1) -> int:
     if number + extra > MAX_FUNCTIONS:
         raise ValueError(
             f"{number} asks for {number + extra} basis functions, "
-            f"more than the {MAX_FUNCTIONS} a Gram matrix may hold"
+            f"more than the {MAX_FUNCTIONS} whose Gram matrix fills the byte cap"
         )
     return number
 
@@ -217,7 +223,7 @@ OPTIONS = (
     Option("--seed", "seed", _natural, _POLES, 0),
     Option("--max-modulus", "max_modulus", _max_modulus, _POLES, 0.85),
     Option("--n", "n", _count, _POLES),
-    Option("--grid", "grid", _grid_size, ("basis", "oracle"), 4096,
+    Option("--grid", "grid", _grid_size, ("basis", "oracle"), PIECE_NODES,
            f"grid size (power of two, 256 to {MAX_NODES})"),
     Option("--samples", "samples", _samples, ("basis",), None,
            'evaluation points with |z| <= 1 as semicolon-separated "re,im" pairs'),

@@ -24,7 +24,7 @@ import numpy as np
 from .circlequad import CircleGrid, json_complex, require_in_disk, sample_on_nodes
 from .errors import CountOutOfRange, IndexOutOfRange, OrderTooSmall, TrailingPolesMismatch
 from .kernels import KernelSpec
-from .tm_basis import PoleSequence, TMBasis, inner_products
+from .tm_basis import PIECE_NODES, PoleSequence, TMBasis, inner_products
 
 __all__ = [
     "default_grid_size",
@@ -43,13 +43,14 @@ def _next_pow2(n: int) -> int:
 def default_grid_size(n: int, rho: float = 0.0) -> int:
     """Grid size for expansions of order n with singularity radius rho.
 
-    Base size max(4096, 64*(n+1)); integrand smoothness degrades as the poles
+    Base size max(PIECE_NODES, 64*(n+1)), so up to 64 functions get a grid
+    of one piece; integrand smoothness degrades as the poles
     or the kernel point approach the circle, so for rho >= 0.8 the size is
     escalated until the geometric quadrature decay rho^N is driven far below
     double precision, rounded up to a power of two.  Only a size: the cap
     is circlequad.circle_grid's, checked when a grid is made.
     """
-    size = max(4096, 64 * (int(n) + 1))
+    size = max(PIECE_NODES, 64 * (int(n) + 1))
     rho = float(rho)
     if rho >= 0.8:
         needed = int(math.ceil(120.0 / -math.log10(rho)))

@@ -30,7 +30,7 @@ from .bergman_approx import (
 from .circlequad import CircleGrid, circle_grid, json_complex, sample_on_nodes
 from .errors import IllConditioned
 from .kernels import KernelSpec
-from .tm_basis import PoleSequence, TMBasis, inner_products
+from .tm_basis import PIECE_NODES, PoleSequence, TMBasis, inner_products
 
 __all__ = [
     "LeastSquaresProblem",
@@ -73,6 +73,7 @@ class LeastSquaresProblem:
 
     @classmethod
     def build(cls, spec: KernelSpec, basis: TMBasis, grid: CircleGrid) -> "LeastSquaresProblem":
+        basis.check_gram(grid)
         design = basis.design_matrix(grid)
         target = sample_on_nodes(spec.bergman, grid.nodes)
         # the normal-equations matrix conj(A)^T A / N, whose entry (k, l) is
@@ -163,7 +164,7 @@ def uniform_competitor_scan(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if grid is None:
-        grid = circle_grid(4096)
+        grid = circle_grid(PIECE_NODES)
     coefficients = competitor_trials(approx, trials, np.random.default_rng(seed))
     best_trial, best = nu_minimum(approx.spec, approx.basis, coefficients, grid)
     closed = nu_min_closed_form(approx.spec, approx.free_poles)

@@ -40,15 +40,22 @@ __all__ = [
 #: times functions times 16 (complex double) or the size of a complex long
 #: double (32 on x86-64), plus two arrays of the points' size for every
 #: (scale, factor) pair its recurrence keeps across other poles' steps.  It
-#: bounds every design matrix, and the working arrays and kept reciprocals
-#: of TMBasis.eval_sum.  The grid passes take at most NODE_CHUNK
+#: bounds every design matrix, the working arrays and kept reciprocals of
+#: TMBasis.eval_sum, and what inner_products forms: its result and one
+#: piece of conjugate values.  The grid passes take at most NODE_CHUNK
 #: nodes at a time: a batch of m-coefficient rows evaluates one m x
-#: NODE_CHUNK block per part (m times 256 KiB in doubles), and one row,
-#: summed by eval_sum, forms no block.  eval_all evaluates any other array
-#: whole, and design_matrix is the one writer of stored whole-grid blocks.
+#: NODE_CHUNK block per part (m times 256 KiB in doubles) and multiplies it
+#: whole, or reads it in place from a stored design and multiplies it one
+#: PIECE_NODES piece at a time; one row, summed by eval_sum, forms no
+#: block.  eval_all evaluates any other array whole, and design_matrix is
+#: the one writer of stored whole-grid blocks.
 MAX_DESIGN_BYTES = 2**28
 
-#: The most functions whose Gram matrix inner_products admits: 4096.
+#: The side of a Gram matrix of MAX_DESIGN_BYTES, 4096: no basis of more
+#: functions has a Gram within the cap, so no command-line count asks for
+#: more.  inner_products counts a conjugated piece of the design beside the
+#: Gram, so it admits the Gram of at most 3969 functions on 256 nodes and
+#: of at most 2531 on 4096.
 MAX_FUNCTIONS = math.isqrt(MAX_DESIGN_BYTES // np.dtype(complex).itemsize)
 
 #: Nodes per part of a streamed grid pass (TMBasis.eval_chunks, and the
@@ -61,6 +68,13 @@ MAX_FUNCTIONS = math.isqrt(MAX_DESIGN_BYTES // np.dtype(complex).itemsize)
 #: double has no SIMD loop and rounds alike at every chunk size, and so
 #: does eval_sum at any length.
 NODE_CHUNK = 2**14
+
+#: Nodes of one piece of a product with a stored design, and the default
+#: grid size, so every default-size grid is one piece.  A batch's grid pass
+#: multiplies its rows by a stored part in node pieces (node_pieces), and
+#: inner_products conjugates the design in pieces of columns that hold as
+#: many values as PIECE_NODES of its rows.
+PIECE_NODES = 2**12
 
 #: The most reciprocals TMBasis.eval_sum keeps across other poles' steps;
 #: it forms any other again at each occurrence.
@@ -168,6 +182,70 @@ def _phase(a: complex) -> complex:
     return -abs(a) / a
 
 
+def _pairwise_middle(start: int, stop: int) -> int:
+    """Where numpy's pairwise summation (np.add.reduce) splits the nodes
+    start..stop: after half of them, rounded down to a multiple of 8."""
+    half = (stop - start) // 2
+    return start + half - half % 8
+
+
+def node_pieces(start: int, stop: int) -> list[slice]:
+    """The consecutive pieces of at most PIECE_NODES nodes that tile the
+    nodes start..stop: the leaves of numpy's pairwise summation tree over
+    them (four pieces of 4096 for 2^14 nodes, one piece for 4096 or
+    fewer), so pairwise_total adds the pieces' sums as numpy's sum of all
+    the nodes adds them."""
+    if stop - start <= PIECE_NODES:
+        return [slice(start, stop)]
+    middle = _pairwise_middle(start, stop)
+    return node_pieces(start, middle) + node_pieces(middle, stop)
+
+
+def pairwise_total(sums: list, start: int, stop: int):
+    """numpy's pairwise sum of values at the nodes start..stop, to the bit,
+    from sums, the sums over node_pieces(start, stop) in their order, or
+    the one sum over all of them."""
+    if len(sums) == 1:
+        return sums[0]
+    leaves = iter(sums)
+
+    def total(start: int, stop: int):
+        if stop - start <= PIECE_NODES:
+            return next(leaves)
+        middle = _pairwise_middle(start, stop)
+        return total(start, middle) + total(middle, stop)
+
+    return total(start, stop)
+
+
+def _conjugate_pieces(design_shape, values_shape, itemsize: int) -> list[slice] | None:
+    """The pieces of columns in which inner_products conjugates a design of
+    design_shape for a matrix of values, or None for one vector, whose
+    conjugate it forms instead.  A piece has as many columns as hold the
+    values of PIECE_NODES nodes, so a design on PIECE_NODES nodes or fewer
+    is one piece, and no piece is a single column beside others: numpy
+    takes the product of one column by a matrix-vector routine, which
+    rounds apart.  The widest piece's conjugate (or the vector's) and the
+    result of more than MAX_DESIGN_BYTES raise DesignTooLarge, before
+    anything is allocated."""
+    nodes, functions = design_shape
+    vectors = math.prod(values_shape[1:])
+    pieces = None
+    conjugate = nodes
+    if len(values_shape) > 1:
+        width = max(2, PIECE_NODES * functions // nodes)
+        bounds = [*range(0, max(functions - 1, 1), width), functions]
+        pieces = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        conjugate *= max(piece.stop - piece.start for piece in pieces)
+    size = (conjugate + functions * vectors) * itemsize
+    if size > MAX_DESIGN_BYTES:
+        raise DesignTooLarge(
+            f"inner products of {functions} functions with {vectors} vectors need {size} "
+            f"bytes with {conjugate} conjugate values, more than the cap of {MAX_DESIGN_BYTES}"
+        )
+    return pieces
+
+
 def inner_products(design: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The discrete inner products <v, phi_k> = sum_j v(x_j) conj(phi_k(x_j)) / N
     under the trapezoid rule on the N nodes of the node-by-function design
@@ -175,16 +253,25 @@ def inner_products(design: np.ndarray, values: np.ndarray) -> np.ndarray:
     result row k per column of the design, for a vector v of values at the
     nodes or for each column of a matrix of them.  The one inner product
     behind Fourier coefficients, the Gram matrix and the least-squares
-    normal equations.  A result of more than MAX_DESIGN_BYTES raises
-    DesignTooLarge before the product."""
-    vectors = math.prod(values.shape[1:])
-    size = design.shape[1] * vectors * np.result_type(design, values).itemsize
-    if size > MAX_DESIGN_BYTES:
-        raise DesignTooLarge(
-            f"inner products of {design.shape[1]} functions with {vectors} vectors "
-            f"need {size} bytes, more than the cap of {MAX_DESIGN_BYTES}"
-        )
-    return (np.conj(design).T @ values) * (1.0 / design.shape[0])
+    normal equations.
+
+    No conjugate of the whole design is formed.  One vector is conjugated
+    instead, conj(A^T conj(v)); a matrix of vectors is multiplied by the
+    conjugate of one piece of the design's columns at a time
+    (_conjugate_pieces), each piece filling its rows of the result.  Both
+    keep every bit of the one product conj(A)^T v, signed zeros included:
+    negation is exact, and each entry is still summed over all N nodes in
+    one BLAS call of the same kind.  The weight is applied in place."""
+    pieces = _conjugate_pieces(design.shape, values.shape, np.result_type(design, values).itemsize)
+    if pieces is None:
+        result = design.T @ np.conj(values)
+        # conjugated as 0 - imag, so an exact zero is +0.0, as BLAS sums it
+        np.subtract(0.0, result.imag, out=result.imag)
+    else:
+        result = np.empty((design.shape[1], values.shape[1]), np.result_type(design, values))
+        for piece in pieces:
+            np.matmul(np.conj(design[:, piece]).T, values, out=result[piece])
+    return np.multiply(result, 1.0 / design.shape[0], out=result)
 
 
 class TMBasis:
@@ -439,12 +526,20 @@ class TMBasis:
                 running = np.convolve(running, self._phases[k] * factor)[: len(powers)]
         return out
 
+    def check_gram(self, grid: CircleGrid) -> None:
+        """Raise DesignTooLarge if inner_products would refuse the Gram
+        matrix on grid, before its design matrix is built."""
+        shape = (grid.node_count, self.size)
+        _conjugate_pieces(shape, shape, grid.nodes.itemsize)
+
     def gram_matrix(self, grid: CircleGrid) -> np.ndarray:
         """Discrete Gram <phi_k, phi_l> under the grid's quadrature: the
         conjugate of the inner products of the grid's design matrix with
-        itself, read through design_matrix."""
+        itself, read through design_matrix after check_gram."""
+        self.check_gram(grid)
         design = self.design_matrix(grid)
-        return np.conj(inner_products(design, design))
+        gram = inner_products(design, design)
+        return np.conjugate(gram, out=gram)
 
     def blaschke(self, degree: int) -> BlaschkeProduct:
         """Blaschke product over the first `degree` poles."""

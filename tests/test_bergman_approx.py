@@ -368,15 +368,15 @@ def spy_chunks(monkeypatch, basis):
     return read
 
 
-def doctored_basis(grid):
+def doctored_basis(grid, node=NODE_CHUNK + 5000):
     """A basis of three monomials whose stored design matrix on grid holds
-    1e300 at node NODE_CHUNK + 5000 of phi_1 and at node 5 of phi_2, and
-    rows that weight them: R of row 0 overflows in the second part only,
-    R of row 1 in the first part, at node 5."""
+    1e300 at the given node of phi_1 and at node 5 of phi_2, and rows that
+    weight them: R of row 0 overflows at that node only, by default in the
+    second part, R of row 1 in the first part, at node 5."""
     basis = TMBasis([0j, 0j, 0j])
     nodes = grid.nodes
     design = np.array(basis.design_matrix(grid))
-    design[NODE_CHUNK + 5000, 1] = 1e300
+    design[node, 1] = 1e300
     design[5, 2] = 1e300
     design.setflags(write=False)
     basis._designs[id(nodes)] = (nodes, design)
@@ -549,11 +549,11 @@ class TestMuRows:
         assert peak < 1.5 * block
 
     def test_101_rows_on_two_parts_peak_within_two_part_blocks(self):
-        # on a grid of several parts the rows' sums are added part by part:
-        # no rows x N block of squares is kept beside the block of errors.
-        # The block of errors is one m x NODE_CHUNK block; np.dot copies the
-        # part of the stored matrix it reads, which is not one segment on a
-        # grid of several parts, into another
+        # on a grid of several parts the rows' sums are added piece by
+        # piece: no rows x N block of squares is kept beside the errors.
+        # The errors are one m x PIECE_NODES piece, a quarter of an
+        # m x NODE_CHUNK block, read in place from the stored matrix; the
+        # part's kernel and multiplier add 2 x 2^14 x 16 bytes
         spec = KernelSpec(1, 0.4 + 0.2j)
         free = PoleSequence.random(18, np.random.default_rng(1), max_modulus=0.8)
         approx = build_approximant(spec, free)
@@ -571,7 +571,7 @@ class TestMuRows:
         finally:
             tracemalloc.stop()
         assert count == 20 and mu.shape == (101,)
-        assert peak < 2.5 * block
+        assert peak < 0.5 * block
 
 
 class TestClosedFormMinima:
@@ -1093,6 +1093,24 @@ class TestStreamedBrackets:
         assert not cmath.isfinite(raised.value.value)
         assert read == [0]
 
+    @pytest.mark.parametrize("functional", [
+        lambda spec, basis, rows, grid: mu_functional(spec, basis, rows, grid, extended=False),
+        nu_functional,
+        equimodularity_variation,
+    ], ids=["mu", "nu", "equimodularity"])
+    def test_a_stored_part_names_its_first_non_finite_row_across_pieces(self, functional):
+        # row 0 overflows at node 5000, in the first part's second piece,
+        # and row 1 at node 5, in its first: the pass names row 0's node,
+        # as a product of the whole part would
+        spec = KernelSpec(0, 0.3 + 0.4j)
+        grid = circle_grid(self.N)
+        basis, rows = doctored_basis(grid, 5000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteIntegrand) as raised:
+                functional(spec, basis, rows, grid)
+        assert raised.value.node_index == 5000
+        assert not cmath.isfinite(raised.value.value)
+
 
 @st.composite
 def _scan_configuration(draw):
@@ -1205,12 +1223,12 @@ class TestNuMinimum:
         golden = bergman_approx._golden_max
 
         def competitor_values(spec, basis, rows, nodes, kernel, blocks=None):
-            for part, rows_at, multiplier, sampled, error in values(
+            for part, piece, rows_at, multiplier, sampled, error in values(
                 spec, basis, rows, nodes, kernel, blocks
             ):
-                if part.step == 1:
-                    full.append((part.start, rows_at.start, rows_at.stop))
-                yield part, rows_at, multiplier, sampled, error
+                if piece.step == 1:
+                    full.append((piece.start, rows_at.start, rows_at.stop))
+                yield part, piece, rows_at, multiplier, sampled, error
 
         def golden_max(f, points, moduli, floor):
             refined.append(points.shape[1])
@@ -1222,6 +1240,70 @@ class TestNuMinimum:
         assert report.trials == 100 and report.argmin_trial == 0
         assert full == [(0, 0, block), (NODE_CHUNK, 0, block)]
         assert refined == [1]
+
+
+def whole_part_values(spec, basis, rows, nodes, kernel, blocks=None):
+    """_competitor_values spelled with one product per part: each block of
+    rows times the part's whole basis block by np.dot, as one piece."""
+    trials, count = rows.shape
+    if blocks is None:
+        blocks = bergman_approx._blocks(range(0, trials, count), count)
+    for part, phi in basis.eval_chunks(nodes, count):
+        x = nodes[part]
+        multiplier = 1.0 - x * np.conj(spec.w)
+        sampled = kernel(x)
+        for first, stop, stride in blocks.tolist():
+            at = slice(None, None, stride)
+            values = np.dot(rows[first:stop], phi[:, at])
+            np.multiply(multiplier[at], values, out=values)
+            yield (slice(part.start, part.start + len(x)),
+                   slice(part.start, part.start + len(x), stride), slice(first, stop),
+                   multiplier[at], sampled[at], values)
+
+
+@st.composite
+def _piece_configuration(draw):
+    """A batch of 2 to 120 competitor rows of 1 to 24 functions on 2^12 to
+    2^16 nodes, stored or not, mu in doubles or long double."""
+    alpha = draw(st.integers(0, 3))
+    w = draw(_disk_point(0.05, 0.9))
+    pool = [0j, draw(_disk_point(0.0, 0.8)), draw(_disk_point(0.0, 0.95))]
+    free = draw(st.lists(st.sampled_from(pool), max_size=23 - alpha))
+    trials = draw(st.integers(2, 120))
+    arrangement = draw(st.sampled_from(["drawn", "permuted", "tie", "last"]))
+    nodes = 2 ** draw(st.integers(12, 16))
+    stored, extended = draw(st.booleans()), draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    return alpha, w, free, trials, arrangement, nodes, stored, extended, seed
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(configuration=_piece_configuration())
+def test_batch_grid_passes_equal_the_whole_part_product(configuration):
+    # splitting a product's columns into pieces leaves each value's bits
+    # alone, and mu adds its pieces' sums as numpy sums the whole part
+    alpha, w, free, trials, arrangement, nodes, stored, extended, seed = configuration
+    spec = KernelSpec(alpha, w)
+    approx = build_approximant(spec, free)
+    basis = approx.basis
+    rows = scan_rows(approx, trials, arrangement, seed)
+    grid = circle_grid(nodes)
+    if stored:
+        basis.design_matrix(grid)
+
+    def scores():
+        return (mu_functional(spec, basis, rows, grid, extended=extended),
+                nu_functional(spec, basis, rows, grid),
+                bergman_approx.nu_minimum(spec, basis, rows, grid),
+                equimodularity_variation(spec, basis, rows, grid))
+
+    got = scores()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bergman_approx, "_competitor_values", whole_part_values)
+        want = scores()
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    assert np.array_equal(got[3], want[3])
 
 
 def doctored_sums(monkeypatch, basis, nodes, bad):

@@ -719,7 +719,7 @@ def test_a_count_past_the_gram_cap_is_refused_before_anything_is_built(
     code, out, err = run_cli(capsys, *argv)
     assert code == 1, err
     assert out == ""
-    assert "basis functions, more than the 4096 a Gram matrix may hold" in err
+    assert "basis functions, more than the 4096 whose Gram matrix fills the byte cap" in err
 
 
 @pytest.mark.parametrize("flag", ["--ns", "--alphas"])
@@ -750,13 +750,14 @@ def test_the_count_bound_admits_exactly_max_functions(capsys, monkeypatch):
 
 
 def test_a_gram_over_the_cap_exits_2_before_its_product(capsys, monkeypatch):
-    # 300 functions on 256 nodes: the design (1.23 MB) fits a cap the Gram
-    # (1.44 MB) does not, as in a basis of far more functions than nodes
-    monkeypatch.setattr(diskrat.tm_basis, "MAX_DESIGN_BYTES", 300 * 300 * 16 - 1)
+    # 300 functions on 256 nodes: the design (1.23 MB) fits a cap that its
+    # conjugate and the Gram (2.67 MB) do not
+    size = (256 + 300) * 300 * 16
+    monkeypatch.setattr(diskrat.tm_basis, "MAX_DESIGN_BYTES", size - 1)
     code, out, err = run_cli(capsys, "basis", "--random-poles", "300", "--grid", "256")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: inner products of 300 functions with 300 vectors need 1440000")
+    assert err.startswith(f"error: inner products of 300 functions with 300 vectors need {size}")
 
 
 def test_large_requests_are_refused_first_or_pass_under_the_cap(capsys, monkeypatch):

@@ -25,7 +25,7 @@ from diskrat import oracle, tm_basis
 from diskrat.bergman_approx import extended_mu
 from diskrat.circlequad import sample_on_nodes
 from diskrat.expansion import expand_function
-from diskrat.tm_basis import inner_products
+from diskrat.tm_basis import PIECE_NODES, inner_products
 
 GRID = circle_grid(4096)
 
@@ -132,7 +132,7 @@ class TestInnerProducts:
     and right-hand side, and its orthogonality residual.  Equal values are
     compared; the conjugate of an exact zero may flip its sign."""
 
-    @pytest.mark.parametrize("nodes", [1024, 4096, 16384])
+    @pytest.mark.parametrize("nodes", [1024, 4096, 16384, 2**16])
     @pytest.mark.parametrize("spec, basis", inner_product_bases())
     def test_every_spelling_keeps_its_values(self, spec, basis, nodes):
         grid = circle_grid(nodes)
@@ -158,14 +158,29 @@ class TestInnerProducts:
         values = sample_on_nodes(spec.bergman, grid.nodes)
         assert np.array_equal(expansion.coefficients, (np.conj(design).T @ values) * weight)
 
+    @pytest.mark.parametrize("nodes", [2048, 16384])
+    def test_one_vector_keeps_the_signs_of_exact_zeros(self, nodes):
+        # monomials against a kernel at w = 0 on a symmetric grid: some inner
+        # products have an imaginary part of exactly 0.0, which BLAS sums to
+        # +0.0 and a conjugated result would print as -0.0
+        design = TMBasis(PoleSequence([0j] * 9)).design_matrix(circle_grid(nodes))
+        values = sample_on_nodes(KernelSpec(0, 0j).bergman, circle_grid(nodes).nodes)
+        got = inner_products(design, values)
+        want = (np.conj(design).T @ values) * (1.0 / nodes)
+        assert np.any(want.imag == 0.0)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+
     @pytest.mark.parametrize("gram", [True, False], ids=["gram", "vector"])
     def test_a_result_over_the_cap_is_refused_before_the_product(self, monkeypatch, gram):
-        # 300 functions on 256 nodes: the Gram (1.44 MB) outgrows the design
-        # (1.23 MB), as any basis of more functions than nodes does
+        # 300 functions on 256 nodes, one piece: the Gram (1.44 MB) with the
+        # conjugated design (1.23 MB), or one vector's result with its
+        # conjugate, are counted
         grid = circle_grid(256)
         design = TMBasis(PoleSequence.random(300, np.random.default_rng(5))).design_matrix(grid)
         values = design if gram else np.ones(256, dtype=complex)
-        size = 300 * (300 if gram else 1) * 16
+        size = (256 * (300 if gram else 1) + 300 * (300 if gram else 1)) * 16
         monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", size - 1)
         tracemalloc.start()
         try:
@@ -180,9 +195,62 @@ class TestInnerProducts:
             inner_products(design, values), (np.conj(design).T @ values) * (1.0 / 256)
         )
 
-    def test_the_cap_admits_the_gram_of_max_functions(self):
+    def test_an_oversized_gram_is_refused_before_the_design_is_built(self, monkeypatch):
+        # the design of 300 functions on 256 nodes (1.23 MB) fits a cap that
+        # its conjugate and the Gram (2.67 MB together) do not: neither the
+        # basis's Gram nor the least-squares problem evaluates the design
+        size = (256 * 300 + 300 * 300) * 16
+        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", size - 1)
+        basis = TMBasis(PoleSequence.random(300, np.random.default_rng(5)))
+        grid = circle_grid(256)
+        tracemalloc.start()
+        try:
+            for build in (basis.gram_matrix, lambda grid: LeastSquaresProblem.build(
+                    KernelSpec(0, 0.5), basis, grid)):
+                with pytest.raises(DesignTooLarge, match=f"need {size} bytes"):
+                    build(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert basis._designs == {}
+
+    @pytest.mark.parametrize("nodes", [16384, 2**15])
+    def test_a_design_at_the_cap_builds_its_gram_within_one_piece_more(self, monkeypatch, nodes):
+        # A design of 37 functions exactly at a scaled cap: its Gram
+        # conjugates one piece of 9 to 10 (2^14 nodes) or 4 to 5 columns
+        # (2^15) at a time, so the cap and the widest piece hold it, with
+        # the Gram and a few hundred bytes.  A cap one byte short of the
+        # piece and the Gram refuses it first.
+        grid = circle_grid(nodes)
+        basis = TMBasis(PoleSequence.random(37, np.random.default_rng(9), max_modulus=0.9))
+        design_bytes = nodes * 37 * 16
+        piece = nodes * (10 if nodes == 16384 else 5) * 16
+        gram = 37 * 37 * 16
+        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", design_bytes)
+        tracemalloc.start()
+        try:
+            design = basis.design_matrix(grid)
+            tracemalloc.reset_peak()  # from the stored design on
+            got = basis.gram_matrix(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, (design.T @ np.conj(design)) * (1.0 / nodes))
+        assert design.nbytes == design_bytes
+        assert peak <= tm_basis.MAX_DESIGN_BYTES + piece + 2 * gram
+        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", piece + gram - 1)
+        with pytest.raises(DesignTooLarge, match=f"need {piece + gram} bytes"):
+            basis.gram_matrix(grid)
+
+    def test_max_functions_is_the_side_of_a_gram_at_the_cap(self):
+        # a Gram of MAX_FUNCTIONS fills the cap, so inner_products, which
+        # counts a conjugated piece beside it, refuses it on any grid
         assert tm_basis.MAX_FUNCTIONS == 4096
         assert tm_basis.MAX_FUNCTIONS**2 * 16 == tm_basis.MAX_DESIGN_BYTES
+        basis = TMBasis(PoleSequence([0j] * tm_basis.MAX_FUNCTIONS))
+        with pytest.raises(DesignTooLarge, match="inner products of 4096 functions"):
+            basis.gram_matrix(circle_grid(256))
 
 
 class TestCompetitorScan:
@@ -238,6 +306,36 @@ class TestCompetitorScan:
         approx = build_approximant(KernelSpec(0, 0.5), [])
         with pytest.raises(ValueError):
             uniform_competitor_scan(approx, trials=0, seed=0)
+
+
+def test_the_largest_oracle_shape_holds_its_design_and_a_few_pieces():
+    # oracle's largest request shape, a stored 16384-node design of 37
+    # functions, 9.7 MB.  Building the LSQ problem holds the design beside
+    # the working arrays of its evaluation or one conjugated piece of 10
+    # columns (2.6 MB) and the Gram; the solve holds conjugate vectors of
+    # the nodes; a 100-trial scan holds the product of 37 rows on one
+    # 4096-node piece, its moduli and the part's kernel and multiplier.  A
+    # whole conjugate design or a whole-part product needs four pieces more.
+    spec = KernelSpec(2, 0.5 - 0.3j)
+    approx = build_approximant(spec, PoleSequence.random(34, np.random.default_rng(4), 0.9))
+    grid = circle_grid(16384)
+    design = 16384 * 37 * 16
+    piece = PIECE_NODES * 37 * 16
+    peaks = []
+    tracemalloc.start()
+    try:
+        problem = LeastSquaresProblem.build(spec, approx.basis, grid)
+        for step in (lambda: None, lambda: lsq_minimize(problem),
+                     lambda: uniform_competitor_scan(approx, 100, 7, grid)):
+            tracemalloc.reset_peak()
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert problem.design.shape == (16384, 37)
+    assert peaks[0] < design + 1.5 * piece
+    assert peaks[1] < design + 0.5 * piece
+    assert peaks[2] < design + 2.5 * piece
 
 
 def small_settings(monkeypatch, grid_points, quad_nodes, half_width=0.5):

@@ -126,6 +126,7 @@ runs = []
 for argv in (
     ["approximate", "--alpha", "1", "--w", "0.5,0.2", "--poles", "0.3,0;0,-0.4"],
     ["oracle", "--w", "0.6,0", "--poles", "0.2,0.1", "--trials", "6"],
+    ["oracle", "--w", "0.6,0", "--poles", "0.2,0.1", "--trials", "6", "--grid", "16384"],
 ):
     before = [tracer.calls[name] for name in names]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -144,12 +145,15 @@ def test_traced_requests_keep_their_per_layer_call_counts():
     # once more at its brackets after the grid pass.  The oracle's scan
     # (nu_minimum, not nu_functional) samples it once on its 4096 nodes and
     # once at its first block's brackets; its one refined bracket, the
-    # optimum's, takes no step, and no other block is scored in full.
+    # optimum's, takes no step, and no other block is scored in full.  On
+    # 16384 nodes the scan multiplies four pieces of its one part and still
+    # samples the kernel once for the part.
     done = run_traced(TRACED_LAYERS)
     assert done.returncode == 0, done.stderr
-    approximate, oracle = json.loads(done.stdout.splitlines()[-1])
+    approximate, oracle, oracle_16384 = json.loads(done.stdout.splitlines()[-1])
     assert approximate == [0, 1, 5, 1, 1, 0]
     assert oracle == [0, 1, 2, 0, 0, 1]
+    assert oracle_16384 == [0, 1, 2, 0, 0, 1]
 
 
 TRACED_STORE = """
