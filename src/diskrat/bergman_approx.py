@@ -40,15 +40,7 @@ from .circlequad import CircleGrid, circle_grid, json_complex, require_in_disk
 from .errors import DesignTooLarge, NonFiniteIntegrand, ValueOutOfRange
 from .expansion import FourierExpansion, expand_kernel, validate_trailing_poles
 from .kernels import KernelSpec
-from .tm_basis import (
-    MAX_DESIGN_BYTES,
-    NODE_CHUNK,
-    BlaschkeProduct,
-    PoleSequence,
-    TMBasis,
-    node_pieces,
-    pairwise_total,
-)
+from .tm_basis import MAX_DESIGN_BYTES, NODE_CHUNK, BlaschkeProduct, PoleSequence, TMBasis
 
 __all__ = [
     "Approximant",
@@ -328,28 +320,24 @@ def _blocks(firsts, size: int, stride: int = 1) -> np.ndarray:
 
 def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, kernel,
                        blocks=None):
-    """Yield (part, piece, block, multiplier, K, R) for each part of at most
-    NODE_CHUNK nodes x, in node order, each block of rows of blocks, in its
-    order (an array of (first, stop, stride) rows, see _blocks; by default
-    every block of m rows at stride 1), and each piece of the part, in node
-    order: multiplier = 1 - x conj(w) and K = kernel(x), sampled once per
-    part and sliced per piece, and R = multiplier * sum_k c_k phi_k(x) for
-    every row c of the block at the piece's nodes.  part is slice(start,
-    stop) of the part's nodes.  A block is evaluated at every stride-th node
-    of each part from its first: piece is then slice(start, stop, stride)
-    of those among the piece's nodes, and multiplier and K are theirs.
-    One row is summed by TMBasis.eval_sum and forms no basis block: R is
-    then Approximant.eval of the row on the part, to the bit.  A batch of
-    rows multiplies each part's basis evaluation (TMBasis.eval_chunks) by
-    the rows, which rounds apart from that in the last bits: whole, as it
-    is evaluated whole, or read in place from a stored design one piece of
-    tm_basis.node_pieces at a time, so no product of a whole part is
-    formed beside a stored design.  Splitting the product's columns leaves
-    each value's bits alone.  A part that is not split is one piece.  The
-    caller may overwrite R and must drop it before the next piece.  The
-    first block with a non-finite R raises NonFiniteIntegrand at the first
-    such node of its first such row, after its part's last piece; no later
-    piece of it is yielded, and nothing later is evaluated."""
+    """Yield (at, block, multiplier, K, R) for each part of the nodes x, in
+    node order, and each block of rows of blocks, in its order (an array of
+    (first, stop, stride) rows, see _blocks; by default every block of m
+    rows at stride 1).  A block is evaluated at every stride-th node of the
+    part from its first: at is slice(start, stop, stride) of those nodes,
+    multiplier = 1 - x conj(w) and K = kernel(x) are theirs, sampled once
+    per part, and R = multiplier * sum_k c_k phi_k(x) for every row c of the
+    block.  One row is summed by TMBasis.eval_sum on parts of NODE_CHUNK
+    nodes and forms no basis block: R is then Approximant.eval of the row
+    on the part, to the bit.  A batch of rows takes its parts from
+    TMBasis.eval_chunks, which alone decides their length, and multiplies
+    each block by the part in one product: an evaluated part whole, or a
+    PIECE_NODES part read in place from a stored design.  The product
+    rounds apart from eval_sum in the last bits; splitting its columns
+    leaves each value's bits alone.  The caller may overwrite R and must
+    drop it before the next yield.  The first part and block with a
+    non-finite R raise NonFiniteIntegrand at once, at the first such node
+    of its first such row, and nothing later is evaluated."""
     trials, count = rows.shape
     if blocks is None:
         blocks = _blocks(range(0, trials, max(count, 1)), max(count, 1))
@@ -360,36 +348,26 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
         parts = basis.eval_chunks(nodes, count)
     for part, phi in parts:
         x = nodes[part]
-        part = slice(part.start, part.start + len(x))
         multiplier = 1.0 - x * np.conj(spec.w)
         sampled = kernel(x)
-        # a read-only phi is a stored design's part (eval_chunks): np.matmul
-        # reads its strided pieces in place, where np.dot would copy them
-        stored = phi is not None and not phi.flags.writeable
-        pieces = node_pieces(0, len(x)) if stored else [slice(0, len(x))]
         for first, stop, stride in blocks.tolist():
-            block, bad = slice(first, stop), None
-            for piece in pieces:
-                # every stride-th node of the part from its first
-                at = slice(piece.start + (-piece.start) % stride, piece.stop, stride)
-                if phi is None:
-                    values = rational(x)[None]
-                else:
-                    # R = multiplier * (rows @ phi) in this operand order,
-                    # which error *= multiplier would round apart.  np.dot
-                    # rounds as matmul does, and is twice as fast in long double
-                    values = (np.matmul if stored else np.dot)(rows[block], phi[:, at])
-                    np.multiply(multiplier[at], values, out=values)
-                if not np.isfinite(values).all():
-                    row, node = np.argwhere(~np.isfinite(values))[0]
-                    if bad is None or row < bad[0]:
-                        bad = row, part.start + at.start + stride * int(node), complex(values[row, node])
-                if bad is None:
-                    yield (part, slice(part.start + at.start, part.start + at.stop, stride), block,
-                           multiplier[at], sampled[at], values)
-                del values  # freed before the next piece is formed
-            if bad is not None:
-                raise NonFiniteIntegrand(*bad[1:])
+            if phi is None:
+                values = rational(x)[None]
+            else:
+                # R = multiplier * (rows @ phi) in this operand order, which
+                # error *= multiplier would round apart.  np.dot rounds as
+                # matmul does and is twice as fast in long double; np.matmul
+                # reads a stored (read-only) part in place, where np.dot
+                # would copy it
+                product = np.dot if phi.flags.writeable else np.matmul
+                values = product(rows[first:stop], phi[:, ::stride])
+                np.multiply(multiplier[::stride], values, out=values)
+            if not np.isfinite(values).all():
+                row, node = np.argwhere(~np.isfinite(values))[0]
+                raise NonFiniteIntegrand(part.start + stride * int(node), complex(values[row, node]))
+            yield (slice(part.start, part.start + len(x), stride), slice(first, stop),
+                   multiplier[::stride], sampled[::stride], values)
+            del values  # freed before the next block is formed
         del phi, multiplier, sampled  # freed before the next part is evaluated
 
 
@@ -401,33 +379,27 @@ def mu_functional(
     double on the grid's long-double twin with extended=True (the rule is
     extended_mu).  A row c gives a float, a (trials, m) matrix one value per
     row.  The pass streams as nu_functional's does (see _competitor_values):
-    it samples K part by part and adds each row's squares part by part,
-    piece by piece where the part comes in pieces, whose sums
-    tm_basis.pairwise_total adds as numpy's sum of the whole part adds
-    them.  So on a grid of NODE_CHUNK nodes or fewer, or of twice that, a
-    row's value is numpy's mean of its whole row of squares, to the bit.
+    it samples K part by part, sums each row's squares on the part by
+    np.add.reduce and adds that sum straight into the row's running sum.
+    So on a grid of one part a row's value is numpy's mean of its whole row
+    of squares, to the bit, and so is it on two evaluated parts of
+    NODE_CHUNK nodes (numpy's pairwise sum splits a row of 2^15 at 2^14).
     One row forms R as Approximant.eval forms it; a batch of rows takes a
     matrix product and may round apart in the last bits."""
     coefficients = np.asarray(coefficients, dtype=complex)
     rows = np.atleast_2d(coefficients)
     nodes = circle_grid(grid.node_count, extended=True).nodes if extended else grid.nodes
     sums = np.zeros(len(rows), dtype=nodes.real.dtype)
-    leaves = []  # the block's sums over the part's pieces so far
-    for part, piece, block, multiplier, kernel, error in _competitor_values(
+    for _, block, multiplier, kernel, error in _competitor_values(
         spec, basis, rows, nodes, spec.bergman
     ):
         np.divide(error, multiplier, out=error)
         np.subtract(kernel, error, out=error)
-        leaf = np.empty(len(error), dtype=sums.dtype)
         # one row at a time: no block of moduli beside the block of errors
         for row in range(len(error)):
             modulus = np.abs(error[row])
-            leaf[row] = np.add.reduce(np.square(modulus, out=modulus))
-        leaves.append(leaf)
-        if piece.stop == part.stop:  # the block's last piece of the part
-            sums[block] += pairwise_total(leaves, part.start, part.stop)
-            leaves = []
-        del error, multiplier, kernel  # freed before the next piece or part is formed
+            sums[block.start + row] += np.add.reduce(np.square(modulus, out=modulus))
+        del error, multiplier, kernel  # freed before the next block or part is formed
     mu = (sums / len(nodes)).astype(float)
     return float(mu[0]) if coefficients.ndim == 1 else mu
 
@@ -542,7 +514,7 @@ def nu_functional(
     rows that can still be the minimum."""
     coefficients = np.asarray(coefficients, dtype=complex)
     rows = np.atleast_2d(coefficients)
-    _, index = _nu_grid_pass(spec, basis, rows, grid.nodes)
+    _, index, _ = _nu_grid_pass(spec, basis, rows, grid.nodes)
     # one row, (m,) or (1, m), is summed as a vector, as its grid pass was
     own = rows[0] if len(rows) == 1 else rows
     nu = _nu_refine(spec, basis, own, *_nu_brackets(spec, basis, own, grid.nodes, index))
@@ -550,12 +522,16 @@ def nu_functional(
 
 
 def _nu_grid_pass(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, blocks=None):
-    """(top, index): each row's largest error modulus over the nodes its
-    block is evaluated at (_competitor_values with these blocks; rows of no
-    block keep -inf) and the node of it, the first of equal maxima."""
+    """(top, index, bottom): each row's largest error modulus over the nodes
+    its block is evaluated at (_competitor_values with these blocks; rows of
+    no block keep -inf, 0 and inf), the node of it, the first of equal
+    maxima, and its smallest error modulus there.  A maximum and a minimum
+    are exact, so they do not depend on how the nodes are split into parts.
+    This is the one pass of |K - R| over a grid."""
     top = np.full(len(rows), -np.inf)
+    bottom = np.full(len(rows), np.inf)
     index = np.zeros(len(rows), dtype=int)
-    for _, piece, block, multiplier, kernel, error in _competitor_values(
+    for at, block, multiplier, kernel, error in _competitor_values(
         spec, basis, rows, nodes, spec.cauchy_power, blocks
     ):
         moduli = np.abs(np.subtract(kernel, error, out=error))
@@ -563,9 +539,10 @@ def _nu_grid_pass(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, blo
         value = moduli[np.arange(len(moduli)), local]
         moved = value > top[block]
         top[block] = np.where(moved, value, top[block])
-        index[block] = np.where(moved, piece.start + piece.step * local, index[block])
-        del error, moduli, multiplier, kernel  # freed before the next piece or part is formed
-    return top, index
+        index[block] = np.where(moved, at.start + at.step * local, index[block])
+        np.minimum(bottom[block], moduli.min(axis=1), out=bottom[block])
+        del error, moduli, multiplier, kernel  # freed before the next block or part is formed
+    return top, index, bottom
 
 
 def _kernel_error(spec: KernelSpec, basis: TMBasis, x, rows):
@@ -695,14 +672,14 @@ def nu_minimum(spec: KernelSpec, basis: TMBasis, rows, grid: CircleGrid) -> tupl
     blocks = np.concatenate([
         _blocks([0], block), _blocks(range(block, trials, screen), screen, _SCREEN_STRIDE)
     ])
-    top, index = _nu_grid_pass(spec, basis, rows, nodes, blocks)
+    top, index, _ = _nu_grid_pass(spec, basis, rows, nodes, blocks)
     best = _nu_branch(spec, basis, rows, nodes, np.arange(block), index, (np.inf, trials))
     rest = np.arange(block, trials)
     rest = rest[~(top[block:] - margins[block:] > best[0])]
     del top, index
     if len(rest):
         blocks = _blocks(np.unique(rest // block) * block, block)
-        _, index = _nu_grid_pass(spec, basis, rows, nodes, blocks)
+        _, index, _ = _nu_grid_pass(spec, basis, rows, nodes, blocks)
         best = _nu_branch(spec, basis, rows, nodes, rest, index, best)
     return best[1], best[0]
 
@@ -796,19 +773,11 @@ def equimodularity_variation(
     """Relative variation (max - min)/max on the grid of the uniform-error
     modulus |(1 - x conj(w))^-(1+alpha) - R(x)|, R formed from the rows as
     nu_functional forms it (0 where the error vanishes); a row gives a
-    float, a (trials, m) matrix one value per row.  It vanishes exactly at
-    the optimum, where the error is a constant times a Blaschke product."""
+    float, a (trials, m) matrix one value per row.  The max and the min are
+    those of nu_functional's grid pass.  It vanishes exactly at the optimum,
+    where the error is a constant times a Blaschke product."""
     coefficients = np.asarray(coefficients, dtype=complex)
-    rows = np.atleast_2d(coefficients)
-    top = np.full(len(rows), -np.inf)
-    bottom = np.full(len(rows), np.inf)
-    for _, _, block, multiplier, kernel, error in _competitor_values(
-        spec, basis, rows, grid.nodes, spec.cauchy_power
-    ):
-        moduli = np.abs(np.subtract(kernel, error, out=error))
-        np.maximum(top[block], moduli.max(axis=1), out=top[block])
-        np.minimum(bottom[block], moduli.min(axis=1), out=bottom[block])
-        del error, moduli, multiplier, kernel  # freed before the next piece or part is formed
+    top, _, bottom = _nu_grid_pass(spec, basis, np.atleast_2d(coefficients), grid.nodes)
     variation = np.divide(top - bottom, top, out=np.zeros_like(top), where=top > 0.0)
     return float(variation[0]) if coefficients.ndim == 1 else variation
 

@@ -65,6 +65,14 @@ class UsageError(Exception):
     pass
 
 
+def _not_bool(value):
+    """value itself, unless it is a JSON boolean, which Python would take
+    as the number 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {json.dumps(value)}")
+    return value
+
+
 def parse_complex(value) -> complex:
     """Parse "re,im" (or a bare real part), a JSON [re, im] pair or a JSON
     number into a complex number."""
@@ -74,7 +82,7 @@ def parse_complex(value) -> complex:
         parts = value if isinstance(value, (list, tuple)) else [value]
     try:
         if len(parts) in (1, 2):
-            return complex(*(float(part) for part in parts))
+            return complex(*(float(_not_bool(part)) for part in parts))
     except (TypeError, ValueError):
         pass
     raise UsageError(f"cannot parse complex number from {value!r}; expected re,im")
@@ -127,7 +135,7 @@ def _poles(value):
 
 def _at_least(minimum: int) -> Callable:
     def convert(value) -> int:
-        number = int(value)
+        number = int(_not_bool(value))
         if number < minimum or (not isinstance(value, str) and number != value):
             raise ValueError(f"expected an integer >= {minimum}, got {value!r}")
         return number
@@ -164,7 +172,7 @@ def _counts(value) -> list[int]:
 
 
 def _max_modulus(value) -> float:
-    modulus = float(value)
+    modulus = float(_not_bool(value))
     if not 0.0 <= modulus < 1.0 - EPS_BOUNDARY:
         raise ValueError(f"must lie in [0, 1 - {EPS_BOUNDARY:g}), got {modulus!r}")
     return modulus
@@ -193,7 +201,7 @@ def _tolerances(value) -> dict[str, float]:
         if not sep:
             raise ValueError(f"expected NAME=VALUE, got {value!r}")
         value = {name: number}
-    bounds = {name: float(number) for name, number in dict(value).items()}
+    bounds = {name: float(_not_bool(number)) for name, number in dict(value).items()}
     for name, bound in bounds.items():
         if not math.isfinite(bound):
             raise ValueError(f"the bound of {name} must be finite, got {bound!r}")

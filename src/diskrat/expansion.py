@@ -44,7 +44,7 @@ def default_grid_size(n: int, rho: float = 0.0) -> int:
     """Grid size for expansions of order n with singularity radius rho.
 
     Base size max(PIECE_NODES, 64*(n+1)), so up to 64 functions get a grid
-    of one piece; integrand smoothness degrades as the poles
+    of one part; integrand smoothness degrades as the poles
     or the kernel point approach the circle, so for rho >= 0.8 the size is
     escalated until the geometric quadrature decay rho^N is driven far below
     double precision, rounded up to a power of two.  Only a size: the cap

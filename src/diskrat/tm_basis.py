@@ -44,11 +44,11 @@ __all__ = [
 #: TMBasis.eval_sum, and what inner_products forms: its result and one
 #: piece of conjugate values.  The grid passes take at most NODE_CHUNK
 #: nodes at a time: a batch of m-coefficient rows evaluates one m x
-#: NODE_CHUNK block per part (m times 256 KiB in doubles) and multiplies it
-#: whole, or reads it in place from a stored design and multiplies it one
-#: PIECE_NODES piece at a time; one row, summed by eval_sum, forms no
-#: block.  eval_all evaluates any other array whole, and design_matrix is
-#: the one writer of stored whole-grid blocks.
+#: NODE_CHUNK block per part (m times 256 KiB in doubles), or reads one
+#: m x PIECE_NODES part in place from a stored design (TMBasis.eval_chunks),
+#: and multiplies it by the rows in one product; one row, summed by
+#: eval_sum, forms no block.  eval_all evaluates any other array whole, and
+#: design_matrix is the one writer of stored whole-grid blocks.
 MAX_DESIGN_BYTES = 2**28
 
 #: The side of a Gram matrix of MAX_DESIGN_BYTES, 4096: no basis of more
@@ -58,9 +58,9 @@ MAX_DESIGN_BYTES = 2**28
 #: of at most 2531 on 4096.
 MAX_FUNCTIONS = math.isqrt(MAX_DESIGN_BYTES // np.dtype(complex).itemsize)
 
-#: Nodes per part of a streamed grid pass (TMBasis.eval_chunks, and the
-#: parts one row is summed on).  It must not be smaller: eval_all rounds
-#: arrays under 256 KiB differently.  From that size on, numpy's temporary
+#: Nodes per evaluated part of a streamed grid pass (TMBasis.eval_chunks),
+#: and per part one row is summed on.  It must not be smaller: eval_all
+#: rounds arrays under 256 KiB differently.  From that size on, numpy's temporary
 #: elision rewrites phase * (zz - a) as an in-place (zz - a) * phase, and
 #: numpy's SIMD complex multiply is not bit-commutative.  2^14 complex
 #: doubles are exactly 256 KiB, so chunks of this size round as the whole
@@ -69,9 +69,11 @@ MAX_FUNCTIONS = math.isqrt(MAX_DESIGN_BYTES // np.dtype(complex).itemsize)
 #: does eval_sum at any length.
 NODE_CHUNK = 2**14
 
-#: Nodes of one piece of a product with a stored design, and the default
-#: grid size, so every default-size grid is one piece.  A batch's grid pass
-#: multiplies its rows by a stored part in node pieces (node_pieces), and
+#: Nodes per part of a stored design that TMBasis.eval_chunks reads, and
+#: the default grid size, so every default-size grid is one part.  A stored
+#: part is sliced, not evaluated, so its length leaves its bits alone, and
+#: a batch's product with it is a quarter of the size of one with a
+#: NODE_CHUNK part, formed beside the stored design.
 #: inner_products conjugates the design in pieces of columns that hold as
 #: many values as PIECE_NODES of its rows.
 PIECE_NODES = 2**12
@@ -180,42 +182,6 @@ def _phase(a: complex) -> complex:
     if abs(a) < 2.0**-900:
         a *= 2.0**600
     return -abs(a) / a
-
-
-def _pairwise_middle(start: int, stop: int) -> int:
-    """Where numpy's pairwise summation (np.add.reduce) splits the nodes
-    start..stop: after half of them, rounded down to a multiple of 8."""
-    half = (stop - start) // 2
-    return start + half - half % 8
-
-
-def node_pieces(start: int, stop: int) -> list[slice]:
-    """The consecutive pieces of at most PIECE_NODES nodes that tile the
-    nodes start..stop: the leaves of numpy's pairwise summation tree over
-    them (four pieces of 4096 for 2^14 nodes, one piece for 4096 or
-    fewer), so pairwise_total adds the pieces' sums as numpy's sum of all
-    the nodes adds them."""
-    if stop - start <= PIECE_NODES:
-        return [slice(start, stop)]
-    middle = _pairwise_middle(start, stop)
-    return node_pieces(start, middle) + node_pieces(middle, stop)
-
-
-def pairwise_total(sums: list, start: int, stop: int):
-    """numpy's pairwise sum of values at the nodes start..stop, to the bit,
-    from sums, the sums over node_pieces(start, stop) in their order, or
-    the one sum over all of them."""
-    if len(sums) == 1:
-        return sums[0]
-    leaves = iter(sums)
-
-    def total(start: int, stop: int):
-        if stop - start <= PIECE_NODES:
-            return next(leaves)
-        middle = _pairwise_middle(start, stop)
-        return total(start, middle) + total(middle, stop)
-
-    return total(start, stop)
 
 
 def _conjugate_pieces(design_shape, values_shape, itemsize: int) -> list[slice] | None:
@@ -469,18 +435,21 @@ class TMBasis:
 
     def eval_chunks(self, nodes, count: int | None = None):
         """Yield (part, phi), phi = eval_all(nodes[part], count), for the
-        consecutive slices part of at most NODE_CHUNK nodes of a 1-d node
-        array, so no larger block is formed and out[part] = f(phi) fills an
-        output of the nodes' shape.
+        consecutive slices part of a 1-d node array, so no larger block is
+        formed and out[part] = f(phi) fills an output of the nodes' shape.
+        This alone decides how long a batch's part is.
 
         This is the one reader of the stored design matrices: on a node
         array whose matrix design_matrix has stored, each phi is a read-only
-        slice of that matrix and is not evaluated again.
+        slice of that matrix, of PIECE_NODES nodes, and is not evaluated
+        again.  Any other part is evaluated, NODE_CHUNK nodes at a time, so
+        it rounds as the whole grid does.
         """
         count = self._check_count(count)
         entry = self._designs.get(id(nodes))
-        for start in range(0, len(nodes), NODE_CHUNK):
-            part = slice(start, start + NODE_CHUNK)
+        step = NODE_CHUNK if entry is None else PIECE_NODES
+        for start in range(0, len(nodes), step):
+            part = slice(start, start + step)
             if entry is not None:
                 yield part, entry[1][part, :count].T
             else:

@@ -47,7 +47,7 @@ from diskrat.bergman_approx import (
 )
 from diskrat.circlequad import json_complex, random_disk_points, sample_on_nodes
 from diskrat.expansion import FourierExpansion, expand_function
-from diskrat.tm_basis import NODE_CHUNK
+from diskrat.tm_basis import NODE_CHUNK, PIECE_NODES
 
 GRID = circle_grid(4096)
 
@@ -549,11 +549,11 @@ class TestMuRows:
         assert peak < 1.5 * block
 
     def test_101_rows_on_two_parts_peak_within_two_part_blocks(self):
-        # on a grid of several parts the rows' sums are added piece by
-        # piece: no rows x N block of squares is kept beside the errors.
-        # The errors are one m x PIECE_NODES piece, a quarter of an
+        # on a grid of several parts the rows' sums are added part by
+        # part: no rows x N block of squares is kept beside the errors.
+        # The errors are one m x PIECE_NODES part, a quarter of an
         # m x NODE_CHUNK block, read in place from the stored matrix; the
-        # part's kernel and multiplier add 2 x 2^14 x 16 bytes
+        # part's kernel and multiplier add 2 x 2^12 x 16 bytes
         spec = KernelSpec(1, 0.4 + 0.2j)
         free = PoleSequence.random(18, np.random.default_rng(1), max_modulus=0.8)
         approx = build_approximant(spec, free)
@@ -1099,16 +1099,16 @@ class TestStreamedBrackets:
         equimodularity_variation,
     ], ids=["mu", "nu", "equimodularity"])
     def test_a_stored_part_names_its_first_non_finite_row_across_pieces(self, functional):
-        # row 0 overflows at node 5000, in the first part's second piece,
-        # and row 1 at node 5, in its first: the pass names row 0's node,
-        # as a product of the whole part would
+        # row 0 overflows at node 5000, in the stored design's second part
+        # of PIECE_NODES, and row 1 at node 5, in its first: the pass stops
+        # in the first part and names row 1's node
         spec = KernelSpec(0, 0.3 + 0.4j)
         grid = circle_grid(self.N)
         basis, rows = doctored_basis(grid, 5000)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteIntegrand) as raised:
                 functional(spec, basis, rows, grid)
-        assert raised.value.node_index == 5000
+        assert raised.value.node_index == 5
         assert not cmath.isfinite(raised.value.value)
 
 
@@ -1223,12 +1223,12 @@ class TestNuMinimum:
         golden = bergman_approx._golden_max
 
         def competitor_values(spec, basis, rows, nodes, kernel, blocks=None):
-            for part, piece, rows_at, multiplier, sampled, error in values(
+            for at, rows_at, multiplier, sampled, error in values(
                 spec, basis, rows, nodes, kernel, blocks
             ):
-                if piece.step == 1:
-                    full.append((piece.start, rows_at.start, rows_at.stop))
-                yield part, piece, rows_at, multiplier, sampled, error
+                if at.step == 1:
+                    full.append((at.start, rows_at.start, rows_at.stop))
+                yield at, rows_at, multiplier, sampled, error
 
         def golden_max(f, points, moduli, floor):
             refined.append(points.shape[1])
@@ -1243,8 +1243,8 @@ class TestNuMinimum:
 
 
 def whole_part_values(spec, basis, rows, nodes, kernel, blocks=None):
-    """_competitor_values spelled with one product per part: each block of
-    rows times the part's whole basis block by np.dot, as one piece."""
+    """_competitor_values spelled with np.dot for every part: each block of
+    rows times the part's whole basis block, copied where it is stored."""
     trials, count = rows.shape
     if blocks is None:
         blocks = bergman_approx._blocks(range(0, trials, count), count)
@@ -1256,8 +1256,7 @@ def whole_part_values(spec, basis, rows, nodes, kernel, blocks=None):
             at = slice(None, None, stride)
             values = np.dot(rows[first:stop], phi[:, at])
             np.multiply(multiplier[at], values, out=values)
-            yield (slice(part.start, part.start + len(x)),
-                   slice(part.start, part.start + len(x), stride), slice(first, stop),
+            yield (slice(part.start, part.start + len(x), stride), slice(first, stop),
                    multiplier[at], sampled[at], values)
 
 
@@ -1280,8 +1279,7 @@ def _piece_configuration(draw):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(configuration=_piece_configuration())
 def test_batch_grid_passes_equal_the_whole_part_product(configuration):
-    # splitting a product's columns into pieces leaves each value's bits
-    # alone, and mu adds its pieces' sums as numpy sums the whole part
+    # np.matmul of a stored part read in place rounds as np.dot of its copy
     alpha, w, free, trials, arrangement, nodes, stored, extended, seed = configuration
     spec = KernelSpec(alpha, w)
     approx = build_approximant(spec, free)
@@ -1304,6 +1302,40 @@ def test_batch_grid_passes_equal_the_whole_part_product(configuration):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert got[2] == want[2]
     assert np.array_equal(got[3], want[3])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(configuration=_piece_configuration())
+def test_a_stored_design_keeps_the_values_of_an_unstored_pass(configuration):
+    # an unstored grid is evaluated in parts of NODE_CHUNK nodes, a stored
+    # design read in parts of PIECE_NODES.  A maximum and a minimum do not
+    # depend on the split, nor does a product's value on its columns'; mu
+    # adds more parts' sums in order, within 4 ulp, as four parts of
+    # NODE_CHUNK stay within 4 ulp of a whole-row sum
+    alpha, w, free, trials, arrangement, nodes, _, extended, seed = configuration
+    spec = KernelSpec(alpha, w)
+    approx = build_approximant(spec, free)
+    basis = approx.basis
+    rows = scan_rows(approx, trials, arrangement, seed)
+    grid = circle_grid(nodes)
+
+    def scores():
+        return (mu_functional(spec, basis, rows, grid, extended=extended),
+                nu_functional(spec, basis, rows, grid),
+                bergman_approx.nu_minimum(spec, basis, rows, grid),
+                equimodularity_variation(spec, basis, rows, grid))
+
+    unstored = scores()
+    basis.design_matrix(circle_grid(nodes, extended=extended))
+    basis.design_matrix(grid)
+    stored = scores()
+    assert np.array_equal(stored[1], unstored[1])
+    assert stored[2] == unstored[2]
+    assert np.array_equal(stored[3], unstored[3])
+    if nodes <= PIECE_NODES:
+        assert np.array_equal(stored[0], unstored[0])
+    else:
+        assert np.all(np.abs(stored[0] - unstored[0]) <= 4 * np.spacing(unstored[0]))
 
 
 def doctored_sums(monkeypatch, basis, nodes, bad):

@@ -995,6 +995,55 @@ class TestOptionTable:
         assert out == ""
         assert "2.9" in err
 
+    # every numeric config key, with a JSON boolean where a number goes:
+    # (command, key, value built from the boolean)
+    BOOLEAN_VALUES = [
+        ("approximate", "alpha", lambda b: b),
+        ("approximate", "w", lambda b: b),
+        ("approximate", "w", lambda b: [b, b]),
+        ("approximate", "w", lambda b: [0.5, b]),
+        ("approximate", "poles", lambda b: [b]),
+        ("approximate", "poles", lambda b: [[0.1, b]]),
+        ("approximate", "random_poles", lambda b: b),
+        ("approximate", "seed", lambda b: b),
+        ("approximate", "max_modulus", lambda b: b),
+        ("approximate", "n", lambda b: b),
+        ("oracle", "grid", lambda b: b),
+        ("oracle", "trials", lambda b: b),
+        ("basis", "samples", lambda b: [[b, 0.0]]),
+        ("sweep", "alphas", lambda b: [0, b]),
+        ("sweep", "ns", lambda b: [b]),
+        ("sweep", "ws", lambda b: [[0.5, b]]),
+        ("verify", "tolerances", lambda b: {"orthonormality": b}),
+    ]
+
+    def test_the_boolean_cases_cover_every_numeric_key(self):
+        numeric = {opt.key for opt in OPTIONS} - {"format", "out", "only"}
+        assert {key for _, key, _ in self.BOOLEAN_VALUES} == numeric
+
+    @pytest.mark.parametrize("boolean", [True, False])
+    @pytest.mark.parametrize("command, key, build", BOOLEAN_VALUES,
+                             ids=[f"{key}-{i}" for i, (_, key, _) in enumerate(BOOLEAN_VALUES)])
+    def test_a_boolean_config_number_is_a_usage_error(self, capsys, tmp_path, command, key,
+                                                       build, boolean):
+        # Python takes true and false as 1 and 0; a config file must not
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: build(boolean)}))
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 1
+        assert out == ""
+        flag = next(opt.flag for opt in OPTIONS if opt.key == key)
+        assert f"{flag}:" in err
+
+    def test_a_boolean_alpha_no_longer_runs(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": True, "w": [0.5, 0], "n": 2}))
+        code, out, err = run_cli(capsys, "approximate", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert "--alpha: expected a number, got true" in err
+        config.write_text(json.dumps({"alpha": 1, "w": [0.5, 0], "n": 2}))
+        assert run_cli(capsys, "approximate", "--config", str(config))[0] == 0
+
     def test_config_tolerances_merge_with_flags(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(

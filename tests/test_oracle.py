@@ -314,7 +314,7 @@ def test_the_largest_oracle_shape_holds_its_design_and_a_few_pieces():
     # the working arrays of its evaluation or one conjugated piece of 10
     # columns (2.6 MB) and the Gram; the solve holds conjugate vectors of
     # the nodes; a 100-trial scan holds the product of 37 rows on one
-    # 4096-node piece, its moduli and the part's kernel and multiplier.  A
+    # 4096-node part of the design, its moduli, kernel and multiplier.  A
     # whole conjugate design or a whole-part product needs four pieces more.
     spec = KernelSpec(2, 0.5 - 0.3j)
     approx = build_approximant(spec, PoleSequence.random(34, np.random.default_rng(4), 0.9))

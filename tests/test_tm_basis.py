@@ -383,7 +383,11 @@ class TestNodeChunks:
         monkeypatch.setattr(TMBasis, "eval_all", eval_all)
         for count in (None, 2):
             parts = list(basis.eval_chunks(grid.nodes, count))
-            assert len(parts) == size // tm_basis.NODE_CHUNK
+            # a stored design is read in parts of PIECE_NODES nodes
+            piece = tm_basis.PIECE_NODES
+            assert [part for part, _ in parts] == [
+                slice(start, start + piece) for start in range(0, size, piece)
+            ]
             for part, phi in parts:
                 assert np.shares_memory(phi, design)
                 assert not phi.flags.writeable
@@ -578,7 +582,7 @@ class TestDesignMemo:
             assert values.flags.writeable
             assert same_bits(values, design[:, : count or 3].T)
             ((part, phi),) = basis.eval_chunks(grid.nodes, count)
-            assert part == slice(0, tm_basis.NODE_CHUNK)
+            assert part == slice(0, tm_basis.PIECE_NODES)
             assert np.shares_memory(phi, design)
             assert not phi.flags.writeable
             assert np.array_equal(phi, design[:, : count or 3].T)

@@ -1,6 +1,6 @@
 """The library names the benchmark harness traces and patches still exist,
-every name the package declares public resolves, and no grid is made past
-the node cap."""
+every name the package declares public or README.md names resolves, and no
+grid is made past the node cap."""
 
 import ast
 import importlib
@@ -8,6 +8,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -140,20 +141,21 @@ def test_traced_requests_keep_their_per_layer_call_counts():
     # [exit code, kernels.bergman, kernels.cauchy_power, mu_functional,
     # nu_functional, design_matrix] per request.  bergman and cauchy_power
     # share one private power: neither counts a call of the other.  The
-    # grid passes sample the kernel once per part of NODE_CHUNK nodes: mu on
-    # 4096 nodes once, nu on 2^16 nodes four times.  Each nu call samples it
-    # once more at its brackets after the grid pass.  The oracle's scan
-    # (nu_minimum, not nu_functional) samples it once on its 4096 nodes and
-    # once at its first block's brackets; its one refined bracket, the
-    # optimum's, takes no step, and no other block is scored in full.  On
-    # 16384 nodes the scan multiplies four pieces of its one part and still
-    # samples the kernel once for the part.
+    # grid passes sample the kernel once per part: one row's parts have
+    # NODE_CHUNK nodes, so mu on 4096 nodes samples it once and nu on 2^16
+    # nodes four times.  Each nu call samples it once more at its brackets
+    # after the grid pass.  The oracle's scan (nu_minimum, not
+    # nu_functional) reads the design its least-squares oracle stored, in
+    # parts of PIECE_NODES: it samples the kernel once on 4096 nodes and
+    # four times on 16384, and once more at its first block's brackets; its
+    # one refined bracket, the optimum's, takes no step, and no other block
+    # is scored in full.
     done = run_traced(TRACED_LAYERS)
     assert done.returncode == 0, done.stderr
     approximate, oracle, oracle_16384 = json.loads(done.stdout.splitlines()[-1])
     assert approximate == [0, 1, 5, 1, 1, 0]
     assert oracle == [0, 1, 2, 0, 0, 1]
-    assert oracle_16384 == [0, 1, 2, 0, 0, 1]
+    assert oracle_16384 == [0, 1, 5, 0, 0, 1]
 
 
 TRACED_STORE = """
@@ -298,6 +300,43 @@ def test_every_name_in_a_module_all_resolves():
     for module in declared:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def library_owners() -> dict:
+    """The package, its modules and the classes they define, by name: the
+    first part of a library name in README.md."""
+    modules = {info.name: importlib.import_module(f"diskrat.{info.name}")
+               for info in pkgutil.iter_modules(diskrat.__path__)}
+    classes = {name: value for module in modules.values() for name, value in vars(module).items()
+               if isinstance(value, type) and value.__module__.startswith("diskrat.")}
+    return {"diskrat": diskrat, **modules, **classes}
+
+
+def resolves(owner, path: list[str]) -> bool:
+    """Whether the attribute names of path lead from owner to something:
+    an attribute, or at the end a dataclass field, which a class has no
+    attribute for unless it has a default."""
+    for at, name in enumerate(path):
+        if hasattr(owner, name):
+            owner = getattr(owner, name)
+        else:
+            fields = getattr(owner, "__dataclass_fields__", {})
+            return at == len(path) - 1 and name in fields
+    return True
+
+
+def test_every_readme_library_name_resolves():
+    # a backticked dotted name, a call's arguments dropped, whose first
+    # part is the package, a module or a class of it: `tm_basis.X`,
+    # `TMBasis.X(grid)`, `LsqResult.minimum`
+    owners = library_owners()
+    text = (ROOT / "README.md").read_text()
+    names = {name for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)(?:\([^`]*\))?`", text)
+             if name.split(".")[0] in owners}
+    assert {"TMBasis.eval_chunks", "tm_basis.PIECE_NODES", "LsqResult.minimum"} <= names
+    stale = sorted(name for name in names
+                   if not resolves(owners[name.split(".")[0]], name.split(".")[1:]))
+    assert not stale
 
 
 def calls_of(name: str, node: ast.AST, scope: str | None = None):
