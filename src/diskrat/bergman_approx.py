@@ -318,6 +318,15 @@ def _blocks(firsts, size: int, stride: int = 1) -> np.ndarray:
     return np.stack([firsts, firsts + size, np.full_like(firsts, stride)], axis=1)
 
 
+def _require_finite(start: int, stride: int, values: np.ndarray):
+    """Raise NonFiniteIntegrand at the first non-finite node of the first
+    row of values holding one, values sampled at every stride-th node from
+    node start."""
+    if not np.isfinite(values).all():
+        row, node = np.argwhere(~np.isfinite(values))[0]
+        raise NonFiniteIntegrand(start + stride * int(node), complex(values[row, node]))
+
+
 def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, kernel,
                        blocks=None):
     """Yield (at, block, multiplier, K, R) for each part of the nodes x, in
@@ -335,9 +344,10 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
     PIECE_NODES part read in place from a stored design.  The product
     rounds apart from eval_sum in the last bits; splitting its columns
     leaves each value's bits alone.  The caller may overwrite R and must
-    drop it before the next yield.  The first part and block with a
-    non-finite R raise NonFiniteIntegrand at once, at the first such node
-    of its first such row, and nothing later is evaluated."""
+    drop it before the next yield.  A part whose K is not finite raises
+    NonFiniteIntegrand at its first such node, before any of its blocks;
+    else the first block with a non-finite R raises at once, at the first
+    such node of its first such row.  Nothing later is evaluated."""
     trials, count = rows.shape
     if blocks is None:
         blocks = _blocks(range(0, trials, max(count, 1)), max(count, 1))
@@ -350,6 +360,7 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
         x = nodes[part]
         multiplier = 1.0 - x * np.conj(spec.w)
         sampled = kernel(x)
+        _require_finite(part.start, 1, sampled[None])
         for first, stop, stride in blocks.tolist():
             if phi is None:
                 values = rational(x)[None]
@@ -362,9 +373,7 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
                 product = np.dot if phi.flags.writeable else np.matmul
                 values = product(rows[first:stop], phi[:, ::stride])
                 np.multiply(multiplier[::stride], values, out=values)
-            if not np.isfinite(values).all():
-                row, node = np.argwhere(~np.isfinite(values))[0]
-                raise NonFiniteIntegrand(part.start + stride * int(node), complex(values[row, node]))
+            _require_finite(part.start, stride, values)
             yield (slice(part.start, part.start + len(x), stride), slice(first, stop),
                    multiplier[::stride], sampled[::stride], values)
             del values  # freed before the next block is formed
@@ -643,22 +652,26 @@ def nu_minimum(spec: KernelSpec, basis: TMBasis, rows, grid: CircleGrid) -> tupl
     bit, by branch and bound (A. H. Land and A. G. Doig, Econometrica 28,
     1960) over the same grid pass, brackets and refinement.
 
-    One streamed pass scores the first block of m rows in full (the
-    optimum, in a competitor scan) and evaluates every other row's error
+    One streamed pass scores the first min(2, m) rows in full (the optimum
+    and trial 1, in a competitor scan) and evaluates every other row's error
     only at every _SCREEN_STRIDE-th node of each part, keeping its largest
-    modulus there, the screen.  The first block's brackets are refined as
+    modulus there, the screen.  A row of a product rounds alike in any block
+    of two or more rows, so those rows round as in nu_functional's first
+    block of m.  Only a block of one row, which numpy multiplies by a
+    matrix-vector routine, rounds apart; it is formed only where m = 1,
+    where nu_functional forms it too.  Their brackets are refined as
     _nu_branch says.  A screened row whose screen less its margin
-    (_screen_margins) exceeds the best refined value cannot be the
-    minimum: nu is at least the middle value of the row's bracket at its
-    best node j, which is at most a margin's half below the grid pass's
-    value at j, which is at least the pass's value at the screen's node,
-    at most a margin's half below the screen.  The blocks holding any
-    other row then take the full grid pass, in their own blocks of m rows
-    (so each row rounds as in nu_functional), and their rows' brackets are
-    refined as the first block's were.  One row, a batch of one block, or
-    a batch with a bound that is not finite (see _screen_margins) takes
-    nu_functional's pass for every row, so a non-finite R raises
-    NonFiniteIntegrand at the same node."""
+    (_screen_margins) exceeds the best refined value cannot be the minimum:
+    nu is at least the middle value of the row's bracket at its best node j,
+    which is at most a margin's half below the grid pass's value at j, which
+    is at least the pass's value at the screen's node, at most a margin's
+    half below the screen.  The blocks holding any other row then take the
+    full grid pass, in their own aligned blocks of m rows (so each row
+    rounds as in nu_functional), and their rows' brackets are refined as the
+    first rows' were.  One row, a batch of one block, or a batch with a
+    bound that is not finite (see _screen_margins) takes nu_functional's
+    pass for every row, so a non-finite R or K raises NonFiniteIntegrand at
+    the same node."""
     rows = np.asarray(rows, dtype=complex)
     nodes = grid.nodes
     trials, count = rows.shape
@@ -668,14 +681,15 @@ def nu_minimum(spec: KernelSpec, basis: TMBasis, rows, grid: CircleGrid) -> tupl
         values = nu_functional(spec, basis, rows, grid)
         first = int(np.argmin(values))
         return first, float(values[first])
+    scored = min(2, block)
     screen = block * _SCREEN_STRIDE  # rows per screened block: as many values as a full one
     blocks = np.concatenate([
-        _blocks([0], block), _blocks(range(block, trials, screen), screen, _SCREEN_STRIDE)
+        _blocks([0], scored), _blocks(range(scored, trials, screen), screen, _SCREEN_STRIDE)
     ])
     top, index, _ = _nu_grid_pass(spec, basis, rows, nodes, blocks)
-    best = _nu_branch(spec, basis, rows, nodes, np.arange(block), index, (np.inf, trials))
-    rest = np.arange(block, trials)
-    rest = rest[~(top[block:] - margins[block:] > best[0])]
+    best = _nu_branch(spec, basis, rows, nodes, np.arange(scored), index, (np.inf, trials))
+    rest = np.arange(scored, trials)
+    rest = rest[~(top[scored:] - margins[scored:] > best[0])]
     del top, index
     if len(rest):
         blocks = _blocks(np.unique(rest // block) * block, block)

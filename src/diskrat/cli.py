@@ -191,6 +191,14 @@ def _format(value) -> str:
     return value
 
 
+def _path(value) -> str:
+    """value itself, if it is a string: a config file's number, boolean,
+    null or list is no file name."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a file name, got {json.dumps(value)}")
+    return value
+
+
 def _names(value) -> list[str]:
     return [s for s in value.split(",") if s] if isinstance(value, str) else list(value)
 
@@ -237,7 +245,7 @@ OPTIONS = (
            'evaluation points with |z| <= 1 as semicolon-separated "re,im" pairs'),
     Option("--format", "format", _format, ("basis", "approximate", "sweep"), None,
            "csv or json (sweep: csv only)"),
-    Option("--out", "out", str, _ALL),
+    Option("--out", "out", _path, _ALL),
     Option("--only", "only", _names, ("verify",), None,
            f"comma list from: {','.join(ALL_CHECK_NAMES)}"),
     Option("--tol", "tolerances", _tolerances, ("verify",), None,

@@ -157,9 +157,9 @@ def uniform_competitor_scan(
     observed minimum can never fall below the closed-form infimum (up to
     evaluation noise).  The minimum and its trial are those of
     nu_functional over every trial, to the bit, found by
-    bergman_approx.nu_minimum: the first block of trials, which holds the
-    optimum, is scored in full, and any other trial only as far as needed
-    to show that it cannot be the minimum."""
+    bergman_approx.nu_minimum: the optimum and trial 1 are scored in full,
+    and any other trial only as far as needed to show that it cannot be
+    the minimum."""
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -1111,6 +1111,82 @@ class TestStreamedBrackets:
         assert raised.value.node_index == 5
         assert not cmath.isfinite(raised.value.value)
 
+    @pytest.mark.parametrize("stored", [False, True], ids=["evaluated", "stored"])
+    @pytest.mark.parametrize("trials", [1, 40])
+    @pytest.mark.parametrize("functional, kernel", [
+        (lambda spec, basis, rows, grid: mu_functional(spec, basis, rows, grid, extended=False),
+         KernelSpec.bergman),
+        (nu_functional, KernelSpec.cauchy_power),
+        (equimodularity_variation, KernelSpec.cauchy_power),
+        (lambda spec, basis, rows, grid: bergman_approx.nu_minimum(
+            spec, basis, np.atleast_2d(rows), grid), KernelSpec.cauchy_power),
+    ], ids=["mu", "nu", "equimodularity", "nu_minimum"])
+    def test_a_non_finite_kernel_sample_stops_the_pass(self, functional, kernel, trials, stored):
+        # (1 - x conj(w))^-171 and ^-172 overflow on the nodes nearest
+        # x = i, below node 1024 of 4096, where every R is finite: the pass
+        # names K's first non-finite node, where a nan nu or a variation of
+        # 0 would pass for a value
+        spec = KernelSpec(170, 0.999j)
+        grid = circle_grid(4096)
+        basis = TMBasis([0.3, -0.2j, 0j])
+        rng = np.random.default_rng(11)
+        rows = 0.1 * (rng.standard_normal((trials, 3)) + 1j * rng.standard_normal((trials, 3)))
+        if stored:
+            basis.design_matrix(grid)
+        bad = ~np.isfinite(kernel(spec, grid.nodes))
+        node = int(np.argmax(bad))
+        assert bad.any() and 900 < node < 1024
+        with pytest.raises(NonFiniteIntegrand) as raised:
+            functional(spec, basis, rows[0] if trials == 1 else rows, grid)
+        assert raised.value.node_index == node
+        assert not cmath.isfinite(raised.value.value)
+
+
+@st.composite
+def _height_configuration(draw):
+    """The rows of a competitor scan of 2 to 40 functions on 2^12 to 2^14
+    nodes, stored or not, multiplied at every node or at the screen's
+    stride."""
+    alpha = draw(st.integers(0, 3))
+    w = draw(_disk_point(0.05, 0.9))
+    pool = [0j, draw(_disk_point(0.0, 0.8)), draw(_disk_point(0.99, 0.999)),
+            draw(_disk_point(0.0, 0.95))]
+    free = draw(st.lists(st.sampled_from(pool), min_size=int(alpha == 0), max_size=39 - alpha))
+    nodes = 2 ** draw(st.integers(12, 14))
+    stored = draw(st.booleans())
+    stride = draw(st.sampled_from([1, bergman_approx._SCREEN_STRIDE]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return alpha, w, free, nodes, stored, stride, seed
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(configuration=_height_configuration())
+def test_a_row_rounds_alike_in_every_block_of_two_rows_or_more(configuration):
+    # nu_minimum scores its first two rows in a block of two, nu_functional
+    # in a block of m: a BLAS whose product rounded a row by the height of
+    # its block would move min_nu.  Each block here starts at row 0, one
+    # for every height from m down to 2, on read-only stored parts (whole
+    # or at the screen's stride) or on evaluated ones.
+    alpha, w, free, nodes, stored, stride, seed = configuration
+    spec = KernelSpec(alpha, w)
+    approx = build_approximant(spec, free)
+    count = len(approx.coefficients)
+    rows = competitor_trials(approx, count, np.random.default_rng(seed))
+    grid = circle_grid(nodes)
+    if stored:
+        approx.basis.design_matrix(grid)
+    blocks = np.array([(0, height, stride) for height in range(count, 1, -1)])
+    tallest = {}
+    for at, block, _, _, values in bergman_approx._competitor_values(
+        spec, approx.basis, rows, grid.nodes, spec.cauchy_power, blocks
+    ):
+        bits = values.view(np.uint64)
+        if block.stop == count:
+            tallest[at.start] = bits.copy()
+        else:
+            assert np.array_equal(bits, tallest[at.start][: block.stop])
+    assert sorted(tallest) == list(range(0, nodes, PIECE_NODES if stored else NODE_CHUNK))
+
 
 @st.composite
 def _scan_configuration(draw):
@@ -1191,16 +1267,22 @@ class TestNuMinimum:
         rows = np.vstack([np.full((3, 3), 0.1, dtype=complex), bad[:2], np.full((4, 3), 0.1)])
         return basis, rows
 
-    @pytest.mark.parametrize("overflow", ["kernel", "row"])
-    def test_an_unbounded_scan_raises_where_every_row_is_scored(self, overflow, monkeypatch):
+    @pytest.mark.parametrize("overflow, node", [("kernel", 0), ("bound", 5), ("row", 5)],
+                             ids=["kernel", "bound", "row"])
+    def test_an_unbounded_scan_raises_where_every_row_is_scored(self, overflow, node, monkeypatch):
         # A kernel supremum (1 - |w|)^-(1+alpha) past the double range, or a
         # row whose norm squares past it: nu_minimum takes nu_functional's
-        # pass for every row, which stops at the same node.
+        # pass for every row, which stops at the same node.  At w = 0.999999
+        # that is node 0, where the sample of K overflows; with w halfway
+        # between nodes 0 and 1 every sample of K is finite though the
+        # supremum is not, and the pass stops at row 1's overflow at node 5.
         grid = circle_grid(2**16)
         basis, rows = self.doctored_scan(grid)
         spec = KernelSpec(0, 0.3 + 0.4j)
         if overflow == "kernel":
             spec = KernelSpec(60, 0.999999)
+        elif overflow == "bound":
+            spec = KernelSpec(60, cmath.rect(0.999999, math.pi / 2**16))
         else:
             rows[-1, 0] = 1e200
         raised = []
@@ -1212,12 +1294,14 @@ class TestNuMinimum:
             raised.append((error.value.node_index, repr(error.value.value), read))
             monkeypatch.undo()
         assert raised[0] == raised[1]
-        assert raised[0][0] == 5 and raised[0][2] == [0]
+        assert raised[0][0] == node and raised[0][2] == [0]
 
     def test_a_scan_at_the_optimum_scores_one_block_and_refines_one_bracket(self, monkeypatch):
+        # the block scored in full is the optimum and trial 1, two rows of
+        # the 8 functions
         spec = KernelSpec(1, 0.45 - 0.3j)
         approx = build_approximant(spec, PoleSequence.random(6, np.random.default_rng(83)))
-        block = len(approx.coefficients)  # 8 functions: 13 blocks of 8 rows
+        assert len(approx.coefficients) == 8
         full, refined = [], []
         values = bergman_approx._competitor_values
         golden = bergman_approx._golden_max
@@ -1238,8 +1322,34 @@ class TestNuMinimum:
         monkeypatch.setattr(bergman_approx, "_golden_max", golden_max)
         report = uniform_competitor_scan(approx, 100, 7, circle_grid(2**15))
         assert report.trials == 100 and report.argmin_trial == 0
-        assert full == [(0, 0, block), (NODE_CHUNK, 0, block)]
+        assert full == [(0, 0, 2), (NODE_CHUNK, 0, 2)]
         assert refined == [1]
+
+    def test_the_largest_oracle_shape_scores_two_trials_in_full(self, monkeypatch):
+        # oracle's largest request shape, a stored 16384-node design of 37
+        # functions: the first grid pass scores the optimum and trial 1 on
+        # every node and screens the other 98, so it scores at most
+        # 2 x 16384 values in full
+        spec = KernelSpec(2, 0.5 - 0.3j)
+        approx = build_approximant(spec, PoleSequence.random(34, np.random.default_rng(4), 0.9))
+        grid = circle_grid(16384)
+        assert approx.basis.design_matrix(grid).shape == (16384, 37)
+        full = []  # per grid pass, the values scored at every node
+        values = bergman_approx._competitor_values
+
+        def competitor_values(*args, **kwargs):
+            full.append(0)
+            for at, rows_at, multiplier, sampled, error in values(*args, **kwargs):
+                if at.step == 1:
+                    full[-1] += error.size
+                yield at, rows_at, multiplier, sampled, error
+
+        monkeypatch.setattr(bergman_approx, "_competitor_values", competitor_values)
+        report = uniform_competitor_scan(approx, 100, 7, grid)
+        assert 0 < full[0] <= 2 * 16384
+        monkeypatch.undo()
+        rows = competitor_trials(approx, 100, np.random.default_rng(7))
+        assert (report.argmin_trial, report.min_nu) == full_minimum(spec, approx.basis, rows, grid)
 
 
 def whole_part_values(spec, basis, rows, nodes, kernel, blocks=None):

@@ -1044,6 +1044,28 @@ class TestOptionTable:
         config.write_text(json.dumps({"alpha": 1, "w": [0.5, 0], "n": 2}))
         assert run_cli(capsys, "approximate", "--config", str(config))[0] == 0
 
+    @pytest.mark.parametrize("command", ["verify", "approximate"])
+    @pytest.mark.parametrize("value", [True, False, 7, 1.5, None, ["a"], {"a": "b"}],
+                             ids=["true", "false", "int", "float", "null", "list", "object"])
+    def test_a_config_out_that_is_not_a_string_is_a_usage_error(self, capsys, tmp_path,
+                                                                  monkeypatch, command, value):
+        # str(value) would name a file True, 7, None or ['a'] and exit 0
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out": value}))
+        code, out, err = run_cli(capsys, command, "--config", str(config))
+        assert (code, out) == (1, "")
+        assert f"--out: expected a file name, got {json.dumps(value)}" in err
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+    def test_a_config_out_string_names_the_output_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out": "report.json", "w": [0.5, 0], "poles": [[0, 0]]}))
+        code, out, _ = run_cli(capsys, "approximate", "--config", str(config))
+        assert (code, out) == (0, "")
+        assert json.loads((tmp_path / "report.json").read_text())["error_report"]["n"] == 1
+
     def test_config_tolerances_merge_with_flags(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(
