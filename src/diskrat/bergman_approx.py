@@ -93,10 +93,12 @@ _SCREEN_STRIDE = 16
 
 #: Bytes per row nu_functional or nu_minimum holds beside the rows and the
 #: m-dependent part that competitor_trials counts (the running maximum and
-#: its node, the bracket evaluation, _golden_max and their temporaries, and
-#: nu_minimum's screen, margin and second pass): by tracemalloc at 20,000
-#: rows, m = 2 to 30, about 43 doubles for nu_functional and at most 54 for
-#: nu_minimum, where every row must be scored in full; 64 leave headroom.
+#: its node, the bracket evaluation, whose TMBasis.eval_sum holds four
+#: working arrays however the poles recur, _golden_max and their
+#: temporaries, and nu_minimum's screen, margin and second pass): by
+#: tracemalloc at 20,000 rows, m = 2 to 30, about 43 doubles for
+#: nu_functional and at most 54 for nu_minimum, where every row must be
+#: scored in full; 64 leave headroom.
 _NU_ROW_BYTES = 64 * 8
 
 
@@ -756,11 +758,9 @@ def competitor_trials(
     DesignTooLarge before anything is allocated: per trial its row, its
     draws, 16 m bytes for its row's part in the nu brackets and the rest of
     its nu state, _NU_ROW_BYTES.  The draws are freed before nu runs.  With
-    the 16 m bytes they cover the reciprocals eval_sum keeps at repeated
-    poles when it sums the brackets, at most m/2 arrays (and no more than
-    tm_basis._KEPT_RECIPROCALS) of 48 bytes per trial, and in a refinement
-    step the copy of a live bracket's row and its reciprocals, 16 m + 8 m
-    bytes."""
+    the 16 m bytes they cover the copy of a live bracket's row in a
+    refinement step, 16 m bytes; eval_sum holds no more arrays at repeated
+    poles than at distinct ones, so the count over-covers."""
     optimum = approx.coefficients
     trials, count = int(trials), len(optimum)
     shape = (max(trials - 1, 0), 2, count)  # the real draws behind rows 1, 2, ...

@@ -38,17 +38,16 @@ __all__ = [
 
 #: Largest array of values TMBasis.eval_all may allocate, in bytes: points
 #: times functions times 16 (complex double) or the size of a complex long
-#: double (32 on x86-64), plus two arrays of the points' size for every
-#: (scale, factor) pair its recurrence keeps across other poles' steps.  It
-#: bounds every design matrix, the working arrays and kept reciprocals of
-#: TMBasis.eval_sum, and what inner_products forms: its result and one
-#: piece of conjugate values.  The grid passes take at most NODE_CHUNK
-#: nodes at a time: a batch of m-coefficient rows evaluates one m x
-#: NODE_CHUNK block per part (m times 256 KiB in doubles), or reads one
-#: m x PIECE_NODES part in place from a stored design (TMBasis.eval_chunks),
-#: and multiplies it by the rows in one product; one row, summed by
-#: eval_sum, forms no block.  eval_all evaluates any other array whole, and
-#: design_matrix is the one writer of stored whole-grid blocks.
+#: double (32 on x86-64): the size of its output, a design.  It bounds
+#: every design matrix, the working arrays of TMBasis.eval_sum, and what
+#: inner_products forms: its result and one piece of conjugate values.
+#: The grid passes take at most NODE_CHUNK nodes at a time: a batch of
+#: m-coefficient rows evaluates one m x NODE_CHUNK block per part (m times
+#: 256 KiB in doubles), or reads one m x PIECE_NODES part in place from a
+#: stored design (TMBasis.eval_chunks), and multiplies it by the rows in
+#: one product; one row, summed by eval_sum, forms no block.  eval_all
+#: evaluates any other array whole, and design_matrix is the one writer of
+#: stored whole-grid blocks.
 MAX_DESIGN_BYTES = 2**28
 
 #: The side of a Gram matrix of MAX_DESIGN_BYTES, 4096: no basis of more
@@ -77,10 +76,6 @@ NODE_CHUNK = 2**14
 #: inner_products conjugates the design in pieces of columns that hold as
 #: many values as PIECE_NODES of its rows.
 PIECE_NODES = 2**12
-
-#: The most reciprocals TMBasis.eval_sum keeps across other poles' steps;
-#: it forms any other again at each occurrence.
-_KEPT_RECIPROCALS = 4
 
 
 class PoleSequence:
@@ -277,36 +272,18 @@ class TMBasis:
             raise IndexOutOfRange(f"requested {count} functions, have {self.size}")
         return count
 
-    def _most_kept(self, count: int) -> int:
-        """The most poles, among the first count, that a recurrence over
-        them keeps values of while another pole's step runs: the nonzero
-        poles that occur both before and after that step.  The same in
-        either direction of the recurrence."""
-        poles = self.poles[:count]
-        last = {a: k for k, a in enumerate(poles) if a != 0}
-        kept: set[complex] = set()
-        most_kept = 0
-        for k, a in enumerate(poles):
-            kept.discard(a)
-            most_kept = max(most_kept, len(kept))
-            if a != 0 and last[a] > k:
-                kept.add(a)
-        return most_kept
-
     def eval_all(self, z, count: int | None = None) -> np.ndarray:
         """Stack [phi_0(z), ..., phi_{count-1}(z)] along a new leading axis,
         in a new array: every call runs the recurrence, whatever z is.
 
-        The recurrence makes one step per distinct pole, wherever its
-        repeats lie: it forms the denominator 1 - conj(a) z once, shares it
-        between the scale of phi_k and the product factor, and keeps that
-        (scale, factor) pair, keyed by pole equality as multiplicities are,
-        until the pole's last occurrence.  A zero pole divides nothing: its
-        factor is z itself.  The factor of the last function is not formed.
-        Values of more than MAX_DESIGN_BYTES, counting the pairs kept while
-        other poles' steps run, raise DesignTooLarge before anything is
-        allocated.  The bits are those of forming the pair again at every
-        repeat, and depend on the length of z (see NODE_CHUNK); the grid
+        The recurrence forms the denominator 1 - conj(a) z once per run of
+        equal consecutive poles, shares it between the scale of phi_k and
+        the product factor, and reuses that (scale, factor) pair along the
+        run; a pole that recurs after other poles forms it again, to the
+        same bits.  A zero pole divides nothing: its factor is z itself.
+        The factor of the last function is not formed.  Values of more than
+        MAX_DESIGN_BYTES raise DesignTooLarge before anything is allocated.
+        The bits depend on the length of z (see NODE_CHUNK); the grid
         passes of a batch of rows go through eval_chunks.
         """
         count = self._check_count(count)
@@ -314,9 +291,7 @@ class TMBasis:
         scalar = z.ndim == 0
         zz = np.atleast_1d(z)
         dtype = np.result_type(zz, np.complex128)
-        poles = self.poles[:count]
-        last = {a: k for k, a in enumerate(poles) if a != 0}
-        size = zz.size * (count + 2 * self._most_kept(count)) * dtype.itemsize
+        size = zz.size * count * dtype.itemsize
         if size > MAX_DESIGN_BYTES:
             raise DesignTooLarge(
                 f"an evaluation of {zz.size} points by {count} functions "
@@ -324,20 +299,18 @@ class TMBasis:
             )
         out = np.empty((count,) + zz.shape, dtype=dtype)
         running = np.ones(zz.shape, dtype=out.dtype)
-        pairs: dict[complex, tuple] = {}
+        poles = self.poles[:count]
         for k, a in enumerate(poles):
-            if a == 0:
+            if k > 0 and poles[k - 1] == a:
+                pass  # the rest of a run reuses its first pole's pair
+            elif a == 0:
                 scale, factor = None, zz
-            elif a in pairs:
-                scale, factor = pairs.pop(a) if last[a] == k else pairs[a]
             else:
                 denominator = 1.0 - self._conjs[k] * zz
                 scale = self._norms[k] / denominator
                 factor = None
                 if k + 1 < count:
                     factor = self._phases[k] * (zz - a) / denominator
-                if last[a] > k:
-                    pairs[a] = scale, factor
             if scale is None:
                 out[k] = running
             else:
@@ -367,15 +340,13 @@ class TMBasis:
         the factors are moved onto the coefficients, so each step is
         acc = ((z - a_k) acc + c'_k) / (1 - conj(a_k) z), with one product,
         one sum and one product by the reciprocal; c'_k is formed in its
-        step, one column of the rows at a time.  The reciprocal of a
-        nonzero pole is formed at its last occurrence and kept, keyed by
-        pole equality, until its first, while fewer than _KEPT_RECIPROCALS
-        are kept; any other occurrence forms it again, to the same bits.  A
-        zero pole divides nothing.  Two working arrays of the result's
-        size, two of z's size and one for each reciprocal kept while other
-        poles' steps run, at most _KEPT_RECIPROCALS, and c'_k of rows, are
-        counted against MAX_DESIGN_BYTES: more raise DesignTooLarge before
-        anything is allocated.
+        step, one column of the rows at a time.  z - a_k and the reciprocal
+        are formed once per run of equal consecutive poles and reused along
+        it; a pole that recurs after other poles forms them again, to the
+        same bits.  A zero pole divides nothing.  Two working arrays of the
+        result's size, two of z's size and c'_k of rows are counted against
+        MAX_DESIGN_BYTES, however the poles recur: more raise DesignTooLarge
+        before anything is allocated.
 
         Every operation writes into an array of its own, and no complex
         product writes over one of its operands, so the bits at a point do
@@ -395,18 +366,13 @@ class TMBasis:
         shape = np.broadcast_shapes(z.shape, lead) if lead else z.shape
         dtype = np.result_type(z, np.complex128)
         column = math.prod(lead) if lead else 0  # c'_k of rows
-        kept = min(self._most_kept(count), _KEPT_RECIPROCALS)
-        size = (2 * math.prod(shape) + (2 + kept) * z.size + column) * dtype.itemsize
+        size = (2 * math.prod(shape) + 2 * z.size + column) * dtype.itemsize
         if size > MAX_DESIGN_BYTES:
             raise DesignTooLarge(
                 f"a sum of {count} functions at {math.prod(shape)} points needs {size} "
                 f"bytes, more than the cap of {MAX_DESIGN_BYTES}"
             )
         poles = self.poles[:count]
-        first: dict[complex, int] = {}
-        for k, a in enumerate(poles):
-            if a != 0:
-                first.setdefault(a, k)
         # c'_k = c_k sqrt(1 - |a_k|^2) times phases[k], the unimodular
         # constants of f_0..f_(k-1)
         phases = list(itertools.accumulate(self._phases[:count], operator.mul, initial=1.0))
@@ -414,23 +380,20 @@ class TMBasis:
         acc = np.zeros(shape, dtype=dtype)
         term = np.empty_like(acc)
         shifted = np.empty(z.shape, dtype=dtype)
-        reciprocals: dict[complex, np.ndarray] = {}
+        reciprocal = np.empty_like(shifted)
         for k in reversed(range(count)):
             a = poles[k]
-            factor = z if a == 0 else np.subtract(z, a, out=shifted)
-            np.multiply(factor, acc, out=term)
+            if a != 0 and (k + 1 == count or poles[k + 1] != a):  # a run's first step
+                np.subtract(z, a, out=shifted)
+                np.multiply(z, self._conjs[k], out=reciprocal)
+                np.subtract(1.0, reciprocal, out=reciprocal)
+                np.divide(1.0, reciprocal, out=reciprocal)
+            np.multiply(z if a == 0 else shifted, acc, out=term)
             np.add(term, columns[k] * phases[k] * self._norms[k], out=term)
             if a == 0:
                 acc, term = term, acc
-                continue
-            reciprocal = reciprocals.pop(a, None) if first[a] == k else reciprocals.get(a)
-            if reciprocal is None:
-                reciprocal = np.multiply(z, self._conjs[k], out=np.empty_like(shifted))
-                np.subtract(1.0, reciprocal, out=reciprocal)
-                np.divide(1.0, reciprocal, out=reciprocal)
-                if first[a] < k and len(reciprocals) < _KEPT_RECIPROCALS:
-                    reciprocals[a] = reciprocal
-            np.multiply(term, reciprocal, out=acc)
+            else:
+                np.multiply(term, reciprocal, out=acc)
         return acc[()]
 
     def eval_chunks(self, nodes, count: int | None = None):

@@ -323,13 +323,15 @@ def _check_inequality_group() -> list[tuple[str, float, dict]]:
         optimum = approx.coefficients
         trials = competitor_trials(approx, 100, rng)
         nu_values = nu_functional(spec, basis, trials, nu_grid)
+        # the Gram stores the mu grid's design, which the mu pass then reads
+        gram = basis.gram_matrix(mu_grid)
         mu = mu_functional(spec, basis, np.vstack([optimum, trials]), mu_grid, extended=False)
         mu_at_optimum, mu_values = mu[0], mu[1:]
         bound = mu_values * (1.0 - abs(w) ** 2) - nu_values**2
         worst_ineq = max(worst_ineq, float(np.max(bound)))
         # Parseval gap against the ratio coefficients <R / (1 - x conj(w)), phi_k>
         # by quadrature on the mu grid: the rows times the discrete Gram matrix
-        recovered = trials @ basis.gram_matrix(mu_grid)
+        recovered = trials @ gram
         sq = np.sum(np.abs(recovered - optimum) ** 2, axis=1)
         worst_gap = max(worst_gap, float(np.max(np.abs(mu_values - mu_at_optimum - sq))))
     detail = {"configurations": len(configs), "trials_per_config": 100}

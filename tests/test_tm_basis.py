@@ -491,21 +491,21 @@ class TestNestedSum:
             basis.eval_sum(np.ones(basis.size + 1), z)
 
     @pytest.mark.parametrize(
-        "poles, kept",
+        "poles",
         [
-            ([0.3, -0.4j] * 3, 1),
-            ([0.3, -0.4j, 0.5 + 0.2j] * 2, 2),
-            ([0j, 0.3, 0.3, 0j, 0j], 0),  # a zero pole keeps no array
-            ([0.3] * 3 + [-0.4j] * 3, 0),  # nor does a run of equal poles
+            [0.3, -0.4j] * 3,
+            [0.3, -0.4j, 0.5 + 0.2j] * 2,
+            [0j, 0.3, 0.3, 0j, 0j],
+            [0.3] * 3 + [-0.4j] * 3,
         ],
     )
-    def test_kept_reciprocals_count_toward_the_cap(self, poles, kept, monkeypatch):
-        # Four working arrays of the points' size, and the reciprocal of
-        # every pole that recurs on both sides of another pole's step.
+    def test_the_cap_counts_four_arrays_whatever_the_repeats(self, poles, monkeypatch):
+        # Two working arrays of the result's size and two of the points'
+        # size, z - a and the reciprocal of the current run of equal poles.
         nodes = circle_grid(256).nodes
         basis = TMBasis(poles)
         c = np.ones(len(poles))
-        size = 256 * (4 + kept) * 16
+        size = 256 * 4 * 16
         monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", size - 1)
         tracemalloc.start()
         try:
@@ -524,10 +524,10 @@ class TestNestedSum:
             tracemalloc.stop()
         assert peak <= size + 4096
 
-    def test_a_sum_keeps_a_few_reciprocals_however_many_poles_recur(self):
+    def test_a_sum_holds_a_few_arrays_however_many_poles_recur(self):
         # 600 distinct poles listed twice: every pole recurs after 599
         # others, whose reciprocals were each one array of the part's nodes
-        # (157 MB on one part); at most _KEPT_RECIPROCALS are kept now.
+        # (157 MB on one part) when every one was kept; a sum holds four.
         poles = list(PoleSequence.random(600, np.random.default_rng(61), max_modulus=0.9))
         basis = TMBasis(poles * 2)
         nodes = circle_grid(tm_basis.NODE_CHUNK).nodes
@@ -539,28 +539,7 @@ class TestNestedSum:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= (4 + tm_basis._KEPT_RECIPROCALS + 1) * part
-
-    @pytest.mark.parametrize("extended", [False, True])
-    @pytest.mark.parametrize("order", ["cycled", "mirrored", "shuffled"])
-    def test_reciprocals_formed_again_keep_their_bits(self, extended, order, monkeypatch):
-        distinct = list(PoleSequence.random(9, np.random.default_rng(71), max_modulus=0.95))
-        poles = {
-            "cycled": distinct * 3,
-            "mirrored": distinct + distinct[::-1] + [0j] + distinct,
-            "shuffled": [distinct[i] for i in np.random.default_rng(73).integers(0, 9, 40)],
-        }[order]
-        basis = TMBasis(poles)
-        assert basis._most_kept(basis.size) > tm_basis._KEPT_RECIPROCALS
-        z = nested_points(extended)
-        rng = np.random.default_rng(79)
-        c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-        rows = rng.standard_normal((len(z), basis.size)) + 0.25j
-        bounded = basis.eval_sum(c, z), basis.eval_sum(rows, z)
-        monkeypatch.setattr(tm_basis, "_KEPT_RECIPROCALS", basis.size)
-        unbounded = basis.eval_sum(c, z), basis.eval_sum(rows, z)
-        for got, want in zip(bounded, unbounded):
-            assert np.array_equal(got, want)
+        assert peak <= 6 * part
 
 
 class TestDesignMemo:
@@ -651,20 +630,21 @@ class TestDesignBound:
             TMBasis([0.3] * 4).design_matrix(circle_grid(256))
 
     @pytest.mark.parametrize(
-        "poles, kept",
+        "poles",
         [
-            ([0.3, -0.4j] * 3, 1),
-            ([0.3, -0.4j, 0.5 + 0.2j] * 2, 2),
-            ([0j, 0.3, 0.3, 0j, 0j], 0),  # a zero pole keeps no arrays
-            ([0.3] * 3 + [-0.4j] * 3, 0),  # nor does a run of equal poles
+            [0.3, -0.4j] * 3,
+            [0.3, -0.4j, 0.5 + 0.2j] * 2,
+            [0j, 0.3, 0.3, 0j, 0j],
+            [0.3] * 3 + [-0.4j] * 3,
         ],
     )
-    def test_kept_pairs_count_toward_the_cap(self, poles, kept, monkeypatch):
-        # A pole's (scale, factor) pair, two arrays of the points' size, is
-        # kept through the steps of other poles until its last occurrence.
+    def test_a_design_of_exactly_the_cap_is_admitted(self, poles, monkeypatch):
+        # The cap is the output's bytes, however the poles recur: only a run
+        # of equal poles shares its (scale, factor) pair, which no other
+        # pole's step outlives.
         nodes = circle_grid(256).nodes
         basis = TMBasis(poles)
-        size = 256 * (len(poles) + 2 * kept) * 16
+        size = 256 * len(poles) * 16
         monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", size - 1)
         tracemalloc.start()
         try:
@@ -675,33 +655,59 @@ class TestDesignBound:
             tracemalloc.stop()
         assert peak < 256 * 16
         monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", size)
-        assert same_bits(basis.eval_all(nodes), adjacent_only_eval_all(poles, nodes))
+        assert same_bits(basis.eval_all(nodes), every_step_eval_all(poles, nodes))
 
 
-def adjacent_only_eval_all(poles, z, count=None):
-    """The recurrence of TMBasis.eval_all as it was when a pole's
-    (scale, factor) pair was reused only by the poles right after it: a
-    non-adjacent repeat forms its pair again, from its own constants."""
+def every_step_eval_all(poles, z, count=None):
+    """The recurrence of TMBasis.eval_all with every pole's (scale, factor)
+    pair formed at its own step, from its own constants."""
     count = len(poles) if count is None else count
     z = np.asarray(z)
     zz = np.atleast_1d(z)
     out = np.empty((count,) + zz.shape, dtype=np.result_type(zz, np.complex128))
     running = np.ones(zz.shape, dtype=out.dtype)
-    previous = None
     for k in range(count):
         a = complex(poles[k])
-        if a != previous:
-            if a == 0:
-                scale, factor = None, zz
-            else:
-                denominator = 1.0 - a.conjugate() * zz
-                scale = math.sqrt(1.0 - abs(a) ** 2) / denominator
-                factor = tm_basis._phase(a) * (zz - a) / denominator
-            previous = a
-        out[k] = running if scale is None else scale * running
+        if a == 0:
+            out[k] = running
+            factor = zz
+        else:
+            denominator = 1.0 - a.conjugate() * zz
+            scale = math.sqrt(1.0 - abs(a) ** 2) / denominator
+            np.multiply(scale, running, out=out[k])
+            factor = tm_basis._phase(a) * (zz - a) / denominator
         if k + 1 < count:
             running = running * factor
     return out[:, 0] if z.ndim == 0 else out
+
+
+def every_step_eval_sum(poles, coefficients, z):
+    """The nested sum of TMBasis.eval_sum with every pole's z - a and
+    reciprocal 1/(1 - conj(a) z) formed at its own step, from its own
+    constants, each operation into a new array."""
+    coefficients = np.asarray(coefficients, dtype=complex)
+    z = np.asarray(z)
+    count = coefficients.shape[-1]
+    shape = np.broadcast_shapes(z.shape, coefficients.shape[:-1])
+    dtype = np.result_type(z, np.complex128)
+    phases = [1.0]
+    for a in poles[: count - 1]:
+        phases.append(phases[-1] * tm_basis._phase(complex(a)))
+    columns = np.moveaxis(coefficients, -1, 0)
+    acc = np.zeros(shape, dtype=dtype)
+    for k in reversed(range(count)):
+        a = complex(poles[k])
+        factor = z if a == 0 else np.subtract(z, a, out=np.empty(z.shape, dtype))
+        term = np.multiply(factor, acc, out=np.empty(shape, dtype))
+        np.add(term, columns[k] * phases[k] * math.sqrt(1.0 - abs(a) ** 2), out=term)
+        if a == 0:
+            acc = term
+            continue
+        reciprocal = np.multiply(z, a.conjugate(), out=np.empty(z.shape, dtype))
+        np.subtract(1.0, reciprocal, out=reciprocal)
+        np.divide(1.0, reciprocal, out=reciprocal)
+        acc = np.multiply(term, reciprocal, out=np.empty(shape, dtype))
+    return acc[()]
 
 
 def same_bits(a, b) -> bool:
@@ -719,7 +725,7 @@ PAIR_POLES = {
     "interleaved_zeros": [0j, 0.5 + 0.2j, 0j, 0.5 + 0.2j, 0j, 0.7, 0j, 0.7, 0.7],
     # the full sequence of an approximant whose free poles include w = 0.3 - 0.4i
     "free_pole_at_w": list(PoleSequence([W, 0.2, W, 0.6j]).with_trailing(W, 3)),
-    # equal poles, and the same pair, whatever the sign of a zero part
+    # equal poles, whatever the sign of a zero part
     "signed_zeros": [
         complex(0.5, 0.0), 0.2j, complex(0.5, -0.0), complex(-0.0, 0.3),
         complex(0.0, 0.3), complex(-0.4, -0.0), 0.1, complex(-0.4, 0.0),
@@ -727,26 +733,66 @@ PAIR_POLES = {
 }
 
 
-def pair_points():
-    rng = np.random.default_rng(43)
-    on_axis = np.array([1.0, -1.0, 0.5, -0.3, 0.0, 0.4j], dtype=complex)
-    return {
-        "2^14 nodes": circle_grid(2**14).nodes,
-        "4096 nodes": circle_grid(4096).nodes,
-        "25 points": np.concatenate([on_axis, random_disk_points(rng, 19, 0.95)]),
-        "scalar": np.complex128(0.3 - 0.2j),
-        "4096 long double nodes": circle_grid(4096, extended=True).nodes,
-    }
+PAIR_POINTS = {
+    "2^14 nodes": circle_grid(2**14).nodes,
+    "4096 nodes": circle_grid(4096).nodes,
+    "25 points": np.concatenate([
+        np.array([1.0, -1.0, 0.5, -0.3, 0.0, 0.4j], dtype=complex),  # on the axes
+        random_disk_points(np.random.default_rng(43), 19, 0.95),
+    ]),
+    "scalar": np.complex128(0.3 - 0.2j),
+    "4096 long double nodes": circle_grid(4096, extended=True).nodes,
+}
 
 
-class TestPairReuse:
-    @pytest.mark.parametrize("points", sorted(pair_points()))
+def flip_zero_signs(a: complex) -> complex:
+    """a with the sign of each zero part turned: an equal pole of other bits."""
+    return complex(-a.real if a.real == 0 else a.real, -a.imag if a.imag == 0 else a.imag)
+
+
+@st.composite
+def recurring_poles(draw):
+    """Runs of poles drawn from a few values, so that runs, repeats after
+    other poles, zero poles and equal poles of other zero signs all occur."""
+    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.7, 0.7))
+    pool = draw(st.lists(st.builds(complex, part, part), min_size=1, max_size=5))
+    runs = draw(st.lists(
+        st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 4)), min_size=1, max_size=12
+    ))
+    return [
+        flip_zero_signs(pool[i]) if draw(st.booleans()) else pool[i]
+        for i, length in runs
+        for _ in range(length)
+    ]
+
+
+def assert_every_step_bits(poles, z, count):
+    """eval_all of count functions, and eval_sum of a vector and of one row
+    per point, bit for bit those of the every-step recurrences."""
+    basis = TMBasis(poles)
+    assert same_bits(basis.eval_all(z, count), every_step_eval_all(poles, z, count))
+    rng = np.random.default_rng(count)
+    c = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    rows = rng.standard_normal((np.size(z) if np.ndim(z) else 3, count)) + 0.25j
+    for coefficients in (c, rows):
+        got = np.asarray(basis.eval_sum(coefficients, z))
+        assert same_bits(got, np.asarray(every_step_eval_sum(poles, coefficients, z)))
+
+
+class TestRunReuse:
+    """Only a run of equal consecutive poles shares its denominators; the
+    bits are those of forming them again at every step."""
+
+    @pytest.mark.parametrize("points", sorted(PAIR_POINTS))
     @pytest.mark.parametrize("kind", sorted(PAIR_POLES))
-    def test_bit_for_bit_the_adjacent_only_recurrence(self, kind, points):
-        # eval_all keeps a pole's pair across other poles; the recurrence
-        # that formed it again at each non-adjacent repeat gives the same bits
+    def test_bit_for_bit_the_every_step_recurrences(self, kind, points):
         poles = PAIR_POLES[kind]
-        z = pair_points()[points]
-        basis = TMBasis(poles)
         for count in (len(poles), len(poles) - 2, 3, 1):
-            assert same_bits(basis.eval_all(z, count), adjacent_only_eval_all(poles, z, count))
+            assert_every_step_bits(poles, PAIR_POINTS[points], count)
+
+    @pytest.mark.parametrize("points", sorted(PAIR_POINTS))
+    @settings(max_examples=25, deadline=None)
+    @given(poles=recurring_poles(), data=st.data())
+    def test_every_pole_sequence_keeps_the_every_step_bits(self, points, poles, data):
+        count = data.draw(st.integers(1, len(poles)), label="count")
+        assert_every_step_bits(poles, PAIR_POINTS[points], count)

@@ -1,6 +1,7 @@
 """The library names the benchmark harness traces and patches still exist,
-every name the package declares public or README.md names resolves, and no
-grid is made past the node cap."""
+every name the package declares public, README.md names or the source's
+docstrings and comments name resolves, and no grid is made past the node
+cap."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +337,27 @@ def test_every_readme_library_name_resolves():
              if name.split(".")[0] in owners}
     assert {"TMBasis.eval_chunks", "tm_basis.PIECE_NODES", "LsqResult.minimum"} <= names
     stale = sorted(name for name in names
+                   if not resolves(owners[name.split(".")[0]], name.split(".")[1:]))
+    assert not stale
+
+
+def test_every_library_name_in_the_source_text_resolves():
+    # the rule above, applied to the docstrings, other strings and comments
+    # of the package's modules, where names stand unquoted: `TMBasis.eval_sum`
+    owners = library_owners()
+    names = set()
+    for path in sorted((ROOT / "src" / "diskrat").glob("*.py")):
+        with path.open() as source:
+            for token in tokenize.generate_tokens(source.readline):
+                if token.type in (tokenize.COMMENT, tokenize.STRING):
+                    names.update(
+                        (path.name, name)
+                        for name in re.findall(r"(?<![\w.])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+",
+                                               token.string)
+                        if name.split(".")[0] in owners
+                    )
+    assert {"TMBasis.eval_sum", "tm_basis.MAX_DESIGN_BYTES"} <= {name for _, name in names}
+    stale = sorted((file, name) for file, name in names
                    if not resolves(owners[name.split(".")[0]], name.split(".")[1:]))
     assert not stale
 
