@@ -19,6 +19,11 @@ class NonFiniteIntegrand(DiskratError):
         self.node_index = node_index
         self.value = value
 
+    def __reduce__(self):
+        # rebuilt from the fields, not from args (the message), so a worker
+        # process's error reaches its parent
+        return type(self), (self.node_index, self.value)
+
 
 class ValueOutOfRange(DiskratError):
     """A value is out of its range: an interpolation row that is not a finite
@@ -64,3 +69,6 @@ class IllConditioned(DiskratError):
             f"(condition estimate {condition:.6g})"
         )
         self.condition = condition
+
+    def __reduce__(self):
+        return type(self), (self.condition,)

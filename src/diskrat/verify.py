@@ -11,7 +11,10 @@ identical results byte for byte.
 from __future__ import annotations
 
 import contextlib
+import itertools
+import os
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,13 +128,18 @@ def _quadratic_lattice():
                     yield alpha, n, w_index, modulus, draw
 
 
-def _check_quadratic_group() -> list[tuple[str, float, dict]]:
+def _quadratic_share(share: int = 0, shares: int = 1) -> tuple:
+    """The maxima over one interleaved share of the lattice, its points
+    share, share + shares, ...: (worst relative mu, worst LSQ minimum, worst
+    route gap, largest condition, configurations).  Interleaving evens out
+    the shares' cost, which grows with n along the lattice."""
     worst_rel = 0.0
     worst_lsq = 0.0
     worst_route = 0.0
     worst_cond = 1.0
     configs = 0
-    for alpha, n, w_index, modulus, draw in _quadratic_lattice():
+    lattice = itertools.islice(_quadratic_lattice(), share, None, shares)
+    for alpha, n, w_index, modulus, draw in lattice:
         rng = np.random.default_rng([_LATTICE_SEED, alpha, n, w_index, draw])
         spec = KernelSpec(alpha, _random_w(rng, modulus))
         free = PoleSequence.random(n - alpha, rng=rng, max_modulus=0.85)
@@ -156,6 +164,16 @@ def _check_quadratic_group() -> list[tuple[str, float, dict]]:
         worst_rel = max(worst_rel, abs(mu_quad - mu_closed) / mu_closed)
         worst_lsq = max(worst_lsq, abs(mu_lsq - mu_closed) / mu_closed)
         configs += 1
+    return worst_rel, worst_lsq, worst_route, worst_cond, configs
+
+
+def _quadratic_results(partials: list[tuple]) -> list[tuple[str, float, dict]]:
+    """The group's triples from its shares' maxima.  Max and sum are
+    exact, so every split gives the values and details of one share."""
+    worst_rel, worst_lsq, worst_route, worst_cond = (
+        max(partial[k] for partial in partials) for k in range(4)
+    )
+    configs = sum(partial[4] for partial in partials)
     # spot value: alpha=0, n=1, free pole 0, w=0.5 gives exactly 4/27
     spot = mu_min_closed_form(KernelSpec(0, 0.5), PoleSequence([0j]))
     worst_rel = max(worst_rel, abs(spot - 4.0 / 27.0) / (4.0 / 27.0))
@@ -165,6 +183,10 @@ def _check_quadratic_group() -> list[tuple[str, float, dict]]:
         ("oracle_equivalence", worst_lsq, detail),
         ("oracle_routes", worst_route, detail),
     ]
+
+
+def _check_quadratic_group() -> list[tuple[str, float, dict]]:
+    return _quadratic_results([_quadratic_share()])
 
 
 def _check_uniform_group() -> list[tuple[str, float, dict]]:
@@ -396,13 +418,133 @@ CHECK_GROUPS = [
 
 ALL_CHECK_NAMES = [name for names, _ in CHECK_GROUPS for name in names]
 
+#: Groups whose work splits into interleaved shares: the share count, the
+#: function that measures one share and the one that combines the shares'
+#: results into the group's triples.  Any other group is one share.
+_SPLIT = {
+    _check_quadratic_group: (16, _quadratic_share, _quadratic_results),
+}
+
+
+def _split(group):
+    return _SPLIT.get(group, (1, lambda share, shares: group(), lambda partials: partials[0]))
+
+
+def _measure(position: int, share: int) -> tuple:
+    """One task: (result, seconds) of share `share` of the group at
+    `position` in CHECK_GROUPS.  A task names its group by position, so a
+    worker runs the registry it was forked with, patched or wrapped."""
+    shares, measure, _ = _split(CHECK_GROUPS[position][1])
+    started = time.perf_counter()
+    partial = measure(share, shares)
+    return partial, time.perf_counter() - started
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _run_tasks(tasks: list[tuple[int, int]]) -> list[tuple]:
+    """`_measure` of every task, in task order, over min(usable CPUs, tasks)
+    processes: this one and a fork pool of the others.  Where that is one,
+    where fork is not available, or where this process runs another Python
+    thread, which a fork would copy mid-step, the tasks run here, one after
+    another."""
+    processes = min(_usable_cpus(), len(tasks))
+    if processes > 1:
+        import multiprocessing
+        import threading
+
+        if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+            return _run_beside_pool(tasks, processes - 1, multiprocessing.get_context("fork"))
+    return [_measure(*task) for task in tasks]
+
+
+def _run_beside_pool(tasks: list[tuple[int, int]], workers: int, context) -> list[tuple]:
+    """Hand the first tasks to a pool of `workers` and run the last ones
+    here; then take back, from the back, each handed task that no worker
+    has started, and wait for the rest.  Results and errors come back in
+    task order.
+
+    Whole groups come first and the split groups' shares last, and this
+    process keeps 1.1 times an even part of the tasks: in a full verify on
+    two CPUs, 13 of the 23, all quadratic shares, about 58% of its time.
+    So this process, not a worker, ends last, and the wall time follows the
+    pace of its own fixed part.  A timer in this process (a benchmark's
+    reference timing) measures that pace; it does not see the workers'
+    CPUs, whose pace an even split would add to the wall time."""
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+    order = sorted(
+        range(len(tasks)), key=lambda index: _split(CHECK_GROUPS[tasks[index][0]][1])[0] > 1
+    )
+    kept = round(len(tasks) * 1.1 / (workers + 1))
+    handed, own = order[: len(tasks) - kept], order[len(tasks) - kept :]
+    pool = ProcessPoolExecutor(workers, mp_context=context)
+    blas_threads = _set_blas_threads(1)  # before the workers fork, which inherit it
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork beside any thread, the BLAS
+            # library's parked ones included; the workers fork at the first
+            # submit, before the pool starts threads of its own
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded", DeprecationWarning
+            )
+            futures = {index: pool.submit(_measure, *tasks[index]) for index in handed}
+        takeover = (index for index in reversed(handed) if futures[index].cancel())
+        for index in itertools.chain(own, takeover):
+            futures[index] = Future()
+            try:
+                futures[index].set_result(_measure(*tasks[index]))
+            except Exception as error:
+                futures[index].set_exception(error)
+        return [futures[index].result() for index in range(len(tasks))]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        if blas_threads is not None:
+            _set_blas_threads(blas_threads)
+
+
+def _set_blas_threads(count: int) -> int | None:
+    """Run OpenBLAS, where numpy uses it, on `count` threads in this process
+    and return the count it had; None, with nothing set, without OpenBLAS.
+    A pooled verify runs every process on one BLAS thread, since the
+    processes already fill the usable CPUs: with numpy's default BLAS
+    threads in the workers, verify took 3.3 s against 2.4 s in one process
+    on a 2-core VM, and with them in the calling process alone 2.0 s
+    against 1.3 s."""
+    import ctypes
+
+    previous = None
+    with contextlib.suppress(OSError), open("/proc/self/maps") as maps:
+        for lib in sorted({line.split()[-1] for line in maps if "openblas" in line.lower()}):
+            handle = ctypes.CDLL(lib)
+            for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                         "openblas_{}_num_threads"):
+                if hasattr(handle, name.format("set")):
+                    getter = getattr(handle, name.format("get"))
+                    setter = getattr(handle, name.format("set"))
+                    getter.restype = ctypes.c_int
+                    setter.argtypes = [ctypes.c_int]
+                    setter.restype = None
+                    previous = getter() if previous is None else previous
+                    setter(count)
+                    break
+    return previous
+
 
 def run_checks(
     only: list[str] | None = None, tolerances: dict | None = None
 ) -> list[CheckResult]:
-    """Run all (or the selected) checks in registry order and judge each
-    measured value against its bound: DEFAULT_TOLERANCES, overridden by
-    `tolerances`.  A selection must name at least one check."""
+    """Run all (or the selected) checks and judge each measured value
+    against its bound: DEFAULT_TOLERANCES, overridden by `tolerances`.  A
+    selection must name at least one check.
+
+    The selected groups run as one list of independent tasks, one per
+    share of a split group (_SPLIT) and one per other group, on the usable
+    CPUs (_run_tasks).  Results come back in registry order with the values
+    and details of one process, bit for bit.  A group's `group_seconds` is
+    the sum of its shares' seconds, which may overlap in wall time."""
     tolerances = tolerances or {}
     for name in tolerances:
         if name not in DEFAULT_TOLERANCES:
@@ -414,14 +556,18 @@ def run_checks(
         unknown = set(only) - set(ALL_CHECK_NAMES)
         if unknown:
             raise ValueError(f"unknown check names: {sorted(unknown)}")
+    groups = [
+        (position, _split(group))
+        for position, (names, group) in enumerate(CHECK_GROUPS)
+        if only is None or set(names) & set(only)
+    ]
+    tasks = [(position, share) for position, (shares, _, _) in groups for share in range(shares)]
+    outcomes = iter(_run_tasks(tasks))
     results = []
-    for names, group_fn in CHECK_GROUPS:
-        if only is not None and not set(names) & set(only):
-            continue
-        started = time.perf_counter()
-        measured = group_fn()
-        elapsed = time.perf_counter() - started
-        for name, value, detail in measured:
+    for _, (shares, _, combine) in groups:
+        parts = [next(outcomes) for _ in range(shares)]
+        elapsed = sum(seconds for _, seconds in parts)
+        for name, value, detail in combine([partial for partial, _ in parts]):
             if only is not None and name not in only:
                 continue
             bound = float(bounds[name])

@@ -1,8 +1,15 @@
 import argparse
 import cmath
 import json
+import multiprocessing
+import os
+import pickle
+import subprocess
 import sys
+import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +21,7 @@ import diskrat.circlequad
 import diskrat.cli
 import diskrat.tm_basis
 import diskrat.verify
-from diskrat import Approximant, ErrorReport, KernelSpec
+from diskrat import Approximant, ErrorReport, KernelSpec, errors
 from diskrat.circlequad import EPS_BOUNDARY
 from diskrat.cli import (
     COMMANDS,
@@ -26,7 +33,8 @@ from diskrat.cli import (
     parse_int_list,
     parse_pole_list,
 )
-from diskrat.verify import CHECK_GROUPS, CheckResult, run_checks
+from diskrat.errors import NonFiniteIntegrand
+from diskrat.verify import ALL_CHECK_NAMES, CHECK_GROUPS, CheckResult, run_checks, verdict_dict
 
 
 def run_cli(capsys, *argv):
@@ -473,6 +481,161 @@ class TestVerify:
         assert "no check selected" in err
         with pytest.raises(ValueError, match="no check selected"):
             run_checks(only=[])
+
+
+def measured_in_process() -> dict:
+    """{check: [value, detail]} from calling each registry group in this
+    process, in registry order: the serial route's measurements."""
+    return {
+        name: [float(value), detail]
+        for _, group in CHECK_GROUPS
+        for name, value, detail in group()
+    }
+
+
+def measured_by_run_checks(only=None) -> dict:
+    return {
+        name: [entry["value"], entry["detail"]]
+        for name, entry in verdict_dict(run_checks(only=only)).items()
+    }
+
+
+def fork_spy(monkeypatch) -> list[int]:
+    """Counts the forks of this process; each warns in the parent, as
+    Python 3.12+ does beside a BLAS thread, which the pool must not turn
+    into an error."""
+    forks, fork = [], os.fork
+
+    def spy():
+        forks.append(1)
+        pid = fork()
+        if pid:
+            warnings.warn(
+                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may "
+                "lead to deadlocks in the child.",
+                DeprecationWarning,
+            )
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forks
+
+
+class TestVerifyWorkers:
+    """run_checks spreads its groups, and the quadratic lattice in
+    interleaved shares, over a fork pool; the verdict is the serial one."""
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return measured_in_process()
+
+    @pytest.mark.parametrize(
+        "only",
+        [None, ["quadratic_exactness"], ["orthonormality", "oracle_routes", "boundary_nu"]],
+        ids=["all", "quadratic", "mixed"],
+    )
+    def test_the_pool_verdict_is_the_serial_one(self, monkeypatch, serial, only):
+        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: 2)
+        forks = fork_spy(monkeypatch)
+        expected = {name: serial[name] for name in (only or ALL_CHECK_NAMES)}
+        got = measured_by_run_checks(only)
+        assert json.dumps(got) == json.dumps(expected)
+        assert len(forks) == 1  # this process and one worker
+        assert multiprocessing.active_children() == []
+
+    def test_one_usable_cpu_forks_nothing(self, monkeypatch, serial):
+        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: 1)
+        forks = fork_spy(monkeypatch)
+        only = ["orthonormality", "oracle_routes"]
+        got = measured_by_run_checks(only)
+        assert json.dumps(got) == json.dumps({name: serial[name] for name in only})
+        assert forks == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_group_error_reaches_the_caller(self, capsys, monkeypatch, cpus):
+        def fails():
+            raise NonFiniteIntegrand(7, 1 + 2j)
+
+        groups = list(CHECK_GROUPS)
+        groups[0] = (groups[0][0], fails)
+        monkeypatch.setattr(diskrat.verify, "CHECK_GROUPS", groups)
+        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: cpus)
+        forks = fork_spy(monkeypatch)
+        only = ["orthonormality", "christoffel_darboux"]
+        with pytest.raises(NonFiniteIntegrand) as raised:
+            run_checks(only=only)
+        assert str(raised.value) == "integrand is non-finite at node index 7: (1+2j)"
+        assert (raised.value.node_index, raised.value.value) == (7, 1 + 2j)
+        assert len(forks) == (1 if cpus == 2 else 0)
+        assert multiprocessing.active_children() == []
+        code, out, err = run_cli(capsys, "verify", "--only", ",".join(only))
+        assert (code, out, err) == (2, "", "error: integrand is non-finite at node index 7: (1+2j)\n")
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def split_registry(monkeypatch, whole_seconds=0.0):
+        """A registry of one whole group, which sleeps `whole_seconds`, and
+        one group split into 16 shares; each task reports the process it
+        ran in.  Returns run_checks' quadratic detail: [share, pid] pairs."""
+
+        def whole():
+            time.sleep(whole_seconds)
+            return [("orthonormality", 0.0, {"pid": os.getpid()})]
+
+        def split():
+            raise AssertionError("a split group runs through its shares")
+
+        def combine(partials):
+            return [("quadratic_exactness", 0.0, {"ran": partials})]
+
+        groups = [(("orthonormality",), whole), (("quadratic_exactness",), split)]
+        monkeypatch.setattr(diskrat.verify, "CHECK_GROUPS", groups)
+        monkeypatch.setitem(
+            diskrat.verify._SPLIT, split, (16, lambda share, shares: [share, os.getpid()], combine)
+        )
+        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: 2)
+        results = run_checks(only=["orthonormality", "quadratic_exactness"])
+        assert multiprocessing.active_children() == []
+        return results[1].detail["ran"]
+
+    def test_this_process_runs_the_last_shares(self, monkeypatch):
+        # 17 tasks on two processes: this one keeps round(17 * 1.1 / 2) = 9,
+        # the last shares; the worker gets the whole group and shares 0-6
+        ran = self.split_registry(monkeypatch)
+        assert [share for share, _ in ran] == list(range(16))
+        assert {pid for _, pid in ran[7:]} == {os.getpid()}
+
+    def test_this_process_takes_over_what_a_slow_worker_has_not_started(self, monkeypatch):
+        ran = self.split_registry(monkeypatch, whole_seconds=0.5)
+        assert [share for share, _ in ran] == list(range(16))
+        assert ran[6][1] == os.getpid()
+
+    def test_importing_the_cli_loads_no_pool_module(self):
+        code = (
+            "import sys, diskrat.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(diskrat.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+
+def test_every_library_error_survives_pickling():
+    special = {errors.NonFiniteIntegrand: (5, 1 + 2j), errors.IllConditioned: (3.5e17,)}
+    classes = [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.DiskratError)
+    ]
+    assert {errors.DiskratError, *special} <= set(classes)
+    for cls in classes:
+        error = cls(*special.get(cls, ("a message",)))
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is cls
+        assert str(copy) == str(error)
+        assert vars(copy) == vars(error)
 
 
 @pytest.mark.parametrize(

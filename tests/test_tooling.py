@@ -294,6 +294,33 @@ def test_scan_is_patchable_on_the_cli_module():
     assert callable(diskrat.cli.uniform_competitor_scan)
 
 
+def test_a_pooled_verify_runs_blas_on_one_thread_and_restores_it():
+    # read through the benchmark's own reader of the OpenBLAS count, in a
+    # fresh interpreter, since the count is set for the whole process; each
+    # of two stand-in groups reports the count it ran with, one in the
+    # worker and one in this process
+    code = (
+        "import json, run, diskrat.verify as v\n"
+        "v._usable_cpus = lambda: 2\n"
+        "reads = lambda name: lambda: [(name, 0.0, {'blas': run.blas_threads()})]\n"
+        "names = ['orthonormality', 'christoffel_darboux']\n"
+        "v.CHECK_GROUPS = [((name,), reads(name)) for name in names]\n"
+        "before = run.blas_threads()\n"
+        "during = [result.detail['blas'] for result in v.run_checks(only=names)]\n"
+        "print(json.dumps([before, during, run.blas_threads()]))\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="2")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    before, during, after = json.loads(done.stdout)
+    if before is None:
+        pytest.skip("numpy does not run on OpenBLAS here")
+    assert (before, during, after) == (2, [1, 1], 2)
+
+
 def test_every_name_in_a_module_all_resolves():
     modules = [importlib.import_module(f"diskrat.{info.name}")
                for info in pkgutil.iter_modules(diskrat.__path__)]
