@@ -36,8 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .circlequad import CircleGrid, circle_grid, json_complex, require_in_disk
-from .errors import DesignTooLarge, NonFiniteIntegrand, ValueOutOfRange
+from .circlequad import CircleGrid, circle_grid, json_complex, require_finite, require_in_disk
+from .errors import DesignTooLarge, ValueOutOfRange
 from .expansion import FourierExpansion, expand_kernel, validate_trailing_poles
 from .kernels import KernelSpec
 from .tm_basis import MAX_DESIGN_BYTES, NODE_CHUNK, BlaschkeProduct, PoleSequence, TMBasis
@@ -320,15 +320,6 @@ def _blocks(firsts, size: int, stride: int = 1) -> np.ndarray:
     return np.stack([firsts, firsts + size, np.full_like(firsts, stride)], axis=1)
 
 
-def _require_finite(start: int, stride: int, values: np.ndarray):
-    """Raise NonFiniteIntegrand at the first non-finite node of the first
-    row of values holding one, values sampled at every stride-th node from
-    node start."""
-    if not np.isfinite(values).all():
-        row, node = np.argwhere(~np.isfinite(values))[0]
-        raise NonFiniteIntegrand(start + stride * int(node), complex(values[row, node]))
-
-
 def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, kernel,
                        blocks=None):
     """Yield (at, block, multiplier, K, R) for each part of the nodes x, in
@@ -362,7 +353,7 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
         x = nodes[part]
         multiplier = 1.0 - x * np.conj(spec.w)
         sampled = kernel(x)
-        _require_finite(part.start, 1, sampled[None])
+        require_finite(part.start, 1, sampled[None])
         for first, stop, stride in blocks.tolist():
             if phi is None:
                 values = rational(x)[None]
@@ -375,7 +366,7 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
                 product = np.dot if phi.flags.writeable else np.matmul
                 values = product(rows[first:stop], phi[:, ::stride])
                 np.multiply(multiplier[::stride], values, out=values)
-            _require_finite(part.start, stride, values)
+            require_finite(part.start, stride, values)
             yield (slice(part.start, part.start + len(x), stride), slice(first, stop),
                    multiplier[::stride], sampled[::stride], values)
             del values  # freed before the next block is formed

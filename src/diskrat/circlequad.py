@@ -41,6 +41,15 @@ def require_in_disk(z: complex) -> complex:
     return z
 
 
+def require_finite(start: int, stride: int, values: np.ndarray):
+    """Raise NonFiniteIntegrand at the first non-finite node of the first
+    row of values holding one, values sampled at every stride-th node from
+    node start."""
+    if not np.isfinite(values).all():
+        row, node = np.argwhere(~np.isfinite(values))[0]
+        raise NonFiniteIntegrand(start + stride * int(node), complex(values[row, node]))
+
+
 class CircleGrid:
     """N equispaced unit-circle nodes exp(2*pi*i*j/N), each with weight 1/N."""
 
@@ -84,8 +93,16 @@ def json_complex(values):
 @lru_cache(maxsize=32)
 def circle_grid(node_count: int, extended: bool = False) -> CircleGrid:
     """Cached grid factory; grids are immutable so sharing is safe.  The one
-    maker of grids: more than MAX_NODES nodes raise GridTooLarge before
-    anything is allocated (a raise is not cached)."""
+    maker of grids: a node count that is a bool or not integral raises
+    ValueError, and more than MAX_NODES nodes raise GridTooLarge, before
+    anything is allocated (a raise is not cached).  An integral float gives
+    the grid of its int."""
+    if isinstance(node_count, float) and node_count.is_integer():
+        # the cache keys a call by its shape: call as the library does
+        count = int(node_count)
+        return circle_grid(count, extended=True) if extended else circle_grid(count)
+    if not isinstance(node_count, (int, np.integer)) or isinstance(node_count, bool):
+        raise ValueError(f"node_count must be an integer, got {node_count!r}")
     if node_count > MAX_NODES:
         raise GridTooLarge(
             f"a quadrature grid of {node_count} nodes, more than the cap of {MAX_NODES}"
@@ -104,10 +121,7 @@ def sample_on_nodes(f: Callable, nodes: np.ndarray) -> np.ndarray:
         values = np.full(nodes.shape, complex(values), dtype=complex)
     if values.shape != nodes.shape:
         raise ValueError("integrand did not produce one value per node")
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise NonFiniteIntegrand(idx, complex(values[idx]))
+    require_finite(0, 1, values.reshape(1, -1))
     return values
 
 

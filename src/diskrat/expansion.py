@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circlequad import CircleGrid, json_complex, require_in_disk, sample_on_nodes
+from .circlequad import CircleGrid, integrate_circle, json_complex, require_in_disk, sample_on_nodes
 from .errors import CountOutOfRange, IndexOutOfRange, OrderTooSmall, TrailingPolesMismatch
 from .kernels import KernelSpec
 from .tm_basis import PIECE_NODES, PoleSequence, TMBasis, inner_products
@@ -122,13 +122,6 @@ def expand_kernel(spec: KernelSpec, basis: TMBasis) -> FourierExpansion:
     return FourierExpansion(basis, coefficients, source, grid_size)
 
 
-def _weighted_cauchy_mean(b, values, z: complex, grid: CircleGrid) -> complex:
-    """Quadrature of conj(B(t)) f(t) / (1 - z conj(t)) from the samples
-    values = f(t) at the grid nodes, for a disk point z."""
-    integrand = np.conj(b(grid.nodes)) * values / (1.0 - z * np.conj(grid.nodes))
-    return complex(np.mean(integrand))
-
-
 def h2_remainder(f: Callable, basis: TMBasis, n: int, z, grid: CircleGrid) -> complex:
     """B_n(z) * quadrature of conj(B_n(t)) f(t) / (1 - z conj(t)).
 
@@ -141,7 +134,8 @@ def h2_remainder(f: Callable, basis: TMBasis, n: int, z, grid: CircleGrid) -> co
         raise CountOutOfRange(f"remainder order {n} outside 0..{basis.size}")
     z = require_in_disk(z)
     b = basis.blaschke(n)
-    return complex(b(z) * _weighted_cauchy_mean(b, sample_on_nodes(f, grid.nodes), z, grid))
+    remainder = integrate_circle(lambda t: np.conj(b(t)) * f(t) / (1.0 - z * np.conj(t)), grid)
+    return complex(b(z) * remainder)
 
 
 def validate_trailing_poles(spec: KernelSpec, poles: PoleSequence, n: int) -> None:
@@ -169,4 +163,6 @@ def remainder_integral_J(
     validate_trailing_poles(spec, basis.poles, n)
     z = require_in_disk(z)
     b = basis.blaschke(int(n) + 1)
-    return _weighted_cauchy_mean(b, spec.bergman(grid.nodes), z, grid)
+    return integrate_circle(
+        lambda t: np.conj(b(t)) * spec.bergman(t) / (1.0 - z * np.conj(t)), grid
+    )

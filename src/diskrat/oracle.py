@@ -93,13 +93,9 @@ class LsqResult:
     orthogonality_residual: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "coefficients": json_complex(self.coefficients),
-            "minimum": self.minimum,
-            "route_gap": self.route_gap,
-            "condition": self.condition,
-            "orthogonality_residual": self.orthogonality_residual,
-        }
+        data = _fields_json(self)
+        del data["inner_coefficients"]
+        return data
 
 
 def lsq_minimize(problem: LeastSquaresProblem) -> LsqResult:

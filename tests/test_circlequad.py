@@ -168,3 +168,21 @@ def test_disk_membership():
     for bad in (1.0 - 1e-10, 1.0, 1.2, -1.0, 1.5j):
         with pytest.raises(PointNotInDisk):
             require_in_disk(bad)
+
+
+@pytest.mark.parametrize("count", [4096.7, 0.5, float("nan"), float("inf"), True, False, "64"])
+def test_grid_refuses_a_node_count_that_is_not_an_integer(count, monkeypatch):
+    made = []
+    monkeypatch.setattr(CircleGrid, "__init__", lambda self, n, extended=False: made.append(n))
+    hits = circle_grid.cache_info().hits
+    with pytest.raises(ValueError, match="node_count must be an integer"):
+        circle_grid(count)
+    assert made == []
+    assert circle_grid.cache_info().hits == hits  # a raise is not cached
+
+
+def test_an_integral_float_gives_the_cached_grid_of_its_int():
+    assert circle_grid(4096.0) is circle_grid(4096)
+    assert circle_grid(np.float64(4096.0)) is circle_grid(4096)
+    assert circle_grid(4096.0, extended=True) is circle_grid(4096, extended=True)
+    assert circle_grid(np.int64(64)).node_count == 64

@@ -9,10 +9,12 @@ from diskrat import (
     CountOutOfRange,
     GridTooLarge,
     KernelSpec,
+    NonFiniteIntegrand,
     OrderTooSmall,
     PoleSequence,
     TMBasis,
     TrailingPolesMismatch,
+    build_approximant,
     build_error_report,
     circle_grid,
     closed_form_J,
@@ -299,3 +301,49 @@ class TestGridCap:
         assert expand_kernel(spec, TMBasis([0j, spec.w])).grid_size == 2**35
         with pytest.raises(GridTooLarge, match="34359738368 nodes"):
             build_error_report(spec, [0j])
+
+
+def bits(value) -> bytes:
+    return np.complex128(value).tobytes()
+
+
+def old_weighted_cauchy_mean(b, values, z, nodes):
+    """The remainder integrals' trapezoid mean as expansion wrote it out
+    beside integrate_circle."""
+    return complex(np.mean(np.conj(b(nodes)) * values / (1 - z * np.conj(nodes))))
+
+
+REMAINDER_CONFIGS = [(0, 0.5 + 0.0j, [0.3]), (1, 0.4j, [0.2]),
+                     (2, complex(-0.3, 0.2), [0.25, -0.35j, 0.15])]
+
+
+class TestRemainderQuadrature:
+    """Both remainder integrals are integrate_circle means: the same bits as
+    the mean they replaced, and its refusal of a non-finite sample."""
+
+    @pytest.mark.parametrize("alpha, w, free", REMAINDER_CONFIGS)
+    @pytest.mark.parametrize("z", [0.1, 0.3j, complex(-0.5, 0.2)])
+    def test_values_keep_every_bit(self, alpha, w, free, z):
+        spec = KernelSpec(alpha, w)
+        approx = build_approximant(spec, PoleSequence(free))
+        basis, grid = approx.basis, circle_grid(approx.expansion.grid_size)
+        nodes = grid.nodes
+        values = spec.bergman(nodes)
+        for n in range(basis.size + 1):
+            b = basis.blaschke(n)
+            old = complex(b(z) * old_weighted_cauchy_mean(b, values, z, nodes))
+            assert bits(h2_remainder(spec.bergman, basis, n, z, grid)) == bits(old)
+        b = basis.blaschke(approx.n + 1)
+        old = old_weighted_cauchy_mean(b, values, z, nodes)
+        assert bits(remainder_integral_J(spec, basis, approx.n, z, grid)) == bits(old)
+
+    def test_non_finite_kernel_is_refused(self):
+        # K_120 past the double range: the mean was nan+nanj
+        spec = KernelSpec(120, 0.999)
+        approx = build_approximant(spec, PoleSequence([0.3]))
+        assert approx.n == 121
+        with pytest.raises(NonFiniteIntegrand) as raised:
+            remainder_integral_J(spec, approx.basis, approx.n, 0.2, GRID)
+        assert raised.value.node_index == 0
+        with pytest.raises(NonFiniteIntegrand, match="node index 0:"):
+            h2_remainder(spec.bergman, approx.basis, approx.n, 0.2, GRID)

@@ -412,6 +412,17 @@ def hand_written_scan_json(report):
     }
 
 
+def hand_written_lsq_json(result):
+    """LsqResult.to_json_dict as it was written out key by key."""
+    return {
+        "coefficients": [[c.real, c.imag] for c in result.coefficients],
+        "minimum": result.minimum,
+        "route_gap": result.route_gap,
+        "condition": result.condition,
+        "orthogonality_residual": result.orthogonality_residual,
+    }
+
+
 def hand_written_small_instance_json(report):
     """SmallInstanceReport.to_json_dict as it was written out key by key."""
     return {
@@ -445,6 +456,23 @@ class TestReportJson:
         assert data == hand_written_scan_json(report)
         assert dumped(data) == dumped(hand_written_scan_json(report))
         assert all(type(x) is float for pair in data["argmin_coefficients"] for x in pair)
+
+    @pytest.mark.parametrize(
+        "spec, free, nodes",
+        [
+            (KernelSpec(0, 0.5), [0j], 4096),
+            (KernelSpec(2, complex(-0.3, 0.2)), [0.25, -0.3j], 1024),
+            (KernelSpec(1, -0.4j), [], 16384),
+        ],
+    )
+    def test_lsq_json_is_the_hand_written_dict(self, spec, free, nodes):
+        basis = build_approximant(spec, free).basis
+        result = lsq_minimize(LeastSquaresProblem.build(spec, basis, circle_grid(nodes)))
+        data = result.to_json_dict()
+        assert data == hand_written_lsq_json(result)
+        assert dumped(data) == dumped(hand_written_lsq_json(result))
+        assert list(data) == list(hand_written_lsq_json(result))
+        assert all(type(x) is float for pair in data["coefficients"] for x in pair)
 
     @pytest.mark.parametrize("w", [0.5, complex(0.3, -0.2), 0j, complex(-0.0, -0.6)])
     def test_small_instance_json_is_the_hand_written_dict(self, w, monkeypatch):

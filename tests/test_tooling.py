@@ -1,7 +1,7 @@
 """The library names the benchmark harness traces and patches still exist,
 every name the package declares public, README.md names or the source's
-docstrings and comments name resolves, and no grid is made past the node
-cap."""
+docstrings and comments name resolves, no grid is made past the node cap,
+and one function refuses non-finite samples."""
 
 import ast
 import importlib
@@ -409,6 +409,17 @@ def test_no_grid_bypasses_the_cap():
         for scope, line in calls_of("CircleGrid", ast.parse(path.read_text()))
     ]
     assert [(name, scope) for name, scope, _ in calls] == [("circlequad.py", "circle_grid")], calls
+
+
+def test_non_finite_samples_are_refused_in_one_place():
+    # circlequad.require_finite names the first non-finite node for every
+    # quadrature and grid pass
+    calls = [
+        (path.name, scope)
+        for path in sorted((ROOT / "src" / "diskrat").glob("*.py"))
+        for scope, _ in calls_of("NonFiniteIntegrand", ast.parse(path.read_text()))
+    ]
+    assert calls == [("circlequad.py", "require_finite")], calls
 
 
 def test_star_import_is_clean():
