@@ -19,7 +19,6 @@ from .bergman_approx import (
 )
 from .circlequad import (
     EPS_BOUNDARY,
-    CircleGrid,
     circle_grid,
     derivative_at,
     integrate_circle,

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circlequad import CircleGrid, circle_grid, json_complex, require_finite, require_in_disk
+from .circlequad import circle_grid, json_complex, require_finite, require_in_disk
 from .errors import DesignTooLarge, ValueOutOfRange
 from .expansion import FourierExpansion, expand_kernel, validate_trailing_poles
 from .kernels import KernelSpec
@@ -374,7 +374,7 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
 
 
 def mu_functional(
-    spec: KernelSpec, basis: TMBasis, coefficients, grid: CircleGrid, *, extended: bool
+    spec: KernelSpec, basis: TMBasis, coefficients, grid: np.ndarray, *, extended: bool
 ) -> float | np.ndarray:
     """mu of R(x) = (1 - x conj(w)) sum_k c_k phi_k(x): the quadrature of
     |K_alpha(x; w) - R(x) / (1 - x conj(w))|^2 over the circle, in long
@@ -390,7 +390,7 @@ def mu_functional(
     matrix product and may round apart in the last bits."""
     coefficients = np.asarray(coefficients, dtype=complex)
     rows = np.atleast_2d(coefficients)
-    nodes = circle_grid(grid.node_count, extended=True).nodes if extended else grid.nodes
+    nodes = circle_grid(len(grid), extended=True) if extended else grid
     sums = np.zeros(len(rows), dtype=nodes.real.dtype)
     for _, block, multiplier, kernel, error in _competitor_values(
         spec, basis, rows, nodes, spec.bergman
@@ -491,7 +491,7 @@ def _golden_max(f: Callable, points, values, floor) -> np.ndarray:
 
 
 def nu_functional(
-    spec: KernelSpec, basis: TMBasis, coefficients, grid: CircleGrid
+    spec: KernelSpec, basis: TMBasis, coefficients, grid: np.ndarray
 ) -> float | np.ndarray:
     """nu of R(x) = (1 - x conj(w)) sum_k c_k phi_k(x): the grid maximum of
     |(1 - x conj(w))^-(1+alpha) - R(x)| on the circle, refined by parabolic
@@ -516,10 +516,10 @@ def nu_functional(
     rows that can still be the minimum."""
     coefficients = np.asarray(coefficients, dtype=complex)
     rows = np.atleast_2d(coefficients)
-    _, index, _ = _nu_grid_pass(spec, basis, rows, grid.nodes)
+    _, index, _ = _nu_grid_pass(spec, basis, rows, grid)
     # one row, (m,) or (1, m), is summed as a vector, as its grid pass was
     own = rows[0] if len(rows) == 1 else rows
-    nu = _nu_refine(spec, basis, own, *_nu_brackets(spec, basis, own, grid.nodes, index))
+    nu = _nu_refine(spec, basis, own, *_nu_brackets(spec, basis, own, grid, index))
     return float(nu[0]) if coefficients.ndim == 1 else nu
 
 
@@ -639,7 +639,7 @@ def _nu_branch(spec: KernelSpec, basis: TMBasis, rows, nodes, scored, index, bes
     return best
 
 
-def nu_minimum(spec: KernelSpec, basis: TMBasis, rows, grid: CircleGrid) -> tuple[int, float]:
+def nu_minimum(spec: KernelSpec, basis: TMBasis, rows, grid: np.ndarray) -> tuple[int, float]:
     """(index, value): the first argmin and the minimum of
     nu_functional(spec, basis, rows, grid) for a (trials, m) batch, to the
     bit, by branch and bound (A. H. Land and A. G. Doig, Econometrica 28,
@@ -666,7 +666,6 @@ def nu_minimum(spec: KernelSpec, basis: TMBasis, rows, grid: CircleGrid) -> tupl
     pass for every row, so a non-finite R or K raises NonFiniteIntegrand at
     the same node."""
     rows = np.asarray(rows, dtype=complex)
-    nodes = grid.nodes
     trials, count = rows.shape
     block = max(count, 1)
     margins = _screen_margins(spec, basis, rows)
@@ -679,15 +678,15 @@ def nu_minimum(spec: KernelSpec, basis: TMBasis, rows, grid: CircleGrid) -> tupl
     blocks = np.concatenate([
         _blocks([0], scored), _blocks(range(scored, trials, screen), screen, _SCREEN_STRIDE)
     ])
-    top, index, _ = _nu_grid_pass(spec, basis, rows, nodes, blocks)
-    best = _nu_branch(spec, basis, rows, nodes, np.arange(scored), index, (np.inf, trials))
+    top, index, _ = _nu_grid_pass(spec, basis, rows, grid, blocks)
+    best = _nu_branch(spec, basis, rows, grid, np.arange(scored), index, (np.inf, trials))
     rest = np.arange(scored, trials)
     rest = rest[~(top[scored:] - margins[scored:] > best[0])]
     del top, index
     if len(rest):
         blocks = _blocks(np.unique(rest // block) * block, block)
-        _, index, _ = _nu_grid_pass(spec, basis, rows, nodes, blocks)
-        best = _nu_branch(spec, basis, rows, nodes, rest, index, best)
+        _, index, _ = _nu_grid_pass(spec, basis, rows, grid, blocks)
+        best = _nu_branch(spec, basis, rows, grid, rest, index, best)
     return best[1], best[0]
 
 
@@ -773,7 +772,7 @@ def competitor_trials(
 
 
 def equimodularity_variation(
-    spec: KernelSpec, basis: TMBasis, coefficients, grid: CircleGrid
+    spec: KernelSpec, basis: TMBasis, coefficients, grid: np.ndarray
 ) -> float | np.ndarray:
     """Relative variation (max - min)/max on the grid of the uniform-error
     modulus |(1 - x conj(w))^-(1+alpha) - R(x)|, R formed from the rows as
@@ -782,7 +781,7 @@ def equimodularity_variation(
     those of nu_functional's grid pass.  It vanishes exactly at the optimum,
     where the error is a constant times a Blaschke product."""
     coefficients = np.asarray(coefficients, dtype=complex)
-    top, _, bottom = _nu_grid_pass(spec, basis, np.atleast_2d(coefficients), grid.nodes)
+    top, _, bottom = _nu_grid_pass(spec, basis, np.atleast_2d(coefficients), grid)
     variation = np.divide(top - bottom, top, out=np.zeros_like(top), where=top > 0.0)
     return float(variation[0]) if coefficients.ndim == 1 else variation
 

@@ -50,30 +50,6 @@ def require_finite(start: int, stride: int, values: np.ndarray):
         raise NonFiniteIntegrand(start + stride * int(node), complex(values[row, node]))
 
 
-class CircleGrid:
-    """N equispaced unit-circle nodes exp(2*pi*i*j/N), each with weight 1/N."""
-
-    def __init__(self, node_count: int, extended: bool = False):
-        node_count = int(node_count)
-        if node_count < 1:
-            raise ValueError("node_count must be a positive integer")
-        self.node_count = node_count
-        if extended:
-            # Long-double nodes; pi is recomputed in long double so the node
-            # arguments are not limited by double rounding.
-            pi_l = np.arccos(np.array(-1.0, dtype=np.longdouble))
-            theta = 2.0 * pi_l * np.arange(node_count, dtype=np.longdouble)
-            theta /= node_count
-        else:
-            theta = 2.0 * np.pi * np.arange(node_count) / node_count
-        nodes = np.exp(1j * theta)
-        nodes.setflags(write=False)
-        self.nodes = nodes
-
-    def __repr__(self):
-        return f"CircleGrid(node_count={self.node_count})"
-
-
 def random_disk_points(rng: np.random.Generator, count: int, max_modulus: float) -> np.ndarray:
     """count points drawn uniformly by area from the disk |z| <= max_modulus:
     count radii max_modulus * sqrt(U), then count angles 2 pi U."""
@@ -90,24 +66,44 @@ def json_complex(values):
     return [json_complex(v) for v in values]
 
 
+def _circle_nodes(node_count: int, extended: bool) -> np.ndarray:
+    """The N equispaced unit-circle nodes exp(2*pi*i*j/N), read-only;
+    each carries the weight 1/N.  Uncached: circle_grid alone calls it."""
+    if extended:
+        # Long-double nodes; pi is recomputed in long double so the node
+        # arguments are not limited by double rounding.
+        pi_l = np.arccos(np.array(-1.0, dtype=np.longdouble))
+        theta = 2.0 * pi_l * np.arange(node_count, dtype=np.longdouble)
+        theta /= node_count
+    else:
+        theta = 2.0 * np.pi * np.arange(node_count) / node_count
+    nodes = np.exp(1j * theta)
+    nodes.setflags(write=False)
+    return nodes
+
+
 @lru_cache(maxsize=32)
-def circle_grid(node_count: int, extended: bool = False) -> CircleGrid:
-    """Cached grid factory; grids are immutable so sharing is safe.  The one
-    maker of grids: a node count that is a bool or not integral raises
-    ValueError, and more than MAX_NODES nodes raise GridTooLarge, before
-    anything is allocated (a raise is not cached).  An integral float gives
-    the grid of its int."""
+def circle_grid(node_count: int, extended: bool = False) -> np.ndarray:
+    """The grid of node_count nodes: its cached, read-only node array,
+    complex128, or clongdouble with extended=True; shared arrays are safe,
+    since none can be written.  The one maker of grids: a node count that
+    is a bool or not integral raises ValueError, and so does one below 1;
+    more than MAX_NODES nodes raise GridTooLarge, before anything is
+    allocated (a raise is not cached).  An integral float gives the grid of
+    its int."""
     if isinstance(node_count, float) and node_count.is_integer():
         # the cache keys a call by its shape: call as the library does
         count = int(node_count)
         return circle_grid(count, extended=True) if extended else circle_grid(count)
     if not isinstance(node_count, (int, np.integer)) or isinstance(node_count, bool):
         raise ValueError(f"node_count must be an integer, got {node_count!r}")
+    if node_count < 1:
+        raise ValueError("node_count must be a positive integer")
     if node_count > MAX_NODES:
         raise GridTooLarge(
             f"a quadrature grid of {node_count} nodes, more than the cap of {MAX_NODES}"
         )
-    return CircleGrid(node_count, extended=extended)
+    return _circle_nodes(int(node_count), extended)
 
 
 def sample_on_nodes(f: Callable, nodes: np.ndarray) -> np.ndarray:
@@ -125,14 +121,14 @@ def sample_on_nodes(f: Callable, nodes: np.ndarray) -> np.ndarray:
     return values
 
 
-def integrate_circle(f: Callable, grid: CircleGrid) -> complex:
+def integrate_circle(f: Callable, grid: np.ndarray) -> complex:
     """Trapezoid-rule integral of f over the unit circle against d(sigma).
 
     Exactly linear in f; exact for trigonometric monomials t^k with
     k != 0 (mod N); geometrically convergent for integrands analytic in an
     annulus containing the circle.
     """
-    values = sample_on_nodes(f, grid.nodes)
+    values = sample_on_nodes(f, grid)
     return complex(values.mean())
 
 
@@ -158,12 +154,12 @@ def derivative_at(f: Callable, a, order: int = 0) -> complex:
     radius = (1.0 - abs(a)) / 2.0
     scale = math.factorial(order) / radius**order
 
+    def on_ring(t):
+        # at order 0 no factor t^0 = 1 + 0j multiplies f: it could flip a signed zero
+        return f(a + radius * t) * t ** (-order) if order else f(a + radius * t)
+
     def ring_value(n: int) -> complex:
-        grid = circle_grid(n)
-        values = sample_on_nodes(lambda t: f(a + radius * t), grid.nodes)
-        if order:
-            values = values * grid.nodes ** (-order)
-        return complex(values.mean()) * scale
+        return integrate_circle(on_ring, circle_grid(n)) * scale
 
     n = _DERIVATIVE_START_NODES
     previous = ring_value(n)

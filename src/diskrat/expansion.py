@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circlequad import CircleGrid, integrate_circle, json_complex, require_in_disk, sample_on_nodes
+from .circlequad import integrate_circle, json_complex, require_in_disk, sample_on_nodes
 from .errors import CountOutOfRange, IndexOutOfRange, OrderTooSmall, TrailingPolesMismatch
 from .kernels import KernelSpec
 from .tm_basis import PIECE_NODES, PoleSequence, TMBasis, inner_products
@@ -92,13 +92,13 @@ class FourierExpansion:
 
 
 def expand_function(
-    f: Callable, basis: TMBasis, grid: CircleGrid, source: str = ""
+    f: Callable, basis: TMBasis, grid: np.ndarray, source: str = ""
 ) -> FourierExpansion:
     """Expand f over the whole basis by quadrature: its inner products with
     the (stored) design matrix, all coefficients at once."""
-    values = sample_on_nodes(f, grid.nodes)
+    values = sample_on_nodes(f, grid)
     coefficients = inner_products(basis.design_matrix(grid), values)
-    return FourierExpansion(basis, coefficients, source, grid.node_count)
+    return FourierExpansion(basis, coefficients, source, len(grid))
 
 
 def expand_kernel(spec: KernelSpec, basis: TMBasis) -> FourierExpansion:
@@ -122,7 +122,7 @@ def expand_kernel(spec: KernelSpec, basis: TMBasis) -> FourierExpansion:
     return FourierExpansion(basis, coefficients, source, grid_size)
 
 
-def h2_remainder(f: Callable, basis: TMBasis, n: int, z, grid: CircleGrid) -> complex:
+def h2_remainder(f: Callable, basis: TMBasis, n: int, z, grid: np.ndarray) -> complex:
     """B_n(z) * quadrature of conj(B_n(t)) f(t) / (1 - z conj(t)).
 
     Together with the n-term partial sum this reconstructs f(z) exactly (up to
@@ -153,7 +153,7 @@ def validate_trailing_poles(spec: KernelSpec, poles: PoleSequence, n: int) -> No
 
 
 def remainder_integral_J(
-    spec: KernelSpec, basis: TMBasis, n: int, z, grid: CircleGrid
+    spec: KernelSpec, basis: TMBasis, n: int, z, grid: np.ndarray
 ) -> complex:
     """Quadrature of conj(B_{n+1}(t)) K_alpha(t; w) / (1 - z conj(t)).
 

@@ -27,7 +27,7 @@ from .bergman_approx import (
     nu_min_closed_form,
     nu_minimum,
 )
-from .circlequad import CircleGrid, circle_grid, json_complex, sample_on_nodes
+from .circlequad import circle_grid, json_complex, sample_on_nodes
 from .errors import IllConditioned
 from .kernels import KernelSpec
 from .tm_basis import PIECE_NODES, PoleSequence, TMBasis, inner_products
@@ -65,22 +65,20 @@ def _fields_json(report) -> dict:
 class LeastSquaresProblem:
     """Discrete minimization of |K_alpha - sum c_m phi_m|^2 over the grid."""
 
-    grid: CircleGrid
     design: np.ndarray
     target: np.ndarray
     gram: np.ndarray
     condition: float
 
     @classmethod
-    def build(cls, spec: KernelSpec, basis: TMBasis, grid: CircleGrid) -> "LeastSquaresProblem":
-        basis.check_gram(grid)
-        design = basis.design_matrix(grid)
-        target = sample_on_nodes(spec.bergman, grid.nodes)
+    def build(cls, spec: KernelSpec, basis: TMBasis, grid: np.ndarray) -> "LeastSquaresProblem":
         # the normal-equations matrix conj(A)^T A / N, whose entry (k, l) is
-        # <phi_l, phi_k>: the conjugate of the basis's Gram
-        gram = inner_products(design, design)
-        condition = float(np.linalg.cond(gram))
-        return cls(grid, design, target, gram, condition)
+        # <phi_l, phi_k>: the conjugate of the basis's Gram, which stores A;
+        # A is read from that store, so design_matrix runs once per problem
+        gram = np.conj(basis.gram_matrix(grid))
+        design = basis._designs[id(grid)][1]
+        target = sample_on_nodes(spec.bergman, grid)
+        return cls(design, target, gram, float(np.linalg.cond(gram)))
 
 
 @dataclass
@@ -145,7 +143,7 @@ def uniform_competitor_scan(
     approx: Approximant,
     trials: int,
     seed: int,
-    grid: CircleGrid | None = None,
+    grid: np.ndarray | None = None,
 ) -> ScanReport:
     """Evaluate the uniform functional on random members of the competitor
     class of the approximant's basis; trial 0 is the unperturbed optimum, odd
@@ -206,8 +204,8 @@ def small_instance_exhaustive(spec: KernelSpec) -> SmallInstanceReport:
     grid_points, half_width = EXHAUSTIVE_GRID_POINTS, EXHAUSTIVE_HALF_WIDTH
     quad_grid = circle_grid(EXHAUSTIVE_QUAD_NODES)
     basis = TMBasis(PoleSequence([spec.w]))
-    kernel = sample_on_nodes(spec.bergman, quad_grid.nodes)
-    phi0 = basis.eval_all(quad_grid.nodes, count=1)[0]
+    kernel = sample_on_nodes(spec.bergman, quad_grid)
+    phi0 = basis.eval_all(quad_grid, count=1)[0]
     center = complex(np.mean(kernel * np.conj(phi0)))  # <K, phi0>
     kernel_sq = float(np.mean(np.abs(kernel) ** 2))
     phi0_sq = float(np.mean(np.abs(phi0) ** 2))

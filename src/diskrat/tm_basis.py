@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circlequad import CircleGrid, require_in_disk
+from .circlequad import require_in_disk
 from .errors import DesignTooLarge, IndexOutOfRange
 
 __all__ = [
@@ -402,11 +402,12 @@ class TMBasis:
         formed and out[part] = f(phi) fills an output of the nodes' shape.
         This alone decides how long a batch's part is.
 
-        This is the one reader of the stored design matrices: on a node
-        array whose matrix design_matrix has stored, each phi is a read-only
-        slice of that matrix, of PIECE_NODES nodes, and is not evaluated
-        again.  Any other part is evaluated, NODE_CHUNK nodes at a time, so
-        it rounds as the whole grid does.
+        Beside LeastSquaresProblem.build, which takes back the matrix its
+        Gram stored, this is the one reader of the stored design matrices:
+        on a node array whose matrix design_matrix has stored, each phi is a
+        read-only slice of that matrix, of PIECE_NODES nodes, and is not
+        evaluated again.  Any other part is evaluated, NODE_CHUNK nodes at a
+        time, so it rounds as the whole grid does.
         """
         count = self._check_count(count)
         entry = self._designs.get(id(nodes))
@@ -418,18 +419,17 @@ class TMBasis:
             else:
                 yield part, self.eval_all(nodes[part], count)
 
-    def design_matrix(self, grid: CircleGrid) -> np.ndarray:
+    def design_matrix(self, grid: np.ndarray) -> np.ndarray:
         """Node-by-function matrix A[j, k] = phi_k(node_j), read-only.
 
         The matrix is evaluated once per grid and stored with the basis,
-        keyed by the identity of the grid's (immutable, cached) node array;
+        keyed by the identity of the grid, an immutable, cached node array;
         eval_chunks reads it back.  eval_all bounds its size."""
-        nodes = grid.nodes
-        entry = self._designs.get(id(nodes))
+        entry = self._designs.get(id(grid))
         if entry is None:
-            design = self.eval_all(nodes).T
+            design = self.eval_all(grid).T
             design.setflags(write=False)
-            entry = self._designs.setdefault(id(nodes), (nodes, design))
+            entry = self._designs.setdefault(id(grid), (grid, design))
         return entry[1]
 
     def taylor(self, w: complex, order: int) -> np.ndarray:
@@ -458,17 +458,13 @@ class TMBasis:
                 running = np.convolve(running, self._phases[k] * factor)[: len(powers)]
         return out
 
-    def check_gram(self, grid: CircleGrid) -> None:
-        """Raise DesignTooLarge if inner_products would refuse the Gram
-        matrix on grid, before its design matrix is built."""
-        shape = (grid.node_count, self.size)
-        _conjugate_pieces(shape, shape, grid.nodes.itemsize)
-
-    def gram_matrix(self, grid: CircleGrid) -> np.ndarray:
+    def gram_matrix(self, grid: np.ndarray) -> np.ndarray:
         """Discrete Gram <phi_k, phi_l> under the grid's quadrature: the
         conjugate of the inner products of the grid's design matrix with
-        itself, read through design_matrix after check_gram."""
-        self.check_gram(grid)
+        itself, read through design_matrix.  Raises DesignTooLarge, where
+        inner_products would refuse the Gram, before the design is built."""
+        shape = (len(grid), self.size)
+        _conjugate_pieces(shape, shape, grid.itemsize)
         design = self.design_matrix(grid)
         gram = inner_products(design, design)
         return np.conjugate(gram, out=gram)

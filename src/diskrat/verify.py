@@ -146,10 +146,8 @@ def _quadratic_share(share: int = 0, shares: int = 1) -> tuple:
         approx = build_approximant(spec, free)
         mu_closed = mu_min_closed_form(spec, free)
         # the LSQ grid is the approximant's mu grid, on which mu_quad is taken
-        problem = LeastSquaresProblem.build(
-            spec, approx.basis, circle_grid(approx.expansion.grid_size)
-        )
-        result = lsq_minimize(problem)
+        grid = circle_grid(approx.expansion.grid_size)
+        result = lsq_minimize(LeastSquaresProblem.build(spec, approx.basis, grid))
         # routes: normal equations vs inner products (quadrature), and the
         # quadrature vs the closed-form coefficients of the approximant
         coefficient_gap = float(np.max(np.abs(approx.coefficients - result.inner_coefficients)))
@@ -158,7 +156,7 @@ def _quadratic_share(share: int = 0, shares: int = 1) -> tuple:
         # mu of the approximant and the LSQ minimum in one pass; in doubles the
         # 2-row product rounds apart from approximate's 1-row one (see README)
         mu_quad, mu_lsq = mu_functional(
-            spec, approx.basis, [approx.coefficients, result.coefficients], problem.grid,
+            spec, approx.basis, [approx.coefficients, result.coefficients], grid,
             extended=extended_mu(mu_closed),
         )
         worst_rel = max(worst_rel, abs(mu_quad - mu_closed) / mu_closed)
@@ -572,7 +570,8 @@ def run_checks(
                 continue
             bound = float(bounds[name])
             passed = value <= bound if name in _PASS_AT_BOUND else value < bound
-            detail.setdefault("group_seconds", round(elapsed, 3))
+            # each check its own detail: a group's triples may share one dict
+            detail = {**detail, "group_seconds": round(elapsed, 3)}
             results.append(CheckResult(name, passed, value, bound, detail))
     return results
 

@@ -34,7 +34,7 @@ from diskrat import (
     nu_min_closed_form,
     uniform_competitor_scan,
 )
-from diskrat import bergman_approx, verify
+from diskrat import bergman_approx, circlequad, verify
 from diskrat.bergman_approx import (
     EXTENDED_MU_CUTOFF,
     NU_GRID_NODES,
@@ -287,6 +287,35 @@ def test_taylor_route_matches_quadrature_of_closed_form(configuration):
         assert abs(values[m] - quadrature) <= 1e-10 * scale
 
 
+def _old_ring_value(f, a, order: int, n: int) -> complex:
+    """derivative_at's ring of n nodes as it was written before it took its
+    mean through integrate_circle: f sampled, then divided by t^order."""
+    radius = (1.0 - abs(a)) / 2.0
+    scale = math.factorial(order) / radius**order
+    nodes = circle_grid(n)
+    values = sample_on_nodes(lambda t: f(a + radius * t), nodes)
+    if order:
+        values = values * nodes ** (-order)
+    return complex(values.mean()) * scale
+
+
+def test_derivative_rings_keep_every_bit(monkeypatch):
+    # every pole of verify's interpolation check, at order 0 and at its
+    # multiplicity less one, on rings of 256 to 4096 nodes: with an infinite
+    # tolerance derivative_at returns its second ring, of twice the start
+    monkeypatch.setattr(circlequad, "_DERIVATIVE_TOL", np.inf)
+    for alpha, w, free in verify._approximant_configs():
+        approx = build_approximant(KernelSpec(alpha, w), PoleSequence(free))
+        poles = approx.basis.poles
+        for a, s in zip(poles, poles.multiplicities):
+            for order in sorted({0, s - 1}):
+                for n in (256, 512, 1024, 2048, 4096):
+                    monkeypatch.setattr(circlequad, "_DERIVATIVE_START_NODES", n // 2)
+                    got = derivative_at(approx.eval_closed_form, a, order=order)
+                    want = _old_ring_value(approx.eval_closed_form, complex(a), order, n)
+                    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 class TestMembership:
     @pytest.mark.parametrize(
         "alpha,w,free",
@@ -337,7 +366,7 @@ class TestMuFunctional:
 def callable_squares(spec, rational, grid, extended=False):
     """The squares |K - R/(1 - x conj(w))|^2 of a callable R, evaluated on
     the whole grid at once."""
-    nodes = circle_grid(grid.node_count, extended=True).nodes if extended else grid.nodes
+    nodes = circle_grid(len(grid), extended=True) if extended else grid
     values = sample_on_nodes(rational, nodes)
     kernel = spec.bergman(nodes)
     error = kernel - values / (1.0 - nodes * np.conj(spec.w))
@@ -374,7 +403,7 @@ def doctored_basis(grid, node=NODE_CHUNK + 5000):
     weight them: R of row 0 overflows at that node only, by default in the
     second part, R of row 1 in the first part, at node 5."""
     basis = TMBasis([0j, 0j, 0j])
-    nodes = grid.nodes
+    nodes = grid
     design = np.array(basis.design_matrix(grid))
     design[node, 1] = 1e300
     design[5, 2] = 1e300
@@ -493,7 +522,7 @@ class TestMuRows:
         assert len(problems) == len(built) > 100
         for approx, (basis, grid) in zip(built, problems):
             assert basis is approx.basis
-            assert grid.node_count == approx.expansion.grid_size
+            assert len(grid) == approx.expansion.grid_size
 
     def test_the_first_non_finite_part_row_and_node_are_named(self, monkeypatch):
         spec = KernelSpec(0, 0.3 + 0.4j)
@@ -538,7 +567,7 @@ class TestMuRows:
         rows = np.vstack(
             [approx.coefficients, competitor_trials(approx, 100, np.random.default_rng(2))]
         )
-        block = count * GRID.node_count * 16
+        block = count * len(GRID) * 16
         tracemalloc.start()
         try:
             mu_functional(spec, approx.basis, rows, GRID, extended=False)
@@ -690,9 +719,9 @@ def golden60_nu(spec, rational, grid):
     where it was taken: the spread of 65 values within 1e-13 rad of it, over
     which the smooth modulus does not move.  A maximum over noisy values
     can lie that far above the smooth maximum."""
-    error = np.abs(spec.cauchy_power(grid.nodes) - rational(grid.nodes))
+    error = np.abs(spec.cauchy_power(grid) - rational(grid))
     j = int(np.argmax(error))
-    step = 2.0 * np.pi / grid.node_count
+    step = 2.0 * np.pi / len(grid)
     best = [float(error[j]), step * j]
 
     def modulus(t):
@@ -823,10 +852,10 @@ class TestBatchedNu:
         # step past node 0, or 0.3 of a step past node N - 1.  The refined
         # value must find that peak from a bracket that wraps round theta = 0.
         grid = circle_grid(4096)
-        spec = KernelSpec(0, 0.5 * np.exp(2j * np.pi * offset / grid.node_count))
-        assert np.argmax(np.abs(spec.cauchy_power(grid.nodes))) == node
+        spec = KernelSpec(0, 0.5 * np.exp(2j * np.pi * offset / len(grid)))
+        assert np.argmax(np.abs(spec.cauchy_power(grid))) == node
         basis = TMBasis([0j])
-        grid_max = float(np.max(np.abs(spec.cauchy_power(grid.nodes))))
+        grid_max = float(np.max(np.abs(spec.cauchy_power(grid))))
         assert 2.0 - grid_max > 1e-8
         assert nu_functional(spec, basis, [0.0], grid) == pytest.approx(2.0, rel=1e-15, abs=0)
         (value,) = nu_functional(spec, basis, [[0.0]], grid)
@@ -868,8 +897,8 @@ class TestBatchedNu:
     def test_approximant_row_scores_as_its_eval(self, spec, free, refined):
         approx = build_approximant(spec, free)
         grid = circle_grid(NU_GRID_NODES)
-        values = approx.eval(grid.nodes)
-        kernel = spec.cauchy_power(grid.nodes)
+        values = approx.eval(grid)
+        kernel = spec.cauchy_power(grid)
         index, points, moduli = grid_brackets(np.abs(kernel - values))
         j = index[0]
         floor = 8 * np.finfo(float).eps * (abs(kernel[j]) + abs(values[j]))
@@ -1030,7 +1059,7 @@ class TestStreamedBrackets:
             values = np.zeros((block, count))
             values[: len(group)] = 1.0 - group
             basis = TMBasis([0j] * block)
-            basis._designs[id(grid.nodes)] = (grid.nodes, values.T)
+            basis._designs[id(grid)] = (grid, values.T)
 
             def table(coefficients, z, values=values):
                 node = np.rint(np.angle(z) * (count / (2 * np.pi))).astype(int) % count
@@ -1082,7 +1111,7 @@ class TestStreamedBrackets:
         read = spy_chunks(monkeypatch, basis)
         design = basis.design_matrix(grid)
         with np.errstate(over="ignore", invalid="ignore"):
-            error = (1.0 - grid.nodes * np.conj(spec.w)) * (rows @ design.T)
+            error = (1.0 - grid * np.conj(spec.w)) * (rows @ design.T)
             with pytest.raises(NonFiniteIntegrand) as raised:
                 functional(spec, basis, rows, grid)
         # the first part's first non-finite value lies in row 1, at node 5
@@ -1133,7 +1162,7 @@ class TestStreamedBrackets:
         rows = 0.1 * (rng.standard_normal((trials, 3)) + 1j * rng.standard_normal((trials, 3)))
         if stored:
             basis.design_matrix(grid)
-        bad = ~np.isfinite(kernel(spec, grid.nodes))
+        bad = ~np.isfinite(kernel(spec, grid))
         node = int(np.argmax(bad))
         assert bad.any() and 900 < node < 1024
         with pytest.raises(NonFiniteIntegrand) as raised:
@@ -1178,7 +1207,7 @@ def test_a_row_rounds_alike_in_every_block_of_two_rows_or_more(configuration):
     blocks = np.array([(0, height, stride) for height in range(count, 1, -1)])
     tallest = {}
     for at, block, _, _, values in bergman_approx._competitor_values(
-        spec, approx.basis, rows, grid.nodes, spec.cauchy_power, blocks
+        spec, approx.basis, rows, grid, spec.cauchy_power, blocks
     ):
         bits = values.view(np.uint64)
         if block.stop == count:
@@ -1470,7 +1499,7 @@ def test_one_row_stops_at_its_first_non_finite_part(functional, monkeypatch):
     grid = circle_grid(2**16)
     approx = build_approximant(spec, [0.2, -0.5j])
     read = doctored_sums(
-        monkeypatch, approx.basis, grid.nodes, [NODE_CHUNK + 9000, NODE_CHUNK + 5000, 3 * NODE_CHUNK]
+        monkeypatch, approx.basis, grid, [NODE_CHUNK + 9000, NODE_CHUNK + 5000, 3 * NODE_CHUNK]
     )
     call = {
         "mu": lambda: mu_functional(spec, approx.basis, approx.coefficients, grid, extended=False),
@@ -1639,7 +1668,7 @@ class TestErrorReport:
         assert calls == [False]
         # scaled as the benchmark's gate scales it: by the sup of the
         # approximated function (1 - x conj(w))^-(1+alpha) on the circle
-        sup_kernel = float(np.max(np.abs(spec.cauchy_power(GRID.nodes))))
+        sup_kernel = float(np.max(np.abs(spec.cauchy_power(GRID))))
         assert report.mu_quadrature <= 1e-20 * max(1.0, sup_kernel**2)
 
     def test_tiny_nonzero_minimum_takes_mu_in_long_double(self, monkeypatch):
@@ -1722,7 +1751,7 @@ class TestErrorReport:
         # 2^16 nodes hold a few arrays of one part, whatever m is: with 64
         # functions one part's basis block alone would be 64 such arrays.
         grid = circle_grid(NU_GRID_NODES)
-        nodes = circle_grid(NU_GRID_NODES, extended=pass_name == "long-double mu").nodes
+        nodes = circle_grid(NU_GRID_NODES, extended=pass_name == "long-double mu")
         part = NODE_CHUNK * nodes.itemsize
         peaks = []
         for m in (8, 64):
@@ -1845,8 +1874,8 @@ def command_payload(spec, free, report):
 def callable_equimodularity(spec, rational, grid):
     """equimodularity_variation as it was, on a callable: the reference the
     row route must reproduce to the bit."""
-    values = sample_on_nodes(rational, grid.nodes)
-    error = np.abs(spec.cauchy_power(grid.nodes) - values)
+    values = sample_on_nodes(rational, grid)
+    error = np.abs(spec.cauchy_power(grid) - values)
     top = float(np.max(error))
     if top == 0.0:
         return 0.0

@@ -3,7 +3,6 @@ import pytest
 
 from diskrat import (
     AccuracyNotReached,
-    CircleGrid,
     NonFiniteIntegrand,
     PointNotInDisk,
     circle_grid,
@@ -11,21 +10,27 @@ from diskrat import (
     integrate_circle,
     require_in_disk,
 )
+from diskrat import circlequad
 
 
 def test_grid_invariants():
-    grid = CircleGrid(64)
-    assert grid.node_count == 64
-    assert np.all(np.abs(np.abs(grid.nodes) - 1.0) < 1e-15)
-    assert len(np.unique(np.round(grid.nodes, 12))) == 64
-    args = np.angle(grid.nodes)
-    gaps = np.diff(np.unwrap(args))
-    assert np.all(np.abs(gaps - 2 * np.pi / 64) < 1e-12)
+    for extended, dtype in [(False, np.complex128), (True, np.clongdouble)]:
+        grid = circle_grid(64, extended=extended)
+        assert grid.dtype == dtype
+        assert not grid.flags.writeable
+        assert circle_grid(64, extended=extended) is grid  # cached
+        assert len(grid) == 64
+        assert np.all(np.abs(np.abs(grid) - 1.0) < 1e-15)
+        assert len(np.unique(np.round(grid, 12))) == 64
+        args = np.angle(grid)
+        gaps = np.diff(np.unwrap(args))
+        assert np.all(np.abs(gaps - 2 * np.pi / 64) < 1e-12)
 
 
 def test_grid_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        CircleGrid(0)
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="node_count must be a positive integer"):
+            circle_grid(count)
 
 
 def test_constant_integrand():
@@ -173,7 +178,7 @@ def test_disk_membership():
 @pytest.mark.parametrize("count", [4096.7, 0.5, float("nan"), float("inf"), True, False, "64"])
 def test_grid_refuses_a_node_count_that_is_not_an_integer(count, monkeypatch):
     made = []
-    monkeypatch.setattr(CircleGrid, "__init__", lambda self, n, extended=False: made.append(n))
+    monkeypatch.setattr(circlequad, "_circle_nodes", lambda n, extended: made.append(n))
     hits = circle_grid.cache_info().hits
     with pytest.raises(ValueError, match="node_count must be an integer"):
         circle_grid(count)
@@ -185,4 +190,4 @@ def test_an_integral_float_gives_the_cached_grid_of_its_int():
     assert circle_grid(4096.0) is circle_grid(4096)
     assert circle_grid(np.float64(4096.0)) is circle_grid(4096)
     assert circle_grid(4096.0, extended=True) is circle_grid(4096, extended=True)
-    assert circle_grid(np.int64(64)).node_count == 64
+    assert len(circle_grid(np.int64(64))) == 64

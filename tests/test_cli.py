@@ -390,6 +390,14 @@ class TestVerify:
         assert verdict["degenerate_w_zero"]["detail"]["report"]["degenerate_w_zero"] is True
         assert all("group_seconds" not in entry["detail"] for entry in verdict.values())
 
+    def test_each_check_holds_its_own_detail(self):
+        # the remainder group measures both checks with one detail dict
+        first, second = run_checks(only=["remainder_identity", "remainder_modulus"])
+        assert first.detail is not second.detail
+        assert first.detail == second.detail and "group_seconds" in second.detail
+        first.detail["points"] = -1
+        assert second.detail["points"] == 50
+
     def test_only_interpolation(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--only", "interpolation")
         assert code == 0
@@ -877,7 +885,7 @@ def test_a_count_past_the_gram_cap_is_refused_before_anything_is_built(
     def never(*args, **kwargs):
         raise AssertionError("built")
 
-    monkeypatch.setattr(diskrat.circlequad.CircleGrid, "__init__", never)
+    monkeypatch.setattr(diskrat.circlequad, "_circle_nodes", never)
     monkeypatch.setattr(diskrat.tm_basis.PoleSequence, "__init__", never)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1, err
@@ -1055,13 +1063,13 @@ class TestConfigHandling:
     def test_grid_past_the_cap_is_an_acceptance_failure(self, capsys, monkeypatch):
         # |w| = 1 - 1e-8 passes the disk rule but would need a 2^35-node grid,
         # refused where it is made: before anything is allocated or the rows
-        def no_huge_grid(self, node_count, extended=False):
+        def no_huge_grid(node_count, extended):
             raise AssertionError(f"allocating a grid of {node_count} nodes")
 
         def no_rows(self):
             raise AssertionError("the rows were computed")
 
-        monkeypatch.setattr(diskrat.circlequad.CircleGrid, "__init__", no_huge_grid)
+        monkeypatch.setattr(diskrat.circlequad, "_circle_nodes", no_huge_grid)
         monkeypatch.setattr(Approximant, "pole_derivatives", property(no_rows))
         code, out, err = run_cli(capsys, "approximate", "--w", "0.99999999,0", "--poles", "0,0")
         assert code == 2
@@ -1263,10 +1271,10 @@ class TestOptionTable:
     def test_out_of_range_or_inconsistent_input_is_a_usage_error(
         self, capsys, monkeypatch, argv
     ):
-        def no_grid(self, node_count, extended=False):
+        def no_grid(node_count, extended):
             raise AssertionError(f"allocating a grid of {node_count} nodes")
 
-        monkeypatch.setattr(diskrat.circlequad.CircleGrid, "__init__", no_grid)
+        monkeypatch.setattr(diskrat.circlequad, "_circle_nodes", no_grid)
         code, out, err = run_cli(capsys, *argv)
         assert code == 1, err
         assert out == ""

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from diskrat import (
-    CircleGrid,
     CountOutOfRange,
     GridTooLarge,
     KernelSpec,
@@ -24,6 +23,7 @@ from diskrat import (
     integrate_circle,
     remainder_integral_J,
 )
+from diskrat import circlequad
 from diskrat.circlequad import MAX_NODES
 from diskrat.expansion import expand_function
 
@@ -83,7 +83,7 @@ class TestPartialSum:
         spec = KernelSpec(1, 0.4 - 0.3j)
         basis = TMBasis([0.6j, 0j, 0.2, 0.2, spec.w, spec.w])
         exp = expand_kernel(spec, basis)
-        nodes = circle_grid(size, extended=extended).nodes
+        nodes = circle_grid(size, extended=extended)
         whole = basis.eval_sum(exp.coefficients[:5], nodes)
         values = exp.partial_sum(5, nodes)
         assert values.dtype == whole.dtype
@@ -142,7 +142,7 @@ class TestH2Representation:
         z = 0.2
         rem = h2_remainder(spec.bergman, basis, 0, z, GRID)
         # B_0 = 1: the plain Cauchy integral of the boundary values
-        direct = np.mean(spec.bergman(GRID.nodes) / (1.0 - z * np.conj(GRID.nodes)))
+        direct = np.mean(spec.bergman(GRID) / (1.0 - z * np.conj(GRID)))
         assert rem == pytest.approx(direct, abs=1e-14)
         assert rem == pytest.approx(spec.bergman(z), abs=1e-12)
 
@@ -267,7 +267,7 @@ class TestClosedFormCoefficients:
         assert expand_kernel(spec, basis).grid_size == default_grid_size(2, 0.95) == 8192
 
 
-def no_huge_grid(self, node_count, extended=False):
+def no_huge_grid(node_count, extended):
     raise AssertionError(f"allocating a grid of {node_count} nodes")
 
 
@@ -278,7 +278,7 @@ class TestGridCap:
     @pytest.mark.parametrize("rho, size", [(0.9999, 2**22), (1.0 - 1e-8, 2**35)])
     def test_sizes_past_the_cap_raise(self, rho, size, monkeypatch):
         assert default_grid_size(2, rho) == size
-        monkeypatch.setattr(CircleGrid, "__init__", no_huge_grid)
+        monkeypatch.setattr(circlequad, "_circle_nodes", no_huge_grid)
         with pytest.raises(GridTooLarge, match=f"{size} nodes, more than the cap of {MAX_NODES}"):
             circle_grid(size)
 
@@ -287,7 +287,7 @@ class TestGridCap:
         assert default_grid_size(MAX_NODES // 64 - 1) == MAX_NODES
         assert default_grid_size(MAX_NODES // 64) == MAX_NODES + 64
         made = []
-        monkeypatch.setattr(CircleGrid, "__init__", lambda self, n, extended=False: made.append(n))
+        monkeypatch.setattr(circlequad, "_circle_nodes", lambda n, extended: made.append(n))
         circle_grid.__wrapped__(MAX_NODES)  # past the cache: nothing is kept
         assert made == [MAX_NODES]
         with pytest.raises(GridTooLarge):
@@ -295,7 +295,7 @@ class TestGridCap:
         assert made == [MAX_NODES]
 
     def test_construction_raises_before_allocating(self, monkeypatch):
-        monkeypatch.setattr(CircleGrid, "__init__", no_huge_grid)
+        monkeypatch.setattr(circlequad, "_circle_nodes", no_huge_grid)
         spec = KernelSpec(0, 0.99999999)
         # the coefficients need no grid: only the mu grid is past the cap
         assert expand_kernel(spec, TMBasis([0j, spec.w])).grid_size == 2**35
@@ -327,7 +327,7 @@ class TestRemainderQuadrature:
         spec = KernelSpec(alpha, w)
         approx = build_approximant(spec, PoleSequence(free))
         basis, grid = approx.basis, circle_grid(approx.expansion.grid_size)
-        nodes = grid.nodes
+        nodes = grid
         values = spec.bergman(nodes)
         for n in range(basis.size + 1):
             b = basis.blaschke(n)

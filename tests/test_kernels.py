@@ -41,7 +41,7 @@ def test_cauchy_power_reduces_to_lower_bergman():
 def test_power_ratio_identity(alpha):
     spec = KernelSpec(alpha, 0.3 - 0.2j)
     lower = KernelSpec(alpha - 1, 0.3 - 0.2j)
-    nodes = circle_grid(128).nodes
+    nodes = circle_grid(128)
     lhs = spec.cauchy_power(nodes) * (1.0 - nodes * np.conj(spec.w))
     rhs = lower.cauchy_power(nodes)
     assert np.max(np.abs(lhs - rhs)) < 1e-14

@@ -36,7 +36,7 @@ class TestLeastSquares:
         basis = TMBasis([0.5, 0.3])
         problem = LeastSquaresProblem.build(spec, basis, GRID)
         # overwrite the target with phi_0 itself
-        problem.target = basis.eval_all(problem.grid.nodes, count=1)[0]
+        problem.target = basis.eval_all(GRID, count=1)[0]
         result = lsq_minimize(problem)
         assert abs(result.coefficients[0] - 1.0) < 1e-12
         assert abs(result.coefficients[1]) < 1e-12
@@ -100,14 +100,24 @@ class TestLeastSquares:
         minimum = mu_functional(spec, basis, result.coefficients, GRID, extended=True)
         assert abs(minimum - closed) / closed < 1e-9
 
-    def test_rank_deficiency_raises(self):
-        from diskrat import CircleGrid
+    def test_normal_matrix_is_the_conjugate_gram(self):
+        # 4 poles, one repeated: the normal-equations matrix is the basis's
+        # Gram conjugated, byte for byte, and so the inner products of the
+        # design with itself, which it was taken as before
+        spec = KernelSpec(1, 0.4 - 0.2j)
+        basis = TMBasis(PoleSequence([0.3, 0.3, -0.5j, 0.6 + 0.1j]))
+        problem = LeastSquaresProblem.build(spec, basis, GRID)
+        design = basis.design_matrix(GRID)
+        assert problem.design is design
+        assert problem.gram.tobytes() == np.conj(basis.gram_matrix(GRID)).tobytes()
+        assert problem.gram.tobytes() == inner_products(design, design).tobytes()
 
+    def test_rank_deficiency_raises(self):
         spec = KernelSpec(0, 0.5)
         free = PoleSequence.random(15, np.random.default_rng(2), max_modulus=0.8)
         basis = TMBasis(free.with_trailing(spec.w, 1))
         # 16 columns cannot be independent on 8 nodes
-        problem = LeastSquaresProblem.build(spec, basis, CircleGrid(8))
+        problem = LeastSquaresProblem.build(spec, basis, circle_grid(8))
         with pytest.raises(IllConditioned) as err:
             lsq_minimize(problem)
         assert err.value.condition > 1e8 or not np.isfinite(err.value.condition)
@@ -137,7 +147,7 @@ class TestInnerProducts:
     def test_every_spelling_keeps_its_values(self, spec, basis, nodes):
         grid = circle_grid(nodes)
         design = basis.design_matrix(grid)
-        weight = 1.0 / grid.node_count
+        weight = 1.0 / len(grid)
         old_gram = (design.T @ np.conj(design)) * weight
         assert np.array_equal(basis.gram_matrix(grid), old_gram)
         problem = LeastSquaresProblem.build(spec, basis, grid)
@@ -155,7 +165,7 @@ class TestInnerProducts:
         assert np.array_equal(inner_products(design, old_residual),
                               (np.conj(design).T @ old_residual) * weight)
         expansion = expand_function(spec.bergman, basis, grid)
-        values = sample_on_nodes(spec.bergman, grid.nodes)
+        values = sample_on_nodes(spec.bergman, grid)
         assert np.array_equal(expansion.coefficients, (np.conj(design).T @ values) * weight)
 
     @pytest.mark.parametrize("nodes", [2048, 16384])
@@ -164,7 +174,7 @@ class TestInnerProducts:
         # products have an imaginary part of exactly 0.0, which BLAS sums to
         # +0.0 and a conjugated result would print as -0.0
         design = TMBasis(PoleSequence([0j] * 9)).design_matrix(circle_grid(nodes))
-        values = sample_on_nodes(KernelSpec(0, 0j).bergman, circle_grid(nodes).nodes)
+        values = sample_on_nodes(KernelSpec(0, 0j).bergman, circle_grid(nodes))
         got = inner_products(design, values)
         want = (np.conj(design).T @ values) * (1.0 / nodes)
         assert np.any(want.imag == 0.0)
@@ -378,8 +388,8 @@ class TestSmallInstanceExhaustive:
         report = small_instance_exhaustive(spec)
         # brute force: the error modulus squared averaged over the nodes,
         # for every candidate of the same 21 x 21 square
-        kernel = spec.bergman(grid.nodes)
-        phi0 = np.sqrt(1.0 - abs(w) ** 2) / (1.0 - np.conj(w) * grid.nodes)
+        kernel = spec.bergman(grid)
+        phi0 = np.sqrt(1.0 - abs(w) ** 2) / (1.0 - np.conj(w) * grid)
         center = np.mean(kernel * np.conj(phi0))
         steps = np.linspace(-0.5, 0.5, 21)
         candidates = ((center.real + steps)[:, None] + 1j * (center.imag + steps)[None, :]).ravel()

@@ -168,7 +168,7 @@ class TestBlaschke:
         z = np.exp(1j * np.pi / 7)
         assert abs(abs(b(z)) - 1.0) < 1e-14
         grid = circle_grid(512)
-        assert np.max(np.abs(np.abs(b(grid.nodes)) - 1.0)) < 1e-13
+        assert np.max(np.abs(np.abs(b(grid)) - 1.0)) < 1e-13
 
     def test_contractive_inside(self):
         b = BlaschkeProduct([0.3, -0.4j, 0.6])
@@ -313,7 +313,7 @@ class TestRecurrence:
     def test_matches_per_k_formula(self, kind, extended, shape):
         poles = RECURRENCE_POLES[kind]
         basis = TMBasis(poles)
-        nodes = circle_grid(64, extended=extended).nodes
+        nodes = circle_grid(64, extended=extended)
         rng = np.random.default_rng(41)
         inside = random_disk_points(rng, 64, 0.95).astype(nodes.dtype)
         points = np.concatenate([nodes, inside])
@@ -330,7 +330,7 @@ class TestRecurrence:
 
     def test_count_prefix(self):
         basis = TMBasis(RECURRENCE_POLES["repeated"])
-        z = circle_grid(32).nodes
+        z = circle_grid(32)
         assert np.array_equal(basis.eval_all(z, count=4), basis.eval_all(z)[:4])
         assert basis.eval_all(z, count=0).shape == (0, 32)
         with pytest.raises(IndexOutOfRange):
@@ -347,7 +347,7 @@ class TestNodeChunks:
         # elision rounds arrays under 256 KiB differently; if a numpy upgrade
         # moves that threshold, this fails before any output drifts.
         basis = TMBasis(RECURRENCE_POLES["repeated"])
-        nodes = circle_grid(size, extended=extended).nodes
+        nodes = circle_grid(size, extended=extended)
         whole = basis.eval_all(nodes)
         for start in range(0, size, tm_basis.NODE_CHUNK):
             part = slice(start, start + tm_basis.NODE_CHUNK)
@@ -355,7 +355,7 @@ class TestNodeChunks:
 
     def test_long_arrays_go_in_chunks(self):
         basis = TMBasis([0.3, -0.4j, 0.3])
-        nodes = circle_grid(2**15).nodes
+        nodes = circle_grid(2**15)
         parts = list(basis.eval_chunks(nodes, count=2))
         chunk = tm_basis.NODE_CHUNK
         assert [part for part, _ in parts] == [slice(0, chunk), slice(chunk, 2 * chunk)]
@@ -364,7 +364,7 @@ class TestNodeChunks:
 
     def test_a_grid_of_one_chunk_is_one_part(self):
         basis = TMBasis([0.3, -0.4j, 0.3])
-        z = circle_grid(2**14).nodes
+        z = circle_grid(2**14)
         ((part, phi),) = basis.eval_chunks(z)
         assert part == slice(0, tm_basis.NODE_CHUNK)
         assert np.array_equal(phi, basis.eval_all(z))
@@ -377,12 +377,12 @@ class TestNodeChunks:
         real_eval = TMBasis.eval_all
 
         def eval_all(self, z, count=None):
-            assert z is grid.nodes, "a chunk was evaluated again"
+            assert z is grid, "a chunk was evaluated again"
             return real_eval(self, z, count)
 
         monkeypatch.setattr(TMBasis, "eval_all", eval_all)
         for count in (None, 2):
-            parts = list(basis.eval_chunks(grid.nodes, count))
+            parts = list(basis.eval_chunks(grid, count))
             # a stored design is read in parts of PIECE_NODES nodes
             piece = tm_basis.PIECE_NODES
             assert [part for part, _ in parts] == [
@@ -405,7 +405,7 @@ NESTED_POLES = {
 
 def nested_points(extended):
     """64 circle nodes and 64 points inside the disk, in the grid's dtype."""
-    nodes = circle_grid(64, extended=extended).nodes
+    nodes = circle_grid(64, extended=extended)
     inside = random_disk_points(np.random.default_rng(43), 64, 0.95).astype(nodes.dtype)
     return np.concatenate([nodes, inside])
 
@@ -470,7 +470,7 @@ class TestNestedSum:
         # refinement one point at a time; both must round as a whole-grid sum
         basis = TMBasis(NESTED_POLES[kind])
         c = np.random.default_rng(53).standard_normal(basis.size) + 0.5j
-        nodes = circle_grid(2 * tm_basis.NODE_CHUNK, extended=extended).nodes
+        nodes = circle_grid(2 * tm_basis.NODE_CHUNK, extended=extended)
         whole = basis.eval_sum(c, nodes)
         for size in (tm_basis.NODE_CHUNK, 1000, 2):
             parts = [basis.eval_sum(c, nodes[i : i + size]) for i in range(0, len(nodes), size)]
@@ -502,7 +502,7 @@ class TestNestedSum:
     def test_the_cap_counts_four_arrays_whatever_the_repeats(self, poles, monkeypatch):
         # Two working arrays of the result's size and two of the points'
         # size, z - a and the reciprocal of the current run of equal poles.
-        nodes = circle_grid(256).nodes
+        nodes = circle_grid(256)
         basis = TMBasis(poles)
         c = np.ones(len(poles))
         size = 256 * 4 * 16
@@ -530,7 +530,7 @@ class TestNestedSum:
         # (157 MB on one part) when every one was kept; a sum holds four.
         poles = list(PoleSequence.random(600, np.random.default_rng(61), max_modulus=0.9))
         basis = TMBasis(poles * 2)
-        nodes = circle_grid(tm_basis.NODE_CHUNK).nodes
+        nodes = circle_grid(tm_basis.NODE_CHUNK)
         c = np.random.default_rng(67).standard_normal(basis.size) + 0.5j
         part = nodes.nbytes
         tracemalloc.start()
@@ -549,18 +549,18 @@ class TestDesignMemo:
         first = basis.design_matrix(grid)
         assert first is basis.design_matrix(grid)
         assert not first.flags.writeable
-        assert np.array_equal(first, basis.eval_all(grid.nodes.copy()).T)
+        assert np.array_equal(first, basis.eval_all(grid.copy()).T)
 
     def test_only_eval_chunks_reads_stored_nodes(self):
         basis = TMBasis([0.3, -0.4j, 0.3])
         grid = circle_grid(256)
         design = basis.design_matrix(grid)
         for count in (None, 2):
-            values = basis.eval_all(grid.nodes, count=count)
+            values = basis.eval_all(grid, count=count)
             assert not np.shares_memory(values, design)
             assert values.flags.writeable
             assert same_bits(values, design[:, : count or 3].T)
-            ((part, phi),) = basis.eval_chunks(grid.nodes, count)
+            ((part, phi),) = basis.eval_chunks(grid, count)
             assert part == slice(0, tm_basis.PIECE_NODES)
             assert np.shares_memory(phi, design)
             assert not phi.flags.writeable
@@ -570,16 +570,16 @@ class TestDesignMemo:
         spec = KernelSpec(1, 0.4)
         basis = TMBasis([0.2, 0.4, 0.4])
         grid = circle_grid(512)
-        expand_kernel(spec, basis).partial_sum(3, grid.nodes)
-        first = basis.eval_all(grid.nodes)
+        expand_kernel(spec, basis).partial_sum(3, grid)
+        first = basis.eval_all(grid)
         assert first.flags.writeable
-        assert not np.shares_memory(first, basis.eval_all(grid.nodes))
+        assert not np.shares_memory(first, basis.eval_all(grid))
 
     def test_writeable_copy_of_nodes_is_evaluated_fresh(self):
         basis = TMBasis([0.3, -0.4j, 0.3])
         grid = circle_grid(256)
         design = basis.design_matrix(grid)
-        nodes = grid.nodes.copy()
+        nodes = grid.copy()
         values = basis.eval_all(nodes)
         assert not np.shares_memory(values, design)
         assert np.array_equal(values, design.T)
@@ -607,7 +607,7 @@ class TestDesignBound:
         assert peak < 2**20
 
     def test_every_evaluation_is_bounded(self):
-        nodes = circle_grid(2**16).nodes
+        nodes = circle_grid(2**16)
         basis = TMBasis([0j] * 257)  # 2^16 points by 257 functions: 2^28 + 2^20 bytes
         tracemalloc.start()
         try:
@@ -642,7 +642,7 @@ class TestDesignBound:
         # The cap is the output's bytes, however the poles recur: only a run
         # of equal poles shares its (scale, factor) pair, which no other
         # pole's step outlives.
-        nodes = circle_grid(256).nodes
+        nodes = circle_grid(256)
         basis = TMBasis(poles)
         size = 256 * len(poles) * 16
         monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", size - 1)
@@ -734,14 +734,14 @@ PAIR_POLES = {
 
 
 PAIR_POINTS = {
-    "2^14 nodes": circle_grid(2**14).nodes,
-    "4096 nodes": circle_grid(4096).nodes,
+    "2^14 nodes": circle_grid(2**14),
+    "4096 nodes": circle_grid(4096),
     "25 points": np.concatenate([
         np.array([1.0, -1.0, 0.5, -0.3, 0.0, 0.4j], dtype=complex),  # on the axes
         random_disk_points(np.random.default_rng(43), 19, 0.95),
     ]),
     "scalar": np.complex128(0.3 - 0.2j),
-    "4096 long double nodes": circle_grid(4096, extended=True).nodes,
+    "4096 long double nodes": circle_grid(4096, extended=True),
 }
 
 

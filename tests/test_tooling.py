@@ -402,11 +402,12 @@ def calls_of(name: str, node: ast.AST, scope: str | None = None):
 
 
 def test_no_grid_bypasses_the_cap():
-    # circle_grid checks the node cap, so it is the one maker of grids
+    # circle_grid checks the node cap, so it is the one caller of the node
+    # builder and the one maker of grids
     calls = [
         (path.name, scope, line)
         for path in sorted((ROOT / "src" / "diskrat").glob("*.py"))
-        for scope, line in calls_of("CircleGrid", ast.parse(path.read_text()))
+        for scope, line in calls_of("_circle_nodes", ast.parse(path.read_text()))
     ]
     assert [(name, scope) for name, scope, _ in calls] == [("circlequad.py", "circle_grid")], calls
 
