@@ -345,7 +345,6 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
     if blocks is None:
         blocks = _blocks(range(0, trials, max(count, 1)), max(count, 1))
     if trials == 1:
-        rational = competitor_function(basis, spec.w, rows[0])
         parts = ((slice(start, start + NODE_CHUNK), None) for start in range(0, len(nodes), NODE_CHUNK))
     else:
         parts = basis.eval_chunks(nodes, count)
@@ -356,7 +355,8 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
         require_finite(part.start, 1, sampled[None])
         for first, stop, stride in blocks.tolist():
             if phi is None:
-                values = rational(x)[None]
+                # competitor_function's R, with the part's own multiplier
+                values = np.multiply(multiplier, basis.eval_sum(rows[0], x))[None]
             else:
                 # R = multiplier * (rows @ phi) in this operand order, which
                 # error *= multiplier would round apart.  np.dot rounds as
@@ -722,8 +722,9 @@ def competitor_function(basis: TMBasis, w: complex, coefficients) -> Callable:
     the sum taken by TMBasis.eval_sum at all of x, whose bits at a point do
     not depend on the other points.  Rows of shape (..., m) pass through to
     eval_sum and give each point its own row.  Approximant.eval is this R of
-    the approximant's coefficients, the grid passes of one row take it part
-    by part, and nu_functional takes it at the brackets of its rows."""
+    the approximant's coefficients and nu_functional takes it at the
+    brackets of its rows; the grid passes of one row form the same product
+    part by part with their own multiplier (_competitor_values)."""
     coefficients = np.asarray(coefficients, dtype=complex)
 
     def rational(x):

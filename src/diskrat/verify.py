@@ -418,9 +418,11 @@ ALL_CHECK_NAMES = [name for names, _ in CHECK_GROUPS for name in names]
 
 #: Groups whose work splits into interleaved shares: the share count, the
 #: function that measures one share and the one that combines the shares'
-#: results into the group's triples.  Any other group is one share.
+#: results into the group's triples.  Any other group is one share.  The
+#: lattice's 48 shares of 11 points keep short the last wait of a pooled
+#: run, for the shares a worker has started (_run_beside_pool).
 _SPLIT = {
-    _check_quadratic_group: (16, _quadratic_share, _quadratic_results),
+    _check_quadratic_group: (48, _quadratic_share, _quadratic_results),
 }
 
 
@@ -459,25 +461,26 @@ def _run_tasks(tasks: list[tuple[int, int]]) -> list[tuple]:
 
 
 def _run_beside_pool(tasks: list[tuple[int, int]], workers: int, context) -> list[tuple]:
-    """Hand the first tasks to a pool of `workers` and run the last ones
-    here; then take back, from the back, each handed task that no worker
-    has started, and wait for the rest.  Results and errors come back in
-    task order.
+    """Hand every task but the last to a pool of `workers` and run the last
+    one here; then take back, from the back, each handed share that no
+    worker has started, and wait for the rest.  Results and errors come
+    back in task order.
 
-    Whole groups come first and the split groups' shares last, and this
-    process keeps 1.1 times an even part of the tasks: in a full verify on
-    two CPUs, 13 of the 23, all quadratic shares, about 58% of its time.
-    So this process, not a worker, ends last, and the wall time follows the
-    pace of its own fixed part.  A timer in this process (a benchmark's
-    reference timing) measures that pace; it does not see the workers'
-    CPUs, whose pace an even split would add to the wall time."""
+    Whole groups come first and the split groups' shares last.  The workers
+    take tasks from the front and this process shares from the back until
+    they meet, so at the end it waits only for tasks the pool has started:
+    one running in each worker and at most workers + EXTRA_QUEUED_CALLS
+    queued for them.  In three sets of ten full verifies on a two-core VM,
+    the median CPU times of the two processes came within 5% of each
+    other.  A whole group is never taken back, so where it runs does not
+    depend on timing: the work of each process repeats for a selection
+    without shares, such as a traced verify, whose wrapped groups are not
+    split."""
     from concurrent.futures import Future, ProcessPoolExecutor
 
-    order = sorted(
-        range(len(tasks)), key=lambda index: _split(CHECK_GROUPS[tasks[index][0]][1])[0] > 1
-    )
-    kept = round(len(tasks) * 1.1 / (workers + 1))
-    handed, own = order[: len(tasks) - kept], order[len(tasks) - kept :]
+    is_share = [_split(CHECK_GROUPS[position][1])[0] > 1 for position, _ in tasks]
+    order = sorted(range(len(tasks)), key=is_share.__getitem__)
+    handed, own = order[:-1], order[-1:]
     pool = ProcessPoolExecutor(workers, mp_context=context)
     blas_threads = _set_blas_threads(1)  # before the workers fork, which inherit it
     try:
@@ -489,7 +492,9 @@ def _run_beside_pool(tasks: list[tuple[int, int]], workers: int, context) -> lis
                 "ignore", r"This process .* is multi-threaded", DeprecationWarning
             )
             futures = {index: pool.submit(_measure, *tasks[index]) for index in handed}
-        takeover = (index for index in reversed(handed) if futures[index].cancel())
+        takeover = (
+            index for index in reversed(handed) if is_share[index] and futures[index].cancel()
+        )
         for index in itertools.chain(own, takeover):
             futures[index] = Future()
             try:

@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from concurrent.futures.process import EXTRA_QUEUED_CALLS
 from pathlib import Path
 
 import numpy as np
@@ -538,17 +539,22 @@ class TestVerifyWorkers:
         return measured_in_process()
 
     @pytest.mark.parametrize(
-        "only",
-        [None, ["quadratic_exactness"], ["orthonormality", "oracle_routes", "boundary_nu"]],
-        ids=["all", "quadratic", "mixed"],
+        "only, cpus",
+        [
+            pytest.param(None, 2, id="all"),
+            pytest.param(["quadratic_exactness"], 2, id="quadratic"),
+            pytest.param(["orthonormality", "oracle_routes", "boundary_nu"], 2, id="mixed"),
+            pytest.param(["quadratic_exactness"], 3, id="quadratic-3cpus"),
+            pytest.param(["orthonormality", "oracle_routes", "boundary_nu"], 3, id="mixed-3cpus"),
+        ],
     )
-    def test_the_pool_verdict_is_the_serial_one(self, monkeypatch, serial, only):
-        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: 2)
+    def test_the_pool_verdict_is_the_serial_one(self, monkeypatch, serial, only, cpus):
+        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: cpus)
         forks = fork_spy(monkeypatch)
         expected = {name: serial[name] for name in (only or ALL_CHECK_NAMES)}
         got = measured_by_run_checks(only)
         assert json.dumps(got) == json.dumps(expected)
-        assert len(forks) == 1  # this process and one worker
+        assert len(forks) == cpus - 1  # this process and a worker per other CPU
         assert multiprocessing.active_children() == []
 
     def test_one_usable_cpu_forks_nothing(self, monkeypatch, serial):
@@ -581,10 +587,11 @@ class TestVerifyWorkers:
         assert multiprocessing.active_children() == []
 
     @staticmethod
-    def split_registry(monkeypatch, whole_seconds=0.0):
+    def split_registry(monkeypatch, whole_seconds=0.0, last_seconds=0.0):
         """A registry of one whole group, which sleeps `whole_seconds`, and
-        one group split into 16 shares; each task reports the process it
-        ran in.  Returns run_checks' quadratic detail: [share, pid] pairs."""
+        one group split into 16 shares, the last of which sleeps
+        `last_seconds`; each task reports the process it ran in.  Returns
+        run_checks' quadratic detail: [share, pid] pairs."""
 
         def whole():
             time.sleep(whole_seconds)
@@ -593,30 +600,69 @@ class TestVerifyWorkers:
         def split():
             raise AssertionError("a split group runs through its shares")
 
+        def share(share, shares):
+            time.sleep(last_seconds if share == shares - 1 else 0.0)
+            return [share, os.getpid()]
+
         def combine(partials):
             return [("quadratic_exactness", 0.0, {"ran": partials})]
 
         groups = [(("orthonormality",), whole), (("quadratic_exactness",), split)]
         monkeypatch.setattr(diskrat.verify, "CHECK_GROUPS", groups)
-        monkeypatch.setitem(
-            diskrat.verify._SPLIT, split, (16, lambda share, shares: [share, os.getpid()], combine)
-        )
+        monkeypatch.setitem(diskrat.verify._SPLIT, split, (16, share, combine))
         monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: 2)
         results = run_checks(only=["orthonormality", "quadratic_exactness"])
         assert multiprocessing.active_children() == []
         return results[1].detail["ran"]
 
     def test_this_process_runs_the_last_shares(self, monkeypatch):
-        # 17 tasks on two processes: this one keeps round(17 * 1.1 / 2) = 9,
-        # the last shares; the worker gets the whole group and shares 0-6
+        # 17 tasks on two processes: the worker takes them from the front,
+        # this one runs the last and takes back from the back what the
+        # worker has not started, so it ends with a suffix of the shares
         ran = self.split_registry(monkeypatch)
         assert [share for share, _ in ran] == list(range(16))
-        assert {pid for _, pid in ran[7:]} == {os.getpid()}
+        pids = [pid for _, pid in ran]
+        assert pids[-1] == os.getpid()
+        first = pids.index(os.getpid())
+        assert set(pids[first:]) == {os.getpid()}
+        assert len(set(pids[:first])) <= 1  # the worker's prefix
 
     def test_this_process_takes_over_what_a_slow_worker_has_not_started(self, monkeypatch):
+        # while the worker sleeps in the whole group, at most workers +
+        # EXTRA_QUEUED_CALLS shares are started: queued for it in the pool
         ran = self.split_registry(monkeypatch, whole_seconds=0.5)
         assert [share for share, _ in ran] == list(range(16))
-        assert ran[6][1] == os.getpid()
+        worker = [share for share, pid in ran if pid != os.getpid()]
+        assert worker == list(range(len(worker)))
+        assert len(worker) <= 1 + EXTRA_QUEUED_CALLS
+
+    def test_the_worker_runs_every_task_but_the_last_while_this_process_is_busy(
+        self, monkeypatch
+    ):
+        # this process keeps the last task alone; while it sleeps there,
+        # the worker runs the whole group and every other share
+        ran = self.split_registry(monkeypatch, last_seconds=0.5)
+        assert [share for share, _ in ran] == list(range(16))
+        assert [pid == os.getpid() for _, pid in ran] == [False] * 15 + [True]
+
+    def test_a_whole_group_runs_where_it_is_handed(self, monkeypatch):
+        # five whole groups on two processes, the first of which sleeps:
+        # the worker runs the first four, although this process is idle
+        # once the last is done, so each process's work repeats
+        def group(name, seconds):
+            def measure():
+                time.sleep(seconds)
+                return [(name, 0.0, {"pid": os.getpid()})]
+
+            return measure
+
+        names = [names[0] for names, _ in CHECK_GROUPS[:5]]
+        groups = [((name,), group(name, 0.0 if k else 0.5)) for k, name in enumerate(names)]
+        monkeypatch.setattr(diskrat.verify, "CHECK_GROUPS", groups)
+        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: 2)
+        results = run_checks(only=names)
+        assert multiprocessing.active_children() == []
+        assert [r.detail["pid"] == os.getpid() for r in results] == [False] * 4 + [True]
 
     def test_importing_the_cli_loads_no_pool_module(self):
         code = (
