@@ -32,6 +32,7 @@ from .errors import (
     GridTooLarge,
     IllConditioned,
     IndexOutOfRange,
+    InvalidSelection,
     NonFiniteIntegrand,
     OrderTooSmall,
     PointNotInDisk,

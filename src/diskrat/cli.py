@@ -38,7 +38,7 @@ from .circlequad import (
     random_disk_points,
     require_in_disk,
 )
-from .errors import DiskratError, OrderTooSmall, PointNotInDisk
+from .errors import DiskratError, InvalidSelection, OrderTooSmall, PointNotInDisk
 from .kernels import KernelSpec
 from .oracle import (
     LeastSquaresProblem,
@@ -452,10 +452,7 @@ def cmd_sweep(cfg: SimpleNamespace) -> int:
 
 
 def cmd_verify(cfg: SimpleNamespace) -> int:
-    try:
-        results = run_checks(only=cfg.only, tolerances=cfg.tolerances)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    results = run_checks(only=cfg.only, tolerances=cfg.tolerances)
     for result in results:
         sys.stdout.write(result.line() + "\n")
     verdict = verdict_dict(results)
@@ -529,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.out:
             _check_out(cfg.out)
         return COMMANDS[args.command][0](cfg)
-    except (UsageError, OrderTooSmall) as exc:
+    except (UsageError, OrderTooSmall, InvalidSelection) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except DiskratError as exc:

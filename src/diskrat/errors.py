@@ -60,6 +60,11 @@ class OrderTooSmall(DiskratError):
     """The approximation order n is smaller than the kernel weight alpha."""
 
 
+class InvalidSelection(DiskratError, ValueError):
+    """A verify selection or tolerance override names an unknown check, or
+    selects none."""
+
+
 class IllConditioned(DiskratError):
     """The discrete least-squares problem is rank deficient or near-singular."""
 

@@ -34,7 +34,7 @@ from .bergman_approx import (
     nu_min_closed_form,
 )
 from .circlequad import circle_grid, derivative_at, random_disk_points, require_in_disk
-from .errors import PointNotInDisk
+from .errors import InvalidSelection, PointNotInDisk
 from .expansion import remainder_integral_J
 from .kernels import KernelSpec
 from .oracle import LeastSquaresProblem, lsq_minimize, uniform_competitor_scan
@@ -445,13 +445,15 @@ def _usable_cpus() -> int:
 
 
 def _run_tasks(tasks: list[tuple[int, int]]) -> list[tuple]:
-    """`_measure` of every task, in task order, over min(usable CPUs, tasks)
-    processes: this one and a fork pool of the others.  Where that is one,
-    where fork is not available, or where this process runs another Python
-    thread, which a fork would copy mid-step, the tasks run here, one after
-    another."""
+    """`_measure` of every task, in task order: where a split group's shares
+    are among the tasks, over min(usable CPUs, tasks) processes, this one
+    and a fork pool of the others.  Other tasks, such as a traced verify's,
+    whose wrapped groups are not split, run here one after another, as do
+    all where that count is one, fork is not available or this process
+    runs another Python thread, which a fork would copy mid-step."""
     processes = min(_usable_cpus(), len(tasks))
-    if processes > 1:
+    # only a split group has a share past its first
+    if processes > 1 and any(share for _, share in tasks):
         import multiprocessing
         import threading
 
@@ -461,26 +463,21 @@ def _run_tasks(tasks: list[tuple[int, int]]) -> list[tuple]:
 
 
 def _run_beside_pool(tasks: list[tuple[int, int]], workers: int, context) -> list[tuple]:
-    """Hand every task but the last to a pool of `workers` and run the last
-    one here; then take back, from the back, each handed share that no
-    worker has started, and wait for the rest.  Results and errors come
+    """Hand every task to a pool of `workers`, the whole groups first and
+    the split groups' shares last; then walk the tasks from the back and
+    run here each one that no worker has started.  Results and errors come
     back in task order.
 
-    Whole groups come first and the split groups' shares last.  The workers
-    take tasks from the front and this process shares from the back until
-    they meet, so at the end it waits only for tasks the pool has started:
-    one running in each worker and at most workers + EXTRA_QUEUED_CALLS
-    queued for them.  In three sets of ten full verifies on a two-core VM,
-    the median CPU times of the two processes came within 5% of each
-    other.  A whole group is never taken back, so where it runs does not
-    depend on timing: the work of each process repeats for a selection
-    without shares, such as a traced verify, whose wrapped groups are not
-    split."""
+    The workers take tasks from the front and this process from the back
+    until they meet, so at the end it waits only for tasks the pool has
+    started: one running in each worker and at most workers +
+    EXTRA_QUEUED_CALLS queued for them.  In three sets of twelve full
+    verifies on a two-core VM, the median CPU times of the two processes
+    came within 6% of each other."""
     from concurrent.futures import Future, ProcessPoolExecutor
 
     is_share = [_split(CHECK_GROUPS[position][1])[0] > 1 for position, _ in tasks]
     order = sorted(range(len(tasks)), key=is_share.__getitem__)
-    handed, own = order[:-1], order[-1:]
     pool = ProcessPoolExecutor(workers, mp_context=context)
     blas_threads = _set_blas_threads(1)  # before the workers fork, which inherit it
     try:
@@ -491,16 +488,14 @@ def _run_beside_pool(tasks: list[tuple[int, int]], workers: int, context) -> lis
             warnings.filterwarnings(
                 "ignore", r"This process .* is multi-threaded", DeprecationWarning
             )
-            futures = {index: pool.submit(_measure, *tasks[index]) for index in handed}
-        takeover = (
-            index for index in reversed(handed) if is_share[index] and futures[index].cancel()
-        )
-        for index in itertools.chain(own, takeover):
-            futures[index] = Future()
-            try:
-                futures[index].set_result(_measure(*tasks[index]))
-            except Exception as error:
-                futures[index].set_exception(error)
+            futures = {index: pool.submit(_measure, *tasks[index]) for index in order}
+        for index in reversed(order):
+            if futures[index].cancel():
+                futures[index] = Future()
+                try:
+                    futures[index].set_result(_measure(*tasks[index]))
+                except Exception as error:
+                    futures[index].set_exception(error)
         return [futures[index].result() for index in range(len(tasks))]
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
@@ -540,25 +535,26 @@ def run_checks(
     only: list[str] | None = None, tolerances: dict | None = None
 ) -> list[CheckResult]:
     """Run all (or the selected) checks and judge each measured value
-    against its bound: DEFAULT_TOLERANCES, overridden by `tolerances`.  A
-    selection must name at least one check.
+    against its bound: DEFAULT_TOLERANCES, overridden by `tolerances`.  An
+    empty selection, or an unknown check or tolerance name, raises
+    InvalidSelection before any check runs.
 
     The selected groups run as one list of independent tasks, one per
-    share of a split group (_SPLIT) and one per other group, on the usable
-    CPUs (_run_tasks).  Results come back in registry order with the values
+    share of a split group (_SPLIT) and one per other group, here or in a
+    pool (_run_tasks).  Results come back in registry order with the values
     and details of one process, bit for bit.  A group's `group_seconds` is
     the sum of its shares' seconds, which may overlap in wall time."""
     tolerances = tolerances or {}
     for name in tolerances:
         if name not in DEFAULT_TOLERANCES:
-            raise ValueError(f"unknown tolerance name: {name}")
+            raise InvalidSelection(f"unknown tolerance name: {name}")
     bounds = {**DEFAULT_TOLERANCES, **tolerances}
     if only is not None:
         if not only:
-            raise ValueError("no check selected")
+            raise InvalidSelection("no check selected")
         unknown = set(only) - set(ALL_CHECK_NAMES)
         if unknown:
-            raise ValueError(f"unknown check names: {sorted(unknown)}")
+            raise InvalidSelection(f"unknown check names: {sorted(unknown)}")
     groups = [
         (position, _split(group))
         for position, (names, group) in enumerate(CHECK_GROUPS)

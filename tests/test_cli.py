@@ -470,6 +470,31 @@ class TestVerify:
         assert code == 1
         assert "unknown" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--only", "nope"], "unknown check names: ['nope']"),
+            (["--only", ""], "no check selected"),
+            (["--tol", "nope=1"], "unknown tolerance name: nope"),
+        ],
+        ids=["only-unknown", "only-empty", "tol-unknown"],
+    )
+    def test_a_bad_selection_or_tolerance_name_is_a_usage_error(self, capsys, argv, message):
+        assert run_cli(capsys, "verify", *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_value_error_inside_a_group_is_an_internal_error(self, capsys, monkeypatch, cpus):
+        def fails():
+            raise ValueError("boom inside a group")
+
+        groups = list(CHECK_GROUPS)
+        groups[0] = (groups[0][0], fails)
+        monkeypatch.setattr(diskrat.verify, "CHECK_GROUPS", groups)
+        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: cpus)
+        assert run_cli(capsys, "verify", "--only", "orthonormality") == (
+            3, "", "internal error: ValueError('boom inside a group')\n"
+        )
+
     @pytest.mark.parametrize("only", ["", ",", []], ids=["empty", "comma", "config"])
     def test_empty_selection_is_usage_error(self, capsys, tmp_path, monkeypatch, only):
         def no_check():
@@ -566,13 +591,18 @@ class TestVerifyWorkers:
         assert forks == []
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_a_group_error_reaches_the_caller(self, capsys, monkeypatch, cpus):
-        def fails():
+    @pytest.mark.parametrize("failing", ["share", "whole"])
+    def test_a_group_error_reaches_the_caller(self, capsys, monkeypatch, cpus, failing):
+        def fails(*args):
             raise NonFiniteIntegrand(7, 1 + 2j)
 
         groups = list(CHECK_GROUPS)
         groups[0] = (groups[0][0], fails)
         monkeypatch.setattr(diskrat.verify, "CHECK_GROUPS", groups)
+        if failing == "share":
+            # four failing shares, which make the pool form; the error of
+            # the first in task order reaches the caller, wherever it ran
+            monkeypatch.setitem(diskrat.verify._SPLIT, fails, (4, fails, fails))
         monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: cpus)
         forks = fork_spy(monkeypatch)
         only = ["orthonormality", "christoffel_darboux"]
@@ -580,11 +610,23 @@ class TestVerifyWorkers:
             run_checks(only=only)
         assert str(raised.value) == "integrand is non-finite at node index 7: (1+2j)"
         assert (raised.value.node_index, raised.value.value) == (7, 1 + 2j)
-        assert len(forks) == (1 if cpus == 2 else 0)
+        # only a selection with shares forms a pool
+        assert len(forks) == (1 if (cpus, failing) == (2, "share") else 0)
         assert multiprocessing.active_children() == []
         code, out, err = run_cli(capsys, "verify", "--only", ",".join(only))
         assert (code, out, err) == (2, "", "error: integrand is non-finite at node index 7: (1+2j)\n")
         assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def whole_group(name, seconds=0.0):
+        """A stand-in whole group that sleeps `seconds` and reports the
+        process it ran in."""
+
+        def measure():
+            time.sleep(seconds)
+            return [(name, 0.0, {"pid": os.getpid()})]
+
+        return measure
 
     @staticmethod
     def split_registry(monkeypatch, whole_seconds=0.0, last_seconds=0.0):
@@ -645,36 +687,84 @@ class TestVerifyWorkers:
         assert [share for share, _ in ran] == list(range(16))
         assert [pid == os.getpid() for _, pid in ran] == [False] * 15 + [True]
 
-    def test_a_whole_group_runs_where_it_is_handed(self, monkeypatch):
-        # five whole groups on two processes, the first of which sleeps:
-        # the worker runs the first four, although this process is idle
-        # once the last is done, so each process's work repeats
-        def group(name, seconds):
-            def measure():
-                time.sleep(seconds)
-                return [(name, 0.0, {"pid": os.getpid()})]
-
-            return measure
-
+    def test_a_selection_of_whole_groups_runs_here_and_forks_nothing(self, monkeypatch):
         names = [names[0] for names, _ in CHECK_GROUPS[:5]]
-        groups = [((name,), group(name, 0.0 if k else 0.5)) for k, name in enumerate(names)]
+        groups = [((name,), self.whole_group(name)) for name in names]
         monkeypatch.setattr(diskrat.verify, "CHECK_GROUPS", groups)
         monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: 2)
+        forks = fork_spy(monkeypatch)
         results = run_checks(only=names)
-        assert multiprocessing.active_children() == []
-        assert [r.detail["pid"] == os.getpid() for r in results] == [False] * 4 + [True]
+        assert [r.detail["pid"] for r in results] == [os.getpid()] * 5
+        assert forks == []
 
-    def test_importing_the_cli_loads_no_pool_module(self):
-        code = (
-            "import sys, diskrat.cli; "
-            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    def test_a_wrapped_registry_runs_here_with_the_serial_verdict(self, monkeypatch, serial):
+        # each entry a new function object, as perfbench/tracing.py wraps
+        # them: no group is a split key, so no share and no pool
+        ran = []
+
+        def wrap(group):
+            def wrapped():
+                ran.append(os.getpid())
+                return group()
+
+            return wrapped
+
+        groups = [(names, wrap(group)) for names, group in CHECK_GROUPS]
+        monkeypatch.setattr(diskrat.verify, "CHECK_GROUPS", groups)
+        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: 2)
+        forks = fork_spy(monkeypatch)
+        assert json.dumps(measured_by_run_checks()) == json.dumps(serial)
+        assert ran == [os.getpid()] * len(CHECK_GROUPS)
+        assert forks == []
+
+    def test_a_whole_group_no_worker_has_started_is_taken_back(self, monkeypatch):
+        # four whole groups, then four shares, on two processes: while the
+        # worker sleeps in the first group, at most two more are queued for
+        # it, so this process runs the shares and then at least the last group
+        def split():
+            raise AssertionError("a split group runs through its shares")
+
+        def combine(pids):
+            return [("quadratic_exactness", 0.0, {"pids": pids})]
+
+        names = [names[0] for names, _ in CHECK_GROUPS[:2] + CHECK_GROUPS[3:5]]
+        groups = [((name,), self.whole_group(name, 0.0 if k else 0.5))
+                  for k, name in enumerate(names)]
+        groups.insert(2, (("quadratic_exactness",), split))
+        monkeypatch.setattr(diskrat.verify, "CHECK_GROUPS", groups)
+        monkeypatch.setitem(
+            diskrat.verify._SPLIT, split, (4, lambda share, shares: os.getpid(), combine)
+        )
+        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: 2)
+        results = run_checks(only=[*names, "quadratic_exactness"])
+        assert multiprocessing.active_children() == []
+        here = {r.name: r.detail["pid"] == os.getpid() for r in results if "pid" in r.detail}
+        assert (here[names[0]], here[names[3]]) == (False, True)
+
+    @staticmethod
+    def pool_modules_loaded(code):
+        """What a fresh interpreter prints after `code`, whose last line
+        lists the pool modules loaded."""
+        code += (
+            "\nprint([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(diskrat.__file__).parents[1]))
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
+        return done.stdout
+
+    def test_a_selection_without_shares_loads_no_pool_module(self):
+        assert self.pool_modules_loaded(
+            "import sys, diskrat.cli, diskrat.verify\n"
+            "diskrat.verify._usable_cpus = lambda: 2\n"
+            "assert diskrat.cli.main(['verify', '--only', "
+            "'orthonormality,christoffel_darboux']) == 0"
+        ).endswith("all checks passed\n[]\n")
+
+    def test_importing_the_cli_loads_no_pool_module(self):
+        assert self.pool_modules_loaded("import sys, diskrat.cli") == "[]\n"
 
 
 def test_every_library_error_survives_pickling():
@@ -749,7 +839,7 @@ def test_verify_checks_its_out_target_before_the_checks(
     capsys, monkeypatch, tmp_path, target, message
 ):
     def checks_ran(**kwargs):
-        raise ValueError("checks ran")
+        raise UsageError("checks ran")
 
     monkeypatch.setattr(diskrat.cli, "run_checks", checks_ran)
     (tmp_path / "kept.txt").write_text("kept")

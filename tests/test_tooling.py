@@ -296,15 +296,19 @@ def test_scan_is_patchable_on_the_cli_module():
 
 def test_a_pooled_verify_runs_blas_on_one_thread_and_restores_it():
     # read through the benchmark's own reader of the OpenBLAS count, in a
-    # fresh interpreter, since the count is set for the whole process; each
-    # of two stand-in groups reports the count it ran with, one in the
-    # worker and one in this process
+    # fresh interpreter, since the count is set for the whole process; a
+    # stand-in whole group and a stand-in group of two shares, which makes
+    # the pool form, report the largest count they ran with, in the worker
+    # and in this process
     code = (
         "import json, run, diskrat.verify as v\n"
         "v._usable_cpus = lambda: 2\n"
         "reads = lambda name: lambda: [(name, 0.0, {'blas': run.blas_threads()})]\n"
         "names = ['orthonormality', 'christoffel_darboux']\n"
         "v.CHECK_GROUPS = [((name,), reads(name)) for name in names]\n"
+        "v._SPLIT[v.CHECK_GROUPS[1][1]] = (\n"
+        "    2, lambda share, shares: run.blas_threads(),\n"
+        "    lambda counts: [(names[1], 0.0, {'blas': max(counts)})])\n"
         "before = run.blas_threads()\n"
         "during = [result.detail['blas'] for result in v.run_checks(only=names)]\n"
         "print(json.dumps([before, during, run.blas_threads()]))\n"
