@@ -39,7 +39,7 @@ import numpy as np
 from .circlequad import circle_grid, json_complex, require_finite, require_in_disk
 from .errors import DesignTooLarge, ValueOutOfRange
 from .expansion import FourierExpansion, expand_kernel, validate_trailing_poles
-from .kernels import KernelSpec
+from .kernels import KernelSpec, reciprocal_power
 from .tm_basis import MAX_DESIGN_BYTES, NODE_CHUNK, BlaschkeProduct, PoleSequence, TMBasis
 
 __all__ = [
@@ -137,12 +137,15 @@ def interpolation_target(spec: KernelSpec, point: complex, multiplicity: int) ->
 
 @dataclass
 class Approximant:
-    """r(x; w) = (1 - x conj(w)) S_{n+1}(K_alpha)(x; w) over a trailing-w basis."""
+    """r(x; w) = (1 - x conj(w)) S_{n+1}(K_alpha)(x; w) over a trailing-w basis,
+    with the basis's Taylor table at w of order alpha + 1 its expansion was
+    read from."""
 
     spec: KernelSpec
     free_poles: PoleSequence
     basis: TMBasis
     expansion: FourierExpansion
+    taylor_at_w: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
     def free_blaschke(self) -> BlaschkeProduct:
@@ -192,12 +195,16 @@ class Approximant:
         evaluated together.  At a pole a of highest multiplicity S > 1,
         t = c @ taylor(a, S - 1) holds the Taylor coefficients of the partial
         sum, and r = (1 - a conj(w) - conj(w) h) * sum_j t_j h^j in h = z - a
-        gives r^(j)(a) = j! ((1 - a conj(w)) t_j - conj(w) t_(j-1)).  No grid
-        is involved.  The rounding scale repeats that formula with absolute
-        values, u = |c| @ |taylor| in place of t, times eps: the size of the
-        terms the sums cancel, times the unit roundoff.  It is an estimate of
-        the rounding error, not a bound: it leaves out the rounding inside
-        taylor itself.  Computed once per approximant.  Where j! or a
+        gives r^(j)(a) = j! ((1 - a conj(w)) t_j - conj(w) t_(j-1)).  At
+        a = w with S <= alpha + 2 the table is a contiguous copy of the first
+        S columns of taylor_at_w, which are taylor(w, S - 1) to the bit, so
+        the product keeps its width and bits; a is the group's first pole,
+        equal to w, and can differ from it only in the sign of a zero part.
+        No grid is involved.  The rounding scale repeats that formula with
+        absolute values, u = |c| @ |taylor| in place of t, times eps: the
+        size of the terms the sums cancel, times the unit roundoff.  It is
+        an estimate of the rounding error, not a bound: it leaves out the
+        rounding inside taylor itself.  Computed once per approximant.  Where j! or a
         product leaves the double range, the value or scale is not finite;
         interpolation_rows refuses such rows.  j! is inf from j = 171 on, so
         the table stops at order _MAX_FACTORIAL + 1 and later rows stay NaN.
@@ -221,7 +228,10 @@ class Approximant:
             if len(index) == 1:
                 continue
             index = index[: _MAX_FACTORIAL + 2]
-            taylor = self.basis.taylor(a, len(index) - 1)
+            if a == self.spec.w and len(index) <= self.taylor_at_w.shape[1]:
+                taylor = np.ascontiguousarray(self.taylor_at_w[:, : len(index)])
+            else:
+                taylor = self.basis.taylor(a, len(index) - 1)
             factorials = np.array(
                 [float(math.factorial(j)) if j <= _MAX_FACTORIAL else np.inf
                  for j in range(len(index))]
@@ -309,8 +319,9 @@ def build_approximant(
         free_poles = PoleSequence(free_poles)
     full = free_poles.with_trailing(spec.w, spec.alpha + 1)
     basis = TMBasis(full)
-    expansion = expand_kernel(spec, basis)
-    return Approximant(spec=spec, free_poles=free_poles, basis=basis, expansion=expansion)
+    table = basis.taylor(spec.w, spec.alpha + 1)
+    return Approximant(spec=spec, free_poles=free_poles, basis=basis,
+                       expansion=expand_kernel(spec, basis, table), taylor_at_w=table)
 
 
 def _blocks(firsts, size: int, stride: int = 1) -> np.ndarray:
@@ -320,18 +331,23 @@ def _blocks(firsts, size: int, stride: int = 1) -> np.ndarray:
     return np.stack([firsts, firsts + size, np.full_like(firsts, stride)], axis=1)
 
 
-def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, kernel,
+def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, exponent: int,
                        blocks=None):
     """Yield (at, block, multiplier, K, R) for each part of the nodes x, in
     node order, and each block of rows of blocks, in its order (an array of
     (first, stop, stride) rows, see _blocks; by default every block of m
     rows at stride 1).  A block is evaluated at every stride-th node of the
     part from its first: at is slice(start, stop, stride) of those nodes,
-    multiplier = 1 - x conj(w) and K = kernel(x) are theirs, sampled once
-    per part, and R = multiplier * sum_k c_k phi_k(x) for every row c of the
-    block.  One row is summed by TMBasis.eval_sum on parts of NODE_CHUNK
-    nodes and forms no basis block: R is then Approximant.eval of the row
-    on the part, to the bit.  A batch of rows takes its parts from
+    multiplier = 1 - x conj(w) and K = (1 - x conj(w))^-exponent are theirs,
+    sampled once per part, and R = multiplier * sum_k c_k phi_k(x) for every
+    row c of the block.  The multiplier and its reciprocal are formed once
+    per part, and K is reciprocal_power of that reciprocal: the bits of
+    spec.bergman(x) at exponent alpha + 2 and of spec.cauchy_power(x) at
+    alpha + 1.  One row is summed by TMBasis.eval_sum on parts of
+    NODE_CHUNK nodes and forms no basis block; where the row's last pole is
+    w, as in every approximant's basis, eval_sum reads the same reciprocal
+    for that pole's run.  R is then Approximant.eval of the row on the
+    part, to the bit.  A batch of rows takes its parts from
     TMBasis.eval_chunks, which alone decides their length, and multiplies
     each block by the part in one product: an evaluated part whole, or a
     PIECE_NODES part read in place from a stored design.  The product
@@ -348,15 +364,18 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
         parts = ((slice(start, start + NODE_CHUNK), None) for start in range(0, len(nodes), NODE_CHUNK))
     else:
         parts = basis.eval_chunks(nodes, count)
+    shared = count > 0 and basis.poles[count - 1] == spec.w
     for part, phi in parts:
         x = nodes[part]
         multiplier = 1.0 - x * np.conj(spec.w)
-        sampled = kernel(x)
+        reciprocal = 1.0 / multiplier
+        sampled = reciprocal_power(reciprocal, exponent)
         require_finite(part.start, 1, sampled[None])
         for first, stop, stride in blocks.tolist():
             if phi is None:
                 # competitor_function's R, with the part's own multiplier
-                values = np.multiply(multiplier, basis.eval_sum(rows[0], x))[None]
+                given = reciprocal if shared else None
+                values = np.multiply(multiplier, basis.eval_sum(rows[0], x, reciprocal=given))[None]
             else:
                 # R = multiplier * (rows @ phi) in this operand order, which
                 # error *= multiplier would round apart.  np.dot rounds as
@@ -370,7 +389,7 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
             yield (slice(part.start, part.start + len(x), stride), slice(first, stop),
                    multiplier[::stride], sampled[::stride], values)
             del values  # freed before the next block is formed
-        del phi, multiplier, sampled  # freed before the next part is evaluated
+        del phi, multiplier, reciprocal, sampled  # freed before the next part is evaluated
 
 
 def mu_functional(
@@ -393,7 +412,7 @@ def mu_functional(
     nodes = circle_grid(len(grid), extended=True) if extended else grid
     sums = np.zeros(len(rows), dtype=nodes.real.dtype)
     for _, block, multiplier, kernel, error in _competitor_values(
-        spec, basis, rows, nodes, spec.bergman
+        spec, basis, rows, nodes, spec.alpha + 2
     ):
         np.divide(error, multiplier, out=error)
         np.subtract(kernel, error, out=error)
@@ -534,7 +553,7 @@ def _nu_grid_pass(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, blo
     bottom = np.full(len(rows), np.inf)
     index = np.zeros(len(rows), dtype=int)
     for at, block, multiplier, kernel, error in _competitor_values(
-        spec, basis, rows, nodes, spec.cauchy_power, blocks
+        spec, basis, rows, nodes, spec.alpha + 1, blocks
     ):
         moduli = np.abs(np.subtract(kernel, error, out=error))
         local = np.argmax(moduli, axis=1)

@@ -18,12 +18,32 @@ import numpy as np
 
 from .circlequad import require_in_disk
 
-__all__ = ["KernelSpec"]
+__all__ = ["KernelSpec", "reciprocal_power"]
+
+
+def reciprocal_power(reciprocal, exponent: int):
+    """reciprocal^exponent for exponent >= 1 by repeated multiplication,
+    starting from reciprocal itself: reciprocal itself at exponent 1, else a
+    new array.  These are the bits of the product started from ones wherever
+    1 * r is r: at every finite r with no negative zero part, so at
+    1 / (1 - z conj(w)) for every z of the closed disk.  A power past the
+    double range is inf, silently; the grid passes refuse it."""
+    out = reciprocal
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(exponent - 1):
+            out = out * reciprocal
+    return out
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """The pair (alpha, w) selecting the kernel K_alpha(.; w)."""
+    """The pair (alpha, w) selecting the kernel K_alpha(.; w).
+
+    Both kernels are powers of the reciprocal 1 / (1 - z conj(w)), never
+    complex log/exp: no branch-cut ambiguity, and the exponents here are
+    small.  A caller that holds that reciprocal takes the power with
+    reciprocal_power, as the grid passes do with the one reciprocal per
+    part that also serves their multiplier and the nested sum's last run."""
 
     alpha: int
     w: complex
@@ -42,14 +62,8 @@ class KernelSpec:
         object.__setattr__(self, "w", require_in_disk(self.w))
 
     def _power(self, z, exponent: int):
-        """(1 - z conj(w))^-exponent by repeated multiplication, never complex
-        log/exp: no branch-cut ambiguity, and the exponents here are small."""
-        base = 1.0 / (1.0 - np.asarray(z) * np.conj(self.w))
-        out = np.ones_like(base)
-        # a power past the double range is inf; the grid passes refuse it
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(exponent):
-                out = out * base
+        """(1 - z conj(w))^-exponent, by reciprocal_power."""
+        out = reciprocal_power(1.0 / (1.0 - np.asarray(z) * np.conj(self.w)), exponent)
         return complex(out) if np.ndim(out) == 0 else out
 
     def bergman(self, z):

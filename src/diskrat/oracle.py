@@ -74,9 +74,9 @@ class LeastSquaresProblem:
     def build(cls, spec: KernelSpec, basis: TMBasis, grid: np.ndarray) -> "LeastSquaresProblem":
         # the normal-equations matrix conj(A)^T A / N, whose entry (k, l) is
         # <phi_l, phi_k>: the conjugate of the basis's Gram, which stores A;
-        # A is read from that store, so design_matrix runs once per problem
+        # design_matrix then returns that stored A without evaluating it again
         gram = np.conj(basis.gram_matrix(grid))
-        design = basis._designs[id(grid)][1]
+        design = basis.design_matrix(grid)
         target = sample_on_nodes(spec.bergman, grid)
         return cls(design, target, gram, float(np.linalg.cond(gram)))
 

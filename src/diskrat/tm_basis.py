@@ -321,7 +321,7 @@ class TMBasis:
                 running = running * factor
         return out[:, 0] if scalar else out
 
-    def eval_sum(self, coefficients, z):
+    def eval_sum(self, coefficients, z, *, reciprocal=None):
         """S(z) = sum_k c_k phi_k(z) without forming any phi_k.  A vector c
         of at most size coefficients is summed at every point of z, in an
         array of z's shape (a numpy scalar for a scalar z).  Rows of shape
@@ -340,13 +340,22 @@ class TMBasis:
         the factors are moved onto the coefficients, so each step is
         acc = ((z - a_k) acc + c'_k) / (1 - conj(a_k) z), with one product,
         one sum and one product by the reciprocal; c'_k is formed in its
-        step, one column of the rows at a time.  z - a_k and the reciprocal
-        are formed once per run of equal consecutive poles and reused along
-        it; a pole that recurs after other poles forms them again, to the
-        same bits.  A zero pole divides nothing.  Two working arrays of the
-        result's size, two of z's size and c'_k of rows are counted against
-        MAX_DESIGN_BYTES, however the poles recur: more raise DesignTooLarge
-        before anything is allocated.
+        step, one column of the rows at a time.  The first step, at the last
+        pole, sets the term to c'_(m-1) instead of multiplying the zero
+        accumulator.  z - a_k and the reciprocal are formed once per run of
+        equal consecutive poles and reused along it; a pole that recurs
+        after other poles forms them again, to the same bits.  A zero pole
+        divides nothing.  Two working arrays of the result's size, two of
+        z's size and c'_k of rows are counted against MAX_DESIGN_BYTES,
+        however the poles recur: more raise DesignTooLarge before anything
+        is allocated.
+
+        reciprocal, if given, is 1 / (1 - conj(a) z) of the last pole a,
+        formed by the caller as this sum forms it, of z's shape and the
+        result's dtype: the last pole's run reads it in place of forming its
+        own, and never writes to it.  A zero last pole ignores it.  The grid
+        passes hand in the reciprocal their multiplier and kernel come from,
+        since an approximant's basis ends with poles at w.
 
         Every operation writes into an array of its own, and no complex
         product writes over one of its operands, so the bits at a point do
@@ -380,16 +389,24 @@ class TMBasis:
         acc = np.zeros(shape, dtype=dtype)
         term = np.empty_like(acc)
         shifted = np.empty(z.shape, dtype=dtype)
-        reciprocal = np.empty_like(shifted)
+        given, formed = reciprocal, np.empty_like(shifted)
         for k in reversed(range(count)):
             a = poles[k]
             if a != 0 and (k + 1 == count or poles[k + 1] != a):  # a run's first step
                 np.subtract(z, a, out=shifted)
-                np.multiply(z, self._conjs[k], out=reciprocal)
-                np.subtract(1.0, reciprocal, out=reciprocal)
-                np.divide(1.0, reciprocal, out=reciprocal)
-            np.multiply(z if a == 0 else shifted, acc, out=term)
-            np.add(term, columns[k] * phases[k] * self._norms[k], out=term)
+                if k + 1 == count and given is not None:
+                    reciprocal = given
+                else:
+                    reciprocal = formed
+                    np.multiply(z, self._conjs[k], out=reciprocal)
+                    np.subtract(1.0, reciprocal, out=reciprocal)
+                    np.divide(1.0, reciprocal, out=reciprocal)
+            scaled = columns[k] * phases[k] * self._norms[k]
+            if k + 1 == count:
+                term[...] = scaled
+            else:
+                np.multiply(z if a == 0 else shifted, acc, out=term)
+                np.add(term, scaled, out=term)
             if a == 0:
                 acc, term = term, acc
             else:
@@ -402,12 +419,11 @@ class TMBasis:
         formed and out[part] = f(phi) fills an output of the nodes' shape.
         This alone decides how long a batch's part is.
 
-        Beside LeastSquaresProblem.build, which takes back the matrix its
-        Gram stored, this is the one reader of the stored design matrices:
-        on a node array whose matrix design_matrix has stored, each phi is a
-        read-only slice of that matrix, of PIECE_NODES nodes, and is not
-        evaluated again.  Any other part is evaluated, NODE_CHUNK nodes at a
-        time, so it rounds as the whole grid does.
+        Beside design_matrix itself, this is the one reader of the stored
+        design matrices: on a node array whose matrix design_matrix has
+        stored, each phi is a read-only slice of that matrix, of PIECE_NODES
+        nodes, and is not evaluated again.  Any other part is evaluated,
+        NODE_CHUNK nodes at a time, so it rounds as the whole grid does.
         """
         count = self._check_count(count)
         entry = self._designs.get(id(nodes))

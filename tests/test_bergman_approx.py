@@ -47,6 +47,7 @@ from diskrat.bergman_approx import (
 )
 from diskrat.circlequad import json_complex, random_disk_points, sample_on_nodes
 from diskrat.expansion import FourierExpansion, expand_function
+from diskrat.kernels import reciprocal_power
 from diskrat.tm_basis import NODE_CHUNK, PIECE_NODES
 
 GRID = circle_grid(4096)
@@ -1061,7 +1062,7 @@ class TestStreamedBrackets:
             basis = TMBasis([0j] * block)
             basis._designs[id(grid)] = (grid, values.T)
 
-            def table(coefficients, z, values=values):
+            def table(coefficients, z, values=values, reciprocal=None):
                 node = np.rint(np.angle(z) * (count / (2 * np.pi))).astype(int) % count
                 return values[np.argmax(np.abs(coefficients), axis=-1), node].astype(complex)
 
@@ -1207,7 +1208,7 @@ def test_a_row_rounds_alike_in_every_block_of_two_rows_or_more(configuration):
     blocks = np.array([(0, height, stride) for height in range(count, 1, -1)])
     tallest = {}
     for at, block, _, _, values in bergman_approx._competitor_values(
-        spec, approx.basis, rows, grid, spec.cauchy_power, blocks
+        spec, approx.basis, rows, grid, spec.alpha + 1, blocks
     ):
         bits = values.view(np.uint64)
         if block.stop == count:
@@ -1335,9 +1336,9 @@ class TestNuMinimum:
         values = bergman_approx._competitor_values
         golden = bergman_approx._golden_max
 
-        def competitor_values(spec, basis, rows, nodes, kernel, blocks=None):
+        def competitor_values(spec, basis, rows, nodes, exponent, blocks=None):
             for at, rows_at, multiplier, sampled, error in values(
-                spec, basis, rows, nodes, kernel, blocks
+                spec, basis, rows, nodes, exponent, blocks
             ):
                 if at.step == 1:
                     full.append((at.start, rows_at.start, rows_at.stop))
@@ -1381,7 +1382,7 @@ class TestNuMinimum:
         assert (report.argmin_trial, report.min_nu) == full_minimum(spec, approx.basis, rows, grid)
 
 
-def whole_part_values(spec, basis, rows, nodes, kernel, blocks=None):
+def whole_part_values(spec, basis, rows, nodes, exponent, blocks=None):
     """_competitor_values spelled with np.dot for every part: each block of
     rows times the part's whole basis block, copied where it is stored."""
     trials, count = rows.shape
@@ -1390,7 +1391,7 @@ def whole_part_values(spec, basis, rows, nodes, kernel, blocks=None):
     for part, phi in basis.eval_chunks(nodes, count):
         x = nodes[part]
         multiplier = 1.0 - x * np.conj(spec.w)
-        sampled = kernel(x)
+        sampled = reciprocal_power(1.0 / multiplier, exponent)
         for first, stop, stride in blocks.tolist():
             at = slice(None, None, stride)
             values = np.dot(rows[first:stop], phi[:, at])
@@ -1483,9 +1484,9 @@ def doctored_sums(monkeypatch, basis, nodes, bad):
     read = []
     sums = basis.eval_sum
 
-    def doctored(coefficients, z):
+    def doctored(coefficients, z, **kwargs):
         read.append(int(np.flatnonzero(nodes == z[0])[0]))
-        out = sums(coefficients, z)
+        out = sums(coefficients, z, **kwargs)
         out[np.isin(z, nodes[bad])] = np.inf
         return out
 
@@ -1514,6 +1515,155 @@ def test_one_row_stops_at_its_first_non_finite_part(functional, monkeypatch):
     assert raised.value.node_index == NODE_CHUNK + 5000
     assert not cmath.isfinite(raised.value.value)
     assert read == [0, NODE_CHUNK]
+
+
+def exact_bits(a, b) -> bool:
+    """Equal arrays to the bit: complex doubles as int64 views; long double,
+    whose padding bytes are undefined, by value and the sign of each part."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype == np.complex128:
+        return np.array_equal(a.view(np.int64), b.view(np.int64))
+    return all(np.array_equal(f(a), f(b)) for f in (
+        np.real, np.imag, lambda v: np.signbit(v.real), lambda v: np.signbit(v.imag)))
+
+
+def ones_power(spec, x, exponent):
+    """(1 - x conj(w))^-exponent as a product started from ones, one factor
+    of the reciprocal at a time: the reference of reciprocal_power."""
+    base = 1.0 / (1.0 - x * np.conj(spec.w))
+    out = np.ones_like(base)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(exponent):
+            out = out * base
+    return out
+
+
+@st.composite
+def _shared_pass_configuration(draw):
+    """An approximant of alpha 0-3 whose free poles are zeros, repeats, random
+    points or w itself, |w| up to 0.99, and the nodes of one part: 1, 3,
+    4096 or 2^14 consecutive nodes of a 2^14 grid, or a long-double grid of
+    4096."""
+    alpha = draw(st.integers(0, 3))
+    w = draw(_disk_point(0.0, 0.99))
+    pool = [0j, w, draw(_disk_point(0.0, 0.9)), draw(_disk_point(0.0, 0.99))]
+    free = draw(st.lists(st.sampled_from(pool), max_size=12))
+    size = draw(st.sampled_from([1, 3, 4096, NODE_CHUNK, "extended"]))
+    start = draw(st.integers(0, NODE_CHUNK - 1)) if size in (1, 3) else 0
+    return alpha, w, free, size, start
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(configuration=_shared_pass_configuration())
+def test_a_shared_reciprocal_keeps_the_unshared_bits(configuration):
+    # one row's pass forms 1 - x conj(w) and its reciprocal once per part and
+    # raises K from it; eval_sum reads it for the trailing run at w.  Each of
+    # multiplier, K and R has the bits of its own unshared evaluation
+    alpha, w, free, size, start = configuration
+    spec = KernelSpec(alpha, w)
+    approx = build_approximant(spec, free)
+    if size == "extended":
+        nodes = circle_grid(4096, extended=True)
+    else:
+        nodes = circle_grid(NODE_CHUNK)[start : start + size]
+    row = approx.coefficients
+    for exponent, kernel in ((alpha + 2, spec.bergman), (alpha + 1, spec.cauchy_power)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = list(bergman_approx._competitor_values(spec, approx.basis, row[None], nodes, exponent))
+        assert len(parts) == 1
+        at, _, multiplier, sampled, values = parts[0]
+        x = nodes[at]
+        want_multiplier = 1.0 - x * np.conj(w)
+        assert exact_bits(multiplier, want_multiplier)
+        assert exact_bits(sampled, np.asarray(kernel(x)))
+        assert exact_bits(sampled, ones_power(spec, x, exponent))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.multiply(want_multiplier, approx.basis.eval_sum(row, x))
+        assert exact_bits(values[0], want)
+
+
+@pytest.mark.parametrize("last", ["w", "not w"])
+def test_only_a_basis_ending_at_w_shares_its_reciprocal(last, monkeypatch):
+    # sums of 1e308-sized coefficients overflow at some nodes: the pass names
+    # the first of them, where the unshared product leaves the double range,
+    # whether or not the row's sum read the pass's reciprocal
+    spec = KernelSpec(1, 0.4 - 0.3j)
+    basis = TMBasis([0.3, 0j, spec.w if last == "w" else 0.5j])
+    row = np.array([1e308, -1e308j, 1e308])
+    grid = circle_grid(2**16)
+    with np.errstate(over="ignore", invalid="ignore"):
+        unshared = np.multiply(1.0 - grid * np.conj(spec.w), basis.eval_sum(row, grid))
+    bad = ~np.isfinite(unshared)
+    assert bad.any() and not bad.all()
+    received, sums = [], basis.eval_sum
+
+    def recorded(coefficients, z, *, reciprocal=None):
+        received.append(reciprocal)
+        return sums(coefficients, z, reciprocal=reciprocal)
+
+    monkeypatch.setattr(basis, "eval_sum", recorded)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteIntegrand) as raised:
+            list(bergman_approx._competitor_values(spec, basis, row[None], grid, spec.alpha + 1))
+    assert raised.value.node_index == int(np.argmax(bad))
+    assert len(received) == int(np.argmax(bad)) // NODE_CHUNK + 1
+    if last == "w":
+        assert all(isinstance(r, np.ndarray) for r in received)
+    else:
+        assert received == [None] * len(received)
+
+
+def test_an_approximate_request_forms_one_taylor_table_at_w_and_one_reciprocal_per_part(
+    monkeypatch, capsys
+):
+    from diskrat import cli
+
+    spec = KernelSpec(2, 0.45 - 0.3j)
+    free = [0.2 + 0.1j, spec.w, -0.5j]
+    tables, raised, received = [], [], []
+    taylor, power, sums = TMBasis.taylor, bergman_approx.reciprocal_power, TMBasis.eval_sum
+
+    def spy_taylor(self, w, order):
+        tables.append((complex(w), order))
+        return taylor(self, w, order)
+
+    def spy_power(reciprocal, exponent):
+        raised.append(reciprocal)
+        return power(reciprocal, exponent)
+
+    def spy_sum(self, coefficients, z, *, reciprocal=None):
+        if reciprocal is not None:
+            received.append(reciprocal)
+        return sums(self, coefficients, z, reciprocal=reciprocal)
+
+    monkeypatch.setattr(TMBasis, "taylor", spy_taylor)
+    monkeypatch.setattr(bergman_approx, "reciprocal_power", spy_power)
+    monkeypatch.setattr(TMBasis, "eval_sum", spy_sum)
+    poles = ";".join(f"{p.real!r},{p.imag!r}" for p in free)
+    argv = ["approximate", "--alpha", "2", f"--w={spec.w.real!r},{spec.w.imag!r}", f"--poles={poles}"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # w is a pole of multiplicity alpha + 2: the table of order alpha + 1
+    # serves the expansion and the interpolation rows alike
+    assert [table for table in tables if table[0] == spec.w] == [(spec.w, 3)]
+    # mu's one part of 4096 nodes and nu's four of 2^14
+    assert len(raised) == len(received) == 5
+    assert all(a is b for a, b in zip(raised, received))
+
+
+@pytest.mark.parametrize("copies", [0, 1, 3])
+def test_pole_derivatives_keep_the_bits_of_their_own_table(copies):
+    # a group at w of at most alpha + 2 poles reads the approximant's table;
+    # more copies form their own.  Either way the rows are those of
+    # taylor(w, S - 1) formed for the group
+    for alpha in range(4):
+        spec = KernelSpec(alpha, 0.6 + 0.25j)
+        approx = build_approximant(spec, [0.1j, *[spec.w] * copies, -0.3, 0.1j])
+        assert approx.taylor_at_w.shape == (approx.basis.size, alpha + 2)
+        own = replace(approx, taylor_at_w=approx.taylor_at_w[:, :0])
+        for got, want in zip(approx.pole_derivatives, own.pole_derivatives):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestClosedFormJ:

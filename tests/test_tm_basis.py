@@ -684,7 +684,8 @@ def every_step_eval_all(poles, z, count=None):
 def every_step_eval_sum(poles, coefficients, z):
     """The nested sum of TMBasis.eval_sum with every pole's z - a and
     reciprocal 1/(1 - conj(a) z) formed at its own step, from its own
-    constants, each operation into a new array."""
+    constants, each operation into a new array; the first step's term is
+    c', with no product by the zero accumulator."""
     coefficients = np.asarray(coefficients, dtype=complex)
     z = np.asarray(z)
     count = coefficients.shape[-1]
@@ -698,8 +699,13 @@ def every_step_eval_sum(poles, coefficients, z):
     for k in reversed(range(count)):
         a = complex(poles[k])
         factor = z if a == 0 else np.subtract(z, a, out=np.empty(z.shape, dtype))
-        term = np.multiply(factor, acc, out=np.empty(shape, dtype))
-        np.add(term, columns[k] * phases[k] * math.sqrt(1.0 - abs(a) ** 2), out=term)
+        scaled = columns[k] * phases[k] * math.sqrt(1.0 - abs(a) ** 2)
+        if k + 1 == count:
+            term = np.empty(shape, dtype)
+            term[...] = scaled
+        else:
+            term = np.multiply(factor, acc, out=np.empty(shape, dtype))
+            np.add(term, scaled, out=term)
         if a == 0:
             acc = term
             continue
@@ -796,3 +802,18 @@ class TestRunReuse:
     def test_every_pole_sequence_keeps_the_every_step_bits(self, points, poles, data):
         count = data.draw(st.integers(1, len(poles)), label="count")
         assert_every_step_bits(poles, PAIR_POINTS[points], count)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(poles=recurring_poles(), data=st.data())
+def test_a_taylor_table_is_the_prefix_of_a_wider_one(poles, data):
+    # Approximant.pole_derivatives reads its table at w as the first columns
+    # of the approximant's wider one: both must be taylor's own bits
+    w = data.draw(st.one_of(st.sampled_from(poles), st.builds(
+        cmath.rect, st.floats(0.0, 0.95), st.floats(0.0, 2.0 * math.pi))), label="w")
+    basis = TMBasis(poles)
+    order = data.draw(st.integers(0, 6), label="order")
+    wide = basis.taylor(w, order)
+    for k in range(order + 1):
+        narrow = basis.taylor(w, k)
+        assert np.array_equal(narrow.view(np.int64), wide[:, : k + 1].copy().view(np.int64))

@@ -143,21 +143,21 @@ def test_traced_requests_keep_their_per_layer_call_counts():
     # [exit code, kernels.bergman, kernels.cauchy_power, mu_functional,
     # nu_functional, design_matrix] per request.  bergman and cauchy_power
     # share one private power: neither counts a call of the other.  The
-    # grid passes sample the kernel once per part: one row's parts have
-    # NODE_CHUNK nodes, so mu on 4096 nodes samples it once and nu on 2^16
-    # nodes four times.  Each nu call samples it once more at its brackets
-    # after the grid pass.  The oracle's scan (nu_minimum, not
-    # nu_functional) reads the design its least-squares oracle stored, in
-    # parts of PIECE_NODES: it samples the kernel once on 4096 nodes and
-    # four times on 16384, and once more at its first block's brackets; its
-    # one refined bracket, the optimum's, takes no step, and no other block
-    # is scored in full.
+    # grid passes call neither: they raise the kernel from the reciprocal
+    # of the multiplier they form once per part (kernels.reciprocal_power).
+    # Each nu call samples cauchy_power once at its brackets after the grid
+    # pass.  The oracle's least-squares target samples bergman once, and its
+    # scan (nu_minimum, not nu_functional) samples cauchy_power once at its
+    # first block's brackets; its one refined bracket, the optimum's, takes
+    # no step, and no other block is scored in full.  The least-squares
+    # oracle calls design_matrix twice: its Gram stores the design, and it
+    # then reads that stored design back through design_matrix.
     done = run_traced(TRACED_LAYERS)
     assert done.returncode == 0, done.stderr
     approximate, oracle, oracle_16384 = json.loads(done.stdout.splitlines()[-1])
-    assert approximate == [0, 1, 5, 1, 1, 0]
-    assert oracle == [0, 1, 2, 0, 0, 1]
-    assert oracle_16384 == [0, 1, 5, 0, 0, 1]
+    assert approximate == [0, 0, 1, 1, 1, 0]
+    assert oracle == [0, 1, 1, 0, 0, 2]
+    assert oracle_16384 == [0, 1, 1, 0, 0, 2]
 
 
 TRACED_STORE = """
@@ -178,22 +178,36 @@ def eval_all(self, z, count=None):
     results.append(any(np.shares_memory(result, design) for design in stored))
     return result
 
+designed = TMBasis.design_matrix
+evaluations = []
+
+def design_matrix(self, grid):
+    before = len(results)
+    design = designed(self, grid)
+    evaluations.append(len(results) - before)
+    return design
+
 TMBasis.eval_all = eval_all
+TMBasis.design_matrix = design_matrix
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["oracle", "--w", "0.6,0", "--poles", "0.2,0.1", "--trials", "6"])
 print(json.dumps({"code": code, "calls": tracer.calls["tm_basis.eval_all"],
-                  "designs": tracer.calls["tm_basis.design_matrix"], "views": sum(results)}))
+                  "designs": tracer.calls["tm_basis.design_matrix"], "views": sum(results),
+                  "evaluations": evaluations}))
 """
 
 
 def test_traced_eval_all_points_are_evaluated_points():
     # tm_basis.eval_all.points adds up the size of every eval_all result.
     # The oracle request stores a design matrix; no eval_all result may be
-    # a view of it, or the counter would count points never evaluated.
+    # a view of it, or the counter would count points never evaluated.  Its
+    # Gram evaluates and stores the design, and the least-squares problem
+    # reads it back through design_matrix, which evaluates nothing then.
     done = run_traced(TRACED_STORE)
     assert done.returncode == 0, done.stderr
     run = json.loads(done.stdout.splitlines()[-1])
-    assert run["code"] == 0 and run["designs"] == 1
+    assert run["code"] == 0 and run["designs"] == 2
+    assert run["evaluations"] == [1, 0]
     assert run["calls"] > 0
     assert run["views"] == 0
 
