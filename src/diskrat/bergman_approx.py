@@ -138,19 +138,20 @@ def interpolation_target(spec: KernelSpec, point: complex, multiplicity: int) ->
 @dataclass
 class Approximant:
     """r(x; w) = (1 - x conj(w)) S_{n+1}(K_alpha)(x; w) over a trailing-w basis,
-    with the basis's Taylor table at w of order alpha + 1 its expansion was
-    read from."""
+    the expansion's basis."""
 
     spec: KernelSpec
     free_poles: PoleSequence
-    basis: TMBasis
     expansion: FourierExpansion
-    taylor_at_w: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
     def free_blaschke(self) -> BlaschkeProduct:
         """The Blaschke product over the free poles."""
         return BlaschkeProduct(self.free_poles)
+
+    @property
+    def basis(self) -> TMBasis:
+        return self.expansion.basis
 
     @property
     def n(self) -> int:
@@ -197,9 +198,10 @@ class Approximant:
         sum, and r = (1 - a conj(w) - conj(w) h) * sum_j t_j h^j in h = z - a
         gives r^(j)(a) = j! ((1 - a conj(w)) t_j - conj(w) t_(j-1)).  At
         a = w with S <= alpha + 2 the table is a contiguous copy of the first
-        S columns of taylor_at_w, which are taylor(w, S - 1) to the bit, so
-        the product keeps its width and bits; a is the group's first pole,
-        equal to w, and can differ from it only in the sign of a zero part.
+        S columns of the expansion's FourierExpansion.taylor, which are
+        taylor(w, S - 1) to the bit, so the product keeps its width and bits;
+        a is the group's first pole, equal to w, and can differ from it only
+        in the sign of a zero part.  Without that table each group forms its own.
         No grid is involved.  The rounding scale repeats that formula with
         absolute values, u = |c| @ |taylor| in place of t, times eps: the
         size of the terms the sums cancel, times the unit roundoff.  It is
@@ -217,6 +219,7 @@ class Approximant:
             groups.setdefault(a, []).append(m)
         values = np.full(len(poles), np.nan, dtype=complex)
         scales = np.full(len(poles), np.nan)
+        table = self.expansion.taylor
         simple = [m for index in groups.values() if len(index) == 1 for m in index]
         if simple:
             z = np.array([poles[m] for m in simple])
@@ -228,8 +231,8 @@ class Approximant:
             if len(index) == 1:
                 continue
             index = index[: _MAX_FACTORIAL + 2]
-            if a == self.spec.w and len(index) <= self.taylor_at_w.shape[1]:
-                taylor = np.ascontiguousarray(self.taylor_at_w[:, : len(index)])
+            if a == self.spec.w and table is not None and len(index) <= table.shape[1]:
+                taylor = np.ascontiguousarray(table[:, : len(index)])
             else:
                 taylor = self.basis.taylor(a, len(index) - 1)
             factorials = np.array(
@@ -306,8 +309,9 @@ def build_approximant(
     spec: KernelSpec, free_poles: PoleSequence | list[complex]
 ) -> Approximant:
     """Assemble the full pole sequence (free poles then alpha+1 copies of w),
-    the basis, the kernel expansion (closed-form coefficients, no grid), and
-    the approximant of order n = len(free_poles) + alpha.  An alpha above
+    its basis and the kernel expansion over it (closed-form coefficients and
+    the Taylor table at w they come from, no grid): the approximant of
+    order n = len(free_poles) + alpha.  An alpha above
     _MAX_FACTORIAL raises ValueOutOfRange first, at any w: the interpolation
     row of multiplicity alpha + 1 at w multiplies by alpha!."""
     if spec.alpha > _MAX_FACTORIAL:
@@ -317,11 +321,8 @@ def build_approximant(
         )
     if not isinstance(free_poles, PoleSequence):
         free_poles = PoleSequence(free_poles)
-    full = free_poles.with_trailing(spec.w, spec.alpha + 1)
-    basis = TMBasis(full)
-    table = basis.taylor(spec.w, spec.alpha + 1)
-    return Approximant(spec=spec, free_poles=free_poles, basis=basis,
-                       expansion=expand_kernel(spec, basis, table), taylor_at_w=table)
+    basis = TMBasis(free_poles.with_trailing(spec.w, spec.alpha + 1))
+    return Approximant(spec=spec, free_poles=free_poles, expansion=expand_kernel(spec, basis))
 
 
 def _blocks(firsts, size: int, stride: int = 1) -> np.ndarray:
@@ -378,10 +379,11 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
                 values = np.multiply(multiplier, basis.eval_sum(rows[0], x, reciprocal=given))[None]
             else:
                 # R = multiplier * (rows @ phi) in this operand order, which
-                # error *= multiplier would round apart.  np.dot rounds as
-                # matmul does and is twice as fast in long double; np.matmul
-                # reads a stored (read-only) part in place, where np.dot
-                # would copy it
+                # error *= multiplier would round apart.  np.matmul reads a
+                # stored (read-only) part in place, where np.dot would copy
+                # it.  np.dot is 1.1-1.8 times as fast in long double, but
+                # rounds as matmul does only in complex128: the bits hold as
+                # no library route stores a design on an extended grid
                 product = np.dot if phi.flags.writeable else np.matmul
                 values = product(rows[first:stop], phi[:, ::stride])
                 np.multiply(multiplier[::stride], values, out=values)

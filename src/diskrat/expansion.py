@@ -61,6 +61,10 @@ def default_grid_size(n: int, rho: float = 0.0) -> int:
 class FourierExpansion:
     """Coefficients c_0..c_n of a boundary function over a TM basis."""
 
+    #: The read-only Taylor table the coefficients were read from, which
+    #: expand_kernel sets; None for coefficients from quadrature or given.
+    taylor: np.ndarray | None = None
+
     def __init__(self, basis: TMBasis, coefficients, source: str, grid_size: int):
         coefficients = np.asarray(coefficients, dtype=complex)
         if coefficients.ndim != 1 or len(coefficients) > basis.size:
@@ -101,30 +105,31 @@ def expand_function(
     return FourierExpansion(basis, coefficients, source, len(grid))
 
 
-def expand_kernel(spec: KernelSpec, basis: TMBasis, table=None) -> FourierExpansion:
+def expand_kernel(spec: KernelSpec, basis: TMBasis) -> FourierExpansion:
     """Coefficients of K_alpha(.; w) from its reproducing property, without
     quadrature.  K_alpha(z; w) = sum_j C(j+1+alpha, 1+alpha) conj(w)^j z^j, so
 
         c_m = conj( (1/(alpha+1)!) d^(alpha+1)/dw^(alpha+1) [w^(alpha+1) phi_m(w)] )
             = conj( sum_{k<=alpha+1} C(alpha+1, k) w^k phi_m^(k)(w) / k! ),
 
-    read off the Taylor coefficients of the basis at w: table, which is
-    basis.taylor(w, alpha + 1), formed here unless the caller holds it
-    (build_approximant forms it once and keeps it for
+    read off the Taylor coefficients of the basis at w, basis.taylor(w,
+    alpha + 1), which the expansion keeps, read-only, as its taylor (for
     Approximant.pole_derivatives).  The expansion's grid_size is the grid
     the quadratic functional is evaluated on, default_grid_size at the
     largest of |w| and the pole moduli."""
     rho = max(basis.poles.max_modulus, abs(spec.w))
     grid_size = default_grid_size(basis.max_index, rho)
     a1 = spec.alpha + 1
-    if table is None:
-        table = basis.taylor(spec.w, a1)
+    table = basis.taylor(spec.w, a1)
+    table.setflags(write=False)
     weights = [math.comb(a1, k) * spec.w**k for k in range(a1 + 1)]
     # coefficients past the double range stay silent: the rows and grid passes refuse them
     with np.errstate(over="ignore", invalid="ignore"):
         coefficients = np.conj(table @ weights)
     source = f"bergman_kernel(alpha={spec.alpha}, w={spec.w!r})"
-    return FourierExpansion(basis, coefficients, source, grid_size)
+    expansion = FourierExpansion(basis, coefficients, source, grid_size)
+    expansion.taylor = table
+    return expansion
 
 
 def h2_remainder(f: Callable, basis: TMBasis, n: int, z, grid: np.ndarray) -> complex:

@@ -78,8 +78,11 @@ NODE_CHUNK = 2**14
 PIECE_NODES = 2**12
 
 
-class PoleSequence:
-    """Ordered points of the open unit disk with multiplicity bookkeeping.
+class PoleSequence(tuple):
+    """Ordered points of the open unit disk with multiplicity bookkeeping: a
+    tuple of plain complex numbers, each checked by require_in_disk once,
+    when it is made.  Equality and hashing are the tuple's; a slice is a
+    plain tuple, and prefix and with_trailing give sequences.
 
     Repetitions are allowed (including zeros).  Multiplicities are counted by
     exact complex equality of the stored values on purpose: tolerance-based
@@ -87,30 +90,11 @@ class PoleSequence:
     who mean "equal poles" must pass bitwise-equal values.
     """
 
-    def __init__(self, points: Iterable[complex]):
-        self._points = tuple(require_in_disk(p) for p in points)
-
-    @property
-    def points(self) -> tuple[complex, ...]:
-        return self._points
-
-    def __len__(self):
-        return len(self._points)
-
-    def __iter__(self):
-        return iter(self._points)
-
-    def __getitem__(self, index):
-        return self._points[index]
-
-    def __eq__(self, other):
-        return isinstance(other, PoleSequence) and self._points == other._points
-
-    def __hash__(self):
-        return hash(self._points)
+    def __new__(cls, points: Iterable[complex]):
+        return super().__new__(cls, (require_in_disk(p) for p in points))
 
     def __repr__(self):
-        return f"PoleSequence({list(self._points)!r})"
+        return f"PoleSequence({list(self)!r})"
 
     @cached_property
     def multiplicities(self) -> tuple[int, ...]:
@@ -118,20 +102,20 @@ class PoleSequence:
         one pass."""
         seen: dict[complex, int] = {}
         out = []
-        for a in self._points:
+        for a in self:
             seen[a] = seen.get(a, 0) + 1
             out.append(seen[a])
         return tuple(out)
 
     @property
     def max_modulus(self) -> float:
-        return max((abs(p) for p in self._points), default=0.0)
+        return max((abs(p) for p in self), default=0.0)
 
     def prefix(self, count: int) -> "PoleSequence":
-        return PoleSequence(self._points[:count])
+        return PoleSequence(self[:count])
 
     def with_trailing(self, w: complex, count: int) -> "PoleSequence":
-        return PoleSequence(self._points + (complex(w),) * count)
+        return PoleSequence(self + (complex(w),) * count)
 
     @classmethod
     def random(

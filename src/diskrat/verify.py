@@ -345,8 +345,8 @@ def _check_inequality_group() -> list[tuple[str, float, dict]]:
         nu_values = nu_functional(spec, basis, trials, nu_grid)
         # the Gram stores the mu grid's design, which the mu pass then reads
         gram = basis.gram_matrix(mu_grid)
-        mu = mu_functional(spec, basis, np.vstack([optimum, trials]), mu_grid, extended=False)
-        mu_at_optimum, mu_values = mu[0], mu[1:]
+        mu_values = mu_functional(spec, basis, trials, mu_grid, extended=False)
+        mu_at_optimum = mu_values[0]  # trial 0 is the optimum
         bound = mu_values * (1.0 - abs(w) ** 2) - nu_values**2
         worst_ineq = max(worst_ineq, float(np.max(bound)))
         # Parseval gap against the ratio coefficients <R / (1 - x conj(w)), phi_k>

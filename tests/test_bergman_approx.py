@@ -57,7 +57,7 @@ class TestBuild:
     def test_trailing_block_structure(self):
         approx = build_approximant(KernelSpec(1, 0.4), [0.3])
         assert approx.n == 2
-        assert approx.basis.poles.points == (0.3, 0.4, 0.4)
+        assert approx.basis.poles == (0.3, 0.4, 0.4)
         assert len(approx.coefficients) == 3
 
     def test_degenerate_kernel_gives_constant(self):
@@ -1654,16 +1654,36 @@ def test_an_approximate_request_forms_one_taylor_table_at_w_and_one_reciprocal_p
 
 @pytest.mark.parametrize("copies", [0, 1, 3])
 def test_pole_derivatives_keep_the_bits_of_their_own_table(copies):
-    # a group at w of at most alpha + 2 poles reads the approximant's table;
-    # more copies form their own.  Either way the rows are those of
-    # taylor(w, S - 1) formed for the group
+    # a group at w of at most alpha + 2 poles reads the kernel expansion's
+    # table; more copies form their own.  Either way the rows are those of
+    # taylor(w, S - 1) formed for the group, as an expansion without a
+    # table forms it
     for alpha in range(4):
         spec = KernelSpec(alpha, 0.6 + 0.25j)
         approx = build_approximant(spec, [0.1j, *[spec.w] * copies, -0.3, 0.1j])
-        assert approx.taylor_at_w.shape == (approx.basis.size, alpha + 2)
-        own = replace(approx, taylor_at_w=approx.taylor_at_w[:, :0])
+        assert approx.expansion.taylor.shape == (approx.basis.size, alpha + 2)
+        untabled = FourierExpansion(approx.basis, approx.coefficients, "copy", 4096)
+        own = replace(approx, expansion=untabled)
+        assert own.expansion.taylor is None and own.basis is approx.basis
         for got, want in zip(approx.pole_derivatives, own.pole_derivatives):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_a_competitor_expansion_gives_the_derivatives_of_its_own_function():
+    # replace(approx, expansion=...) keeps the approximant's spec and free
+    # poles, and its pole derivatives are those of the competitor's function:
+    # r^(s - 1)(a) by the Cauchy formula, at simple and repeated poles alike
+    spec = KernelSpec(1, 0.3 - 0.2j)
+    approx = build_approximant(spec, [0.25j, -0.4, 0.25j])
+    trial = competitor_trials(approx, 2, np.random.default_rng(17))[1]
+    competitor = replace(approx, expansion=FourierExpansion(approx.basis, trial, "trial", 4096))
+    assert competitor.basis is approx.basis and competitor.free_poles == approx.free_poles
+    values, scales = competitor.pole_derivatives
+    poles = competitor.basis.poles
+    for value, scale, a, s in zip(values, scales, poles, poles.multiplicities):
+        assert np.isfinite(scale)
+        assert value == pytest.approx(derivative_at(competitor.eval, a, s - 1), rel=1e-9, abs=1e-9)
+    assert not np.allclose(values, approx.pole_derivatives[0])
 
 
 class TestClosedFormJ:

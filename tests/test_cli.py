@@ -767,6 +767,48 @@ class TestVerifyWorkers:
         assert self.pool_modules_loaded("import sys, diskrat.cli") == "[]\n"
 
 
+def test_the_inequality_group_scores_each_trial_once(monkeypatch):
+    # competitor_trials puts the optimum in row 0, so the mu pass scores
+    # the 100 trials alone and reads mu at the optimum from row 0
+    shapes, mu = [], diskrat.verify.mu_functional
+
+    def spy(spec, basis, coefficients, grid, *, extended):
+        shapes.append(np.shape(coefficients))
+        return mu(spec, basis, coefficients, grid, extended=extended)
+
+    monkeypatch.setattr(diskrat.verify, "mu_functional", spy)
+    diskrat.verify._check_inequality_group()
+    assert [rows for rows, _ in shapes] == [100] * 4
+
+
+def test_no_library_route_stores_a_design_on_an_extended_grid(capsys, monkeypatch):
+    # the grid passes multiply an evaluated part by np.dot and a stored one
+    # by np.matmul, which round alike in complex128 but not in long double:
+    # a design stored on an extended grid would change the bits of a pass
+    dtypes, design = [], diskrat.tm_basis.TMBasis.design_matrix
+    long_double, mu = [], diskrat.bergman_approx.mu_functional
+
+    def spy_design(self, grid):
+        dtypes.append(grid.dtype)
+        return design(self, grid)
+
+    def spy_mu(*args, extended):
+        long_double.append(extended)
+        return mu(*args, extended=extended)
+
+    monkeypatch.setattr(diskrat.tm_basis.TMBasis, "design_matrix", spy_design)
+    monkeypatch.setattr(diskrat.bergman_approx, "mu_functional", spy_mu)
+    monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: 1)
+    assert all(result.passed for result in run_checks())
+    long_double.clear()
+    assert main(["approximate", "--alpha", "0", "--w=0.2,0", "--poles=zeros", "--n", "5"]) == 0
+    assert long_double == [True]  # the approximate request takes mu in long double
+    assert main(["oracle", "--alpha", "1", "--w=0.4,0.2", "--poles=0.3,0", "--trials", "4"]) == 0
+    capsys.readouterr()
+    assert len(dtypes) > 1000
+    assert set(dtypes) == {np.dtype(complex)}
+
+
 def test_every_library_error_survives_pickling():
     special = {errors.NonFiniteIntegrand: (5, 1 + 2j), errors.IllConditioned: (3.5e17,)}
     classes = [

@@ -261,6 +261,19 @@ class TestClosedFormCoefficients:
                 expected = math.comb(k, j) * w ** (k - j) if j <= k else 0.0
                 assert taylor[k, j] == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize("alpha", [0, 1, 3])
+    def test_the_expansion_keeps_its_taylor_table_read_only(self, alpha):
+        spec = KernelSpec(alpha, 0.45 - 0.3j)
+        basis = TMBasis([0.2 + 0.1j, 0j, spec.w, *[spec.w] * (alpha + 1)])
+        table = expand_kernel(spec, basis).taylor
+        want = basis.taylor(spec.w, alpha + 1)
+        assert table.shape == want.shape
+        assert np.array_equal(table.view(np.int64), want.view(np.int64))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        assert expand_function(spec.bergman, basis, circle_grid(256)).taylor is None
+
     def test_grid_size_is_the_mu_grid(self):
         spec = KernelSpec(1, 0.95)
         basis = TMBasis([0.3, 0.95, 0.95])

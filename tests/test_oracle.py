@@ -126,7 +126,7 @@ class TestLeastSquares:
 def inner_product_bases():
     """Random, all-zero and repeated poles, each for a random kernel."""
     rng = np.random.default_rng(1801)
-    repeated = PoleSequence.random(2, rng, max_modulus=0.8).points
+    repeated = PoleSequence.random(2, rng, max_modulus=0.8)
     poles = {
         "random": PoleSequence.random(9, rng, max_modulus=0.9),
         "zeros": PoleSequence([0j] * 7),

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -36,9 +37,8 @@ class TestPoleSequence:
         rng = np.random.default_rng(12)
         pool = [0.3, -0.4j, 0j, complex(0.3, -0.0)]
         seq = PoleSequence(rng.choice(pool, size=40))
-        points = seq.points
         assert seq.multiplicities == tuple(
-            sum(p == a for p in points[: m + 1]) for m, a in enumerate(points)
+            sum(p == a for p in seq[: m + 1]) for m, a in enumerate(seq)
         )
 
     def test_s_nondecreasing_along_equal_runs(self):
@@ -68,6 +68,39 @@ class TestPoleSequence:
             PoleSequence([complex(np.nan, 0)])
         with pytest.raises(PointNotInDisk):
             PoleSequence([0.3, complex(np.inf, np.nan)])
+
+    def test_each_point_is_validated_once_even_from_a_generator(self, monkeypatch):
+        checked, check = [], tm_basis.require_in_disk
+
+        def spy(z):
+            checked.append(z)
+            return check(z)
+
+        monkeypatch.setattr(tm_basis, "require_in_disk", spy)
+        seq = PoleSequence(complex(0.1 * k, 0.0) for k in range(5))
+        assert checked == list(seq) and all(type(p) is complex for p in seq)
+        checked.clear()
+        with pytest.raises(PointNotInDisk):
+            PoleSequence(complex(0.0, y) for y in (0.3, 0.5, 1.0, 0.2))
+        assert checked == [0.3j, 0.5j, 1j]  # stops at the first bad point
+
+    def test_a_sequence_is_the_tuple_of_its_points(self):
+        seq = PoleSequence([0.3, -0.4j, 0j])
+        assert isinstance(seq, tuple)
+        assert seq == (0.3, -0.4j, 0j) and hash(seq) == hash((0.3, -0.4j, 0j))
+        assert {seq: 1}[(0.3, -0.4j, 0j)] == 1
+        assert type(seq[:2]) is tuple and seq[1:] == (-0.4j, 0j)
+        assert type(seq.prefix(2)) is PoleSequence and seq.prefix(2) == seq[:2]
+        trailing = seq.with_trailing(0.5, 2)
+        assert type(trailing) is PoleSequence and trailing == (*seq, 0.5, 0.5)
+        assert repr(seq) == "PoleSequence([(0.3+0j), (-0-0.4j), 0j])"
+
+    def test_a_pickle_round_trip_keeps_points_and_multiplicities(self):
+        seq = PoleSequence([0.3, -0.4j, 0.3, 0j, 0.3])
+        assert seq.multiplicities == (1, 1, 2, 1, 3)
+        again = pickle.loads(pickle.dumps(seq))
+        assert type(again) is PoleSequence and again == seq
+        assert vars(again) == {"multiplicities": (1, 1, 2, 1, 3)}
 
     def test_random_draw_respects_bounds(self):
         seq = PoleSequence.random(50, np.random.default_rng(3), max_modulus=0.7, min_modulus=0.2)
