@@ -38,7 +38,7 @@ import numpy as np
 
 from .circlequad import circle_grid, json_complex, require_finite, require_in_disk
 from .errors import DesignTooLarge, ValueOutOfRange
-from .expansion import FourierExpansion, expand_kernel, validate_trailing_poles
+from .expansion import FourierExpansion, default_grid_size, expand_kernel, validate_trailing_poles
 from .kernels import KernelSpec, reciprocal_power
 from .tm_basis import MAX_DESIGN_BYTES, NODE_CHUNK, BlaschkeProduct, PoleSequence, TMBasis
 
@@ -332,6 +332,15 @@ def _blocks(firsts, size: int, stride: int = 1) -> np.ndarray:
     return np.stack([firsts, firsts + size, np.full_like(firsts, stride)], axis=1)
 
 
+def _sampled(spec: KernelSpec, x, exponent: int):
+    """(multiplier, reciprocal, K) at the nodes x of a part: 1 - x conj(w),
+    its reciprocal and K = (1 - x conj(w))^-exponent, reciprocal_power of
+    that reciprocal."""
+    multiplier = 1.0 - x * np.conj(spec.w)
+    reciprocal = 1.0 / multiplier
+    return multiplier, reciprocal, reciprocal_power(reciprocal, exponent)
+
+
 def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, exponent: int,
                        blocks=None):
     """Yield (at, block, multiplier, K, R) for each part of the nodes x, in
@@ -340,58 +349,123 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
     rows at stride 1).  A block is evaluated at every stride-th node of the
     part from its first: at is slice(start, stop, stride) of those nodes,
     multiplier = 1 - x conj(w) and K = (1 - x conj(w))^-exponent are theirs,
-    sampled once per part, and R = multiplier * sum_k c_k phi_k(x) for every
-    row c of the block.  The multiplier and its reciprocal are formed once
-    per part, and K is reciprocal_power of that reciprocal: the bits of
+    sampled once per part (_sampled), and R = multiplier * sum_k c_k
+    phi_k(x) for every row c of the block.  K has the bits of
     spec.bergman(x) at exponent alpha + 2 and of spec.cauchy_power(x) at
-    alpha + 1.  One row is summed by TMBasis.eval_sum on parts of
-    NODE_CHUNK nodes and forms no basis block; where the row's last pole is
-    w, as in every approximant's basis, eval_sum reads the same reciprocal
-    for that pole's run.  R is then Approximant.eval of the row on the
-    part, to the bit.  A batch of rows takes its parts from
-    TMBasis.eval_chunks, which alone decides their length, and multiplies
-    each block by the part in one product: an evaluated part whole, or a
-    PIECE_NODES part read in place from a stored design.  The product
-    rounds apart from eval_sum in the last bits; splitting its columns
-    leaves each value's bits alone.  The caller may overwrite R and must
-    drop it before the next yield.  A part whose K is not finite raises
-    NonFiniteIntegrand at its first such node, before any of its blocks;
-    else the first block with a non-finite R raises at once, at the first
-    such node of its first such row.  Nothing later is evaluated."""
+    alpha + 1.  One row takes _row_values.  A batch of rows takes its parts
+    from TMBasis.eval_chunks, which alone decides their length, and
+    multiplies each block by the part in one product: an evaluated part
+    whole, or a PIECE_NODES part read in place from a stored design.  The
+    product rounds apart from eval_sum in the last bits; splitting its
+    columns leaves each value's bits alone.  The caller may overwrite a
+    batch's R and must drop it before the next yield.  A part whose K is
+    not finite raises NonFiniteIntegrand at its first such node, before any
+    of its blocks; else the first block with a non-finite R raises at once,
+    at the first such node of its first such row.  Nothing later is
+    evaluated."""
     trials, count = rows.shape
+    if trials == 1:
+        yield from _row_values(spec, basis, rows[0], nodes, exponent)
+        return
     if blocks is None:
         blocks = _blocks(range(0, trials, max(count, 1)), max(count, 1))
-    if trials == 1:
-        parts = ((slice(start, start + NODE_CHUNK), None) for start in range(0, len(nodes), NODE_CHUNK))
-    else:
-        parts = basis.eval_chunks(nodes, count)
-    shared = count > 0 and basis.poles[count - 1] == spec.w
-    for part, phi in parts:
+    for part, phi in basis.eval_chunks(nodes, count):
         x = nodes[part]
-        multiplier = 1.0 - x * np.conj(spec.w)
-        reciprocal = 1.0 / multiplier
-        sampled = reciprocal_power(reciprocal, exponent)
+        multiplier, _, sampled = _sampled(spec, x, exponent)
         require_finite(part.start, 1, sampled[None])
         for first, stop, stride in blocks.tolist():
-            if phi is None:
-                # competitor_function's R, with the part's own multiplier
-                given = reciprocal if shared else None
-                values = np.multiply(multiplier, basis.eval_sum(rows[0], x, reciprocal=given))[None]
-            else:
-                # R = multiplier * (rows @ phi) in this operand order, which
-                # error *= multiplier would round apart.  np.matmul reads a
-                # stored (read-only) part in place, where np.dot would copy
-                # it.  np.dot is 1.1-1.8 times as fast in long double, but
-                # rounds as matmul does only in complex128: the bits hold as
-                # no library route stores a design on an extended grid
-                product = np.dot if phi.flags.writeable else np.matmul
-                values = product(rows[first:stop], phi[:, ::stride])
-                np.multiply(multiplier[::stride], values, out=values)
+            # R = multiplier * (rows @ phi) in this operand order, which
+            # error *= multiplier would round apart.  np.matmul reads a
+            # stored (read-only) part in place, where np.dot would copy
+            # it.  np.dot is 1.1-1.8 times as fast in long double, but
+            # rounds as matmul does only in complex128: the bits hold as
+            # no library route stores a design on an extended grid
+            product = np.dot if phi.flags.writeable else np.matmul
+            values = product(rows[first:stop], phi[:, ::stride])
+            np.multiply(multiplier[::stride], values, out=values)
             require_finite(part.start, stride, values)
             yield (slice(part.start, part.start + len(x), stride), slice(first, stop),
                    multiplier[::stride], sampled[::stride], values)
             del values  # freed before the next block is formed
-        del phi, multiplier, reciprocal, sampled  # freed before the next part is evaluated
+        del phi, multiplier, sampled  # freed before the next part is evaluated
+
+
+def _row_values(spec: KernelSpec, basis: TMBasis, row: np.ndarray, nodes, exponent: int):
+    """_competitor_values of one row c: (at, block, multiplier, K, R) for
+    each part of NODE_CHUNK nodes, with block slice(0, 1) and R of shape
+    (1, part), read-only and not checked.  The caller reduces each part
+    through _row_part, which may write over the multiplier and K but not R,
+    and checks that reduction once: the first part with a non-finite K or
+    R raises NonFiniteIntegrand there, at K's first non-finite node, else
+    R's, and nothing later is evaluated.
+
+    R is competitor_function's, with the part's own multiplier: the nested
+    sum TMBasis.eval_sum on the part (which, where the row's last pole is
+    w, as in every approximant's basis, reads the part's reciprocal for
+    that pole's run) times the multiplier.  So R is Approximant.eval of the
+    row on the part, to the bit, and its bits at a node do not depend on
+    the other nodes.
+
+    On complex128 nodes a finished pass keeps R on the basis
+    (TMBasis.keep_sum, keyed by w and the row's bytes) at the nodes of the
+    basis's default grid, where an approximant's mu is taken, when those
+    are every stride-th node of its own.  A later pass of that row on
+    those nodes, bit for bit (TMBasis.kept_sum), reads R instead of summing
+    and keeps nothing; it still forms its own multiplier and K.  So
+    build_error_report's mu in doubles reads the R of its nu.  The kept R
+    is freed with its basis.  Long-double nodes neither keep nor read."""
+    key = np.array(spec.w).tobytes() + row.tobytes()
+    doubles = nodes.dtype == np.complex128
+    kept = basis.kept_sum(nodes, key) if doubles else None
+    stride, keep = 0, None
+    if doubles and kept is None:
+        size = default_grid_size(basis.max_index, basis.poles.max_modulus)
+        if size <= len(nodes) and len(nodes) % size == 0 and NODE_CHUNK % (len(nodes) // size) == 0:
+            # a copy per part, joined once the part's arrays are freed: one
+            # array of the whole kept R, held through the pass, raised the
+            # pass's peak, and glibc's heap trimming then had every request
+            # fault that memory in afresh
+            stride, keep = len(nodes) // size, []
+    # the row's last pole is w: its run reads the part's reciprocal
+    shared = len(row) > 0 and basis.poles[len(row) - 1] == spec.w
+    for start in range(0, len(nodes), NODE_CHUNK):
+        part = slice(start, start + NODE_CHUNK)
+        x = nodes[part]
+        multiplier, reciprocal, sampled = _sampled(spec, x, exponent)
+        if kept is not None:
+            values = kept[part]
+        else:
+            sums = basis.eval_sum(row, x, reciprocal=reciprocal if shared else None)
+            values = np.multiply(multiplier, sums)
+            values.setflags(write=False)
+            del sums
+            if keep is not None:
+                keep.append(values[::stride].copy())
+        yield slice(start, start + len(x), 1), slice(0, 1), multiplier, sampled, values[None]
+        del multiplier, reciprocal, sampled, values  # freed before the next part is evaluated
+    if keep is not None:
+        basis.keep_sum(nodes if stride == 1 else nodes[::stride], key, np.concatenate(keep))
+
+
+def _row_part(reduce: Callable, spec: KernelSpec, nodes, exponent: int, at: slice,
+              multiplier, kernel, values) -> tuple:
+    """reduce(multiplier, K) of one row's part (_row_values): a tuple whose
+    first item reduces the row's error over the part, formed from K and R
+    over the part's multiplier or K, never over R.  That reduction is the
+    part's one finiteness check.  Where it is not finite, the multiplier
+    and K are sampled again, to the same bits, and NonFiniteIntegrand names
+    K's first non-finite node of the part, else R's; where both are finite
+    (the error or its reduction overflowed), reduce runs again under the
+    caller's error state, giving its warnings as a pass that checked K and
+    R before reducing did."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = reduce(multiplier, kernel)
+    if np.isfinite(result[0]).all():
+        return result
+    multiplier, _, kernel = _sampled(spec, nodes[at], exponent)
+    require_finite(at.start, at.step, kernel[None])
+    require_finite(at.start, at.step, values)
+    return reduce(multiplier, kernel)
 
 
 def mu_functional(
@@ -407,24 +481,41 @@ def mu_functional(
     So on a grid of one part a row's value is numpy's mean of its whole row
     of squares, to the bit, and so is it on two evaluated parts of
     NODE_CHUNK nodes (numpy's pairwise sum splits a row of 2^15 at 2^14).
-    One row forms R as Approximant.eval forms it; a batch of rows takes a
-    matrix product and may round apart in the last bits."""
+    One row forms R as Approximant.eval forms it, or in doubles reads the R
+    a pass on nodes it nests in kept (as build_error_report's nu does), to
+    the same bits (_row_values); a batch of rows takes a matrix product and
+    may round apart in the last bits."""
     coefficients = np.asarray(coefficients, dtype=complex)
     rows = np.atleast_2d(coefficients)
     nodes = circle_grid(len(grid), extended=True) if extended else grid
     sums = np.zeros(len(rows), dtype=nodes.real.dtype)
-    for _, block, multiplier, kernel, error in _competitor_values(
-        spec, basis, rows, nodes, spec.alpha + 2
+    exponent = spec.alpha + 2
+    for at, block, multiplier, kernel, values in _competitor_values(
+        spec, basis, rows, nodes, exponent
     ):
-        np.divide(error, multiplier, out=error)
-        np.subtract(kernel, error, out=error)
-        # one row at a time: no block of moduli beside the block of errors
-        for row in range(len(error)):
-            modulus = np.abs(error[row])
-            sums[block.start + row] += np.add.reduce(np.square(modulus, out=modulus))
-        del error, multiplier, kernel  # freed before the next block or part is formed
+        if len(rows) == 1:
+            # the error over the multiplier: R stays for the part's check
+            (part,) = _row_part(lambda m, k: (_squares(m, k, values, m[None]),),
+                                spec, nodes, exponent, at, multiplier, kernel, values)
+        else:
+            part = _squares(multiplier, kernel, values, values)
+        sums[block] += part
+        del multiplier, kernel, values  # freed before the next block or part is formed
     mu = (sums / len(nodes)).astype(float)
     return float(mu[0]) if coefficients.ndim == 1 else mu
+
+
+def _squares(multiplier, kernel, values, out) -> np.ndarray:
+    """Each row's sum over a part of |K - R / multiplier|^2 (np.add.reduce
+    of its squares), the errors written over out, one row at a time: no
+    block of moduli beside the block of errors."""
+    error = np.divide(values, multiplier, out=out)
+    np.subtract(kernel, error, out=error)
+    sums = np.empty(len(error), dtype=error.real.dtype)
+    for row, row_error in enumerate(error):
+        modulus = np.abs(row_error)
+        sums[row] = np.add.reduce(np.square(modulus, out=modulus))
+    return sums
 
 
 def _free_blaschke_modulus(spec: KernelSpec, free_poles) -> float:
@@ -531,7 +622,7 @@ def nu_functional(
     grid pass.  One row is summed as its grid pass summed it, to the bit,
     and scores as Approximant.eval does; a batch's grid pass multiplies
     basis blocks by its rows, which round apart in the last bits.  The
-    first non-finite R stops the grid pass with NonFiniteIntegrand.
+    first non-finite K or R stops the grid pass with NonFiniteIntegrand.
     nu_minimum gives the first argmin and the minimum of a batch's values
     with the same pass, brackets and refinement, scoring in full only the
     rows that can still be the minimum."""
@@ -554,18 +645,32 @@ def _nu_grid_pass(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, blo
     top = np.full(len(rows), -np.inf)
     bottom = np.full(len(rows), np.inf)
     index = np.zeros(len(rows), dtype=int)
-    for at, block, multiplier, kernel, error in _competitor_values(
-        spec, basis, rows, nodes, spec.alpha + 1, blocks
+    exponent = spec.alpha + 1
+    for at, block, multiplier, kernel, values in _competitor_values(
+        spec, basis, rows, nodes, exponent, blocks
     ):
-        moduli = np.abs(np.subtract(kernel, error, out=error))
-        local = np.argmax(moduli, axis=1)
-        value = moduli[np.arange(len(moduli)), local]
+        if len(rows) == 1:
+            # the error over K: R stays for the part's check
+            value, local, moduli = _row_part(lambda m, k: _maxima(k, values, k[None]),
+                                             spec, nodes, exponent, at, multiplier, kernel, values)
+        else:
+            value, local, moduli = _maxima(kernel, values, values)
         moved = value > top[block]
         top[block] = np.where(moved, value, top[block])
         index[block] = np.where(moved, at.start + at.step * local, index[block])
         np.minimum(bottom[block], moduli.min(axis=1), out=bottom[block])
-        del error, moduli, multiplier, kernel  # freed before the next block or part is formed
+        del values, moduli, multiplier, kernel  # freed before the next block or part is formed
     return top, index, bottom
+
+
+def _maxima(kernel, values, out):
+    """(value, local, moduli) of a part: each row's error moduli |K - R|,
+    the errors written over out, the first node of each row's largest
+    modulus, and that modulus (NaN where the row holds one: np.argmax takes
+    the first NaN)."""
+    moduli = np.abs(np.subtract(kernel, values, out=out))
+    local = np.argmax(moduli, axis=1)
+    return moduli[np.arange(len(moduli)), local], local, moduli
 
 
 def _kernel_error(spec: KernelSpec, basis: TMBasis, x, rows):
@@ -887,7 +992,15 @@ def build_error_report(
     degenerates to the constant 1 and the approximant is identically 1.  Else
     build_approximant refuses an alpha past the double range, and the mu
     grid is made next, so a grid past the cap (GridTooLarge) refuses the
-    request before its rows."""
+    request before its rows.
+
+    nu runs before mu: its one-row pass keeps R on the basis at mu's nodes,
+    where mu's grid nests in nu's (a power of two of at most NU_GRID_NODES
+    nodes), and mu in doubles reads it there, forming only its own
+    multiplier and K (see _row_values).  Each value has the bits of its
+    functional on a fresh approximant.  A refused nu runs mu first and then
+    raises, so a request that mu would refuse reports mu's refusal, as when
+    mu ran first."""
     if not isinstance(free_poles, PoleSequence):
         free_poles = PoleSequence(free_poles)
     approx, values = None, (0.0,) * len(ErrorReport.VALUE_NAMES)
@@ -898,12 +1011,14 @@ def build_error_report(
         # the report before the grid passes
         residuals = approx.interpolation_residuals()
         mu_closed = mu_min_closed_form(spec, free_poles)
-        mu_quad = mu_functional(
-            spec, approx.basis, approx.coefficients, mu_grid, extended=extended_mu(mu_closed)
-        )
-        nu_grid = nu_functional(
-            spec, approx.basis, approx.coefficients, circle_grid(NU_GRID_NODES)
-        )
+        extended = extended_mu(mu_closed)
+        args = (spec, approx.basis, approx.coefficients)
+        try:
+            nu_grid = nu_functional(*args, circle_grid(NU_GRID_NODES))
+        except Exception:
+            mu_functional(*args, mu_grid, extended=extended)
+            raise
+        mu_quad = mu_functional(*args, mu_grid, extended=extended)
         nu_closed = nu_min_closed_form(spec, free_poles)
         values = (mu_quad, mu_closed, nu_grid, nu_closed, max(residuals, default=0.0))
     report = ErrorReport(

@@ -1587,7 +1587,8 @@ def test_a_shared_reciprocal_keeps_the_unshared_bits(configuration):
 def test_only_a_basis_ending_at_w_shares_its_reciprocal(last, monkeypatch):
     # sums of 1e308-sized coefficients overflow at some nodes: the pass names
     # the first of them, where the unshared product leaves the double range,
-    # whether or not the row's sum read the pass's reciprocal
+    # whether or not the row's sum read the pass's reciprocal.  One row's
+    # parts are checked by the functional's reduction of them (_row_part)
     spec = KernelSpec(1, 0.4 - 0.3j)
     basis = TMBasis([0.3, 0j, spec.w if last == "w" else 0.5j])
     row = np.array([1e308, -1e308j, 1e308])
@@ -1605,7 +1606,7 @@ def test_only_a_basis_ending_at_w_shares_its_reciprocal(last, monkeypatch):
     monkeypatch.setattr(basis, "eval_sum", recorded)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteIntegrand) as raised:
-            list(bergman_approx._competitor_values(spec, basis, row[None], grid, spec.alpha + 1))
+            nu_functional(spec, basis, row, grid)
     assert raised.value.node_index == int(np.argmax(bad))
     assert len(received) == int(np.argmax(bad)) // NODE_CHUNK + 1
     if last == "w":
@@ -1647,8 +1648,10 @@ def test_an_approximate_request_forms_one_taylor_table_at_w_and_one_reciprocal_p
     # w is a pole of multiplicity alpha + 2: the table of order alpha + 1
     # serves the expansion and the interpolation rows alike
     assert [table for table in tables if table[0] == spec.w] == [(spec.w, 3)]
-    # mu's one part of 4096 nodes and nu's four of 2^14
-    assert len(raised) == len(received) == 5
+    # nu's four parts of 2^14, then mu's one part of 4096 nodes, which reads
+    # nu's R at every 16th node and sums nothing
+    assert len(raised) == 5 and len(received) == 4
+    assert [len(r) for r in raised] == [NODE_CHUNK] * 4 + [4096]
     assert all(a is b for a, b in zip(raised, received))
 
 
@@ -2185,3 +2188,163 @@ class TestTrialBound:
         finally:
             tracemalloc.stop()
         assert peak <= counted
+
+
+def same_float(a: float, b: float) -> bool:
+    return np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+
+#: |w| ranges whose mu grid has 4096, 8192, 16384 and 32768 nodes, and
+#: small ones, where mu is taken in long double unless B(w) = 0 or alpha = 0.
+_REPORT_MODULI = [(0.1, 0.75), (0.94, 0.966), (0.968, 0.983), (0.984, 0.991), (0.005, 0.05)]
+
+
+@st.composite
+def _report_configuration(draw):
+    """alpha 0-3, w in one of _REPORT_MODULI, and free poles zero, random,
+    repeated, equal to w, or none."""
+    alpha = draw(st.integers(0, 3))
+    w = draw(_disk_point(*draw(st.sampled_from(_REPORT_MODULI))))
+    pool = [0j, w, draw(_disk_point(0.0, 0.8)), draw(_disk_point(0.0, 0.8))]
+    free = draw(st.lists(st.sampled_from(pool), max_size=8))
+    return alpha, w, free
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(configuration=_report_configuration())
+def test_an_error_report_keeps_the_bits_of_each_functional_alone(configuration):
+    # the report runs nu first, which keeps its R on the basis, and mu in
+    # doubles reads R at its nodes, every 16th, 8th, 4th or 2nd of nu's:
+    # each value is still that of its functional on a fresh approximant
+    alpha, w, free = configuration
+    spec = KernelSpec(alpha, w)
+    report = build_error_report(spec, free)
+    fresh = build_approximant(spec, free)
+    grid = circle_grid(fresh.expansion.grid_size)
+    assert 4096 <= len(grid) <= 2**15
+    extended = extended_mu(mu_min_closed_form(spec, free))
+    mu = mu_functional(spec, fresh.basis, fresh.coefficients, grid, extended=extended)
+    nu = nu_functional(spec, fresh.basis, fresh.coefficients, circle_grid(NU_GRID_NODES))
+    assert same_float(report.mu_quadrature, mu) and same_float(report.nu_grid, nu)
+    # nu's pass kept R at mu's nodes, and it stays kept: mu read it, or took
+    # long double, which keeps nothing
+    nodes, _, kept = report.approximant.basis._kept
+    assert np.shares_memory(nodes, circle_grid(NU_GRID_NODES)) and kept.shape == grid.shape
+
+
+def test_mu_reads_the_kept_r_only_in_doubles(monkeypatch):
+    spec = KernelSpec(1, 0.02 + 0.01j)
+    free = [0.3, -0.2j]
+    assert extended_mu(mu_min_closed_form(spec, free))
+    approx = build_approximant(spec, free)
+    basis, row = approx.basis, approx.coefficients
+    grid = circle_grid(approx.expansion.grid_size)
+    nu_functional(spec, basis, row, circle_grid(NU_GRID_NODES))
+    kept = basis._kept
+    key = np.array(spec.w).tobytes() + row.tobytes()
+    assert basis.kept_sum(grid, key) is not None
+    assert basis.kept_sum(circle_grid(len(grid), extended=True), key) is None
+    summed, sums = [], basis.eval_sum
+
+    def spy(coefficients, z, **kwargs):
+        summed.append((len(z), z.dtype))
+        return sums(coefficients, z, **kwargs)
+
+    monkeypatch.setattr(basis, "eval_sum", spy)
+    values = [mu_functional(spec, basis, row, grid, extended=extended)
+              for extended in (True, False)]
+    # the long-double pass sums its one part; the double pass sums nothing
+    assert summed == [(len(grid), np.dtype(np.clongdouble))]
+    assert basis._kept is kept
+    monkeypatch.undo()
+    fresh = build_approximant(spec, free)
+    for value, extended in zip(values, (True, False)):
+        alone = mu_functional(spec, fresh.basis, fresh.coefficients, grid, extended=extended)
+        assert same_float(value, alone)
+
+
+def test_a_row_keeps_only_a_finished_pass_and_reads_only_its_own_bytes():
+    spec = KernelSpec(0, 0.4 - 0.1j)
+    approx = build_approximant(spec, [0.2j, -0.5])
+    basis, row = approx.basis, approx.coefficients
+    grid = circle_grid(4096)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIntegrand):
+        nu_functional(spec, basis, row * 1e308, grid)
+    assert basis._kept is None
+    nu_functional(spec, basis, row, grid)
+    nodes, key, values = basis._kept
+    assert nodes is grid and not values.flags.writeable
+    assert key == np.array(spec.w).tobytes() + row.tobytes()
+    assert np.shares_memory(basis.kept_sum(grid, key), values)
+    assert row[-1] != 0
+    other = np.append(row[:-1], 2 * row[-1])
+    assert basis.kept_sum(grid, np.array(spec.w).tobytes() + other.tobytes()) is None
+    assert basis.kept_sum(grid, np.array(np.conj(spec.w)).tobytes() + row.tobytes()) is None
+    # nested in the kept nodes, or not: a grid that does not divide 4096,
+    # and node arrays of 2048 that are not its every other node
+    assert np.shares_memory(basis.kept_sum(circle_grid(2048), key), values)
+    assert basis.kept_sum(circle_grid(3000), key) is None
+    assert basis.kept_sum(grid[1::2].copy(), key) is None
+    assert basis.kept_sum(np.conj(circle_grid(2048)), key) is None
+    # a pass that reads keeps nothing; one that cannot read keeps its own,
+    # at the nodes of the basis's default grid, 4096, that nest in its own
+    mu_functional(spec, basis, row, circle_grid(2048), extended=False)
+    assert basis._kept[2] is values
+    for count in (8192, NU_GRID_NODES):
+        nu_functional(spec, basis, row, circle_grid(count))
+        nodes, _, values = basis._kept
+        assert np.shares_memory(nodes, circle_grid(count)) and values.shape == (4096,)
+    nu_functional(spec, basis, row, circle_grid(3000))
+    assert basis._kept[2] is values
+
+
+def doctored_class_sums(monkeypatch, nodes, bad):
+    """Make the nested sums of every basis non-finite at the given nodes of
+    the node array, on the parts of a grid pass (no bracket sum)."""
+    sums = TMBasis.eval_sum
+
+    def doctored(self, coefficients, z, **kwargs):
+        out = sums(self, coefficients, z, **kwargs)
+        if np.ndim(z) == 1 and len(z) >= 4096:
+            out[np.isin(z, nodes[bad])] = np.inf
+        return out
+
+    monkeypatch.setattr(TMBasis, "eval_sum", doctored)
+
+
+@pytest.mark.parametrize("bad, kernel, node", [
+    ([16 * 5], [], 5),
+    ([16 * 5 + 3], [], 16 * 5 + 3),
+    ([16 * 5 + 3, 16 * 700], [], 700),
+    ([], [9], 9),
+    ([16 * 3], [9], 9),
+], ids=["R at a mu node", "R at a nu node only", "R at both", "K only", "K after R in a part"])
+def test_a_refused_report_names_the_node_mu_first_named(bad, kernel, node, monkeypatch):
+    # mu on 4096 nodes, every 16th of nu's.  Parent order, mu then nu on a
+    # fresh approximant, names the first non-finite K_(alpha+2) or R of mu's
+    # pass (K first within a part), else nu's first non-finite R; the
+    # report, which runs nu first, raises the same error.  kernel holds mu
+    # nodes whose K_(alpha+2) overflows, where K_(alpha+1) does not
+    spec = KernelSpec(1, 0.5 + 0.2j)
+    free = [0.3, -0.4j]
+    doctored_class_sums(monkeypatch, circle_grid(NU_GRID_NODES), bad)
+    power = bergman_approx.reciprocal_power
+
+    def doctored_power(reciprocal, exponent):
+        out = power(reciprocal, exponent)
+        if exponent == spec.alpha + 2:
+            out[kernel] = np.inf
+        return out
+
+    monkeypatch.setattr(bergman_approx, "reciprocal_power", doctored_power)
+    approx = build_approximant(spec, free)
+    grid = circle_grid(approx.expansion.grid_size)
+    assert len(grid) == 4096
+    with pytest.raises(NonFiniteIntegrand) as parent:
+        mu_functional(spec, approx.basis, approx.coefficients, grid, extended=False)
+        nu_functional(spec, approx.basis, approx.coefficients, circle_grid(NU_GRID_NODES))
+    with pytest.raises(NonFiniteIntegrand) as raised:
+        build_error_report(spec, free)
+    assert raised.value.node_index == parent.value.node_index == node
+    assert repr(raised.value.value) == repr(parent.value.value)
+    assert str(raised.value) == str(parent.value)

@@ -191,3 +191,18 @@ def test_an_integral_float_gives_the_cached_grid_of_its_int():
     assert circle_grid(np.float64(4096.0)) is circle_grid(4096)
     assert circle_grid(4096.0, extended=True) is circle_grid(4096, extended=True)
     assert len(circle_grid(np.int64(64))) == 64
+
+
+def test_power_of_two_grids_nest_bit_for_bit():
+    # 2 pi j / N is 2 pi (j M/N) / M exactly for powers of two: the node
+    # angles differ by exact power-of-two scalings, so every grid is every
+    # (M/N)-th node of a finer one, to the bit.  Error reports read the R of
+    # nu's 2^16-node pass at mu's nodes on this account (TMBasis.kept_sum).
+    sizes = [2**k for k in range(8, 18)]
+    for fine in sizes:
+        grid = circle_grid(fine)
+        for count in (n for n in sizes if n <= fine):
+            nested = grid[:: fine // count]
+            for part in (np.real, np.imag):
+                assert np.array_equal(part(nested).view(np.int64),
+                                      part(circle_grid(count)).view(np.int64))

@@ -28,6 +28,7 @@ from diskrat.cli import (
     COMMANDS,
     OPTIONS,
     UsageError,
+    _json_dump,
     build_parser,
     main,
     parse_complex,
@@ -1603,3 +1604,48 @@ def test_the_admitted_extremes_exit_0_or_2(capsys, argv):
         assert err == "" and out.splitlines()[1].split(",")[-1]
     elif code == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+_json_scalars = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.just(-0.0) | st.text()
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=6) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=6)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(value=_json_values)
+def test_the_json_writer_is_json_dumps_byte_for_byte(value):
+    # NaN, the infinities, -0.0, big ints, bools, None, empty containers,
+    # tuples and non-ASCII or control characters in keys and strings
+    assert _json_dump(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {2.5: 1, 1.5: 2, float("inf"): 3, -0.0: 4},
+    {None: 0},
+    {True: 1, False: 0},
+    {3: [1.5], 1: {}},
+    [1.5, 2, np.float64(0.25), np.float64("nan")],
+    {"e": float("-inf"), "d": [float("nan")], "\u00e9\n": "\U0001f600"},
+], ids=["float keys", "none key", "bool keys", "int keys", "float subclass", "specials"])
+def test_the_json_writer_writes_json_dumps_keys_and_floats(value):
+    assert _json_dump(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    object(), 1j, {1, 2}, b"bytes", np.int64(3), np.bool_(True), [np.arange(2)],
+    {"key": {"nested": 2j}}, {(1, 2): 3}, {"a": 1, 2: "b"},
+], ids=["object", "complex", "set", "bytes", "int64", "bool_", "array", "nested", "tuple key",
+        "mixed keys"])
+def test_the_json_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        _json_dump(value)
+    assert str(got.value) == str(want.value)

@@ -130,6 +130,8 @@ for argv in (
     ["approximate", "--alpha", "1", "--w", "0.5,0.2", "--poles", "0.3,0;0,-0.4"],
     ["oracle", "--w", "0.6,0", "--poles", "0.2,0.1", "--trials", "6"],
     ["oracle", "--w", "0.6,0", "--poles", "0.2,0.1", "--trials", "6", "--grid", "16384"],
+    ["approximate", "--alpha", "2", "--w", "0.99,0", "--poles", "0.3,0;0,-0.4"],
+    ["approximate", "--w", "0.1,0", "--poles", "0,0;0,0;0,0;0,0;0,0"],
 ):
     before = [tracer.calls[name] for name in names]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -151,13 +153,20 @@ def test_traced_requests_keep_their_per_layer_call_counts():
     # first block's brackets; its one refined bracket, the optimum's, takes
     # no step, and no other block is scored in full.  The least-squares
     # oracle calls design_matrix twice: its Gram stores the design, and it
-    # then reads that stored design back through design_matrix.
+    # then reads that stored design back through design_matrix.  The last
+    # two requests take mu on 2^15 nodes near the circle (|w| = 0.99), where
+    # it reads R from nu's pass, and in long double (mu_min 1.0e-12), where
+    # it sums its own: each still makes one mu and one nu call.
     done = run_traced(TRACED_LAYERS)
     assert done.returncode == 0, done.stderr
-    approximate, oracle, oracle_16384 = json.loads(done.stdout.splitlines()[-1])
+    approximate, oracle, oracle_16384, boundary, long_double = json.loads(
+        done.stdout.splitlines()[-1]
+    )
     assert approximate == [0, 0, 1, 1, 1, 0]
     assert oracle == [0, 1, 1, 0, 0, 2]
     assert oracle_16384 == [0, 1, 1, 0, 0, 2]
+    assert boundary == [0, 0, 1, 1, 1, 0]
+    assert long_double == [0, 0, 1, 1, 1, 0]
 
 
 TRACED_STORE = """
