@@ -29,7 +29,11 @@ as well.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -352,7 +356,8 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
     sampled once per part (_sampled), and R = multiplier * sum_k c_k
     phi_k(x) for every row c of the block.  K has the bits of
     spec.bergman(x) at exponent alpha + 2 and of spec.cauchy_power(x) at
-    alpha + 1.  One row takes _row_values.  A batch of rows takes its parts
+    alpha + 1.  One row takes _row_values, which evaluates its parts on the
+    usable CPUs, a round at a time.  A batch of rows takes its parts
     from TMBasis.eval_chunks, which alone decides their length, and
     multiplies each block by the part in one product: an evaluated part
     whole, or a PIECE_NODES part read in place from a stored design.  The
@@ -362,7 +367,7 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
     not finite raises NonFiniteIntegrand at its first such node, before any
     of its blocks; else the first block with a non-finite R raises at once,
     at the first such node of its first such row.  Nothing later is
-    evaluated."""
+    evaluated, beyond the rest of one row's round."""
     trials, count = rows.shape
     if trials == 1:
         yield from _row_values(spec, basis, rows[0], nodes, exponent)
@@ -390,6 +395,55 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
         del phi, multiplier, sampled  # freed before the next part is evaluated
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on (1 where the platform does not
+    say): the processes of a pooled verify, and the parts a one-row grid
+    pass evaluates at once (_row_values) unless set_pass_threads says."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+#: Parts a one-row grid pass evaluates at once, where set (set_pass_threads).
+_pass_threads: int | None = None
+
+
+def set_pass_threads(count: int | None) -> int | None:
+    """Have the one-row grid passes of this process evaluate count parts at
+    once (None: usable_cpus()), and return the count set before.  A pooled
+    verify sets 1 before its workers fork, which inherit it: its processes
+    fill the usable CPUs already."""
+    global _pass_threads
+    previous, _pass_threads = _pass_threads, count
+    return previous
+
+
+def _round(evaluate: Callable, starts) -> list:
+    """evaluate(start) for every start of a round of parts, in order: the
+    first on this thread, each other on a helper thread of its own, every
+    helper joined before this returns, so no thread outlives the round.  A
+    helper runs in a copy of this thread's context, under its numpy error
+    state with every condition that is not ignored raised instead.  A
+    helper that raises anything gives None: its part is for this thread to
+    evaluate again in turn, so a pass raises and warns as one that
+    evaluates one part at a time, and at the same part."""
+    modes = {name: "ignore" if mode == "ignore" else "raise" for name, mode in np.geterr().items()}
+    done = [None] * len(starts)
+
+    def helper(index):
+        with np.errstate(**modes), contextlib.suppress(Exception):
+            done[index] = evaluate(starts[index])
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(helper, index))
+               for index in range(1, len(starts))]
+    for thread in threads:
+        thread.start()
+    try:
+        done[0] = evaluate(starts[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    return done
+
+
 def _row_values(spec: KernelSpec, basis: TMBasis, row: np.ndarray, nodes, exponent: int):
     """_competitor_values of one row c: (at, block, multiplier, K, R) for
     each part of NODE_CHUNK nodes, with block slice(0, 1) and R of shape
@@ -397,7 +451,15 @@ def _row_values(spec: KernelSpec, basis: TMBasis, row: np.ndarray, nodes, expone
     through _row_part, which may write over the multiplier and K but not R,
     and checks that reduction once: the first part with a non-finite K or
     R raises NonFiniteIntegrand there, at K's first non-finite node, else
-    R's, and nothing later is evaluated.
+    R's, and nothing after its round is evaluated.
+
+    The parts are evaluated in rounds of as many parts as set_pass_threads
+    says, by default usable_cpus(): a part's multiplier, K and R, on this
+    thread and on short-lived helpers (_round).  The round's parts are then
+    yielded in node order, so a pass holds the arrays of a round of parts
+    at once.  A part keeps its length and offset, and its values their
+    bits, however many parts are in flight; a round of one part starts no
+    thread.
 
     R is competitor_function's, with the part's own multiplier: the nested
     sum TMBasis.eval_sum on the part (which, where the row's last pole is
@@ -428,21 +490,30 @@ def _row_values(spec: KernelSpec, basis: TMBasis, row: np.ndarray, nodes, expone
             stride, keep = len(nodes) // size, []
     # the row's last pole is w: its run reads the part's reciprocal
     shared = len(row) > 0 and basis.poles[len(row) - 1] == spec.w
-    for start in range(0, len(nodes), NODE_CHUNK):
+
+    def evaluate(start):
+        """(multiplier, K, R) of the part from start."""
         part = slice(start, start + NODE_CHUNK)
-        x = nodes[part]
-        multiplier, reciprocal, sampled = _sampled(spec, x, exponent)
+        multiplier, reciprocal, sampled = _sampled(spec, nodes[part], exponent)
         if kept is not None:
-            values = kept[part]
-        else:
-            sums = basis.eval_sum(row, x, reciprocal=reciprocal if shared else None)
-            values = np.multiply(multiplier, sums)
-            values.setflags(write=False)
-            del sums
+            return multiplier, sampled, kept[part]
+        sums = basis.eval_sum(row, nodes[part], reciprocal=reciprocal if shared else None)
+        values = np.multiply(multiplier, sums)
+        values.setflags(write=False)
+        return multiplier, sampled, values
+
+    starts = range(0, len(nodes), NODE_CHUNK)
+    width = max(1, _pass_threads or usable_cpus())
+    for first in range(0, len(starts), width):
+        round_starts = starts[first : first + width]
+        parts = _round(evaluate, round_starts)
+        for index, start in enumerate(round_starts):
+            multiplier, sampled, values = parts[index] or evaluate(start)
+            parts[index] = None
             if keep is not None:
                 keep.append(values[::stride].copy())
-        yield slice(start, start + len(x), 1), slice(0, 1), multiplier, sampled, values[None]
-        del multiplier, reciprocal, sampled, values  # freed before the next part is evaluated
+            yield slice(start, start + len(values), 1), slice(0, 1), multiplier, sampled, values[None]
+            del multiplier, sampled, values  # freed before the next part is yielded
     if keep is not None:
         basis.keep_sum(nodes if stride == 1 else nodes[::stride], key, np.concatenate(keep))
 
@@ -483,8 +554,10 @@ def mu_functional(
     NODE_CHUNK nodes (numpy's pairwise sum splits a row of 2^15 at 2^14).
     One row forms R as Approximant.eval forms it, or in doubles reads the R
     a pass on nodes it nests in kept (as build_error_report's nu does), to
-    the same bits (_row_values); a batch of rows takes a matrix product and
-    may round apart in the last bits."""
+    the same bits (_row_values), its parts a round of usable CPUs at a
+    time; they are summed in node order, so the value has the same bits on
+    any number of CPUs.  A batch of rows takes a matrix product and may
+    round apart in the last bits."""
     coefficients = np.asarray(coefficients, dtype=complex)
     rows = np.atleast_2d(coefficients)
     nodes = circle_grid(len(grid), extended=True) if extended else grid
@@ -623,7 +696,9 @@ def nu_functional(
     and scores as Approximant.eval does; a batch's grid pass multiplies
     basis blocks by its rows, which round apart in the last bits.  The
     first non-finite K or R stops the grid pass with NonFiniteIntegrand.
-    nu_minimum gives the first argmin and the minimum of a batch's values
+    One row's parts are evaluated a round of usable CPUs at a time and
+    reduced in node order (_row_values), so its value, best node and any
+    refusal have the same bits on any number of CPUs.  nu_minimum gives the first argmin and the minimum of a batch's values
     with the same pass, brackets and refinement, scoring in full only the
     rows that can still be the minimum."""
     coefficients = np.asarray(coefficients, dtype=complex)
@@ -1000,7 +1075,9 @@ def build_error_report(
     multiplier and K (see _row_values).  Each value has the bits of its
     functional on a fresh approximant.  A refused nu runs mu first and then
     raises, so a request that mu would refuse reports mu's refusal, as when
-    mu ran first."""
+    mu ran first.  Each pass evaluates its parts on the usable CPUs, and no
+    thread outlives it: a verify that follows in this process can still
+    form its pool."""
     if not isinstance(free_poles, PoleSequence):
         free_poles = PoleSequence(free_poles)
     approx, values = None, (0.0,) * len(ErrorReport.VALUE_NAMES)

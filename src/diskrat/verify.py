@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import os
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bergman_approx
 from .bergman_approx import (
     NU_GRID_NODES,
     build_approximant,
@@ -440,10 +440,6 @@ def _measure(position: int, share: int) -> tuple:
     return partial, time.perf_counter() - started
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _run_tasks(tasks: list[tuple[int, int]]) -> list[tuple]:
     """`_measure` of every task, in task order: where a split group's shares
     are among the tasks, over min(usable CPUs, tasks) processes, this one
@@ -451,7 +447,7 @@ def _run_tasks(tasks: list[tuple[int, int]]) -> list[tuple]:
     whose wrapped groups are not split, run here one after another, as do
     all where that count is one, fork is not available or this process
     runs another Python thread, which a fork would copy mid-step."""
-    processes = min(_usable_cpus(), len(tasks))
+    processes = min(bergman_approx.usable_cpus(), len(tasks))
     # only a split group has a share past its first
     if processes > 1 and any(share for _, share in tasks):
         import multiprocessing
@@ -473,13 +469,21 @@ def _run_beside_pool(tasks: list[tuple[int, int]], workers: int, context) -> lis
     started: one running in each worker and at most workers +
     EXTRA_QUEUED_CALLS queued for them.  In three sets of twelve full
     verifies on a two-core VM, the median CPU times of the two processes
-    came within 6% of each other."""
+    came within 6% of each other.
+
+    The processes fill the usable CPUs, so each runs BLAS on one thread
+    and its one-row grid passes one part at a time
+    (bergman_approx.set_pass_threads), both set here before the workers
+    fork and restored after: a prototype that let each process run two
+    parts at once made verify 2.4% slower."""
     from concurrent.futures import Future, ProcessPoolExecutor
 
     is_share = [_split(CHECK_GROUPS[position][1])[0] > 1 for position, _ in tasks]
     order = sorted(range(len(tasks)), key=is_share.__getitem__)
     pool = ProcessPoolExecutor(workers, mp_context=context)
-    blas_threads = _set_blas_threads(1)  # before the workers fork, which inherit it
+    # before the workers fork, which inherit both
+    blas_threads = _set_blas_threads(1)
+    pass_threads = bergman_approx.set_pass_threads(1)
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns on a fork beside any thread, the BLAS
@@ -499,6 +503,7 @@ def _run_beside_pool(tasks: list[tuple[int, int]], workers: int, context) -> lis
         return [futures[index].result() for index in range(len(tasks))]
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+        bergman_approx.set_pass_threads(pass_threads)
         if blas_threads is not None:
             _set_blas_threads(blas_threads)
 

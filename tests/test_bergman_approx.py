@@ -2,7 +2,10 @@ import cmath
 import json
 import math
 import re
+import threading
 import tracemalloc
+import traceback
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -1494,8 +1497,10 @@ def doctored_sums(monkeypatch, basis, nodes, bad):
     return read
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("functional", ["mu", "nu", "equimodularity"])
-def test_one_row_stops_at_its_first_non_finite_part(functional, monkeypatch):
+def test_one_row_stops_at_its_first_non_finite_part(functional, cpus, monkeypatch):
+    monkeypatch.setattr(bergman_approx, "usable_cpus", lambda: cpus)
     spec = KernelSpec(0, 0.3 + 0.4j)
     grid = circle_grid(2**16)
     approx = build_approximant(spec, [0.2, -0.5j])
@@ -1511,10 +1516,11 @@ def test_one_row_stops_at_its_first_non_finite_part(functional, monkeypatch):
     }[functional]
     with pytest.raises(NonFiniteIntegrand) as raised:
         call()
-    # the first non-finite node of the second part; the third is never summed
+    # the first non-finite node of the second part; the third, in the next
+    # round, is never summed.  Parts of a round record in any order
     assert raised.value.node_index == NODE_CHUNK + 5000
     assert not cmath.isfinite(raised.value.value)
-    assert read == [0, NODE_CHUNK]
+    assert sorted(read) == [0, NODE_CHUNK]
 
 
 def exact_bits(a, b) -> bool:
@@ -1583,15 +1589,25 @@ def test_a_shared_reciprocal_keeps_the_unshared_bits(configuration):
         assert exact_bits(values[0], want)
 
 
+def overflowing_row(last):
+    """(spec, basis, row): a row of 1e308-sized coefficients whose sums
+    overflow at some nodes of a 2^16 grid, first in the third part where
+    the basis ends at w, else in the first."""
+    spec = KernelSpec(1, 0.4 - 0.3j)
+    basis = TMBasis([0.3, 0j, spec.w if last == "w" else 0.5j])
+    return spec, basis, np.array([1e308, -1e308j, 1e308])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("last", ["w", "not w"])
-def test_only_a_basis_ending_at_w_shares_its_reciprocal(last, monkeypatch):
+def test_only_a_basis_ending_at_w_shares_its_reciprocal(last, cpus, monkeypatch):
     # sums of 1e308-sized coefficients overflow at some nodes: the pass names
     # the first of them, where the unshared product leaves the double range,
     # whether or not the row's sum read the pass's reciprocal.  One row's
-    # parts are checked by the functional's reduction of them (_row_part)
-    spec = KernelSpec(1, 0.4 - 0.3j)
-    basis = TMBasis([0.3, 0j, spec.w if last == "w" else 0.5j])
-    row = np.array([1e308, -1e308j, 1e308])
+    # parts are checked by the functional's reduction of them (_row_part),
+    # after the whole round of cpus parts that holds it is summed
+    monkeypatch.setattr(bergman_approx, "usable_cpus", lambda: cpus)
+    spec, basis, row = overflowing_row(last)
     grid = circle_grid(2**16)
     with np.errstate(over="ignore", invalid="ignore"):
         unshared = np.multiply(1.0 - grid * np.conj(spec.w), basis.eval_sum(row, grid))
@@ -1608,11 +1624,133 @@ def test_only_a_basis_ending_at_w_shares_its_reciprocal(last, monkeypatch):
         with pytest.raises(NonFiniteIntegrand) as raised:
             nu_functional(spec, basis, row, grid)
     assert raised.value.node_index == int(np.argmax(bad))
-    assert len(received) == int(np.argmax(bad)) // NODE_CHUNK + 1
+    refused_round = int(np.argmax(bad)) // NODE_CHUNK // cpus
+    assert len(received) == min((refused_round + 1) * cpus, len(grid) // NODE_CHUNK)
     if last == "w":
         assert all(isinstance(r, np.ndarray) for r in received)
     else:
         assert received == [None] * len(received)
+
+
+@st.composite
+def _threaded_pass_configuration(draw):
+    """An approximant of alpha 0-3 with up to ten free poles, |w| up to
+    0.95, a grid of 2^15 or 2^16 nodes and a scale of its row: at 1e308
+    the sums leave the double range at some nodes."""
+    alpha = draw(st.integers(0, 3))
+    w = draw(_disk_point(0.05, 0.95))
+    free = draw(st.lists(_disk_point(0.0, 0.9), max_size=10))
+    nodes = draw(st.sampled_from([2**15, 2**16]))
+    scale = draw(st.sampled_from([1.0, 1e306, 1e308]))
+    return alpha, w, free, nodes, scale
+
+
+def one_row_outcomes(spec, free, nodes, scale) -> list:
+    """The bytes of every one-row pass of a fresh approximant's row, times
+    scale, on a grid of nodes nodes, in the order of an error report's and
+    verify's passes: nu's grid pass (maximum, its node and minimum), nu,
+    the kept R, mu in doubles reading it on the expansion's grid, mu in
+    doubles and in long double on the grid, and the equimodularity
+    variation.  A refused pass gives its node, value and message."""
+    approx = build_approximant(spec, free)
+    basis, row, grid = approx.basis, approx.coefficients * scale, circle_grid(nodes)
+    passes = [
+        lambda: bergman_approx._nu_grid_pass(spec, basis, row[None], grid),
+        lambda: nu_functional(spec, basis, row, grid),
+        lambda: () if basis._kept is None else basis._kept[2],
+        lambda: mu_functional(spec, basis, row, circle_grid(approx.expansion.grid_size),
+                              extended=False),
+        lambda: mu_functional(spec, basis, row, grid, extended=False),
+        lambda: mu_functional(spec, basis, row, grid, extended=True),
+        lambda: equimodularity_variation(spec, basis, row, grid),
+    ]
+    outcomes = []
+    for one_pass in passes:
+        try:
+            values = one_pass()
+            values = values if isinstance(values, tuple) else (values,)
+            outcomes.append(b"".join(np.ascontiguousarray(v).tobytes() for v in values))
+        except NonFiniteIntegrand as error:
+            outcomes.append((error.node_index, np.complex128(error.value).tobytes(), str(error)))
+    return outcomes
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(configuration=_threaded_pass_configuration())
+def test_one_row_passes_keep_every_bit_on_any_number_of_cpus(configuration):
+    # a round evaluates as many parts as there are usable CPUs, one per
+    # thread; each part keeps its nodes, and each value, node, kept R and
+    # refusal its bits
+    alpha, w, free, nodes, scale = configuration
+    spec = KernelSpec(alpha, w)
+    outcomes = []
+    for cpus in (1, 2, 3, 4):
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(bergman_approx, "usable_cpus", lambda: cpus)
+            outcomes.append(one_row_outcomes(spec, free, nodes, scale))
+    assert outcomes[1:] == outcomes[:1] * 3
+
+
+def test_no_thread_outlives_a_pass(monkeypatch):
+    monkeypatch.setattr(bergman_approx, "usable_cpus", lambda: 4)
+    before = threading.active_count()
+    build_error_report(KernelSpec(1, 0.4 + 0.3j), [0.3, -0.2j, 0.7j])
+    assert threading.active_count() == before
+    spec, basis, row = overflowing_row("w")
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteIntegrand):
+        nu_functional(spec, basis, row, circle_grid(2**16))
+    assert threading.active_count() == before
+    # nor one of a round whose first part is taken and the rest dropped
+    parts = bergman_approx._row_values(spec, basis, np.ones(3, dtype=complex), circle_grid(2**16), 2)
+    next(parts)
+    assert threading.active_count() == before
+    parts.close()
+
+
+def refused_part(error) -> int:
+    """The first node of the part whose evaluation raised error."""
+    tb = error.__traceback__
+    while tb.tb_frame.f_code.co_name != "evaluate":
+        tb = tb.tb_next
+    return tb.tb_frame.f_locals["start"]
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_a_pass_under_raise_raises_in_the_caller_as_the_serial_pass_does(cpus, monkeypatch):
+    # the first overflow is in the third part, a helper's where three or
+    # four parts are in flight: the calling thread evaluates that part
+    # again, and raises there
+    spec, basis, row = overflowing_row("w")
+    grid = circle_grid(2**16)
+    raised = []
+    for count in (1, cpus):
+        monkeypatch.setattr(bergman_approx, "usable_cpus", lambda: count)
+        with np.errstate(over="raise", invalid="ignore"), pytest.raises(FloatingPointError) as error:
+            nu_functional(spec, basis, row, grid)
+        frame = traceback.extract_tb(error.value.__traceback__)[-1]
+        raised.append((str(error.value), refused_part(error.value), frame.name, frame.lineno))
+    assert raised[0][:2] == ("overflow encountered in add", 2 * NODE_CHUNK)
+    assert raised[1] == raised[0]
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+@pytest.mark.parametrize("last", ["w", "not w"])
+def test_a_pass_warns_as_the_serial_pass_does(last, cpus, monkeypatch):
+    # a helper does not warn: a part that would is evaluated again in turn
+    # by the calling thread, so the warnings come in the serial order, and
+    # none from a part after the refused one
+    spec, basis, row = overflowing_row(last)
+    grid = circle_grid(2**16)
+    runs = []
+    for count in (1, cpus):
+        monkeypatch.setattr(bergman_approx, "usable_cpus", lambda: count)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteIntegrand) as refused:
+                nu_functional(spec, basis, row, grid)
+        runs.append(([(str(w.message), w.category, w.filename, w.lineno) for w in caught],
+                      refused.value.node_index))
+    assert runs[0][0] and runs[1] == runs[0]
 
 
 def test_an_approximate_request_forms_one_taylor_table_at_w_and_one_reciprocal_per_part(
@@ -1652,7 +1790,9 @@ def test_an_approximate_request_forms_one_taylor_table_at_w_and_one_reciprocal_p
     # nu's R at every 16th node and sums nothing
     assert len(raised) == 5 and len(received) == 4
     assert [len(r) for r in raised] == [NODE_CHUNK] * 4 + [4096]
-    assert all(a is b for a, b in zip(raised, received))
+    # the parts of a round are summed on threads of their own, which record
+    # in any order
+    assert sorted(map(id, raised[:4])) == sorted(map(id, received))
 
 
 @pytest.mark.parametrize("copies", [0, 1, 3])
@@ -1918,11 +2058,19 @@ class TestErrorReport:
             build_error_report(spec, free)
         assert str(refused.value) == str(expected.value)
 
+    @pytest.mark.parametrize("cpus", [None, 1])
     @pytest.mark.parametrize("pass_name", ["mu", "long-double mu", "nu"])
-    def test_single_row_passes_peak_within_a_few_parts(self, pass_name):
+    def test_single_row_passes_peak_within_a_few_parts(self, pass_name, cpus, monkeypatch):
         # One row is summed part by part in nested form, so its passes on
-        # 2^16 nodes hold a few arrays of one part, whatever m is: with 64
-        # functions one part's basis block alone would be 64 such arrays.
+        # 2^16 nodes hold a few arrays of each part in flight, whatever m
+        # is: with 64 functions one part's basis block alone would be 64
+        # such arrays.  A round holds as many parts as there are usable
+        # CPUs.  With more than one in flight, the peak depends on how far
+        # the threads' sums overlap in time (10 to 14 parts were seen at
+        # m = 8 on two CPUs), so m's part in it is read on one thread
+        if cpus is not None:
+            monkeypatch.setattr(bergman_approx, "usable_cpus", lambda: cpus)
+        in_flight = min(bergman_approx.usable_cpus(), NU_GRID_NODES // NODE_CHUNK)
         grid = circle_grid(NU_GRID_NODES)
         nodes = circle_grid(NU_GRID_NODES, extended=pass_name == "long-double mu")
         part = NODE_CHUNK * nodes.itemsize
@@ -1943,8 +2091,9 @@ class TestErrorReport:
             finally:
                 tracemalloc.stop()
             peaks.append(peak)
-        assert max(peaks) < 8 * part
-        assert abs(peaks[1] - peaks[0]) < part // 16
+        assert max(peaks) < 8 * part * in_flight
+        if in_flight == 1:
+            assert abs(peaks[1] - peaks[0]) < part // 16
 
     @pytest.mark.parametrize(
         "spec, free, grid_nodes",

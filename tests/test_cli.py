@@ -491,7 +491,7 @@ class TestVerify:
         groups = list(CHECK_GROUPS)
         groups[0] = (groups[0][0], fails)
         monkeypatch.setattr(diskrat.verify, "CHECK_GROUPS", groups)
-        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(diskrat.bergman_approx, "usable_cpus", lambda: cpus)
         assert run_cli(capsys, "verify", "--only", "orthonormality") == (
             3, "", "internal error: ValueError('boom inside a group')\n"
         )
@@ -575,7 +575,7 @@ class TestVerifyWorkers:
         ],
     )
     def test_the_pool_verdict_is_the_serial_one(self, monkeypatch, serial, only, cpus):
-        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(diskrat.bergman_approx, "usable_cpus", lambda: cpus)
         forks = fork_spy(monkeypatch)
         expected = {name: serial[name] for name in (only or ALL_CHECK_NAMES)}
         got = measured_by_run_checks(only)
@@ -584,7 +584,7 @@ class TestVerifyWorkers:
         assert multiprocessing.active_children() == []
 
     def test_one_usable_cpu_forks_nothing(self, monkeypatch, serial):
-        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(diskrat.bergman_approx, "usable_cpus", lambda: 1)
         forks = fork_spy(monkeypatch)
         only = ["orthonormality", "oracle_routes"]
         got = measured_by_run_checks(only)
@@ -604,7 +604,7 @@ class TestVerifyWorkers:
             # four failing shares, which make the pool form; the error of
             # the first in task order reaches the caller, wherever it ran
             monkeypatch.setitem(diskrat.verify._SPLIT, fails, (4, fails, fails))
-        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(diskrat.bergman_approx, "usable_cpus", lambda: cpus)
         forks = fork_spy(monkeypatch)
         only = ["orthonormality", "christoffel_darboux"]
         with pytest.raises(NonFiniteIntegrand) as raised:
@@ -653,7 +653,7 @@ class TestVerifyWorkers:
         groups = [(("orthonormality",), whole), (("quadratic_exactness",), split)]
         monkeypatch.setattr(diskrat.verify, "CHECK_GROUPS", groups)
         monkeypatch.setitem(diskrat.verify._SPLIT, split, (16, share, combine))
-        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(diskrat.bergman_approx, "usable_cpus", lambda: 2)
         results = run_checks(only=["orthonormality", "quadratic_exactness"])
         assert multiprocessing.active_children() == []
         return results[1].detail["ran"]
@@ -688,11 +688,52 @@ class TestVerifyWorkers:
         assert [share for share, _ in ran] == list(range(16))
         assert [pid == os.getpid() for _, pid in ran] == [False] * 15 + [True]
 
+    def test_a_verify_right_after_an_approximate_request_still_forms_its_pool(
+        self, capsys, monkeypatch
+    ):
+        # approximate's grid passes evaluate their parts on helper threads,
+        # none of which outlives its pass; a pool forms only beside no other
+        # thread, so the verify that follows still forms one
+        class Reached(Exception):
+            pass
+
+        def spy(tasks, workers, context):
+            raise Reached(workers)
+
+        monkeypatch.setattr(diskrat.bergman_approx, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(diskrat.verify, "_run_beside_pool", spy)
+        argv = ["approximate", "--alpha", "1", "--w=0.4,0.3", "--poles=0.3,0;-0.2,0.5"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        with pytest.raises(Reached) as reached:
+            run_checks(only=["quadratic_exactness"])
+        assert reached.value.args == (1,)
+
+    def test_a_pooled_verify_runs_each_grid_pass_one_part_at_a_time(self, monkeypatch):
+        # the processes fill the usable CPUs: each runs its passes on one
+        # thread while the pool lives, and this one's count is restored
+        def split():
+            raise AssertionError("a split group runs through its shares")
+
+        def share(share, shares):
+            return diskrat.bergman_approx._pass_threads
+
+        def combine(counts):
+            return [("quadratic_exactness", 0.0, {"counts": counts})]
+
+        groups = [(("quadratic_exactness",), split)]
+        monkeypatch.setattr(diskrat.verify, "CHECK_GROUPS", groups)
+        monkeypatch.setitem(diskrat.verify._SPLIT, split, (4, share, combine))
+        monkeypatch.setattr(diskrat.bergman_approx, "usable_cpus", lambda: 2)
+        results = run_checks(only=["quadratic_exactness"])
+        assert results[0].detail["counts"] == [1] * 4
+        assert diskrat.bergman_approx._pass_threads is None
+
     def test_a_selection_of_whole_groups_runs_here_and_forks_nothing(self, monkeypatch):
         names = [names[0] for names, _ in CHECK_GROUPS[:5]]
         groups = [((name,), self.whole_group(name)) for name in names]
         monkeypatch.setattr(diskrat.verify, "CHECK_GROUPS", groups)
-        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(diskrat.bergman_approx, "usable_cpus", lambda: 2)
         forks = fork_spy(monkeypatch)
         results = run_checks(only=names)
         assert [r.detail["pid"] for r in results] == [os.getpid()] * 5
@@ -712,7 +753,7 @@ class TestVerifyWorkers:
 
         groups = [(names, wrap(group)) for names, group in CHECK_GROUPS]
         monkeypatch.setattr(diskrat.verify, "CHECK_GROUPS", groups)
-        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(diskrat.bergman_approx, "usable_cpus", lambda: 2)
         forks = fork_spy(monkeypatch)
         assert json.dumps(measured_by_run_checks()) == json.dumps(serial)
         assert ran == [os.getpid()] * len(CHECK_GROUPS)
@@ -736,7 +777,7 @@ class TestVerifyWorkers:
         monkeypatch.setitem(
             diskrat.verify._SPLIT, split, (4, lambda share, shares: os.getpid(), combine)
         )
-        monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(diskrat.bergman_approx, "usable_cpus", lambda: 2)
         results = run_checks(only=[*names, "quadratic_exactness"])
         assert multiprocessing.active_children() == []
         here = {r.name: r.detail["pid"] == os.getpid() for r in results if "pid" in r.detail}
@@ -759,7 +800,7 @@ class TestVerifyWorkers:
     def test_a_selection_without_shares_loads_no_pool_module(self):
         assert self.pool_modules_loaded(
             "import sys, diskrat.cli, diskrat.verify\n"
-            "diskrat.verify._usable_cpus = lambda: 2\n"
+            "diskrat.bergman_approx.usable_cpus = lambda: 2\n"
             "assert diskrat.cli.main(['verify', '--only', "
             "'orthonormality,christoffel_darboux']) == 0"
         ).endswith("all checks passed\n[]\n")
@@ -799,7 +840,7 @@ def test_no_library_route_stores_a_design_on_an_extended_grid(capsys, monkeypatc
 
     monkeypatch.setattr(diskrat.tm_basis.TMBasis, "design_matrix", spy_design)
     monkeypatch.setattr(diskrat.bergman_approx, "mu_functional", spy_mu)
-    monkeypatch.setattr(diskrat.verify, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(diskrat.bergman_approx, "usable_cpus", lambda: 1)
     assert all(result.passed for result in run_checks())
     long_double.clear()
     assert main(["approximate", "--alpha", "0", "--w=0.2,0", "--poles=zeros", "--n", "5"]) == 0
