@@ -398,22 +398,37 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
 def usable_cpus() -> int:
     """The CPUs this process may run on (1 where the platform does not
     say): the processes of a pooled verify, and the parts a one-row grid
-    pass evaluates at once (_row_values) unless set_pass_threads says."""
+    pass evaluates at once (_row_values)."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-#: Parts a one-row grid pass evaluates at once, where set (set_pass_threads).
-_pass_threads: int | None = None
+#: Coefficients a row needs for its one-row passes to sum their parts on
+#: helper threads (_row_values).  A helper costs its start and join, and
+#: every ufunc of the nested sum hands the GIL between the threads; a
+#: shorter sum, three ufuncs a coefficient, loses more to that than it
+#: gains.  A 2^16-node nu on two threads of a 2-vCPU VM against one, in
+#: alternating runs: rows of 3 to 9 coefficients won 1 to 36 of 60 (28%
+#: slower at 3), and rows of 11 to 21 won 40 to 59 of 60 (12% faster at 15
+#: and 21) but for 24 at 13; a second set won 35 to 85 of 100 at 7 to 9
+#: and 71 to 94 of 100 at 11 to 17.
+THREADED_PASS_TERMS = 12
+
+#: Whether this process's one-row grid passes evaluate one part at a time
+#: (serial_passes).
+_serial_passes = False
 
 
-def set_pass_threads(count: int | None) -> int | None:
-    """Have the one-row grid passes of this process evaluate count parts at
-    once (None: usable_cpus()), and return the count set before.  A pooled
-    verify sets 1 before its workers fork, which inherit it: its processes
-    fill the usable CPUs already."""
-    global _pass_threads
-    previous, _pass_threads = _pass_threads, count
-    return previous
+@contextlib.contextmanager
+def serial_passes():
+    """Have the one-row grid passes of this process evaluate one part at a
+    time inside the block.  A pooled verify forks its workers inside it,
+    and they inherit it: its processes fill the usable CPUs already."""
+    global _serial_passes
+    previous, _serial_passes = _serial_passes, True
+    try:
+        yield
+    finally:
+        _serial_passes = previous
 
 
 def _round(evaluate: Callable, starts) -> list:
@@ -422,9 +437,9 @@ def _round(evaluate: Callable, starts) -> list:
     helper joined before this returns, so no thread outlives the round.  A
     helper runs in a copy of this thread's context, under its numpy error
     state with every condition that is not ignored raised instead.  A
-    helper that raises anything gives None: its part is for this thread to
-    evaluate again in turn, so a pass raises and warns as one that
-    evaluates one part at a time, and at the same part."""
+    helper that raises anything, or cannot be started, gives None: its part
+    is for this thread to evaluate in turn, so a pass raises and warns as
+    one that evaluates one part at a time, and at the same part."""
     modes = {name: "ignore" if mode == "ignore" else "raise" for name, mode in np.geterr().items()}
     done = [None] * len(starts)
 
@@ -432,14 +447,18 @@ def _round(evaluate: Callable, starts) -> list:
         with np.errstate(**modes), contextlib.suppress(Exception):
             done[index] = evaluate(starts[index])
 
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(helper, index))
-               for index in range(1, len(starts))]
-    for thread in threads:
-        thread.start()
+    started = []
     try:
+        for index in range(1, len(starts)):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(helper, index))
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to be had: the rest are this thread's
+                break
+            started.append(thread)
         done[0] = evaluate(starts[0])
     finally:
-        for thread in threads:
+        for thread in started:
             thread.join()
     return done
 
@@ -453,13 +472,14 @@ def _row_values(spec: KernelSpec, basis: TMBasis, row: np.ndarray, nodes, expone
     R raises NonFiniteIntegrand there, at K's first non-finite node, else
     R's, and nothing after its round is evaluated.
 
-    The parts are evaluated in rounds of as many parts as set_pass_threads
-    says, by default usable_cpus(): a part's multiplier, K and R, on this
-    thread and on short-lived helpers (_round).  The round's parts are then
-    yielded in node order, so a pass holds the arrays of a round of parts
-    at once.  A part keeps its length and offset, and its values their
-    bits, however many parts are in flight; a round of one part starts no
-    thread.
+    The parts are evaluated in rounds of usable_cpus() parts: a part's
+    multiplier, K and R, on this thread and on short-lived helpers
+    (_round).  The round's parts are then yielded in node order, so a pass
+    holds the arrays of a round of parts at once.  A row of fewer than
+    THREADED_PASS_TERMS coefficients, a pass that reads a kept R, and any
+    pass inside serial_passes take rounds of one part, which start no
+    thread.  A part keeps its length and offset, and its values their
+    bits, however many parts are in flight.
 
     R is competitor_function's, with the part's own multiplier: the nested
     sum TMBasis.eval_sum on the part (which, where the row's last pole is
@@ -503,7 +523,8 @@ def _row_values(spec: KernelSpec, basis: TMBasis, row: np.ndarray, nodes, expone
         return multiplier, sampled, values
 
     starts = range(0, len(nodes), NODE_CHUNK)
-    width = max(1, _pass_threads or usable_cpus())
+    threaded = not _serial_passes and kept is None and len(row) >= THREADED_PASS_TERMS
+    width = usable_cpus() if threaded else 1
     for first in range(0, len(starts), width):
         round_starts = starts[first : first + width]
         parts = _round(evaluate, round_starts)

@@ -473,39 +473,38 @@ def _run_beside_pool(tasks: list[tuple[int, int]], workers: int, context) -> lis
 
     The processes fill the usable CPUs, so each runs BLAS on one thread
     and its one-row grid passes one part at a time
-    (bergman_approx.set_pass_threads), both set here before the workers
-    fork and restored after: a prototype that let each process run two
-    parts at once made verify 2.4% slower."""
+    (bergman_approx.serial_passes), both set here before the workers fork
+    and restored after.  Where each process ran two parts at once instead,
+    perfbench's verify read a 13.6% higher scaled median on a 2-vCPU VM
+    (higher in 9 of 10 alternating pairs)."""
     from concurrent.futures import Future, ProcessPoolExecutor
 
     is_share = [_split(CHECK_GROUPS[position][1])[0] > 1 for position, _ in tasks]
     order = sorted(range(len(tasks)), key=is_share.__getitem__)
     pool = ProcessPoolExecutor(workers, mp_context=context)
-    # before the workers fork, which inherit both
-    blas_threads = _set_blas_threads(1)
-    pass_threads = bergman_approx.set_pass_threads(1)
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on a fork beside any thread, the BLAS
-            # library's parked ones included; the workers fork at the first
-            # submit, before the pool starts threads of its own
-            warnings.filterwarnings(
-                "ignore", r"This process .* is multi-threaded", DeprecationWarning
-            )
-            futures = {index: pool.submit(_measure, *tasks[index]) for index in order}
-        for index in reversed(order):
-            if futures[index].cancel():
-                futures[index] = Future()
-                try:
-                    futures[index].set_result(_measure(*tasks[index]))
-                except Exception as error:
-                    futures[index].set_exception(error)
-        return [futures[index].result() for index in range(len(tasks))]
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-        bergman_approx.set_pass_threads(pass_threads)
-        if blas_threads is not None:
-            _set_blas_threads(blas_threads)
+    blas_threads = _set_blas_threads(1)  # before the workers fork, which inherit it
+    with bergman_approx.serial_passes():  # and this too
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on a fork beside any thread, the BLAS
+                # library's parked ones included; the workers fork at the first
+                # submit, before the pool starts threads of its own
+                warnings.filterwarnings(
+                    "ignore", r"This process .* is multi-threaded", DeprecationWarning
+                )
+                futures = {index: pool.submit(_measure, *tasks[index]) for index in order}
+            for index in reversed(order):
+                if futures[index].cancel():
+                    futures[index] = Future()
+                    try:
+                        futures[index].set_result(_measure(*tasks[index]))
+                    except Exception as error:
+                        futures[index].set_exception(error)
+            return [futures[index].result() for index in range(len(tasks))]
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+            if blas_threads is not None:
+                _set_blas_threads(blas_threads)
 
 
 def _set_blas_threads(count: int) -> int | None:

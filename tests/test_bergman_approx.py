@@ -1497,10 +1497,17 @@ def doctored_sums(monkeypatch, basis, nodes, bad):
     return read
 
 
+def thread_passes(patch, cpus):
+    """Have one-row passes evaluate cpus parts at once, however short
+    their row."""
+    patch.setattr(bergman_approx, "usable_cpus", lambda: cpus)
+    patch.setattr(bergman_approx, "THREADED_PASS_TERMS", 1)
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("functional", ["mu", "nu", "equimodularity"])
 def test_one_row_stops_at_its_first_non_finite_part(functional, cpus, monkeypatch):
-    monkeypatch.setattr(bergman_approx, "usable_cpus", lambda: cpus)
+    thread_passes(monkeypatch, cpus)
     spec = KernelSpec(0, 0.3 + 0.4j)
     grid = circle_grid(2**16)
     approx = build_approximant(spec, [0.2, -0.5j])
@@ -1606,7 +1613,7 @@ def test_only_a_basis_ending_at_w_shares_its_reciprocal(last, cpus, monkeypatch)
     # whether or not the row's sum read the pass's reciprocal.  One row's
     # parts are checked by the functional's reduction of them (_row_part),
     # after the whole round of cpus parts that holds it is summed
-    monkeypatch.setattr(bergman_approx, "usable_cpus", lambda: cpus)
+    thread_passes(monkeypatch, cpus)
     spec, basis, row = overflowing_row(last)
     grid = circle_grid(2**16)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1686,13 +1693,13 @@ def test_one_row_passes_keep_every_bit_on_any_number_of_cpus(configuration):
     outcomes = []
     for cpus in (1, 2, 3, 4):
         with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
-            patch.setattr(bergman_approx, "usable_cpus", lambda: cpus)
+            thread_passes(patch, cpus)
             outcomes.append(one_row_outcomes(spec, free, nodes, scale))
     assert outcomes[1:] == outcomes[:1] * 3
 
 
 def test_no_thread_outlives_a_pass(monkeypatch):
-    monkeypatch.setattr(bergman_approx, "usable_cpus", lambda: 4)
+    thread_passes(monkeypatch, 4)
     before = threading.active_count()
     build_error_report(KernelSpec(1, 0.4 + 0.3j), [0.3, -0.2j, 0.7j])
     assert threading.active_count() == before
@@ -1705,6 +1712,60 @@ def test_no_thread_outlives_a_pass(monkeypatch):
     next(parts)
     assert threading.active_count() == before
     parts.close()
+
+
+def counted_starts(monkeypatch, fails=lambda count: False) -> list:
+    """The threads started from now on, each start failing as a thread or
+    process limit fails it where fails(count of starts) says."""
+    starts, start = [], threading.Thread.start
+
+    def counted(self):
+        starts.append(self)
+        if fails(len(starts)):
+            raise RuntimeError("can't start new thread")
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
+
+
+@pytest.mark.parametrize("fails", [lambda count: True, lambda count: count % 2 == 0],
+                         ids=["every", "every-other"])
+def test_a_helper_that_cannot_start_leaves_its_part_to_this_thread(fails, monkeypatch):
+    # this thread evaluates the parts of the helpers it could not start, in
+    # turn, to the same bits and refusals; no thread is left running
+    spec, free = KernelSpec(1, 0.4 + 0.3j), [0.3, -0.2j, 0.7j]
+    scales = (1.0, 1e308)
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        thread_passes(patch, 1)
+        want = [one_row_outcomes(spec, free, 2**16, scale) for scale in scales]
+    thread_passes(monkeypatch, 4)
+    starts = counted_starts(monkeypatch, fails)
+    before = threading.active_count()
+    with np.errstate(all="ignore"):
+        assert [one_row_outcomes(spec, free, 2**16, scale) for scale in scales] == want
+    assert threading.active_count() == before and len(starts) > 2
+
+
+def test_short_rows_kept_sums_and_serial_passes_start_no_thread(monkeypatch):
+    monkeypatch.setattr(bergman_approx, "usable_cpus", lambda: 4)
+    starts = counted_starts(monkeypatch)
+    spec, grid = KernelSpec(1, 0.985 + 0.1j), circle_grid(NU_GRID_NODES)
+    rng = np.random.default_rng(5)
+    terms = bergman_approx.THREADED_PASS_TERMS
+    short, long = (build_approximant(spec, PoleSequence.random(size, rng, max_modulus=0.8))
+                   for size in (terms - 3, terms - 2))
+    assert (len(short.coefficients), len(long.coefficients)) == (terms - 1, terms)
+    nu_functional(spec, short.basis, short.coefficients, grid)
+    assert starts == []
+    with bergman_approx.serial_passes():
+        nu_functional(spec, long.basis, long.coefficients, grid)
+    assert starts == [] and not bergman_approx._serial_passes
+    # nu's one round of four parts starts three helpers; mu, on two parts
+    # of its 2^15 nodes, reads the R nu kept and starts none
+    assert long.expansion.grid_size == 2 * NODE_CHUNK
+    build_error_report(spec, long.free_poles)
+    assert len(starts) == 3
 
 
 def refused_part(error) -> int:
@@ -1724,7 +1785,7 @@ def test_a_pass_under_raise_raises_in_the_caller_as_the_serial_pass_does(cpus, m
     grid = circle_grid(2**16)
     raised = []
     for count in (1, cpus):
-        monkeypatch.setattr(bergman_approx, "usable_cpus", lambda: count)
+        thread_passes(monkeypatch, count)
         with np.errstate(over="raise", invalid="ignore"), pytest.raises(FloatingPointError) as error:
             nu_functional(spec, basis, row, grid)
         frame = traceback.extract_tb(error.value.__traceback__)[-1]
@@ -1743,7 +1804,7 @@ def test_a_pass_warns_as_the_serial_pass_does(last, cpus, monkeypatch):
     grid = circle_grid(2**16)
     runs = []
     for count in (1, cpus):
-        monkeypatch.setattr(bergman_approx, "usable_cpus", lambda: count)
+        thread_passes(monkeypatch, count)
         with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
             warnings.simplefilter("always")
             with pytest.raises(NonFiniteIntegrand) as refused:
@@ -1753,11 +1814,13 @@ def test_a_pass_warns_as_the_serial_pass_does(last, cpus, monkeypatch):
     assert runs[0][0] and runs[1] == runs[0]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
 def test_an_approximate_request_forms_one_taylor_table_at_w_and_one_reciprocal_per_part(
-    monkeypatch, capsys
+    cpus, monkeypatch, capsys
 ):
     from diskrat import cli
 
+    thread_passes(monkeypatch, cpus)
     spec = KernelSpec(2, 0.45 - 0.3j)
     free = [0.2 + 0.1j, spec.w, -0.5j]
     tables, raised, received = [], [], []
@@ -1767,13 +1830,14 @@ def test_an_approximate_request_forms_one_taylor_table_at_w_and_one_reciprocal_p
         tables.append((complex(w), order))
         return taylor(self, w, order)
 
+    # each on the thread that evaluates the part
     def spy_power(reciprocal, exponent):
-        raised.append(reciprocal)
+        raised.append((threading.get_ident(), reciprocal))
         return power(reciprocal, exponent)
 
     def spy_sum(self, coefficients, z, *, reciprocal=None):
         if reciprocal is not None:
-            received.append(reciprocal)
+            received.append((threading.get_ident(), reciprocal))
         return sums(self, coefficients, z, reciprocal=reciprocal)
 
     monkeypatch.setattr(TMBasis, "taylor", spy_taylor)
@@ -1789,10 +1853,15 @@ def test_an_approximate_request_forms_one_taylor_table_at_w_and_one_reciprocal_p
     # nu's four parts of 2^14, then mu's one part of 4096 nodes, which reads
     # nu's R at every 16th node and sums nothing
     assert len(raised) == 5 and len(received) == 4
-    assert [len(r) for r in raised] == [NODE_CHUNK] * 4 + [4096]
-    # the parts of a round are summed on threads of their own, which record
-    # in any order
-    assert sorted(map(id, raised[:4])) == sorted(map(id, received))
+    assert [len(r) for _, r in raised] == [NODE_CHUNK] * 4 + [4096]
+    # each of nu's parts raises its reciprocal and then its sum reads it, on
+    # the thread that evaluates the part; the threads' records interleave
+    threads = {ident for ident, _ in raised}
+    assert (len(threads) > 1) == (cpus > 1)
+    for thread in threads:
+        mine = [r for ident, r in raised[:4] if ident == thread]
+        read = [r for ident, r in received if ident == thread]
+        assert len(mine) == len(read) and all(a is b for a, b in zip(mine, read))
 
 
 @pytest.mark.parametrize("copies", [0, 1, 3])
@@ -2065,11 +2134,12 @@ class TestErrorReport:
         # 2^16 nodes hold a few arrays of each part in flight, whatever m
         # is: with 64 functions one part's basis block alone would be 64
         # such arrays.  A round holds as many parts as there are usable
-        # CPUs.  With more than one in flight, the peak depends on how far
-        # the threads' sums overlap in time (10 to 14 parts were seen at
-        # m = 8 on two CPUs), so m's part in it is read on one thread
-        if cpus is not None:
-            monkeypatch.setattr(bergman_approx, "usable_cpus", lambda: cpus)
+        # CPUs, each of which peaks at about seven arrays and leaves three.
+        # A helper's part may finish before this thread's peaks, so with
+        # more than one in flight the peak can fall by up to four arrays a
+        # helper, by timing alone (10 to 14 parts were seen at m = 8 on two
+        # CPUs); m's share of it is as small as on one thread
+        thread_passes(monkeypatch, cpus or bergman_approx.usable_cpus())
         in_flight = min(bergman_approx.usable_cpus(), NU_GRID_NODES // NODE_CHUNK)
         grid = circle_grid(NU_GRID_NODES)
         nodes = circle_grid(NU_GRID_NODES, extended=pass_name == "long-double mu")
@@ -2092,8 +2162,7 @@ class TestErrorReport:
                 tracemalloc.stop()
             peaks.append(peak)
         assert max(peaks) < 8 * part * in_flight
-        if in_flight == 1:
-            assert abs(peaks[1] - peaks[0]) < part // 16
+        assert abs(peaks[1] - peaks[0]) < part // 16 + (in_flight - 1) * 4 * part
 
     @pytest.mark.parametrize(
         "spec, free, grid_nodes",

@@ -691,9 +691,10 @@ class TestVerifyWorkers:
     def test_a_verify_right_after_an_approximate_request_still_forms_its_pool(
         self, capsys, monkeypatch
     ):
-        # approximate's grid passes evaluate their parts on helper threads,
-        # none of which outlives its pass; a pool forms only beside no other
-        # thread, so the verify that follows still forms one
+        # approximate's grid passes evaluate their parts on helper threads
+        # (here however short the row), none of which outlives its pass; a
+        # pool forms only beside no other thread, so the verify that
+        # follows still forms one
         class Reached(Exception):
             pass
 
@@ -701,6 +702,7 @@ class TestVerifyWorkers:
             raise Reached(workers)
 
         monkeypatch.setattr(diskrat.bergman_approx, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(diskrat.bergman_approx, "THREADED_PASS_TERMS", 1)
         monkeypatch.setattr(diskrat.verify, "_run_beside_pool", spy)
         argv = ["approximate", "--alpha", "1", "--w=0.4,0.3", "--poles=0.3,0;-0.2,0.5"]
         assert main(argv) == 0
@@ -716,7 +718,7 @@ class TestVerifyWorkers:
             raise AssertionError("a split group runs through its shares")
 
         def share(share, shares):
-            return diskrat.bergman_approx._pass_threads
+            return diskrat.bergman_approx._serial_passes
 
         def combine(counts):
             return [("quadratic_exactness", 0.0, {"counts": counts})]
@@ -726,8 +728,8 @@ class TestVerifyWorkers:
         monkeypatch.setitem(diskrat.verify._SPLIT, split, (4, share, combine))
         monkeypatch.setattr(diskrat.bergman_approx, "usable_cpus", lambda: 2)
         results = run_checks(only=["quadratic_exactness"])
-        assert results[0].detail["counts"] == [1] * 4
-        assert diskrat.bergman_approx._pass_threads is None
+        assert results[0].detail["counts"] == [True] * 4
+        assert diskrat.bergman_approx._serial_passes is False
 
     def test_a_selection_of_whole_groups_runs_here_and_forks_nothing(self, monkeypatch):
         names = [names[0] for names, _ in CHECK_GROUPS[:5]]
