@@ -42,7 +42,7 @@ import numpy as np
 
 from .circlequad import circle_grid, json_complex, require_finite, require_in_disk
 from .errors import DesignTooLarge, ValueOutOfRange
-from .expansion import FourierExpansion, default_grid_size, expand_kernel, validate_trailing_poles
+from .expansion import FourierExpansion, expand_kernel, validate_trailing_poles
 from .kernels import KernelSpec, reciprocal_power
 from .tm_basis import MAX_DESIGN_BYTES, NODE_CHUNK, BlaschkeProduct, PoleSequence, TMBasis
 
@@ -463,51 +463,29 @@ def _round(evaluate: Callable, starts) -> list:
     return done
 
 
-def _row_values(spec: KernelSpec, basis: TMBasis, row: np.ndarray, nodes, exponent: int):
+def _row_values(spec: KernelSpec, basis: TMBasis, row: np.ndarray, nodes, exponent: int,
+                given=None):
     """_competitor_values of one row c: (at, block, multiplier, K, R) for
     each part of NODE_CHUNK nodes, with block slice(0, 1) and R of shape
-    (1, part), read-only and not checked.  The caller reduces each part
-    through _row_part, which may write over the multiplier and K but not R,
-    and checks that reduction once: the first part with a non-finite K or
-    R raises NonFiniteIntegrand there, at K's first non-finite node, else
-    R's, and nothing after its round is evaluated.
+    (1, part), not checked: _reductions checks it and never writes over it.
 
     The parts are evaluated in rounds of usable_cpus() parts: a part's
     multiplier, K and R, on this thread and on short-lived helpers
     (_round).  The round's parts are then yielded in node order, so a pass
     holds the arrays of a round of parts at once.  A row of fewer than
-    THREADED_PASS_TERMS coefficients, a pass that reads a kept R, and any
-    pass inside serial_passes take rounds of one part, which start no
-    thread.  A part keeps its length and offset, and its values their
-    bits, however many parts are in flight.
+    THREADED_PASS_TERMS coefficients, a pass given its R, and any pass
+    inside serial_passes take rounds of one part, which start no thread.
+    A part keeps its length and offset, and its values their bits, however
+    many parts are in flight.
 
     R is competitor_function's, with the part's own multiplier: the nested
     sum TMBasis.eval_sum on the part (which, where the row's last pole is
     w, as in every approximant's basis, reads the part's reciprocal for
     that pole's run) times the multiplier.  So R is Approximant.eval of the
     row on the part, to the bit, and its bits at a node do not depend on
-    the other nodes.
-
-    On complex128 nodes a finished pass keeps R on the basis
-    (TMBasis.keep_sum, keyed by w and the row's bytes) at the nodes of the
-    basis's default grid, where an approximant's mu is taken, when those
-    are every stride-th node of its own.  A later pass of that row on
-    those nodes, bit for bit (TMBasis.kept_sum), reads R instead of summing
-    and keeps nothing; it still forms its own multiplier and K.  So
-    build_error_report's mu in doubles reads the R of its nu.  The kept R
-    is freed with its basis.  Long-double nodes neither keep nor read."""
-    key = np.array(spec.w).tobytes() + row.tobytes()
-    doubles = nodes.dtype == np.complex128
-    kept = basis.kept_sum(nodes, key) if doubles else None
-    stride, keep = 0, None
-    if doubles and kept is None:
-        size = default_grid_size(basis.max_index, basis.poles.max_modulus)
-        if size <= len(nodes) and len(nodes) % size == 0 and NODE_CHUNK % (len(nodes) // size) == 0:
-            # a copy per part, joined once the part's arrays are freed: one
-            # array of the whole kept R, held through the pass, raised the
-            # pass's peak, and glibc's heap trimming then had every request
-            # fault that memory in afresh
-            stride, keep = len(nodes) // size, []
+    the other nodes.  A pass given the row's R at the nodes (as
+    build_error_report hands nu's to mu) yields it instead of summing, and
+    forms only its own multiplier and K."""
     # the row's last pole is w: its run reads the part's reciprocal
     shared = len(row) > 0 and basis.poles[len(row) - 1] == spec.w
 
@@ -515,15 +493,13 @@ def _row_values(spec: KernelSpec, basis: TMBasis, row: np.ndarray, nodes, expone
         """(multiplier, K, R) of the part from start."""
         part = slice(start, start + NODE_CHUNK)
         multiplier, reciprocal, sampled = _sampled(spec, nodes[part], exponent)
-        if kept is not None:
-            return multiplier, sampled, kept[part]
+        if given is not None:
+            return multiplier, sampled, given[part]
         sums = basis.eval_sum(row, nodes[part], reciprocal=reciprocal if shared else None)
-        values = np.multiply(multiplier, sums)
-        values.setflags(write=False)
-        return multiplier, sampled, values
+        return multiplier, sampled, np.multiply(multiplier, sums)
 
     starts = range(0, len(nodes), NODE_CHUNK)
-    threaded = not _serial_passes and kept is None and len(row) >= THREADED_PASS_TERMS
+    threaded = not _serial_passes and given is None and len(row) >= THREADED_PASS_TERMS
     width = usable_cpus() if threaded else 1
     for first in range(0, len(starts), width):
         round_starts = starts[first : first + width]
@@ -531,37 +507,48 @@ def _row_values(spec: KernelSpec, basis: TMBasis, row: np.ndarray, nodes, expone
         for index, start in enumerate(round_starts):
             multiplier, sampled, values = parts[index] or evaluate(start)
             parts[index] = None
-            if keep is not None:
-                keep.append(values[::stride].copy())
             yield slice(start, start + len(values), 1), slice(0, 1), multiplier, sampled, values[None]
             del multiplier, sampled, values  # freed before the next part is yielded
-    if keep is not None:
-        basis.keep_sum(nodes if stride == 1 else nodes[::stride], key, np.concatenate(keep))
 
 
-def _row_part(reduce: Callable, spec: KernelSpec, nodes, exponent: int, at: slice,
-              multiplier, kernel, values) -> tuple:
-    """reduce(multiplier, K) of one row's part (_row_values): a tuple whose
-    first item reduces the row's error over the part, formed from K and R
-    over the part's multiplier or K, never over R.  That reduction is the
-    part's one finiteness check.  Where it is not finite, the multiplier
-    and K are sampled again, to the same bits, and NonFiniteIntegrand names
-    K's first non-finite node of the part, else R's; where both are finite
-    (the error or its reduction overflowed), reduce runs again under the
-    caller's error state, giving its warnings as a pass that checked K and
-    R before reducing did."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = reduce(multiplier, kernel)
-    if np.isfinite(result[0]).all():
-        return result
-    multiplier, _, kernel = _sampled(spec, nodes[at], exponent)
-    require_finite(at.start, at.step, kernel[None])
-    require_finite(at.start, at.step, values)
-    return reduce(multiplier, kernel)
+def _reductions(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, exponent: int,
+                reduce: Callable, blocks=None, given=None):
+    """Yield (at, block, R, reduce(multiplier, K, R, out)) for each part
+    and block of _competitor_values(spec, basis, rows, nodes, exponent,
+    blocks), or of one row given its R (_row_values): the one loop of the
+    grid passes.  reduce returns a tuple whose first item reduces each
+    row's error over the part, formed from K and R, and writes over out
+    alone, an array of R's shape: a batch's R, which _competitor_values
+    has checked, or one row's multiplier, so one row's R is yielded whole.
+
+    That reduction is one row's part's one finiteness check.  Where it is
+    not finite, the multiplier and K are sampled again, to the same bits,
+    and NonFiniteIntegrand names K's first non-finite node of the part,
+    else R's; where both are finite (the error or its reduction
+    overflowed), reduce runs again under the caller's error state, giving
+    its warnings as a pass that checked K and R before reducing did."""
+    if given is None:
+        parts = _competitor_values(spec, basis, rows, nodes, exponent, blocks)
+    else:
+        parts = _row_values(spec, basis, rows[0], nodes, exponent, given)
+    for at, block, multiplier, kernel, values in parts:
+        if len(rows) > 1:
+            result = reduce(multiplier, kernel, values, values)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = reduce(multiplier, kernel, values, multiplier[None])
+            if not np.isfinite(result[0]).all():
+                multiplier, _, kernel = _sampled(spec, nodes[at], exponent)
+                require_finite(at.start, at.step, kernel[None])
+                require_finite(at.start, at.step, values)
+                result = reduce(multiplier, kernel, values, multiplier[None])
+        yield at, block, values, result
+        del multiplier, kernel, values, result  # freed before the next block or part is formed
 
 
 def mu_functional(
-    spec: KernelSpec, basis: TMBasis, coefficients, grid: np.ndarray, *, extended: bool
+    spec: KernelSpec, basis: TMBasis, coefficients, grid: np.ndarray, *, extended: bool,
+    gathered=None
 ) -> float | np.ndarray:
     """mu of R(x) = (1 - x conj(w)) sum_k c_k phi_k(x): the quadrature of
     |K_alpha(x; w) - R(x) / (1 - x conj(w))|^2 over the circle, in long
@@ -573,43 +560,37 @@ def mu_functional(
     So on a grid of one part a row's value is numpy's mean of its whole row
     of squares, to the bit, and so is it on two evaluated parts of
     NODE_CHUNK nodes (numpy's pairwise sum splits a row of 2^15 at 2^14).
-    One row forms R as Approximant.eval forms it, or in doubles reads the R
-    a pass on nodes it nests in kept (as build_error_report's nu does), to
-    the same bits (_row_values), its parts a round of usable CPUs at a
-    time; they are summed in node order, so the value has the same bits on
-    any number of CPUs.  A batch of rows takes a matrix product and may
-    round apart in the last bits."""
+    One row forms R as Approximant.eval forms it (_row_values), its parts
+    a round of usable CPUs at a time; they are summed in node order, so the
+    value has the same bits on any number of CPUs.  In doubles one row may
+    be handed its R at the grid's nodes, gathered, as nu_functional's pass
+    on a grid this one nests in gathers it (build_error_report): the pass
+    reduces it, to the same bits, and sums no node.  A batch of rows takes
+    a matrix product and may round apart in the last bits."""
     coefficients = np.asarray(coefficients, dtype=complex)
     rows = np.atleast_2d(coefficients)
     nodes = circle_grid(len(grid), extended=True) if extended else grid
     sums = np.zeros(len(rows), dtype=nodes.real.dtype)
-    exponent = spec.alpha + 2
-    for at, block, multiplier, kernel, values in _competitor_values(
-        spec, basis, rows, nodes, exponent
+    for _, block, values, (part,) in _reductions(
+        spec, basis, rows, nodes, spec.alpha + 2, _squares, given=gathered
     ):
-        if len(rows) == 1:
-            # the error over the multiplier: R stays for the part's check
-            (part,) = _row_part(lambda m, k: (_squares(m, k, values, m[None]),),
-                                spec, nodes, exponent, at, multiplier, kernel, values)
-        else:
-            part = _squares(multiplier, kernel, values, values)
         sums[block] += part
-        del multiplier, kernel, values  # freed before the next block or part is formed
+        del values  # freed before the next block or part is formed
     mu = (sums / len(nodes)).astype(float)
     return float(mu[0]) if coefficients.ndim == 1 else mu
 
 
-def _squares(multiplier, kernel, values, out) -> np.ndarray:
-    """Each row's sum over a part of |K - R / multiplier|^2 (np.add.reduce
-    of its squares), the errors written over out, one row at a time: no
-    block of moduli beside the block of errors."""
+def _squares(multiplier, kernel, values, out) -> tuple[np.ndarray]:
+    """(sums,): each row's sum over a part of |K - R / multiplier|^2
+    (np.add.reduce of its squares), the errors written over out, one row
+    at a time: no block of moduli beside the block of errors."""
     error = np.divide(values, multiplier, out=out)
     np.subtract(kernel, error, out=error)
     sums = np.empty(len(error), dtype=error.real.dtype)
     for row, row_error in enumerate(error):
         modulus = np.abs(row_error)
         sums[row] = np.add.reduce(np.square(modulus, out=modulus))
-    return sums
+    return (sums,)
 
 
 def _free_blaschke_modulus(spec: KernelSpec, free_poles) -> float:
@@ -697,8 +678,8 @@ def _golden_max(f: Callable, points, values, floor) -> np.ndarray:
 
 
 def nu_functional(
-    spec: KernelSpec, basis: TMBasis, coefficients, grid: np.ndarray
-) -> float | np.ndarray:
+    spec: KernelSpec, basis: TMBasis, coefficients, grid: np.ndarray, *, gather: int | None = None
+) -> float | np.ndarray | tuple:
     """nu of R(x) = (1 - x conj(w)) sum_k c_k phi_k(x): the grid maximum of
     |(1 - x conj(w))^-(1+alpha) - R(x)| on the circle, refined by parabolic
     steps on the bracket of the best node and its two neighbours.  The error
@@ -719,47 +700,55 @@ def nu_functional(
     first non-finite K or R stops the grid pass with NonFiniteIntegrand.
     One row's parts are evaluated a round of usable CPUs at a time and
     reduced in node order (_row_values), so its value, best node and any
-    refusal have the same bits on any number of CPUs.  nu_minimum gives the first argmin and the minimum of a batch's values
-    with the same pass, brackets and refinement, scoring in full only the
-    rows that can still be the minimum."""
+    refusal have the same bits on any number of CPUs.  nu_minimum gives
+    the first argmin and the minimum of a batch's values with the same
+    pass, brackets and refinement, scoring in full only the rows that can
+    still be the minimum.
+
+    With gather, a row's grid pass also gathers its R at every gather-th
+    node, and (nu, R) is returned (R None for gather 0): the R that
+    build_error_report hands to mu_functional."""
     coefficients = np.asarray(coefficients, dtype=complex)
     rows = np.atleast_2d(coefficients)
-    _, index, _ = _nu_grid_pass(spec, basis, rows, grid)
+    _, index, _, gathered = _nu_grid_pass(spec, basis, rows, grid, gather=gather or 0)
     # one row, (m,) or (1, m), is summed as a vector, as its grid pass was
     own = rows[0] if len(rows) == 1 else rows
     nu = _nu_refine(spec, basis, own, *_nu_brackets(spec, basis, own, grid, index))
-    return float(nu[0]) if coefficients.ndim == 1 else nu
+    nu = float(nu[0]) if coefficients.ndim == 1 else nu
+    return nu if gather is None else (nu, gathered)
 
 
-def _nu_grid_pass(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, blocks=None):
-    """(top, index, bottom): each row's largest error modulus over the nodes
-    its block is evaluated at (_competitor_values with these blocks; rows of
-    no block keep -inf, 0 and inf), the node of it, the first of equal
-    maxima, and its smallest error modulus there.  A maximum and a minimum
-    are exact, so they do not depend on how the nodes are split into parts.
-    This is the one pass of |K - R| over a grid."""
+def _nu_grid_pass(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, blocks=None,
+                  gather: int = 0):
+    """(top, index, bottom, gathered): each row's largest error modulus
+    over the nodes its block is evaluated at (_competitor_values with these
+    blocks; rows of no block keep -inf, 0 and inf), the node of it, the
+    first of equal maxima, and its smallest error modulus there; and, with
+    gather, one row's R at every gather-th node, else None.  A maximum and
+    a minimum are exact, so they do not depend on how the nodes are split
+    into parts.  This is the one pass of |K - R| over a grid."""
     top = np.full(len(rows), -np.inf)
     bottom = np.full(len(rows), np.inf)
     index = np.zeros(len(rows), dtype=int)
-    exponent = spec.alpha + 1
-    for at, block, multiplier, kernel, values in _competitor_values(
-        spec, basis, rows, nodes, exponent, blocks
+    parts = []
+    for at, block, values, (value, local, moduli) in _reductions(
+        spec, basis, rows, nodes, spec.alpha + 1, _maxima, blocks
     ):
-        if len(rows) == 1:
-            # the error over K: R stays for the part's check
-            value, local, moduli = _row_part(lambda m, k: _maxima(k, values, k[None]),
-                                             spec, nodes, exponent, at, multiplier, kernel, values)
-        else:
-            value, local, moduli = _maxima(kernel, values, values)
+        if gather:
+            # a copy per part, joined after the pass: one array of the
+            # whole R, held through the pass, raised the pass's peak, and
+            # glibc's heap trimming then had every request fault that
+            # memory in afresh
+            parts.append(values[0, -at.start % gather :: gather].copy())
         moved = value > top[block]
         top[block] = np.where(moved, value, top[block])
         index[block] = np.where(moved, at.start + at.step * local, index[block])
         np.minimum(bottom[block], moduli.min(axis=1), out=bottom[block])
-        del values, moduli, multiplier, kernel  # freed before the next block or part is formed
-    return top, index, bottom
+        del values, moduli  # freed before the next block or part is formed
+    return top, index, bottom, np.concatenate(parts) if gather else None
 
 
-def _maxima(kernel, values, out):
+def _maxima(multiplier, kernel, values, out) -> tuple:
     """(value, local, moduli) of a part: each row's error moduli |K - R|,
     the errors written over out, the first node of each row's largest
     modulus, and that modulus (NaN where the row holds one: np.argmax takes
@@ -900,14 +889,14 @@ def nu_minimum(spec: KernelSpec, basis: TMBasis, rows, grid: np.ndarray) -> tupl
     blocks = np.concatenate([
         _blocks([0], scored), _blocks(range(scored, trials, screen), screen, _SCREEN_STRIDE)
     ])
-    top, index, _ = _nu_grid_pass(spec, basis, rows, grid, blocks)
+    top, index, _, _ = _nu_grid_pass(spec, basis, rows, grid, blocks)
     best = _nu_branch(spec, basis, rows, grid, np.arange(scored), index, (np.inf, trials))
     rest = np.arange(scored, trials)
     rest = rest[~(top[scored:] - margins[scored:] > best[0])]
     del top, index
     if len(rest):
         blocks = _blocks(np.unique(rest // block) * block, block)
-        _, index, _ = _nu_grid_pass(spec, basis, rows, grid, blocks)
+        _, index, _, _ = _nu_grid_pass(spec, basis, rows, grid, blocks)
         best = _nu_branch(spec, basis, rows, grid, rest, index, best)
     return best[1], best[0]
 
@@ -1004,7 +993,7 @@ def equimodularity_variation(
     those of nu_functional's grid pass.  It vanishes exactly at the optimum,
     where the error is a constant times a Blaschke product."""
     coefficients = np.asarray(coefficients, dtype=complex)
-    top, _, bottom = _nu_grid_pass(spec, basis, np.atleast_2d(coefficients), grid)
+    top, _, bottom, _ = _nu_grid_pass(spec, basis, np.atleast_2d(coefficients), grid)
     variation = np.divide(top - bottom, top, out=np.zeros_like(top), where=top > 0.0)
     return float(variation[0]) if coefficients.ndim == 1 else variation
 
@@ -1090,15 +1079,15 @@ def build_error_report(
     grid is made next, so a grid past the cap (GridTooLarge) refuses the
     request before its rows.
 
-    nu runs before mu: its one-row pass keeps R on the basis at mu's nodes,
-    where mu's grid nests in nu's (a power of two of at most NU_GRID_NODES
-    nodes), and mu in doubles reads it there, forming only its own
-    multiplier and K (see _row_values).  Each value has the bits of its
-    functional on a fresh approximant.  A refused nu runs mu first and then
-    raises, so a request that mu would refuse reports mu's refusal, as when
-    mu ran first.  Each pass evaluates its parts on the usable CPUs, and no
-    thread outlives it: a verify that follows in this process can still
-    form its pool."""
+    nu runs before mu, and its pass hands mu the R it gathers at mu's
+    nodes where mu's grid nests in nu's (a power of two of at most
+    NU_GRID_NODES nodes, every stride-th of nu's to the bit): mu in
+    doubles reduces that R with its own multiplier and K, and sums no node.
+    Each value has the bits of its functional on a fresh approximant.  A
+    refused nu runs mu first and then raises, so a request that mu would
+    refuse reports mu's refusal, as when mu ran first.  Each pass evaluates
+    its parts on the usable CPUs, and no thread outlives it: a verify that
+    follows in this process can still form its pool."""
     if not isinstance(free_poles, PoleSequence):
         free_poles = PoleSequence(free_poles)
     approx, values = None, (0.0,) * len(ErrorReport.VALUE_NAMES)
@@ -1110,13 +1099,15 @@ def build_error_report(
         residuals = approx.interpolation_residuals()
         mu_closed = mu_min_closed_form(spec, free_poles)
         extended = extended_mu(mu_closed)
+        nests = not extended and NU_GRID_NODES % len(mu_grid) == 0
+        stride = NU_GRID_NODES // len(mu_grid) if nests else 0
         args = (spec, approx.basis, approx.coefficients)
         try:
-            nu_grid = nu_functional(*args, circle_grid(NU_GRID_NODES))
+            nu_grid, gathered = nu_functional(*args, circle_grid(NU_GRID_NODES), gather=stride)
         except Exception:
             mu_functional(*args, mu_grid, extended=extended)
             raise
-        mu_quad = mu_functional(*args, mu_grid, extended=extended)
+        mu_quad = mu_functional(*args, mu_grid, extended=extended, gathered=gathered)
         nu_closed = nu_min_closed_form(spec, free_poles)
         values = (mu_quad, mu_closed, nu_grid, nu_closed, max(residuals, default=0.0))
     report = ErrorReport(

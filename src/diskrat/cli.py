@@ -23,7 +23,6 @@ import os
 import re
 import stat
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -355,78 +354,8 @@ def _emit(cfg: SimpleNamespace, text: str):
         sys.stdout.write(text)
 
 
-#: The JSON spellings of the floats json.dumps does not write by repr.
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(value: float) -> str:
-    text = float.__repr__(value)
-    return _JSON_FLOATS.get(text, text)
-
-
-def _json_key(key) -> str:
-    """A dict key as json.dumps writes it: a str, float, bool, None or int
-    key as a string, else TypeError."""
-    if isinstance(key, str):
-        pass
-    elif isinstance(key, float):
-        key = _json_float(key)
-    elif key is True or key is False or key is None:
-        key = {True: "true", False: "false", None: "null"}[key]
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring_ascii(key)
-
-
-def _json_text(value, newline: str) -> str:
-    """value as json.dumps(value, sort_keys=True, indent=2) writes it, its
-    nested lines indented past newline (a newline and the indentation of
-    value's own line).  Only a bool or None could pass for another of
-    json's types, an int, so they are told apart first, as json does; a
-    value of none of its types raises json's TypeError."""
-    if type(value) is float:
-        return _json_float(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        comma = "," + inner
-        if set(map(type, value)) == {float}:
-            # a row of plain floats, such as a complex number's pair, at once;
-            # only NaN and the infinities spell an n
-            text = comma.join(map(float.__repr__, value))
-            if "n" in text:
-                text = comma.join(map(_json_float, value))
-        else:
-            text = comma.join([_json_text(item, inner) for item in value])
-        return "[" + inner + text + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        return "{" + inner + ("," + inner).join([
-            _json_key(key) + ": " + _json_text(item, inner) for key, item in sorted(value.items())
-        ]) + newline + "}"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _json_dump(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) and a newline, byte for
-    byte, without the standard library's pure-Python encoder (its C encoder
-    serves no indent): the text of basis, approximate, oracle and verify
-    --out.  Strings are escaped by json's own ASCII escaper.  Unlike
-    json.dumps it does not look for cycles; no output holds one."""
-    return _json_text(obj, "\n") + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def cmd_basis(cfg: SimpleNamespace) -> int:

@@ -240,8 +240,6 @@ class TMBasis:
         # id(nodes) -> (nodes, read-only design matrix), written by design_matrix,
         # read by eval_chunks; holding the nodes keeps their id from being reused
         self._designs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # (nodes, key, read-only values) of keep_sum, read by kept_sum
-        self._kept: tuple[np.ndarray, bytes, np.ndarray] | None = None
 
     @property
     def size(self) -> int:
@@ -433,35 +431,6 @@ class TMBasis:
             design.setflags(write=False)
             entry = self._designs.setdefault(id(grid), (grid, design))
         return entry[1]
-
-    def keep_sum(self, nodes: np.ndarray, key: bytes, values: np.ndarray):
-        """Keep values, one value per node of the 1-d array nodes, under key,
-        read-only, in place of whatever was kept before: one array per
-        basis, freed with it.  A finished one-row grid pass keeps its R
-        here, at the nodes of the basis's default grid, keyed by w and the
-        row's bytes (bergman_approx._row_values)."""
-        values.setflags(write=False)
-        self._kept = (nodes, key, values)
-
-    def kept_sum(self, nodes: np.ndarray, key: bytes) -> np.ndarray | None:
-        """The values kept under key at the nodes, a read-only view, where
-        the kept node array has the nodes' dtype and is the node array
-        itself or holds it, bit for bit, at every stride-th node; else
-        None.  Circle grids of powers of two nest so: circle_grid(N) is
-        circle_grid(M)[::M // N] for N dividing M."""
-        if self._kept is None or not len(nodes):
-            return None
-        kept, kept_key, values = self._kept
-        if kept_key != key or kept.dtype != nodes.dtype or len(kept) % len(nodes):
-            return None
-        stride = len(kept) // len(nodes)
-        if kept is not nodes:
-            nested = kept[::stride]
-            # equal values with equal signs are equal bits (a NaN matches nothing)
-            for part in (nested.real, nodes.real), (nested.imag, nodes.imag):
-                if not (np.array_equal(*part) and np.array_equal(*map(np.signbit, part))):
-                    return None
-        return values[::stride]
 
     def taylor(self, w: complex, order: int) -> np.ndarray:
         """Row k holds the Taylor coefficients phi_k^(j)(w) / j!, j = 0..order.

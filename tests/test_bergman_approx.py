@@ -1611,7 +1611,7 @@ def test_only_a_basis_ending_at_w_shares_its_reciprocal(last, cpus, monkeypatch)
     # sums of 1e308-sized coefficients overflow at some nodes: the pass names
     # the first of them, where the unshared product leaves the double range,
     # whether or not the row's sum read the pass's reciprocal.  One row's
-    # parts are checked by the functional's reduction of them (_row_part),
+    # parts are checked by the functional's reduction of them (_reductions),
     # after the whole round of cpus parts that holds it is summed
     thread_passes(monkeypatch, cpus)
     spec, basis, row = overflowing_row(last)
@@ -1656,17 +1656,27 @@ def one_row_outcomes(spec, free, nodes, scale) -> list:
     """The bytes of every one-row pass of a fresh approximant's row, times
     scale, on a grid of nodes nodes, in the order of an error report's and
     verify's passes: nu's grid pass (maximum, its node and minimum), nu,
-    the kept R, mu in doubles reading it on the expansion's grid, mu in
-    doubles and in long double on the grid, and the equimodularity
-    variation.  A refused pass gives its node, value and message."""
+    nu and the R its pass gathers at the expansion's grid, mu in doubles
+    handed that R there, mu in doubles and in long double on the grid, and
+    the equimodularity variation.  A refused pass gives its node, value and
+    message."""
     approx = build_approximant(spec, free)
     basis, row, grid = approx.basis, approx.coefficients * scale, circle_grid(nodes)
+    mu_grid = circle_grid(approx.expansion.grid_size)
+    assert nodes % len(mu_grid) == 0
+    handed = []
+
+    def gathering_nu():
+        nu, gathered = nu_functional(spec, basis, row, grid, gather=nodes // len(mu_grid))
+        handed.append(gathered)
+        return nu, gathered
+
     passes = [
-        lambda: bergman_approx._nu_grid_pass(spec, basis, row[None], grid),
+        lambda: bergman_approx._nu_grid_pass(spec, basis, row[None], grid)[:3],
         lambda: nu_functional(spec, basis, row, grid),
-        lambda: () if basis._kept is None else basis._kept[2],
-        lambda: mu_functional(spec, basis, row, circle_grid(approx.expansion.grid_size),
-                              extended=False),
+        gathering_nu,
+        lambda: mu_functional(spec, basis, row, mu_grid, extended=False,
+                              gathered=handed[0] if handed else None),
         lambda: mu_functional(spec, basis, row, grid, extended=False),
         lambda: mu_functional(spec, basis, row, grid, extended=True),
         lambda: equimodularity_variation(spec, basis, row, grid),
@@ -1686,8 +1696,8 @@ def one_row_outcomes(spec, free, nodes, scale) -> list:
 @given(configuration=_threaded_pass_configuration())
 def test_one_row_passes_keep_every_bit_on_any_number_of_cpus(configuration):
     # a round evaluates as many parts as there are usable CPUs, one per
-    # thread; each part keeps its nodes, and each value, node, kept R and
-    # refusal its bits
+    # thread; each part keeps its nodes, and each value, node, gathered R
+    # and refusal its bits
     alpha, w, free, nodes, scale = configuration
     spec = KernelSpec(alpha, w)
     outcomes = []
@@ -1747,7 +1757,7 @@ def test_a_helper_that_cannot_start_leaves_its_part_to_this_thread(fails, monkey
     assert threading.active_count() == before and len(starts) > 2
 
 
-def test_short_rows_kept_sums_and_serial_passes_start_no_thread(monkeypatch):
+def test_short_rows_handed_sums_and_serial_passes_start_no_thread(monkeypatch):
     monkeypatch.setattr(bergman_approx, "usable_cpus", lambda: 4)
     starts = counted_starts(monkeypatch)
     spec, grid = KernelSpec(1, 0.985 + 0.1j), circle_grid(NU_GRID_NODES)
@@ -1762,7 +1772,7 @@ def test_short_rows_kept_sums_and_serial_passes_start_no_thread(monkeypatch):
         nu_functional(spec, long.basis, long.coefficients, grid)
     assert starts == [] and not bergman_approx._serial_passes
     # nu's one round of four parts starts three helpers; mu, on two parts
-    # of its 2^15 nodes, reads the R nu kept and starts none
+    # of its 2^15 nodes, is handed the R nu gathered and starts none
     assert long.expansion.grid_size == 2 * NODE_CHUNK
     build_error_report(spec, long.free_poles)
     assert len(starts) == 3
@@ -1850,8 +1860,8 @@ def test_an_approximate_request_forms_one_taylor_table_at_w_and_one_reciprocal_p
     # w is a pole of multiplicity alpha + 2: the table of order alpha + 1
     # serves the expansion and the interpolation rows alike
     assert [table for table in tables if table[0] == spec.w] == [(spec.w, 3)]
-    # nu's four parts of 2^14, then mu's one part of 4096 nodes, which reads
-    # nu's R at every 16th node and sums nothing
+    # nu's four parts of 2^14, then mu's one part of 4096 nodes, which is
+    # handed the R nu's pass gathered at every 16th node and sums nothing
     assert len(raised) == 5 and len(received) == 4
     assert [len(r) for _, r in raised] == [NODE_CHUNK] * 4 + [4096]
     # each of nu's parts raises its reciprocal and then its sum reads it, on
@@ -1953,9 +1963,9 @@ def spy_on_mu(monkeypatch) -> list[bool]:
     calls = []
     real = bergman_approx.mu_functional
 
-    def mu_functional(spec, basis, coefficients, grid, *, extended):
+    def mu_functional(spec, basis, coefficients, grid, *, extended, gathered=None):
         calls.append(extended)
-        return real(spec, basis, coefficients, grid, extended=extended)
+        return real(spec, basis, coefficients, grid, extended=extended, gathered=gathered)
 
     monkeypatch.setattr(bergman_approx, "mu_functional", mu_functional)
     return calls
@@ -2428,15 +2438,29 @@ def _report_configuration(draw):
     return alpha, w, free
 
 
+def handed_sums(patch) -> list:
+    """The R each mu_functional call is handed (gathered), from now on."""
+    handed, mu = [], bergman_approx.mu_functional
+
+    def spy(*args, gathered=None, **kwargs):
+        handed.append(gathered)
+        return mu(*args, gathered=gathered, **kwargs)
+
+    patch.setattr(bergman_approx, "mu_functional", spy)
+    return handed
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(configuration=_report_configuration())
 def test_an_error_report_keeps_the_bits_of_each_functional_alone(configuration):
-    # the report runs nu first, which keeps its R on the basis, and mu in
-    # doubles reads R at its nodes, every 16th, 8th, 4th or 2nd of nu's:
-    # each value is still that of its functional on a fresh approximant
+    # the report runs nu first, whose pass gathers R at mu's nodes, every
+    # 16th, 8th, 4th or 2nd of nu's, and hands it to mu in doubles: each
+    # value is still that of its functional on a fresh approximant
     alpha, w, free = configuration
     spec = KernelSpec(alpha, w)
-    report = build_error_report(spec, free)
+    with pytest.MonkeyPatch.context() as patch:
+        handed = handed_sums(patch)
+        report = build_error_report(spec, free)
     fresh = build_approximant(spec, free)
     grid = circle_grid(fresh.expansion.grid_size)
     assert 4096 <= len(grid) <= 2**15
@@ -2444,24 +2468,32 @@ def test_an_error_report_keeps_the_bits_of_each_functional_alone(configuration):
     mu = mu_functional(spec, fresh.basis, fresh.coefficients, grid, extended=extended)
     nu = nu_functional(spec, fresh.basis, fresh.coefficients, circle_grid(NU_GRID_NODES))
     assert same_float(report.mu_quadrature, mu) and same_float(report.nu_grid, nu)
-    # nu's pass kept R at mu's nodes, and it stays kept: mu read it, or took
-    # long double, which keeps nothing
-    nodes, _, kept = report.approximant.basis._kept
-    assert np.shares_memory(nodes, circle_grid(NU_GRID_NODES)) and kept.shape == grid.shape
+    # mu was handed R, the row's R at its nodes to the bit, or took long
+    # double, which is handed nothing
+    (gathered,) = handed
+    if extended:
+        assert gathered is None
+    else:
+        want = competitor_function(fresh.basis, w, fresh.coefficients)(grid)
+        assert gathered.shape == grid.shape and exact_bits(gathered, want)
 
 
-def test_mu_reads_the_kept_r_only_in_doubles(monkeypatch):
+def test_mu_sums_no_node_only_where_it_is_handed_r(monkeypatch):
     spec = KernelSpec(1, 0.02 + 0.01j)
     free = [0.3, -0.2j]
     assert extended_mu(mu_min_closed_form(spec, free))
     approx = build_approximant(spec, free)
     basis, row = approx.basis, approx.coefficients
     grid = circle_grid(approx.expansion.grid_size)
-    nu_functional(spec, basis, row, circle_grid(NU_GRID_NODES))
-    kept = basis._kept
-    key = np.array(spec.w).tobytes() + row.tobytes()
-    assert basis.kept_sum(grid, key) is not None
-    assert basis.kept_sum(circle_grid(len(grid), extended=True), key) is None
+    nu, gathered = nu_functional(spec, basis, row, circle_grid(NU_GRID_NODES),
+                                 gather=NU_GRID_NODES // len(grid))
+    assert same_float(nu, nu_functional(spec, basis, row, circle_grid(NU_GRID_NODES)))
+    assert gathered.shape == grid.shape
+    # the report hands R to mu in doubles only
+    with pytest.MonkeyPatch.context() as patch:
+        handed = handed_sums(patch)
+        build_error_report(spec, free)
+    assert handed == [None]
     summed, sums = [], basis.eval_sum
 
     def spy(coefficients, z, **kwargs):
@@ -2469,11 +2501,10 @@ def test_mu_reads_the_kept_r_only_in_doubles(monkeypatch):
         return sums(coefficients, z, **kwargs)
 
     monkeypatch.setattr(basis, "eval_sum", spy)
-    values = [mu_functional(spec, basis, row, grid, extended=extended)
-              for extended in (True, False)]
+    values = [mu_functional(spec, basis, row, grid, extended=True),
+              mu_functional(spec, basis, row, grid, extended=False, gathered=gathered)]
     # the long-double pass sums its one part; the double pass sums nothing
     assert summed == [(len(grid), np.dtype(np.clongdouble))]
-    assert basis._kept is kept
     monkeypatch.undo()
     fresh = build_approximant(spec, free)
     for value, extended in zip(values, (True, False)):
@@ -2481,39 +2512,54 @@ def test_mu_reads_the_kept_r_only_in_doubles(monkeypatch):
         assert same_float(value, alone)
 
 
-def test_a_row_keeps_only_a_finished_pass_and_reads_only_its_own_bytes():
+def test_a_gathered_r_is_the_rows_r_at_every_stride_th_node():
     spec = KernelSpec(0, 0.4 - 0.1j)
     approx = build_approximant(spec, [0.2j, -0.5])
     basis, row = approx.basis, approx.coefficients
     grid = circle_grid(4096)
+    # a refused pass hands nothing on
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIntegrand):
-        nu_functional(spec, basis, row * 1e308, grid)
-    assert basis._kept is None
-    nu_functional(spec, basis, row, grid)
-    nodes, key, values = basis._kept
-    assert nodes is grid and not values.flags.writeable
-    assert key == np.array(spec.w).tobytes() + row.tobytes()
-    assert np.shares_memory(basis.kept_sum(grid, key), values)
-    assert row[-1] != 0
-    other = np.append(row[:-1], 2 * row[-1])
-    assert basis.kept_sum(grid, np.array(spec.w).tobytes() + other.tobytes()) is None
-    assert basis.kept_sum(grid, np.array(np.conj(spec.w)).tobytes() + row.tobytes()) is None
-    # nested in the kept nodes, or not: a grid that does not divide 4096,
-    # and node arrays of 2048 that are not its every other node
-    assert np.shares_memory(basis.kept_sum(circle_grid(2048), key), values)
-    assert basis.kept_sum(circle_grid(3000), key) is None
-    assert basis.kept_sum(grid[1::2].copy(), key) is None
-    assert basis.kept_sum(np.conj(circle_grid(2048)), key) is None
-    # a pass that reads keeps nothing; one that cannot read keeps its own,
-    # at the nodes of the basis's default grid, 4096, that nest in its own
-    mu_functional(spec, basis, row, circle_grid(2048), extended=False)
-    assert basis._kept[2] is values
+        nu_functional(spec, basis, row * 1e308, grid, gather=2)
+    nu, gathered = nu_functional(spec, basis, row, grid, gather=1)
+    assert same_float(nu, nu_functional(spec, basis, row, grid))
+    assert exact_bits(gathered, competitor_function(basis, spec.w, row)(grid))
+    assert nu_functional(spec, basis, row, grid, gather=0) == (nu, None)
+    # nested grids: mu on 2048 nodes reads every other R of 4096, and on
+    # 4096 every 2nd, 16th of 8192 and 2^16 nodes: each R has the bits of
+    # the row's own R there, and mu the bits of its own sum
+    want = mu_functional(spec, basis, row, circle_grid(2048), extended=False)
+    _, gathered = nu_functional(spec, basis, row, grid, gather=2)
+    assert exact_bits(gathered, competitor_function(basis, spec.w, row)(circle_grid(2048)))
+    handed = mu_functional(spec, basis, row, circle_grid(2048), extended=False, gathered=gathered)
+    assert same_float(handed, want)
     for count in (8192, NU_GRID_NODES):
-        nu_functional(spec, basis, row, circle_grid(count))
-        nodes, _, values = basis._kept
-        assert np.shares_memory(nodes, circle_grid(count)) and values.shape == (4096,)
-    nu_functional(spec, basis, row, circle_grid(3000))
-    assert basis._kept[2] is values
+        _, gathered = nu_functional(spec, basis, row, circle_grid(count), gather=count // 4096)
+        assert exact_bits(gathered, competitor_function(basis, spec.w, row)(grid))
+    # a stride that does not divide a part: every third node of the grid,
+    # across the parts of 2^16 nodes, and of a grid of 3000
+    for count in (NU_GRID_NODES, 3000):
+        nodes = circle_grid(count)
+        _, gathered = nu_functional(spec, basis, row, nodes, gather=3)
+        assert exact_bits(gathered, competitor_function(basis, spec.w, row)(nodes[::3]))
+
+
+def test_passes_leave_a_basis_stateless():
+    # each attribute as it was made, and no other: no pass stores anything
+    # on the basis, and no design is stored
+    spec = KernelSpec(1, 0.4 - 0.1j)
+    free = [0.2j, -0.5, 0.3]
+    approx = build_approximant(spec, free)
+    basis, row = approx.basis, approx.coefficients
+    grid = circle_grid(approx.expansion.grid_size)
+    nu_functional(spec, basis, row, circle_grid(NU_GRID_NODES))
+    for extended in (False, True):
+        mu_functional(spec, basis, row, grid, extended=extended)
+    equimodularity_variation(spec, basis, row, grid)
+    report = build_error_report(spec, free)
+    for passed in (basis, report.approximant.basis):
+        made = vars(TMBasis(passed.poles))
+        assert vars(passed).keys() == made.keys() and vars(passed) == made
+        assert passed._designs == {}
 
 
 def doctored_class_sums(monkeypatch, nodes, bad):

@@ -196,8 +196,9 @@ def test_an_integral_float_gives_the_cached_grid_of_its_int():
 def test_power_of_two_grids_nest_bit_for_bit():
     # 2 pi j / N is 2 pi (j M/N) / M exactly for powers of two: the node
     # angles differ by exact power-of-two scalings, so every grid is every
-    # (M/N)-th node of a finer one, to the bit.  Error reports read the R of
-    # nu's 2^16-node pass at mu's nodes on this account (TMBasis.kept_sum).
+    # (M/N)-th node of a finer one, to the bit.  Error reports hand mu the R
+    # that nu's 2^16-node pass gathers at mu's nodes on this account
+    # (build_error_report).
     sizes = [2**k for k in range(8, 18)]
     for fine in sizes:
         grid = circle_grid(fine)
