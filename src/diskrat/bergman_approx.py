@@ -29,11 +29,7 @@ as well.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -356,18 +352,17 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
     sampled once per part (_sampled), and R = multiplier * sum_k c_k
     phi_k(x) for every row c of the block.  K has the bits of
     spec.bergman(x) at exponent alpha + 2 and of spec.cauchy_power(x) at
-    alpha + 1.  One row takes _row_values, which evaluates its parts on the
-    usable CPUs, a round at a time.  A batch of rows takes its parts
-    from TMBasis.eval_chunks, which alone decides their length, and
-    multiplies each block by the part in one product: an evaluated part
-    whole, or a PIECE_NODES part read in place from a stored design.  The
-    product rounds apart from eval_sum in the last bits; splitting its
-    columns leaves each value's bits alone.  The caller may overwrite a
-    batch's R and must drop it before the next yield.  A part whose K is
-    not finite raises NonFiniteIntegrand at its first such node, before any
-    of its blocks; else the first block with a non-finite R raises at once,
-    at the first such node of its first such row.  Nothing later is
-    evaluated, beyond the rest of one row's round."""
+    alpha + 1.  One row takes _row_values, which sums it part by part in
+    nested form.  A batch of rows takes its parts from TMBasis.eval_chunks,
+    which alone decides their length, and multiplies each block by the
+    part in one product: an evaluated part whole, or a PIECE_NODES part
+    read in place from a stored design.  The product rounds apart from
+    eval_sum in the last bits; splitting its columns leaves each value's
+    bits alone.  The caller may overwrite a batch's R and must drop it
+    before the next yield.  A part whose K is not finite raises
+    NonFiniteIntegrand at its first such node, before any of its blocks;
+    else the first block with a non-finite R raises at once, at the first
+    such node of its first such row.  Nothing later is evaluated."""
     trials, count = rows.shape
     if trials == 1:
         yield from _row_values(spec, basis, rows[0], nodes, exponent)
@@ -395,88 +390,15 @@ def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes
         del phi, multiplier, sampled  # freed before the next part is evaluated
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on (1 where the platform does not
-    say): the processes of a pooled verify, and the parts a one-row grid
-    pass evaluates at once (_row_values)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-#: Coefficients a row needs for its one-row passes to sum their parts on
-#: helper threads (_row_values).  A helper costs its start and join, and
-#: every ufunc of the nested sum hands the GIL between the threads; a
-#: shorter sum, three ufuncs a coefficient, loses more to that than it
-#: gains.  A 2^16-node nu on two threads of a 2-vCPU VM against one, in
-#: alternating runs: rows of 3 to 9 coefficients won 1 to 36 of 60 (28%
-#: slower at 3), and rows of 11 to 21 won 40 to 59 of 60 (12% faster at 15
-#: and 21) but for 24 at 13; a second set won 35 to 85 of 100 at 7 to 9
-#: and 71 to 94 of 100 at 11 to 17.
-THREADED_PASS_TERMS = 12
-
-#: Whether this process's one-row grid passes evaluate one part at a time
-#: (serial_passes).
-_serial_passes = False
-
-
-@contextlib.contextmanager
-def serial_passes():
-    """Have the one-row grid passes of this process evaluate one part at a
-    time inside the block.  A pooled verify forks its workers inside it,
-    and they inherit it: its processes fill the usable CPUs already."""
-    global _serial_passes
-    previous, _serial_passes = _serial_passes, True
-    try:
-        yield
-    finally:
-        _serial_passes = previous
-
-
-def _round(evaluate: Callable, starts) -> list:
-    """evaluate(start) for every start of a round of parts, in order: the
-    first on this thread, each other on a helper thread of its own, every
-    helper joined before this returns, so no thread outlives the round.  A
-    helper runs in a copy of this thread's context, under its numpy error
-    state with every condition that is not ignored raised instead.  A
-    helper that raises anything, or cannot be started, gives None: its part
-    is for this thread to evaluate in turn, so a pass raises and warns as
-    one that evaluates one part at a time, and at the same part."""
-    modes = {name: "ignore" if mode == "ignore" else "raise" for name, mode in np.geterr().items()}
-    done = [None] * len(starts)
-
-    def helper(index):
-        with np.errstate(**modes), contextlib.suppress(Exception):
-            done[index] = evaluate(starts[index])
-
-    started = []
-    try:
-        for index in range(1, len(starts)):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(helper, index))
-            try:
-                thread.start()
-            except RuntimeError:  # no thread to be had: the rest are this thread's
-                break
-            started.append(thread)
-        done[0] = evaluate(starts[0])
-    finally:
-        for thread in started:
-            thread.join()
-    return done
-
-
 def _row_values(spec: KernelSpec, basis: TMBasis, row: np.ndarray, nodes, exponent: int,
                 given=None):
     """_competitor_values of one row c: (at, block, multiplier, K, R) for
     each part of NODE_CHUNK nodes, with block slice(0, 1) and R of shape
     (1, part), not checked: _reductions checks it and never writes over it.
 
-    The parts are evaluated in rounds of usable_cpus() parts: a part's
-    multiplier, K and R, on this thread and on short-lived helpers
-    (_round).  The round's parts are then yielded in node order, so a pass
-    holds the arrays of a round of parts at once.  A row of fewer than
-    THREADED_PASS_TERMS coefficients, a pass given its R, and any pass
-    inside serial_passes take rounds of one part, which start no thread.
-    A part keeps its length and offset, and its values their bits, however
-    many parts are in flight.
+    The parts are evaluated on this thread, one at a time and in node
+    order: a part's multiplier, K and R are formed, yielded, and freed
+    before the next part is formed, so a pass holds the arrays of one part.
 
     R is competitor_function's, with the part's own multiplier: the nested
     sum TMBasis.eval_sum on the part (which, where the row's last pole is
@@ -488,27 +410,18 @@ def _row_values(spec: KernelSpec, basis: TMBasis, row: np.ndarray, nodes, expone
     forms only its own multiplier and K."""
     # the row's last pole is w: its run reads the part's reciprocal
     shared = len(row) > 0 and basis.poles[len(row) - 1] == spec.w
-
-    def evaluate(start):
-        """(multiplier, K, R) of the part from start."""
-        part = slice(start, start + NODE_CHUNK)
-        multiplier, reciprocal, sampled = _sampled(spec, nodes[part], exponent)
-        if given is not None:
-            return multiplier, sampled, given[part]
-        sums = basis.eval_sum(row, nodes[part], reciprocal=reciprocal if shared else None)
-        return multiplier, sampled, np.multiply(multiplier, sums)
-
-    starts = range(0, len(nodes), NODE_CHUNK)
-    threaded = not _serial_passes and given is None and len(row) >= THREADED_PASS_TERMS
-    width = usable_cpus() if threaded else 1
-    for first in range(0, len(starts), width):
-        round_starts = starts[first : first + width]
-        parts = _round(evaluate, round_starts)
-        for index, start in enumerate(round_starts):
-            multiplier, sampled, values = parts[index] or evaluate(start)
-            parts[index] = None
-            yield slice(start, start + len(values), 1), slice(0, 1), multiplier, sampled, values[None]
-            del multiplier, sampled, values  # freed before the next part is yielded
+    for start in range(0, len(nodes), NODE_CHUNK):
+        x = nodes[start : start + NODE_CHUNK]
+        multiplier, reciprocal, sampled = _sampled(spec, x, exponent)
+        if given is None:
+            sums = basis.eval_sum(row, x, reciprocal=reciprocal if shared else None)
+            values = np.multiply(multiplier, sums)
+            del sums
+        else:
+            values = given[start : start + len(x)]
+        del reciprocal  # freed before the part is reduced
+        yield slice(start, start + len(x), 1), slice(0, 1), multiplier, sampled, values[None]
+        del multiplier, sampled, values  # freed before the next part is formed
 
 
 def _reductions(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, exponent: int,
@@ -560,9 +473,8 @@ def mu_functional(
     So on a grid of one part a row's value is numpy's mean of its whole row
     of squares, to the bit, and so is it on two evaluated parts of
     NODE_CHUNK nodes (numpy's pairwise sum splits a row of 2^15 at 2^14).
-    One row forms R as Approximant.eval forms it (_row_values), its parts
-    a round of usable CPUs at a time; they are summed in node order, so the
-    value has the same bits on any number of CPUs.  In doubles one row may
+    One row forms R as Approximant.eval forms it (_row_values), part by
+    part, and sums the parts in node order.  In doubles one row may
     be handed its R at the grid's nodes, gathered, as nu_functional's pass
     on a grid this one nests in gathers it (build_error_report): the pass
     reduces it, to the same bits, and sums no node.  A batch of rows takes
@@ -698,9 +610,8 @@ def nu_functional(
     and scores as Approximant.eval does; a batch's grid pass multiplies
     basis blocks by its rows, which round apart in the last bits.  The
     first non-finite K or R stops the grid pass with NonFiniteIntegrand.
-    One row's parts are evaluated a round of usable CPUs at a time and
-    reduced in node order (_row_values), so its value, best node and any
-    refusal have the same bits on any number of CPUs.  nu_minimum gives
+    One row's parts are evaluated and reduced one at a time, in node order
+    (_row_values).  nu_minimum gives
     the first argmin and the minimum of a batch's values with the same
     pass, brackets and refinement, scoring in full only the rows that can
     still be the minimum.
@@ -1085,9 +996,9 @@ def build_error_report(
     doubles reduces that R with its own multiplier and K, and sums no node.
     Each value has the bits of its functional on a fresh approximant.  A
     refused nu runs mu first and then raises, so a request that mu would
-    refuse reports mu's refusal, as when mu ran first.  Each pass evaluates
-    its parts on the usable CPUs, and no thread outlives it: a verify that
-    follows in this process can still form its pool."""
+    refuse reports mu's refusal, as when mu ran first.  Both passes run on
+    this thread and start none, so a verify that follows in this process
+    can still form its pool."""
     if not isinstance(free_poles, PoleSequence):
         free_poles = PoleSequence(free_poles)
     approx, values = None, (0.0,) * len(ErrorReport.VALUE_NAMES)

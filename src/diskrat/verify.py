@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import os
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bergman_approx
 from .bergman_approx import (
     NU_GRID_NODES,
     build_approximant,
@@ -440,6 +440,10 @@ def _measure(position: int, share: int) -> tuple:
     return partial, time.perf_counter() - started
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _run_tasks(tasks: list[tuple[int, int]]) -> list[tuple]:
     """`_measure` of every task, in task order: where a split group's shares
     are among the tasks, over min(usable CPUs, tasks) processes, this one
@@ -447,7 +451,7 @@ def _run_tasks(tasks: list[tuple[int, int]]) -> list[tuple]:
     whose wrapped groups are not split, run here one after another, as do
     all where that count is one, fork is not available or this process
     runs another Python thread, which a fork would copy mid-step."""
-    processes = min(bergman_approx.usable_cpus(), len(tasks))
+    processes = min(_usable_cpus(), len(tasks))
     # only a split group has a share past its first
     if processes > 1 and any(share for _, share in tasks):
         import multiprocessing
@@ -469,42 +473,34 @@ def _run_beside_pool(tasks: list[tuple[int, int]], workers: int, context) -> lis
     started: one running in each worker and at most workers +
     EXTRA_QUEUED_CALLS queued for them.  In three sets of twelve full
     verifies on a two-core VM, the median CPU times of the two processes
-    came within 6% of each other.
-
-    The processes fill the usable CPUs, so each runs BLAS on one thread
-    and its one-row grid passes one part at a time
-    (bergman_approx.serial_passes), both set here before the workers fork
-    and restored after.  Where each process ran two parts at once instead,
-    perfbench's verify read a 13.6% higher scaled median on a 2-vCPU VM
-    (higher in 9 of 10 alternating pairs)."""
+    came within 6% of each other."""
     from concurrent.futures import Future, ProcessPoolExecutor
 
     is_share = [_split(CHECK_GROUPS[position][1])[0] > 1 for position, _ in tasks]
     order = sorted(range(len(tasks)), key=is_share.__getitem__)
     pool = ProcessPoolExecutor(workers, mp_context=context)
     blas_threads = _set_blas_threads(1)  # before the workers fork, which inherit it
-    with bergman_approx.serial_passes():  # and this too
-        try:
-            with warnings.catch_warnings():
-                # Python 3.12+ warns on a fork beside any thread, the BLAS
-                # library's parked ones included; the workers fork at the first
-                # submit, before the pool starts threads of its own
-                warnings.filterwarnings(
-                    "ignore", r"This process .* is multi-threaded", DeprecationWarning
-                )
-                futures = {index: pool.submit(_measure, *tasks[index]) for index in order}
-            for index in reversed(order):
-                if futures[index].cancel():
-                    futures[index] = Future()
-                    try:
-                        futures[index].set_result(_measure(*tasks[index]))
-                    except Exception as error:
-                        futures[index].set_exception(error)
-            return [futures[index].result() for index in range(len(tasks))]
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-            if blas_threads is not None:
-                _set_blas_threads(blas_threads)
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork beside any thread, the BLAS
+            # library's parked ones included; the workers fork at the first
+            # submit, before the pool starts threads of its own
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded", DeprecationWarning
+            )
+            futures = {index: pool.submit(_measure, *tasks[index]) for index in order}
+        for index in reversed(order):
+            if futures[index].cancel():
+                futures[index] = Future()
+                try:
+                    futures[index].set_result(_measure(*tasks[index]))
+                except Exception as error:
+                    futures[index].set_exception(error)
+        return [futures[index].result() for index in range(len(tasks))]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        if blas_threads is not None:
+            _set_blas_threads(blas_threads)
 
 
 def _set_blas_threads(count: int) -> int | None:

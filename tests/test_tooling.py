@@ -325,7 +325,7 @@ def test_a_pooled_verify_runs_blas_on_one_thread_and_restores_it():
     # and in this process
     code = (
         "import json, run, diskrat.verify as v\n"
-        "v.bergman_approx.usable_cpus = lambda: 2\n"
+        "v._usable_cpus = lambda: 2\n"
         "reads = lambda name: lambda: [(name, 0.0, {'blas': run.blas_threads()})]\n"
         "names = ['orthonormality', 'christoffel_darboux']\n"
         "v.CHECK_GROUPS = [((name,), reads(name)) for name in names]\n"
