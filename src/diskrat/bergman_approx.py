@@ -327,7 +327,7 @@ def build_approximant(
 
 def _blocks(firsts, size: int, stride: int = 1) -> np.ndarray:
     """The (first, stop, stride) rows of the blocks of at most size rows
-    that start at firsts, for _competitor_values."""
+    that start at firsts, for _walk."""
     firsts = np.asarray(firsts, dtype=int)
     return np.stack([firsts, firsts + size, np.full_like(firsts, stride)], axis=1)
 
@@ -341,122 +341,100 @@ def _sampled(spec: KernelSpec, x, exponent: int):
     return multiplier, reciprocal, reciprocal_power(reciprocal, exponent)
 
 
-def _competitor_values(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, exponent: int,
-                       blocks=None):
-    """Yield (at, block, multiplier, K, R) for each part of the nodes x, in
-    node order, and each block of rows of blocks, in its order (an array of
-    (first, stop, stride) rows, see _blocks; by default every block of m
-    rows at stride 1).  A block is evaluated at every stride-th node of the
-    part from its first: at is slice(start, stop, stride) of those nodes,
-    multiplier = 1 - x conj(w) and K = (1 - x conj(w))^-exponent are theirs,
-    sampled once per part (_sampled), and R = multiplier * sum_k c_k
-    phi_k(x) for every row c of the block.  K has the bits of
-    spec.bergman(x) at exponent alpha + 2 and of spec.cauchy_power(x) at
-    alpha + 1.  One row takes _row_values, which sums it part by part in
-    nested form.  A batch of rows takes its parts from TMBasis.eval_chunks,
-    which alone decides their length, and multiplies each block by the
-    part in one product: an evaluated part whole, or a PIECE_NODES part
-    read in place from a stored design.  The product rounds apart from
-    eval_sum in the last bits; splitting its columns leaves each value's
-    bits alone.  The caller may overwrite a batch's R and must drop it
-    before the next yield.  A part whose K is not finite raises
-    NonFiniteIntegrand at its first such node, before any of its blocks;
-    else the first block with a non-finite R raises at once, at the first
-    such node of its first such row.  Nothing later is evaluated."""
+def _walk(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, exponent: int,
+          reduce: Callable, blocks=None, given=None):
+    """Yield (at, block, R, reduce(multiplier, K, R, out)) for each part of
+    the nodes x, in node order, and each block of rows of blocks, in its
+    order (an array of (first, stop, stride) rows, see _blocks; by default
+    every block of m rows at stride 1): the one loop of the grid passes.
+    A block is evaluated at every stride-th node of the part from its
+    first: at is slice(start, stop, stride) of those nodes, multiplier =
+    1 - x conj(w) and K = (1 - x conj(w))^-exponent are theirs, sampled once
+    per part (_sampled), and R = multiplier * sum_k c_k phi_k(x) for every
+    row c of the block.  K has the bits of spec.bergman(x) at exponent
+    alpha + 2 and of spec.cauchy_power(x) at alpha + 1.  A part's arrays
+    are formed, reduced and freed before the next part is formed.
+
+    One row takes parts of NODE_CHUNK nodes and the one block slice(0, 1).
+    Its R is competitor_function's, with the part's own multiplier: the
+    nested sum TMBasis.eval_sum on the part (which, where the row's last
+    pole is w, as in every approximant's basis, reads the part's reciprocal
+    for that pole's run) times the multiplier.  So R is Approximant.eval of
+    the row on the part, to the bit, and its bits at a node do not depend
+    on the other nodes.  A row given its R at the nodes (as
+    build_error_report hands nu's to mu) reads it instead of summing.  A
+    batch of rows takes its parts from TMBasis.eval_chunks, which alone
+    decides their length, and multiplies each block by the part in one
+    product: an evaluated part whole, or a PIECE_NODES part read in place
+    from a stored design.  The product rounds apart from eval_sum in the
+    last bits; splitting its columns leaves each value's bits alone.
+
+    reduce returns a tuple whose first item reduces each row's error over
+    the block's nodes, formed from K and R, and writes over out alone, an
+    array of R's shape: a batch's R, which the caller must drop before the
+    next yield, or one row's multiplier, so one row's R is yielded whole.
+    That reduction, taken with overflow and invalid operations ignored, is
+    the one finiteness check.  Where it is not finite, the multiplier and
+    K are sampled again, and a batch's R formed again, under the same
+    ignore and to the same bits, and NonFiniteIntegrand names K's first
+    non-finite node at the block's nodes, else R's first such node of its
+    first such row; nothing later is evaluated.  Where both are finite (the
+    error or its reduction overflowed), reduce runs again under the
+    caller's error state, giving the warnings of a pass that checked K and
+    R before reducing."""
     trials, count = rows.shape
     if trials == 1:
-        yield from _row_values(spec, basis, rows[0], nodes, exponent)
-        return
-    if blocks is None:
-        blocks = _blocks(range(0, trials, max(count, 1)), max(count, 1))
-    for part, phi in basis.eval_chunks(nodes, count):
-        x = nodes[part]
-        multiplier, _, sampled = _sampled(spec, x, exponent)
-        require_finite(part.start, 1, sampled[None])
-        for first, stop, stride in blocks.tolist():
-            # R = multiplier * (rows @ phi) in this operand order, which
-            # error *= multiplier would round apart.  np.matmul reads a
-            # stored (read-only) part in place, where np.dot would copy
-            # it.  np.dot is 1.1-1.8 times as fast in long double, but
-            # rounds as matmul does only in complex128: the bits hold as
-            # no library route stores a design on an extended grid
-            product = np.dot if phi.flags.writeable else np.matmul
-            values = product(rows[first:stop], phi[:, ::stride])
-            np.multiply(multiplier[::stride], values, out=values)
-            require_finite(part.start, stride, values)
-            yield (slice(part.start, part.start + len(x), stride), slice(first, stop),
-                   multiplier[::stride], sampled[::stride], values)
-            del values  # freed before the next block is formed
-        del phi, multiplier, sampled  # freed before the next part is evaluated
-
-
-def _row_values(spec: KernelSpec, basis: TMBasis, row: np.ndarray, nodes, exponent: int,
-                given=None):
-    """_competitor_values of one row c: (at, block, multiplier, K, R) for
-    each part of NODE_CHUNK nodes, with block slice(0, 1) and R of shape
-    (1, part), not checked: _reductions checks it and never writes over it.
-
-    The parts are evaluated on this thread, one at a time and in node
-    order: a part's multiplier, K and R are formed, yielded, and freed
-    before the next part is formed, so a pass holds the arrays of one part.
-
-    R is competitor_function's, with the part's own multiplier: the nested
-    sum TMBasis.eval_sum on the part (which, where the row's last pole is
-    w, as in every approximant's basis, reads the part's reciprocal for
-    that pole's run) times the multiplier.  So R is Approximant.eval of the
-    row on the part, to the bit, and its bits at a node do not depend on
-    the other nodes.  A pass given the row's R at the nodes (as
-    build_error_report hands nu's to mu) yields it instead of summing, and
-    forms only its own multiplier and K."""
-    # the row's last pole is w: its run reads the part's reciprocal
-    shared = len(row) > 0 and basis.poles[len(row) - 1] == spec.w
-    for start in range(0, len(nodes), NODE_CHUNK):
-        x = nodes[start : start + NODE_CHUNK]
-        multiplier, reciprocal, sampled = _sampled(spec, x, exponent)
-        if given is None:
-            sums = basis.eval_sum(row, x, reciprocal=reciprocal if shared else None)
-            values = np.multiply(multiplier, sums)
-            del sums
-        else:
-            values = given[start : start + len(x)]
-        del reciprocal  # freed before the part is reduced
-        yield slice(start, start + len(x), 1), slice(0, 1), multiplier, sampled, values[None]
-        del multiplier, sampled, values  # freed before the next part is formed
-
-
-def _reductions(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, exponent: int,
-                reduce: Callable, blocks=None, given=None):
-    """Yield (at, block, R, reduce(multiplier, K, R, out)) for each part
-    and block of _competitor_values(spec, basis, rows, nodes, exponent,
-    blocks), or of one row given its R (_row_values): the one loop of the
-    grid passes.  reduce returns a tuple whose first item reduces each
-    row's error over the part, formed from K and R, and writes over out
-    alone, an array of R's shape: a batch's R, which _competitor_values
-    has checked, or one row's multiplier, so one row's R is yielded whole.
-
-    That reduction is one row's part's one finiteness check.  Where it is
-    not finite, the multiplier and K are sampled again, to the same bits,
-    and NonFiniteIntegrand names K's first non-finite node of the part,
-    else R's; where both are finite (the error or its reduction
-    overflowed), reduce runs again under the caller's error state, giving
-    its warnings as a pass that checked K and R before reducing did."""
-    if given is None:
-        parts = _competitor_values(spec, basis, rows, nodes, exponent, blocks)
+        starts = range(0, len(nodes), NODE_CHUNK)
+        parts = ((slice(start, start + NODE_CHUNK), None) for start in starts)
+        blocks = [(0, 1, 1)]
     else:
-        parts = _row_values(spec, basis, rows[0], nodes, exponent, given)
-    for at, block, multiplier, kernel, values in parts:
-        if len(rows) > 1:
-            result = reduce(multiplier, kernel, values, values)
-        else:
+        parts = basis.eval_chunks(nodes, count)
+        if blocks is None:
+            blocks = _blocks(range(0, trials, max(count, 1)), max(count, 1))
+        blocks = blocks.tolist()
+    # one row whose last pole is w: its run reads the part's reciprocal
+    shared = trials == 1 and count > 0 and basis.poles[count - 1] == spec.w
+
+    def formed(phi, first, stop, stride, multiplier):
+        # R = multiplier * (rows @ phi) in this operand order, which
+        # error *= multiplier would round apart.  np.matmul reads a stored
+        # (read-only) part in place, where np.dot would copy it.  np.dot is
+        # 1.1-1.8 times as fast in long double, but rounds as matmul does
+        # only in complex128: the bits hold as no library route stores a
+        # design on an extended grid
+        product = np.dot if phi.flags.writeable else np.matmul
+        values = product(rows[first:stop], phi[:, ::stride])
+        np.multiply(multiplier[::stride], values, out=values)
+        return values
+
+    for part, phi in parts:
+        x = nodes[part]
+        multiplier, reciprocal, kernel = _sampled(spec, x, exponent)
+        if phi is None:
+            values = given[part] if given is not None else np.multiply(
+                multiplier, basis.eval_sum(rows[0], x, reciprocal=reciprocal if shared else None)
+            )
+            values = values[None]
+        del reciprocal  # freed before the part is reduced
+        for first, stop, stride in blocks:
+            if phi is not None:
+                values = formed(phi, first, stop, stride, multiplier)
             with np.errstate(over="ignore", invalid="ignore"):
-                result = reduce(multiplier, kernel, values, multiplier[None])
-            if not np.isfinite(result[0]).all():
-                multiplier, _, kernel = _sampled(spec, nodes[at], exponent)
-                require_finite(at.start, at.step, kernel[None])
-                require_finite(at.start, at.step, values)
-                result = reduce(multiplier, kernel, values, multiplier[None])
-        yield at, block, values, result
-        del multiplier, kernel, values, result  # freed before the next block or part is formed
+                result = reduce(multiplier[::stride], kernel[::stride], values,
+                                values if phi is not None else multiplier[None])
+                finite = np.isfinite(result[0]).all()
+                if not finite:
+                    multiplier, _, kernel = _sampled(spec, x, exponent)
+                    if phi is not None:
+                        values = formed(phi, first, stop, stride, multiplier)
+            if not finite:
+                require_finite(part.start, stride, kernel[None, ::stride])
+                require_finite(part.start, stride, values)
+                result = reduce(multiplier[::stride], kernel[::stride], values,
+                                values if phi is not None else multiplier[None])
+            yield slice(part.start, part.start + len(x), stride), slice(first, stop), values, result
+            del values, result  # freed before the next block or part is formed
+        del phi, multiplier, kernel  # freed before the next part is evaluated
 
 
 def mu_functional(
@@ -467,23 +445,23 @@ def mu_functional(
     |K_alpha(x; w) - R(x) / (1 - x conj(w))|^2 over the circle, in long
     double on the grid's long-double twin with extended=True (the rule is
     extended_mu).  A row c gives a float, a (trials, m) matrix one value per
-    row.  The pass streams as nu_functional's does (see _competitor_values):
-    it samples K part by part, sums each row's squares on the part by
-    np.add.reduce and adds that sum straight into the row's running sum.
-    So on a grid of one part a row's value is numpy's mean of its whole row
-    of squares, to the bit, and so is it on two evaluated parts of
-    NODE_CHUNK nodes (numpy's pairwise sum splits a row of 2^15 at 2^14).
-    One row forms R as Approximant.eval forms it (_row_values), part by
-    part, and sums the parts in node order.  In doubles one row may
-    be handed its R at the grid's nodes, gathered, as nu_functional's pass
-    on a grid this one nests in gathers it (build_error_report): the pass
-    reduces it, to the same bits, and sums no node.  A batch of rows takes
-    a matrix product and may round apart in the last bits."""
+    row.  The pass streams as nu_functional's does (see _walk): it samples
+    K part by part, sums each row's squares on the part by np.add.reduce
+    and adds that sum straight into the row's running sum.  So on a grid
+    of one part a row's value is numpy's mean of its whole row of squares,
+    to the bit, and so is it on two evaluated parts of NODE_CHUNK nodes
+    (numpy's pairwise sum splits a row of 2^15 at 2^14).  One row forms R
+    as Approximant.eval forms it, part by part, and sums the parts in node
+    order.  In doubles one row may be handed its R at the grid's nodes,
+    gathered, as nu_functional's pass on a grid this one nests in gathers
+    it (build_error_report): the pass reduces it, to the same bits, and
+    sums no node.  A batch of rows takes a matrix product and may round
+    apart in the last bits."""
     coefficients = np.asarray(coefficients, dtype=complex)
     rows = np.atleast_2d(coefficients)
     nodes = circle_grid(len(grid), extended=True) if extended else grid
     sums = np.zeros(len(rows), dtype=nodes.real.dtype)
-    for _, block, values, (part,) in _reductions(
+    for _, block, values, (part,) in _walk(
         spec, basis, rows, nodes, spec.alpha + 2, _squares, given=gathered
     ):
         sums[block] += part
@@ -600,21 +578,19 @@ def nu_functional(
     triple is flat to rounding and the refinement evaluates nothing.
 
     A row c of length m gives a float; a (trials, m) matrix gives one value
-    per row.  The grid pass streams (see _competitor_values) and keeps each
-    row's running maximum and its node j, the first of equal maxima.  One
-    nested sum (TMBasis.eval_sum, each point with its own row) then gives
-    the moduli at the (3, trials) nodes j - 1, j, j + 1 (mod N) and, at j,
-    |K| and |K - (K - R)| for the rounding floor; each refinement step sums
+    per row.  The grid pass streams (see _walk) and keeps each row's
+    running maximum and its node j, the first of equal maxima.  One nested
+    sum (TMBasis.eval_sum, each point with its own row) then gives the
+    moduli at the (3, trials) nodes j - 1, j, j + 1 (mod N) and, at j, |K|
+    and |K - (K - R)| for the rounding floor; each refinement step sums
     only the live brackets alike, so no basis block is formed after the
     grid pass.  One row is summed as its grid pass summed it, to the bit,
     and scores as Approximant.eval does; a batch's grid pass multiplies
     basis blocks by its rows, which round apart in the last bits.  The
     first non-finite K or R stops the grid pass with NonFiniteIntegrand.
-    One row's parts are evaluated and reduced one at a time, in node order
-    (_row_values).  nu_minimum gives
-    the first argmin and the minimum of a batch's values with the same
-    pass, brackets and refinement, scoring in full only the rows that can
-    still be the minimum.
+    nu_minimum gives the first argmin and the minimum of a batch's values
+    with the same pass, brackets and refinement, scoring in full only the
+    rows that can still be the minimum.
 
     With gather, a row's grid pass also gathers its R at every gather-th
     node, and (nu, R) is returned (R None for gather 0): the R that
@@ -632,17 +608,17 @@ def nu_functional(
 def _nu_grid_pass(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, blocks=None,
                   gather: int = 0):
     """(top, index, bottom, gathered): each row's largest error modulus
-    over the nodes its block is evaluated at (_competitor_values with these
-    blocks; rows of no block keep -inf, 0 and inf), the node of it, the
-    first of equal maxima, and its smallest error modulus there; and, with
-    gather, one row's R at every gather-th node, else None.  A maximum and
-    a minimum are exact, so they do not depend on how the nodes are split
+    over the nodes its block is evaluated at (_walk with these blocks;
+    rows of no block keep -inf, 0 and inf), the node of it, the first of
+    equal maxima, and its smallest error modulus there; and, with gather,
+    one row's R at every gather-th node, else None.  A maximum and a
+    minimum are exact, so they do not depend on how the nodes are split
     into parts.  This is the one pass of |K - R| over a grid."""
     top = np.full(len(rows), -np.inf)
     bottom = np.full(len(rows), np.inf)
     index = np.zeros(len(rows), dtype=int)
     parts = []
-    for at, block, values, (value, local, moduli) in _reductions(
+    for at, block, values, (value, local, moduli) in _walk(
         spec, basis, rows, nodes, spec.alpha + 1, _maxima, blocks
     ):
         if gather:
@@ -846,7 +822,7 @@ def competitor_function(basis: TMBasis, w: complex, coefficients) -> Callable:
     eval_sum and give each point its own row.  Approximant.eval is this R of
     the approximant's coefficients and nu_functional takes it at the
     brackets of its rows; the grid passes of one row form the same product
-    part by part with their own multiplier (_competitor_values)."""
+    part by part with their own multiplier (_walk)."""
     coefficients = np.asarray(coefficients, dtype=complex)
 
     def rational(x):

@@ -234,7 +234,7 @@ OPTIONS = (
     Option("--w", "w", _point, _KERNEL, 0j, 'kernel point as "re,im"'),
     Option("--poles", "poles", _poles, _POLES, None,
            'semicolon-separated "re,im" pairs, or "zeros"'),
-    Option("--random-poles", "random_poles", functools.partial(_count, extra=0),
+    Option("--random-poles", "random_poles", _natural,
            ("basis", "approximate", "oracle"), None, "draw this many random free poles"),
     Option("--seed", "seed", _natural, _POLES, 0),
     Option("--max-modulus", "max_modulus", _max_modulus, _POLES, 0.85),
@@ -292,18 +292,29 @@ def _check_order(cfg: SimpleNamespace, n: int):
         raise UsageError(f"--n {cfg.n} disagrees with the poles, which give n = {n}")
 
 
-def _pole_count(cfg: SimpleNamespace, zeros: int, otherwise: int | None) -> int | None:
+def _pole_count(cfg: SimpleNamespace, zeros: int, otherwise: int | None,
+                extra: int = 0) -> int | None:
     """How many poles basis, approximate and oracle take: as many as --poles
     lists, `zeros` for --poles zeros, --random-poles, else `otherwise` random
     ones (None: no pole source).  --poles and --random-poles together are a
-    usage error."""
+    usage error, and so are poles that, with `extra` more basis functions,
+    ask for more than MAX_FUNCTIONS (_count), before any pole is drawn."""
     if cfg.poles is not None and cfg.random_poles is not None:
         raise UsageError("give --poles or --random-poles, not both")
     if cfg.poles == "zeros":
-        return zeros
-    if cfg.poles is not None:
-        return len(cfg.poles)
-    return otherwise if cfg.random_poles is None else cfg.random_poles
+        count = zeros
+    elif cfg.poles is not None:
+        count = len(cfg.poles)
+    else:
+        count = otherwise if cfg.random_poles is None else cfg.random_poles
+    if count is not None:
+        try:
+            _count(count, extra)
+        except ValueError as exc:
+            # a count from --n alone is bounded by --n's own check
+            flag = "--poles" if cfg.random_poles is None else "--random-poles"
+            raise UsageError(f"{flag}: {exc}")
+    return count
 
 
 def _free_poles_for(cfg: SimpleNamespace, count: int, salt: int = 0) -> PoleSequence:
@@ -406,7 +417,7 @@ def _resolve_order(cfg: SimpleNamespace) -> PoleSequence:
     if cfg.n is not None and cfg.n < cfg.alpha:
         raise OrderTooSmall(f"n = {cfg.n} is smaller than alpha = {cfg.alpha}")
     rest = None if cfg.n is None else cfg.n - cfg.alpha
-    count = _pole_count(cfg, 1 if rest is None else rest, rest)
+    count = _pole_count(cfg, 1 if rest is None else rest, rest, cfg.alpha + 1)
     if count is None:
         raise UsageError("give --poles, --random-poles, or --n")
     free = _free_poles_for(cfg, count)

@@ -978,6 +978,114 @@ class TestBatchedNu:
         with pytest.raises(NonFiniteIntegrand):
             nu_functional(spec, approx.basis, rows[1], circle_grid(2**10))
 
+    # A batch is checked as one row is, by each block's reduction: where that
+    # is not finite, K's first non-finite node at the block's nodes is named,
+    # else R's first such node of its first such row, R formed again since
+    # the reduction wrote over it.  At w = 0.3 + 0.4j the multiplier has a
+    # real part near 1.5 at nodes 9000 to 10610 of 16384, so R = 1.5e308
+    # times it is inf there with a finite imaginary part, whose sign K - R
+    # would flip.
+
+    @staticmethod
+    def overflowing_design(grid, entries):
+        """A basis of three monomials whose stored design on grid holds
+        1e300 at each (node, function) of entries."""
+        basis = TMBasis([0j, 0j, 0j])
+        design = np.array(basis.design_matrix(grid))
+        for node, function in entries:
+            design[node, function] = 1e300
+        design.setflags(write=False)
+        basis._designs[id(grid)] = (grid, design)
+        return basis
+
+    @pytest.mark.parametrize("functional", [
+        nu_functional,
+        lambda spec, basis, rows, grid: mu_functional(spec, basis, rows, grid, extended=False),
+    ], ids=["nu", "mu"])
+    def test_a_batch_names_its_first_non_finite_row_in_a_later_block(self, functional,
+                                                                     monkeypatch):
+        # 2m rows, two blocks of m = 3: only the second block's rows 4 and 5
+        # overflow, at nodes 10610 and 9000 of the third 4096-node part.  Row
+        # 4 is the first such row, so its node is named, not the earlier one
+        # of row 5, and no later part is read
+        grid = circle_grid(16384)
+        basis = self.overflowing_design(grid, [(10610, 1), (9000, 2)])
+        rows = np.zeros((6, 3), dtype=complex)
+        rows[:, 0] = 0.1
+        rows[4], rows[5] = [0, 1.5e8, 0], [0, 0, 1.5e8]
+        read = spy_chunks(monkeypatch, basis)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteIntegrand) as raised:
+                functional(KernelSpec(0, 0.3 + 0.4j), basis, rows, grid)
+        assert raised.value.node_index == 10610
+        assert repr(raised.value.value) == "(inf-2.873793556535387e+302j)"
+        assert read == [0, 4096, 8192]
+
+    def test_a_screened_row_is_refused_at_its_screened_node(self, monkeypatch):
+        # nu_minimum scores rows 0 and 1 in full and screens rows 2 to 7 at
+        # every 16th node: row 5 overflows at node 10608 = 16 x 663 only
+        grid = circle_grid(16384)
+        basis = self.overflowing_design(grid, [(10608, 1)])
+        rows = np.zeros((8, 3), dtype=complex)
+        rows[:, 0] = 0.1
+        rows[5] = [0, 1.5e8, 0]
+        spec = KernelSpec(0, 0.3 + 0.4j)
+        assert np.isfinite(bergman_approx._screen_margins(spec, basis, rows)).all()
+        read = spy_chunks(monkeypatch, basis)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteIntegrand) as raised:
+                bergman_approx.nu_minimum(spec, basis, rows, grid)
+        assert raised.value.node_index == 10608
+        assert repr(raised.value.value) == "(inf-5.781165317644726e+304j)"
+        assert read == [0, 4096, 8192]
+
+    def test_an_error_that_overflows_only_in_its_reduction_warns_and_is_not_refused(self):
+        # at w = 0, K = 1 and the multiplier is 1: R is each finite
+        # coefficient, |K - R| of the last row overflows in the modulus,
+        # silently, and the square of the second row's in mu, which warns
+        # once per part of 2^14 nodes, as where K and R were checked before
+        # reducing
+        spec, basis, grid = KernelSpec(0, 0j), TMBasis([0j]), circle_grid(2**15)
+        rows = np.array([[0.5], [1e200], [-1.5e308 - 1.5e308j]])
+        for functional, want, messages in [
+            (nu_functional, [0.5, 1e200, np.inf], []),
+            (lambda *args: mu_functional(*args, extended=False), [0.25, np.inf, np.inf],
+             ["overflow encountered in square"] * 2),
+        ]:
+            with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+                warnings.simplefilter("always")
+                values = functional(spec, basis, rows, grid)
+            assert values.tolist() == want
+            assert [(w.category, str(w.message)) for w in caught] == [
+                (RuntimeWarning, message) for message in messages
+            ]
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError) as raised:
+            mu_functional(spec, basis, rows, grid, extended=False)
+        assert str(raised.value) == "overflow encountered in square"
+
+    def test_a_batch_forms_r_before_its_kernel_is_checked(self):
+        # K = (1 - x conj(w))^-171 overflows from node 1014 of 4096 (near
+        # x = i), and R = 1.5e308 times the multiplier near x = -i: one part
+        # holds both.  R is formed before the block's reduction checks K, as
+        # in one row's pass, so R's overflow raises or warns first; where it
+        # only warns, K's first non-finite node is named
+        spec, basis, grid = KernelSpec(170, 0.999j), TMBasis([0j]), circle_grid(4096)
+        rows = np.array([[1.5e308], [0.1]], dtype=complex)
+        assert int(np.argmax(~np.isfinite(spec.cauchy_power(grid)))) == 1014
+        with np.errstate(over="raise", invalid="ignore"):
+            with pytest.raises(FloatingPointError) as error:
+                nu_functional(spec, basis, rows, grid)
+        assert str(error.value) == "overflow encountered in multiply"
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteIntegrand) as refused:
+                nu_functional(spec, basis, rows, grid)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "overflow encountered in multiply")
+        ]
+        assert refused.value.node_index == 1014
+        assert repr(refused.value.value) == "(nan+infj)"
+
     @pytest.mark.parametrize("spec, free, seed", SCAN_CONFIGS)
     def test_trial_schedule_matches_inline_loop(self, spec, free, seed):
         approx = build_approximant(spec, free)
@@ -1173,6 +1281,13 @@ class TestStreamedBrackets:
         assert not cmath.isfinite(raised.value.value)
 
 
+def as_formed(multiplier, kernel, values, out):
+    """A reduction that writes over nothing and is always finite, so _walk
+    yields every block's R, and this gives the multiplier and K, as the
+    walk formed them."""
+    return np.zeros(len(values)), multiplier, kernel
+
+
 @st.composite
 def _height_configuration(draw):
     """The rows of a competitor scan of 2 to 40 functions on 2^12 to 2^14
@@ -1208,8 +1323,8 @@ def test_a_row_rounds_alike_in_every_block_of_two_rows_or_more(configuration):
         approx.basis.design_matrix(grid)
     blocks = np.array([(0, height, stride) for height in range(count, 1, -1)])
     tallest = {}
-    for at, block, _, _, values in bergman_approx._competitor_values(
-        spec, approx.basis, rows, grid, spec.alpha + 1, blocks
+    for at, block, values, _ in bergman_approx._walk(
+        spec, approx.basis, rows, grid, spec.alpha + 1, as_formed, blocks
     ):
         bits = values.view(np.uint64)
         if block.stop == count:
@@ -1334,22 +1449,20 @@ class TestNuMinimum:
         approx = build_approximant(spec, PoleSequence.random(6, np.random.default_rng(83)))
         assert len(approx.coefficients) == 8
         full, refined = [], []
-        values = bergman_approx._competitor_values
+        walk = bergman_approx._walk
         golden = bergman_approx._golden_max
 
-        def competitor_values(spec, basis, rows, nodes, exponent, blocks=None):
-            for at, rows_at, multiplier, sampled, error in values(
-                spec, basis, rows, nodes, exponent, blocks
-            ):
+        def walked(*args, **kwargs):
+            for at, rows_at, error, reduced in walk(*args, **kwargs):
                 if at.step == 1:
                     full.append((at.start, rows_at.start, rows_at.stop))
-                yield at, rows_at, multiplier, sampled, error
+                yield at, rows_at, error, reduced
 
         def golden_max(f, points, moduli, floor):
             refined.append(points.shape[1])
             return golden(f, points, moduli, floor)
 
-        monkeypatch.setattr(bergman_approx, "_competitor_values", competitor_values)
+        monkeypatch.setattr(bergman_approx, "_walk", walked)
         monkeypatch.setattr(bergman_approx, "_golden_max", golden_max)
         report = uniform_competitor_scan(approx, 100, 7, circle_grid(2**15))
         assert report.trials == 100 and report.argmin_trial == 0
@@ -1366,16 +1479,16 @@ class TestNuMinimum:
         grid = circle_grid(16384)
         assert approx.basis.design_matrix(grid).shape == (16384, 37)
         full = []  # per grid pass, the values scored at every node
-        values = bergman_approx._competitor_values
+        walk = bergman_approx._walk
 
-        def competitor_values(*args, **kwargs):
+        def walked(*args, **kwargs):
             full.append(0)
-            for at, rows_at, multiplier, sampled, error in values(*args, **kwargs):
+            for at, rows_at, error, reduced in walk(*args, **kwargs):
                 if at.step == 1:
                     full[-1] += error.size
-                yield at, rows_at, multiplier, sampled, error
+                yield at, rows_at, error, reduced
 
-        monkeypatch.setattr(bergman_approx, "_competitor_values", competitor_values)
+        monkeypatch.setattr(bergman_approx, "_walk", walked)
         report = uniform_competitor_scan(approx, 100, 7, grid)
         assert 0 < full[0] <= 2 * 16384
         monkeypatch.undo()
@@ -1383,22 +1496,17 @@ class TestNuMinimum:
         assert (report.argmin_trial, report.min_nu) == full_minimum(spec, approx.basis, rows, grid)
 
 
-def whole_part_values(spec, basis, rows, nodes, exponent, blocks=None):
-    """_competitor_values spelled with np.dot for every part: each block of
-    rows times the part's whole basis block, copied where it is stored."""
-    trials, count = rows.shape
-    if blocks is None:
-        blocks = bergman_approx._blocks(range(0, trials, count), count)
-    for part, phi in basis.eval_chunks(nodes, count):
-        x = nodes[part]
-        multiplier = 1.0 - x * np.conj(spec.w)
-        sampled = reciprocal_power(1.0 / multiplier, exponent)
-        for first, stop, stride in blocks.tolist():
-            at = slice(None, None, stride)
-            values = np.dot(rows[first:stop], phi[:, at])
-            np.multiply(multiplier[at], values, out=values)
-            yield (slice(part.start, part.start + len(x), stride), slice(first, stop),
-                   multiplier[at], sampled[at], values)
+def whole_parts(basis):
+    """basis.eval_chunks with every part copied: the walk multiplies each
+    block of rows by np.dot of the part's whole basis block, a copy where
+    it is stored."""
+    chunks = basis.eval_chunks
+
+    def copied(nodes, count=None):
+        for part, phi in chunks(nodes, count):
+            yield part, np.array(phi)
+
+    return copied
 
 
 @st.composite
@@ -1438,7 +1546,7 @@ def test_batch_grid_passes_equal_the_whole_part_product(configuration):
 
     got = scores()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bergman_approx, "_competitor_values", whole_part_values)
+        patch.setattr(basis, "eval_chunks", whole_parts(basis))
         want = scores()
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert got[2] == want[2]
@@ -1582,9 +1690,10 @@ def test_a_shared_reciprocal_keeps_the_unshared_bits(configuration):
     row = approx.coefficients
     for exponent, kernel in ((alpha + 2, spec.bergman), (alpha + 1, spec.cauchy_power)):
         with np.errstate(over="ignore", invalid="ignore"):
-            parts = list(bergman_approx._competitor_values(spec, approx.basis, row[None], nodes, exponent))
+            parts = list(bergman_approx._walk(spec, approx.basis, row[None], nodes, exponent,
+                                              as_formed))
         assert len(parts) == 1
-        at, _, multiplier, sampled, values = parts[0]
+        at, _, values, (_, multiplier, sampled) = parts[0]
         x = nodes[at]
         want_multiplier = 1.0 - x * np.conj(w)
         assert exact_bits(multiplier, want_multiplier)
@@ -1609,8 +1718,8 @@ def test_only_a_basis_ending_at_w_shares_its_reciprocal(last, monkeypatch):
     # sums of 1e308-sized coefficients overflow at some nodes: the pass names
     # the first of them, where the unshared product leaves the double range,
     # whether or not the row's sum read the pass's reciprocal.  One row's
-    # parts are checked by the functional's reduction of them (_reductions),
-    # and no part after the refused one is summed
+    # parts are checked by the functional's reduction of them (_walk), and
+    # no part after the refused one is summed
     spec, basis, row = overflowing_row(last)
     grid = circle_grid(2**16)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1689,7 +1798,7 @@ def one_row_outcomes(spec, free, nodes, scale) -> list:
 
 
 def plain_row_values(spec, basis, row, nodes, exponent, given=None):
-    """_row_values spelled as a plain loop over parts of NODE_CHUNK nodes:
+    """One row's parts, NODE_CHUNK nodes at a time, in a plain loop:
     each part's multiplier, K raised from its own reciprocal, and R as
     competitor_function forms it, with no reciprocal shared, or the R
     given."""
@@ -1704,6 +1813,21 @@ def plain_row_values(spec, basis, row, nodes, exponent, given=None):
         yield slice(start, start + len(x), 1), slice(0, 1), multiplier, sampled, values[None]
 
 
+def plain_walk(spec, basis, rows, nodes, exponent, reduce, blocks=None, given=None):
+    """_walk of one row spelled as plain_row_values reduced part by part:
+    where a reduction is not finite, K's first non-finite node is refused,
+    else R's."""
+    (row,) = rows
+    for at, block, multiplier, sampled, values in plain_row_values(
+        spec, basis, row, nodes, exponent, given
+    ):
+        result = reduce(multiplier, sampled, values, multiplier.copy()[None])
+        if not np.isfinite(result[0]).all():
+            circlequad.require_finite(at.start, 1, sampled[None])
+            circlequad.require_finite(at.start, 1, values)
+        yield at, block, values, result
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(configuration=_one_row_pass_configuration())
 def test_one_row_passes_keep_the_bits_of_a_plain_part_loop(configuration):
@@ -1715,7 +1839,7 @@ def test_one_row_passes_keep_the_bits_of_a_plain_part_loop(configuration):
     with np.errstate(all="ignore"):
         got = one_row_outcomes(spec, free, nodes, scale)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bergman_approx, "_row_values", plain_row_values)
+            patch.setattr(bergman_approx, "_walk", plain_walk)
             want = one_row_outcomes(spec, free, nodes, scale)
     assert got == want
 
@@ -1723,9 +1847,9 @@ def test_one_row_passes_keep_the_bits_of_a_plain_part_loop(configuration):
 def refused_part(error) -> int:
     """The first node of the part whose evaluation raised error."""
     tb = error.__traceback__
-    while tb.tb_frame.f_code.co_name != "_row_values":
+    while tb.tb_frame.f_code.co_name != "_walk":
         tb = tb.tb_next
-    return tb.tb_frame.f_locals["start"]
+    return tb.tb_frame.f_locals["part"].start
 
 
 @pytest.mark.parametrize(

@@ -1052,12 +1052,13 @@ _ALPHA_REFUSAL = (
     [
         ("approximate", "171", "0.5,0"),
         ("approximate", "800", "0.5,0"),
-        ("approximate", "4095", "0.5,0"),
+        # with its one free pole, the largest alpha the count bound admits
+        ("approximate", "4094", "0.5,0"),
         # the approximant's row at w multiplies by alpha!, whatever w is
         ("oracle", "171", "0.5,0"),
         ("oracle", "300", "0.5,0"),
         ("oracle", "1100", "0.5,0"),
-        ("oracle", "4095", "0.5,0"),
+        ("oracle", "4094", "0.5,0"),
         ("oracle", "171", "0,0"),
     ],
 )
@@ -1135,6 +1136,9 @@ _HUGE = "100000000000000000000"
         ["basis", "--poles", "zeros", "--n", "4096"],
         ["sweep", "--ns", "1,4096"],
         ["sweep", "--alphas", _HUGE, "--ns", "1"],
+        # one free pole and alpha + 1 = 4096 copies of w: 4097 functions
+        ["approximate", "--alpha", "4095", "--w=0.5,0", "--poles", "0,0"],
+        ["oracle", "--alpha", "4095", "--w=0.5,0", "--poles", "0,0"],
     ],
 )
 def test_a_count_past_the_gram_cap_is_refused_before_anything_is_built(
@@ -1174,6 +1178,13 @@ def test_the_count_bound_admits_exactly_max_functions(capsys, monkeypatch):
         (["approximate", "--alpha", "3", "--w", "0.5,0", "--n", "3"], 1),
         (["sweep", "--ns", "0:2", "--ws", "0.5,0", "--poles", "zeros"], 0),
         (["sweep", "--ns", "0:3", "--ws", "0.5,0", "--poles", "zeros"], 1),
+        # free poles + alpha + 1, whatever the pole source
+        (["approximate", "--alpha", "1", "--w", "0.5,0", "--random-poles", "1"], 0),
+        (["approximate", "--alpha", "1", "--w", "0.5,0", "--random-poles", "2"], 1),
+        (["approximate", "--alpha", "1", "--w", "0.5,0", "--poles", "0.1,0;0.2,0"], 1),
+        (["oracle", "--alpha", "1", "--w", "0.5,0", "--random-poles", "1", "--trials", "2"], 0),
+        (["oracle", "--alpha", "1", "--w", "0.5,0", "--random-poles", "2", "--trials", "2"], 1),
+        (["oracle", "--alpha", "1", "--w", "0.5,0", "--poles", "0.1,0;0.2,0", "--trials", "2"], 1),
     ]:
         assert run_cli(capsys, *argv)[0] == code, argv
 

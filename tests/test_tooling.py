@@ -450,6 +450,14 @@ def test_non_finite_samples_are_refused_in_one_place():
     assert calls == [("circlequad.py", "require_finite")], calls
 
 
+def test_grid_passes_have_one_finiteness_rule():
+    # every grid pass, one row or a batch, is checked by its reduction in
+    # the walk that forms it: no pass scans K or R before reducing
+    tree = ast.parse((ROOT / "src" / "diskrat" / "bergman_approx.py").read_text())
+    scopes = [scope for scope, _ in calls_of("require_finite", tree)]
+    assert scopes and set(scopes) == {"_walk"}, scopes
+
+
 def test_star_import_is_clean():
     namespace = {}
     exec("from diskrat import *", namespace)
