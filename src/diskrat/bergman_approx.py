@@ -319,8 +319,7 @@ def build_approximant(
             f"alpha {spec.alpha} is above {_MAX_FACTORIAL}: the interpolation row "
             f"of multiplicity alpha + 1 at w would carry alpha! beyond the double range"
         )
-    if not isinstance(free_poles, PoleSequence):
-        free_poles = PoleSequence(free_poles)
+    free_poles = PoleSequence(free_poles)
     basis = TMBasis(free_poles.with_trailing(spec.w, spec.alpha + 1))
     return Approximant(spec=spec, free_poles=free_poles, expansion=expand_kernel(spec, basis))
 
@@ -380,8 +379,8 @@ def _walk(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, exponent: i
     non-finite node at the block's nodes, else R's first such node of its
     first such row; nothing later is evaluated.  Where both are finite (the
     error or its reduction overflowed), reduce runs again under the
-    caller's error state, giving the warnings of a pass that checked K and
-    R before reducing."""
+    caller's error state, underflow aside (the first run reported it): the
+    warnings of a pass that checked K and R before reducing."""
     trials, count = rows.shape
     if trials == 1:
         starts = range(0, len(nodes), NODE_CHUNK)
@@ -430,8 +429,9 @@ def _walk(spec: KernelSpec, basis: TMBasis, rows: np.ndarray, nodes, exponent: i
             if not finite:
                 require_finite(part.start, stride, kernel[None, ::stride])
                 require_finite(part.start, stride, values)
-                result = reduce(multiplier[::stride], kernel[::stride], values,
-                                values if phi is not None else multiplier[None])
+                with np.errstate(under="ignore"):
+                    result = reduce(multiplier[::stride], kernel[::stride], values,
+                                    values if phi is not None else multiplier[None])
             yield slice(part.start, part.start + len(x), stride), slice(first, stop), values, result
             del values, result  # freed before the next block or part is formed
         del phi, multiplier, kernel  # freed before the next part is evaluated
@@ -975,8 +975,7 @@ def build_error_report(
     refuse reports mu's refusal, as when mu ran first.  Both passes run on
     this thread and start none, so a verify that follows in this process
     can still form its pool."""
-    if not isinstance(free_poles, PoleSequence):
-        free_poles = PoleSequence(free_poles)
+    free_poles = PoleSequence(free_poles)
     approx, values = None, (0.0,) * len(ErrorReport.VALUE_NAMES)
     if spec.w != 0:
         approx = build_approximant(spec, free_poles)

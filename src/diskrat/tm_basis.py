@@ -80,9 +80,10 @@ PIECE_NODES = 2**12
 
 class PoleSequence(tuple):
     """Ordered points of the open unit disk with multiplicity bookkeeping: a
-    tuple of plain complex numbers, each checked by require_in_disk once,
-    when it is made.  Equality and hashing are the tuple's; a slice is a
-    plain tuple, and prefix and with_trailing give sequences.
+    tuple of plain complex numbers, each checked by require_in_disk once.
+    A sequence is accepted as itself, a prefix keeps its checked points,
+    and with_trailing checks only the point it appends; a slice is a plain
+    tuple, and equality and hashing are the tuple's.
 
     Repetitions are allowed (including zeros).  Multiplicities are counted by
     exact complex equality of the stored values on purpose: tolerance-based
@@ -91,6 +92,8 @@ class PoleSequence(tuple):
     """
 
     def __new__(cls, points: Iterable[complex]):
+        if type(points) is cls:
+            return points
         return super().__new__(cls, (require_in_disk(p) for p in points))
 
     def __repr__(self):
@@ -112,10 +115,11 @@ class PoleSequence(tuple):
         return max((abs(p) for p in self), default=0.0)
 
     def prefix(self, count: int) -> "PoleSequence":
-        return PoleSequence(self[:count])
+        return tuple.__new__(PoleSequence, self[:count])
 
     def with_trailing(self, w: complex, count: int) -> "PoleSequence":
-        return PoleSequence(self + (complex(w),) * count)
+        trailing = (require_in_disk(w),) * count if count > 0 else ()
+        return tuple.__new__(PoleSequence, self + trailing)
 
     @classmethod
     def random(
@@ -140,9 +144,7 @@ class BlaschkeProduct:
     """
 
     def __init__(self, poles: PoleSequence | Sequence[complex]):
-        if not isinstance(poles, PoleSequence):
-            poles = PoleSequence(poles)
-        self.poles = poles
+        self.poles = PoleSequence(poles)
 
     def __call__(self, z):
         z = np.asarray(z)
@@ -227,16 +229,14 @@ class TMBasis:
     """
 
     def __init__(self, poles: PoleSequence | Sequence[complex]):
-        if not isinstance(poles, PoleSequence):
-            poles = PoleSequence(poles)
-        if len(poles) == 0:
+        self.poles = PoleSequence(poles)
+        if len(self.poles) == 0:
             raise ValueError("a basis needs at least one pole")
-        self.poles = poles
         # per-pole constants of the recurrence: sqrt(1 - |a|^2), conj(a) and
         # the unimodular factor -|a|/a (+1 at a zero pole)
-        self._norms = [math.sqrt(1.0 - abs(a) ** 2) for a in poles]
-        self._conjs = [a.conjugate() for a in poles]
-        self._phases = [_phase(a) for a in poles]
+        self._norms = [math.sqrt(1.0 - abs(a) ** 2) for a in self.poles]
+        self._conjs = [a.conjugate() for a in self.poles]
+        self._phases = [_phase(a) for a in self.poles]
         # id(nodes) -> (nodes, read-only design matrix), written by design_matrix,
         # read by eval_chunks; holding the nodes keeps their id from being reused
         self._designs: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -1885,6 +1885,27 @@ def test_a_pass_warns_and_then_refuses(last):
     assert refused.value.node_index == int(np.argmax(~np.isfinite(unshared)))
 
 
+@pytest.mark.parametrize("trials", [1, 2])
+def test_a_replayed_reduction_warns_its_underflow_once(trials):
+    # K = (1 - 0.6 x)^-753 is finite, 1.6^-753 to 0.4^-753 in modulus, R is
+    # zero: mu's squares of |K| underflow and overflow in one reduction.
+    # The reduction that replays the overflow for the caller warns it, and
+    # leaves the underflow the first reduction warned; two rows are two
+    # blocks of one row, each replayed
+    spec, basis, grid = KernelSpec(752, 0.6), TMBasis([0j]), circle_grid(4096)
+    rows = np.zeros((trials, 1), dtype=complex)
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
+        values = mu_functional(spec, basis, rows, grid, extended=False)
+    assert np.isposinf(values).all()
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning, f"{kind} encountered in square")
+        for kind in ["underflow", "overflow"] * trials
+    ]
+    with np.errstate(all="ignore"):
+        assert np.array_equal(mu_functional(spec, basis, rows, grid, extended=False), values)
+
+
 def test_an_approximate_request_forms_one_taylor_table_at_w_and_one_reciprocal_per_part(
     monkeypatch, capsys
 ):

@@ -95,6 +95,34 @@ class TestPoleSequence:
         assert type(trailing) is PoleSequence and trailing == (*seq, 0.5, 0.5)
         assert repr(seq) == "PoleSequence([(0.3+0j), (-0-0.4j), 0j])"
 
+    def test_a_sequence_is_taken_as_itself_and_its_extensions_check_only_what_they_append(
+        self, monkeypatch
+    ):
+        checked, check = [], tm_basis.require_in_disk
+
+        def spy(z):
+            checked.append(z)
+            return check(z)
+
+        seq = PoleSequence([0.3, -0.4j, 0j, 0.3])
+        monkeypatch.setattr(tm_basis, "require_in_disk", spy)
+        assert PoleSequence(seq) is seq
+        assert TMBasis(seq).poles is seq and BlaschkeProduct(seq).poles is seq
+        prefix = seq.prefix(3)
+        trailing = seq.with_trailing(0.5 + 0.1j, 3)
+        assert checked == [0.5 + 0.1j]
+        monkeypatch.setattr(tm_basis, "require_in_disk", check)
+        for made, points in [(prefix, seq[:3]), (trailing, (*seq, *[0.5 + 0.1j] * 3))]:
+            assert type(made) is PoleSequence and made == PoleSequence(points)
+            assert made.multiplicities == PoleSequence(points).multiplicities
+        with pytest.raises(PointNotInDisk):
+            seq.with_trailing(1.0, 1)
+        with pytest.raises(PointNotInDisk):
+            seq.with_trailing(complex(np.nan, 0), 2)
+        for count in (0, -1):
+            assert seq.with_trailing(1.0, count) == seq
+            assert type(seq.with_trailing(complex(np.inf, 0), count)) is PoleSequence
+
     def test_a_pickle_round_trip_keeps_points_and_multiplicities(self):
         seq = PoleSequence([0.3, -0.4j, 0.3, 0j, 0.3])
         assert seq.multiplicities == (1, 1, 2, 1, 3)

@@ -1,7 +1,8 @@
 """The library names the benchmark harness traces and patches still exist,
 every name the package declares public, README.md names or the source's
 docstrings and comments name resolves, no grid is made past the node cap,
-and one function refuses non-finite samples."""
+one function refuses non-finite samples, and each pole is checked once per
+boundary."""
 
 import ast
 import importlib
@@ -14,6 +15,7 @@ import shlex
 import subprocess
 import sys
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -456,6 +458,37 @@ def test_grid_passes_have_one_finiteness_rule():
     tree = ast.parse((ROOT / "src" / "diskrat" / "bergman_approx.py").read_text())
     scopes = [scope for scope, _ in calls_of("require_finite", tree)]
     assert scopes and set(scopes) == {"_walk"}, scopes
+
+
+def test_no_constructor_asks_whether_it_holds_a_pole_sequence():
+    # PoleSequence takes a sequence as itself, so every constructor calls it
+    # unconditionally
+    found = []
+    for path in sorted((ROOT / "src" / "diskrat").glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for scope, line in calls_of("isinstance", ast.parse(text)):
+            if "PoleSequence" in lines[line - 1]:
+                found.append((path.name, scope, line))
+    assert found == []
+
+
+def test_each_pole_is_checked_once_at_the_flag_and_once_in_the_library(monkeypatch, capsys):
+    # the three free poles at --poles and in the free sequence; w at --w, in
+    # KernelSpec and once where its alpha + 1 copies are appended
+    check, checked = diskrat.circlequad.require_in_disk, []
+
+    def spy(z):
+        checked.append(complex(z))
+        return check(z)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("diskrat") and getattr(module, "require_in_disk", None) is check:
+            monkeypatch.setattr(module, "require_in_disk", spy)
+    argv = ["approximate", "--alpha", "1", "--w", "0.5,0.2", "--poles", "0.3,0;0,-0.4;0.1,0.1"]
+    assert diskrat.cli.main(argv) == 0
+    assert len(checked) == 9
+    assert Counter(checked) == {0.3: 2, -0.4j: 2, 0.1 + 0.1j: 2, 0.5 + 0.2j: 3}
 
 
 def test_star_import_is_clean():
