@@ -37,10 +37,10 @@ from typing import Callable
 import numpy as np
 
 from .circlequad import circle_grid, json_complex, require_finite, require_in_disk
-from .errors import DesignTooLarge, ValueOutOfRange
+from .errors import ValueOutOfRange
 from .expansion import FourierExpansion, expand_kernel, validate_trailing_poles
 from .kernels import KernelSpec, reciprocal_power
-from .tm_basis import MAX_DESIGN_BYTES, NODE_CHUNK, BlaschkeProduct, PoleSequence, TMBasis
+from .tm_basis import NODE_CHUNK, BlaschkeProduct, PoleSequence, TMBasis, require_bytes
 
 __all__ = [
     "Approximant",
@@ -843,8 +843,8 @@ def competitor_trials(
     _NOISE_SCALE * max|c| to it, even trials draw complex Gaussian
     coefficients of scale max|c|.  The generator is consumed in trial order,
     each trial taking the real and then the imaginary parts of its m
-    Gaussians, all in one draw.  A scan of more than MAX_DESIGN_BYTES raises
-    DesignTooLarge before anything is allocated: per trial its row, its
+    Gaussians, all in one draw.  require_bytes refuses a scan of more than
+    MAX_DESIGN_BYTES before anything is allocated: per trial its row, its
     draws, 16 m bytes for its row's part in the nu brackets and the rest of
     its nu state, _NU_ROW_BYTES.  The draws are freed before nu runs.  With
     the 16 m bytes they cover the copy of a live bracket's row in a
@@ -854,11 +854,8 @@ def competitor_trials(
     trials, count = int(trials), len(optimum)
     shape = (max(trials - 1, 0), 2, count)  # the real draws behind rows 1, 2, ...
     size = trials * (32 * count + _NU_ROW_BYTES) + 8 * math.prod(shape)
-    if size > MAX_DESIGN_BYTES:
-        raise DesignTooLarge(
-            f"a competitor schedule of {trials} trials by {count} coefficients needs "
-            f"{size} bytes with its nu pass, more than the cap of {MAX_DESIGN_BYTES}"
-        )
+    require_bytes(size, f"a competitor schedule of {trials} trials by {count} coefficients "
+                  f"needs {size} bytes with its nu pass")
     scale = float(np.max(np.abs(optimum)))
     rows = np.empty((trials, count), dtype=complex)
     rows[:1] = optimum

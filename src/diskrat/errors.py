@@ -41,7 +41,7 @@ class GridTooLarge(DiskratError):
 
 class DesignTooLarge(DiskratError):
     """A basis evaluation, design matrix or competitor scan would need more
-    than tm_basis.MAX_DESIGN_BYTES."""
+    than tm_basis.MAX_DESIGN_BYTES, raised by tm_basis.require_bytes alone."""
 
 
 class IndexOutOfRange(DiskratError):

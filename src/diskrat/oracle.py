@@ -30,7 +30,7 @@ from .bergman_approx import (
 from .circlequad import circle_grid, json_complex, sample_on_nodes
 from .errors import IllConditioned
 from .kernels import KernelSpec
-from .tm_basis import PIECE_NODES, PoleSequence, TMBasis, inner_products
+from .tm_basis import PIECE_NODES, TMBasis, inner_products
 
 __all__ = [
     "LeastSquaresProblem",
@@ -73,9 +73,11 @@ class LeastSquaresProblem:
     @classmethod
     def build(cls, spec: KernelSpec, basis: TMBasis, grid: np.ndarray) -> "LeastSquaresProblem":
         # the normal-equations matrix conj(A)^T A / N, whose entry (k, l) is
-        # <phi_l, phi_k>: the conjugate of the basis's Gram, which stores A;
-        # design_matrix then returns that stored A without evaluating it again
-        gram = np.conj(basis.gram_matrix(grid))
+        # <phi_l, phi_k>: the basis's Gram, conjugated in place on the fresh
+        # array gram_matrix returns.  Building the Gram stores A, so
+        # design_matrix then returns it without evaluating it again
+        gram = basis.gram_matrix(grid)
+        np.conjugate(gram, out=gram)
         design = basis.design_matrix(grid)
         target = sample_on_nodes(spec.bergman, grid)
         return cls(design, target, gram, float(np.linalg.cond(gram)))
@@ -203,7 +205,7 @@ def small_instance_exhaustive(spec: KernelSpec) -> SmallInstanceReport:
         raise ValueError("the exhaustive instance is defined for alpha = 0")
     grid_points, half_width = EXHAUSTIVE_GRID_POINTS, EXHAUSTIVE_HALF_WIDTH
     quad_grid = circle_grid(EXHAUSTIVE_QUAD_NODES)
-    basis = TMBasis(PoleSequence([spec.w]))
+    basis = TMBasis([spec.w])
     kernel = sample_on_nodes(spec.bergman, quad_grid)
     phi0 = basis.eval_all(quad_grid, count=1)[0]
     center = complex(np.mean(kernel * np.conj(phi0)))  # <K, phi0>

@@ -50,6 +50,14 @@ __all__ = [
 #: stored whole-grid blocks.
 MAX_DESIGN_BYTES = 2**28
 
+
+def require_bytes(size: int, need: str):
+    """Raise DesignTooLarge, saying need, when size bytes are more than
+    MAX_DESIGN_BYTES, read at the call: every byte cap is refused here."""
+    if size > MAX_DESIGN_BYTES:
+        raise DesignTooLarge(f"{need}, more than the cap of {MAX_DESIGN_BYTES}")
+
+
 #: The side of a Gram matrix of MAX_DESIGN_BYTES, 4096: no basis of more
 #: functions has a Gram within the cap, so no command-line count asks for
 #: more.  inner_products counts a conjugated piece of the design beside the
@@ -173,8 +181,8 @@ def _conjugate_pieces(design_shape, values_shape, itemsize: int) -> list[slice] 
     is one piece, and no piece is a single column beside others: numpy
     takes the product of one column by a matrix-vector routine, which
     rounds apart.  The widest piece's conjugate (or the vector's) and the
-    result of more than MAX_DESIGN_BYTES raise DesignTooLarge, before
-    anything is allocated."""
+    result of more than MAX_DESIGN_BYTES are refused by require_bytes,
+    before anything is allocated."""
     nodes, functions = design_shape
     vectors = math.prod(values_shape[1:])
     pieces = None
@@ -185,11 +193,8 @@ def _conjugate_pieces(design_shape, values_shape, itemsize: int) -> list[slice] 
         pieces = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         conjugate *= max(piece.stop - piece.start for piece in pieces)
     size = (conjugate + functions * vectors) * itemsize
-    if size > MAX_DESIGN_BYTES:
-        raise DesignTooLarge(
-            f"inner products of {functions} functions with {vectors} vectors need {size} "
-            f"bytes with {conjugate} conjugate values, more than the cap of {MAX_DESIGN_BYTES}"
-        )
+    require_bytes(size, f"inner products of {functions} functions with {vectors} vectors need "
+                  f"{size} bytes with {conjugate} conjugate values")
     return pieces
 
 
@@ -266,7 +271,7 @@ class TMBasis:
         run; a pole that recurs after other poles forms it again, to the
         same bits.  A zero pole divides nothing: its factor is z itself.
         The factor of the last function is not formed.  Values of more than
-        MAX_DESIGN_BYTES raise DesignTooLarge before anything is allocated.
+        MAX_DESIGN_BYTES are refused by require_bytes before any allocation.
         The bits depend on the length of z (see NODE_CHUNK); the grid
         passes of a batch of rows go through eval_chunks.
         """
@@ -276,11 +281,8 @@ class TMBasis:
         zz = np.atleast_1d(z)
         dtype = np.result_type(zz, np.complex128)
         size = zz.size * count * dtype.itemsize
-        if size > MAX_DESIGN_BYTES:
-            raise DesignTooLarge(
-                f"an evaluation of {zz.size} points by {count} functions "
-                f"needs {size} bytes, more than the cap of {MAX_DESIGN_BYTES}"
-            )
+        require_bytes(size, f"an evaluation of {zz.size} points by {count} functions "
+                      f"needs {size} bytes")
         out = np.empty((count,) + zz.shape, dtype=dtype)
         running = np.ones(zz.shape, dtype=out.dtype)
         poles = self.poles[:count]
@@ -331,8 +333,8 @@ class TMBasis:
         after other poles forms them again, to the same bits.  A zero pole
         divides nothing.  Two working arrays of the result's size, two of
         z's size and c'_k of rows are counted against MAX_DESIGN_BYTES,
-        however the poles recur: more raise DesignTooLarge before anything
-        is allocated.
+        however the poles recur: more are refused by require_bytes before
+        anything is allocated.
 
         reciprocal, if given, is 1 / (1 - conj(a) z) of the last pole a,
         formed by the caller as this sum forms it, of z's shape and the
@@ -360,11 +362,8 @@ class TMBasis:
         dtype = np.result_type(z, np.complex128)
         column = math.prod(lead) if lead else 0  # c'_k of rows
         size = (2 * math.prod(shape) + 2 * z.size + column) * dtype.itemsize
-        if size > MAX_DESIGN_BYTES:
-            raise DesignTooLarge(
-                f"a sum of {count} functions at {math.prod(shape)} points needs {size} "
-                f"bytes, more than the cap of {MAX_DESIGN_BYTES}"
-            )
+        require_bytes(size, f"a sum of {count} functions at {math.prod(shape)} points "
+                      f"needs {size} bytes")
         poles = self.poles[:count]
         # c'_k = c_k sqrt(1 - |a_k|^2) times phases[k], the unimodular
         # constants of f_0..f_(k-1)

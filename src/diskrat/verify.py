@@ -173,7 +173,7 @@ def _quadratic_results(partials: list[tuple]) -> list[tuple[str, float, dict]]:
     )
     configs = sum(partial[4] for partial in partials)
     # spot value: alpha=0, n=1, free pole 0, w=0.5 gives exactly 4/27
-    spot = mu_min_closed_form(KernelSpec(0, 0.5), PoleSequence([0j]))
+    spot = mu_min_closed_form(KernelSpec(0, 0.5), [0j])
     worst_rel = max(worst_rel, abs(spot - 4.0 / 27.0) / (4.0 / 27.0))
     detail = {"configurations": configs, "spot_mu": spot, "max_condition": worst_cond}
     return [
@@ -208,7 +208,7 @@ def _check_uniform_group() -> list[tuple[str, float, dict]]:
                     nu_closed = nu_min_closed_form(spec, free)
                     worst_nu = max(worst_nu, abs(nu_val - nu_closed) / nu_closed)
                     configs += 1
-    spot = nu_min_closed_form(KernelSpec(0, 0.5), PoleSequence([0j]))
+    spot = nu_min_closed_form(KernelSpec(0, 0.5), [0j])
     worst_nu = max(worst_nu, abs(spot - 1.0 / 3.0) / (1.0 / 3.0))
 
     eq_grid = circle_grid(2**14)
@@ -222,9 +222,9 @@ def _check_uniform_group() -> list[tuple[str, float, dict]]:
         worst_eq = max(worst_eq, variation)
 
     scan_configs = [
-        (KernelSpec(0, 0.5), PoleSequence([0j]), 42),
-        (KernelSpec(1, 0.4j), PoleSequence([0.2]), 43),
-        (KernelSpec(2, complex(-0.3, 0.2)), PoleSequence([0.25, -0.3j]), 44),
+        (KernelSpec(0, 0.5), [0j], 42),
+        (KernelSpec(1, 0.4j), [0.2], 43),
+        (KernelSpec(2, complex(-0.3, 0.2)), [0.25, -0.3j], 44),
     ]
     worst_scan = 0.0
     for spec, free, seed in scan_configs:
@@ -263,7 +263,7 @@ def _check_approximant_group() -> list[tuple[str, float, dict]]:
     flagged = 0
     for alpha, w, free in _approximant_configs():
         spec = KernelSpec(alpha, w)
-        approx = build_approximant(spec, PoleSequence(free))
+        approx = build_approximant(spec, free)
         direct = approx.eval(points)
         closed = approx.eval_closed_form(points)
         worst_cf = max(worst_cf, float(np.max(np.abs(direct - closed))))
@@ -301,7 +301,7 @@ def _check_remainder_group() -> list[tuple[str, float, dict]]:
     worst_phase = 0.0
     for alpha, w, free in configs:
         spec = KernelSpec(alpha, w)
-        approx = build_approximant(spec, PoleSequence(free))
+        approx = build_approximant(spec, free)
         basis = approx.basis
         n = approx.n
         grid = circle_grid(approx.expansion.grid_size)
@@ -337,7 +337,7 @@ def _check_inequality_group() -> list[tuple[str, float, dict]]:
     worst_gap = 0.0
     for index, (alpha, w, free) in enumerate(configs):
         spec = KernelSpec(alpha, w)
-        approx = build_approximant(spec, PoleSequence(free))
+        approx = build_approximant(spec, free)
         basis = approx.basis
         rng = np.random.default_rng([_LATTICE_SEED + 5, index])
         optimum = approx.coefficients
@@ -362,14 +362,14 @@ def _check_inequality_group() -> list[tuple[str, float, dict]]:
 
 
 def _check_degenerate_group() -> list[tuple[str, float, dict]]:
-    report = build_error_report(KernelSpec(1, 0j), PoleSequence([0.3, -0.2j]))
+    report = build_error_report(KernelSpec(1, 0j), [0.3, -0.2j])
     zero_value = max(abs(v) for v in report.values)
 
     worst_mu = 0.0
     worst_nu = 0.0
     grids = []
     for alpha in (0, 2):
-        boundary = build_error_report(KernelSpec(alpha, 0.95 + 0.0j), PoleSequence([0.3, -0.25j]))
+        boundary = build_error_report(KernelSpec(alpha, 0.95 + 0.0j), [0.3, -0.25j])
         grids.append(boundary.approximant.expansion.grid_size)
         mu_closed = boundary.mu_closed_form
         worst_mu = max(worst_mu, abs(boundary.mu_quadrature - mu_closed) / mu_closed)

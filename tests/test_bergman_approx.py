@@ -35,7 +35,7 @@ from diskrat import (
     nu_min_closed_form,
     uniform_competitor_scan,
 )
-from diskrat import bergman_approx, circlequad, verify
+from diskrat import bergman_approx, circlequad, tm_basis, verify
 from diskrat.bergman_approx import (
     EXTENDED_MU_CUTOFF,
     NU_GRID_NODES,
@@ -2434,17 +2434,29 @@ class TestTrialBound:
         # and per row the refinement's evaluation of 2 functions and the
         # rest of the nu pass's state
         size = 16 * 2 * (100 + 99) + 100 * (16 * 2 + bergman_approx._NU_ROW_BYTES)
-        monkeypatch.setattr(bergman_approx, "MAX_DESIGN_BYTES", size)
+        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", size)
         assert competitor_trials(approx, 100, np.random.default_rng(0)).shape == (100, 2)
-        monkeypatch.setattr(bergman_approx, "MAX_DESIGN_BYTES", size - 1)
+        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", size - 1)
         with pytest.raises(DesignTooLarge, match=f"needs {size} bytes"):
             competitor_trials(approx, 100, np.random.default_rng(0))
+
+    def test_the_one_cap_refuses_a_schedule(self, monkeypatch):
+        # lowering tm_basis's cap alone refuses the schedule: bergman_approx
+        # holds no copy of it
+        approx = build_approximant(KernelSpec(0, 0.5), [0.1])  # m = 2
+        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", 10)
+        message = (
+            r"^a competitor schedule of 3 trials by 2 coefficients needs \d+ bytes "
+            r"with its nu pass, more than the cap of 10$"
+        )
+        with pytest.raises(DesignTooLarge, match=message):
+            competitor_trials(approx, 3, np.random.default_rng(0))
 
     @staticmethod
     def counted(approx, trials, monkeypatch):
         """The bytes competitor_trials counts for a scan, from its refusal."""
         with monkeypatch.context() as patch:
-            patch.setattr(bergman_approx, "MAX_DESIGN_BYTES", 0)
+            patch.setattr(tm_basis, "MAX_DESIGN_BYTES", 0)
             with pytest.raises(DesignTooLarge) as refusal:
                 competitor_trials(approx, trials, np.random.default_rng(0))
         return int(re.search(r"needs (\d+) bytes", str(refusal.value)).group(1))
@@ -2455,7 +2467,7 @@ class TestTrialBound:
         schedule = 16 * 2 * (2 * trials - 1)  # the rows and draws alone
         counted = self.counted(approx, trials, monkeypatch)
         assert counted > 8 * schedule
-        monkeypatch.setattr(bergman_approx, "MAX_DESIGN_BYTES", (schedule + counted) // 2)
+        monkeypatch.setattr(tm_basis, "MAX_DESIGN_BYTES", (schedule + counted) // 2)
         tracemalloc.start()
         try:
             with pytest.raises(DesignTooLarge, match=f"needs {counted} bytes"):

@@ -225,6 +225,23 @@ class TestInnerProducts:
         assert peak < 64 * 1024
         assert basis._designs == {}
 
+    def test_a_problem_holds_one_gram(self):
+        # 1200 functions on 256 nodes: the Gram (22.0 MiB) is conjugated in
+        # place, so the build peaks at it, the stored design (4.7 MiB) and
+        # inner_products' conjugated piece, here the whole design, with no
+        # second Gram beside them
+        basis = TMBasis(PoleSequence.random(1200, np.random.default_rng(5), max_modulus=0.9))
+        grid = circle_grid(256)
+        gram, design = 1200 * 1200 * 16, 256 * 1200 * 16
+        tracemalloc.start()
+        try:
+            problem = LeastSquaresProblem.build(KernelSpec(0, 0.5), basis, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= gram + 2 * design + 2**20
+        assert np.array_equal(problem.gram, np.conj(basis.gram_matrix(grid)))
+
     @pytest.mark.parametrize("nodes", [16384, 2**15])
     def test_a_design_at_the_cap_builds_its_gram_within_one_piece_more(self, monkeypatch, nodes):
         # A design of 37 functions exactly at a scaled cap: its Gram

@@ -452,6 +452,39 @@ def test_non_finite_samples_are_refused_in_one_place():
     assert calls == [("circlequad.py", "require_finite")], calls
 
 
+def test_every_byte_cap_is_refused_in_one_place():
+    # tm_basis.require_bytes raises every DesignTooLarge against the one
+    # MAX_DESIGN_BYTES, which no other module reads or imports
+    calls = [
+        (path.name, scope)
+        for path in sorted((ROOT / "src" / "diskrat").glob("*.py"))
+        for scope, _ in calls_of("DesignTooLarge", ast.parse(path.read_text()))
+    ]
+    assert calls == [("tm_basis.py", "require_bytes")], calls
+    readers = {
+        path.name
+        for path in (ROOT / "src" / "diskrat").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "MAX_DESIGN_BYTES"
+        in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    }
+    assert readers == {"tm_basis.py"}, readers
+
+
+def test_no_call_wraps_its_poles_for_a_constructor():
+    # every constructor takes a list as a PoleSequence, so no caller wraps
+    # the poles it hands on
+    found = [
+        (path.name, node.lineno)
+        for path in sorted((ROOT / "src" / "diskrat").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        for arg in [*node.args, *(keyword.value for keyword in node.keywords)]
+        if isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "PoleSequence"
+    ]
+    assert found == [], found
+
+
 def test_grid_passes_have_one_finiteness_rule():
     # every grid pass, one row or a batch, is checked by its reduction in
     # the walk that forms it: no pass scans K or R before reducing
